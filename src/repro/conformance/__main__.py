@@ -51,9 +51,9 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("--transactions", type=int, default=12,
                         help="random transactions per program (default 12)")
     parser.add_argument("--lanes", type=int, default=4,
-                        help="stimulus streams run lane-packed through one "
-                             "engine and checked against scalar traces "
-                             "(default 4; 1 disables the packed way)")
+                        help="stimulus streams run as one lane batch on a "
+                             "native engine and checked against scalar "
+                             "traces (default 4; 1 disables the lane way)")
     parser.add_argument("--engine", action="append", dest="engines",
                         metavar="NAME",
                         help="engines to include in the differential matrix "

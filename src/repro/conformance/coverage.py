@@ -106,8 +106,8 @@ class CoverageRecord:
     fallback_reasons: Dict[str, str] = field(default_factory=dict)
     stimulus_has_x: bool = False
     transactions: int = 0
-    #: How many stimulus streams ran lane-packed through one engine
-    #: instantiation (1 = scalar only, no packed-vs-scalar check).
+    #: How many stimulus streams ran as one lane batch on a native engine
+    #: instantiation (1 = scalar only, no lane-vs-scalar check).
     lanes: int = 1
     #: Whether the ``compiled`` engine executed through a generated kernel
     #: (:mod:`repro.sim.codegen`); when it fell back to the interpreter,
@@ -120,11 +120,11 @@ class CoverageRecord:
     #: values, no host C compiler, ...).
     native: bool = False
     native_fallback: Optional[str] = None
-    #: Whether the lane-packed way executed through the native **lane**
-    #: entry (``k_run_lanes`` in :mod:`repro.sim.native`): ``None`` when
-    #: the way did not run at all, ``True`` for a native-lane run,
-    #: ``False`` when it fell back to the packed Python kernel with the
-    #: reason in :attr:`native_lanes_fallback`.
+    #: Whether the lane way executed through the native **lane** entry
+    #: (``k_run_lanes`` in :mod:`repro.sim.native`): ``None`` when the way
+    #: did not run at all, ``True`` for a native-lane run, ``False`` when
+    #: it fell back to N scalar runs with the reason in
+    #: :attr:`native_lanes_fallback`.
     native_lanes: Optional[bool] = None
     native_lanes_fallback: Optional[str] = None
     #: Whether the incremental-recompilation way ran (a seeded mutation was
@@ -270,8 +270,6 @@ def cells_of_record(record: CoverageRecord) -> Set[tuple]:
     cells.add(("regime", record.regime))
     cells.add(("ii", record.ii))
     cells.add(("x", _x_bin(record)))
-    if record.lanes > 1:
-        cells.add(("lanes", "packed"))
     if record.native_lanes:
         cells.add(("lanes", "native"))
     if record.shared_instances:
@@ -374,7 +372,7 @@ class CoverageLedger:
         """How many programs the native engine ran through a compiled C
         kernel vs. fell back down the tier chain; runs whose matrix did not
         include the native engine are counted separately.  ``lane-native``
-        counts the subset of runs whose lane-packed way additionally went
+        counts the subset of runs whose lane way additionally went
         through the native lane entry — distinguishing scalar-native-only
         runs from fully native ones."""
         native = fallback = lane_native = 0
@@ -399,7 +397,7 @@ class CoverageLedger:
         return dict(sorted(histogram.items()))
 
     def native_lanes_fallback_histogram(self) -> Dict[str, int]:
-        """Why the lane-packed way missed the native lane entry, across
+        """Why the lane way missed the native lane entry, across
         recorded programs whose way ran but fell back."""
         histogram: Dict[str, int] = {}
         for record in self.records:
@@ -511,7 +509,7 @@ class CoverageLedger:
                 lines.append(f"  native-lane fallbacks: {lane_reasons}")
         lanes = sorted({record.lanes for record in self.records})
         if lanes and lanes != [1]:
-            lines.append(f"  packed lanes per run: {lanes}")
+            lines.append(f"  lane way, streams per run: {lanes}")
         incremental = sum(1 for r in self.records if r.incremental)
         if incremental:
             lines.append(

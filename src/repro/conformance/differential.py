@@ -21,16 +21,15 @@ under identical random stimulus, and all answers must agree:
    ineligible or the host has no C compiler) must produce cycle-identical
    traces, including X propagation (the harness drives X outside every
    availability window);
-6. **lane-packed vs scalar** — ``lanes`` independently seeded stimulus
-   streams run through one lane-packed pass
-   (:meth:`~repro.sim.engine.ScheduledEngine.run_lanes`) of a single engine
-   instantiation, and every lane's trace must be bit-identical (values and
-   X planes) to a scalar run of that stream; the same streams then run
-   through the **native lane entry** (``mode="native"`` ``run_lanes``,
-   ``k_run_lanes`` in :mod:`repro.sim.native`) under the same
-   bit-identity requirement, with the lane-path outcome
-   (``native_lanes`` / ``native_lanes_fallback``) recorded in the
-   coverage ledger;
+6. **native lanes vs scalar** — ``lanes`` independently seeded stimulus
+   streams run as one lane batch
+   (:meth:`~repro.sim.engine.ScheduledEngine.run_lanes`) of a single
+   ``mode="native"`` engine — one call into the **native lane entry**
+   (``k_run_lanes`` in :mod:`repro.sim.native`), or N scalar runs when the
+   entry is unavailable — and every lane's trace must be bit-identical
+   (values and X planes) to a scalar run of that stream, with the
+   lane-path outcome (``native_lanes`` / ``native_lanes_fallback``)
+   recorded in the coverage ledger;
 7. **golden model** — every captured transaction output must equal the
    generator's exact Python evaluation of the dataflow spec;
 8. **incremental recompilation** — an in-place mutation recompiled through
@@ -120,8 +119,8 @@ class ConformanceResult:
     divergences: List[str] = field(default_factory=list)
     coverage: Optional[CoverageRecord] = None
     #: The engines requested for the matrix (without the synthetic
-    #: ``reparsed``/``packed`` entries appended during the run) — what a
-    #: repro command must pass back via ``--engine``.
+    #: ``reparsed``/``native-lanes`` entries appended during the run) —
+    #: what a repro command must pass back via ``--engine``.
     matrix_engines: List[str] = field(default_factory=list)
     lanes: int = 1
     roundtrip: bool = True
@@ -269,10 +268,10 @@ def run_conformance(generated: GeneratedProgram,
     ``seed`` seeds the *stimulus* stream (independent of the program seed)
     so interleaved runs stay reproducible; it is recorded in the result.
     ``lanes`` independently seeded streams (``seed``, ``seed + 1``, …) are
-    additionally pushed through one lane-packed engine instantiation and
-    each lane is checked bit-for-bit against its scalar trace; ``lanes=1``
-    disables the packed way.  ``incremental`` enables the incremental-
-    recompilation way: a seeded, well-typedness-preserving mutation is
+    additionally run as one lane batch on a native engine and each lane is
+    checked bit-for-bit against its scalar trace; ``lanes=1`` disables the
+    lane way.  ``incremental`` enables the incremental-recompilation way:
+    a seeded, well-typedness-preserving mutation is
     applied to the component *in place* and the incrementally recompiled
     Calyx/Verilog must be byte-identical to a from-scratch compile of the
     mutated program (with the process-wide compile cache bypassed for the
@@ -407,11 +406,13 @@ def run_conformance(generated: GeneratedProgram,
         coverage.native = native_engine.uses_native()
         coverage.native_fallback = native_engine.native_fallback_reason
 
-    # 6. Lane-packed execution must be bit-identical to scalar runs: the
-    #    original stimulus plus ``lanes - 1`` freshly seeded streams go
-    #    through ONE engine instantiation's run_lanes, and each lane is
-    #    compared against its own scalar trace.  ``coverage.lanes`` only
-    #    reports a packed width when the packed run actually happened.
+    # 6. Lane batches must be bit-identical to scalar runs: the original
+    #    stimulus plus ``lanes - 1`` freshly seeded streams go through ONE
+    #    native engine's run_lanes (one k_run_lanes call when the host can
+    #    build the C kernel), and each lane is compared against its own
+    #    scalar trace.  The lane-path outcome is recorded either way so the
+    #    ledger distinguishes lane-native from fallback runs;
+    #    ``coverage.lanes`` only reports a lane width when the batch ran.
     coverage.lanes = 1
     if lanes > 1 and reference_name is not None:
         streams = [stimulus]
@@ -432,47 +433,27 @@ def run_conformance(generated: GeneratedProgram,
                     scalar_traces.append(
                         scalar_engine.run_batch(lane_stimulus))
         except SimulationError:
-            # The extra streams hit a conflict even scalar; the packed and
-            # native-lane runs below raise (and record) the same error.
+            # The extra streams hit a conflict even scalar; the lane batch
+            # below raises (and records) the same error.
             scalar_traces = None
-        packed_engine = Simulator(calyx, spec.name, mode="auto")
-        try:
-            packed_traces = packed_engine.run_lanes(streams)
-        except SimulationError as error:
-            divergences.append(f"engine packed: {error}")
-        else:
-            result.engines = result.engines + ["packed"]
-            coverage.lanes = lanes
-            if scalar_traces is not None:
-                for lane in range(len(streams)):
-                    _compare_traces(f"scalar lane {lane}",
-                                    scalar_traces[lane],
-                                    f"packed[{lane}]",
-                                    packed_traces[lane], divergences)
-
-        # The native lane entry (mode="native" run_lanes) is one more way:
-        # same streams, one k_run_lanes call per batch when the host can
-        # build the C kernel.  The outcome is recorded either way so the
-        # ledger distinguishes lane-native from scalar-native from
-        # fallback paths.
         lane_engine = Simulator(calyx, spec.name, mode="native")
         try:
-            native_lane_traces = lane_engine.run_lanes(streams)
+            lane_traces = lane_engine.run_lanes(streams)
         except SimulationError as error:
             divergences.append(f"engine native-lanes: {error}")
         else:
+            coverage.lanes = lanes
             coverage.native_lanes = lane_engine.uses_native_lanes()
             coverage.native_lanes_fallback = (
                 lane_engine.native_lanes_fallback_reason)
             if coverage.native_lanes:
                 result.engines = result.engines + ["native-lanes"]
-                if scalar_traces is not None:
-                    for lane in range(len(streams)):
-                        _compare_traces(f"scalar lane {lane}",
-                                        scalar_traces[lane],
-                                        f"native-lanes[{lane}]",
-                                        native_lane_traces[lane],
-                                        divergences)
+            if scalar_traces is not None:
+                for lane in range(len(streams)):
+                    _compare_traces(f"scalar lane {lane}",
+                                    scalar_traces[lane],
+                                    f"native-lanes[{lane}]",
+                                    lane_traces[lane], divergences)
 
     # 7. Captured outputs must match the exact golden model.  Outputs whose
     #    input cone touches an X-dropped port have no defined golden value

@@ -26,6 +26,7 @@ __all__ = [
     "PhantomError",
     "LoweringError",
     "SimulationError",
+    "DriverConflictError",
     "render_interval_clash",
 ]
 
@@ -147,6 +148,24 @@ class LoweringError(FilamentError):
 class SimulationError(FilamentError):
     """The cycle-accurate simulator detected an inconsistent netlist, e.g. a
     combinational cycle or conflicting drivers on one wire."""
+
+
+class DriverConflictError(SimulationError):
+    """Simultaneously active drivers put different values on one port.
+
+    Every engine tier raises this with the same message; ``component``,
+    ``port`` and ``cycle`` locate the conflict, so a lane batch can report
+    the earliest one across its streams.  ``detail`` ends the message: the
+    drivers and values for a scalar run, ``" (lane N)"`` for a lane batch.
+    """
+
+    def __init__(self, component: str, port: object, cycle: int,
+                 detail: str) -> None:
+        super().__init__(f"{component}: conflicting drivers for {port} in "
+                         f"cycle {cycle}{detail}")
+        self.component = component
+        self.port = port
+        self.cycle = cycle
 
 
 def render_interval_clash(label: str, available: Interval,

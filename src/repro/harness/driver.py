@@ -314,19 +314,19 @@ class CycleAccurateHarness:
     def run_lanes(self, transaction_streams: Sequence[Sequence[Transaction]],
                   spacing: Optional[int] = None,
                   extra_cycles: int = 4) -> List[List[TransactionResult]]:
-        """Run several *independent* transaction streams as lanes of one
-        lane-packed netlist pass and capture each stream's outputs.
+        """Run several *independent* transaction streams as one lane batch
+        and capture each stream's outputs.
 
         Every stream is pipelined internally exactly as :meth:`run` would
-        pipeline it; the streams never interact, they only share the
-        simulator pass, so N fuzz streams cost roughly one.
+        pipeline it; the streams never interact.
 
         When the simulator's native lane entry is active the streams are
         scheduled columnar, merged into one lane-major-within-port buffer
         set, and executed in a single C call
-        (:meth:`~repro.sim.engine.ScheduledEngine.run_lane_columns`) —
-        trace-identical to the packed path, without the per-cycle Python
-        lane marshalling.
+        (:meth:`~repro.sim.engine.ScheduledEngine.run_lane_columns`), so a
+        batch of short streams pays the per-call overhead once.  Otherwise
+        :meth:`~repro.sim.engine.ScheduledEngine.run_lanes` runs each
+        stream on the simulator's own tier — trace-identical either way.
         """
         streams = [list(stream) for stream in transaction_streams]
         simulator = self._fresh_simulator()

@@ -11,8 +11,8 @@ of :class:`~repro.harness.driver.CycleAccurateHarness`:
 * :func:`differential_test` — run the same transactions through two designs
   (or a design and a Python golden model) and report every divergence;
 * :func:`fuzz_against_golden` — check a design against a golden model,
-  optionally running many independently seeded streams as lanes of one
-  lane-packed simulator pass (``lanes=``).
+  optionally running many independently seeded streams as one lane batch
+  (``lanes=``; one C call on the native lane entry).
 """
 
 from __future__ import annotations
@@ -138,10 +138,10 @@ def fuzz_against_golden(harness: CycleAccurateHarness,
     seeded per call (recorded in the report), never from global RNG state.
 
     With ``lanes > 1``, ``lanes`` independent streams (seeded ``seed``,
-    ``seed + 1``, …) run lane-packed through **one** netlist pass and every
-    stream is checked against the golden model — the way to push ``lanes``
-    times the fuzz traffic through the simulator for roughly one stream's
-    interpretation cost.
+    ``seed + 1``, …) run as one lane batch
+    (:meth:`~repro.harness.driver.CycleAccurateHarness.run_lanes`) and
+    every stream is checked against the golden model; on the native lane
+    entry that amortizes per-call overhead on short streams.
     """
     if lanes <= 1:
         streams = [random_transactions(harness, count, seed)]

@@ -25,8 +25,6 @@ from .primitives import (
 )
 from .simulator import Simulator, run_trace
 from .values import (
-    LaneContext,
-    PackedValue,
     Value,
     X,
     format_value,
@@ -46,7 +44,6 @@ __all__ = [
     "PrimitiveModel", "create_primitive", "is_primitive", "primitive_names",
     "register_primitive",
     "Simulator", "run_trace",
-    "LaneContext", "PackedValue",
     "Value", "X", "format_value", "is_x", "mask", "to_bool",
     "WaveformRecorder", "render_ascii",
 ]

@@ -11,8 +11,7 @@ straight-line host code:
   Python list (no dicts anywhere on the hot path);
 * the levelized schedule is emitted as straight-line Python source — one
   statement group per node, with each stdlib primitive's semantics inlined
-  as bigint/mask expressions (the same guard-bit and X-plane tricks the
-  lane-packed interpreter uses);
+  as int/mask expressions;
 * driver groups fold to direct moves or small if/elif chains for the
   overwhelmingly common single-assignment case, with a slot-based resolver
   (still dict-free) for genuinely multi-driven ports;
@@ -21,10 +20,8 @@ straight-line host code:
 * hierarchy is compiled compositionally: each child component becomes its
   own settle/tick closure pair called from the parent's straight line.
 
-Two kernel variants are emitted per netlist: a **scalar** kernel that rides
-``run_batch``/``step``, and a **lane-packed** kernel (parameterized by a
-:class:`~repro.sim.values.LaneContext` at instantiation) that rides
-``run_lanes`` with two flat slot lists (value bits and X planes).
+One scalar kernel is emitted per netlist.  It rides ``run_batch``/``step``,
+and ``run_lanes`` without the native lane entry runs it once per stream.
 
 Primitives registered by generator substrates — black boxes without an
 inlinable template — call back into their interpreter model from inside the
@@ -46,12 +43,12 @@ import json
 import os
 import time
 from collections import OrderedDict
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from ..core.errors import SimulationError
+from ..core.errors import DriverConflictError
 from ..core.store import default_store
-from .primitives import PrimitiveModel, ReplicatedLanes, create_primitive
-from .values import LaneContext, PackedValue, Value, X, format_value
+from .primitives import PrimitiveModel, create_primitive
+from .values import Value, X, format_value
 
 __all__ = [
     "KernelUnavailable",
@@ -86,9 +83,9 @@ class KernelUnavailable(Exception):
 # ---------------------------------------------------------------------------
 #
 # The generated source only inlines the *common* cases.  Multi-driven ports
-# resolve through these slot-based helpers, which mirror the engine's
-# ``_resolve_group``/``_resolve_group_packed`` bit for bit — including the
-# conflicting-driver errors — but read slots instead of a keyed dict.
+# resolve through this slot-based helper, which mirrors the engine's
+# ``_resolve_group`` bit for bit — including the conflicting-driver error —
+# but reads slots instead of a keyed dict.
 
 
 def _resolve_slots(s: list, plan: tuple, cycle: int):
@@ -124,117 +121,14 @@ def _resolve_slots(s: list, plan: tuple, cycle: int):
     concrete = [v for v in active_values if v is not X]
     if len(set(concrete)) > 1:
         drivers = ", ".join(str(assign.assignment) for assign in actives)
-        raise SimulationError(
-            f"{comp}: conflicting drivers for {group.dst} in "
-            f"cycle {cycle}: {drivers} "
-            f"(values {[format_value(v) for v in active_values]})"
-        )
+        raise DriverConflictError(
+            comp, group.dst, cycle,
+            f": {drivers} (values {[format_value(v) for v in active_values]})")
     result = concrete[0] if concrete else X
     if maybe_values and not (concrete and all(
             v is not X and v == result for v in maybe_values)):
         return X
     return result
-
-
-def _resolve_slots_packed(vb: list, vx: list, plan: tuple,
-                          ctx: LaneContext, cycle: int) -> None:
-    """Lane-packed driver-group resolution over slot pairs (see
-    ``ScheduledEngine._resolve_group_packed``); writes the destination
-    slots in place."""
-    comp, group, dst, fresh, assigns = plan
-    lsb = ctx.lsb
-    driven_any = driven_concrete = value_bits = 0
-    possibles: list = []
-    for guard_idxs, src_idx, const, _assign in assigns:
-        if guard_idxs is None:
-            active, possible = lsb, 0
-        else:
-            active = unknown = 0
-            for idx in guard_idxs:
-                unknown |= vx[idx] & lsb
-                active |= ctx.nonzero(vb[idx])
-            possible = unknown & ~active
-        if not active and not possible:
-            continue
-        if src_idx is None:
-            src_bits = ctx.broadcast(const)
-            src_x = 0
-        else:
-            src_bits = vb[src_idx]
-            src_x = vx[src_idx] & lsb
-        if active:
-            concrete = active & ~src_x
-            clash = concrete & driven_concrete
-            if clash:
-                differs = ctx.nonzero(
-                    (value_bits ^ src_bits) & ctx.spread(clash)) & clash
-                if differs:
-                    lane = ((differs & -differs).bit_length() - 1) // ctx.stride
-                    raise SimulationError(
-                        f"{comp}: conflicting drivers for {group.dst} in "
-                        f"cycle {cycle} (lane {lane})"
-                    )
-            value_bits |= src_bits & ctx.spread(concrete & ~driven_concrete)
-            driven_concrete |= concrete
-            driven_any |= active
-        if possible:
-            possibles.append((possible, src_bits, src_x))
-    maybe_any = x_override = 0
-    for possible, src_bits, src_x in possibles:
-        maybe_any |= possible
-        agrees = possible & driven_concrete & ~src_x
-        if agrees:
-            differs = ctx.nonzero(
-                (value_bits ^ src_bits) & ctx.spread(agrees)) & agrees
-            agrees &= ~differs
-        x_override |= possible & ~agrees
-    set_lanes = driven_any | maybe_any
-    if not set_lanes:
-        if fresh:
-            # A fresh component's dict would simply lack the key (all X);
-            # slots persist, so write the all-X state explicitly.
-            vb[dst] = 0
-            vx[dst] = ctx.full
-        return
-    if fresh:
-        prev_bits, prev_x = 0, ctx.full
-    else:
-        prev_bits, prev_x = vb[dst], vx[dst]
-    final_concrete = driven_concrete & ~x_override
-    keep = ~ctx.spread(set_lanes)
-    xmask = (prev_x & keep) | ctx.spread(set_lanes & ~final_concrete)
-    vb[dst] = ((prev_bits & keep)
-               | (value_bits & ctx.spread(final_concrete))) & ~xmask
-    vx[dst] = xmask
-
-
-def _packed_products(a_bits: int, a_x: int, b_bits: int, b_x: int,
-                     out_mask: int, lsb: int, lane_mask: int,
-                     stride: int) -> Tuple[int, int]:
-    """Exact per-lane products over raw slot pairs (mirrors
-    ``repro.sim.primitives._lane_products``)."""
-    xmask = a_x | b_x
-    defined = lsb & ~xmask
-    bits = 0
-    while defined:
-        low = defined & -defined
-        shift = low.bit_length() - 1
-        bits |= ((((a_bits >> shift) & lane_mask)
-                  * ((b_bits >> shift) & lane_mask)) & out_mask) << shift
-        defined ^= low
-    return bits, xmask
-
-
-def _pk_model(name: str, params: Sequence[int],
-              ctx: LaneContext) -> PrimitiveModel:
-    """A packed-capable model instance for a black-box primitive: the
-    native model when it implements the packed protocol, otherwise the
-    one-scalar-instance-per-lane adapter (exactly the engine's policy)."""
-    model = create_primitive(name, params)
-    if model.supports_packed:
-        model.reset_packed(ctx)
-        return model
-    return ReplicatedLanes(name, params, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -258,27 +152,6 @@ _SCALAR_BINARY = {
     "Gt": "(1 if {a} > {b} else 0)",
     "Le": "(1 if {a} <= {b} else 0)",
     "Ge": "(1 if {a} >= {b} else 0)",
-}
-
-#: Packed bit-expression builders for the stdlib binary primitives:
-#: ``(a, b, w) -> expression over canonical value bits`` (X planes are
-#: handled uniformly by the emitter).
-_PACKED_BINARY_EXPR = {
-    "Add": lambda a, b, w: f"(({a} + {b}) & VM{w})",
-    "FlexAdd": lambda a, b, w: f"(({a} + {b}) & VM{w})",
-    "Sub": lambda a, b, w: f"((({a} | GB{w}) - {b}) & VM{w})",
-    "And": lambda a, b, w: f"(({a} & {b}) & VM{w})",
-    "Or": lambda a, b, w: f"(({a} | {b}) & VM{w})",
-    "Xor": lambda a, b, w: f"(({a} ^ {b}) & VM{w})",
-    "Eq": lambda a, b, w:
-        f"(LSB & ~(((({a} ^ {b}) + VM{w}) & GB{w}) >> {w}))",
-    "Neq": lambda a, b, w: f"(((({a} ^ {b}) + VM{w}) & GB{w}) >> {w})",
-    "Ge": lambda a, b, w: f"(((({a} | GB{w}) - {b}) >> {w}) & LSB)",
-    "Lt": lambda a, b, w:
-        f"(LSB & ~(((({a} | GB{w}) - {b}) >> {w}) & LSB))",
-    "Le": lambda a, b, w: f"(((({b} | GB{w}) - {a}) >> {w}) & LSB)",
-    "Gt": lambda a, b, w:
-        f"(LSB & ~(((({b} | GB{w}) - {a}) >> {w}) & LSB))",
 }
 
 #: Sequential multiplier latencies (``Mult``/``FastMult``/``PipelinedMult``
@@ -308,8 +181,8 @@ def _is_stdlib(model: PrimitiveModel) -> bool:
 
 
 class _ComponentCompiler:
-    """Compiles one component (one engine of the hierarchy) to source for
-    both kernel variants, sharing a single slot map."""
+    """Compiles one component (one engine of the hierarchy) to kernel
+    source over a flat slot map."""
 
     def __init__(self, engine, comp_id: int, child_ids: Dict[str, int],
                  fresh: bool) -> None:
@@ -322,8 +195,7 @@ class _ComponentCompiler:
         self.cell_types = {cell.name: (cell.component, tuple(cell.params))
                            for cell in self.component.cells}
         self.slots: Dict[_Key, int] = {}
-        #: slot -> scalar init value (default X); parallel packed init is
-        #: derived from the same table.
+        #: slot -> init value (default X).
         self.init: Dict[int, Value] = {}
         #: Extra per-primitive state slots (pipelined multiplier stages).
         self.extra_state: Dict[str, List[int]] = {}
@@ -801,401 +673,6 @@ class _ComponentCompiler:
             values[index] = value
         return tuple(values)
 
-    # -- packed emission -------------------------------------------------------
-
-    def _packed_widths(self) -> List[int]:
-        widths = set()
-        for node in self.engine._prim_nodes:
-            model = node.model
-            if not _is_stdlib(model):
-                continue
-            name = model.name
-            width = model.width
-            if name in _SCALAR_BINARY or name in ("Not", "Mux", "Reg",
-                                                  "Register", "Delay",
-                                                  "Prev", "ContPrev",
-                                                  "DspMac"):
-                widths.add(width)
-            if name in _SCALAR_BINARY and getattr(model, "_output_width",
-                                                  None) is not None:
-                widths.add(model._output_width)
-            if name == "Slice":
-                hi = model.param(1, width - 1)
-                lo = model.param(2, 0)
-                widths.add(hi - lo + 1)
-            if name == "Concat":
-                widths.update((model.param(0, 32), model.param(1, 32)))
-            if name == "ShiftLeft":
-                by = model.param(1, 1)
-                if by < width:
-                    widths.add(width - by)
-            if name == "ShiftRight":
-                widths.add(model.param(1, 1))
-            if name in _MULT_LATENCY:
-                widths.add(width)
-        return sorted(widths)
-
-    def emit_packed(self, out: _Lines) -> None:
-        engine = self.engine
-        cid = self.comp_id
-        out.emit(f"def make_c{cid}_packed(ctx):  # component {self.name!r}")
-        out.indent += 1
-        out.emit("LSB = ctx.lsb; FULL = ctx.full; ST = ctx.stride")
-        out.emit("SH = ST - 1; SL = (1 << ST) - 1; LM = (1 << SH) - 1")
-        out.emit("NZ = LSB * LM")
-        for width in self._packed_widths():
-            out.emit(f"VM{width} = ctx.value_mask({width}); "
-                     f"GB{width} = LSB << {width}")
-        out.emit(f"NS = {len(self.slots)}")
-        out.emit("vb = [0] * NS; vx = [FULL] * NS")
-        out.emit("n = 0")
-        for node in engine._prim_nodes:
-            if not _is_stdlib(node.model):
-                comp_name, params = self.cell_types[node.cell]
-                out.emit(f"m_{self._ident(node.cell)} = "
-                         f"_pkm({comp_name!r}, {params!r}, ctx)")
-        for node in engine._child_nodes:
-            child_id = self.child_ids[node.engine.component.name]
-            ident = self._ident(node.cell)
-            out.emit(f"st_{ident}, tk_{ident}, rs_{ident} = "
-                     f"make_c{child_id}_packed(ctx)")
-        self._emit_packed_reset(out)
-        self._emit_packed_settle(out)
-        self._emit_packed_tick(out)
-        out.emit("reset()")
-        out.emit("return settle, tick, reset")
-        out.indent -= 1
-        out.emit()
-        out.emit()
-
-    def _emit_packed_reset(self, out: _Lines) -> None:
-        out.emit("def reset():")
-        out.indent += 1
-        out.emit("nonlocal n")
-        out.emit("n = 0")
-        out.emit("vb[:] = [0] * NS; vx[:] = [FULL] * NS")
-        for index, value in sorted(self.init.items()):
-            if value is X:
-                continue
-            out.emit(f"vb[{index}] = ctx.broadcast({value!r}); "
-                     f"vx[{index}] = 0")
-        for node in self.engine._prim_nodes:
-            if not _is_stdlib(node.model):
-                out.emit(f"m_{self._ident(node.cell)}.reset_packed(ctx)")
-        for node in self.engine._child_nodes:
-            out.emit(f"rs_{self._ident(node.cell)}()")
-        out.indent -= 1
-        out.emit()
-
-    def _emit_packed_settle(self, out: _Lines) -> None:
-        engine = self.engine
-        inputs = engine._input_names
-        args = ", ".join(f"b{i}, x{i}" for i in range(len(inputs)))
-        out.emit(f"def settle({args}):")
-        out.indent += 1
-        for i, name in enumerate(inputs):
-            index = self.slots[(None, name)]
-            out.emit(f"vb[{index}] = b{i}; vx[{index}] = x{i}"
-                     f"  # input {name}")
-        for cell, keys in self._blackbox_hazards().items():
-            for key in keys:
-                index = self.slots[key]
-                out.emit(f"vb[{index}] = 0; vx[{index}] = FULL"
-                         f"  # {cell} reads {key} before its driver runs")
-        from .engine import _GROUP, _PRIM
-        temp = [0]
-
-        def fresh_temp(prefix: str = "t") -> str:
-            temp[0] += 1
-            return f"{prefix}{temp[0]}"
-
-        for kind, payload in engine._schedule:
-            if kind == _PRIM:
-                self._emit_packed_prim(out, payload, fresh_temp)
-            elif kind == _GROUP:
-                self._emit_packed_group(out, payload, fresh_temp)
-            else:
-                self._emit_packed_child(out, payload)
-        pairs = []
-        for port in self.component.outputs:
-            index = self.slots[(None, port.name)]
-            pairs.extend((f"vb[{index}]", f"vx[{index}]"))
-        out.emit("return " + (", ".join(pairs) if pairs else "()"))
-        out.indent -= 1
-        out.emit()
-
-    def _emit_packed_prim(self, out: _Lines, node, fresh_temp) -> None:
-        model = node.model
-        cell = node.cell
-        sl = self.slots
-        if not _is_stdlib(model):
-            items = ", ".join(
-                f"{port!r}: _PV(ctx.lanes, ST, vb[{sl[key]}], vx[{sl[key]}])"
-                for port, key in node.in_items)
-            result = fresh_temp("bo")
-            v = fresh_temp("bv")
-            out.emit(f"{result} = m_{self._ident(cell)}"
-                     f".combinational_packed({{{items}}}, ctx)"
-                     f"  # black box {cell}")
-            for port, key in node.out_keys.items():
-                out.emit(f"if {port!r} in {result}:")
-                out.emit(f"    {v} = {result}[{port!r}]")
-                out.emit(f"    vb[{sl[key]}] = {v}.bits; "
-                         f"vx[{sl[key]}] = {v}.xmask")
-            return
-        name = model.name
-        width = model.width
-
-        def b(port: str) -> str:
-            return f"vb[{sl[(cell, port)]}]"
-
-        def x(port: str) -> str:
-            return f"vx[{sl[(cell, port)]}]"
-
-        if name in _PACKED_BINARY_EXPR:
-            o = sl[(cell, "out")]
-            xm = fresh_temp("x")
-            out.emit(f"{xm} = {x('left')} | {x('right')}"
-                     f"  # {cell} = {name}[{width}]")
-            expr = _PACKED_BINARY_EXPR[name](b("left"), b("right"), width)
-            out.emit(f"vb[{o}] = {expr} & ~{xm}")
-            out.emit(f"vx[{o}] = {xm}")
-        elif name == "MultComb":
-            o = sl[(cell, "out")]
-            out.emit(f"vb[{o}], vx[{o}] = _mulp({b('left')}, {x('left')}, "
-                     f"{b('right')}, {x('right')}, {hex((1 << width) - 1)}, "
-                     f"LSB, LM, ST)  # {cell} = MultComb[{width}]")
-        elif name == "Not":
-            o = sl[(cell, "out")]
-            out.emit(f"vb[{o}] = (VM{width} & ~{b('in')}) & ~{x('in')}"
-                     f"  # {cell} = Not[{width}]")
-            out.emit(f"vx[{o}] = {x('in')}")
-        elif name == "Mux":
-            o = sl[(cell, "out")]
-            tk, xm = fresh_temp("k"), fresh_temp("x")
-            out.emit(f"{tk} = ((({b('sel')} + NZ) >> SH) & LSB) * SL"
-                     f"  # {cell} = Mux[{width}]")
-            out.emit(f"{xm} = {x('sel')} | ({x('in1')} & {tk}) | "
-                     f"({x('in0')} & ~{tk})")
-            out.emit(f"vb[{o}] = ((({b('in1')} & {tk}) | "
-                     f"({b('in0')} & ~{tk})) & VM{width}) & ~{xm}")
-            out.emit(f"vx[{o}] = {xm}")
-        elif name == "Slice":
-            o = sl[(cell, "out")]
-            hi = model.param(1, width - 1)
-            lo = model.param(2, 0)
-            out.emit(f"vb[{o}] = ({b('in')} >> {lo}) & VM{hi - lo + 1}"
-                     f"  # {cell} = Slice[{width},{hi},{lo}]")
-            out.emit(f"vx[{o}] = {x('in')}")
-        elif name == "Concat":
-            o = sl[(cell, "out")]
-            wh = model.param(0, 32)
-            wl = model.param(1, 32)
-            xm = fresh_temp("x")
-            out.emit(f"{xm} = {x('hi')} | {x('lo')}"
-                     f"  # {cell} = Concat[{wh},{wl}]")
-            out.emit(f"vb[{o}] = ((({b('hi')} & VM{wh}) << {wl}) | "
-                     f"({b('lo')} & VM{wl})) & ~{xm}")
-            out.emit(f"vx[{o}] = {xm}")
-        elif name == "ShiftLeft":
-            o = sl[(cell, "out")]
-            by = model.param(1, 1)
-            if by >= width:
-                out.emit(f"vb[{o}] = 0  # {cell} = ShiftLeft[{width},{by}]")
-            else:
-                out.emit(f"vb[{o}] = ({b('in')} & VM{width - by}) << {by}"
-                         f"  # {cell} = ShiftLeft[{width},{by}]")
-            out.emit(f"vx[{o}] = {x('in')}")
-        elif name == "ShiftRight":
-            o = sl[(cell, "out")]
-            by = model.param(1, 1)
-            out.emit(f"vb[{o}] = ({b('in')} & ~VM{by}) >> {by}"
-                     f"  # {cell} = ShiftRight[{width},{by}]")
-            out.emit(f"vx[{o}] = {x('in')}")
-        elif name == "Const":
-            if not self._const_preloaded(cell):
-                o = sl[(cell, "out")]
-                value = model.param(1, 0) & ((1 << width) - 1)
-                out.emit(f"vb[{o}] = ctx.broadcast({value})"
-                         f"  # {cell} = Const[{width}] (early reader)")
-                out.emit(f"vx[{o}] = 0")
-        elif name == "fsm":
-            o0 = sl[(cell, "_0")]
-            out.emit(f"vb[{o0}] = ((({b('go')} + NZ) >> SH) & LSB) "
-                     f"& ~{x('go')}  # {cell} = fsm[{model.states}]")
-            out.emit(f"vx[{o0}] = {x('go')}")
-            for state, tap in enumerate(self.extra_state[cell], start=1):
-                o = sl[(cell, f"_{state}")]
-                out.emit(f"vb[{o}] = vb[{tap}]; vx[{o}] = vx[{tap}]")
-        elif name in ("Reg", "Register", "Delay", "Prev", "ContPrev",
-                      "DspMac") or name in _MULT_LATENCY:
-            port = ("prev" if name in ("Prev", "ContPrev")
-                    else "pout" if name == "DspMac" else "out")
-            o = sl[(cell, port)]
-            state = self.extra_state[cell][-1]
-            out.emit(f"vb[{o}] = vb[{state}]; vx[{o}] = vx[{state}]"
-                     f"  # {cell} = {name}[{width}] registered output")
-        else:  # pragma: no cover - registry names are closed above
-            raise KernelUnavailable(f"no packed template for {name}")
-
-    def _emit_packed_child(self, out: _Lines, node) -> None:
-        ident = self._ident(node.cell)
-        args = ", ".join(f"vb[{self.slots[key]}], vx[{self.slots[key]}]"
-                         for _, key in node.in_items)
-        targets = ", ".join(f"vb[{self.slots[key]}], vx[{self.slots[key]}]"
-                            for _, key in node.out_items)
-        if not node.out_items:
-            out.emit(f"st_{ident}({args})  # child {node.cell}")
-        else:
-            out.emit(f"{targets} = st_{ident}({args})  # child {node.cell}")
-
-    def _emit_packed_group(self, out: _Lines, group, fresh_temp) -> None:
-        d = self.slots[group.dst_key]
-        if self._preloaded(group):
-            return
-        if len(group.assigns) == 1:
-            assign = group.assigns[0]
-            if assign.src_key is None:
-                src_b = f"ctx.broadcast({assign.src_const!r})"
-                src_x = "0"
-            else:
-                src_b = f"vb[{self.slots[assign.src_key]}]"
-                src_x = f"(vx[{self.slots[assign.src_key]}] & LSB)"
-            if assign.guard_keys is None:
-                if assign.src_key is None:
-                    out.emit(f"vb[{d}] = {src_b}; vx[{d}] = 0"
-                             f"  # {group.dst} = const")
-                else:
-                    index = self.slots[assign.src_key]
-                    out.emit(f"vb[{d}] = vb[{index}]; vx[{d}] = vx[{index}]"
-                             f"  # {group.dst} = {assign.assignment.src}")
-                return
-            ac, un = fresh_temp("ac"), fresh_temp("un")
-            active_terms = " | ".join(
-                f"(((vb[{self.slots[key]}] + NZ) >> SH) & LSB)"
-                for key in assign.guard_keys)
-            unknown_terms = " | ".join(
-                f"vx[{self.slots[key]}]" for key in assign.guard_keys)
-            out.emit(f"{ac} = {active_terms}  # {group.dst} = guarded")
-            out.emit(f"{un} = ({unknown_terms}) & LSB")
-            sx, co, se, xm = (fresh_temp("sx"), fresh_temp("co"),
-                              fresh_temp("se"), fresh_temp("xm"))
-            out.emit(f"{sx} = {src_x}")
-            out.emit(f"{co} = {ac} & ~{sx}")
-            out.emit(f"{se} = {ac} | ({un} & ~{ac})")
-            if self.fresh:
-                out.emit(f"{xm} = (FULL & ~({se} * SL)) | "
-                         f"(({se} & ~{co}) * SL)")
-                out.emit(f"vb[{d}] = {src_b} & ({co} * SL)")
-            else:
-                ke = fresh_temp("ke")
-                out.emit(f"{ke} = ~({se} * SL)")
-                out.emit(f"{xm} = (vx[{d}] & {ke}) | (({se} & ~{co}) * SL)")
-                out.emit(f"vb[{d}] = (vb[{d}] & {ke}) | "
-                         f"({src_b} & ({co} * SL))")
-            out.emit(f"vx[{d}] = {xm}")
-            return
-        plan_name = f"GQ_c{self.comp_id}_{d}"
-        self.constants[plan_name] = (
-            self.name, group, d, self.fresh,
-            tuple((tuple(self.slots[key] for key in assign.guard_keys)
-                   if assign.guard_keys is not None else None,
-                   (self.slots[assign.src_key]
-                    if assign.src_key is not None else None),
-                   assign.src_const, assign)
-                  for assign in group.assigns))
-        out.emit(f"_rgp(vb, vx, {plan_name}, ctx, n)  # {group.dst}: "
-                 f"{len(group.assigns)} drivers")
-
-    def _emit_packed_tick(self, out: _Lines) -> None:
-        out.emit("def tick():")
-        out.indent += 1
-        out.emit("nonlocal n")
-        temp = [0]
-
-        def fresh_temp(prefix: str = "t") -> str:
-            temp[0] += 1
-            return f"{prefix}{temp[0]}"
-
-        sl = self.slots
-        for node in self.engine._prim_nodes:
-            model = node.model
-            cell = node.cell
-            if not _is_stdlib(model):
-                items = ", ".join(
-                    f"{port!r}: _PV(ctx.lanes, ST, vb[{sl[key]}], "
-                    f"vx[{sl[key]}])" for port, key in node.in_items)
-                out.emit(f"m_{self._ident(cell)}.tick_packed({{{items}}}, "
-                         f"ctx)  # black box {cell}")
-                continue
-            name = model.name
-            width = model.width
-
-            def b(port: str) -> str:
-                return f"vb[{sl[(cell, port)]}]"
-
-            def x(port: str) -> str:
-                return f"vx[{sl[(cell, port)]}]"
-
-            if name in ("Reg", "Register", "Prev"):
-                d = self.extra_state[cell][0]
-                tk, xm = fresh_temp("k"), fresh_temp("x")
-                out.emit(f"{tk} = ((({b('en')} + NZ) >> SH) & LSB) * SL"
-                         f"  # {cell} = {name}[{width}]")
-                out.emit(f"{xm} = {x('en')} | ({x('in')} & {tk}) | "
-                         f"(vx[{d}] & ~{tk})")
-                out.emit(f"vb[{d}] = ((({b('in')} & VM{width}) & {tk}) | "
-                         f"(vb[{d}] & ~{tk})) & ~{xm}")
-                out.emit(f"vx[{d}] = {xm}")
-            elif name in ("Delay", "ContPrev"):
-                d = self.extra_state[cell][0]
-                out.emit(f"vb[{d}] = ({b('in')} & VM{width}) & ~{x('in')}"
-                         f"  # {cell} = {name}[{width}]")
-                out.emit(f"vx[{d}] = {x('in')}")
-            elif name in _MULT_LATENCY:
-                stages = self.extra_state[cell]  # newest .. oldest
-                pb, px = fresh_temp("pb"), fresh_temp("px")
-                out.emit(f"{pb}, {px} = _mulp({b('left')}, {x('left')}, "
-                         f"{b('right')}, {x('right')}, "
-                         f"{hex((1 << width) - 1)}, LSB, LM, ST)"
-                         f"  # {cell} = {name}[{width}]")
-                for older, newer in zip(reversed(stages[1:]),
-                                        reversed(stages[:-1])):
-                    out.emit(f"vb[{older}] = vb[{newer}]; "
-                             f"vx[{older}] = vx[{newer}]")
-                out.emit(f"vb[{stages[0]}] = {pb}; vx[{stages[0]}] = {px}")
-            elif name == "DspMac":
-                d = self.extra_state[cell][0]
-                pb, px, ab = fresh_temp("pb"), fresh_temp("px"), fresh_temp("ab")
-                tk, xm = fresh_temp("k"), fresh_temp("x")
-                out.emit(f"{pb}, {px} = _mulp({b('a')}, {x('a')}, "
-                         f"{b('b')}, {x('b')}, {hex((1 << width) - 1)}, "
-                         f"LSB, LM, ST)  # {cell} = DspMac[{width}]")
-                out.emit(f"{ab} = (({pb} + {b('pin')}) & VM{width}) & ~{px}")
-                out.emit(f"{tk} = ((({b('ce')} + NZ) >> SH) & LSB) * SL")
-                out.emit(f"{xm} = {x('ce')} | ({px} & {tk}) | "
-                         f"(vx[{d}] & ~{tk})")
-                out.emit(f"vb[{d}] = (({ab} & {tk}) | (vb[{d}] & ~{tk})) "
-                         f"& ~{xm}")
-                out.emit(f"vx[{d}] = {xm}")
-            elif name == "fsm":
-                states = model.states
-                if states > 1:
-                    taps = self.extra_state[cell]  # _1 .. _{states-1}
-                    out.emit(f"# {cell} = fsm[{states}] shift")
-                    for k in range(len(taps) - 1, 0, -1):
-                        out.emit(f"vb[{taps[k]}] = vb[{taps[k - 1]}]; "
-                                 f"vx[{taps[k]}] = vx[{taps[k - 1]}]")
-                    o0 = sl[(cell, "_0")]
-                    out.emit(f"vb[{taps[0]}] = vb[{o0}]; "
-                             f"vx[{taps[0]}] = vx[{o0}]")
-        for node in self.engine._child_nodes:
-            out.emit(f"tk_{self._ident(node.cell)}()  # child {node.cell}")
-        out.emit("n += 1")
-        out.indent -= 1
-        out.emit()
-
-
 # ---------------------------------------------------------------------------
 # Slot width / limb planning (shared with the native tier)
 # ---------------------------------------------------------------------------
@@ -1216,7 +693,7 @@ def slot_width_hints(compiler: _ComponentCompiler) -> Dict[int, int]:
     port_widths = {port.name: port.width
                    for port in list(component.inputs)
                    + list(component.outputs)}
-    prim_hints = {node.cell: max(1, node.model.packed_width_hint)
+    prim_hints = {node.cell: max(1, node.model.width_hint)
                   for node in engine._prim_nodes}
     child_ports: Dict[str, Dict[str, int]] = {}
     for node in engine._child_nodes:
@@ -1356,10 +833,6 @@ class CompiledKernelProgram:
         cycle, reset, slots = self.namespace["make_top"]()
         return ScalarKernel(cycle, reset, slots, self.slot_map)
 
-    def packed_instance(self, ctx: LaneContext) -> "PackedKernel":
-        cycle, reset = self.namespace["make_top_packed"](ctx)
-        return PackedKernel(cycle, reset)
-
 
 class ScalarKernel:
     """A live scalar kernel: fresh state, one netlist, one digest."""
@@ -1375,16 +848,6 @@ class ScalarKernel:
     def peek(self, key: _Key) -> Value:
         index = self._slot_map.get(key)
         return X if index is None else self._slots[index]
-
-
-class PackedKernel:
-    """A live lane-packed kernel bound to one :class:`LaneContext`."""
-
-    __slots__ = ("cycle", "reset")
-
-    def __init__(self, cycle, reset) -> None:
-        self.cycle = cycle
-        self.reset = reset
 
 
 def generate_source(engine) -> Tuple[str, dict, Dict[_Key, int], List[str]]:
@@ -1412,7 +875,6 @@ def generate_source(engine) -> Tuple[str, dict, Dict[_Key, int], List[str]]:
             fresh=node is engine)
         compilers.append(compiler)
         compiler.emit_scalar(out)
-        compiler.emit_packed(out)
         constants[f"INIT_c{compiler.comp_id}"] = compiler.scalar_init()
         constants.update(compiler.constants)
     top = compilers[-1]
@@ -1436,30 +898,6 @@ def generate_source(engine) -> Tuple[str, dict, Dict[_Key, int], List[str]]:
     out.emit("return cycle, reset, s")
     out.indent -= 1
     out.emit()
-    out.emit()
-
-    out.emit("def make_top_packed(ctx):")
-    out.indent += 1
-    out.emit(f"settle, tick, reset = make_c{top.comp_id}_packed(ctx)")
-    out.emit("AX = ctx.all_x; LN = ctx.lanes; ST = ctx.stride")
-    out.emit("def cycle(inputs):")
-    out.indent += 1
-    out.emit("g = inputs.get")
-    arg_parts = []
-    for index, name in enumerate(input_names):
-        out.emit(f"p{index} = g({name!r}, AX)")
-        arg_parts.append(f"p{index}.bits, p{index}.xmask")
-    out.emit(f"o = settle({', '.join(arg_parts)})")
-    pairs = ", ".join(
-        f"{name!r}: _PV(LN, ST, o[{2 * index}], o[{2 * index + 1}])"
-        for index, name in enumerate(output_names))
-    out.emit(f"r = {{{pairs}}}")
-    out.emit("tick()")
-    out.emit("return r")
-    out.indent -= 1
-    out.emit("return cycle, reset")
-    out.indent -= 1
-    out.emit()
     return out.text(), constants, dict(top.slots), output_names
 
 
@@ -1473,8 +911,9 @@ _CACHE_LIMIT: Optional[int] = None
 _CACHE_LIMIT_DEFAULT = 256
 _STATS = {"hits": 0, "misses": 0, "disk_hits": 0, "disk_writes": 0}
 
-#: Version of the on-disk kernel envelope (bump on format change).
-_SPILL_VERSION = 1
+#: Version of the on-disk kernel envelope (bump on format change; envelopes
+#: of any other version are ignored and rebuilt).
+_SPILL_VERSION = 2
 
 
 def _encode_kernel(source: str, constants: Dict[str, object],
@@ -1534,11 +973,7 @@ def _kernel_namespace(constants: Dict[str, object]) -> dict:
         "X": X,
         "_U": _UNDRIVEN,
         "_rg": _resolve_slots,
-        "_rgp": _resolve_slots_packed,
-        "_mulp": _packed_products,
         "_mk": create_primitive,
-        "_pkm": _pk_model,
-        "_PV": PackedValue,
     }
     namespace.update(constants)
     return namespace

@@ -35,14 +35,9 @@ stimulus list with the per-cycle input validation hoisted out of the loop —
 the fast path used by the cycle-accurate harness for pipelined transaction
 streams.
 
-:meth:`ScheduledEngine.run_lanes` goes further: N *independent* stimulus
-streams are packed into bigint lanes (:class:`~repro.sim.values.PackedValue`)
-and one pass over the schedule evaluates every stream at once with bitwise
-bigint operations — trace-identical to N scalar runs, on both the scheduled
-and sweep-fallback paths.  Packing amortises the dominant cost of the whole
-repository (Python-interpreting the netlist) across the batch, which is what
-lets the conformance matrix and the fuzz harness drive wide stimulus loads
-at a usable throughput.
+:meth:`ScheduledEngine.run_lanes` runs N *independent* stimulus streams
+and returns one trace per stream, each trace-identical to a scalar
+``run_batch`` of that stream on a freshly reset engine.
 
 ``mode="compiled"`` adds the next tier: the levelized schedule is compiled
 once into a specialized straight-line Python kernel
@@ -55,7 +50,7 @@ records why).
 ``mode="native"`` adds the top tier: the same schedule is emitted as C
 (:mod:`repro.sim.native`), compiled with the host C compiler and driven
 through :mod:`ctypes`.  The chain is native → compiled → scheduled →
-fixpoint: a netlist the C tier cannot represent (black boxes, >64-bit
+fixpoint: a netlist the C tier cannot represent (black boxes, >256-bit
 values) or a host without a compiler falls back to the compiled-Python
 kernel with the reason recorded in
 :attr:`ScheduledEngine.native_fallback_reason`.  Scalar batches
@@ -64,27 +59,21 @@ fast path) run natively, and ``run_lanes`` runs on the native **lane
 entry** (``k_run_lanes``): N independent streams per netlist pass through
 lane-major-within-port columnar buffers, one Python↔C crossing per batch
 (plus the raw columnar :meth:`ScheduledEngine.run_lane_columns` fast
-path).  When the lane entry is unavailable ``run_lanes`` rides the
-compiled-Python packed kernel with the reason recorded in
+path).  Without the lane entry, ``run_lanes`` makes one scalar run per
+stream on the engine's own tier, with the reason recorded in
 :attr:`ScheduledEngine.native_lanes_fallback_reason`.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..calyx.ir import Assignment, CalyxComponent, CalyxProgram, Cell, CellPort
-from ..core.errors import SimulationError
-from .primitives import PrimitiveModel, ReplicatedLanes, create_primitive, is_primitive
-from .values import (
-    LaneContext,
-    PackedValue,
-    Value,
-    X,
-    format_value,
-    is_x,
-)
+from ..core.errors import DriverConflictError, SimulationError
+from .primitives import PrimitiveModel, create_primitive, is_primitive
+from .values import Value, X, format_value, is_x
 
 __all__ = ["ScheduledEngine", "SimulatorMode", "_MAX_SWEEPS"]
 
@@ -213,16 +202,18 @@ class ScheduledEngine:
         self._input_set = frozenset(self._input_names)
 
         # Port keys interned once per cell: every evaluation path (scheduled,
-        # sweep fallback, tick, lane-packed) reuses these item tuples instead
-        # of rebuilding ``(cell, port)`` tuples cycle after cycle.
+        # sweep fallback, tick) reuses these item tuples instead of
+        # rebuilding ``(cell, port)`` tuples cycle after cycle.
         self._prim_nodes: List[_PrimNode] = [
             _PrimNode(cell, model) for cell, model in self._primitives.items()
         ]
         self._child_nodes: List[_ChildNode] = [
             _ChildNode(cell, child) for cell, child in self._children.items()
         ]
-        self._in_items_by_cell: Dict[str, Tuple[Tuple[str, _Key], ...]] = {
-            node.cell: node.in_items for node in self._prim_nodes
+        #: Per input port, the mask of its declared width (``run_lanes``
+        #: truncates every stream's inputs to it).
+        self._input_masks: Dict[str, int] = {
+            port.name: (1 << port.width) - 1 for port in self.component.inputs
         }
 
         # Kernel-codegen state (mode="compiled"/"native"); the kernel is
@@ -398,15 +389,12 @@ class ScheduledEngine:
     # -- lifecycle -------------------------------------------------------------
 
     def reset(self) -> None:
-        """Return every primitive and child to its power-on state (and leave
-        any lane-packed run's state behind)."""
+        """Return every primitive and child to its power-on state."""
         for model in self._primitives.values():
             model.reset()
         for child in self._children.values():
             child.reset()
         self._values = {}
-        self._lane_models: Dict[str, PrimitiveModel] = {}
-        self._packed_values: Dict[_Key, PackedValue] = {}
         self.cycle = 0
         if self._kernel is not None:
             self._kernel.reset()
@@ -604,13 +592,20 @@ class ScheduledEngine:
         """Execute a whole stimulus list and return the per-cycle output
         dicts.  Input-name validation happens once for the batch, so
         pipelined transaction streams avoid per-cycle re-dispatch."""
-        known = self._input_set
-        unknown = {name for cycle_inputs in stimuli for name in cycle_inputs} - known
+        self._check_input_names(stimuli)
+        return self._run_batch_unchecked(stimuli)
+
+    def _check_input_names(self, stimuli: Iterable[Dict[str, Value]]) -> None:
+        unknown = {name for cycle_inputs in stimuli
+                   for name in cycle_inputs} - self._input_set
         if unknown:
             raise SimulationError(
                 f"{self.component.name}: unknown input port "
                 f"{sorted(unknown)[0]!r}"
             )
+
+    def _run_batch_unchecked(self, stimuli: Sequence[Dict[str, Value]]
+                             ) -> List[Dict[str, Value]]:
         if self._native_requested:
             native = self._ensure_native()
             if native is not None:
@@ -629,30 +624,34 @@ class ScheduledEngine:
 
     def run_lanes(self, stimuli_batches: Sequence[Sequence[Dict[str, Value]]]
                   ) -> List[List[Dict[str, Value]]]:
-        """Execute N independent stimulus streams in lane-packed mode and
-        return one per-cycle output trace per stream.
+        """Execute N independent stimulus streams and return one per-cycle
+        output trace per stream.
 
         Each stream's trace is bit-identical — values and X planes — to the
         trace :meth:`run_batch` would produce for that stream alone on a
-        freshly reset engine: lanes never interact, they merely share the
-        netlist pass.  Streams may have different lengths; shorter streams
-        are padded with undriven (X) cycles whose results are discarded.
-        Input values are truncated to their port's declared width.  The
-        engine is reset before and after the run.
+        freshly reset engine.  With the native lane entry the streams share
+        one C call; otherwise each stream is one scalar run on this
+        engine's own tier (the compiled kernel in ``compiled``/``native``
+        mode, the interpreter otherwise), starting from a fresh reset.
+        Streams may have different lengths.  Input values are truncated to
+        their port's declared width.  The engine is reset before and after
+        the run.
+
+        A driver conflict raises :class:`DriverConflictError` with the
+        message ``<component>: conflicting drivers for <port> in cycle C
+        (lane N)``: the earliest conflicting cycle over all streams first,
+        then the lowest lane among the streams that conflict in that cycle.
+        (Within one cycle the native lane entry screens the lanes group by
+        group in schedule order, so when different lanes conflict on
+        different driver groups in the same cycle it names the group the
+        schedule reaches first.)
         """
         # Sequences that already are lists are used as-is (no per-batch copy).
         batches = [batch if type(batch) is list else list(batch)
                    for batch in stimuli_batches]
         if not batches:
             return []
-        known = self._input_set
-        unknown = {name for batch in batches for cycle_inputs in batch
-                   for name in cycle_inputs} - known
-        if unknown:
-            raise SimulationError(
-                f"{self.component.name}: unknown input port "
-                f"{sorted(unknown)[0]!r}"
-            )
+        self._check_input_names(chain.from_iterable(batches))
         if self._native_requested:
             native = self._ensure_native()
             if native is not None:
@@ -665,62 +664,51 @@ class ScheduledEngine:
                     self.reset()
             self._native_lanes_used = False
             self.native_lanes_fallback_reason = self.native_fallback_reason
-        ctx = LaneContext(len(batches), self._max_packed_width() + 1)
-        lengths = [len(batch) for batch in batches]
-        traces: List[List[Dict[str, Value]]] = [[] for _ in batches]
-        input_ports = [(port.name, port.width) for port in self.component.inputs]
-        output_names = [port.name for port in self.component.outputs]
-        uniform = min(lengths) == max(lengths)
-        kernel = self._ensure_kernel()
-        packed_kernel = (self._kernel_program.packed_instance(ctx)
-                         if kernel is not None else None)
-        if packed_kernel is None:
-            self._enter_lanes(ctx)
-        # Harness stimulus is dominated by repeated rows (idle X templates,
-        # constant interface pins), so packing is memoized per (port, lane
-        # values): a cycle window that re-drives the same values per lane
-        # reuses the packed bigints instead of re-packing them.  The cache
-        # is size-bounded: genuinely random stimulus would otherwise retain
-        # one key tuple + packed bigint per (port, cycle) for the whole run
-        # with a zero hit rate — once full, rows pack directly (repeating
-        # templates recur early, so the useful entries are already in).
-        pack_cache: Dict[Tuple[str, Tuple[Value, ...]], PackedValue] = {}
-        pack_cache_limit = 4096
+        traces: List[List[Dict[str, Value]]] = []
+        conflict: Optional[Tuple[int, DriverConflictError]] = None
         try:
-            for cycle in range(max(lengths)):
-                if uniform:
-                    rows = [batch[cycle] for batch in batches]
-                else:
-                    rows = [batch[cycle] if cycle < length else {}
-                            for batch, length in zip(batches, lengths)]
-                packed_inputs = {}
-                for name, width in input_ports:
-                    lane_values = tuple(row.get(name, X) for row in rows)
-                    cached = pack_cache.get((name, lane_values))
-                    if cached is None:
-                        cached = PackedValue.pack(lane_values, ctx, width)
-                        if len(pack_cache) < pack_cache_limit:
-                            pack_cache[(name, lane_values)] = cached
-                    packed_inputs[name] = cached
-                if packed_kernel is not None:
-                    outputs = packed_kernel.cycle(packed_inputs)
-                else:
-                    outputs = self._step_packed(packed_inputs, ctx)
-                columns = [outputs[name].unpack() for name in output_names]
-                for index, (trace, length) in enumerate(zip(traces, lengths)):
-                    if cycle < length:
-                        trace.append({name: column[index] for name, column
-                                      in zip(output_names, columns)})
+            for lane, batch in enumerate(batches):
+                if conflict is not None:
+                    # Later lanes run only up to the recorded conflict, so
+                    # any conflict they hit is earlier and wins.
+                    batch = batch[:conflict[1].cycle]
+                self.reset()
+                try:
+                    traces.append(self._run_batch_unchecked(
+                        self._truncate_inputs(batch)))
+                except DriverConflictError as error:
+                    conflict = (lane, error)
         finally:
             self.reset()
+        if conflict is not None:
+            lane, error = conflict
+            raise DriverConflictError(error.component, error.port,
+                                      error.cycle, f" (lane {lane})")
         return traces
+
+    def _truncate_inputs(self, batch: List[Dict[str, Value]]
+                         ) -> List[Dict[str, Value]]:
+        """``batch`` with every input value masked to its port's width;
+        only rows carrying an oversized value are copied."""
+        masks = self._input_masks
+        truncated = batch
+        for index, row in enumerate(batch):
+            for name, value in row.items():
+                if value is not X and value > masks[name]:
+                    if truncated is batch:
+                        truncated = list(batch)
+                    truncated[index] = {
+                        port: v if v is X else v & masks[port]
+                        for port, v in row.items()}
+                    break
+        return truncated
 
     def _run_lanes_native(self, native, batches):
         """The :meth:`run_lanes` native fast path: marshal every stream
         into lane-major-within-port flat columns, cross into C exactly
         once, and slice the flat output columns back into per-stream
         traces.  Padding cycles past a stream's length stay X and their
-        results are discarded, exactly like the packed path."""
+        results are discarded."""
         lengths = [len(batch) for batch in batches]
         n_lanes = len(batches)
         total = max(lengths)
@@ -752,38 +740,6 @@ class ScheduledEngine:
                             for name, vals, xfl in lane_cols}
                            for i in range(length)])
         return traces
-
-    def _max_packed_width(self) -> int:
-        """The widest signal anywhere in this component's hierarchy; the
-        uniform lane stride is one more (the per-slot guard bit)."""
-        widths = [port.width for port in self.component.inputs]
-        widths += [port.width for port in self.component.outputs]
-        widths += [model.packed_width_hint
-                   for model in self._primitives.values()]
-        widths += [child._max_packed_width()
-                   for child in self._children.values()]
-        return max(widths) if widths else 1
-
-    def _enter_lanes(self, ctx: LaneContext) -> None:
-        """Re-initialise the whole hierarchy for a packed run.  Primitives
-        without native packed support are wrapped in
-        :class:`~repro.sim.primitives.ReplicatedLanes` (one scalar instance
-        per lane), so correctness never depends on the cell mix."""
-        self._packed_values = {}
-        self.cycle = 0
-        self._lane_models = {}
-        for cell in self.component.cells:
-            model = self._primitives.get(cell.name)
-            if model is None:
-                continue
-            if model.supports_packed:
-                model.reset_packed(ctx)
-                self._lane_models[cell.name] = model
-            else:
-                self._lane_models[cell.name] = ReplicatedLanes(
-                    cell.component, cell.params, ctx)
-        for child in self._children.values():
-            child._enter_lanes(ctx)
 
     def _step_unchecked(self, inputs: Dict[str, Value]) -> Dict[str, Value]:
         if self._native_requested:
@@ -928,11 +884,9 @@ class ScheduledEngine:
                         actives: List[_CompiledAssign],
                         values: List[Value]) -> None:
         drivers = ", ".join(str(assign.assignment) for assign in actives)
-        raise SimulationError(
-            f"{self.component.name}: conflicting drivers for {group.dst} in "
-            f"cycle {self.cycle}: {drivers} "
-            f"(values {[format_value(v) for v in values]})"
-        )
+        raise DriverConflictError(
+            self.component.name, group.dst, self.cycle,
+            f": {drivers} (values {[format_value(v) for v in values]})")
 
     # -- sweep fallback --------------------------------------------------------
 
@@ -1004,210 +958,6 @@ class ScheduledEngine:
                 values[group.dst_key] = value
                 changed = True
         return changed
-
-    # -- lane-packed execution -------------------------------------------------
-    #
-    # The packed methods mirror the scalar settle/tick machinery one-to-one:
-    # the same compiled schedule, the same driver groups, the same sweep
-    # fallback — only the value domain changes from scalar ``Value`` to
-    # ``PackedValue``, so every lane follows exactly the scalar semantics.
-
-    def _step_packed(self, inputs: Dict[str, PackedValue],
-                     ctx: LaneContext) -> Dict[str, PackedValue]:
-        self._packed_values = {}
-        for name in self._input_names:
-            self._packed_values[(None, name)] = inputs.get(name, ctx.all_x)
-        self._settle_packed(ctx)
-        outputs = self._outputs_packed(ctx)
-        self._tick_packed(ctx)
-        self.cycle += 1
-        return outputs
-
-    def _outputs_packed(self, ctx: LaneContext) -> Dict[str, PackedValue]:
-        return {port.name: self._packed_values.get((None, port.name), ctx.all_x)
-                for port in self.component.outputs}
-
-    def _begin_lane_cycle_preserving(self, inputs: Dict[str, PackedValue]) -> None:
-        """Packed counterpart of :meth:`_begin_cycle_preserving`."""
-        for name, value in inputs.items():
-            self._packed_values[(None, name)] = value
-
-    def _settle_packed(self, ctx: LaneContext) -> None:
-        if self._schedule is not None:
-            self._settle_scheduled_packed(ctx)
-        else:
-            self._settle_sweeps_packed(ctx)
-
-    def _settle_scheduled_packed(self, ctx: LaneContext) -> None:
-        values = self._packed_values
-        all_x = ctx.all_x
-        for kind, payload in self._schedule:
-            if kind == _GROUP:
-                value = self._resolve_group_packed(payload, values, ctx)
-                if value is not None:
-                    values[payload.dst_key] = value
-            elif kind == _PRIM:
-                model = self._lane_models[payload.cell]
-                outputs = model.combinational_packed(
-                    {port: values.get(key, all_x)
-                     for port, key in payload.in_items}, ctx)
-                out_keys = payload.out_keys
-                for port, value in outputs.items():
-                    key = out_keys.get(port)
-                    values[(payload.cell, port) if key is None else key] = value
-            else:
-                child = payload.engine
-                child._begin_lane_cycle_preserving({
-                    port: values.get(key, all_x)
-                    for port, key in payload.in_items
-                })
-                child._settle_packed(ctx)
-                child_values = child._packed_values
-                for port, key in payload.out_items:
-                    values[key] = child_values.get((None, port), all_x)
-
-    def _resolve_group_packed(self, group: _DriverGroup,
-                              values: Dict[_Key, PackedValue],
-                              ctx: LaneContext) -> Optional[PackedValue]:
-        """Per-lane :meth:`_resolve_group`: lanes with agreeing definite
-        drivers take the value, X-guard lanes go X unless provably
-        unaffected, lanes with no (possible) driver keep their previous
-        value.  Returns ``None`` when no lane is driven at all."""
-        lsb = ctx.lsb
-        all_x = ctx.all_x
-        driven_any = driven_concrete = value_bits = 0
-        possibles: List[Tuple[int, int, int]] = []
-        for assign in group.assigns:
-            guard_keys = assign.guard_keys
-            if guard_keys is None:
-                active, possible = lsb, 0
-            else:
-                active = unknown = 0
-                for key in guard_keys:
-                    guard = values.get(key, all_x)
-                    unknown |= guard.xmask & lsb
-                    active |= ctx.nonzero(guard.bits)
-                possible = unknown & ~active
-            if not active and not possible:
-                continue
-            if assign.src_key is None:
-                src_bits = ctx.broadcast(assign.src_const)
-                src_x = 0
-            else:
-                source = values.get(assign.src_key, all_x)
-                src_bits = source.bits
-                src_x = source.xmask & lsb
-            if active:
-                concrete = active & ~src_x
-                clash = concrete & driven_concrete
-                if clash:
-                    differs = ctx.nonzero(
-                        (value_bits ^ src_bits) & ctx.spread(clash)) & clash
-                    if differs:
-                        self._raise_lane_conflict(group, differs, ctx)
-                value_bits |= src_bits & ctx.spread(concrete & ~driven_concrete)
-                driven_concrete |= concrete
-                driven_any |= active
-            if possible:
-                possibles.append((possible, src_bits, src_x))
-        maybe_any = x_override = 0
-        for possible, src_bits, src_x in possibles:
-            maybe_any |= possible
-            agrees = possible & driven_concrete & ~src_x
-            if agrees:
-                differs = ctx.nonzero(
-                    (value_bits ^ src_bits) & ctx.spread(agrees)) & agrees
-                agrees &= ~differs
-            x_override |= possible & ~agrees
-        set_lanes = driven_any | maybe_any
-        if not set_lanes:
-            return None
-        final_concrete = driven_concrete & ~x_override
-        previous = values.get(group.dst_key, all_x)
-        keep = ~ctx.spread(set_lanes)
-        bits = (previous.bits & keep) | (value_bits & ctx.spread(final_concrete))
-        xmask = ((previous.xmask & keep)
-                 | ctx.spread(set_lanes & ~final_concrete))
-        return PackedValue(ctx.lanes, ctx.stride, bits, xmask)
-
-    def _raise_lane_conflict(self, group: _DriverGroup, lanes: int,
-                             ctx: LaneContext) -> None:
-        lane = ((lanes & -lanes).bit_length() - 1) // ctx.stride
-        raise SimulationError(
-            f"{self.component.name}: conflicting drivers for {group.dst} in "
-            f"cycle {self.cycle} (lane {lane})"
-        )
-
-    def _settle_sweeps_packed(self, ctx: LaneContext) -> None:
-        for _ in range(_MAX_SWEEPS):
-            changed = False
-            changed |= self._evaluate_primitives_packed(ctx)
-            changed |= self._evaluate_children_packed(ctx)
-            changed |= self._evaluate_assignments_packed(ctx)
-            if not changed:
-                return
-        raise SimulationError(
-            f"{self.component.name}: combinational logic did not settle "
-            f"within {_MAX_SWEEPS} sweeps (possible combinational loop)"
-        )
-
-    def _evaluate_primitives_packed(self, ctx: LaneContext) -> bool:
-        changed = False
-        values = self._packed_values
-        all_x = ctx.all_x
-        in_items_by_cell = self._in_items_by_cell
-        for cell_name, model in self._lane_models.items():
-            outputs = model.combinational_packed(
-                {port: values.get(key, all_x)
-                 for port, key in in_items_by_cell[cell_name]}, ctx)
-            for port, value in outputs.items():
-                key = (cell_name, port)
-                if values.get(key, all_x) != value:
-                    values[key] = value
-                    changed = True
-        return changed
-
-    def _evaluate_children_packed(self, ctx: LaneContext) -> bool:
-        changed = False
-        values = self._packed_values
-        all_x = ctx.all_x
-        for node in self._child_nodes:
-            child = node.engine
-            child._begin_lane_cycle_preserving({
-                port: values.get(key, all_x) for port, key in node.in_items
-            })
-            child._settle_packed(ctx)
-            child_values = child._packed_values
-            for port, key in node.out_items:
-                value = child_values.get((None, port), all_x)
-                if values.get(key, all_x) != value:
-                    values[key] = value
-                    changed = True
-        return changed
-
-    def _evaluate_assignments_packed(self, ctx: LaneContext) -> bool:
-        changed = False
-        values = self._packed_values
-        for group in self._groups:
-            value = self._resolve_group_packed(group, values, ctx)
-            if value is None:
-                continue
-            if values.get(group.dst_key, ctx.all_x) != value:
-                values[group.dst_key] = value
-                changed = True
-        return changed
-
-    def _tick_packed(self, ctx: LaneContext) -> None:
-        values = self._packed_values
-        all_x = ctx.all_x
-        in_items_by_cell = self._in_items_by_cell
-        for cell_name, model in self._lane_models.items():
-            model.tick_packed(
-                {port: values.get(key, all_x)
-                 for port, key in in_items_by_cell[cell_name]}, ctx)
-        for child in self._children.values():
-            child._tick_packed(ctx)
-            child.cycle += 1
 
     # -- tick ------------------------------------------------------------------
 

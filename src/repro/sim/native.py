@@ -31,9 +31,8 @@ Two execution shapes share one translation unit:
   netlist pass as an inner lane loop over N consecutive state structs,
   with the columnar buffers generalized to lane-major-within-port layout
   (flat index ``((word) * cycles + cycle) * n_lanes + lane``) — input and
-  output cross the Python↔C boundary exactly once per batch, which is
-  what removes the per-cycle ``PackedValue`` pack/unpack cap on the
-  Python packed tiers.
+  output cross the Python↔C boundary exactly once per batch, so a batch
+  of short streams pays the per-call overhead once.
 
 Values wider than 64 bits **spill to multi-limb slots**: a signal of
 width ``w`` occupies ``ceil(w / 64)`` consecutive ``uint64_t`` words
@@ -62,10 +61,9 @@ Exactness notes:
 * conflicting drivers abort the C batch mid-settle and report the group;
   the scalar wrapper re-reads the captured guard/source slots and replays
   :func:`repro.sim.codegen._resolve_slots` to raise the **identical**
-  :class:`~repro.core.errors.SimulationError` message, while the lane
-  entry reports ``(plan, lane, cycle)`` and the wrapper formats the exact
-  packed-tier ``... (lane N)`` message (the lane conflict screen is
-  assign-major, mirroring ``_resolve_slots_packed``'s detection order);
+  :class:`~repro.core.errors.DriverConflictError` message, while the lane
+  entry reports ``(plan, lane, cycle)`` and the wrapper formats the
+  ``... (lane N)`` message ``run_lanes`` documents;
 * input values are truncated to their port's declared width at the C
   boundary (the same contract ``run_lanes`` documents).
 """
@@ -84,7 +82,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core import faults as _faults
-from ..core.errors import SimulationError
+from ..core.errors import DriverConflictError
 from ..core.store import ArtifactStore, default_store
 from .values import Value, X
 from . import codegen
@@ -304,7 +302,7 @@ class _PlanRegistry:
     each gets a global id, the Python-side resolution tuple (for exact
     error replay) and the ``(slot, limbs)`` list the scalar C code
     captures at the moment of a conflict.  The lane entry captures only
-    ``(plan, lane)`` — the packed-tier message carries no values."""
+    ``(plan, lane)`` — the lane message carries no values."""
 
     def __init__(self) -> None:
         self.plans: List[tuple] = []
@@ -544,8 +542,8 @@ class _CEmitter:
         base + ``offsetof``).  Runs of simple nodes — primitives and
         single-driver groups, which cannot raise — share one lane loop;
         multi-driver groups (conflict screen) and child calls break the
-        run so the node-major execution order matches the scalar and
-        packed tiers exactly."""
+        run so the node-major execution order matches the scalar tiers
+        exactly."""
         c = self.c
         sid = f"S{self.cid}"
         out.emit(f"static int settle_l{self.cid}(char* base, "
@@ -1095,10 +1093,9 @@ class _CEmitter:
     def _emit_group_lanes(self, out: codegen._Lines, group) -> None:
         """Multi-driver group over the lane block.  Pass 1 is the
         assign-major conflict screen: iterating assigns in plan order and
-        lanes ascending reproduces ``_resolve_slots_packed``'s detection
-        order (first clashing assign, lowest differing lane) exactly.
-        Pass 2 resolves values per lane with the conflict logic removed —
-        any conflicting lane already returned."""
+        lanes ascending reports the first clashing assign and, for it, the
+        lowest differing lane.  Pass 2 resolves values per lane with the
+        conflict logic removed — any conflicting lane already returned."""
         c = self.c
         sid = f"S{self.cid}"
         d = c.slots[group.dst_key]
@@ -1754,7 +1751,7 @@ class NativeKernel:
         all lanes through a *fresh* block of ``n_lanes`` consecutive state
         structs (matching ``run_lanes``'s fresh-engines contract); the
         instance's own scalar state is untouched.  A driver conflict in
-        any lane raises the packed-tier ``... (lane N)`` message."""
+        any lane raises the ``... (lane N)`` message."""
         program = self._program
         nl = n_lanes
         n = cycles * nl
@@ -1784,12 +1781,8 @@ class NativeKernel:
             pid = int(self._err_plan[0])
             lane = int(self._err_lane[0])
             plan = program.plans.plans[pid]
-            # The packed-tier message format: the lane screen is
-            # assign-major like _resolve_slots_packed, so (group, lane,
-            # cycle) all agree byte-for-byte.
-            raise SimulationError(
-                f"{plan[0]}: conflicting drivers for {plan[1].dst} in "
-                f"cycle {rc} (lane {lane})")
+            raise DriverConflictError(plan[0], plan[1].dst, rc,
+                                      f" (lane {lane})")
         return self._split_outputs(n, memoryview(ovbuf).cast("Q"),
                                    bytes(oxbuf))
 
@@ -1889,7 +1882,7 @@ class NativeKernel:
 
     def _raise_conflict(self, cycle: int) -> None:
         """Replay the failing group resolution in Python to raise the exact
-        interpreter/compiled-tier ``SimulationError`` message."""
+        interpreter/compiled-tier ``DriverConflictError`` message."""
         pid = int(self._err_plan[0])
         plan = self._program.plans.plans[pid]
         capture = self._program.plans.captures[pid]
@@ -1902,9 +1895,8 @@ class NativeKernel:
             slots[index] = X if self._err_x[ordinal] else value
             position += limbs
         _resolve_slots(slots, plan, cycle)
-        raise SimulationError(  # pragma: no cover - replay always raises
-            f"{plan[0]}: conflicting drivers for {plan[1].dst} in "
-            f"cycle {cycle}")
+        raise DriverConflictError(  # pragma: no cover - replay always raises
+            plan[0], plan[1].dst, cycle, "")
 
 
 # ---------------------------------------------------------------------------

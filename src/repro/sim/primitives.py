@@ -13,16 +13,9 @@ Unknown (``X``) inputs poison arithmetic results; an unknown *control*
 silently picking a definite branch — a register whose enable is X may or may
 not have latched, so its state becomes X.
 
-Every model also evaluates **lane-packed**: N independent stimulus streams
-live in one Python bigint (one lane per stream, see
-:class:`~repro.sim.values.PackedValue`), and ``combinational_packed`` /
-``tick_packed`` compute all lanes with a constant number of bigint
-operations.  Carries of per-lane adds are contained by each slot's guard
-bit, subtraction rides a per-lane borrow trick, and unsigned comparisons
-read the borrow out of the guard bit; only genuine per-lane multiplies fall
-back to a loop over defined lanes.  Primitives registered by generator
-substrates that do not implement the packed protocol are handled by
-:class:`ReplicatedLanes`, which runs one scalar model instance per lane.
+The engine tiers built on top (scheduled, compiled, native) inline or call
+these models; :attr:`PrimitiveModel.width_hint` bounds what a model can
+write, which the native tier uses to size its multi-limb slots.
 
 The model registry (:func:`create_primitive`, :func:`is_primitive`) is keyed
 by the extern component names of :mod:`repro.core.stdlib`, plus the ``fsm``
@@ -34,11 +27,10 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.errors import SimulationError
-from .values import LaneContext, PackedValue, Value, X, is_x, mask
+from .values import Value, X, is_x, mask
 
 __all__ = [
     "PrimitiveModel",
-    "ReplicatedLanes",
     "create_primitive",
     "is_primitive",
     "primitive_names",
@@ -57,10 +49,6 @@ class PrimitiveModel:
     #: registered primitive whose outputs depend only on stored state sets
     #: this to ``()`` so the scheduled engine can levelize across it.
     combinational_inputs: Optional[Tuple[str, ...]] = None
-    #: Whether this model implements the lane-packed protocol natively;
-    #: models that do not are wrapped in :class:`ReplicatedLanes` by the
-    #: engine (one scalar instance per lane).
-    supports_packed: bool = False
 
     def __init__(self, name: str, params: Sequence[int]) -> None:
         self.name = name
@@ -90,123 +78,16 @@ class PrimitiveModel:
         """Advance registered state at the clock edge (no-op for purely
         combinational primitives)."""
 
-    # -- lane-packed interface -------------------------------------------------
-
     @property
-    def packed_width_hint(self) -> int:
-        """The widest value any port of this primitive can carry; the engine
-        sizes the uniform lane stride from the maximum hint."""
+    def width_hint(self) -> int:
+        """The widest value any port of this primitive can carry (the
+        native tier sizes its slots from it)."""
         return self.width
-
-    def reset_packed(self, ctx: LaneContext) -> None:
-        """Re-initialise registered state for a packed run (every lane at
-        its power-on value)."""
-
-    def combinational_packed(self, inputs: Dict[str, PackedValue],
-                             ctx: LaneContext) -> Dict[str, PackedValue]:
-        """Lane-packed :meth:`combinational`: all lanes in one pass."""
-        raise NotImplementedError(
-            f"{self.name}: no lane-packed evaluation")  # pragma: no cover
-
-    def tick_packed(self, inputs: Dict[str, PackedValue],
-                    ctx: LaneContext) -> None:
-        """Lane-packed :meth:`tick`."""
 
     # -- cost-model hooks ------------------------------------------------------
 
     def is_sequential(self) -> bool:
         return False
-
-
-# ---------------------------------------------------------------------------
-# Lane-packed arithmetic kernels
-# ---------------------------------------------------------------------------
-#
-# Each kernel maps canonical packed value bits (guard bits clear, X lanes
-# zero) to canonical output bits for every lane at once.  ``w`` is the
-# operand width; comparison kernels produce 1-bit results at each lane's
-# LSB.  Carry containment: a per-lane ``w``-bit add overflows at most into
-# bit ``w`` of its own slot (the guard bit, which both operands keep clear),
-# so one bigint ``+`` adds all lanes.  Subtraction pre-sets the guard bit of
-# the minuend — per lane that computes ``a + 2^w - b``, which is always
-# non-negative, so no borrow ever crosses a slot; comparisons then read
-# ``a >= b`` straight out of the surviving guard bit.
-
-
-def _pk_add(ctx: LaneContext, w: int, a: int, b: int) -> int:
-    return (a + b) & ctx.value_mask(w)
-
-
-def _pk_sub(ctx: LaneContext, w: int, a: int, b: int) -> int:
-    return ((a | ctx.guard_bit(w)) - b) & ctx.value_mask(w)
-
-
-def _pk_nonzero(ctx: LaneContext, w: int, bits: int) -> int:
-    """Lanes with a non-zero ``w``-bit value, as a lane-LSB mask."""
-    return ((bits + ctx.value_mask(w)) & ctx.guard_bit(w)) >> w
-
-
-def _pk_eq(ctx: LaneContext, w: int, a: int, b: int) -> int:
-    return ctx.lsb & ~_pk_nonzero(ctx, w, a ^ b)
-
-
-def _pk_neq(ctx: LaneContext, w: int, a: int, b: int) -> int:
-    return _pk_nonzero(ctx, w, a ^ b)
-
-
-def _pk_ge(ctx: LaneContext, w: int, a: int, b: int) -> int:
-    """Per-lane ``a >= b`` via the borrow out of ``(a | guard) - b``."""
-    return (((a | ctx.guard_bit(w)) - b) >> w) & ctx.lsb
-
-
-def _pk_lt(ctx: LaneContext, w: int, a: int, b: int) -> int:
-    return ctx.lsb & ~_pk_ge(ctx, w, a, b)
-
-
-#: Vectorized kernels for the named binary primitives; ``None`` marks ops
-#: (multiplication) that need exact per-lane products.
-_PACKED_BINARY: Dict[str, Optional[Callable[[LaneContext, int, int, int], int]]] = {
-    "Add": _pk_add,
-    "FlexAdd": _pk_add,
-    "Sub": _pk_sub,
-    "And": lambda ctx, w, a, b: (a & b) & ctx.value_mask(w),
-    "Or": lambda ctx, w, a, b: (a | b) & ctx.value_mask(w),
-    "Xor": lambda ctx, w, a, b: (a ^ b) & ctx.value_mask(w),
-    "MultComb": None,
-    "Eq": _pk_eq,
-    "Neq": _pk_neq,
-    "Lt": _pk_lt,
-    "Gt": lambda ctx, w, a, b: _pk_lt(ctx, w, b, a),
-    "Le": lambda ctx, w, a, b: _pk_ge(ctx, w, b, a),
-    "Ge": _pk_ge,
-}
-
-
-def _iter_lanes(lane_mask: int, stride: int):
-    """Indices of the lanes named by a lane-LSB mask."""
-    while lane_mask:
-        low = lane_mask & -lane_mask
-        yield (low.bit_length() - 1) // stride
-        lane_mask ^= low
-
-
-def _lane_products(ctx: LaneContext, width: int, a: PackedValue,
-                   b: PackedValue) -> PackedValue:
-    """Exact per-lane ``a * b`` (a bigint multiply would mix lanes, so the
-    defined lanes are walked individually)."""
-    xmask = a.xmask | b.xmask
-    defined = ctx.lsb & ~xmask
-    out_mask = (1 << width) - 1
-    lane_mask = (1 << (ctx.stride - 1)) - 1
-    a_bits, b_bits = a.bits, b.bits
-    bits = 0
-    while defined:
-        low = defined & -defined
-        shift = low.bit_length() - 1
-        product = ((a_bits >> shift) & lane_mask) * ((b_bits >> shift) & lane_mask)
-        bits |= (product & out_mask) << shift
-        defined ^= low
-    return PackedValue(ctx.lanes, ctx.stride, bits, xmask)
 
 
 # ---------------------------------------------------------------------------
@@ -216,8 +97,6 @@ def _lane_products(ctx: LaneContext, width: int, a: PackedValue,
 
 class _Combinational(PrimitiveModel):
     """A combinational primitive defined by a Python function over ints."""
-
-    supports_packed = True
 
     def __init__(self, name: str, params: Sequence[int],
                  operation: Callable[..., int],
@@ -230,7 +109,7 @@ class _Combinational(PrimitiveModel):
         self._output_width = output_width
 
     @property
-    def packed_width_hint(self) -> int:
+    def width_hint(self) -> int:
         if self._output_width is not None:
             return max(self.width, self._output_width)
         return self.width
@@ -241,39 +120,6 @@ class _Combinational(PrimitiveModel):
             return {self.outputs[0]: X}
         width = self._output_width if self._output_width is not None else self.width
         return {self.outputs[0]: mask(self._operation(*values), width)}
-
-    def combinational_packed(self, inputs: Dict[str, PackedValue],
-                             ctx: LaneContext) -> Dict[str, PackedValue]:
-        width = self._output_width if self._output_width is not None else self.width
-        operands = [inputs.get(port, ctx.all_x) for port in self.inputs]
-        kernel = _PACKED_BINARY.get(self.name)
-        if kernel is not None and len(operands) == 2:
-            a, b = operands
-            xmask = a.xmask | b.xmask
-            bits = kernel(ctx, self.width, a.bits, b.bits)
-            return {self.outputs[0]:
-                    PackedValue(ctx.lanes, ctx.stride, bits, xmask)}
-        if self.name == "MultComb":
-            return {self.outputs[0]:
-                    _lane_products(ctx, width, operands[0], operands[1])}
-        if self.name == "Not":
-            value = operands[0]
-            bits = ctx.value_mask(width) & ~value.bits
-            return {self.outputs[0]:
-                    PackedValue(ctx.lanes, ctx.stride, bits, value.xmask)}
-        # A custom operation: fall back to exact per-lane evaluation (the
-        # scalar function is pure, so this stays trace-identical).
-        xmask = 0
-        for value in operands:
-            xmask |= value.xmask
-        defined = ctx.lsb & ~xmask
-        value_mask = (1 << width) - 1
-        bits = 0
-        for index in _iter_lanes(defined, ctx.stride):
-            result = self._operation(*(value.lane(index) for value in operands))
-            bits |= (result & value_mask) << (index * ctx.stride)
-        return {self.outputs[0]:
-                PackedValue(ctx.lanes, ctx.stride, bits, xmask)}
 
 
 def _make_binary(name: str, operation: Callable[[int, int], int],
@@ -291,7 +137,6 @@ class _MuxModel(PrimitiveModel):
 
     inputs = ("sel", "in1", "in0")
     outputs = ("out",)
-    supports_packed = True
 
     def combinational(self, inputs: Dict[str, Value]) -> Dict[str, Value]:
         sel = inputs.get("sel", X)
@@ -300,23 +145,12 @@ class _MuxModel(PrimitiveModel):
         chosen = inputs.get("in1" if sel else "in0", X)
         return {"out": mask(chosen, self.width)}
 
-    def combinational_packed(self, inputs: Dict[str, PackedValue],
-                             ctx: LaneContext) -> Dict[str, PackedValue]:
-        sel = inputs.get("sel", ctx.all_x)
-        in1 = inputs.get("in1", ctx.all_x)
-        in0 = inputs.get("in0", ctx.all_x)
-        taken = ctx.spread(ctx.nonzero(sel.bits))
-        bits = ((in1.bits & taken) | (in0.bits & ~taken)) & ctx.value_mask(self.width)
-        xmask = sel.xmask | (in1.xmask & taken) | (in0.xmask & ~taken)
-        return {"out": PackedValue(ctx.lanes, ctx.stride, bits, xmask)}
-
 
 class _SliceModel(PrimitiveModel):
     """``out = in[HI:LO]`` with params ``(W, HI, LO)``."""
 
     inputs = ("in",)
     outputs = ("out",)
-    supports_packed = True
 
     def combinational(self, inputs: Dict[str, Value]) -> Dict[str, Value]:
         value = inputs.get("in", X)
@@ -326,17 +160,6 @@ class _SliceModel(PrimitiveModel):
             return {"out": X}
         return {"out": (value >> lo) & ((1 << (hi - lo + 1)) - 1)}
 
-    def combinational_packed(self, inputs: Dict[str, PackedValue],
-                             ctx: LaneContext) -> Dict[str, PackedValue]:
-        value = inputs.get("in", ctx.all_x)
-        hi = self.param(1, self.width - 1)
-        lo = self.param(2, 0)
-        # The whole-bigint shift moves every lane's bits down by ``lo`` in
-        # step; anything that strays out of (or into) a slot is cut by the
-        # per-lane output mask.
-        bits = (value.bits >> lo) & ctx.value_mask(hi - lo + 1)
-        return {"out": PackedValue(ctx.lanes, ctx.stride, bits, value.xmask)}
-
 
 class _ConcatModel(PrimitiveModel):
     """``out = {hi, lo}`` with params ``(WH, WL)``; both halves are
@@ -344,10 +167,9 @@ class _ConcatModel(PrimitiveModel):
 
     inputs = ("hi", "lo")
     outputs = ("out",)
-    supports_packed = True
 
     @property
-    def packed_width_hint(self) -> int:
+    def width_hint(self) -> int:
         return self.param(0, 32) + self.param(1, 32)
 
     def combinational(self, inputs: Dict[str, Value]) -> Dict[str, Value]:
@@ -359,23 +181,12 @@ class _ConcatModel(PrimitiveModel):
         return {"out": (mask(hi, self.param(0, 32)) << low_width)
                        | mask(lo, low_width)}
 
-    def combinational_packed(self, inputs: Dict[str, PackedValue],
-                             ctx: LaneContext) -> Dict[str, PackedValue]:
-        hi = inputs.get("hi", ctx.all_x)
-        lo = inputs.get("lo", ctx.all_x)
-        low_width = self.param(1, 32)
-        bits = (((hi.bits & ctx.value_mask(self.param(0, 32))) << low_width)
-                | (lo.bits & ctx.value_mask(low_width)))
-        return {"out": PackedValue(ctx.lanes, ctx.stride, bits,
-                                   hi.xmask | lo.xmask)}
-
 
 class _ShiftModel(PrimitiveModel):
     """Shift by the constant parameter ``BY`` (params ``(W, BY)``)."""
 
     inputs = ("in",)
     outputs = ("out",)
-    supports_packed = True
 
     def __init__(self, name: str, params: Sequence[int], left: bool) -> None:
         super().__init__(name, params)
@@ -389,37 +200,15 @@ class _ShiftModel(PrimitiveModel):
         result = value << by if self._left else value >> by
         return {"out": mask(result, self.width)}
 
-    def combinational_packed(self, inputs: Dict[str, PackedValue],
-                             ctx: LaneContext) -> Dict[str, PackedValue]:
-        value = inputs.get("in", ctx.all_x)
-        by = self.param(1, 1)
-        width = self.width
-        if by >= width:
-            bits = 0
-        elif self._left:
-            # Pre-drop the bits a per-lane shift would discard, so the
-            # whole-bigint shift never carries them into the next slot.
-            bits = (value.bits & ctx.value_mask(width - by)) << by
-        else:
-            bits = (value.bits & ~ctx.value_mask(by)) >> by
-        return {"out": PackedValue(ctx.lanes, ctx.stride, bits, value.xmask)}
-
 
 class _ConstModel(PrimitiveModel):
     """Constant driver with params ``(W, V)``."""
 
     inputs = ()
     outputs = ("out",)
-    supports_packed = True
 
     def combinational(self, inputs: Dict[str, Value]) -> Dict[str, Value]:
         return {"out": mask(self.param(1, 0), self.width)}
-
-    def combinational_packed(self, inputs: Dict[str, PackedValue],
-                             ctx: LaneContext) -> Dict[str, PackedValue]:
-        value = mask(self.param(1, 0), self.width)
-        return {"out": PackedValue.broadcast(value, ctx)}
-
 
 # ---------------------------------------------------------------------------
 # Sequential primitives
@@ -435,7 +224,6 @@ class _PipelinedMultModel(PrimitiveModel):
     inputs = ("go", "left", "right")
     outputs = ("out",)
     combinational_inputs = ()
-    supports_packed = True
 
     def __init__(self, name: str, params: Sequence[int], latency: int) -> None:
         super().__init__(name, params)
@@ -457,34 +245,8 @@ class _PipelinedMultModel(PrimitiveModel):
             product = mask(left * right, self.width)
         self._stages = [product] + self._stages[:-1]
 
-    def reset_packed(self, ctx: LaneContext) -> None:
-        self._stages = [ctx.all_x] * self._latency
-
-    def combinational_packed(self, inputs: Dict[str, PackedValue],
-                             ctx: LaneContext) -> Dict[str, PackedValue]:
-        return {"out": self._stages[-1]}
-
-    def tick_packed(self, inputs: Dict[str, PackedValue],
-                    ctx: LaneContext) -> None:
-        product = _lane_products(ctx, self.width,
-                                 inputs.get("left", ctx.all_x),
-                                 inputs.get("right", ctx.all_x))
-        self._stages = [product] + self._stages[:-1]
-
     def is_sequential(self) -> bool:
         return True
-
-
-def _latch_packed(state: PackedValue, data: PackedValue, enable: PackedValue,
-                  width: int, ctx: LaneContext) -> PackedValue:
-    """Per-lane enable-gated latch: definitely-enabled lanes take the (width
-    masked) data, definitely-disabled lanes keep the old state, X-enable
-    lanes become X (the latch may or may not have fired)."""
-    take = ctx.spread(ctx.nonzero(enable.bits))
-    bits = ((data.bits & ctx.value_mask(width) & take)
-            | (state.bits & ~take))
-    xmask = enable.xmask | (data.xmask & take) | (state.xmask & ~take)
-    return PackedValue(ctx.lanes, ctx.stride, bits, xmask)
 
 
 class _RegModel(PrimitiveModel):
@@ -497,7 +259,6 @@ class _RegModel(PrimitiveModel):
     inputs = ("en", "in")
     outputs = ("out",)
     combinational_inputs = ()
-    supports_packed = True
 
     def __init__(self, name: str, params: Sequence[int]) -> None:
         super().__init__(name, params)
@@ -516,19 +277,6 @@ class _RegModel(PrimitiveModel):
         elif enable != 0:
             self._state = mask(inputs.get("in", X), self.width)
 
-    def reset_packed(self, ctx: LaneContext) -> None:
-        self._state = ctx.all_x
-
-    def combinational_packed(self, inputs: Dict[str, PackedValue],
-                             ctx: LaneContext) -> Dict[str, PackedValue]:
-        return {"out": self._state}
-
-    def tick_packed(self, inputs: Dict[str, PackedValue],
-                    ctx: LaneContext) -> None:
-        self._state = _latch_packed(self._state, inputs.get("in", ctx.all_x),
-                                    inputs.get("en", ctx.all_x),
-                                    self.width, ctx)
-
     def is_sequential(self) -> bool:
         return True
 
@@ -546,7 +294,6 @@ class _DelayModel(PrimitiveModel):
     inputs = ("in",)
     outputs = ("out",)
     combinational_inputs = ()
-    supports_packed = True
 
     def __init__(self, name: str, params: Sequence[int]) -> None:
         super().__init__(name, params)
@@ -561,20 +308,6 @@ class _DelayModel(PrimitiveModel):
     def tick(self, inputs: Dict[str, Value]) -> None:
         self._state = mask(inputs.get("in", X), self.width)
 
-    def reset_packed(self, ctx: LaneContext) -> None:
-        self._state = PackedValue.broadcast(0, ctx)
-
-    def combinational_packed(self, inputs: Dict[str, PackedValue],
-                             ctx: LaneContext) -> Dict[str, PackedValue]:
-        return {"out": self._state}
-
-    def tick_packed(self, inputs: Dict[str, PackedValue],
-                    ctx: LaneContext) -> None:
-        value = inputs.get("in", ctx.all_x)
-        self._state = PackedValue(ctx.lanes, ctx.stride,
-                                  value.bits & ctx.value_mask(self.width),
-                                  value.xmask)
-
     def is_sequential(self) -> bool:
         return True
 
@@ -587,7 +320,6 @@ class _PrevModel(PrimitiveModel):
 
     outputs = ("prev",)
     combinational_inputs = ()
-    supports_packed = True
 
     def __init__(self, name: str, params: Sequence[int], has_enable: bool) -> None:
         super().__init__(name, params)
@@ -613,26 +345,6 @@ class _PrevModel(PrimitiveModel):
         elif enable != 0:
             self._state = mask(inputs.get("in", X), self.width)
 
-    def reset_packed(self, ctx: LaneContext) -> None:
-        self._initial = 0 if self.param(1, 1) else X
-        self._state = PackedValue.broadcast(self._initial, ctx)
-
-    def combinational_packed(self, inputs: Dict[str, PackedValue],
-                             ctx: LaneContext) -> Dict[str, PackedValue]:
-        return {"prev": self._state}
-
-    def tick_packed(self, inputs: Dict[str, PackedValue],
-                    ctx: LaneContext) -> None:
-        value = inputs.get("in", ctx.all_x)
-        if not self._has_enable:
-            self._state = PackedValue(ctx.lanes, ctx.stride,
-                                      value.bits & ctx.value_mask(self.width),
-                                      value.xmask)
-            return
-        self._state = _latch_packed(self._state, value,
-                                    inputs.get("en", ctx.all_x),
-                                    self.width, ctx)
-
     def is_sequential(self) -> bool:
         return True
 
@@ -644,7 +356,6 @@ class _DspMacModel(PrimitiveModel):
     inputs = ("ce", "a", "b", "pin")
     outputs = ("pout",)
     combinational_inputs = ()
-    supports_packed = True
 
     def __init__(self, name: str, params: Sequence[int]) -> None:
         super().__init__(name, params)
@@ -670,29 +381,6 @@ class _DspMacModel(PrimitiveModel):
         accumulate = 0 if is_x(pin) else pin
         self._state = mask(a * b + accumulate, self.width)
 
-    def reset_packed(self, ctx: LaneContext) -> None:
-        self._state = ctx.all_x
-
-    def combinational_packed(self, inputs: Dict[str, PackedValue],
-                             ctx: LaneContext) -> Dict[str, PackedValue]:
-        return {"pout": self._state}
-
-    def tick_packed(self, inputs: Dict[str, PackedValue],
-                    ctx: LaneContext) -> None:
-        enable = inputs.get("ce", PackedValue.broadcast(1, ctx))
-        a = inputs.get("a", ctx.all_x)
-        b = inputs.get("b", ctx.all_x)
-        pin = inputs.get("pin", ctx.all_x)
-        # X pins accumulate zero (matching the scalar model); per-lane
-        # products need the defined-lane walk.
-        product = _lane_products(ctx, self.width, a, b)
-        accumulated = PackedValue(
-            ctx.lanes, ctx.stride,
-            _pk_add(ctx, self.width, product.bits, pin.bits),
-            product.xmask)
-        self._state = _latch_packed(self._state, accumulated, enable,
-                                    self.width, ctx)
-
     def is_sequential(self) -> bool:
         return True
 
@@ -706,7 +394,6 @@ class FsmModel(PrimitiveModel):
 
     inputs = ("go",)
     combinational_inputs = ("go",)
-    supports_packed = True
 
     def __init__(self, name: str, params: Sequence[int]) -> None:
         super().__init__(name, params)
@@ -715,7 +402,7 @@ class FsmModel(PrimitiveModel):
         self._shift: List = [0] * max(self.states - 1, 0)
 
     @property
-    def packed_width_hint(self) -> int:
+    def width_hint(self) -> int:
         return 1
 
     def reset(self) -> None:
@@ -737,89 +424,8 @@ class FsmModel(PrimitiveModel):
         trigger = self._trigger(inputs)
         self._shift = [trigger] + self._shift[:-1] if self._shift else []
 
-    def reset_packed(self, ctx: LaneContext) -> None:
-        self._shift = [PackedValue.broadcast(0, ctx)] * max(self.states - 1, 0)
-
-    def _trigger_packed(self, inputs: Dict[str, PackedValue],
-                        ctx: LaneContext) -> PackedValue:
-        go = inputs.get("go", PackedValue.broadcast(0, ctx))
-        return PackedValue(ctx.lanes, ctx.stride, ctx.nonzero(go.bits),
-                           go.xmask)
-
-    def combinational_packed(self, inputs: Dict[str, PackedValue],
-                             ctx: LaneContext) -> Dict[str, PackedValue]:
-        values: Dict[str, PackedValue] = {"_0": self._trigger_packed(inputs, ctx)}
-        for index, stored in enumerate(self._shift, start=1):
-            values[f"_{index}"] = stored
-        return values
-
-    def tick_packed(self, inputs: Dict[str, PackedValue],
-                    ctx: LaneContext) -> None:
-        trigger = self._trigger_packed(inputs, ctx)
-        self._shift = [trigger] + self._shift[:-1] if self._shift else []
-
     def is_sequential(self) -> bool:
         return True
-
-
-# ---------------------------------------------------------------------------
-# Lane fallback for custom primitives
-# ---------------------------------------------------------------------------
-
-
-class ReplicatedLanes(PrimitiveModel):
-    """Lane-packed adapter for a primitive without native packed support.
-
-    Generator substrates register bespoke black boxes (Reticle cascades,
-    ``Tdot``) whose models only speak the scalar protocol.  This wrapper
-    keeps one scalar instance per lane and translates pack/unpack at the
-    boundary, so ``run_lanes`` stays exact for *every* netlist — such cells
-    merely lose the bigint speedup, not correctness.
-    """
-
-    supports_packed = True
-
-    def __init__(self, component: str, params: Sequence[int],
-                 ctx: LaneContext) -> None:
-        self._instances = [create_primitive(component, params)
-                           for _ in range(ctx.lanes)]
-        template = self._instances[0]
-        super().__init__(template.name, params)
-        self.inputs = template.inputs
-        self.outputs = template.outputs
-        self.combinational_inputs = template.combinational_inputs
-
-    @property
-    def packed_width_hint(self) -> int:
-        return self._instances[0].packed_width_hint
-
-    def reset_packed(self, ctx: LaneContext) -> None:
-        for instance in self._instances:
-            instance.reset()
-
-    def _lane_inputs(self, inputs: Dict[str, PackedValue], index: int,
-                     ctx: LaneContext) -> Dict[str, Value]:
-        return {port: inputs.get(port, ctx.all_x).lane(index)
-                for port in self.inputs}
-
-    def combinational_packed(self, inputs: Dict[str, PackedValue],
-                             ctx: LaneContext) -> Dict[str, PackedValue]:
-        columns: Dict[str, List[Value]] = {port: [] for port in self.outputs}
-        for index, instance in enumerate(self._instances):
-            outputs = instance.combinational(
-                self._lane_inputs(inputs, index, ctx))
-            for port in self.outputs:
-                columns[port].append(outputs.get(port, X))
-        return {port: PackedValue.pack(values, ctx)
-                for port, values in columns.items()}
-
-    def tick_packed(self, inputs: Dict[str, PackedValue],
-                    ctx: LaneContext) -> None:
-        for index, instance in enumerate(self._instances):
-            instance.tick(self._lane_inputs(inputs, index, ctx))
-
-    def is_sequential(self) -> bool:
-        return self._instances[0].is_sequential()
 
 
 # ---------------------------------------------------------------------------

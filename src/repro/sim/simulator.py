@@ -41,11 +41,12 @@ tier falls back to the next with a recorded reason
 (:attr:`~repro.sim.engine.ScheduledEngine.native_fallback_reason`) when a
 netlist is ineligible — black-box primitives, values wider than 256 bits
 (65–256-bit signals spill to multi-limb ``uint64_t`` slots) — or the host
-has no C compiler.  Lane-packed runs (``run_lanes``) under
-``mode="native"`` execute through the native lane entry ``k_run_lanes``
-(N streams per netlist pass, one Python↔C crossing per batch), falling
-back to the compiled-Python packed kernel with the reason recorded in
-:attr:`~repro.sim.engine.ScheduledEngine.native_lanes_fallback_reason`.
+has no C compiler.  Lane batches (``run_lanes``) under ``mode="native"``
+execute through the native lane entry ``k_run_lanes`` (N streams per
+netlist pass, one Python↔C crossing per batch); everywhere else, and when
+the lane entry is unavailable (reason in
+:attr:`~repro.sim.engine.ScheduledEngine.native_lanes_fallback_reason`),
+they are N scalar runs on the engine's own tier, each from a fresh reset.
 """
 
 from __future__ import annotations

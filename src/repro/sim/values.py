@@ -20,12 +20,9 @@ explicitly with an ``X`` (unknown) value, mirroring 4-state RTL simulation:
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Union
+from typing import Union
 
-__all__ = [
-    "X", "Value", "is_x", "mask", "to_bool", "format_value",
-    "LaneContext", "PackedValue",
-]
+__all__ = ["X", "Value", "is_x", "mask", "to_bool", "format_value"]
 
 
 class _Unknown:
@@ -74,174 +71,3 @@ def to_bool(value: Value) -> bool:
 def format_value(value: Value) -> str:
     """Render a value for waveforms and error messages."""
     return "X" if is_x(value) else str(value)
-
-
-# ---------------------------------------------------------------------------
-# Lane packing
-# ---------------------------------------------------------------------------
-#
-# The lane-packed (bit-sliced) execution mode evaluates N independent
-# stimulus streams in one pass over the netlist.  Each signal becomes a
-# single Python bigint holding one *lane* per stream: lane ``i`` occupies the
-# bit slot ``[i*stride, (i+1)*stride)``.  The stride is uniform for every
-# signal of a design (one more than the widest signal), so per-lane
-# conditions — guard activity, mux selects, X-ness — transfer between
-# signals of different widths with plain bitwise arithmetic, never a
-# per-lane Python loop.
-#
-# The top bit of each slot (the *guard bit*) is kept zero by every producer,
-# which is what contains carries and borrows: a ``width``-bit add of two
-# lanes overflows at most into bit ``width`` of its own slot (masked off),
-# never into the neighbouring lane; a borrow trick on the guard bit yields
-# per-lane unsigned comparisons (see :mod:`repro.sim.primitives`).
-#
-# X is tracked per lane, not per bit — exactly the scalar semantics, where a
-# value is either fully known or :data:`X`.  A :class:`PackedValue`'s
-# ``xmask`` has the *whole slot* set for an X lane, and the value bits of an
-# X lane are canonically zero, so ``bits`` can be combined across signals
-# without X lanes leaking garbage.
-
-
-class LaneContext:
-    """Precomputed masks for one ``(lanes, stride)`` packing geometry.
-
-    All lane-mask arguments and results below are *lane-LSB masks*: an
-    integer with bit ``i*stride`` set when lane ``i`` is in the set (always a
-    subset of :attr:`lsb`).
-    """
-
-    __slots__ = ("lanes", "stride", "lsb", "full", "_value_masks",
-                 "_nz_add", "_slot_ones", "all_x")
-
-    def __init__(self, lanes: int, stride: int) -> None:
-        if lanes < 1:
-            raise ValueError("LaneContext needs at least one lane")
-        if stride < 2:
-            raise ValueError("LaneContext stride must cover width + guard bit")
-        self.lanes = lanes
-        self.stride = stride
-        #: Bit ``i*stride`` set for every lane — the universe of lane masks.
-        self.lsb = ((1 << (lanes * stride)) - 1) // ((1 << stride) - 1)
-        self._slot_ones = (1 << stride) - 1
-        #: Every bit of every slot.
-        self.full = self.lsb * self._slot_ones
-        #: Adding this to canonical value bits pushes bit ``stride-1`` of a
-        #: lane high exactly when the lane is non-zero (values are confined
-        #: to ``stride-1`` bits, so the sum never crosses a slot boundary).
-        self._nz_add = self.lsb * ((1 << (stride - 1)) - 1)
-        self._value_masks = {}
-        #: The all-lanes-X packed value for this geometry.
-        self.all_x = PackedValue(lanes, stride, 0, self.full)
-
-    def value_mask(self, width: int) -> int:
-        """``width`` low bits of every slot (per-lane truncation mask)."""
-        cached = self._value_masks.get(width)
-        if cached is None:
-            cached = self.lsb * ((1 << width) - 1)
-            self._value_masks[width] = cached
-        return cached
-
-    def guard_bit(self, width: int) -> int:
-        """Bit ``width`` of every slot — where a ``width``-bit carry or
-        borrow lands."""
-        return self.lsb << width
-
-    def spread(self, lane_mask: int) -> int:
-        """Stretch a lane-LSB mask to cover every bit of the named slots."""
-        return lane_mask * self._slot_ones
-
-    def nonzero(self, bits: int) -> int:
-        """Lanes whose value bits are non-zero, as a lane-LSB mask."""
-        return ((bits + self._nz_add) >> (self.stride - 1)) & self.lsb
-
-    def broadcast(self, value: int) -> int:
-        """The same (in-range) value in every lane's slot."""
-        return self.lsb * (value & ((1 << (self.stride - 1)) - 1))
-
-
-class PackedValue:
-    """N lane values packed into one bigint, plus a parallel X plane.
-
-    Invariants: every lane's value fits in ``stride - 1`` bits (the guard
-    bit is clear), ``xmask`` covers whole slots, and ``bits & xmask == 0``
-    (X lanes carry zero value bits).
-    """
-
-    __slots__ = ("lanes", "stride", "bits", "xmask")
-
-    def __init__(self, lanes: int, stride: int, bits: int, xmask: int) -> None:
-        self.lanes = lanes
-        self.stride = stride
-        self.xmask = xmask
-        self.bits = bits & ~xmask if xmask else bits
-
-    # -- construction ---------------------------------------------------------
-
-    @staticmethod
-    def pack(values: Sequence[Value], ctx: "LaneContext",
-             width: Optional[int] = None) -> "PackedValue":
-        """Pack one scalar :data:`Value` per lane; values are truncated to
-        ``width`` (the slot's value capacity by default)."""
-        if len(values) != ctx.lanes:
-            raise ValueError(
-                f"packing {len(values)} values into {ctx.lanes} lanes")
-        stride = ctx.stride
-        value_mask = (1 << (stride - 1 if width is None else width)) - 1
-        slot_ones = (1 << stride) - 1
-        bits = 0
-        xmask = 0
-        shift = 0
-        for value in values:
-            if value is X:
-                xmask |= slot_ones << shift
-            else:
-                bits |= (value & value_mask) << shift
-            shift += stride
-        return PackedValue(ctx.lanes, stride, bits, xmask)
-
-    @staticmethod
-    def broadcast(value: Value, ctx: "LaneContext") -> "PackedValue":
-        """The same scalar value in every lane."""
-        if is_x(value):
-            return ctx.all_x
-        return PackedValue(ctx.lanes, ctx.stride, ctx.broadcast(value), 0)
-
-    # -- observation ----------------------------------------------------------
-
-    def lane(self, index: int) -> Value:
-        """The scalar value of one lane."""
-        shift = index * self.stride
-        if (self.xmask >> shift) & 1:
-            return X
-        return (self.bits >> shift) & ((1 << (self.stride - 1)) - 1)
-
-    def unpack(self) -> List[Value]:
-        stride = self.stride
-        value_mask = (1 << (stride - 1)) - 1
-        bits = self.bits
-        xmask = self.xmask
-        values: List[Value] = []
-        shift = 0
-        for _ in range(self.lanes):
-            values.append(X if (xmask >> shift) & 1
-                          else (bits >> shift) & value_mask)
-            shift += stride
-        return values
-
-    def x_lanes(self, ctx: "LaneContext") -> int:
-        """Lane-LSB mask of the X lanes."""
-        return self.xmask & ctx.lsb
-
-    # -- protocol -------------------------------------------------------------
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PackedValue):
-            return NotImplemented
-        return (self.lanes == other.lanes and self.stride == other.stride
-                and self.bits == other.bits and self.xmask == other.xmask)
-
-    def __hash__(self) -> int:
-        return hash((self.lanes, self.stride, self.bits, self.xmask))
-
-    def __repr__(self) -> str:
-        return f"PackedValue({[format_value(v) for v in self.unpack()]})"

@@ -3,7 +3,7 @@
 Every committed corpus entry is replayed through the generated-kernel
 engine (``mode="compiled"``) and must trace bit-identically — values *and*
 X planes — to the scheduled and fixpoint interpreters, for scalar runs and
-for lane-packed runs.  A deliberately irregular (self-looping) program
+for lane batches (one kernel run per stream).  A deliberately irregular (self-looping) program
 pins down the automatic interpreter fallback: its trace must still match
 the reference engines, with the fallback reason recorded in the coverage
 ledger.
@@ -64,11 +64,13 @@ def test_corpus_compiled_lanes_bit_identical(path, entry):
     generated = replay_entry(entry)
     calyx, stimuli = _calyx_and_stimuli(generated)
     name = generated.spec.name
-    packed = Simulator(calyx, name, mode="compiled").run_lanes(stimuli)
+    compiled = Simulator(calyx, name, mode="compiled")
+    lanes = compiled.run_lanes(stimuli)
+    assert compiled.uses_kernel(), compiled.kernel_fallback_reason
     scalar = Simulator(calyx, name, mode="auto")
     for lane, stimulus in enumerate(stimuli):
         scalar.reset()
-        assert traces_equal(packed[lane], scalar.run_batch(stimulus)), \
+        assert traces_equal(lanes[lane], scalar.run_batch(stimulus)), \
             f"{path.name}: compiled lane {lane} diverged from scalar"
 
 
@@ -130,9 +132,9 @@ def test_fallback_reason_netlist_still_traces_identically():
     assert "self-loop" in compiled.kernel_fallback_reason
     assert traces_equal(
         trace, Simulator(program, mode="fixpoint").run_batch(stimulus))
-    packed = Simulator(program, mode="compiled").run_lanes(
+    lanes = Simulator(program, mode="compiled").run_lanes(
         [stimulus, stimulus])
     scalar = Simulator(program, mode="fixpoint")
-    for lane_trace in packed:
+    for lane_trace in lanes:
         scalar.reset()
         assert traces_equal(lane_trace, scalar.run_batch(stimulus))

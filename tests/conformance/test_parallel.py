@@ -45,8 +45,8 @@ def test_job_count_does_not_change_the_ledger():
 
 @pytest.mark.deep
 def test_job_count_does_not_change_the_full_matrix_ledger():
-    """The same contract over the full default 4-engine matrix with packed
-    lanes, round-trip and incremental ways enabled, at jobs=4."""
+    """The same contract over the full default 4-engine matrix with the
+    lane, round-trip and incremental ways enabled, at jobs=4."""
     serial = run_shards(range(0, 12), jobs=1, transactions=6, lanes=2)
     sharded = run_shards(range(0, 12), jobs=4, transactions=6, lanes=2)
     assert _ledger_json(serial) == _ledger_json(sharded)

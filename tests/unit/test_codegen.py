@@ -1,15 +1,16 @@
 """Unit tests for the kernel codegen tier (:mod:`repro.sim.codegen`).
 
-The core property mirrors ``tests/unit/test_lanes.py``: for every primitive
-kind the registry can produce, a netlist instantiating it must behave
-identically under the scheduled interpreter and the generated kernel —
-same values, same X planes, cycle by cycle through registered state — in
-both the scalar and the lane-packed kernel variant.  On top of the
-per-primitive sweep, the driver-group folding, the conflict error path, the
-digest-keyed cache and the automatic interpreter fallback are pinned down
-directly.
+The core property: for every primitive kind the registry can produce, a
+netlist instantiating it must behave identically under the scheduled
+interpreter and the generated kernel — same values, same X planes, cycle by
+cycle through registered state — for scalar runs and for compiled-mode lane
+batches (one scalar kernel run per stream).  On top of the per-primitive
+sweep, the driver-group folding, the conflict error path, the digest-keyed
+cache with its disk spill tier and the automatic interpreter fallback are
+pinned down directly.
 """
 
+import json
 import random
 
 import pytest
@@ -35,7 +36,7 @@ from repro.sim import (
 )
 
 #: (primitive, params, {input port: width}) — the same behavioural matrix
-#: the lane-packing tests sweep, reused against the codegen tier.
+#: the lane tests sweep, reused against the codegen tier.
 CASES = [
     ("Add", (8,), {"left": 8, "right": 8}),
     ("Add", (64,), {"left": 64, "right": 64}),
@@ -83,7 +84,7 @@ def _single_cell_program(name, params, widths):
     """A one-cell netlist: every model input fed straight from a component
     input, every model output exposed as a component output."""
     model = create_primitive(name, params)
-    width_hint = max([model.packed_width_hint] + list(widths.values()) + [1])
+    width_hint = max([model.width_hint] + list(widths.values()) + [1])
     component = CalyxComponent("top")
     for port, width in widths.items():
         component.inputs.append(PortSpec(f"i_{port}", width))
@@ -137,14 +138,17 @@ def test_scalar_kernel_matches_interpreter(name, params, widths):
 @pytest.mark.parametrize("name,params,widths", CASES,
                          ids=[f"{c[0]}{list(c[1])}" for c in CASES])
 def test_packed_kernel_matches_interpreter(name, params, widths):
+    """Compiled-mode lane batches run the scalar kernel once per stream,
+    each from a fresh reset: every lane must match a scalar interpreter
+    run of its stream."""
     rng = random.Random(hash((name, params, "packed")) & 0xFFFF)
     program = _single_cell_program(name, params, widths)
     streams = [_stimulus(rng, widths, CYCLES) for _ in range(LANES)]
     compiled = Simulator(program, mode="compiled")
-    packed = compiled.run_lanes(streams)
+    lanes = compiled.run_lanes(streams)
     assert compiled.uses_kernel(), compiled.kernel_fallback_reason
     scalar = Simulator(program, mode="auto")
-    for stream, trace in zip(streams, packed):
+    for stream, trace in zip(streams, lanes):
         scalar.reset()
         _same_traces(scalar.run_batch(stream), trace)
 
@@ -183,11 +187,11 @@ class TestDriverGroups:
         trace = compiled.run_batch(stimulus)
         assert compiled.uses_kernel()
         _same_traces(reference, trace)
-        packed = Simulator(program, mode="compiled").run_lanes(
+        lanes = Simulator(program, mode="compiled").run_lanes(
             [stimulus[:20], stimulus[20:40], stimulus[40:]])
         scalar = Simulator(program, mode="auto")
         for stream, lane_trace in zip(
-                [stimulus[:20], stimulus[20:40], stimulus[40:]], packed):
+                [stimulus[:20], stimulus[20:40], stimulus[40:]], lanes):
             scalar.reset()
             _same_traces(scalar.run_batch(stream), lane_trace)
 
@@ -206,7 +210,7 @@ class TestDriverGroups:
         program = self._guarded_program()
         good = {"g": 1, "h": 0, "a": 3, "b": 4}
         bad = {"g": 1, "h": 1, "a": 3, "b": 4}
-        with pytest.raises(SimulationError, match=r"lane 1"):
+        with pytest.raises(SimulationError, match=r"cycle 0 \(lane 1\)$"):
             Simulator(program, mode="compiled").run_lanes(
                 [[good], [bad]])
 
@@ -241,6 +245,56 @@ class TestFallbackAndCache:
         assert after_second["hits"] == after_first["hits"] + 1
         assert after_second["misses"] == after_first["misses"]
         assert netlist_digest(first) == netlist_digest(second)
+
+    def test_generated_source_holds_only_the_scalar_kernel(self):
+        from repro.sim.codegen import generate_source
+
+        program = _single_cell_program("Add", (8,),
+                                       {"left": 8, "right": 8})
+        source = generate_source(Simulator(program, mode="compiled"))[0]
+        assert source.count("def make_c") == 1
+        assert source.count("def make_top") == 1
+
+    def test_stale_spill_envelope_is_ignored_and_rebuilt(self, tmp_path):
+        """An envelope of an older format version (v1, which also carried a
+        lane kernel) under the old or the current key must be regenerated
+        from the netlist, never served."""
+        from repro.core.store import (
+            ArtifactStore,
+            reset_default_store,
+            set_default_store,
+        )
+        from repro.sim import codegen
+
+        program = _single_cell_program("Add", (8,),
+                                       {"left": 8, "right": 8})
+        engine = Simulator(program, mode="compiled")
+        digest = netlist_digest(engine)
+        stale = json.dumps({
+            "v": 1, "source": "raise AssertionError('stale kernel served')",
+            "outputs": ["o_out"], "slots": [], "init": {}})
+        store = ArtifactStore(tmp_path)
+        for version in (1, codegen._SPILL_VERSION):
+            assert store.put_text("kernel", f"kernel_{version}_{digest[:32]}",
+                                  stale)
+        token = set_default_store(store)
+        try:
+            clear_kernel_cache()
+            rebuilt, cached, _ = codegen.kernel_for(engine)
+            assert not cached
+            stats = kernel_cache_stats()
+            assert stats["disk_hits"] == 0 and stats["disk_writes"] == 1
+            assert engine.run_batch(
+                [{"i_left": 1, "i_right": 2}])[0]["o_out"] == 3
+            # The rebuilt kernel replaced the stale envelope: a cold start
+            # now reloads it from disk.
+            clear_kernel_cache()
+            reloaded, cached, _ = codegen.kernel_for(engine)
+            assert cached and kernel_cache_stats()["disk_hits"] == 1
+            assert reloaded.source == rebuilt.source
+        finally:
+            reset_default_store(token)
+            clear_kernel_cache()
 
     def test_distinct_netlists_have_distinct_digests(self):
         add = Simulator(_single_cell_program("Add", (8,),
@@ -301,9 +355,9 @@ class TestFallbackAndCache:
         assert compiled.uses_kernel(), compiled.kernel_fallback_reason
         _same_traces(reference, trace)
         streams = [_stimulus(rng, widths, 6) for _ in range(3)]
-        packed = Simulator(program, mode="compiled").run_lanes(streams)
+        lanes = Simulator(program, mode="compiled").run_lanes(streams)
         scalar = Simulator(program, mode="auto")
-        for stream, lane_trace in zip(streams, packed):
+        for stream, lane_trace in zip(streams, lanes):
             scalar.reset()
             _same_traces(scalar.run_batch(stream), lane_trace)
 
@@ -340,9 +394,9 @@ class TestEarlyBlackBoxReads:
         reference = Simulator(program, mode="auto").run_batch(stimulus)
         _same_traces(reference,
                      Simulator(program, mode="compiled").run_batch(stimulus))
-        packed = Simulator(program, mode="compiled").run_lanes(
+        lanes = Simulator(program, mode="compiled").run_lanes(
             [stimulus, stimulus])
-        for lane_trace in packed:
+        for lane_trace in lanes:
             _same_traces(reference, lane_trace)
 
     def test_const_driven_input_read_early_in_fresh_top(self):

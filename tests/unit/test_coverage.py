@@ -169,8 +169,9 @@ def test_cells_of_record_tracks_engine_paths_and_aux_bins():
     assert ("op", "add", "2-8", "native-lanes") not in cells
     assert ("regime", "blackbox") in cells
     assert ("ii", 3) in cells
-    assert ("lanes", "packed") in cells
-    assert ("lanes", "native") not in cells
+    # The lane way ran (lanes=4) but fell back to N scalar runs: only a
+    # native-lane run proves a lanes cell.
+    assert not any(cell[0] == "lanes" for cell in cells)
     assert ("sharing", "shared") in cells
     assert ("mutation", "op-kind") in cells
     assert ("sweep-fallback", "combinational-cycle") in cells
@@ -211,6 +212,7 @@ def test_uncovered_cells_shrink_as_coverage_merges_in():
 def test_summary_reports_cell_coverage_and_uncovered_sample():
     summary = CoverageLedger([_full_record()]).summary()
     assert "cell coverage:" in summary
+    assert "lane way, streams per run: [4]" in summary
     assert "uncovered cells (" in summary
     assert "regimes:" in summary
     # The sample is op/bucket/path triples.

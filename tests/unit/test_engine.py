@@ -149,6 +149,11 @@ def _registered_mux_program():
     return program
 
 
+#: Every tier ``run_lanes`` can take: the native lane entry, and one scalar
+#: run per stream on the compiled kernel or an interpreter.
+LANE_MODES = ["auto", "fixpoint", "compiled", "native"]
+
+
 class TestRunLanes:
     def _stream(self, seed, cycles=9):
         generator = __import__("random").Random(seed)
@@ -162,12 +167,12 @@ class TestRunLanes:
             stimulus.append(inputs)
         return stimulus
 
-    @pytest.mark.parametrize("mode", ["auto", "fixpoint", "compiled"])
+    @pytest.mark.parametrize("mode", LANE_MODES)
     def test_lanes_identical_to_scalar_runs(self, mode):
         program = _registered_mux_program()
         streams = [self._stream(seed) for seed in range(7)]
-        packed = Simulator(program, mode=mode).run_lanes(streams)
-        for stimulus, trace in zip(streams, packed):
+        traces = Simulator(program, mode=mode).run_lanes(streams)
+        for stimulus, trace in zip(streams, traces):
             scalar = Simulator(program, mode=mode).run_batch(stimulus)
             assert _traces_equal(trace, scalar)
 
@@ -175,11 +180,12 @@ class TestRunLanes:
         program = _registered_mux_program()
         streams = [self._stream(0, cycles=3), self._stream(1, cycles=9),
                    self._stream(2, cycles=6)]
-        packed = Simulator(program).run_lanes(streams)
-        assert [len(trace) for trace in packed] == [3, 9, 6]
-        for stimulus, trace in zip(streams, packed):
-            assert _traces_equal(trace,
-                                 Simulator(program).run_batch(stimulus))
+        for mode in LANE_MODES:
+            traces = Simulator(program, mode=mode).run_lanes(streams)
+            assert [len(trace) for trace in traces] == [3, 9, 6]
+            for stimulus, trace in zip(streams, traces):
+                assert _traces_equal(trace,
+                                     Simulator(program).run_batch(stimulus))
 
     def test_hierarchical_lanes(self):
         child = CalyxComponent(
@@ -196,11 +202,12 @@ class TestRunLanes:
         program = CalyxProgram(entrypoint="parent")
         program.add(child)
         program.add(parent)
-        traces = Simulator(program).run_lanes(
-            [[{"x": 1}, {"x": 2}], [{"x": 10}], [{}]])
-        assert [t["y"] for t in traces[0]] == [2, 3]
-        assert traces[1][0]["y"] == 11
-        assert is_x(traces[2][0]["y"])
+        for mode in LANE_MODES:
+            traces = Simulator(program, mode=mode).run_lanes(
+                [[{"x": 1}, {"x": 2}], [{"x": 10}], [{}]])
+            assert [t["y"] for t in traces[0]] == [2, 3]
+            assert traces[1][0]["y"] == 11
+            assert is_x(traces[2][0]["y"])
 
     def test_lane_conflict_reports_lane(self):
         component = CalyxComponent(
@@ -211,30 +218,55 @@ class TestRunLanes:
         program = CalyxProgram(entrypoint="top")
         program.add(component)
         # Lane 0 agrees, lane 1 conflicts.
-        with pytest.raises(SimulationError,
-                           match=r"conflicting drivers.*lane 1"):
-            Simulator(program).run_lanes(
-                [[{"a": 3, "b": 3}], [{"a": 1, "b": 2}]])
+        for mode in LANE_MODES:
+            with pytest.raises(SimulationError) as info:
+                Simulator(program, mode=mode).run_lanes(
+                    [[{"a": 3, "b": 3}], [{"a": 1, "b": 2}]])
+            assert str(info.value) == ("top: conflicting drivers for o in "
+                                       "cycle 0 (lane 1)"), mode
 
     def test_run_lanes_validates_names_and_resets(self):
         program = _registered_mux_program()
-        simulator = Simulator(program)
-        with pytest.raises(SimulationError, match="unknown input port"):
-            simulator.run_lanes([[{"go": 1}], [{"typo": 1}]])
-        simulator.run_lanes([self._stream(0), self._stream(1)])
-        assert simulator.cycle == 0  # reset after the packed run
-        assert simulator.step({"go": 1, "a": 1, "b": 1}) is not None
+        for mode in LANE_MODES:
+            simulator = Simulator(program, mode=mode)
+            with pytest.raises(SimulationError, match="unknown input port"):
+                simulator.run_lanes([[{"go": 1}], [{"typo": 1}]])
+            first = simulator.run_lanes([self._stream(0), self._stream(1)])
+            assert simulator.cycle == 0  # reset after the lane batch
+            # Back-to-back batches are independent: each lane starts fresh.
+            assert simulator.run_lanes([self._stream(1)])[0] == first[1]
+            assert simulator.step({"go": 1, "a": 1, "b": 1}) is not None
 
     def test_empty_batch_list(self):
         assert Simulator(_registered_mux_program()).run_lanes([]) == []
 
     def test_input_values_truncated_to_port_width(self):
-        """Packed mode masks inputs to the declared width so an oversized
-        value cannot bleed into the neighbouring lane."""
-        traces = Simulator(_adder_program()).run_lanes(
-            [[{"a": 0x1FF, "b": 0}], [{"a": 1, "b": 1}]])
-        assert traces[0][0]["o"] == 0xFF
-        assert traces[1][0]["o"] == 2
+        """Lane batches mask inputs to the declared width on every tier,
+        so an oversized value reaches neither a passthrough output nor a
+        neighbouring lane."""
+        component = CalyxComponent(
+            "top", inputs=[PortSpec("a", 8), PortSpec("b", 8)],
+            outputs=[PortSpec("o", 8), PortSpec("p", 8)])
+        component.add_cell(Cell("A", "Add", (8,)))
+        component.add_wire(Assignment(CellPort("A", "left"),
+                                      CellPort(None, "a")))
+        component.add_wire(Assignment(CellPort("A", "right"),
+                                      CellPort(None, "b")))
+        component.add_wire(Assignment(CellPort(None, "o"),
+                                      CellPort("A", "out")))
+        component.add_wire(Assignment(CellPort(None, "p"),
+                                      CellPort(None, "a")))
+        program = CalyxProgram(entrypoint="top")
+        program.add(component)
+        stream = [{"a": 0x1FF, "b": 0}, {"a": 0x100, "b": X}]
+        for mode in LANE_MODES:
+            traces = Simulator(program, mode=mode).run_lanes(
+                [stream, [{"a": 1, "b": 1}]])
+            first, second = traces[0]
+            assert (first["o"], first["p"]) == (0xFF, 0xFF), mode
+            assert second["p"] == 0 and is_x(second["o"]), mode
+            assert traces[1][0]["o"] == 2, mode
+        assert stream[0] == {"a": 0x1FF, "b": 0}  # the caller's rows stay
 
 
 class TestFallbackReasons:
@@ -361,9 +393,11 @@ class TestXGuardAssignments:
             Assignment(CellPort(None, "o"), 7, Guard((CellPort(None, "g"),))),
         ])
         streams = [[{"g": 0, "a": 0}, {}], [{}, {"g": 0, "a": 0}]]
-        packed = Simulator(program).run_lanes(streams)
-        for stimulus, trace in zip(streams, packed):
-            assert _traces_equal(trace, Simulator(program).run_batch(stimulus))
+        for mode in LANE_MODES:
+            traces = Simulator(program, mode=mode).run_lanes(streams)
+            for stimulus, trace in zip(streams, traces):
+                assert _traces_equal(
+                    trace, Simulator(program).run_batch(stimulus)), mode
 
 
 class TestWideNetlistSchedule:
@@ -414,9 +448,9 @@ class TestAuditLatencyGuards:
 
 class TestRunLanesInputHandling:
     """Regressions for the ``run_lanes`` input path: batches arriving as
-    non-list sequences (and lists, which are no longer copied) and the
-    memoized packing of rows that repeat across the cycle window must all
-    leave the packed traces unchanged."""
+    non-list sequences (and lists, which are not copied) and rows that
+    repeat across the cycle window must all leave the lane traces
+    unchanged."""
 
     def _program(self):
         component = CalyxComponent(
@@ -434,8 +468,8 @@ class TestRunLanesInputHandling:
         return program
 
     def _streams(self):
-        # Heavy row repetition (idle-template style) to drive the pack
-        # memoization, plus X rows and per-lane divergence.
+        # Heavy row repetition (idle-template style), plus X rows and
+        # per-lane divergence.
         idle = {"en": 0, "a": X}
         return [
             [dict(idle), {"en": 1, "a": 7}] + [dict(idle)] * 6,
@@ -443,7 +477,7 @@ class TestRunLanesInputHandling:
             [dict(idle)] * 8,
         ]
 
-    @pytest.mark.parametrize("mode", ["auto", "fixpoint", "compiled"])
+    @pytest.mark.parametrize("mode", LANE_MODES)
     def test_generator_batches_trace_like_list_batches(self, mode):
         program = self._program()
         streams = self._streams()
@@ -454,13 +488,13 @@ class TestRunLanesInputHandling:
             [iter(batch) for batch in streams])
         assert as_lists == as_tuples == as_generators
 
-    @pytest.mark.parametrize("mode", ["auto", "fixpoint", "compiled"])
+    @pytest.mark.parametrize("mode", LANE_MODES)
     def test_repeated_rows_trace_identically_to_scalar(self, mode):
         program = self._program()
         streams = self._streams()
-        packed = Simulator(program, mode=mode).run_lanes(streams)
+        traces = Simulator(program, mode=mode).run_lanes(streams)
         scalar = Simulator(program, mode=mode)
-        for stimulus, trace in zip(streams, packed):
+        for stimulus, trace in zip(streams, traces):
             scalar.reset()
             assert _traces_equal(trace, scalar.run_batch(stimulus))
 

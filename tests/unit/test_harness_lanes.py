@@ -1,4 +1,4 @@
-"""Lane-packed harness plumbing: ``run_lanes`` on the cycle-accurate
+"""Lane-batch harness plumbing: ``run_lanes`` on the cycle-accurate
 driver, multi-stream fuzzing, and fallback-reason reporting in
 ``DifferentialReport``."""
 

@@ -1,63 +1,26 @@
-"""Unit tests for lane-packed values and packed primitive evaluation.
+"""Lane batches, primitive by primitive, plus scalar X-control checks.
 
-The core property: for every primitive kind, running N scalar model
-instances side by side and running one packed model over N lanes must be
-indistinguishable — same output values, same X planes, cycle by cycle
-through registered state.  The random streams drive X at a healthy rate so
-the per-lane X masks are exercised everywhere.
+The core property: ``run_lanes`` over N streams must be indistinguishable
+from N scalar model instances stepped side by side — same output values,
+same X planes, cycle by cycle through registered state — on every engine
+tier: the native lane entry and the N-scalar-runs fallback (compiled kernel
+and interpreter).  The random streams drive X at a healthy rate so per-lane
+X handling is exercised everywhere.
 """
 
 import random
 
 import pytest
 
-from repro.sim import LaneContext, PackedValue, X, create_primitive, is_x
-from repro.sim.primitives import ReplicatedLanes
+from repro.sim import Simulator, X, compiler_available, create_primitive, is_x
 
-#: (primitive, params, {port: width}) — one entry per behavioural case the
-#: registry can produce, with widths chosen to stress carry containment
-#: (including full 64-bit lanes).
-CASES = [
-    ("Add", (8,), {"left": 8, "right": 8}),
-    ("Add", (64,), {"left": 64, "right": 64}),
-    ("FlexAdd", (16,), {"left": 16, "right": 16}),
-    ("Sub", (8,), {"left": 8, "right": 8}),
-    ("Sub", (64,), {"left": 64, "right": 64}),
-    ("And", (8,), {"left": 8, "right": 8}),
-    ("Or", (8,), {"left": 8, "right": 8}),
-    ("Xor", (8,), {"left": 8, "right": 8}),
-    ("MultComb", (16,), {"left": 16, "right": 16}),
-    ("MultComb", (64,), {"left": 64, "right": 64}),
-    ("Eq", (8,), {"left": 8, "right": 8}),
-    ("Neq", (8,), {"left": 8, "right": 8}),
-    ("Lt", (8,), {"left": 8, "right": 8}),
-    ("Lt", (64,), {"left": 64, "right": 64}),
-    ("Gt", (8,), {"left": 8, "right": 8}),
-    ("Le", (8,), {"left": 8, "right": 8}),
-    ("Ge", (64,), {"left": 64, "right": 64}),
-    ("Not", (8,), {"in": 8}),
-    ("Mux", (8,), {"sel": 1, "in1": 8, "in0": 8}),
-    ("Slice", (8, 6, 2), {"in": 8}),
-    ("Concat", (4, 4), {"hi": 4, "lo": 4}),
-    ("ShiftLeft", (8, 3), {"in": 8}),
-    ("ShiftRight", (8, 3), {"in": 8}),
-    ("ShiftLeft", (8, 9), {"in": 8}),
-    ("Const", (8, 42), {}),
-    ("Mult", (16,), {"go": 1, "left": 16, "right": 16}),
-    ("FastMult", (16,), {"go": 1, "left": 16, "right": 16}),
-    ("PipelinedMult", (16,), {"go": 1, "left": 16, "right": 16}),
-    ("Reg", (8,), {"en": 1, "in": 8}),
-    ("Register", (8,), {"en": 1, "in": 8}),
-    ("Delay", (8,), {"in": 8}),
-    ("Prev", (8, 1), {"en": 1, "in": 8}),
-    ("Prev", (8, 0), {"en": 1, "in": 8}),
-    ("ContPrev", (8, 1), {"in": 8}),
-    ("DspMac", (16,), {"ce": 1, "a": 16, "b": 16, "pin": 16}),
-    ("fsm", (4,), {"go": 1}),
-]
+from test_codegen import CASES, _single_cell_program
 
 LANES = 5
 CYCLES = 10
+
+#: Every tier a lane batch can run on from this host.
+MODES = ("auto", "compiled") + (("native",) if compiler_available() else ())
 
 
 def _random_value(rng, width, x_rate=0.3):
@@ -70,104 +33,62 @@ def _same(a, b):
     return is_x(a) == is_x(b) and (is_x(a) or a == b)
 
 
-class TestPackedValue:
-    def test_pack_unpack_roundtrip(self):
-        ctx = LaneContext(4, 9)
-        values = [3, X, 255, 0]
-        packed = PackedValue.pack(values, ctx, width=8)
-        assert packed.unpack() == values
-        assert is_x(packed.lane(1)) and packed.lane(2) == 255
-
-    def test_pack_truncates_to_width(self):
-        ctx = LaneContext(2, 9)
-        packed = PackedValue.pack([0x1FF, 1], ctx, width=8)
-        assert packed.lane(0) == 0xFF
-
-    def test_x_lanes_carry_no_value_bits(self):
-        ctx = LaneContext(3, 5)
-        packed = PackedValue(3, 5, 0b01111_01111_01111, 0b11111 << 5)
-        assert packed.bits & packed.xmask == 0
-        assert is_x(packed.lane(1))
-        assert packed.x_lanes(ctx) == 1 << 5
-
-    def test_equality_and_broadcast(self):
-        ctx = LaneContext(3, 9)
-        assert PackedValue.broadcast(7, ctx) == PackedValue.pack([7] * 3, ctx)
-        assert PackedValue.broadcast(X, ctx) == ctx.all_x
-        assert PackedValue.broadcast(7, ctx) != PackedValue.broadcast(8, ctx)
-
-    def test_pack_length_mismatch_rejected(self):
-        ctx = LaneContext(3, 9)
-        with pytest.raises(ValueError):
-            PackedValue.pack([1, 2], ctx)
-
-    def test_context_nonzero_and_spread(self):
-        ctx = LaneContext(3, 9)
-        packed = PackedValue.pack([0, 5, 0], ctx, width=8)
-        assert ctx.nonzero(packed.bits) == 1 << 9
-        assert ctx.spread(1 << 9) == 0x1FF << 9
+def _assert_lanes_match_scalar_models(name, params, widths, streams, traces):
+    """Replay every stream through its own scalar model instance and
+    compare each cycle's outputs with the lane trace."""
+    assert len(traces) == len(streams)
+    for lane, (stream, trace) in enumerate(zip(streams, traces)):
+        model = create_primitive(name, params)
+        assert len(trace) == len(stream)
+        for cycle, (row, outputs) in enumerate(zip(stream, trace)):
+            inputs = {port: row[f"i_{port}"] for port in widths}
+            want = model.combinational(inputs)
+            for port in model.outputs:
+                got = outputs[f"o_{port}"]
+                assert _same(want.get(port, X), got), \
+                    (name, port, lane, cycle, want.get(port, X), got)
+            model.tick(inputs)
 
 
 @pytest.mark.parametrize("name,params,widths", CASES,
                          ids=[f"{c[0]}{list(c[1])}" for c in CASES])
 def test_packed_matches_n_scalar_instances(name, params, widths):
+    """One lane batch per tier against N scalar model instances."""
     rng = random.Random(hash((name, params)) & 0xFFFF)
-    scalars = [create_primitive(name, params) for _ in range(LANES)]
-    packed_model = create_primitive(name, params)
-    assert packed_model.supports_packed, name
-    ctx = LaneContext(LANES, max(packed_model.packed_width_hint,
-                                 *(list(widths.values()) or [1])) + 1)
-    packed_model.reset_packed(ctx)
-    for _ in range(CYCLES):
-        lane_inputs = [
-            {port: _random_value(rng, width) for port, width in widths.items()}
-            for _ in range(LANES)
-        ]
-        packed_inputs = {
-            port: PackedValue.pack([lane[port] for lane in lane_inputs], ctx)
-            for port in widths
-        }
-        packed_outputs = packed_model.combinational_packed(packed_inputs, ctx)
-        for lane, (scalar, inputs) in enumerate(zip(scalars, lane_inputs)):
-            scalar_outputs = scalar.combinational(inputs)
-            for port in packed_model.outputs:
-                want = scalar_outputs.get(port, X)
-                got = packed_outputs[port].lane(lane)
-                assert _same(want, got), (name, port, lane, want, got)
-        packed_model.tick_packed(packed_inputs, ctx)
-        for scalar, inputs in zip(scalars, lane_inputs):
-            scalar.tick(inputs)
+    program = _single_cell_program(name, params, widths)
+    streams = [[{f"i_{port}": _random_value(rng, width)
+                 for port, width in widths.items()} for _ in range(CYCLES)]
+               for _ in range(LANES)]
+    for mode in MODES:
+        simulator = Simulator(program, mode=mode)
+        traces = simulator.run_lanes(streams)
+        if mode == "native":
+            assert simulator.uses_native_lanes(), \
+                simulator.native_lanes_fallback_reason
+        _assert_lanes_match_scalar_models(name, params, widths, streams,
+                                          traces)
 
 
 def test_replicated_lanes_matches_scalar_for_custom_primitive():
-    """Substrate-registered black boxes (here the Reticle ``Tdot``) take the
-    replicated-lanes path and must stay exact, registered state included."""
+    """Substrate-registered black boxes (here the Reticle ``Tdot``) keep a
+    netlist off the native lane entry: the batch replicates one scalar run
+    per lane and must stay exact, registered state included."""
     import repro.generators.reticle.dsp  # noqa: F401 — registers Tdot
 
     rng = random.Random(5)
     widths = {p: 8 for p in ("a0", "b0", "a1", "b1", "a2", "b2", "c")}
-    scalars = [create_primitive("Tdot", (8,)) for _ in range(LANES)]
-    template = create_primitive("Tdot", (8,))
-    assert not template.supports_packed
-    ctx = LaneContext(LANES, 9)
-    wrapper = ReplicatedLanes("Tdot", (8,), ctx)
-    for _ in range(8):
-        lane_inputs = [
-            {port: _random_value(rng, width) for port, width in widths.items()}
-            for _ in range(LANES)
-        ]
-        packed_inputs = {
-            port: PackedValue.pack([lane[port] for lane in lane_inputs], ctx)
-            for port in widths
-        }
-        packed_outputs = wrapper.combinational_packed(packed_inputs, ctx)
-        for lane, (scalar, inputs) in enumerate(zip(scalars, lane_inputs)):
-            want = scalar.combinational(inputs)["y"]
-            got = packed_outputs["y"].lane(lane)
-            assert _same(want, got)
-        wrapper.tick_packed(packed_inputs, ctx)
-        for scalar, inputs in zip(scalars, lane_inputs):
-            scalar.tick(inputs)
+    program = _single_cell_program("Tdot", (8,), widths)
+    streams = [[{f"i_{port}": _random_value(rng, width)
+                 for port, width in widths.items()} for _ in range(8)]
+               for _ in range(LANES)]
+    for mode in MODES:
+        simulator = Simulator(program, mode=mode)
+        traces = simulator.run_lanes(streams)
+        if mode == "native":
+            assert not simulator.uses_native_lanes()
+            assert "Tdot" in simulator.native_lanes_fallback_reason
+        _assert_lanes_match_scalar_models("Tdot", (8,), widths, streams,
+                                          traces)
 
 
 class TestControlXPropagation:

@@ -10,6 +10,7 @@ in-memory + on-disk cache, and the ``REPRO_KERNEL_CACHE`` /
 
 import os
 import random
+from collections import OrderedDict
 
 import pytest
 
@@ -100,6 +101,8 @@ class TestFallbackReasons:
     def test_missing_compiler_falls_back_with_reason(self, monkeypatch):
         monkeypatch.setenv("REPRO_CC", "/nonexistent/cc-for-test")
         monkeypatch.setattr(native_module, "_COMPILER_CACHE", {})
+        # A program another test already loaded would skip the compiler.
+        monkeypatch.setattr(native_module, "_CACHE", OrderedDict())
         program = _single_cell_program("Add", (8,),
                                        {"left": 8, "right": 8})
         stimulus = [{"i_left": 1, "i_right": 2}]

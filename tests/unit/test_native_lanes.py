@@ -2,13 +2,16 @@
 
 ``test_width_boundaries.py`` already sweeps every primitive and boundary
 width through the lane entry; this module pins down the machinery around
-it: lane-conflict error parity (byte-identical message, lane index and
-all), mixed-length and degenerate stream shapes, unknown-port validation,
-the recorded fallback reason when no compiler exists, the harness
-columnar lane path (native vs dict-path parity), and the interned-idle-row
-regression — scheduling must never mutate caller-owned transactions or
-leak shared rows a later run could corrupt.
+it: lane-conflict error parity with the scalar fallback (byte-identical
+message, earliest cycle then lowest lane), mixed-length and degenerate
+stream shapes, unknown-port validation, the recorded fallback reason when
+no compiler exists, the harness columnar lane path (native vs dict-path
+parity), and the interned-idle-row regression — scheduling must never
+mutate caller-owned transactions or leak shared rows a later run could
+corrupt.
 """
+
+from collections import OrderedDict
 
 import pytest
 
@@ -24,6 +27,7 @@ from repro.core.errors import SimulationError
 from repro.designs import addmult_program
 from repro.harness import harness_for, random_transactions
 from repro.sim import Simulator, X, compiler_available, is_x
+from repro.sim import native as native_module
 
 from test_codegen import _same_traces, _single_cell_program, _stimulus
 
@@ -51,26 +55,40 @@ def _guarded_program():
 
 
 class TestLaneConflictParity:
-    """A conflict in lane 2, cycle 1 — the clean lanes must not mask it
-    and the message must match the packed-kernel path byte for byte."""
+    """Lane conflicts must be reported identically by the native lane entry
+    and the scalar fallback, byte for byte: the earliest conflicting cycle
+    first, then the lowest lane."""
 
     CLEAN = [{"g": 1, "h": 0, "a": 3, "b": 4},
              {"g": 0, "h": 1, "a": 5, "b": 6}]
     CONFLICT = [{"g": 1, "h": 0, "a": 3, "b": 4},
                 {"g": 1, "h": 1, "a": 3, "b": 4}]
+    #: Conflicts one cycle later than :attr:`CONFLICT`.
+    LATE_CONFLICT = CLEAN + [{"g": 1, "h": 1, "a": 7, "b": 8}]
 
-    def _message(self, mode):
+    #: (streams, the cycle and lane the conflict must name).
+    CASES = [
+        # The clean lanes must not mask lane 2.
+        ([CLEAN, CLEAN, CONFLICT], "cycle 1 (lane 2)"),
+        # Lane 1 conflicts a cycle after lanes 2 and 3: the fallback runs
+        # lane 1 first, but the earliest cycle wins, then the lowest lane.
+        ([CLEAN, LATE_CONFLICT, CONFLICT, CONFLICT], "cycle 1 (lane 2)"),
+    ]
+
+    def _message(self, mode, streams):
         simulator = Simulator(_guarded_program(), mode=mode)
         with pytest.raises(SimulationError) as info:
-            simulator.run_lanes([self.CLEAN, self.CLEAN, self.CONFLICT])
+            simulator.run_lanes(streams)
         return simulator, str(info.value)
 
     @needs_cc
     def test_lane_conflict_message_is_byte_identical(self):
-        native, message = self._message("native")
-        assert "cycle 1 (lane 2)" in message
-        for mode in ("auto", "compiled"):
-            assert self._message(mode)[1] == message, mode
+        for streams, where in self.CASES:
+            native, message = self._message("native", streams)
+            assert native.uses_native_lanes()
+            assert message == f"top: conflicting drivers for o in {where}"
+            for mode in ("auto", "compiled"):
+                assert self._message(mode, streams)[1] == message, mode
 
     @needs_cc
     def test_clean_lanes_alongside_agreeing_drivers_pass(self):
@@ -130,6 +148,9 @@ class TestStreamShapes:
 class TestFallbackReason:
     def test_missing_compiler_records_the_lane_fallback(self, monkeypatch):
         monkeypatch.setenv("REPRO_CC", "/nonexistent/cc-for-test")
+        monkeypatch.setattr(native_module, "_COMPILER_CACHE", {})
+        # A program another test already loaded would skip the compiler.
+        monkeypatch.setattr(native_module, "_CACHE", OrderedDict())
         program = _single_cell_program("Add", (8,), {"left": 8, "right": 8})
         stream = [{"i_left": 1, "i_right": 2}, {"i_left": 3, "i_right": 4}]
         native = Simulator(program, mode="native")

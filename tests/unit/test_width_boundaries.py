@@ -9,8 +9,8 @@ limb, where C wrap-around must coincide with the Python bigint semantics),
 primitive in the sweep and every boundary width the randomized trace —
 values and X planes — must be identical under the fixpoint reference, the
 scheduled interpreter, the compiled Python kernel and the native C kernel
-(scalar), and under the lane-packed kernel and the native lane entry
-(lanes).  Widths past 256 bits must *fall back* with a recorded reason,
+(scalar), and as lane batches on the native lane entry and on the scalar
+fallback (one compiled-kernel run per stream).  Widths past 256 bits must *fall back* with a recorded reason,
 never compute wrong values.
 """
 
@@ -98,16 +98,16 @@ def test_scalar_tiers_agree_at_width_boundary(width):
 
 @pytest.mark.parametrize("width", WIDTHS)
 def test_lane_tiers_agree_at_width_boundary(width):
-    """Lane-packed and native-lane runs of the same streams must both be
-    bit-identical to per-stream scalar runs."""
+    """Native-lane and scalar-fallback lane batches of the same streams
+    must both be bit-identical to per-stream scalar runs."""
     for name, params, widths in _cases(width):
         rng = random.Random(hash((name, params, width, "packed")) & 0xFFFF)
         program = _single_cell_program(name, params, widths)
         streams = [_stimulus(rng, widths, CYCLES) for _ in range(LANES)]
-        context = f"{name}{list(params)}@{width} packed"
+        context = f"{name}{list(params)}@{width} lanes"
 
         compiled = Simulator(program, mode="compiled")
-        packed = compiled.run_lanes(streams)
+        fallback = compiled.run_lanes(streams)
         assert compiled.uses_kernel(), \
             (context, compiled.kernel_fallback_reason)
         native = Simulator(program, mode="native")
@@ -119,7 +119,7 @@ def test_lane_tiers_agree_at_width_boundary(width):
         for lane, stream in enumerate(streams):
             scalar.reset()
             reference = scalar.run_batch(stream)
-            _assert_same(reference, packed[lane], f"{context} lane {lane}")
+            _assert_same(reference, fallback[lane], f"{context} lane {lane}")
             _assert_same(reference, native_lanes[lane],
                          f"{context} native lane {lane}")
 
