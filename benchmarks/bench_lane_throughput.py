@@ -11,7 +11,7 @@ stream.  This benchmark crosses the *lane count* with the *engine tier*:
 * **native** — the C kernel's scalar columnar entry (``run_columns``) and
   its lane entry (``run_lane_columns``), where N streams cross the
   Python/C boundary once as lane-major-within-port columnar buffers and
-  run as an inner lane loop per netlist pass.
+  run as each lane's netlist pass in turn, one C call per batch.
 
 Only the native tier batches lanes: on the Python tiers ``run_lanes`` is
 one scalar run per stream, so their lane rows measure that path (each row

@@ -40,8 +40,8 @@ WIDTH_BUCKETS: Tuple[Tuple[str, int, int], ...] = (
 
 #: Engine code paths a program can prove an op on.  ``scheduled`` means the
 #: levelized interpreter ran it, ``kernel`` the generated Python kernel,
-#: ``native`` the compiled C kernel (scalar entry), ``native-lanes`` the
-#: native lane entry (``k_run_lanes``: N stimulus streams per netlist pass).
+#: ``native`` a scalar run on the compiled C kernel, ``native-lanes`` a
+#: lane batch on it (``k_run_lanes`` over N fresh lane states).
 _PATH_DIMS: Tuple[str, ...] = ("scheduled", "kernel", "native",
                                "native-lanes")
 

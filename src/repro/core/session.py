@@ -386,10 +386,9 @@ class CompilationSession:
         hit exactly like the check/lower/calyx stages do.  With
         ``mode="native"`` the C kernel build is recorded the same way as a
         ``"native"`` stage timing (in-memory and on-disk cache hits both
-        count as cached), and the lane entry — emitted into the same
-        translation unit — as a ``"native_lanes"`` stage (zero marginal
-        seconds, same cache state); when the native tier falls back, the
-        Python kernel it fell back to is recorded instead."""
+        count as cached); its one entry serves scalar and lane batches
+        alike.  When the native tier falls back, the Python kernel it fell
+        back to is recorded instead."""
         from ..sim.simulator import Simulator
         simulator = Simulator(self.calyx(entrypoint), entrypoint, mode=mode)
         if mode in ("compiled", "native"):
@@ -397,10 +396,6 @@ class CompilationSession:
             if mode == "native" and info["native"]:
                 self._record("native", entrypoint, info["native_seconds"],
                              cached=info["native_cached"])
-                if info["native_lanes"]:
-                    self._record("native_lanes", entrypoint,
-                                 info["native_lanes_seconds"],
-                                 cached=info["native_lanes_cached"])
             if info["kernel"]:
                 self._record("kernel", entrypoint, info["seconds"],
                              cached=info["cached"])

@@ -53,14 +53,16 @@ through :mod:`ctypes`.  The chain is native → compiled → scheduled →
 fixpoint: a netlist the C tier cannot represent (black boxes, >256-bit
 values) or a host without a compiler falls back to the compiled-Python
 kernel with the reason recorded in
-:attr:`ScheduledEngine.native_fallback_reason`.  Scalar batches
+:attr:`ScheduledEngine.native_fallback_reason`.  Every native batch runs
+through the one C entry ``k_run_lanes``: scalar batches
 (``run_batch``/``step``, plus the columnar :meth:`ScheduledEngine.run_columns`
-fast path) run natively, and ``run_lanes`` runs on the native **lane
-entry** (``k_run_lanes``): N independent streams per netlist pass through
-lane-major-within-port columnar buffers, one Python↔C crossing per batch
-(plus the raw columnar :meth:`ScheduledEngine.run_lane_columns` fast
-path).  Without the lane entry, ``run_lanes`` makes one scalar run per
-stream on the engine's own tier, with the reason recorded in
+fast path) are one lane over the engine's own kernel state, and
+``run_lanes`` (plus the raw columnar
+:meth:`ScheduledEngine.run_lane_columns` fast path) runs N independent
+streams over a fresh block of lane states, each lane's netlist pass in
+turn, with one Python↔C crossing per batch.  Without the native tier,
+``run_lanes`` makes one scalar run per stream on the engine's own tier,
+with the reason recorded in
 :attr:`ScheduledEngine.native_lanes_fallback_reason`.
 """
 
@@ -483,8 +485,8 @@ class ScheduledEngine:
     def native_lanes_active(self) -> bool:
         """Whether lane batches will run on the native lane entry (builds
         the kernel if needed).  False outside ``mode="native"`` or after a
-        fallback.  One translation unit carries both the scalar and lane
-        entries, so this coincides with :meth:`native_active`."""
+        fallback.  Scalar and lane batches share the one C entry, so this
+        coincides with :meth:`native_active`."""
         return self.native_active()
 
     def run_lane_columns(self, cycles: int, n_lanes: int,
@@ -499,24 +501,7 @@ class ScheduledEngine:
         discarded afterwards — like :meth:`run_lanes`, each lane behaves
         as a freshly reset engine and the instance's own scalar state is
         untouched."""
-        native = self._ensure_native() if self._native_requested else None
-        if native is None:
-            if self._native_requested:
-                self._native_lanes_used = False
-                self.native_lanes_fallback_reason = self.native_fallback_reason
-            return None
-        unknown = set(columns) - self._input_set
-        if unknown:
-            raise SimulationError(
-                f"{self.component.name}: unknown input port "
-                f"{sorted(unknown)[0]!r}"
-            )
-        self._native_used = True
-        self._native_lanes_used = True
-        self.native_lanes_fallback_reason = None
-        out = native.run_lanes_columns(cycles, n_lanes, columns)
-        self.cycle += cycles
-        return out
+        return self._run_native_columns(cycles, n_lanes, columns)
 
     def run_columns(self, cycles: int, columns) -> Optional[Dict[str, object]]:
         """Columnar batch execution on the native tier: ``columns`` maps
@@ -524,7 +509,18 @@ class ScheduledEngine:
         ``cycles`` (missing ports idle at X); returns per-output-port
         ``(values, xflags)`` columns, or ``None`` when the native tier is
         not running (callers then fall back to :meth:`run_batch`)."""
+        return self._run_native_columns(cycles, None, columns)
+
+    def _run_native_columns(self, cycles: int, n_lanes: Optional[int],
+                            columns) -> Optional[Dict[str, object]]:
+        """The validation and bookkeeping shared by :meth:`run_columns`
+        (``n_lanes`` is ``None``: the engine's own state) and
+        :meth:`run_lane_columns` (a fresh block of ``n_lanes`` lanes)."""
         native = self._ensure_native() if self._native_requested else None
+        if n_lanes is not None and self._native_requested:
+            self._native_lanes_used = native is not None
+            self.native_lanes_fallback_reason = (
+                None if native is not None else self.native_fallback_reason)
         if native is None:
             return None
         unknown = set(columns) - self._input_set
@@ -534,7 +530,8 @@ class ScheduledEngine:
                 f"{sorted(unknown)[0]!r}"
             )
         self._native_used = True
-        out = native.run_columns(cycles, columns)
+        out = (native.run_columns(cycles, columns) if n_lanes is None
+               else native.run_lanes_columns(cycles, n_lanes, columns))
         self.cycle += cycles
         return out
 
@@ -549,13 +546,10 @@ class ScheduledEngine:
         already fully constructed.  Returns ``{"kernel": bool, "cached":
         bool, "seconds": float, "fallback_reason": Optional[str], "native":
         bool, "native_cached": bool, "native_seconds": float,
-        "native_fallback_reason": Optional[str], "native_lanes": bool,
-        "native_lanes_cached": bool, "native_lanes_seconds": float,
-        "native_lanes_fallback_reason": Optional[str]}`` — the public
-        surface sessions and benchmarks use instead of reaching into
-        engine internals.  The lane entry is emitted into the same
-        translation unit as the scalar one, so ``native_lanes`` mirrors
-        ``native`` with zero marginal build time."""
+        "native_fallback_reason": Optional[str]}`` — the public surface
+        sessions and benchmarks use instead of reaching into engine
+        internals.  Scalar and lane batches share the one native entry, so
+        ``native`` covers both."""
         native = self._ensure_native() if self._native_requested else None
         if native is None:
             self._ensure_kernel()
@@ -568,10 +562,6 @@ class ScheduledEngine:
             "native_cached": self._native_from_cache,
             "native_seconds": self._native_build_seconds,
             "native_fallback_reason": self.native_fallback_reason,
-            "native_lanes": self._native is not None,
-            "native_lanes_cached": self._native_from_cache,
-            "native_lanes_seconds": 0.0,
-            "native_lanes_fallback_reason": self.native_fallback_reason,
         }
 
     # -- one cycle -------------------------------------------------------------
@@ -641,10 +631,6 @@ class ScheduledEngine:
         message ``<component>: conflicting drivers for <port> in cycle C
         (lane N)``: the earliest conflicting cycle over all streams first,
         then the lowest lane among the streams that conflict in that cycle.
-        (Within one cycle the native lane entry screens the lanes group by
-        group in schedule order, so when different lanes conflict on
-        different driver groups in the same cycle it names the group the
-        schedule reaches first.)
         """
         # Sequences that already are lists are used as-is (no per-batch copy).
         batches = [batch if type(batch) is list else list(batch)

@@ -23,16 +23,16 @@ with the host C compiler (``cc``/``gcc``/``clang``; override with
 * a process-wide bounded LRU of loaded programs next to the kernel LRU
   (sharing its ``REPRO_KERNEL_CACHE`` size knob).
 
-Two execution shapes share one translation unit:
-
-* the **scalar** entry ``k_run`` drives one stimulus stream through
-  port-major columnar buffers (``run_batch``/``run_columns``); and
-* the **lane** entry ``k_run_lanes`` drives N independent streams per
-  netlist pass as an inner lane loop over N consecutive state structs,
-  with the columnar buffers generalized to lane-major-within-port layout
-  (flat index ``((word) * cycles + cycle) * n_lanes + lane``) — input and
-  output cross the Python↔C boundary exactly once per batch, so a batch
-  of short streams pays the per-call overhead once.
+Every construct is emitted once, as the per-component ``settle``/``tick``
+functions, and one run entry drives them: ``k_run_lanes`` takes N
+consecutive state structs and lane-major-within-port columnar buffers
+(flat index ``(word * cycles + i) * n_lanes + l``).  It loops over
+cycles, then over lanes in ascending order; for each lane it loads that
+lane's inputs, settles, stores the outputs and ticks.  A scalar run
+(``run_batch``/``run_columns``) is one lane over the instance's own
+state; a lane batch (``run_lanes_columns``) is N lanes over a fresh state
+block.  Input and output cross the Python↔C boundary exactly once per
+batch, so a batch of short streams pays the per-call overhead once.
 
 Values wider than 64 bits **spill to multi-limb slots**: a signal of
 width ``w`` occupies ``ceil(w / 64)`` consecutive ``uint64_t`` words
@@ -58,12 +58,14 @@ Exactness notes:
 * X canonicalisation: whenever a slot's X flag is set its value words are
   0, so value equality checks inside driver groups match the
   interpreter's ``Value`` comparisons;
-* conflicting drivers abort the C batch mid-settle and report the group;
-  the scalar wrapper re-reads the captured guard/source slots and replays
-  :func:`repro.sim.codegen._resolve_slots` to raise the **identical**
-  :class:`~repro.core.errors.DriverConflictError` message, while the lane
-  entry reports ``(plan, lane, cycle)`` and the wrapper formats the
-  ``... (lane N)`` message ``run_lanes`` documents;
+* conflicting drivers abort the C batch mid-settle and report the plan,
+  lane and cycle plus the captured guard/source slots.  Because lanes run
+  in ascending order within a cycle, the report is the earliest cycle,
+  then the lowest lane.  A scalar run replays
+  :func:`repro.sim.codegen._resolve_slots` over the captured slots to
+  raise the **identical** :class:`~repro.core.errors.DriverConflictError`
+  message; a lane batch formats the ``... (lane N)`` message
+  ``run_lanes`` documents;
 * input values are truncated to their port's declared width at the C
   boundary (the same contract ``run_lanes`` documents).
 """
@@ -109,7 +111,7 @@ __all__ = [
 ]
 
 #: Bump when the generated C ABI changes (invalidates the on-disk cache).
-_ABI = 3
+_ABI = 4
 
 _M64 = (1 << 64) - 1
 
@@ -300,9 +302,8 @@ static inline void nk_shr(uint64_t* o, const uint64_t* a, int n, int by) {
 class _PlanRegistry:
     """Multi-driver group plans shared across the whole translation unit:
     each gets a global id, the Python-side resolution tuple (for exact
-    error replay) and the ``(slot, limbs)`` list the scalar C code
-    captures at the moment of a conflict.  The lane entry captures only
-    ``(plan, lane)`` — the lane message carries no values."""
+    error replay) and the ``(slot, limbs)`` list the C code captures at
+    the moment of a conflict."""
 
     def __init__(self) -> None:
         self.plans: List[tuple] = []
@@ -324,17 +325,15 @@ class _PlanRegistry:
 
 
 class _CEmitter:
-    """Emits one component's struct, ``reset``/``settle``/``tick`` C
-    functions (scalar and lane variants) from the shared
-    :class:`_ComponentCompiler` slot analysis plus the shared limb plan.
+    """Emits one component's struct and its ``reset``/``settle``/``tick``
+    C functions from the shared :class:`_ComponentCompiler` slot analysis
+    plus the shared limb plan.
 
     Every value slot occupies ``limbs[slot]`` consecutive words of the
     component struct's ``v`` array (``word_of[slot]`` is the first); the
     X plane stays one byte per slot.  Bodies reference the current
-    component struct through a local ``S*`` named ``st``, so the same
-    body text serves the scalar functions (where ``st`` is the argument)
-    and the lane functions (where ``st`` is re-bound per lane inside a
-    ``for (l)`` loop over N consecutive top-level structs)."""
+    component struct through the ``S*`` argument ``st``; ``k_run_lanes``
+    calls the top component's functions once per lane."""
 
     def __init__(self, compiler: _ComponentCompiler,
                  limbs: Dict[int, int], plans: _PlanRegistry,
@@ -350,9 +349,6 @@ class _CEmitter:
             self.word_of[slot] = word
             word += limbs[slot]
         self.total_words = word
-        #: group -> registered plan id (filled during scalar emission,
-        #: reused by the lane emission so both report the same plan).
-        self._group_pids: Dict[int, int] = {}
 
     # -- helpers ---------------------------------------------------------------
 
@@ -515,9 +511,9 @@ class _CEmitter:
     def emit_settle(self, out: codegen._Lines) -> None:
         c = self.c
         # Conflict capture goes through caller-provided buffers (not C
-        # globals): k_run threads them down so every NativeKernel instance
-        # owns its own capture state and instances of one program can run
-        # on different threads concurrently (ctypes drops the GIL).
+        # globals): k_run_lanes threads them down so every NativeKernel
+        # instance owns its own capture state and instances of one program
+        # can run on different threads concurrently (ctypes drops the GIL).
         out.emit(f"static int settle_c{self.cid}(S{self.cid}* st, "
                  f"int64_t* eplan, uint64_t* ev, uint8_t* ex) {{")
         out.indent += 1
@@ -530,61 +526,6 @@ class _CEmitter:
                 self._emit_group(out, payload)
             else:
                 self._emit_child(out, payload)
-        out.emit("return 0;")
-        out.indent -= 1
-        out.emit("}")
-        out.emit()
-
-    def emit_settle_lanes(self, out: codegen._Lines) -> None:
-        """The lane-blocked settle: N consecutive ``S{cid}`` structs laid
-        out ``stride`` bytes apart (the stride is the *top* struct's size
-        even inside children, which address their block through the parent
-        base + ``offsetof``).  Runs of simple nodes — primitives and
-        single-driver groups, which cannot raise — share one lane loop;
-        multi-driver groups (conflict screen) and child calls break the
-        run so the node-major execution order matches the scalar tiers
-        exactly."""
-        c = self.c
-        sid = f"S{self.cid}"
-        out.emit(f"static int settle_l{self.cid}(char* base, "
-                 f"int64_t stride, int64_t nl, "
-                 f"int64_t* eplan, int64_t* elane) {{")
-        out.indent += 1
-        out.emit("(void)base; (void)stride; (void)nl; "
-                 "(void)eplan; (void)elane;")
-        from .engine import _GROUP, _PRIM
-        pending: List[Tuple[int, object]] = []
-
-        def flush() -> None:
-            if not pending:
-                return
-            out.emit("for (int64_t l = 0; l < nl; l++) {")
-            out.indent += 1
-            out.emit(f"{sid}* st = ({sid}*)(base + l * stride);")
-            for kind, payload in pending:
-                if kind == _PRIM:
-                    self._emit_prim(out, payload)
-                else:
-                    self._emit_group(out, payload)
-            out.indent -= 1
-            out.emit("}")
-            pending.clear()
-
-        for kind, payload in c.engine._schedule:
-            if kind == _PRIM:
-                pending.append((kind, payload))
-            elif kind == _GROUP:
-                if c._preloaded(payload):
-                    continue
-                if len(payload.assigns) == 1:
-                    pending.append((kind, payload))
-                else:
-                    flush()
-                    self._emit_group_lanes(out, payload)
-            else:
-                flush()
-                self._emit_child_lanes(out, payload)
-        flush()
         out.emit("return 0;")
         out.indent -= 1
         out.emit("}")
@@ -918,28 +859,6 @@ class _CEmitter:
                  f"eplan, ev, ex); if (rc) return rc; }}")
         self._emit_child_copies(out, node, inputs=False)
 
-    def _emit_child_lanes(self, out: codegen._Lines, node) -> None:
-        c = self.c
-        sid = f"S{self.cid}"
-        ident = c._ident(node.cell)
-        child_id = c.child_ids[node.engine.component.name]
-        out.emit(f"/* child {node.cell} (lanes) */")
-        out.emit("for (int64_t l = 0; l < nl; l++) {")
-        out.indent += 1
-        out.emit(f"{sid}* st = ({sid}*)(base + l * stride);")
-        self._emit_child_copies(out, node, inputs=True)
-        out.indent -= 1
-        out.emit("}")
-        out.emit(f"{{ int rc = settle_l{child_id}(base + "
-                 f"(int64_t)offsetof({sid}, c_{ident}), stride, nl, "
-                 f"eplan, elane); if (rc) return rc; }}")
-        out.emit("for (int64_t l = 0; l < nl; l++) {")
-        out.indent += 1
-        out.emit(f"{sid}* st = ({sid}*)(base + l * stride);")
-        self._emit_child_copies(out, node, inputs=False)
-        out.indent -= 1
-        out.emit("}")
-
     # -- driver groups ---------------------------------------------------------
 
     def _emit_group(self, out: codegen._Lines, group) -> None:
@@ -1008,7 +927,6 @@ class _CEmitter:
             else:
                 self._const_limbs(assign.src_const, nd, where)
         pid = self.plans.add(plan, capture)
-        self._group_pids[id(group)] = pid
         K = len(group.assigns)
         out.emit(f"{{ /* {group.dst}: {K} drivers (plan {pid}) */")
         out.indent += 1
@@ -1085,113 +1003,6 @@ class _CEmitter:
                      + " ".join(f"{self._v(d, k)} = cval[{k}];"
                                 for k in range(nd))
                      + " }")
-        out.indent -= 1
-        out.emit("}")
-        out.indent -= 1
-        out.emit("}")
-
-    def _emit_group_lanes(self, out: codegen._Lines, group) -> None:
-        """Multi-driver group over the lane block.  Pass 1 is the
-        assign-major conflict screen: iterating assigns in plan order and
-        lanes ascending reports the first clashing assign and, for it, the
-        lowest differing lane.  Pass 2 resolves values per lane with the
-        conflict logic removed — any conflicting lane already returned."""
-        c = self.c
-        sid = f"S{self.cid}"
-        d = c.slots[group.dst_key]
-        nd = self.limbs[d]
-        where = f"{c.name}: group {group.dst}"
-        pid = self._group_pids[id(group)]
-        K = len(group.assigns)
-        out.emit(f"{{ /* {group.dst}: {K} drivers (plan {pid}), lanes */")
-        out.indent += 1
-        out.emit(f"uint64_t scv[{nd} * nl]; unsigned char sch[nl];")
-        out.emit("memset(sch, 0, (size_t)nl);")
-        for assign in group.assigns:
-            exprs, sx = self._src_limbs(assign, nd, where)
-            out.emit("for (int64_t l = 0; l < nl; l++) { /* screen */")
-            out.indent += 1
-            out.emit(f"{sid}* st = ({sid}*)(base + l * stride);")
-            if assign.guard_keys is None:
-                out.emit("int act = 1;")
-            else:
-                out.emit("int act = 0, unk = 0;")
-                self._guard_lines(out, assign.guard_keys)
-                out.emit("(void)unk;")
-            out.emit("if (!act) continue;")
-            out.emit(f"if ({sx}) continue;")
-            out.emit(f"uint64_t sv[{nd}] = {{{', '.join(exprs)}}};")
-            differs = " || ".join(f"scv[l * {nd} + {k}] != sv[{k}]"
-                                  for k in range(nd))
-            out.emit(f"if (sch[l]) {{ if ({differs}) {{ eplan[0] = {pid}; "
-                     f"elane[0] = l; return {pid + 1}; }} }}")
-            out.emit("else { sch[l] = 1; "
-                     + " ".join(f"scv[l * {nd} + {k}] = sv[{k}];"
-                                for k in range(nd))
-                     + " }")
-            out.indent -= 1
-            out.emit("}")
-        out.emit("for (int64_t l = 0; l < nl; l++) { /* resolve */")
-        out.indent += 1
-        out.emit(f"{sid}* st = ({sid}*)(base + l * stride);")
-        out.emit("int any_act = 0, has_c = 0, nmaybe = 0;")
-        out.emit(f"uint64_t cval[{nd}] = {{0}}; "
-                 f"uint64_t mv[{K * nd}]; uint8_t mx[{K}];")
-        for assign in group.assigns:
-            exprs, sx = self._src_limbs(assign, nd, where)
-            out.emit("{")
-            out.indent += 1
-            if assign.guard_keys is None:
-                out.emit("int act = 1, poss = 0;")
-            else:
-                out.emit("int act = 0, unk = 0, poss;")
-                self._guard_lines(out, assign.guard_keys)
-                out.emit("poss = !act && unk;")
-            out.emit("if (act || poss) {")
-            out.indent += 1
-            out.emit(f"uint64_t sv[{nd}] = {{{', '.join(exprs)}}}; "
-                     f"uint8_t sx = {sx};")
-            out.emit("if (act) {")
-            out.indent += 1
-            out.emit("any_act = 1;")
-            copies = " ".join(f"cval[{k}] = sv[{k}];" for k in range(nd))
-            out.emit(f"if (!sx && !has_c) {{ has_c = 1; {copies} }}")
-            out.indent -= 1
-            out.emit("} else { "
-                     + " ".join(f"mv[nmaybe * {nd} + {k}] = sx ? 0 : sv[{k}];"
-                                for k in range(nd))
-                     + " mx[nmaybe] = sx; nmaybe++; }")
-            out.indent -= 1
-            out.emit("}")
-            out.indent -= 1
-            out.emit("}")
-        zeros = " ".join(f"{self._v(d, k)} = 0;" for k in range(nd))
-        out.emit("if (!any_act && !nmaybe) {")
-        if c.fresh:
-            out.emit(f"    {zeros} {self._x(d)} = 1;")
-        else:
-            out.emit("    /* undriven: keep previous value */")
-        out.emit("} else {")
-        out.indent += 1
-        out.emit("int rx = !has_c;")
-        out.emit("if (nmaybe) {")
-        out.emit("    int ok = has_c;")
-        disagrees = " || ".join(f"mv[i * {nd} + {k}] != cval[{k}]"
-                                for k in range(nd))
-        out.emit(f"    for (int i = 0; i < nmaybe; i++) "
-                 f"if (mx[i] || {disagrees}) ok = 0;")
-        out.emit("    if (!ok) rx = 1;")
-        out.emit("}")
-        out.emit(f"{self._x(d)} = (uint8_t)rx;")
-        if nd == 1:
-            out.emit(f"{self._v(d)} = rx ? 0 : cval[0];")
-        else:
-            out.emit("if (rx) { " + zeros + " } else { "
-                     + " ".join(f"{self._v(d, k)} = cval[{k}];"
-                                for k in range(nd))
-                     + " }")
-        out.indent -= 1
-        out.emit("}")
         out.indent -= 1
         out.emit("}")
         out.indent -= 1
@@ -1347,35 +1158,6 @@ class _CEmitter:
         out.emit("}")
         out.emit()
 
-    def emit_tick_lanes(self, out: codegen._Lines) -> None:
-        c = self.c
-        sid = f"S{self.cid}"
-        out.emit(f"static void tick_l{self.cid}(char* base, "
-                 f"int64_t stride, int64_t nl) {{")
-        out.indent += 1
-        out.emit("(void)base; (void)stride; (void)nl;")
-        body = codegen._Lines()
-        body.indent = out.indent + 1
-        for node in c.engine._prim_nodes:
-            self._emit_prim_tick(body, node)
-        if body.lines:
-            out.emit("for (int64_t l = 0; l < nl; l++) {")
-            out.indent += 1
-            out.emit(f"{sid}* st = ({sid}*)(base + l * stride);")
-            out.lines.extend(body.lines)
-            out.indent -= 1
-            out.emit("}")
-        for node in c.engine._child_nodes:
-            child_id = c.child_ids[node.engine.component.name]
-            ident = c._ident(node.cell)
-            out.emit(f"tick_l{child_id}(base + "
-                     f"(int64_t)offsetof({sid}, c_{ident}), stride, nl);"
-                     f"  /* child {node.cell} */")
-        out.indent -= 1
-        out.emit("}")
-        out.emit()
-
-
 class _KernelLayout:
     """Marshalling metadata for one generated translation unit: how the
     Python wrapper addresses slots, limb words and columnar buffers."""
@@ -1447,9 +1229,7 @@ def generate_c_source(engine) -> Tuple[str, _KernelLayout, _PlanRegistry]:
         emitter.emit_struct(structs)
         emitter.emit_reset(bodies)
         emitter.emit_settle(bodies)
-        emitter.emit_settle_lanes(bodies)
         emitter.emit_tick(bodies)
-        emitter.emit_tick_lanes(bodies)
     top_em = emitters[engine.component.name]
     top = top_em.c
     tid = top.comp_id
@@ -1483,12 +1263,9 @@ def generate_c_source(engine) -> Tuple[str, _KernelLayout, _PlanRegistry]:
     entry.emit(f"int64_t k_state_bytes(void) {{ "
                f"return (int64_t)sizeof(S{tid}); }}")
     entry.emit()
-    entry.emit(f"void k_reset(void* p) {{ reset_c{tid}((S{tid}*)p); }}")
-    entry.emit()
-    entry.emit("void k_reset_lanes(void* p, int64_t nl) {")
-    entry.emit("    for (int64_t l = 0; l < nl; l++)")
-    entry.emit(f"        reset_c{tid}((S{tid}*)((char*)p + "
-               f"l * (int64_t)sizeof(S{tid})));")
+    entry.emit("void k_reset(void* p, int64_t nl) {")
+    entry.emit(f"    for (int64_t l = 0; l < nl; l++) "
+               f"reset_c{tid}((S{tid}*)p + l);")
     entry.emit("}")
     entry.emit()
     entry.emit("void k_peek(void* p, int64_t slot, int64_t word, "
@@ -1497,78 +1274,43 @@ def generate_c_source(engine) -> Tuple[str, _KernelLayout, _PlanRegistry]:
                f"*v = st->v[word]; *x = st->x[slot];")
     entry.emit("}")
     entry.emit()
-
-    def emit_input_load(j: int, meta, index: str) -> None:
-        name, width, limbs, slot, word, base = meta
+    entry.emit("int64_t k_run_lanes(void* p, int64_t nl, int64_t ncy, "
+               "const uint64_t* iv, const uint8_t* ix, uint64_t* ov, "
+               "uint8_t* ox, int64_t* eplan, int64_t* elane, uint64_t* ev, "
+               "uint8_t* ex) {")
+    entry.indent += 1
+    entry.emit("for (int64_t i = 0; i < ncy; i++) {")
+    entry.indent += 1
+    entry.emit("for (int64_t l = 0; l < nl; l++) {")
+    entry.indent += 1
+    entry.emit(f"S{tid}* st = (S{tid}*)p + l;")
+    for j, (name, width, limbs, slot, word, base) in enumerate(in_meta):
         port_mask = (1 << width) - 1
-        entry.emit(f"{{ uint8_t fx = ix[({j} * ncy + i){index}];"
+        entry.emit(f"{{ uint8_t fx = ix[({j} * ncy + i) * nl + l];"
                    f"  /* input {name} */")
         entry.indent += 1
         parts = [f"st->x[{slot}] = fx;"]
         for k in range(limbs):
             mask = (port_mask >> (64 * k)) & _M64
             parts.append(f"st->v[{word + k}] = fx ? 0 : "
-                         f"(iv[(({base + k}) * ncy + i){index}] "
+                         f"(iv[({base + k} * ncy + i) * nl + l] "
                          f"& {_hex(mask)});")
         for k in range(limbs, top_em.limbs[slot]):
             parts.append(f"st->v[{word + k}] = 0;")
         entry.emit(" ".join(parts))
         entry.indent -= 1
         entry.emit("}")
-
-    def emit_output_store(j: int, meta, index: str) -> None:
-        name, limbs, slot, word, base = meta
+    entry.emit(f"if (settle_c{tid}(st, eplan, ev, ex)) "
+               f"{{ elane[0] = l; return i; }}")
+    for j, (name, limbs, slot, word, base) in enumerate(out_meta):
         stores = " ".join(
-            f"ov[(({base + k}) * ncy + i){index}] = st->v[{word + k}];"
+            f"ov[({base + k} * ncy + i) * nl + l] = st->v[{word + k}];"
             for k in range(limbs))
-        entry.emit(f"{stores} ox[({j} * ncy + i){index}] = st->x[{slot}];"
-                   f"  /* output {name} */")
-
-    entry.emit("int64_t k_run(void* p, int64_t ncy, const uint64_t* iv, "
-               "const uint8_t* ix, uint64_t* ov, uint8_t* ox, "
-               "int64_t* eplan, uint64_t* ev, uint8_t* ex) {")
-    entry.indent += 1
-    entry.emit(f"S{tid}* st = (S{tid}*)p;")
-    entry.emit("for (int64_t i = 0; i < ncy; i++) {")
-    entry.indent += 1
-    for j, meta in enumerate(in_meta):
-        emit_input_load(j, meta, "")
-    entry.emit(f"if (settle_c{tid}(st, eplan, ev, ex)) return i;")
-    for j, meta in enumerate(out_meta):
-        emit_output_store(j, meta, "")
+        entry.emit(f"{stores} ox[({j} * ncy + i) * nl + l] = "
+                   f"st->x[{slot}];  /* output {name} */")
     entry.emit(f"tick_c{tid}(st);")
     entry.indent -= 1
     entry.emit("}")
-    entry.emit("return -1;")
-    entry.indent -= 1
-    entry.emit("}")
-    entry.emit()
-
-    entry.emit("int64_t k_run_lanes(void* p, int64_t nl, int64_t ncy, "
-               "const uint64_t* iv, const uint8_t* ix, uint64_t* ov, "
-               "uint8_t* ox, int64_t* eplan, int64_t* elane) {")
-    entry.indent += 1
-    entry.emit("char* base = (char*)p;")
-    entry.emit(f"int64_t stride = (int64_t)sizeof(S{tid});")
-    entry.emit("for (int64_t i = 0; i < ncy; i++) {")
-    entry.indent += 1
-    entry.emit("for (int64_t l = 0; l < nl; l++) {")
-    entry.indent += 1
-    entry.emit(f"S{tid}* st = (S{tid}*)(base + l * stride);")
-    for j, meta in enumerate(in_meta):
-        emit_input_load(j, meta, " * nl + l")
-    entry.indent -= 1
-    entry.emit("}")
-    entry.emit(f"if (settle_l{tid}(base, stride, nl, eplan, elane)) "
-               f"return i;")
-    entry.emit("for (int64_t l = 0; l < nl; l++) {")
-    entry.indent += 1
-    entry.emit(f"S{tid}* st = (S{tid}*)(base + l * stride);")
-    for j, meta in enumerate(out_meta):
-        emit_output_store(j, meta, " * nl + l")
-    entry.indent -= 1
-    entry.emit("}")
-    entry.emit(f"tick_l{tid}(base, stride, nl);")
     entry.indent -= 1
     entry.emit("}")
     entry.emit("return -1;")
@@ -1579,7 +1321,6 @@ def generate_c_source(engine) -> Tuple[str, _KernelLayout, _PlanRegistry]:
         "/* Generated native simulation kernel — do not edit;",
         "   see repro/sim/native.py. */",
         "#include <stdint.h>",
-        "#include <stddef.h>",
         "#include <string.h>",
         "",
         _NK_HELPERS,
@@ -1637,19 +1378,14 @@ def _declare(lib) -> None:
     lib.k_state_bytes.restype = ctypes.c_int64
     lib.k_state_bytes.argtypes = []
     lib.k_reset.restype = None
-    lib.k_reset.argtypes = [ctypes.c_void_p]
-    lib.k_reset_lanes.restype = None
-    lib.k_reset_lanes.argtypes = [ctypes.c_void_p, ctypes.c_int64]
+    lib.k_reset.argtypes = [ctypes.c_void_p, ctypes.c_int64]
     lib.k_peek.restype = None
     lib.k_peek.argtypes = [ctypes.c_void_p, ctypes.c_int64,
                            ctypes.c_int64, u64p, u8p]
-    lib.k_run.restype = ctypes.c_int64
-    lib.k_run.argtypes = [ctypes.c_void_p, ctypes.c_int64, u64p, u8p,
-                          u64p, u8p, i64p, u64p, u8p]
     lib.k_run_lanes.restype = ctypes.c_int64
     lib.k_run_lanes.argtypes = [ctypes.c_void_p, ctypes.c_int64,
                                 ctypes.c_int64, u64p, u8p, u64p, u8p,
-                                i64p, i64p]
+                                i64p, i64p, u64p, u8p]
 
 
 class NativeKernel:
@@ -1658,7 +1394,8 @@ class NativeKernel:
     Exposes the same surface the engine needs from a scalar kernel
     (``cycle``/``reset``/``peek``) plus the columnar batch entry points the
     harness fast path uses (``run_batch``/``run_columns``) and the lane
-    batch entry (``run_lanes_columns``)."""
+    batch entry (``run_lanes_columns``); all of them run through the one
+    C entry ``k_run_lanes``."""
 
     __slots__ = ("_program", "_lib", "_state", "_ptr", "_n",
                  "_err_plan", "_err_lane", "_err_v", "_err_x")
@@ -1668,18 +1405,19 @@ class NativeKernel:
         self._lib = program.lib
         self._state = ctypes.create_string_buffer(program.state_bytes)
         self._ptr = ctypes.cast(self._state, ctypes.c_void_p)
-        # Per-instance conflict-capture buffers, passed into every k_run
-        # call: no shared mutable state lives in the shared object, so
-        # instances of one program are safe to run on separate threads.
+        # Per-instance conflict-capture buffers, passed into every
+        # k_run_lanes call: no shared mutable state lives in the shared
+        # object, so instances of one program are safe to run on separate
+        # threads.
         self._err_plan = (ctypes.c_int64 * 1)(-1)
         self._err_lane = (ctypes.c_int64 * 1)(-1)
         self._err_v = (ctypes.c_uint64 * program.plans.max_capture_words)()
         self._err_x = (ctypes.c_uint8 * program.plans.max_capture_slots)()
-        self._lib.k_reset(self._ptr)
+        self._lib.k_reset(self._ptr, 1)
         self._n = 0
 
     def reset(self) -> None:
-        self._lib.k_reset(self._ptr)
+        self._lib.k_reset(self._ptr, 1)
         self._n = 0
 
     def peek(self, key: _Key) -> Value:
@@ -1719,9 +1457,8 @@ class NativeKernel:
                 else:
                     append(value)
             columns[name] = (values, xflags)
-        ov, ox = self._run(n, columns)
         cols = [(name, vals, xfl) for name, (vals, xfl)
-                in self._split_outputs(n, ov, ox).items()]
+                in self.run_columns(n, columns).items()]
         trace: List[Dict[str, Value]] = []
         for i in range(n):
             trace.append({name: (X if xfl[i] else vals[i])
@@ -1737,8 +1474,7 @@ class NativeKernel:
         limb) output columns are zero-copy views (``memoryview``/
         ``bytes``) supporting indexing and strided slicing; wide outputs
         are materialized int lists (same indexing surface)."""
-        ov, ox = self._run(cycles, columns)
-        return self._split_outputs(cycles, ov, ox)
+        return self._run(self._ptr, 1, cycles, columns)
 
     def run_lanes_columns(self, cycles: int, n_lanes: int,
                           columns: Dict[str, Tuple[Sequence[int],
@@ -1752,39 +1488,11 @@ class NativeKernel:
         structs (matching ``run_lanes``'s fresh-engines contract); the
         instance's own scalar state is untouched.  A driver conflict in
         any lane raises the ``... (lane N)`` message."""
-        program = self._program
-        nl = n_lanes
-        n = cycles * nl
         state = ctypes.create_string_buffer(
-            program.state_bytes * max(1, nl))
+            self._program.state_bytes * max(1, n_lanes))
         ptr = ctypes.cast(state, ctypes.c_void_p)
-        self._lib.k_reset_lanes(ptr, nl)
-        ivbuf, ixbuf = self._marshal_inputs(n, columns)
-        niw = program.in_words
-        nip = len(program.input_ports)
-        now = program.out_words
-        nop = len(program.output_ports)
-        iv = ((ctypes.c_uint64 * (n * niw)).from_buffer(ivbuf)
-              if niw and n else (ctypes.c_uint64 * 0)())
-        ix = ((ctypes.c_uint8 * (n * nip)).from_buffer(ixbuf)
-              if nip and n else (ctypes.c_uint8 * 0)())
-        ovbuf = bytearray(8 * n * now)
-        oxbuf = bytearray(n * nop)
-        ov = ((ctypes.c_uint64 * (n * now)).from_buffer(ovbuf)
-              if now and n else (ctypes.c_uint64 * 0)())
-        ox = ((ctypes.c_uint8 * (n * nop)).from_buffer(oxbuf)
-              if nop and n else (ctypes.c_uint8 * 0)())
-        rc = self._lib.k_run_lanes(ptr, nl, cycles, iv, ix, ov, ox,
-                                   self._err_plan, self._err_lane)
-        del iv, ix, ov, ox  # release from_buffer views before reuse
-        if rc >= 0:
-            pid = int(self._err_plan[0])
-            lane = int(self._err_lane[0])
-            plan = program.plans.plans[pid]
-            raise DriverConflictError(plan[0], plan[1].dst, rc,
-                                      f" (lane {lane})")
-        return self._split_outputs(n, memoryview(ovbuf).cast("Q"),
-                                   bytes(oxbuf))
+        self._lib.k_reset(ptr, n_lanes)
+        return self._run(ptr, n_lanes, cycles, columns)
 
     def _marshal_inputs(self, n: int, columns
                         ) -> Tuple["array", bytearray]:
@@ -1852,11 +1560,15 @@ class NativeKernel:
             out[name] = (vals, xfl)
         return out
 
-    def _run(self, n: int, columns):
-        """Marshal ``columns`` port-major into flat buffers, run the whole
-        batch in one C call, and return ``(values, xflags)`` views over
-        the word-major output buffers."""
+    def _run(self, state, n_lanes: int, cycles: int, columns
+             ) -> Dict[str, Tuple[Sequence[int], Sequence[int]]]:
+        """Marshal ``columns`` into the flat input buffers, run the whole
+        batch in one ``k_run_lanes`` call over the ``n_lanes`` state
+        structs at ``state`` and split the outputs into per-port columns.
+        ``state`` is either the instance's own state (one lane, whose
+        cycle count advances) or a fresh lane block."""
         program = self._program
+        n = cycles * n_lanes
         ivbuf, ixbuf = self._marshal_inputs(n, columns)
         niw = program.in_words
         nip = len(program.input_ports)
@@ -1872,19 +1584,28 @@ class NativeKernel:
               if now and n else (ctypes.c_uint64 * 0)())
         ox = ((ctypes.c_uint8 * (n * nop)).from_buffer(oxbuf)
               if nop and n else (ctypes.c_uint8 * 0)())
-        rc = self._lib.k_run(self._ptr, n, iv, ix, ov, ox,
-                             self._err_plan, self._err_v, self._err_x)
+        rc = self._lib.k_run_lanes(state, n_lanes, cycles, iv, ix, ov, ox,
+                                   self._err_plan, self._err_lane,
+                                   self._err_v, self._err_x)
         del iv, ix, ov, ox  # release from_buffer views before reuse
+        own = state is self._ptr
         if rc >= 0:
-            self._raise_conflict(self._n + rc)
-        self._n += n
-        return memoryview(ovbuf).cast("Q"), bytes(oxbuf)
+            self._raise_conflict(self._n + rc if own else rc, lanes=not own)
+        if own:
+            self._n += cycles
+        return self._split_outputs(n, memoryview(ovbuf).cast("Q"),
+                                   bytes(oxbuf))
 
-    def _raise_conflict(self, cycle: int) -> None:
-        """Replay the failing group resolution in Python to raise the exact
-        interpreter/compiled-tier ``DriverConflictError`` message."""
+    def _raise_conflict(self, cycle: int, lanes: bool) -> None:
+        """Raise the ``DriverConflictError`` the C entry reported: a lane
+        batch names the lane; a scalar run replays the failing group
+        resolution in Python to raise the exact interpreter/compiled-tier
+        message, driver values included."""
         pid = int(self._err_plan[0])
         plan = self._program.plans.plans[pid]
+        if lanes:
+            raise DriverConflictError(plan[0], plan[1].dst, cycle,
+                                      f" (lane {int(self._err_lane[0])})")
         capture = self._program.plans.captures[pid]
         slots: Dict[int, Value] = {}
         position = 0

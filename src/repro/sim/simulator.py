@@ -41,12 +41,14 @@ tier falls back to the next with a recorded reason
 (:attr:`~repro.sim.engine.ScheduledEngine.native_fallback_reason`) when a
 netlist is ineligible — black-box primitives, values wider than 256 bits
 (65–256-bit signals spill to multi-limb ``uint64_t`` slots) — or the host
-has no C compiler.  Lane batches (``run_lanes``) under ``mode="native"``
-execute through the native lane entry ``k_run_lanes`` (N streams per
-netlist pass, one Python↔C crossing per batch); everywhere else, and when
-the lane entry is unavailable (reason in
+has no C compiler.  Under ``mode="native"`` every batch runs through the
+one C entry ``k_run_lanes``: a scalar run is one lane over the engine's
+own state, and a lane batch (``run_lanes``) runs each stream's netlist
+pass in turn with one Python↔C crossing per batch.  Everywhere else, and
+when the native tier is unavailable (reason in
 :attr:`~repro.sim.engine.ScheduledEngine.native_lanes_fallback_reason`),
-they are N scalar runs on the engine's own tier, each from a fresh reset.
+lane batches are N scalar runs on the engine's own tier, each from a
+fresh reset.
 """
 
 from __future__ import annotations

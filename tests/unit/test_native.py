@@ -4,12 +4,15 @@ The per-primitive behavioural sweep lives in ``test_width_boundaries.py``
 (which runs every boundary width through all four tiers); this module pins
 down the tier's *plumbing*: conflict-error parity, every fallback reason
 (black-box primitive, over-wide value, missing compiler), the digest-keyed
-in-memory + on-disk cache, and the ``REPRO_KERNEL_CACHE`` /
-``REPRO_COMPILE_CACHE`` environment knobs that size the caches.
+in-memory + on-disk cache and its ABI-versioned keys, the session's one
+``"native"`` stage, warning-clean generated C, and the
+``REPRO_KERNEL_CACHE`` / ``REPRO_COMPILE_CACHE`` environment knobs that
+size the caches.
 """
 
 import os
 import random
+import subprocess
 from collections import OrderedDict
 
 import pytest
@@ -18,16 +21,27 @@ from repro.calyx.ir import (
     Assignment,
     CalyxComponent,
     CalyxProgram,
+    Cell,
     CellPort,
     Guard,
     PortSpec,
 )
+from repro.conformance.generator import generate
 from repro.core.errors import SimulationError
+from repro.core.session import CompilationSession
+from repro.core.store import ArtifactStore
+from repro.designs import addmult_program, conv2d_base_program
 from repro.sim import Simulator, clear_native_cache, compiler_available
+from repro.sim import create_primitive
 from repro.sim import native as native_module
-from repro.sim.codegen import kernel_cache_limit, set_kernel_cache_limit
+from repro.sim.codegen import (
+    kernel_cache_limit,
+    netlist_digest,
+    set_kernel_cache_limit,
+)
 
 from test_codegen import _same_traces, _single_cell_program, _stimulus
+from test_width_boundaries import _cases
 
 needs_cc = pytest.mark.skipif(not compiler_available(),
                               reason="no C compiler on host")
@@ -143,6 +157,151 @@ class TestNativeCache:
         assert third.uses_native(), third.native_fallback_reason
         stats = native_module.native_cache_stats()
         assert stats["disk_hits"] == 1
+
+
+    def test_object_under_the_previous_abi_key_is_rebuilt(self, tmp_path,
+                                                          monkeypatch):
+        """A ``.so`` built for ABI 3 (whose ``k_run_lanes`` took nine
+        arguments) must never be called with the current argtypes: the ABI
+        is part of the store key, so the old object is not even looked
+        up."""
+        monkeypatch.setenv("REPRO_NATIVE_CACHE_DIR", str(tmp_path / "store"))
+        clear_native_cache()
+        engine = Simulator(_guarded_program(), mode="native")
+        # The ABI-3 symbol set; its lane entry reports a bogus conflict.
+        stale_c = tmp_path / "stale.c"
+        stale_c.write_text(
+            "#include <stdint.h>\n"
+            "int64_t k_state_bytes(void) { return 64; }\n"
+            "void k_reset(void* p) { (void)p; }\n"
+            "void k_reset_lanes(void* p, int64_t nl) { (void)p; (void)nl; }\n"
+            "void k_peek(void* p, int64_t s, int64_t w, uint64_t* v,\n"
+            "            uint8_t* x) { (void)p; (void)s; (void)w;\n"
+            "                          *v = 0; *x = 1; }\n"
+            "int64_t k_run_lanes(void* p, int64_t nl, int64_t ncy,\n"
+            "    const uint64_t* iv, const uint8_t* ix, uint64_t* ov,\n"
+            "    uint8_t* ox, int64_t* eplan, int64_t* elane) {\n"
+            "    (void)p; (void)nl; (void)ncy; (void)iv; (void)ix;\n"
+            "    (void)ov; (void)ox; eplan[0] = 0; elane[0] = 0; return 0;\n"
+            "}\n")
+        stale_so = tmp_path / "stale.so"
+        subprocess.run([native_module.find_compiler(), "-shared", "-fPIC",
+                        "-o", str(stale_so), str(stale_c)], check=True)
+        digest = netlist_digest(engine)
+        assert ArtifactStore(tmp_path / "store").put_file(
+            "native", f"native_3_{digest[:32]}", stale_so)
+
+        program, cached, _ = native_module.native_for(engine)
+        assert not cached and not program.disk_hit
+        with pytest.raises(SimulationError) as info:
+            engine.run_batch(TestConflictParity.CONFLICT)
+        assert engine.uses_native(), engine.native_fallback_reason
+        compiled = Simulator(_guarded_program(), mode="compiled")
+        with pytest.raises(SimulationError) as want:
+            compiled.run_batch(TestConflictParity.CONFLICT)
+        assert str(info.value) == str(want.value)
+        assert "(values ['3', '4'])" in str(info.value)
+        clear_native_cache()
+
+
+@needs_cc
+def test_native_session_records_one_native_stage_per_entrypoint():
+    session = CompilationSession.from_source("""
+comp first<G: 1>(
+  @interface[G] go: 1,
+  @[G, G+1] a: 32
+) -> (@[G, G+1] out: 32) {
+  out = a;
+}
+comp second<G: 1>(
+  @interface[G] go: 1,
+  @[G, G+1] a: 8
+) -> (@[G, G+1] out: 8) {
+  out = a;
+}
+""")
+    for entrypoint in ("first", "second"):
+        simulator = session.simulator(entrypoint, mode="native")
+        assert simulator.uses_native(), simulator.native_fallback_reason
+    stages = [(timing.stage, timing.target) for timing in session.timings
+              if timing.stage.startswith("native")]
+    assert stages == [("native", "first"), ("native", "second")]
+
+
+#: One width-boundary primitive per multi-limb C template.
+_BOUNDARY_CELLS = ("Add", "Sub", "MultComb", "Lt", "Mux", "ShiftLeft",
+                   "ShiftRight", "Slice", "Concat", "Reg")
+
+
+def _boundary_program(width):
+    """The :data:`_BOUNDARY_CELLS` of the width-boundary sweep at
+    ``width`` in one netlist, plus a two-driver group onto a
+    ``width``-bit output, so one compile covers each multi-limb
+    template."""
+    component = CalyxComponent(
+        "top", inputs=[PortSpec("g", 1), PortSpec("h", 1)],
+        outputs=[PortSpec("o", width)])
+    cases = [case for case in _cases(width) if case[0] in _BOUNDARY_CELLS]
+    for index, (name, params, widths) in enumerate(cases):
+        model = create_primitive(name, params)
+        cell = f"u{index}"
+        component.add_cell(Cell(cell, name, tuple(params)))
+        for port, port_width in widths.items():
+            component.inputs.append(PortSpec(f"i{index}_{port}", port_width))
+            component.add_wire(Assignment(
+                CellPort(cell, port), CellPort(None, f"i{index}_{port}")))
+        out_width = max([model.width_hint] + list(widths.values()))
+        for port in model.outputs:
+            component.outputs.append(PortSpec(f"o{index}_{port}", out_width))
+            component.add_wire(Assignment(
+                CellPort(None, f"o{index}_{port}"), CellPort(cell, port)))
+    for guard, src in (("g", "i0_left"), ("h", "i0_right")):
+        component.add_wire(Assignment(
+            CellPort(None, "o"), CellPort(None, src),
+            Guard((CellPort(None, guard),))))
+    program = CalyxProgram(entrypoint="top")
+    program.add(component)
+    return program
+
+
+def _compiled(program, entrypoint):
+    return CompilationSession.for_program(program).calyx(entrypoint), \
+        entrypoint
+
+
+def _generated(seed):
+    generated = generate(seed)
+    return _compiled(generated.program, generated.entrypoint)
+
+
+#: name -> () -> (calyx program, entrypoint) for the warning sweep.
+_WARNING_DESIGNS = {
+    "guarded": lambda: (_guarded_program(), "top"),
+    "addmult": lambda: _compiled(addmult_program(), "AddMult"),
+    "conv2d": lambda: _compiled(conv2d_base_program(), "Conv2d"),
+    **{f"boundary{width}": (lambda width=width: (_boundary_program(width),
+                                                 "top"))
+       for width in (65, 129, 256)},
+    **{f"gen{seed}": (lambda seed=seed: _generated(seed))
+       for seed in (3, 5, 8)},
+}
+
+
+@needs_cc
+@pytest.mark.parametrize("design", sorted(_WARNING_DESIGNS))
+def test_generated_c_compiles_warning_clean(design, tmp_path):
+    """The emitted translation unit builds under ``-Wall -Wextra -Werror``
+    (production builds keep their plain ``-O2`` flags)."""
+    program, entrypoint = _WARNING_DESIGNS[design]()
+    engine = Simulator(program, entrypoint, mode="native")
+    source = native_module.generate_c_source(engine)[0]
+    c_path = tmp_path / f"{design}.c"
+    c_path.write_text(source)
+    proc = subprocess.run(
+        [native_module.find_compiler(), "-O2", "-Wall", "-Wextra", "-Werror",
+         "-shared", "-fPIC", "-o", str(tmp_path / f"{design}.so"),
+         str(c_path)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr[:2000]
 
 
 class TestReviewRegressions:

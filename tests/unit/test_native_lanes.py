@@ -37,21 +37,32 @@ needs_cc = pytest.mark.skipif(not compiler_available(),
 LANES = 4
 
 
-def _guarded_program():
-    """Two guarded drivers onto one output — the conflict-error testbed."""
+def _driver_program(drivers):
+    """``drivers`` maps each 8-bit output to its ``(guard, source)`` pairs;
+    guards are 1-bit inputs, sources 8-bit inputs."""
+    guards = sorted({guard for pairs in drivers.values()
+                     for guard, _ in pairs})
+    sources = sorted({src for pairs in drivers.values() for _, src in pairs})
     component = CalyxComponent(
-        "top", inputs=[PortSpec("g", 1), PortSpec("h", 1),
-                       PortSpec("a", 8), PortSpec("b", 8)],
-        outputs=[PortSpec("o", 8)])
-    component.add_wire(Assignment(
-        CellPort(None, "o"), CellPort(None, "a"),
-        Guard((CellPort(None, "g"),))))
-    component.add_wire(Assignment(
-        CellPort(None, "o"), CellPort(None, "b"),
-        Guard((CellPort(None, "h"),))))
+        "top", inputs=[PortSpec(guard, 1) for guard in guards]
+        + [PortSpec(src, 8) for src in sources],
+        outputs=[PortSpec(out, 8) for out in drivers])
+    for out, pairs in drivers.items():
+        for guard, src in pairs:
+            component.add_wire(Assignment(
+                CellPort(None, out), CellPort(None, src),
+                Guard((CellPort(None, guard),))))
     program = CalyxProgram(entrypoint="top")
     program.add(component)
     return program
+
+
+#: Two guarded drivers onto one output — the conflict-error testbed.
+GUARDED = {"o": [("g", "a"), ("h", "b")]}
+
+
+def _guarded_program():
+    return _driver_program(GUARDED)
 
 
 class TestLaneConflictParity:
@@ -66,29 +77,57 @@ class TestLaneConflictParity:
     #: Conflicts one cycle later than :attr:`CONFLICT`.
     LATE_CONFLICT = CLEAN + [{"g": 1, "h": 1, "a": 7, "b": 8}]
 
-    #: (streams, the cycle and lane the conflict must name).
+    #: Three guarded drivers onto ``o``; each stream is one cycle.
+    FANIN = {"o": [("g", "a"), ("h", "b"), ("k", "c")]}
+    FANIN_CLEAN = [{"g": 1, "h": 0, "k": 0, "a": 3, "b": 4, "c": 5}]
+    FANIN_GK = [{"g": 1, "h": 0, "k": 1, "a": 3, "b": 4, "c": 5}]
+    FANIN_GH = [{"g": 1, "h": 1, "k": 0, "a": 3, "b": 4, "c": 5}]
+
+    #: Two driver groups, ``o1`` under g/h and ``o2`` under p/q.
+    TWO_GROUPS = {"o1": [("g", "a"), ("h", "b")],
+                  "o2": [("p", "c"), ("q", "d")]}
+    GROUPS_CLEAN = [{"g": 1, "h": 0, "p": 1, "q": 0,
+                     "a": 3, "b": 4, "c": 5, "d": 6}]
+    GROUPS_O2 = [{"g": 1, "h": 0, "p": 1, "q": 1,
+                  "a": 3, "b": 4, "c": 5, "d": 6}]
+    GROUPS_O1 = [{"g": 1, "h": 1, "p": 1, "q": 0,
+                  "a": 3, "b": 4, "c": 5, "d": 6}]
+
+    #: (drivers, streams, the message every tier must raise).
     CASES = [
         # The clean lanes must not mask lane 2.
-        ([CLEAN, CLEAN, CONFLICT], "cycle 1 (lane 2)"),
+        (GUARDED, [CLEAN, CLEAN, CONFLICT],
+         "top: conflicting drivers for o in cycle 1 (lane 2)"),
         # Lane 1 conflicts a cycle after lanes 2 and 3: the fallback runs
         # lane 1 first, but the earliest cycle wins, then the lowest lane.
-        ([CLEAN, LATE_CONFLICT, CONFLICT, CONFLICT], "cycle 1 (lane 2)"),
+        (GUARDED, [CLEAN, LATE_CONFLICT, CONFLICT, CONFLICT],
+         "top: conflicting drivers for o in cycle 1 (lane 2)"),
+        # Lane 1 clashes on drivers 0 and 2, lane 3 on drivers 0 and 1:
+        # the lower lane wins even though its clash comes from a later
+        # driver.
+        (FANIN, [FANIN_CLEAN, FANIN_GK, FANIN_CLEAN, FANIN_GH],
+         "top: conflicting drivers for o in cycle 0 (lane 1)"),
+        # Lane 1 clashes on o2, lane 3 on o1: the lower lane wins even
+        # though its group comes later in the schedule.
+        (TWO_GROUPS, [GROUPS_CLEAN, GROUPS_O2, GROUPS_CLEAN, GROUPS_O1],
+         "top: conflicting drivers for o2 in cycle 0 (lane 1)"),
     ]
 
-    def _message(self, mode, streams):
-        simulator = Simulator(_guarded_program(), mode=mode)
+    def _message(self, mode, drivers, streams):
+        simulator = Simulator(_driver_program(drivers), mode=mode)
         with pytest.raises(SimulationError) as info:
             simulator.run_lanes(streams)
         return simulator, str(info.value)
 
     @needs_cc
     def test_lane_conflict_message_is_byte_identical(self):
-        for streams, where in self.CASES:
-            native, message = self._message("native", streams)
+        for drivers, streams, expected in self.CASES:
+            native, message = self._message("native", drivers, streams)
             assert native.uses_native_lanes()
-            assert message == f"top: conflicting drivers for o in {where}"
+            assert message == expected
             for mode in ("auto", "compiled"):
-                assert self._message(mode, streams)[1] == message, mode
+                assert self._message(mode, drivers, streams)[1] == message, \
+                    mode
 
     @needs_cc
     def test_clean_lanes_alongside_agreeing_drivers_pass(self):
