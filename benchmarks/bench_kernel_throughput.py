@@ -48,7 +48,7 @@ from common import write_bench  # noqa: E402
 from repro.core.session import CompilationSession  # noqa: E402
 from repro.designs import addmult_program  # noqa: E402
 from repro.designs.golden import addmult as addmult_golden  # noqa: E402
-from repro.harness import harness_for  # noqa: E402
+from repro.harness import CapturedRun, harness_for  # noqa: E402
 from repro.harness.fuzz import random_transactions  # noqa: E402
 from repro.sim import compiler_available, is_x  # noqa: E402
 
@@ -94,13 +94,14 @@ def _measure_point(harness, mode: str, transactions: int, repeats: int):
             return None
         total, columns, starts = harness._schedule_columns(stream)
         run = lambda: simulator.run_columns(total, columns)  # noqa: E731
-        capture = lambda out: harness._capture_columns(  # noqa: E731
-            out, total, starts, stream)
+        capture = lambda out: CapturedRun(  # noqa: E731
+            stream, starts,
+            harness._capture_columns(out, total, starts, 1, 0))
     else:
         stimulus, starts = harness._schedule(stream)
         run = lambda: simulator.run_batch(stimulus)  # noqa: E731
-        capture = lambda trace: harness._capture(  # noqa: E731
-            trace, starts, stream)
+        capture = lambda trace: CapturedRun(  # noqa: E731
+            stream, starts, harness._capture(trace, starts))
     best = None
     for _ in range(repeats + 1):
         simulator.reset()

@@ -12,6 +12,12 @@ prescribes:
 3. every output is captured during the cycles of its availability interval
    and compared against a golden model.
 
+Capture is columnar: a run keeps one column of captured values per output
+port (:class:`CapturedRun`), and :meth:`CycleAccurateHarness.check` and the
+fuzzing checks in :mod:`repro.harness.fuzz` compare those columns directly.
+The per-transaction :class:`TransactionResult` objects are built only when
+a caller indexes or iterates the run.
+
 On top of the basic driver, :func:`audit_latency` reproduces the Table 1
 methodology ("for designs with mismatched outputs, we change the latency
 till we get the right answer"): it measures the cycle at which the expected
@@ -22,6 +28,7 @@ held, and reports both next to the claimed interface.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..calyx.ir import CalyxProgram
@@ -35,6 +42,7 @@ from .spec import InterfaceSpec, spec_from_signature
 __all__ = [
     "Transaction",
     "TransactionResult",
+    "CapturedRun",
     "HarnessReport",
     "CycleAccurateHarness",
     "harness_for",
@@ -59,11 +67,50 @@ class TransactionResult:
         return self.outputs.get(name, X)
 
 
+class CapturedRun(Sequence[TransactionResult]):
+    """The captured outputs of one transaction stream, one column per
+    output port: ``columns[port][index]`` is what transaction ``index``
+    produced on ``port`` in its capture cycle (``X`` where an X was
+    captured).  ``starts[index]`` is that transaction's start cycle.
+
+    As a read-only sequence it is the stream's :class:`TransactionResult`
+    list.  The list is built on first item access and cached, so every
+    access returns the same objects.  Each result's ``inputs`` is a copy of
+    its transaction as it is at that first access."""
+
+    def __init__(self, transactions: Sequence[Transaction],
+                 starts: List[int], columns: Dict[str, List[Value]]) -> None:
+        self.transactions = transactions
+        self.starts = starts
+        self.columns = columns
+        self._results: Optional[List[TransactionResult]] = None
+
+    def _built(self) -> List[TransactionResult]:
+        if self._results is None:
+            names = list(self.columns)
+            rows = (zip(*self.columns.values()) if names else repeat(()))
+            self._results = [
+                TransactionResult(index, start, dict(transaction),
+                                  dict(zip(names, row)))
+                for index, (start, transaction, row)
+                in enumerate(zip(self.starts, self.transactions, rows))]
+        return self._results
+
+    def __len__(self) -> int:
+        return len(self.starts)
+
+    def __getitem__(self, index):
+        return self._built()[index]
+
+    def __iter__(self):
+        return iter(self._built())
+
+
 @dataclass
 class HarnessReport:
     """The outcome of a harness run against expected values."""
 
-    results: List[TransactionResult]
+    results: Sequence[TransactionResult]
     mismatches: List[str] = field(default_factory=list)
 
     @property
@@ -207,8 +254,7 @@ class CycleAccurateHarness:
             # one strided bulk write; holes (excluded ports, X stimulus)
             # and overlapping windows take the checked per-cycle path.
             if (count and 0 < port.hold_cycles <= spacing
-                    and not any(value is None or is_x(value)
-                                for value in column)):
+                    and None not in column and X not in column):
                 zeros = bytes(count)
                 for cycle in port.cycles():
                     stop = cycle + count * spacing
@@ -237,85 +283,88 @@ class CycleAccurateHarness:
 
     def run(self, transactions: Sequence[Transaction],
             spacing: Optional[int] = None,
-            extra_cycles: int = 4) -> List[TransactionResult]:
+            extra_cycles: int = 4) -> CapturedRun:
         """Run the transactions back-to-back at the initiation interval and
         capture each one's outputs during their availability windows.
 
-        When the simulator's native C tier is active the stimulus is built
-        and executed columnar (one C call for the whole run) instead of as
-        per-cycle dicts — trace-identical, just without the per-cycle
-        Python marshalling."""
+        The result is a :class:`CapturedRun`: one column per output port,
+        read as the :class:`TransactionResult` list, which is built only
+        when an item is first accessed.  When the simulator's native C
+        tier is active the stimulus is built and executed columnar (one C
+        call for the whole run) and each output column is one strided
+        slice of the C output; otherwise the run goes through per-cycle
+        dicts — trace-identical either way."""
         simulator = self._fresh_simulator()
         if simulator.native_active():
             total, columns, starts = self._schedule_columns(
                 transactions, spacing, extra_cycles)
             out = simulator.run_columns(total, columns)
             if out is not None:
-                return self._capture_columns(out, total, starts,
-                                             transactions)
+                return CapturedRun(transactions, starts,
+                                   self._capture_columns(out, total, starts,
+                                                         1, 0))
         stimulus, starts = self._schedule(transactions, spacing, extra_cycles)
         trace = simulator.run_batch(stimulus)
-        return self._capture(trace, starts, transactions)
+        return CapturedRun(transactions, starts, self._capture(trace, starts))
 
-    def _capture_columns(self, out: Dict[str, object],
-                         total: int, starts: List[int],
-                         transactions: Sequence[Transaction]
-                         ) -> List[TransactionResult]:
-        count = len(transactions)
+    def _capture_columns(self, out: Dict[str, object], total: int,
+                         starts: List[int], n_lanes: int, lane: int
+                         ) -> Dict[str, List[Value]]:
+        """Each output port's column from the flat ``(values, xflags)``
+        output of a native run, where cycle ``c`` of ``lane`` sits at flat
+        index ``c * n_lanes + lane`` (``n_lanes`` is 1 for a scalar run).
+        ``starts`` are evenly spaced, as :meth:`_schedule_columns` builds
+        them, so a column is one strided slice; a capture cycle at or past
+        the stream's own ``total`` cycles reads ``X``."""
+        count = len(starts)
         spacing = starts[1] - starts[0] if count > 1 else 1
-        # One strided read per output port when the starts are uniform
-        # (they always are — ``_schedule_columns`` builds them that way)
-        # and every capture window lands inside the trace.
-        uniform = bool(count) and spacing > 0 and all(
-            port.name in out and starts[-1] + port.start < total
-            for port in self.spec.outputs)
-        port_reads: List[Tuple[str, object, object]] = []
-        if uniform:
-            for port in self.spec.outputs:
-                values, xflags = out[port.name]
-                stop = port.start + count * spacing
-                port_reads.append((port.name,
-                                   values[port.start:stop:spacing],
-                                   xflags[port.start:stop:spacing]))
-        results = []
-        for index, (start, transaction) in enumerate(zip(starts,
-                                                         transactions)):
-            result = TransactionResult(index, start, dict(transaction))
-            if uniform:
-                result.outputs = {
-                    name: (X if xcol[index] else vcol[index])
-                    for name, vcol, xcol in port_reads}
+        last = starts[-1] if count else 0
+        captured: Dict[str, List[Value]] = {}
+        for port in self.spec.outputs:
+            if port.name not in out:
+                captured[port.name] = [X] * count
+                continue
+            values, xflags = out[port.name]
+            offset = port.start
+            if spacing > 0 and 0 <= offset and last + offset < total:
+                first = offset * n_lanes + lane
+                step = spacing * n_lanes
+                window = slice(first, first + count * step, step)
+                column: List[Value] = list(values[window])
+                xs = xflags[window]
+                if xs.count(0) < len(xs):
+                    column = [X if x else value
+                              for value, x in zip(column, xs)]
             else:
-                for port in self.spec.outputs:
-                    capture_cycle = start + port.start
-                    value: Value = X
-                    if capture_cycle < total and port.name in out:
-                        values, xflags = out[port.name]
-                        if not xflags[capture_cycle]:
-                            value = values[capture_cycle]
-                    result.outputs[port.name] = value
-            results.append(result)
-        return results
+                # A zero or negative spacing cannot be one slice step, and
+                # a window past the stream's end reads X: index every start.
+                column = []
+                for start in starts:
+                    cycle = start + offset
+                    flat = cycle * n_lanes + lane
+                    column.append(X if cycle >= total or xflags[flat]
+                                  else values[flat])
+            captured[port.name] = column
+        return captured
 
-    def _capture(self, trace: List[Dict[str, Value]], starts: List[int],
-                 transactions: Sequence[Transaction]) -> List[TransactionResult]:
-        results = []
-        for index, (start, transaction) in enumerate(zip(starts, transactions)):
-            result = TransactionResult(index, start, dict(transaction))
-            for port in self.spec.outputs:
-                capture_cycle = start + port.start
-                value: Value = X
-                if capture_cycle < len(trace):
-                    value = trace[capture_cycle].get(port.name, X)
-                result.outputs[port.name] = value
-            results.append(result)
-        return results
+    def _capture(self, trace: List[Dict[str, Value]], starts: List[int]
+                 ) -> Dict[str, List[Value]]:
+        """Each output port's column from a per-cycle dict trace."""
+        total = len(trace)
+        captured: Dict[str, List[Value]] = {}
+        for port in self.spec.outputs:
+            name, offset = port.name, port.start
+            captured[name] = [
+                trace[start + offset].get(name, X)
+                if start + offset < total else X
+                for start in starts]
+        return captured
 
     def run_lanes(self, transaction_streams: Sequence[Sequence[Transaction]],
                   spacing: Optional[int] = None,
-                  extra_cycles: int = 4) -> List[List[TransactionResult]]:
+                  extra_cycles: int = 4) -> List[CapturedRun]:
         """Run several *independent* transaction streams as one lane batch
-        and capture each stream's outputs.
+        and capture each stream's outputs into a :class:`CapturedRun`.
 
         Every stream is pipelined internally exactly as :meth:`run` would
         pipeline it; the streams never interact.
@@ -324,7 +373,8 @@ class CycleAccurateHarness:
         scheduled columnar, merged into one lane-major-within-port buffer
         set, and executed in a single C call
         (:meth:`~repro.sim.engine.ScheduledEngine.run_lane_columns`), so a
-        batch of short streams pays the per-call overhead once.  Otherwise
+        batch of short streams pays the per-call overhead once; each
+        stream's columns are strided slices of the flat output.  Otherwise
         :meth:`~repro.sim.engine.ScheduledEngine.run_lanes` runs each
         stream on the simulator's own tier — trace-identical either way.
         """
@@ -348,20 +398,15 @@ class CycleAccurateHarness:
                 merged[name] = (values, xflags)
             out = simulator.run_lane_columns(total, n_lanes, merged)
             if out is not None:
-                results = []
-                for lane, ((lane_total, _, starts), stream) in enumerate(
-                        zip(schedules, streams)):
-                    lane_out = {
-                        name: (vals[lane::n_lanes], xfl[lane::n_lanes])
-                        for name, (vals, xfl) in out.items()}
-                    results.append(self._capture_columns(
-                        lane_out, lane_total, starts, stream))
-                return results
+                return [CapturedRun(stream, starts, self._capture_columns(
+                            out, lane_total, starts, n_lanes, lane))
+                        for lane, ((lane_total, _, starts), stream)
+                        in enumerate(zip(schedules, streams))]
         schedules = [self._schedule(stream, spacing, extra_cycles)
                      for stream in streams]
         traces = simulator.run_lanes(
             [stimulus for stimulus, _ in schedules])
-        return [self._capture(trace, starts, stream)
+        return [CapturedRun(stream, starts, self._capture(trace, starts))
                 for trace, (_, starts), stream
                 in zip(traces, schedules, streams)]
 
@@ -376,18 +421,28 @@ class CycleAccurateHarness:
     def check(self, transactions: Sequence[Transaction],
               golden: Callable[[Transaction], Dict[str, int]],
               spacing: Optional[int] = None) -> HarnessReport:
-        """Run and compare every captured output against ``golden``."""
+        """Run and compare every captured output against ``golden``; an
+        expected name that is not an output of the design is a mismatch
+        too."""
         results = self.run(transactions, spacing)
         report = HarnessReport(results)
-        for result in results:
-            expected = golden(result.inputs)
-            for name, want in expected.items():
-                got = result.output(name)
-                if is_x(got) or got != want:
+        columns = results.columns
+        for index, (start, transaction) in enumerate(
+                zip(results.starts, transactions)):
+            for name, want in golden(transaction).items():
+                column = columns.get(name)
+                if column is None:
                     report.mismatches.append(
-                        f"transaction {result.index}: output {name} expected "
+                        f"transaction {index}: output {name} expected "
+                        f"{want} but {self.spec.name} has no output named "
+                        f"{name!r}")
+                    continue
+                got = column[index]
+                if got is X or got != want:
+                    report.mismatches.append(
+                        f"transaction {index}: output {name} expected "
                         f"{want} but captured {format_value(got)} at cycle "
-                        f"{result.start_cycle + self.spec.output(name).start}"
+                        f"{start + self.spec.output(name).start}"
                     )
         return report
 

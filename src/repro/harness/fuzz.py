@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
-from ..sim.values import Value, format_value, is_x
+from ..sim.values import X, format_value
 from .driver import CycleAccurateHarness, Transaction
 
 __all__ = ["random_transactions", "DifferentialReport", "differential_test",
@@ -102,6 +102,10 @@ def differential_test(reference: CycleAccurateHarness,
     When ``transactions`` is omitted, ``count`` random transactions are
     generated from a *per-stream* RNG seeded with ``seed`` (never the global
     RNG), and the seed is recorded in the report for replay.
+
+    Each named output is compared as a whole captured column; only a
+    column that differs is walked transaction by transaction.  A name that
+    is not an output of a design reads ``X`` there.
     """
     stream_seed: Optional[int] = None
     if transactions is None:
@@ -118,15 +122,24 @@ def differential_test(reference: CycleAccurateHarness,
         simulator = harness._simulator
         if simulator is not None:
             report.fallback_reasons[role] = simulator.fallback_reasons()
-    for ref, cand in zip(reference_results, candidate_results):
-        for name in names:
-            want, got = ref.output(name), cand.output(name)
-            same = (is_x(want) and is_x(got)) or (not is_x(want) and not is_x(got) and want == got)
-            if not same:
-                report.divergences.append(
-                    f"transaction {ref.index} ({ref.inputs}): {name} "
-                    f"reference={format_value(want)} candidate={format_value(got)}"
-                )
+    # ``X`` is a singleton equal only to itself, so column equality is
+    # value equality with matching X planes.
+    missing = [X] * len(reference_results)
+    differing = []
+    for name in names:
+        want = reference_results.columns.get(name, missing)
+        got = candidate_results.columns.get(name, missing)
+        if want != got:
+            differing.append((name, want, got))
+    if differing:
+        for index, ref in enumerate(reference_results):
+            for name, want, got in differing:
+                if want[index] != got[index]:
+                    report.divergences.append(
+                        f"transaction {ref.index} ({ref.inputs}): {name} "
+                        f"reference={format_value(want[index])} "
+                        f"candidate={format_value(got[index])}"
+                    )
     return report
 
 
@@ -142,6 +155,12 @@ def fuzz_against_golden(harness: CycleAccurateHarness,
     (:meth:`~repro.harness.driver.CycleAccurateHarness.run_lanes`) and
     every stream is checked against the golden model; on the native lane
     entry that amortizes per-call overhead on short streams.
+
+    The check makes one ``golden(transaction)`` call per transaction and
+    compares each expected output with the run's captured column for that
+    output (:attr:`~repro.harness.driver.CapturedRun.columns`), so no
+    per-transaction result objects are built; a name that is not an output
+    of the design reads ``X``.
     """
     if lanes <= 1:
         streams = [random_transactions(harness, count, seed)]
@@ -151,15 +170,16 @@ def fuzz_against_golden(harness: CycleAccurateHarness,
                    for lane in range(lanes)]
         per_stream = harness.run_lanes(streams)
     report = DifferentialReport(count * len(streams), seed=seed)
-    for lane, results in enumerate(per_stream):
+    for lane, (transactions, results) in enumerate(zip(streams, per_stream)):
         tag = "" if len(per_stream) == 1 else f"lane {lane} "
-        for result in results:
-            expected = golden(result.inputs)
-            for name, want in expected.items():
-                got = result.output(name)
-                if is_x(got) or got != want:
+        columns = results.columns
+        for index, transaction in enumerate(transactions):
+            for name, want in golden(transaction).items():
+                column = columns.get(name)
+                got = X if column is None else column[index]
+                if got is X or got != want:
                     report.divergences.append(
-                        f"{tag}transaction {result.index} ({result.inputs}): "
+                        f"{tag}transaction {index} ({transaction}): "
                         f"{name} expected {want} got {format_value(got)}"
                     )
     return report

@@ -22,11 +22,34 @@ from repro.harness import (
     random_transactions,
 )
 from repro.harness.fuzz import differential_test, fuzz_against_golden
-from repro.sim import is_x
+from repro.sim import X, compiler_available
+
+#: Every tier the harness captures from: the dict trace of the scheduled
+#: interpreter and the compiled kernel, and the native columns (only where
+#: a C compiler exists).
+MODES = ("auto", "compiled") + (("native",) if compiler_available() else ())
 
 
-def _addmult_harness():
-    return harness_for(addmult_program(), "AddMult")
+def _addmult_harness(mode="compiled", width=32):
+    return harness_for(addmult_program(width), "AddMult", mode=mode)
+
+
+def _without_input(harness, name):
+    """``harness`` with input ``name`` left out of its spec: never driven,
+    so the design sees X there."""
+    spec = harness.spec
+    return CycleAccurateHarness(
+        harness.calyx,
+        InterfaceSpec(spec.name,
+                      [port for port in spec.inputs if port.name != name],
+                      list(spec.outputs), dict(spec.interface_ports),
+                      spec.initiation_interval),
+        harness.component, mode=harness.mode)
+
+
+def _rows(results):
+    return [(result.index, result.start_cycle, result.inputs, result.outputs)
+            for result in results]
 
 
 def _golden(transaction):
@@ -34,22 +57,48 @@ def _golden(transaction):
                            transaction["c"])}
 
 
+#: ``random_transactions`` for the 8-bit AddMult, two transactions, seed 1.
+STREAM = [{"a": 34, "b": 145, "c": 216}, {"a": 205, "b": 195, "c": 16}]
+
+
 class TestHarnessRunLanes:
     def test_lanes_match_per_stream_runs(self):
-        harness = _addmult_harness()
-        streams = [random_transactions(harness, count, seed=seed)
-                   for seed, count in enumerate((5, 3, 7))]
-        lanes = harness.run_lanes(streams)
-        for stream, lane_results in zip(streams, lanes):
-            scalar = harness.run(stream)
-            assert len(lane_results) == len(scalar) == len(stream)
-            for got, want in zip(lane_results, scalar):
-                assert got.start_cycle == want.start_cycle
-                assert got.inputs == want.inputs
-                for name, value in want.outputs.items():
-                    assert is_x(got.outputs[name]) == is_x(value)
-                    if not is_x(value):
-                        assert got.outputs[name] == value
+        """On every tier, each lane of a batch equals its stream's scalar
+        run, and the scalar runs match pinned results: unequal stream
+        lengths with an empty stream, spacing above the II, spacing 0 over
+        identical transactions, no extra cycles, and a captured X."""
+        same = [{"a": 3, "b": 5, "c": 7}] * 3
+        for mode in MODES:
+            harness = _addmult_harness(mode, width=8)
+            undriven = _without_input(harness, "c")
+            assert random_transactions(harness, 2, seed=1) == STREAM
+            streams = [random_transactions(harness, count, seed=seed)
+                       for seed, count in enumerate((5, 3, 0, 7))]
+            cases = (
+                (harness, streams, {}, None),
+                (harness, [STREAM, [], STREAM[:1]], {"spacing": 3}, [
+                    (0, 0, STREAM[0], {"out": 26}),
+                    (1, 3, STREAM[1], {"out": 55})]),
+                (harness, [same, same[:1]], {"spacing": 0}, [
+                    (index, 0, same[0], {"out": 22}) for index in range(3)]),
+                (harness, [STREAM, []], {"extra_cycles": 0}, [
+                    (0, 0, STREAM[0], {"out": 26}),
+                    (1, 2, STREAM[1], {"out": 55})]),
+                (undriven, [STREAM, STREAM[1:]], {}, [
+                    (0, 0, STREAM[0], {"out": X}),
+                    (1, 2, STREAM[1], {"out": X})]),
+            )
+            for subject, lane_streams, options, pinned in cases:
+                context = (mode, options, pinned)
+                lanes = subject.run_lanes(lane_streams, **options)
+                assert len(lanes) == len(lane_streams), context
+                for stream, lane_results in zip(lane_streams, lanes):
+                    scalar = subject.run(stream, **options)
+                    assert len(lane_results) == len(scalar) == len(stream)
+                    assert _rows(lane_results) == _rows(scalar), context
+                if pinned is not None:
+                    assert _rows(subject.run(lane_streams[0],
+                                             **options)) == pinned, context
 
     def test_fuzz_against_golden_with_lanes(self):
         harness = _addmult_harness()
@@ -60,12 +109,44 @@ class TestHarnessRunLanes:
         assert report.seed == 3
 
     def test_fuzz_lane_divergences_name_the_lane(self):
-        harness = _addmult_harness()
-        report = fuzz_against_golden(
-            harness, lambda t: {"out": 2 ** 40}, count=2, seed=0, lanes=3)
-        assert not report.passed
-        assert any(divergence.startswith("lane 2 ")
-                   for divergence in report.divergences)
+        """Divergence messages, byte for byte on every tier: a wrong
+        value, a golden key that is not an output (it reads X) and an X
+        captured because input ``c`` is never driven."""
+        for mode in MODES:
+            harness = _addmult_harness(mode, width=8)
+            report = fuzz_against_golden(
+                harness, lambda t: {"out": 2 ** 40}, count=2, seed=0,
+                lanes=3)
+            assert report.divergences == [
+                "lane 0 transaction 0 ({'a': 216, 'b': 98, 'c': 194}): "
+                "out expected 1099511627776 got 114",
+                "lane 0 transaction 1 ({'a': 227, 'b': 107, 'c': 10}): "
+                "out expected 1099511627776 got 235",
+                "lane 1 transaction 0 ({'a': 34, 'b': 145, 'c': 216}): "
+                "out expected 1099511627776 got 26",
+                "lane 1 transaction 1 ({'a': 205, 'b': 195, 'c': 16}): "
+                "out expected 1099511627776 got 55",
+                "lane 2 transaction 0 ({'a': 244, 'b': 220, 'c': 242}): "
+                "out expected 1099511627776 got 162",
+                "lane 2 transaction 1 ({'a': 217, 'b': 14, 'c': 23}): "
+                "out expected 1099511627776 got 245",
+            ], mode
+            report = fuzz_against_golden(
+                harness, lambda t: {"nope": 1}, count=1, seed=2, lanes=2)
+            assert report.divergences == [
+                "lane 0 transaction 0 ({'a': 244, 'b': 220, 'c': 242}): "
+                "nope expected 1 got X",
+                "lane 1 transaction 0 ({'a': 60, 'b': 151, 'c': 139}): "
+                "nope expected 1 got X",
+            ], mode
+            report = fuzz_against_golden(
+                _without_input(harness, "c"),
+                lambda t: {"out": (t["a"] * t["b"]) & 0xFF}, count=2, seed=4)
+            assert report.divergences == [
+                "transaction 0 ({'a': 60, 'b': 77}): out expected 12 got X",
+                "transaction 1 ({'a': 26, 'b': 184}): "
+                "out expected 176 got X",
+            ], mode
 
 
 def _cyclic_program():

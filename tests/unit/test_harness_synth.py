@@ -9,6 +9,7 @@ from repro.designs.alu import alu_program
 from repro.designs.fpadd import buggy_stage_crossing_mac, mac_program
 from repro.harness import (
     CycleAccurateHarness,
+    HarnessReport,
     audit_latency,
     differential_test,
     fuzz_against_golden,
@@ -80,6 +81,34 @@ class TestDriver:
         report = harness.check([{"op": 0, "l": 1, "r": 1}], lambda t: {"o": 999})
         assert not report.passed and "cycle" in report.mismatches[0]
 
+    def test_check_reports_a_name_that_is_not_an_output(self):
+        """An expected name the design has no output for is a mismatch
+        naming that output, without a cycle; it used to raise."""
+        harness = harness_for(addmult_program(), "AddMult")
+        report = harness.check([{"a": 2, "b": 3, "c": 4}],
+                               lambda t: {"nope": 1, "out": 10})
+        assert report.mismatches == [
+            "transaction 0: output nope expected 1 but AddMult has no "
+            "output named 'nope'"]
+
+    def test_run_results_behave_as_a_list(self):
+        harness = harness_for(addmult_program(), "AddMult")
+        transactions = [{"a": 2, "b": 3, "c": 4}, {"a": 1, "b": 1, "c": 1},
+                        {"a": 5, "b": 0, "c": 9}]
+        results = harness.run(transactions)
+        assert len(results) == 3
+        assert results[0].output("out") == 10
+        assert results[-1].index == 2 and results[-1].start_cycle == 4
+        assert [r.index for r in results[1:]] == [1, 2]
+        first, second = list(results), list(results)
+        assert all(a is b for a, b in zip(first, second))
+        assert results[1] is first[1]
+        results[0].outputs["out"] = 99
+        assert results[0].output("out") == 99
+        results[0].inputs["a"] = 7
+        assert transactions[0] == {"a": 2, "b": 3, "c": 4}
+        assert str(HarnessReport(results)) == "PASS: 3 transaction(s)"
+
 
 class TestFuzzAndDifferential:
     def test_random_transactions_are_reproducible(self):
@@ -148,7 +177,15 @@ class TestFuzzAndDifferential:
         buggy = CycleAccurateHarness(buggy_calyx, spec, "mac_buggy")
         transactions = [{"a": 1, "b": 1, "c": 10}, {"a": 2, "b": 2, "c": 20},
                         {"a": 3, "b": 3, "c": 30}]
-        assert not differential_test(reference, buggy, transactions).passed
+        report = differential_test(reference, buggy, transactions)
+        assert report.divergences == [
+            "transaction 0 ({'a': 1, 'b': 1, 'c': 10}): out reference=11 "
+            "candidate=31",
+            "transaction 1 ({'a': 2, 'b': 2, 'c': 20}): out reference=24 "
+            "candidate=X",
+            "transaction 2 ({'a': 3, 'b': 3, 'c': 30}): out reference=39 "
+            "candidate=X",
+        ]
 
 
 class TestAudit:
