@@ -51,6 +51,7 @@ from repro.designs.golden import addmult as addmult_golden  # noqa: E402
 from repro.harness import CapturedRun, harness_for  # noqa: E402
 from repro.harness.fuzz import random_transactions  # noqa: E402
 from repro.sim import compiler_available, is_x  # noqa: E402
+from repro.sim.engine import columns_to_rows, rows_to_columns  # noqa: E402
 
 DESIGN = "AddMult"
 #: (engine label, simulator mode) — the measured tiers.
@@ -89,19 +90,18 @@ def _measure_point(harness, mode: str, transactions: int, repeats: int):
     untimed on the final round's output."""
     simulator = harness._fresh_simulator()
     stream = random_transactions(harness, transactions, seed=7)
+    total, columns, starts = harness._schedule_columns(stream)
     if mode == "native":
         if not simulator.native_active():
             return None
-        total, columns, starts = harness._schedule_columns(stream)
         run = lambda: simulator.run_columns(total, columns)  # noqa: E731
-        capture = lambda out: CapturedRun(  # noqa: E731
-            stream, starts,
-            harness._capture_columns(out, total, starts, 1, 0))
+        as_columns = lambda out: out  # noqa: E731
     else:
-        stimulus, starts = harness._schedule(stream)
+        stimulus = columns_to_rows(columns, total)
         run = lambda: simulator.run_batch(stimulus)  # noqa: E731
-        capture = lambda trace: CapturedRun(  # noqa: E731
-            stream, starts, harness._capture(trace, starts))
+        outputs = [port.name for port in harness.spec.outputs]
+        as_columns = lambda trace: rows_to_columns(  # noqa: E731
+            [trace], outputs, total)
     best = None
     for _ in range(repeats + 1):
         simulator.reset()
@@ -110,7 +110,8 @@ def _measure_point(harness, mode: str, transactions: int, repeats: int):
         elapsed = time.perf_counter() - begin
         rate = transactions / elapsed
         best = rate if best is None else max(best, rate)
-    _check_golden(capture(out))
+    _check_golden(CapturedRun(stream, starts, harness._capture_columns(
+        as_columns(out), total, starts, 1, 0)))
     return best
 
 

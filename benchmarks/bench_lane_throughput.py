@@ -66,6 +66,11 @@ from repro.harness import (  # noqa: E402
     random_transactions,
 )
 from repro.sim import compiler_available, is_x  # noqa: E402
+from repro.sim.engine import (  # noqa: E402
+    columns_to_rows,
+    interleave_columns,
+    rows_to_columns,
+)
 
 LANE_POINTS = (1, 8, 64)
 #: Native first — the headline rows of the committed figure.
@@ -94,24 +99,6 @@ def _check_golden(results) -> None:
                 f"{want} but captured {got!r}")
 
 
-def _merge_lane_columns(schedules, n_lanes):
-    """The harness's lane-major merge, built once and untimed: one
-    ``(values, xflags)`` pair per port with lane ``l`` of cycle ``i`` at
-    flat index ``i * n_lanes + l``."""
-    total = max(lane_total for lane_total, _, _ in schedules)
-    merged = {}
-    for name in schedules[0][1]:
-        values = [0] * (total * n_lanes)
-        xflags = bytearray(b"\x01" * (total * n_lanes))
-        for lane, (lane_total, columns, _) in enumerate(schedules):
-            lane_values, lane_xflags = columns[name]
-            stop = lane_total * n_lanes
-            values[lane:stop:n_lanes] = lane_values
-            xflags[lane:stop:n_lanes] = lane_xflags
-        merged[name] = (values, xflags)
-    return total, merged
-
-
 def _measure_point(harness, engine: str, lanes: int, transactions: int,
                    repeats: int):
     """Best-of-``repeats`` engine-level throughput (tx/s) for one matrix
@@ -122,64 +109,45 @@ def _measure_point(harness, engine: str, lanes: int, transactions: int,
     simulator = harness._fresh_simulator()
     streams = [random_transactions(harness, transactions, seed=7 + lane)
                for lane in range(lanes)]
+    schedules = [harness._schedule_columns(stream) for stream in streams]
+    lengths = [total for total, _, _ in schedules]
+    total = max(lengths)
     if engine == "native":
         if not simulator.native_active():
             return None
-        schedules = [harness._schedule_columns(stream)
-                     for stream in streams]
         if lanes == 1:
-            total, columns, starts = schedules[0]
-            best = None
-            for _ in range(repeats + 1):
-                simulator.reset()
-                begin = time.perf_counter()
-                out = simulator.run_columns(total, columns)
-                elapsed = time.perf_counter() - begin
-                rate = transactions / elapsed
-                best = rate if best is None else max(best, rate)
-            _check_golden(CapturedRun(
-                streams[0], starts,
-                harness._capture_columns(out, total, starts, 1, 0)))
-            return best
-        total, merged = _merge_lane_columns(schedules, lanes)
-        best = None
-        for _ in range(repeats + 1):  # fresh lane state per call
-            begin = time.perf_counter()
-            out = simulator.run_lane_columns(total, lanes, merged)
-            elapsed = time.perf_counter() - begin
-            rate = transactions * lanes / elapsed
-            best = rate if best is None else max(best, rate)
-        for lane, ((lane_total, _, starts), stream) in enumerate(
-                zip(schedules, streams)):
-            _check_golden(CapturedRun(stream, starts, harness._capture_columns(
-                out, lane_total, starts, lanes, lane)))
-        return best
-
-    if lanes == 1:
-        stimulus, starts = harness._schedule(streams[0])
-        best = None
-        for _ in range(repeats + 1):
-            simulator.reset()
-            begin = time.perf_counter()
-            trace = simulator.run_batch(stimulus)
-            elapsed = time.perf_counter() - begin
-            rate = transactions / elapsed
-            best = rate if best is None else max(best, rate)
-        _check_golden(CapturedRun(streams[0], starts,
-                                  harness._capture(trace, starts)))
-        return best
-    schedules = [harness._schedule(stream) for stream in streams]
-    batches = [stimulus for stimulus, _ in schedules]
+            columns = schedules[0][1]
+            run = lambda: simulator.run_columns(total, columns)  # noqa: E731
+        else:
+            # The harness's lane-major merge, built once and untimed.
+            merged = interleave_columns(
+                total, [columns for _, columns, _ in schedules], lengths)
+            run = lambda: simulator.run_lane_columns(  # noqa: E731
+                total, lanes, merged, lengths)
+        as_columns = lambda out: out  # noqa: E731
+    else:
+        outputs = [port.name for port in harness.spec.outputs]
+        batches = [columns_to_rows(columns, lane_total)
+                   for lane_total, columns, _ in schedules]
+        if lanes == 1:
+            run = lambda: [simulator.run_batch(batches[0])]  # noqa: E731
+        else:
+            run = lambda: simulator.run_lanes(batches)  # noqa: E731
+        as_columns = lambda traces: rows_to_columns(  # noqa: E731
+            traces, outputs, total)
     best = None
-    for _ in range(repeats + 1):  # run_lanes resets the engine itself
+    for _ in range(repeats + 1):
+        simulator.reset()
         begin = time.perf_counter()
-        traces = simulator.run_lanes(batches)
+        out = run()
         elapsed = time.perf_counter() - begin
         rate = transactions * lanes / elapsed
         best = rate if best is None else max(best, rate)
-    for trace, (_, starts), stream in zip(traces, schedules, streams):
-        _check_golden(CapturedRun(stream, starts,
-                                  harness._capture(trace, starts)))
+    out = as_columns(out)
+    for lane, ((lane_total, _, starts), stream) in enumerate(
+            zip(schedules, streams)):
+        _check_golden(CapturedRun(stream, starts, harness._capture_columns(
+            out, lane_total, starts, lanes, lane)))
     return best
 
 

@@ -445,7 +445,7 @@ def run_conformance(generated: GeneratedProgram,
             coverage.lanes = lanes
             coverage.native_lanes = lane_engine.uses_native_lanes()
             coverage.native_lanes_fallback = (
-                lane_engine.native_lanes_fallback_reason)
+                lane_engine.native_fallback_reason)
             if coverage.native_lanes:
                 result.engines = result.engines + ["native-lanes"]
             if scalar_traces is not None:

@@ -12,11 +12,15 @@ prescribes:
 3. every output is captured during the cycles of its availability interval
    and compared against a golden model.
 
-Capture is columnar: a run keeps one column of captured values per output
-port (:class:`CapturedRun`), and :meth:`CycleAccurateHarness.check` and the
-fuzzing checks in :mod:`repro.harness.fuzz` compare those columns directly.
-The per-transaction :class:`TransactionResult` objects are built only when
-a caller indexes or iterates the run.
+The harness works in columns on every simulation tier: one scheduler
+(:meth:`CycleAccurateHarness._schedule_columns`) builds one stimulus column
+per port, the simulator's columnar entries run it, and one capture
+(:meth:`CycleAccurateHarness._capture_columns`) slices each output port's
+column out of the result.  A run keeps one column of captured values per
+output port (:class:`CapturedRun`), and :meth:`CycleAccurateHarness.check`
+and the fuzzing checks in :mod:`repro.harness.fuzz` compare those columns
+directly.  The per-transaction :class:`TransactionResult` objects are built
+only when a caller indexes or iterates the run.
 
 On top of the basic driver, :func:`audit_latency` reproduces the Table 1
 methodology ("for designs with mismatched outputs, we change the latency
@@ -35,6 +39,7 @@ from ..calyx.ir import CalyxProgram
 from ..core.ast import Program
 from ..core.errors import FilamentError, SimulationError
 from ..core.session import CompilationSession
+from ..sim.engine import Column, columns_to_rows, interleave_columns
 from ..sim.simulator import Simulator
 from ..sim.values import Value, X, format_value, is_x
 from .spec import InterfaceSpec, spec_from_signature
@@ -166,54 +171,11 @@ class CycleAccurateHarness:
     def _schedule(self, transactions: Sequence[Transaction],
                   spacing: Optional[int] = None,
                   extra_cycles: int = 4) -> Tuple[List[Dict[str, Value]], List[int]]:
-        """Build the per-cycle input dictionaries for a pipelined run.
-
-        Returns the stimulus list and each transaction's start cycle.  Raises
-        if two transactions would need to drive one input port in the same
-        cycle with different values (which can only happen when the caller
-        forces a spacing below the initiation interval).
-        """
-        spacing = spacing if spacing is not None else self.spec.initiation_interval
-        starts = [index * spacing for index in range(len(transactions))]
-        total = (starts[-1] if starts else 0) + self.spec.horizon() + extra_cycles
-
-        # Every cycle starts from the idle template — interface ports 0, data
-        # ports X so early/late reads are caught — and transactions overwrite
-        # their windows.  The template row is *interned*: every cycle outside
-        # a transaction window shares the one idle dict (the engines only
-        # read stimulus rows), and a window cycle gets its own copy on first
-        # write.  Long pipelined runs are mostly idle cycles, so this removes
-        # the per-cycle dict copy that used to dominate lane scheduling.
-        idle: Dict[str, Value] = {name: 0 for name in self.spec.interface_ports}
-        for port in self.spec.inputs:
-            idle[port.name] = X
-        stimulus: List[Dict[str, Value]] = [idle] * total
-
-        def writable(index: int) -> Dict[str, Value]:
-            row = stimulus[index]
-            if row is idle:
-                row = dict(idle)
-                stimulus[index] = row
-            return row
-
-        for start, transaction in zip(starts, transactions):
-            for offset_port, cycle in self.spec.interface_ports.items():
-                writable(start + cycle)[offset_port] = 1
-            for port in self.spec.inputs:
-                value = transaction.get(port.name)
-                if value is None:
-                    continue
-                for cycle in port.cycles():
-                    slot = writable(start + cycle)
-                    existing = slot[port.name]
-                    if existing is not X and existing != value:
-                        raise SimulationError(
-                            f"transactions overlap on input {port.name} at "
-                            f"cycle {start + cycle}; spacing {spacing} is "
-                            f"below the initiation interval"
-                        )
-                    slot[port.name] = value
-        return stimulus, starts
+        """:meth:`_schedule_columns` as one input dict per cycle (every
+        row its own dict), plus each transaction's start cycle."""
+        total, columns, starts = self._schedule_columns(
+            transactions, spacing, extra_cycles)
+        return columns_to_rows(columns, total), starts
 
     def _schedule_columns(self, transactions: Sequence[Transaction],
                           spacing: Optional[int] = None,
@@ -221,10 +183,21 @@ class CycleAccurateHarness:
                           ) -> Tuple[int, Dict[str, Tuple[List[int],
                                                           bytearray]],
                                      List[int]]:
-        """:meth:`_schedule` in columnar form for the native tier: one
-        ``(values, xflags)`` column per driven input port instead of one
-        dict per cycle.  Same windows, same idle semantics (interface ports
-        0, data ports X), same overlap error."""
+        """The stimulus of a pipelined run: ``(total, columns, starts)``.
+
+        Transaction ``k`` starts at cycle ``k * spacing`` (the initiation
+        interval by default) and the run lasts ``total`` cycles.
+        ``columns`` holds one ``(values, xflags)`` column of ``total``
+        entries per interface and input port: interface ports are 0 except
+        at each transaction's offset, and every input is X except inside
+        its availability window, where it carries its transaction's value.
+
+        Two transactions that drive one input with different values in the
+        same cycle (only possible when ``spacing`` is below the initiation
+        interval) raise ``transactions overlap on input <port> at cycle
+        <c>; ...``.  Inputs are walked in spec order and, within an input,
+        transactions in order; the first collision met is the one
+        reported."""
         spacing = (spacing if spacing is not None
                    else self.spec.initiation_interval)
         count = len(transactions)
@@ -289,33 +262,25 @@ class CycleAccurateHarness:
 
         The result is a :class:`CapturedRun`: one column per output port,
         read as the :class:`TransactionResult` list, which is built only
-        when an item is first accessed.  When the simulator's native C
-        tier is active the stimulus is built and executed columnar (one C
-        call for the whole run) and each output column is one strided
-        slice of the C output; otherwise the run goes through per-cycle
-        dicts — trace-identical either way."""
-        simulator = self._fresh_simulator()
-        if simulator.native_active():
-            total, columns, starts = self._schedule_columns(
-                transactions, spacing, extra_cycles)
-            out = simulator.run_columns(total, columns)
-            if out is not None:
-                return CapturedRun(transactions, starts,
-                                   self._capture_columns(out, total, starts,
-                                                         1, 0))
-        stimulus, starts = self._schedule(transactions, spacing, extra_cycles)
-        trace = simulator.run_batch(stimulus)
-        return CapturedRun(transactions, starts, self._capture(trace, starts))
+        when an item is first accessed.  The stimulus is scheduled as
+        columns, run through the simulator's columnar entry on whatever
+        tier it runs, and each output column is one strided slice of the
+        output."""
+        total, columns, starts = self._schedule_columns(
+            transactions, spacing, extra_cycles)
+        out = self._fresh_simulator().run_columns(total, columns)
+        return CapturedRun(transactions, starts,
+                           self._capture_columns(out, total, starts, 1, 0))
 
-    def _capture_columns(self, out: Dict[str, object], total: int,
+    def _capture_columns(self, out: Dict[str, Column], total: int,
                          starts: List[int], n_lanes: int, lane: int
                          ) -> Dict[str, List[Value]]:
         """Each output port's column from the flat ``(values, xflags)``
-        output of a native run, where cycle ``c`` of ``lane`` sits at flat
-        index ``c * n_lanes + lane`` (``n_lanes`` is 1 for a scalar run).
-        ``starts`` are evenly spaced, as :meth:`_schedule_columns` builds
-        them, so a column is one strided slice; a capture cycle at or past
-        the stream's own ``total`` cycles reads ``X``."""
+        output of a columnar run, where cycle ``c`` of ``lane`` sits at
+        flat index ``c * n_lanes + lane`` (``n_lanes`` is 1 for a scalar
+        run).  ``starts`` are evenly spaced, as :meth:`_schedule_columns`
+        builds them, so a column is one strided slice; a capture cycle at
+        or past the stream's own ``total`` cycles reads ``X``."""
         count = len(starts)
         spacing = starts[1] - starts[0] if count > 1 else 1
         last = starts[-1] if count else 0
@@ -347,19 +312,6 @@ class CycleAccurateHarness:
             captured[port.name] = column
         return captured
 
-    def _capture(self, trace: List[Dict[str, Value]], starts: List[int]
-                 ) -> Dict[str, List[Value]]:
-        """Each output port's column from a per-cycle dict trace."""
-        total = len(trace)
-        captured: Dict[str, List[Value]] = {}
-        for port in self.spec.outputs:
-            name, offset = port.name, port.start
-            captured[name] = [
-                trace[start + offset].get(name, X)
-                if start + offset < total else X
-                for start in starts]
-        return captured
-
     def run_lanes(self, transaction_streams: Sequence[Sequence[Transaction]],
                   spacing: Optional[int] = None,
                   extra_cycles: int = 4) -> List[CapturedRun]:
@@ -367,48 +319,28 @@ class CycleAccurateHarness:
         and capture each stream's outputs into a :class:`CapturedRun`.
 
         Every stream is pipelined internally exactly as :meth:`run` would
-        pipeline it; the streams never interact.
-
-        When the simulator's native lane entry is active the streams are
-        scheduled columnar, merged into one lane-major-within-port buffer
-        set, and executed in a single C call
-        (:meth:`~repro.sim.engine.ScheduledEngine.run_lane_columns`), so a
-        batch of short streams pays the per-call overhead once; each
-        stream's columns are strided slices of the flat output.  Otherwise
-        :meth:`~repro.sim.engine.ScheduledEngine.run_lanes` runs each
-        stream on the simulator's own tier — trace-identical either way.
-        """
+        pipeline it; the streams never interact.  Each stream is scheduled
+        as columns, the schedules are interleaved into one lane-major
+        buffer set and run through the simulator's lane entry
+        (:meth:`~repro.sim.engine.ScheduledEngine.run_lane_columns`; one C
+        call on the native tier, so a batch of short streams pays the
+        per-call overhead once), and each stream's columns are strided
+        slices of the flat output."""
         streams = [list(stream) for stream in transaction_streams]
-        simulator = self._fresh_simulator()
-        if streams and simulator.native_lanes_active():
-            schedules = [self._schedule_columns(stream, spacing,
-                                                extra_cycles)
-                         for stream in streams]
-            n_lanes = len(streams)
-            total = max(lane_total for lane_total, _, _ in schedules)
-            merged: Dict[str, Tuple[List[int], bytearray]] = {}
-            for name in schedules[0][1]:
-                values = [0] * (total * n_lanes)
-                xflags = bytearray(b"\x01" * (total * n_lanes))
-                for lane, (lane_total, columns, _) in enumerate(schedules):
-                    lane_values, lane_xflags = columns[name]
-                    stop = lane_total * n_lanes
-                    values[lane:stop:n_lanes] = lane_values
-                    xflags[lane:stop:n_lanes] = lane_xflags
-                merged[name] = (values, xflags)
-            out = simulator.run_lane_columns(total, n_lanes, merged)
-            if out is not None:
-                return [CapturedRun(stream, starts, self._capture_columns(
-                            out, lane_total, starts, n_lanes, lane))
-                        for lane, ((lane_total, _, starts), stream)
-                        in enumerate(zip(schedules, streams))]
-        schedules = [self._schedule(stream, spacing, extra_cycles)
+        schedules = [self._schedule_columns(stream, spacing, extra_cycles)
                      for stream in streams]
-        traces = simulator.run_lanes(
-            [stimulus for stimulus, _ in schedules])
-        return [CapturedRun(stream, starts, self._capture(trace, starts))
-                for trace, (_, starts), stream
-                in zip(traces, schedules, streams)]
+        lengths = [total for total, _, _ in schedules]
+        total = max(lengths, default=0)
+        n_lanes = len(streams)
+        out = self._fresh_simulator().run_lane_columns(
+            total, n_lanes,
+            interleave_columns(total, [columns for _, columns, _
+                                       in schedules], lengths),
+            lengths)
+        return [CapturedRun(stream, starts, self._capture_columns(
+                    out, lane_total, starts, n_lanes, lane))
+                for lane, ((lane_total, _, starts), stream)
+                in enumerate(zip(schedules, streams))]
 
     def trace(self, transactions: Sequence[Transaction],
               spacing: Optional[int] = None,

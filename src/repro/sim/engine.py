@@ -30,22 +30,25 @@ just the combinationally-relevant ones: the child's sequential ``tick`` uses
 the input values its last settle saw, so every input must be final before
 the child node runs.
 
-On top of ``step``, :meth:`ScheduledEngine.run_batch` executes a whole
-stimulus list with the per-cycle input validation hoisted out of the loop —
-the fast path used by the cycle-accurate harness for pipelined transaction
-streams.
-
-:meth:`ScheduledEngine.run_lanes` runs N *independent* stimulus streams
-and returns one trace per stream, each trace-identical to a scalar
-``run_batch`` of that stream on a freshly reset engine.
+Every run is a batch.  :meth:`ScheduledEngine.run_batch` executes a list
+of per-cycle input dicts (``step`` is a one-row batch) and
+:meth:`ScheduledEngine.run_lanes` runs N *independent* streams, lane ``l``
+for exactly its own length from fresh state, with the engine reset
+afterwards.  :meth:`ScheduledEngine.run_columns` and
+:meth:`ScheduledEngine.run_lane_columns` are the same two batches in
+columnar form — one ``(values, xflags)`` pair per port, lane ``l`` of
+cycle ``i`` at flat index ``i * n_lanes + l`` — and work on every tier.
+Every batch entry masks each input value to its port's declared width.
+:func:`columns_to_rows`, :func:`rows_to_columns` and
+:func:`interleave_columns` are the one place that converts between the two
+forms.
 
 ``mode="compiled"`` adds the next tier: the levelized schedule is compiled
 once into a specialized straight-line Python kernel
-(:mod:`repro.sim.codegen`, cached process-wide by netlist digest) and
-``step``/``run_batch``/``run_lanes`` execute through it — with automatic
-fallback to the interpreter tiers for netlists codegen cannot handle, so
-semantics never fork (:attr:`ScheduledEngine.kernel_fallback_reason`
-records why).
+(:mod:`repro.sim.codegen`, cached process-wide by netlist digest) and every
+batch executes through it — with automatic fallback to the interpreter
+tiers for netlists codegen cannot handle, so semantics never fork
+(:attr:`ScheduledEngine.kernel_fallback_reason` records why).
 
 ``mode="native"`` adds the top tier: the same schedule is emitted as C
 (:mod:`repro.sim.native`), compiled with the host C compiler and driven
@@ -54,22 +57,19 @@ fixpoint: a netlist the C tier cannot represent (black boxes, >256-bit
 values) or a host without a compiler falls back to the compiled-Python
 kernel with the reason recorded in
 :attr:`ScheduledEngine.native_fallback_reason`.  Every native batch runs
-through the one C entry ``k_run_lanes``: scalar batches
-(``run_batch``/``step``, plus the columnar :meth:`ScheduledEngine.run_columns`
-fast path) are one lane over the engine's own kernel state, and
-``run_lanes`` (plus the raw columnar
-:meth:`ScheduledEngine.run_lane_columns` fast path) runs N independent
-streams over a fresh block of lane states, each lane's netlist pass in
-turn, with one Python↔C crossing per batch.  Without the native tier,
-``run_lanes`` makes one scalar run per stream on the engine's own tier,
-with the reason recorded in
-:attr:`ScheduledEngine.native_lanes_fallback_reason`.
+through the one C entry ``k_run_lanes``: the columnar entries call it
+directly, ``run_batch``/``run_lanes`` through the converters.  A scalar
+batch is one lane over the engine's own kernel state, and a lane batch is
+N lanes over a fresh block of lane states with one Python↔C crossing per
+batch.  On the Python tiers the columnar entries convert to rows, call
+``run_batch``/``run_lanes`` and convert the traces back.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from itertools import chain
+from itertools import chain, repeat
+from operator import setitem
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..calyx.ir import Assignment, CalyxComponent, CalyxProgram, Cell, CellPort
@@ -77,7 +77,8 @@ from ..core.errors import DriverConflictError, SimulationError
 from .primitives import PrimitiveModel, create_primitive, is_primitive
 from .values import Value, X, format_value, is_x
 
-__all__ = ["ScheduledEngine", "SimulatorMode", "_MAX_SWEEPS"]
+__all__ = ["ScheduledEngine", "SimulatorMode", "_MAX_SWEEPS",
+           "columns_to_rows", "rows_to_columns", "interleave_columns"]
 
 #: Sentinel for "no driver is active or possibly active" — the destination
 #: port keeps whatever value it already had.
@@ -104,6 +105,74 @@ _GROUP = 2
 
 #: A signal key: ``(cell_name_or_None, port_name)``.
 _Key = Tuple[Optional[str], str]
+
+#: One port's flat column: a value per entry and a parallel X-flag byte per
+#: entry (value 0 where the flag is set).
+Column = Tuple[Sequence[int], Sequence[int]]
+
+
+# -- rows <-> columns ----------------------------------------------------------
+
+
+def columns_to_rows(columns: Dict[str, Column], cycles: int,
+                    n_lanes: int = 1, lane: int = 0
+                    ) -> List[Dict[str, Value]]:
+    """The first ``cycles`` rows of lane ``lane`` in flat lane-major
+    ``columns`` (cycle ``i`` of lane ``l`` at index ``i * n_lanes + l``):
+    one dict per cycle with an entry per column, ``X`` where flagged."""
+    stop = cycles * n_lanes
+    rows: List[Dict[str, Value]] = [{} for _ in range(cycles)]
+    for name, (values, xflags) in columns.items():
+        values = values[lane:stop:n_lanes]
+        xflags = xflags[lane:stop:n_lanes]
+        if any(xflags):
+            values = [X if x else value for value, x in zip(values, xflags)]
+        # ``row[name] = value`` for every row, looped in C.
+        deque(map(setitem, rows, repeat(name), values), maxlen=0)
+    return rows
+
+
+def rows_to_columns(streams: Sequence[Sequence[Dict[str, Value]]],
+                    names: Sequence[str], cycles: int) -> Dict[str, Column]:
+    """Row streams as flat lane-major columns of ``cycles * len(streams)``
+    entries, one per name: row ``i`` of stream ``l`` lands at
+    ``i * len(streams) + l``; a missing entry, and every cycle past a
+    stream's end, is X."""
+    lanes = []
+    for rows in streams:
+        lane: Dict[str, Column] = {}
+        for name in names:
+            column = [row.get(name, X) for row in rows]
+            if X in column:
+                lane[name] = ([0 if value is X else value
+                               for value in column],
+                              bytearray([value is X for value in column]))
+            else:
+                lane[name] = (column, bytearray(len(column)))
+        lanes.append(lane)
+    return interleave_columns(cycles, lanes, [len(rows) for rows in streams])
+
+
+def interleave_columns(cycles: int, lanes: Sequence[Dict[str, Column]],
+                       lengths: Sequence[int]) -> Dict[str, Column]:
+    """Per-lane column sets as flat lane-major columns of ``cycles *
+    len(lanes)`` entries: lane ``l``'s columns hold exactly ``lengths[l]``
+    entries, and entry ``i`` lands at ``i * len(lanes) + l``.  Every cycle
+    past a lane's length, and every port a lane lacks, is X."""
+    n_lanes = len(lanes)
+    size = cycles * n_lanes
+    merged: Dict[str, Column] = {}
+    for name in dict.fromkeys(chain.from_iterable(lanes)):
+        values = [0] * size
+        xflags = bytearray(b"\x01") * size
+        for index, (lane, length) in enumerate(zip(lanes, lengths)):
+            if name in lane:
+                lane_values, lane_xflags = lane[name]
+                stop = length * n_lanes
+                values[index:stop:n_lanes] = lane_values
+                xflags[index:stop:n_lanes] = lane_xflags
+        merged[name] = (values, xflags)
+    return merged
 
 
 class _PrimNode:
@@ -202,6 +271,7 @@ class ScheduledEngine:
                 )
         self._input_names = tuple(self.component.input_names())
         self._input_set = frozenset(self._input_names)
+        self._output_names = tuple(self.component.output_names())
 
         # Port keys interned once per cell: every evaluation path (scheduled,
         # sweep fallback, tick) reuses these item tuples instead of
@@ -212,8 +282,8 @@ class ScheduledEngine:
         self._child_nodes: List[_ChildNode] = [
             _ChildNode(cell, child) for cell, child in self._children.items()
         ]
-        #: Per input port, the mask of its declared width (``run_lanes``
-        #: truncates every stream's inputs to it).
+        #: Per input port, the mask of its declared width (every batch
+        #: entry truncates its inputs to it).
         self._input_masks: Dict[str, int] = {
             port.name: (1 << port.width) - 1 for port in self.component.inputs
         }
@@ -248,15 +318,6 @@ class ScheduledEngine:
         #: further): ``native(...)`` for C-tier ineligibility/compiler
         #: problems, ``interpreter(...)`` when even the schedule is out.
         self.native_fallback_reason: Optional[str] = None
-        # Last-run lane-path markers: whether the most recent lane batch
-        # executed through the native lane entry, and if not, why.  Set by
-        # run_lanes/run_lane_columns; deliberately *not* cleared by reset()
-        # (run_lanes resets the engine on exit, and callers read the
-        # markers afterwards).
-        self._native_lanes_used = False
-        #: Why the most recent lane batch did not run on the native lane
-        #: entry (``None`` after a native-lane run, or before any lane run).
-        self.native_lanes_fallback_reason: Optional[str] = None
 
         # Driver grouping, computed once (the fixpoint interpreter used to
         # rebuild this dictionary on every sweep of every cycle).
@@ -470,70 +531,18 @@ class ScheduledEngine:
         return self._native is not None
 
     def native_active(self) -> bool:
-        """Whether scalar batches will run on the native C kernel (builds
-        it if needed).  False outside ``mode="native"`` or after a
-        fallback."""
-        return (self._ensure_native() is not None
-                if self._native_requested else False)
+        """Whether batches will run on the native C kernel (builds it if
+        needed).  False outside ``mode="native"`` or after a fallback."""
+        return self._ensure_native() is not None
 
     def uses_native_lanes(self) -> bool:
-        """Whether the most recent :meth:`run_lanes` /
-        :meth:`run_lane_columns` call executed through the native lane
-        entry (false before any lane batch has run)."""
-        return self._native_lanes_used
+        """:meth:`uses_native`: scalar and lane batches share one C entry."""
+        return self.uses_native()
 
     def native_lanes_active(self) -> bool:
-        """Whether lane batches will run on the native lane entry (builds
-        the kernel if needed).  False outside ``mode="native"`` or after a
-        fallback.  Scalar and lane batches share the one C entry, so this
-        coincides with :meth:`native_active`."""
+        """:meth:`native_active`: scalar and lane batches share one C
+        entry."""
         return self.native_active()
-
-    def run_lane_columns(self, cycles: int, n_lanes: int,
-                         columns) -> Optional[Dict[str, object]]:
-        """Lane-columnar batch execution on the native tier: ``columns``
-        maps input port name → ``(values, xflags)`` flat sequences of
-        length ``cycles * n_lanes`` in lane-major-within-cycle order (flat
-        index ``cycle * n_lanes + lane``; missing ports idle at X);
-        returns per-output-port flat columns in the same layout, or
-        ``None`` when the native tier is not running (callers then fall
-        back to :meth:`run_lanes`).  Lane state is fresh per call and
-        discarded afterwards — like :meth:`run_lanes`, each lane behaves
-        as a freshly reset engine and the instance's own scalar state is
-        untouched."""
-        return self._run_native_columns(cycles, n_lanes, columns)
-
-    def run_columns(self, cycles: int, columns) -> Optional[Dict[str, object]]:
-        """Columnar batch execution on the native tier: ``columns`` maps
-        input port name → ``(values, xflags)`` sequences of length
-        ``cycles`` (missing ports idle at X); returns per-output-port
-        ``(values, xflags)`` columns, or ``None`` when the native tier is
-        not running (callers then fall back to :meth:`run_batch`)."""
-        return self._run_native_columns(cycles, None, columns)
-
-    def _run_native_columns(self, cycles: int, n_lanes: Optional[int],
-                            columns) -> Optional[Dict[str, object]]:
-        """The validation and bookkeeping shared by :meth:`run_columns`
-        (``n_lanes`` is ``None``: the engine's own state) and
-        :meth:`run_lane_columns` (a fresh block of ``n_lanes`` lanes)."""
-        native = self._ensure_native() if self._native_requested else None
-        if n_lanes is not None and self._native_requested:
-            self._native_lanes_used = native is not None
-            self.native_lanes_fallback_reason = (
-                None if native is not None else self.native_fallback_reason)
-        if native is None:
-            return None
-        unknown = set(columns) - self._input_set
-        if unknown:
-            raise SimulationError(
-                f"{self.component.name}: unknown input port "
-                f"{sorted(unknown)[0]!r}"
-            )
-        self._native_used = True
-        out = (native.run_columns(cycles, columns) if n_lanes is None
-               else native.run_lanes_columns(cycles, n_lanes, columns))
-        self.cycle += cycles
-        return out
 
     def prepare(self) -> Dict[str, object]:
         """Eagerly finish engine construction and report how this engine
@@ -550,8 +559,7 @@ class ScheduledEngine:
         sessions and benchmarks use instead of reaching into engine
         internals.  Scalar and lane batches share the one native entry, so
         ``native`` covers both."""
-        native = self._ensure_native() if self._native_requested else None
-        if native is None:
+        if self._ensure_native() is None:
             self._ensure_kernel()
         return {
             "kernel": self._kernel is not None,
@@ -564,95 +572,64 @@ class ScheduledEngine:
             "native_fallback_reason": self.native_fallback_reason,
         }
 
-    # -- one cycle -------------------------------------------------------------
+    # -- batches ---------------------------------------------------------------
 
     def step(self, inputs: Optional[Dict[str, Value]] = None) -> Dict[str, Value]:
         """Run one full clock cycle: drive ``inputs``, settle combinational
         logic, sample the outputs, then advance sequential state.  Returns
-        the component's output port values during this cycle."""
-        inputs = inputs or {}
-        for name in inputs:
-            if name not in self._input_set:
-                raise SimulationError(
-                    f"{self.component.name}: unknown input port {name!r}"
-                )
-        return self._step_unchecked(inputs)
+        the component's output port values during this cycle.  This is a
+        one-row :meth:`run_batch`."""
+        return self.run_batch((inputs or {},))[0]
 
     def run_batch(self, stimuli: Sequence[Dict[str, Value]]) -> List[Dict[str, Value]]:
         """Execute a whole stimulus list and return the per-cycle output
-        dicts.  Input-name validation happens once for the batch, so
+        dicts.  Validation and width masking happen once for the batch, so
         pipelined transaction streams avoid per-cycle re-dispatch."""
-        self._check_input_names(stimuli)
-        return self._run_batch_unchecked(stimuli)
-
-    def _check_input_names(self, stimuli: Iterable[Dict[str, Value]]) -> None:
-        unknown = {name for cycle_inputs in stimuli
-                   for name in cycle_inputs} - self._input_set
-        if unknown:
-            raise SimulationError(
-                f"{self.component.name}: unknown input port "
-                f"{sorted(unknown)[0]!r}"
-            )
-
-    def _run_batch_unchecked(self, stimuli: Sequence[Dict[str, Value]]
-                             ) -> List[Dict[str, Value]]:
-        if self._native_requested:
-            native = self._ensure_native()
-            if native is not None:
-                self._native_used = True
-                trace = native.run_batch(stimuli)
-                self.cycle += len(trace)
-                return trace
-        kernel = self._ensure_kernel()
-        if kernel is not None:
-            self._kernel_used = True
-            cycle = kernel.cycle
-            trace = [cycle(cycle_inputs) for cycle_inputs in stimuli]
-            self.cycle += len(trace)
-            return trace
-        return [self._step_unchecked(cycle_inputs) for cycle_inputs in stimuli]
+        rows = self._checked_rows(stimuli)
+        native = self._ensure_native()
+        if native is None:
+            return self._run_rows(rows)
+        self._native_used = True
+        cycles = len(rows)
+        out = native.run_columns(
+            cycles, rows_to_columns((rows,), self._input_names, cycles))
+        self.cycle += cycles
+        return columns_to_rows(out, cycles)
 
     def run_lanes(self, stimuli_batches: Sequence[Sequence[Dict[str, Value]]]
                   ) -> List[List[Dict[str, Value]]]:
         """Execute N independent stimulus streams and return one per-cycle
         output trace per stream.
 
-        Each stream's trace is bit-identical — values and X planes — to the
-        trace :meth:`run_batch` would produce for that stream alone on a
-        freshly reset engine.  With the native lane entry the streams share
+        Lane ``l`` runs exactly as many cycles as its stream has rows, from
+        fresh state, so its trace is bit-identical — values and X planes —
+        to the trace :meth:`run_batch` would produce for that stream alone
+        on a freshly reset engine.  With the native tier the streams share
         one C call; otherwise each stream is one scalar run on this
         engine's own tier (the compiled kernel in ``compiled``/``native``
         mode, the interpreter otherwise), starting from a fresh reset.
-        Streams may have different lengths.  Input values are truncated to
-        their port's declared width.  The engine is reset before and after
-        the run.
+        Input values are truncated to their port's declared width.  The
+        engine is reset afterwards.
 
         A driver conflict raises :class:`DriverConflictError` with the
         message ``<component>: conflicting drivers for <port> in cycle C
         (lane N)``: the earliest conflicting cycle over all streams first,
         then the lowest lane among the streams that conflict in that cycle.
         """
-        # Sequences that already are lists are used as-is (no per-batch copy).
-        batches = [batch if type(batch) is list else list(batch)
-                   for batch in stimuli_batches]
-        if not batches:
-            return []
-        self._check_input_names(chain.from_iterable(batches))
-        if self._native_requested:
+        batches = [self._checked_rows(batch) for batch in stimuli_batches]
+        try:
             native = self._ensure_native()
             if native is not None:
-                self._native_used = True
-                self._native_lanes_used = True
-                self.native_lanes_fallback_reason = None
-                try:
-                    return self._run_lanes_native(native, batches)
-                finally:
-                    self.reset()
-            self._native_lanes_used = False
-            self.native_lanes_fallback_reason = self.native_fallback_reason
-        traces: List[List[Dict[str, Value]]] = []
-        conflict: Optional[Tuple[int, DriverConflictError]] = None
-        try:
+                lengths = [len(batch) for batch in batches]
+                cycles = max(lengths, default=0)
+                out = native.run_lanes_columns(
+                    cycles, len(batches),
+                    rows_to_columns(batches, self._input_names, cycles),
+                    lengths)
+                return [columns_to_rows(out, length, len(batches), lane)
+                        for lane, length in enumerate(lengths)]
+            traces: List[List[Dict[str, Value]]] = []
+            conflict: Optional[Tuple[int, DriverConflictError]] = None
             for lane, batch in enumerate(batches):
                 if conflict is not None:
                     # Later lanes run only up to the recorded conflict, so
@@ -660,8 +637,7 @@ class ScheduledEngine:
                     batch = batch[:conflict[1].cycle]
                 self.reset()
                 try:
-                    traces.append(self._run_batch_unchecked(
-                        self._truncate_inputs(batch)))
+                    traces.append(self._run_rows(batch))
                 except DriverConflictError as error:
                     conflict = (lane, error)
         finally:
@@ -672,75 +648,100 @@ class ScheduledEngine:
                                       error.cycle, f" (lane {lane})")
         return traces
 
-    def _truncate_inputs(self, batch: List[Dict[str, Value]]
-                         ) -> List[Dict[str, Value]]:
-        """``batch`` with every input value masked to its port's width;
-        only rows carrying an oversized value are copied."""
+    def run_columns(self, cycles: int,
+                    columns: Dict[str, Column]) -> Dict[str, Column]:
+        """:meth:`run_batch` in columnar form: ``columns`` maps input port
+        name → ``(values, xflags)`` of ``cycles`` entries (a missing port
+        idles at X); returns one ``(values, xflags)`` column per output
+        port.  The native tier runs it as one C call over the engine's own
+        state; the Python tiers convert to rows, call :meth:`run_batch`
+        and convert the trace back."""
+        self._check_input_names((columns,))
+        native = self._ensure_native()
+        if native is None:
+            trace = self.run_batch(columns_to_rows(columns, cycles))
+            return rows_to_columns((trace,), self._output_names, cycles)
+        self._native_used = True
+        out = native.run_columns(cycles, columns)
+        self.cycle += cycles
+        return out
+
+    def run_lane_columns(self, cycles: int, n_lanes: int,
+                         columns: Dict[str, Column],
+                         lengths: Sequence[int]) -> Dict[str, Column]:
+        """:meth:`run_lanes` in columnar form: ``columns`` maps input port
+        name → flat ``(values, xflags)`` of ``cycles * n_lanes`` entries,
+        cycle ``i`` of lane ``l`` at ``i * n_lanes + l`` (a missing port
+        idles at X), and lane ``l`` runs exactly ``lengths[l]`` cycles.
+        Returns one flat column per output port in the same layout, X past
+        each lane's length.  The contract is :meth:`run_lanes`'s: fresh
+        state per lane, the earliest conflicting cycle then the lowest
+        lane, and the engine reset afterwards.  The native tier runs it as
+        one C call; the Python tiers convert each lane to rows, call
+        :meth:`run_lanes` and convert the traces back."""
+        self._check_input_names((columns,))
+        if len(lengths) != n_lanes or not all(
+                0 <= length <= cycles for length in lengths):
+            raise SimulationError(
+                f"{self.component.name}: lane lengths {list(lengths)} do "
+                f"not fit {n_lanes} lane(s) of {cycles} cycle(s)")
+        native = self._ensure_native()
+        if native is None:
+            traces = self.run_lanes([
+                columns_to_rows(columns, length, n_lanes, lane)
+                for lane, length in enumerate(lengths)])
+            return rows_to_columns(traces, self._output_names, cycles)
+        try:
+            return native.run_lanes_columns(cycles, n_lanes, columns,
+                                            lengths)
+        finally:
+            self.reset()
+
+    def _checked_rows(self, stimuli: Iterable[Dict[str, Value]]
+                      ) -> List[Dict[str, Value]]:
+        """``stimuli`` as a list, every name checked against the input
+        ports and every value masked to its port's width (negative values
+        included); only rows whose values change are copied."""
+        rows = stimuli if type(stimuli) is list else list(stimuli)
+        checked = rows
         masks = self._input_masks
-        truncated = batch
-        for index, row in enumerate(batch):
+        for index, row in enumerate(rows):
             for name, value in row.items():
-                if value is not X and value > masks[name]:
-                    if truncated is batch:
-                        truncated = list(batch)
-                    truncated[index] = {
+                mask = masks.get(name)
+                if mask is None:
+                    self._check_input_names(rows)
+                if value is not X and value & mask != value:
+                    if checked is stimuli:
+                        checked = list(rows)
+                    checked[index] = {
                         port: v if v is X else v & masks[port]
                         for port, v in row.items()}
                     break
-        return truncated
+        return checked
 
-    def _run_lanes_native(self, native, batches):
-        """The :meth:`run_lanes` native fast path: marshal every stream
-        into lane-major-within-port flat columns, cross into C exactly
-        once, and slice the flat output columns back into per-stream
-        traces.  Padding cycles past a stream's length stay X and their
-        results are discarded."""
-        lengths = [len(batch) for batch in batches]
-        n_lanes = len(batches)
-        total = max(lengths)
-        columns = {}
-        for port in self.component.inputs:
-            name = port.name
-            values = [0] * (total * n_lanes)
-            xflags = bytearray(b"\x01" * (total * n_lanes))
-            driven = False
-            for lane, batch in enumerate(batches):
-                for cycle, row in enumerate(batch):
-                    value = row.get(name, X)
-                    if value is X:
-                        continue
-                    index = cycle * n_lanes + lane
-                    values[index] = value
-                    xflags[index] = 0
-                    driven = True
-            if driven:
-                columns[name] = (values, xflags)
-        out = native.run_lanes_columns(total, n_lanes, columns)
-        cols = [(port.name,) + out[port.name]
-                for port in self.component.outputs]
-        traces: List[List[Dict[str, Value]]] = []
-        for lane, length in enumerate(lengths):
-            lane_cols = [(name, vals[lane::n_lanes], xfl[lane::n_lanes])
-                         for name, vals, xfl in cols]
-            traces.append([{name: (X if xfl[i] else vals[i])
-                            for name, vals, xfl in lane_cols}
-                           for i in range(length)])
-        return traces
+    def _check_input_names(self, stimuli: Iterable[Dict[str, Value]]) -> None:
+        unknown = {name for cycle_inputs in stimuli
+                   for name in cycle_inputs} - self._input_set
+        if unknown:
+            raise SimulationError(
+                f"{self.component.name}: unknown input port "
+                f"{sorted(unknown)[0]!r}"
+            )
+
+    def _run_rows(self, rows: List[Dict[str, Value]]
+                  ) -> List[Dict[str, Value]]:
+        """Checked rows on the engine's Python tier: the compiled kernel
+        when there is one, the interpreter otherwise."""
+        kernel = self._ensure_kernel()
+        if kernel is None:
+            return [self._step_unchecked(row) for row in rows]
+        self._kernel_used = True
+        cycle = kernel.cycle
+        trace = [cycle(row) for row in rows]
+        self.cycle += len(trace)
+        return trace
 
     def _step_unchecked(self, inputs: Dict[str, Value]) -> Dict[str, Value]:
-        if self._native_requested:
-            native = self._ensure_native()
-            if native is not None:
-                self._native_used = True
-                outputs = native.cycle(inputs)
-                self.cycle += 1
-                return outputs
-        kernel = self._ensure_kernel()
-        if kernel is not None:
-            self._kernel_used = True
-            outputs = kernel.cycle(inputs)
-            self.cycle += 1
-            return outputs
         self._begin_cycle(inputs)
         self._settle()
         outputs = self.outputs()

@@ -25,14 +25,18 @@ with the host C compiler (``cc``/``gcc``/``clang``; override with
 
 Every construct is emitted once, as the per-component ``settle``/``tick``
 functions, and one run entry drives them: ``k_run_lanes`` takes N
-consecutive state structs and lane-major-within-port columnar buffers
-(flat index ``(word * cycles + i) * n_lanes + l``).  It loops over
-cycles, then over lanes in ascending order; for each lane it loads that
-lane's inputs, settles, stores the outputs and ticks.  A scalar run
-(``run_batch``/``run_columns``) is one lane over the instance's own
-state; a lane batch (``run_lanes_columns``) is N lanes over a fresh state
-block.  Input and output cross the Python↔C boundary exactly once per
-batch, so a batch of short streams pays the per-call overhead once.
+consecutive state structs, each lane's cycle count and lane-major-within-
+port columnar buffers (flat index ``(word * cycles + i) * n_lanes + l``).
+It loops over cycles, then over lanes in ascending order; for each lane
+still inside its own cycle count it loads that lane's inputs, settles,
+stores the outputs and ticks, and a lane past its count is skipped.  A
+scalar run (:meth:`NativeKernel.run_columns`) is one lane over the
+instance's own state; a lane batch (:meth:`NativeKernel.run_lanes_columns`)
+is N lanes over a fresh state block.  The engine reaches both with
+columns only (its row entries convert through
+:mod:`repro.sim.engine`'s converters).  Input and output cross the
+Python↔C boundary exactly once per batch, so a batch of short streams
+pays the per-call overhead once.
 
 Values wider than 64 bits **spill to multi-limb slots**: a signal of
 width ``w`` occupies ``ceil(w / 64)`` consecutive ``uint64_t`` words
@@ -67,7 +71,7 @@ Exactness notes:
   message; a lane batch formats the ``... (lane N)`` message
   ``run_lanes`` documents;
 * input values are truncated to their port's declared width at the C
-  boundary (the same contract ``run_lanes`` documents).
+  boundary (the contract every engine batch entry documents).
 """
 
 from __future__ import annotations
@@ -111,7 +115,7 @@ __all__ = [
 ]
 
 #: Bump when the generated C ABI changes (invalidates the on-disk cache).
-_ABI = 4
+_ABI = 5
 
 _M64 = (1 << 64) - 1
 
@@ -1275,14 +1279,15 @@ def generate_c_source(engine) -> Tuple[str, _KernelLayout, _PlanRegistry]:
     entry.emit("}")
     entry.emit()
     entry.emit("int64_t k_run_lanes(void* p, int64_t nl, int64_t ncy, "
-               "const uint64_t* iv, const uint8_t* ix, uint64_t* ov, "
-               "uint8_t* ox, int64_t* eplan, int64_t* elane, uint64_t* ev, "
-               "uint8_t* ex) {")
+               "const int64_t* lens, const uint64_t* iv, const uint8_t* ix, "
+               "uint64_t* ov, uint8_t* ox, int64_t* eplan, int64_t* elane, "
+               "uint64_t* ev, uint8_t* ex) {")
     entry.indent += 1
     entry.emit("for (int64_t i = 0; i < ncy; i++) {")
     entry.indent += 1
     entry.emit("for (int64_t l = 0; l < nl; l++) {")
     entry.indent += 1
+    entry.emit("if (i >= lens[l]) continue;  /* this lane's stream ended */")
     entry.emit(f"S{tid}* st = (S{tid}*)p + l;")
     for j, (name, width, limbs, slot, word, base) in enumerate(in_meta):
         port_mask = (1 << width) - 1
@@ -1384,18 +1389,17 @@ def _declare(lib) -> None:
                            ctypes.c_int64, u64p, u8p]
     lib.k_run_lanes.restype = ctypes.c_int64
     lib.k_run_lanes.argtypes = [ctypes.c_void_p, ctypes.c_int64,
-                                ctypes.c_int64, u64p, u8p, u64p, u8p,
+                                ctypes.c_int64, i64p, u64p, u8p, u64p, u8p,
                                 i64p, i64p, u64p, u8p]
 
 
 class NativeKernel:
     """A live native kernel instance: its own C state buffer, one netlist.
 
-    Exposes the same surface the engine needs from a scalar kernel
-    (``cycle``/``reset``/``peek``) plus the columnar batch entry points the
-    harness fast path uses (``run_batch``/``run_columns``) and the lane
-    batch entry (``run_lanes_columns``); all of them run through the one
-    C entry ``k_run_lanes``."""
+    Exposes what the engine needs from a kernel (``reset``/``peek``) plus
+    the two columnar batch entries, :meth:`run_columns` over the
+    instance's own state and :meth:`run_lanes_columns` over a fresh lane
+    block; both run through the one C entry ``k_run_lanes``."""
 
     __slots__ = ("_program", "_lib", "_state", "_ptr", "_n",
                  "_err_plan", "_err_lane", "_err_v", "_err_x")
@@ -1436,63 +1440,36 @@ class NativeKernel:
 
     # -- running ---------------------------------------------------------------
 
-    def cycle(self, inputs: Dict[str, Value]) -> Dict[str, Value]:
-        return self.run_batch([inputs])[0]
-
-    def run_batch(self, stimuli: Sequence[Dict[str, Value]]
-                  ) -> List[Dict[str, Value]]:
-        """Dict-in, dict-out batch execution (trace-identical to the
-        compiled-Python kernel's ``run_batch`` path)."""
-        n = len(stimuli)
-        columns: Dict[str, Tuple[List[int], bytearray]] = {}
-        for name, _width, _limbs in self._program.input_ports:
-            values: List[int] = []
-            xflags = bytearray(n)
-            append = values.append
-            for i, row in enumerate(stimuli):
-                value = row.get(name, X)
-                if value is X:
-                    xflags[i] = 1
-                    append(0)
-                else:
-                    append(value)
-            columns[name] = (values, xflags)
-        cols = [(name, vals, xfl) for name, (vals, xfl)
-                in self.run_columns(n, columns).items()]
-        trace: List[Dict[str, Value]] = []
-        for i in range(n):
-            trace.append({name: (X if xfl[i] else vals[i])
-                          for name, vals, xfl in cols})
-        return trace
-
     def run_columns(self, cycles: int,
                     columns: Dict[str, Tuple[Sequence[int], Sequence[int]]]
                     ) -> Dict[str, Tuple[Sequence[int], Sequence[int]]]:
         """Columnar batch execution: per-input-port ``(values, xflags)``
-        columns of length ``cycles`` in, per-output-port columns out.  One
-        C call for the whole batch — the harness fast path.  Narrow (one
-        limb) output columns are zero-copy views (``memoryview``/
-        ``bytes``) supporting indexing and strided slicing; wide outputs
-        are materialized int lists (same indexing surface)."""
-        return self._run(self._ptr, 1, cycles, columns)
+        columns of length ``cycles`` in, per-output-port columns out, one
+        C call over the instance's own state.  Narrow (one limb) output
+        columns are zero-copy views (``memoryview``/``bytes``) supporting
+        indexing and strided slicing; wide outputs are materialized int
+        lists (same indexing surface)."""
+        return self._run(self._ptr, 1, cycles, columns, (cycles,))
 
     def run_lanes_columns(self, cycles: int, n_lanes: int,
                           columns: Dict[str, Tuple[Sequence[int],
-                                                   Sequence[int]]]
+                                                   Sequence[int]]],
+                          lengths: Sequence[int]
                           ) -> Dict[str, Tuple[Sequence[int],
                                                Sequence[int]]]:
         """Lane batch execution: per-input-port flat columns of length
         ``cycles * n_lanes`` in lane-major-within-cycle order (flat index
         ``cycle * n_lanes + lane``), same shape out.  One C call drives
         all lanes through a *fresh* block of ``n_lanes`` consecutive state
-        structs (matching ``run_lanes``'s fresh-engines contract); the
-        instance's own scalar state is untouched.  A driver conflict in
-        any lane raises the ``... (lane N)`` message."""
+        structs; lane ``l`` runs its first ``lengths[l]`` cycles and its
+        later output entries read X.  The instance's own state is
+        untouched.  A driver conflict in any lane raises the ``...
+        (lane N)`` message."""
         state = ctypes.create_string_buffer(
             self._program.state_bytes * max(1, n_lanes))
         ptr = ctypes.cast(state, ctypes.c_void_p)
         self._lib.k_reset(ptr, n_lanes)
-        return self._run(ptr, n_lanes, cycles, columns)
+        return self._run(ptr, n_lanes, cycles, columns, lengths)
 
     def _marshal_inputs(self, n: int, columns
                         ) -> Tuple["array", bytearray]:
@@ -1520,8 +1497,8 @@ class NativeKernel:
                         ivbuf.extend(values)
                 except OverflowError:
                     # Out-of-range stimulus: truncate to 64 bits (the port
-                    # mask in C truncates further, matching ``run_lanes``'s
-                    # documented input-truncation contract).  ``extend``
+                    # mask in C truncates further, matching the engine's
+                    # input-truncation contract).  ``extend``
                     # appends element-by-element, so the in-range prefix it
                     # already copied must be dropped before re-extending or
                     # the column misaligns.
@@ -1560,13 +1537,15 @@ class NativeKernel:
             out[name] = (vals, xfl)
         return out
 
-    def _run(self, state, n_lanes: int, cycles: int, columns
+    def _run(self, state, n_lanes: int, cycles: int, columns,
+             lengths: Sequence[int]
              ) -> Dict[str, Tuple[Sequence[int], Sequence[int]]]:
         """Marshal ``columns`` into the flat input buffers, run the whole
         batch in one ``k_run_lanes`` call over the ``n_lanes`` state
-        structs at ``state`` and split the outputs into per-port columns.
-        ``state`` is either the instance's own state (one lane, whose
-        cycle count advances) or a fresh lane block."""
+        structs at ``state`` (lane ``l`` for ``lengths[l]`` cycles) and
+        split the outputs into per-port columns; an entry no lane wrote
+        reads X.  ``state`` is either the instance's own state (one lane,
+        whose cycle count advances) or a fresh lane block."""
         program = self._program
         n = cycles * n_lanes
         ivbuf, ixbuf = self._marshal_inputs(n, columns)
@@ -1578,14 +1557,15 @@ class NativeKernel:
               if niw and n else (ctypes.c_uint64 * 0)())
         ix = ((ctypes.c_uint8 * (n * nip)).from_buffer(ixbuf)
               if nip and n else (ctypes.c_uint8 * 0)())
+        lens = (ctypes.c_int64 * max(1, n_lanes))(*lengths)
         ovbuf = bytearray(8 * n * now)
-        oxbuf = bytearray(n * nop)
+        oxbuf = bytearray(b"\x01") * (n * nop)
         ov = ((ctypes.c_uint64 * (n * now)).from_buffer(ovbuf)
               if now and n else (ctypes.c_uint64 * 0)())
         ox = ((ctypes.c_uint8 * (n * nop)).from_buffer(oxbuf)
               if nop and n else (ctypes.c_uint8 * 0)())
-        rc = self._lib.k_run_lanes(state, n_lanes, cycles, iv, ix, ov, ox,
-                                   self._err_plan, self._err_lane,
+        rc = self._lib.k_run_lanes(state, n_lanes, cycles, lens, iv, ix,
+                                   ov, ox, self._err_plan, self._err_lane,
                                    self._err_v, self._err_x)
         del iv, ix, ov, ox  # release from_buffer views before reuse
         own = state is self._ptr
@@ -1676,11 +1656,13 @@ def native_for(engine) -> Tuple[NativeKernelProgram, bool, float]:
         _CACHE.move_to_end(digest)
         _STATS["hits"] += 1
         return cached, True, 0.0
+    start = time.perf_counter()
+    # Eligibility before the compiler probe: an ineligible netlist reports
+    # its own reason on a host without a compiler too.
+    source, layout, plans = generate_c_source(engine)
     compiler = find_compiler()
     if compiler is None:
         raise NativeUnavailable("no C compiler (cc/gcc/clang) on PATH")
-    start = time.perf_counter()
-    source, layout, plans = generate_c_source(engine)
     store = _native_store()
     key = f"native_{_ABI}_{digest[:32]}"
     so_path = store.get_path("native", key)

@@ -26,13 +26,14 @@ path exists to catch bugs in hand-written netlists and is exercised by the
 test suite.
 
 :class:`Simulator` is the stable public API (``step``/``peek``/``outputs``/
-``reset``/``run_batch``); it is the scheduled engine with the historical
-name.  Pass ``mode="fixpoint"`` to force the reference sweep-loop semantics
-(used by the differential tests and the before/after benchmarks),
-``mode="compiled"`` to execute through a specialized Python kernel
-generated from the schedule (:mod:`repro.sim.codegen`), with automatic
-fallback to the scheduled interpreter for netlists codegen cannot handle
-(the reason is recorded in
+``reset``/``run_batch``/``run_lanes`` and their columnar forms
+``run_columns``/``run_lane_columns``, which work on every tier); it is
+the scheduled engine with the historical name.  Pass ``mode="fixpoint"``
+to force the reference sweep-loop semantics (used by the differential
+tests and the before/after benchmarks), ``mode="compiled"`` to execute
+through a specialized Python kernel generated from the schedule
+(:mod:`repro.sim.codegen`), with automatic fallback to the scheduled
+interpreter for netlists codegen cannot handle (the reason is recorded in
 :attr:`~repro.sim.engine.ScheduledEngine.kernel_fallback_reason`), or
 ``mode="native"`` to execute through a C kernel compiled from the same
 schedule (:mod:`repro.sim.native`) — the fastest tier.  The full chain is
@@ -43,12 +44,12 @@ netlist is ineligible — black-box primitives, values wider than 256 bits
 (65–256-bit signals spill to multi-limb ``uint64_t`` slots) — or the host
 has no C compiler.  Under ``mode="native"`` every batch runs through the
 one C entry ``k_run_lanes``: a scalar run is one lane over the engine's
-own state, and a lane batch (``run_lanes``) runs each stream's netlist
-pass in turn with one Python↔C crossing per batch.  Everywhere else, and
-when the native tier is unavailable (reason in
-:attr:`~repro.sim.engine.ScheduledEngine.native_lanes_fallback_reason`),
-lane batches are N scalar runs on the engine's own tier, each from a
-fresh reset.
+own state, and a lane batch runs each stream's netlist pass in turn with
+one Python↔C crossing per batch.  Everywhere else, lane batches are N
+scalar runs on the engine's own tier, each from a fresh reset.  On every
+tier lane ``l`` runs exactly its own stream's length, the engine is reset
+after a lane batch, and every batch entry masks its inputs to their port
+widths.
 """
 
 from __future__ import annotations

@@ -48,7 +48,7 @@ def test_corpus_lanes_bit_identical_to_scalar(path, entry, mode):
         # Native-eligible entries must take the lane entry (black boxes and
         # hosts without a compiler fall back, with the reason recorded).
         assert lanes.uses_native_lanes() == lanes.native_active(), \
-            lanes.native_lanes_fallback_reason
+            lanes.native_fallback_reason
     scalar = Simulator(calyx, name, mode="auto" if mode == "native" else mode)
     for lane, stimulus in enumerate(stimuli):
         scalar.reset()

@@ -13,7 +13,8 @@ from repro.calyx.ir import (
 )
 from repro.core.errors import SimulationError
 from repro.harness import InterfaceSpec, PortTiming, audit_latency
-from repro.sim import ScheduledEngine, Simulator, X, is_x
+from repro.sim import ScheduledEngine, Simulator, X, compiler_available, is_x
+from repro.sim.engine import columns_to_rows, rows_to_columns
 
 
 def _adder_program():
@@ -155,7 +156,8 @@ LANE_MODES = ["auto", "fixpoint", "compiled", "native"]
 
 
 class TestRunLanes:
-    def _stream(self, seed, cycles=9):
+    @staticmethod
+    def _stream(seed, cycles=9):
         generator = __import__("random").Random(seed)
         stimulus = []
         for cycle in range(cycles):
@@ -241,9 +243,9 @@ class TestRunLanes:
         assert Simulator(_registered_mux_program()).run_lanes([]) == []
 
     def test_input_values_truncated_to_port_width(self):
-        """Lane batches mask inputs to the declared width on every tier,
-        so an oversized value reaches neither a passthrough output nor a
-        neighbouring lane."""
+        """Every batch entry masks inputs to the declared width on every
+        tier, negative values included, so an oversized value reaches
+        neither a passthrough output nor a neighbouring lane."""
         component = CalyxComponent(
             "top", inputs=[PortSpec("a", 8), PortSpec("b", 8)],
             outputs=[PortSpec("o", 8), PortSpec("p", 8)])
@@ -258,15 +260,114 @@ class TestRunLanes:
                                       CellPort(None, "a")))
         program = CalyxProgram(entrypoint="top")
         program.add(component)
-        stream = [{"a": 0x1FF, "b": 0}, {"a": 0x100, "b": X}]
+        stream = [{"a": 0x1FF, "b": 0}, {"a": 0x100, "b": X},
+                  {"a": -1, "b": 1}]
+        columns = {"a": ([0x1FF, 0x100, -1], bytearray(3)),
+                   "b": ([0, 0, 1], bytearray([0, 1, 0]))}
+
+        def check(trace, entry):
+            first, second, third = trace
+            assert (first["o"], first["p"]) == (0xFF, 0xFF), entry
+            assert second["p"] == 0 and is_x(second["o"]), entry
+            assert (third["o"], third["p"]) == (0, 0xFF), entry
+
         for mode in LANE_MODES:
             traces = Simulator(program, mode=mode).run_lanes(
                 [stream, [{"a": 1, "b": 1}]])
-            first, second = traces[0]
-            assert (first["o"], first["p"]) == (0xFF, 0xFF), mode
-            assert second["p"] == 0 and is_x(second["o"]), mode
+            check(traces[0], (mode, "run_lanes"))
             assert traces[1][0]["o"] == 2, mode
+            check(Simulator(program, mode=mode).run_batch(stream),
+                  (mode, "run_batch"))
+            simulator = Simulator(program, mode=mode)
+            check([simulator.step(row) for row in stream], (mode, "step"))
+            out = Simulator(program, mode=mode).run_columns(3, columns)
+            check(columns_to_rows(out, 3), (mode, "run_columns"))
         assert stream[0] == {"a": 0x1FF, "b": 0}  # the caller's rows stay
+        assert stream[2] == {"a": -1, "b": 1}
+
+
+def _plain(columns):
+    """Columns with every sequence as a list/bytes pair, so a native
+    ``memoryview`` output compares equal to a Python-tier list."""
+    return {name: (list(values), bytes(xflags))
+            for name, (values, xflags) in columns.items()}
+
+
+class TestColumnarEntries:
+    """``run_columns`` and ``run_lane_columns`` on every tier: the native
+    tier runs them as one C call, the Python tiers through ``run_batch`` /
+    ``run_lanes`` and the converters, with the same results either way."""
+
+    INPUTS = ("go", "a", "b")
+    OUTPUTS = ("o",)
+
+    def _simulator(self, mode):
+        if mode == "native" and not compiler_available():
+            pytest.skip("no C compiler on host")
+        return Simulator(_registered_mux_program(), mode=mode)
+
+    @pytest.mark.parametrize("mode", LANE_MODES)
+    def test_run_columns_is_run_batch_in_columns(self, mode):
+        stream = TestRunLanes._stream(0, 9)
+        simulator = self._simulator(mode)
+        out = simulator.run_columns(
+            9, rows_to_columns([stream], self.INPUTS, 9))
+        assert simulator.cycle == 9
+        want = Simulator(_registered_mux_program(),
+                         mode=mode).run_batch(stream)
+        assert _plain(out) == _plain(
+            rows_to_columns([want], self.OUTPUTS, 9))
+        assert simulator.uses_native() == (mode == "native")
+
+    @pytest.mark.parametrize("mode", LANE_MODES)
+    def test_run_lane_columns_is_run_lanes_in_columns(self, mode):
+        # Every lane is shorter than the batch, and one lane is empty.
+        lengths = [3, 9, 0, 6]
+        streams = [TestRunLanes._stream(seed, length)
+                   for seed, length in enumerate(lengths)]
+        simulator = self._simulator(mode)
+        simulator.step({"go": 1, "a": 1, "b": 2})
+        out = simulator.run_lane_columns(
+            10, 4, rows_to_columns(streams, self.INPUTS, 10), lengths)
+        assert simulator.cycle == 0  # reset after the lane batch
+        want = Simulator(_registered_mux_program(),
+                         mode=mode).run_lanes(streams)
+        assert _plain(out) == _plain(
+            rows_to_columns(want, self.OUTPUTS, 10))
+        for lane, length in enumerate(lengths):
+            assert _traces_equal(columns_to_rows(out, length, 4, lane),
+                                 want[lane])
+        columns = rows_to_columns(streams, self.INPUTS, 10)
+        for bad in ([3, 11, 0, 6], [3, -1, 0, 6], [3, 9, 0]):
+            with pytest.raises(SimulationError, match="lane lengths"):
+                simulator.run_lane_columns(10, 4, columns, bad)
+
+    @pytest.mark.parametrize("mode", LANE_MODES)
+    def test_missing_ports_idle_at_x(self, mode):
+        stream = [{"go": 1}, {"go": 0}, {"go": 0}, {"go": 1}]
+        columns = {"go": ([1, 0, 0, 1], bytearray(4))}
+        want = Simulator(_registered_mux_program(),
+                         mode=mode).run_batch(stream)
+        out = self._simulator(mode).run_columns(4, columns)
+        assert _plain(out) == _plain(
+            rows_to_columns([want], self.OUTPUTS, 4))
+        lanes = self._simulator(mode).run_lane_columns(
+            4, 1, columns, [4])
+        assert _plain(lanes) == _plain(out)
+
+    @pytest.mark.parametrize("mode", LANE_MODES)
+    def test_unknown_port_raises_the_run_batch_error(self, mode):
+        with pytest.raises(SimulationError) as want:
+            Simulator(_registered_mux_program(), mode=mode).run_batch(
+                [{"typo": 1}])
+        columns = {"go": ([1], bytearray(1)), "typo": ([1], bytearray(1))}
+        simulator = self._simulator(mode)
+        with pytest.raises(SimulationError) as info:
+            simulator.run_columns(1, columns)
+        assert str(info.value) == str(want.value)
+        with pytest.raises(SimulationError) as info:
+            simulator.run_lane_columns(1, 1, columns, [1])
+        assert str(info.value) == str(want.value)
 
 
 class TestFallbackReasons:

@@ -70,6 +70,21 @@ class TestDriver:
         with pytest.raises(SimulationError):
             harness.run([{"a": 1, "b": 1, "c": 1}, {"a": 2, "b": 2, "c": 2}],
                         spacing=1)
+        # One scheduler on every tier: inputs in spec order, then
+        # transactions in order, so the collision on ``a`` at cycle 2 is
+        # met before the one on ``b`` at cycle 1.
+        addmult = harness_for(addmult_program(), "AddMult")
+        held = addmult.spec.with_input_hold(2)
+        for mode in ("auto", "compiled", "native"):
+            harness = CycleAccurateHarness(addmult.calyx, held, "AddMult",
+                                           mode=mode)
+            with pytest.raises(SimulationError) as info:
+                harness.run([{"a": 5, "b": 1, "c": 1},
+                             {"a": 5, "b": 2, "c": 1},
+                             {"a": 6, "b": 2, "c": 1}], spacing=1)
+            assert str(info.value) == (
+                "transactions overlap on input a at cycle 2; spacing 1 is "
+                "below the initiation interval"), mode
 
     def test_outputs_outside_interval_are_not_captured(self):
         harness = harness_for(addmult_program(), "AddMult")

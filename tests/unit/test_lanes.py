@@ -64,7 +64,7 @@ def test_packed_matches_n_scalar_instances(name, params, widths):
         traces = simulator.run_lanes(streams)
         if mode == "native":
             assert simulator.uses_native_lanes(), \
-                simulator.native_lanes_fallback_reason
+                simulator.native_fallback_reason
         _assert_lanes_match_scalar_models(name, params, widths, streams,
                                           traces)
 
@@ -86,7 +86,7 @@ def test_replicated_lanes_matches_scalar_for_custom_primitive():
         traces = simulator.run_lanes(streams)
         if mode == "native":
             assert not simulator.uses_native_lanes()
-            assert "Tdot" in simulator.native_lanes_fallback_reason
+            assert "Tdot" in simulator.native_fallback_reason
         _assert_lanes_match_scalar_models("Tdot", (8,), widths, streams,
                                           traces)
 

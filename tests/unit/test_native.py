@@ -161,35 +161,36 @@ class TestNativeCache:
 
     def test_object_under_the_previous_abi_key_is_rebuilt(self, tmp_path,
                                                           monkeypatch):
-        """A ``.so`` built for ABI 3 (whose ``k_run_lanes`` took nine
-        arguments) must never be called with the current argtypes: the ABI
-        is part of the store key, so the old object is not even looked
-        up."""
+        """A ``.so`` built for ABI 4 (whose ``k_run_lanes`` took no
+        per-lane cycle counts) must never be called with the current
+        argtypes: the ABI is part of the store key, so the old object is
+        not even looked up."""
         monkeypatch.setenv("REPRO_NATIVE_CACHE_DIR", str(tmp_path / "store"))
         clear_native_cache()
         engine = Simulator(_guarded_program(), mode="native")
-        # The ABI-3 symbol set; its lane entry reports a bogus conflict.
+        # The ABI-4 symbol set; its lane entry reports a bogus conflict.
         stale_c = tmp_path / "stale.c"
         stale_c.write_text(
             "#include <stdint.h>\n"
             "int64_t k_state_bytes(void) { return 64; }\n"
-            "void k_reset(void* p) { (void)p; }\n"
-            "void k_reset_lanes(void* p, int64_t nl) { (void)p; (void)nl; }\n"
+            "void k_reset(void* p, int64_t nl) { (void)p; (void)nl; }\n"
             "void k_peek(void* p, int64_t s, int64_t w, uint64_t* v,\n"
             "            uint8_t* x) { (void)p; (void)s; (void)w;\n"
             "                          *v = 0; *x = 1; }\n"
             "int64_t k_run_lanes(void* p, int64_t nl, int64_t ncy,\n"
             "    const uint64_t* iv, const uint8_t* ix, uint64_t* ov,\n"
-            "    uint8_t* ox, int64_t* eplan, int64_t* elane) {\n"
+            "    uint8_t* ox, int64_t* eplan, int64_t* elane, uint64_t* ev,\n"
+            "    uint8_t* ex) {\n"
             "    (void)p; (void)nl; (void)ncy; (void)iv; (void)ix;\n"
-            "    (void)ov; (void)ox; eplan[0] = 0; elane[0] = 0; return 0;\n"
+            "    (void)ov; (void)ox; (void)ev; (void)ex;\n"
+            "    eplan[0] = 0; elane[0] = 0; return 0;\n"
             "}\n")
         stale_so = tmp_path / "stale.so"
         subprocess.run([native_module.find_compiler(), "-shared", "-fPIC",
                         "-o", str(stale_so), str(stale_c)], check=True)
         digest = netlist_digest(engine)
         assert ArtifactStore(tmp_path / "store").put_file(
-            "native", f"native_3_{digest[:32]}", stale_so)
+            "native", f"native_4_{digest[:32]}", stale_so)
 
         program, cached, _ = native_module.native_for(engine)
         assert not cached and not program.disk_hit

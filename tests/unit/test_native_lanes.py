@@ -5,10 +5,9 @@ width through the lane entry; this module pins down the machinery around
 it: lane-conflict error parity with the scalar fallback (byte-identical
 message, earliest cycle then lowest lane), mixed-length and degenerate
 stream shapes, unknown-port validation, the recorded fallback reason when
-no compiler exists, the harness columnar lane path (native vs dict-path
-parity), and the interned-idle-row regression — scheduling must never
-mutate caller-owned transactions or leak shared rows a later run could
-corrupt.
+no compiler exists, the harness columnar lane path (native vs compiled
+parity), and row ownership — scheduling must never mutate caller-owned
+transactions or hand out shared rows a later write could corrupt.
 """
 
 from collections import OrderedDict
@@ -19,6 +18,7 @@ from repro.calyx.ir import (
     Assignment,
     CalyxComponent,
     CalyxProgram,
+    Cell,
     CellPort,
     Guard,
     PortSpec,
@@ -65,6 +65,25 @@ def _guarded_program():
     return _driver_program(GUARDED)
 
 
+def _constant_drivers_program(guarded):
+    """``o`` driven by the constants 5 and 6: always, or (``guarded``)
+    under the output of a 1-bit register that loads 1 every cycle, so the
+    drivers clash from cycle 1 on.  The 8-bit input ``a`` is unused."""
+    component = CalyxComponent("top", inputs=[PortSpec("a", 8)],
+                               outputs=[PortSpec("o", 8)])
+    guard = Guard()
+    if guarded:
+        component.add_cell(Cell("r", "Reg", (1,)))
+        component.add_wire(Assignment(CellPort("r", "en"), 1))
+        component.add_wire(Assignment(CellPort("r", "in"), 1))
+        guard = Guard((CellPort("r", "out"),))
+    for value in (5, 6):
+        component.add_wire(Assignment(CellPort(None, "o"), value, guard))
+    program = CalyxProgram(entrypoint="top")
+    program.add(component)
+    return program
+
+
 class TestLaneConflictParity:
     """Lane conflicts must be reported identically by the native lane entry
     and the scalar fallback, byte for byte: the earliest conflicting cycle
@@ -93,40 +112,51 @@ class TestLaneConflictParity:
     GROUPS_O1 = [{"g": 1, "h": 1, "p": 1, "q": 0,
                   "a": 3, "b": 4, "c": 5, "d": 6}]
 
-    #: (drivers, streams, the message every tier must raise).
+    #: (netlist, streams, the message every tier must raise).
     CASES = [
         # The clean lanes must not mask lane 2.
-        (GUARDED, [CLEAN, CLEAN, CONFLICT],
+        (_driver_program(GUARDED), [CLEAN, CLEAN, CONFLICT],
          "top: conflicting drivers for o in cycle 1 (lane 2)"),
         # Lane 1 conflicts a cycle after lanes 2 and 3: the fallback runs
         # lane 1 first, but the earliest cycle wins, then the lowest lane.
-        (GUARDED, [CLEAN, LATE_CONFLICT, CONFLICT, CONFLICT],
+        (_driver_program(GUARDED), [CLEAN, LATE_CONFLICT, CONFLICT, CONFLICT],
          "top: conflicting drivers for o in cycle 1 (lane 2)"),
         # Lane 1 clashes on drivers 0 and 2, lane 3 on drivers 0 and 1:
         # the lower lane wins even though its clash comes from a later
         # driver.
-        (FANIN, [FANIN_CLEAN, FANIN_GK, FANIN_CLEAN, FANIN_GH],
+        (_driver_program(FANIN), [FANIN_CLEAN, FANIN_GK, FANIN_CLEAN,
+                                  FANIN_GH],
          "top: conflicting drivers for o in cycle 0 (lane 1)"),
         # Lane 1 clashes on o2, lane 3 on o1: the lower lane wins even
         # though its group comes later in the schedule.
-        (TWO_GROUPS, [GROUPS_CLEAN, GROUPS_O2, GROUPS_CLEAN, GROUPS_O1],
+        (_driver_program(TWO_GROUPS), [GROUPS_CLEAN, GROUPS_O2,
+                                       GROUPS_CLEAN, GROUPS_O1],
          "top: conflicting drivers for o2 in cycle 0 (lane 1)"),
+        # A lane whose stream has ended runs no further cycles, so it never
+        # conflicts: an empty stream runs no cycle at all ...
+        (_constant_drivers_program(guarded=False), [[], [{"a": 1}]],
+         "top: conflicting drivers for o in cycle 0 (lane 1)"),
+        # ... and lane 0 ends before its register arms the clashing
+        # drivers.
+        (_constant_drivers_program(guarded=True),
+         [[{"a": 1}], [{"a": 1}, {"a": 2}, {"a": 3}]],
+         "top: conflicting drivers for o in cycle 1 (lane 1)"),
     ]
 
-    def _message(self, mode, drivers, streams):
-        simulator = Simulator(_driver_program(drivers), mode=mode)
+    def _message(self, mode, program, streams):
+        simulator = Simulator(program, mode=mode)
         with pytest.raises(SimulationError) as info:
             simulator.run_lanes(streams)
         return simulator, str(info.value)
 
     @needs_cc
     def test_lane_conflict_message_is_byte_identical(self):
-        for drivers, streams, expected in self.CASES:
-            native, message = self._message("native", drivers, streams)
+        for program, streams, expected in self.CASES:
+            native, message = self._message("native", program, streams)
             assert native.uses_native_lanes()
             assert message == expected
-            for mode in ("auto", "compiled"):
-                assert self._message(mode, drivers, streams)[1] == message, \
+            for mode in ("fixpoint", "auto", "compiled"):
+                assert self._message(mode, program, streams)[1] == message, \
                     mode
 
     @needs_cc
@@ -136,7 +166,7 @@ class TestLaneConflictParity:
         native = Simulator(_guarded_program(), mode="native")
         traces = native.run_lanes([self.CLEAN, agree])
         assert native.uses_native_lanes(), \
-            native.native_lanes_fallback_reason
+            native.native_fallback_reason
         scalar = Simulator(_guarded_program(), mode="fixpoint")
         for stream, trace in zip((self.CLEAN, agree), traces):
             scalar.reset()
@@ -156,7 +186,7 @@ class TestStreamShapes:
         native = Simulator(self._program(), mode="native")
         traces = native.run_lanes(streams)
         assert native.uses_native_lanes(), \
-            native.native_lanes_fallback_reason
+            native.native_fallback_reason
         assert [len(trace) for trace in traces] == [1, 6, 0, 3]
         scalar = Simulator(self._program(), mode="auto")
         for stream, trace in zip(streams, traces):
@@ -195,7 +225,7 @@ class TestFallbackReason:
         native = Simulator(program, mode="native")
         traces = native.run_lanes([stream, stream])
         assert not native.uses_native_lanes()
-        reason = native.native_lanes_fallback_reason
+        reason = native.native_fallback_reason
         assert reason is not None and "no C compiler" in reason
         scalar = Simulator(program, mode="auto")
         for trace in traces:
@@ -229,16 +259,16 @@ class TestHarnessLanePath:
         streams = self._streams(native)
         native_results = native.run_lanes(streams)
         assert native._simulator.uses_native_lanes(), \
-            native._simulator.native_lanes_fallback_reason
+            native._simulator.native_fallback_reason
         compiled = self._harness("compiled")
         self._assert_results_equal(native_results,
                                    compiled.run_lanes(streams))
 
     @pytest.mark.parametrize("mode", ("compiled", "native"))
     def test_scheduling_never_mutates_caller_transactions(self, mode):
-        """The interned-idle-row optimisation in ``_schedule`` and the
-        columnar lane merge must stay invisible: caller-owned transaction
-        dicts unchanged, repeated runs identical."""
+        """The columnar schedule and the lane merge must stay invisible:
+        caller-owned transaction dicts unchanged, repeated runs
+        identical."""
         harness = self._harness(mode)
         streams = self._streams(harness)
         snapshots = [[dict(t) for t in stream] for stream in streams]
@@ -247,23 +277,29 @@ class TestHarnessLanePath:
             == snapshots
         second = harness.run_lanes(streams)
         self._assert_results_equal(first, second)
-        # The scalar path shares the interned idle template too.
+        # The scalar path schedules the same columns.
         scalar_first = harness.run(streams[0])
         scalar_second = harness.run(streams[0])
         self._assert_results_equal([scalar_first], [scalar_second])
         assert [dict(t) for t in streams[0]] == snapshots[0]
 
     def test_interned_idle_rows_are_copied_on_write(self):
-        """Mutating one scheduled stimulus row must never leak into the
-        shared idle template or sibling cycles."""
+        """Every scheduled cycle owns its stimulus row: writing one row
+        changes no other cycle, and no later schedule."""
         harness = self._harness("compiled")
         transactions = random_transactions(harness, 2, seed=0)
         stimulus, starts = harness._schedule(transactions)
         idle_rows = [row for row in stimulus
                      if all(is_x(row[p.name]) for p in harness.spec.inputs)]
-        assert idle_rows, "expected idle cycles in a pipelined schedule"
-        window = stimulus[starts[0]]
-        assert window is not idle_rows[0]
-        # Two idle cycles share one interned dict; window cycles do not.
-        if len(idle_rows) > 1:
-            assert idle_rows[0] is idle_rows[1]
+        assert len(idle_rows) > 1, \
+            "expected idle cycles in a pipelined schedule"
+        assert stimulus[starts[0]] is not idle_rows[0]
+        snapshot = [dict(row) for row in stimulus]
+        for index, row in enumerate(stimulus):
+            row["a"] = 99
+            assert all(other == snapshot[cycle]
+                       for cycle, other in enumerate(stimulus)
+                       if cycle != index), index
+            row["a"] = snapshot[index]["a"]
+        idle_rows[0]["a"] = 99
+        assert harness._schedule(transactions)[0] == snapshot

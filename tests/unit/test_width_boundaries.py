@@ -114,7 +114,7 @@ def test_lane_tiers_agree_at_width_boundary(width):
         native_lanes = native.run_lanes(streams)
         if compiler_available():
             assert native.uses_native_lanes(), \
-                (context, native.native_lanes_fallback_reason)
+                (context, native.native_fallback_reason)
         scalar = Simulator(program, mode="auto")
         for lane, stream in enumerate(streams):
             scalar.reset()
@@ -141,8 +141,8 @@ def test_widths_past_the_limb_cap_fall_back_with_reason(width):
     # The lane path reports the same fallback.
     native.run_lanes([stimulus[:4]])
     assert not native.uses_native_lanes()
-    assert native.native_lanes_fallback_reason is not None
-    assert f"{width} bits wide" in native.native_lanes_fallback_reason
+    assert native.native_fallback_reason is not None
+    assert f"{width} bits wide" in native.native_fallback_reason
 
 
 def _limb_corners(width):
