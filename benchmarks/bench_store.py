@@ -1,23 +1,24 @@
 """Persistent-store startup: cold vs warm-disk vs warm-memory sessions.
 
-The artifact store (:mod:`repro.core.store`) exists so a *fresh process*
-does not pay the full compile + C-kernel build cost when an identical
-design was compiled before — by anyone, in any process, against the same
-``REPRO_STORE_DIR``.  This benchmark measures exactly that seam, per
-design, for the full session startup path (typecheck → lower → Calyx →
-Verilog → native simulator prepare):
+The artifact store (:mod:`repro.core.store`) holds the native tier's
+``.so`` kernels so a *fresh process* does not pay the C-kernel build cost
+when an identical design was built before — by anyone, in any process,
+against the same ``REPRO_STORE_DIR``.  This benchmark measures exactly that
+seam, per design, for the full session startup path (typecheck → lower →
+Calyx → Verilog → native simulator prepare):
 
 * ``cold`` — empty store, empty in-memory caches: everything computed,
-  the C kernel compiled by ``cc``, artifacts published to the store;
+  the C kernel compiled by ``cc`` and published to the store;
 * ``warm-disk`` — in-memory caches dropped (a new process), store kept:
-  text artifacts and the ``.so`` come back from the store, digest-verified,
-  with no recompute and no ``cc``;
+  the compile stages run again, but the ``.so`` comes back from the
+  store, digest-verified, with no ``cc``;
 * ``warm-memory`` — same process, same session caches: the in-memory hit
   path the store sits below.
 
 ``main()`` persists ``BENCH_store.json`` in the common benchmark schema
 (per-config ``cold`` baseline) and gates on warm-disk startup beating the
-cold compile on the chain16 workload.
+cold compile on the chain16 workload.  Without a C compiler nothing is
+stored, so the gate is skipped (and says so).
 """
 
 import shutil
@@ -39,7 +40,7 @@ from repro.core.store import (
 )
 from repro.evaluation.compile_time import chain_program
 from repro.sim.codegen import clear_kernel_cache
-from repro.sim.native import clear_native_cache
+from repro.sim.native import clear_native_cache, compiler_available
 from repro.sim.simulator import Simulator
 
 #: depth -> config label; chain16 is the acceptance workload.
@@ -114,6 +115,8 @@ def test_every_design_has_all_three_rows(figure):
         assert engines == {"cold", "warm-disk", "warm-memory"}
 
 
+@pytest.mark.skipif(not compiler_available(),
+                    reason="no C compiler on host: nothing is stored")
 def test_warm_disk_beats_cold_on_chain16(figure):
     timing = figure["seconds"]["chain16"]
     assert timing["warm-disk"] < timing["cold"], (
@@ -134,6 +137,7 @@ def main() -> int:
     print(f"figure written to {path}")
     print(f"{'design':10s} {'cold':>10} {'warm-disk':>10} "
           f"{'warm-mem':>10} {'disk speedup':>13}")
+    gated = compiler_available()
     failed = False
     for _depth, label in _DESIGNS:
         timing = figure["seconds"][label]
@@ -141,10 +145,14 @@ def main() -> int:
         print(f"{label:10s} {timing['cold'] * 1000:8.1f}ms "
               f"{timing['warm-disk'] * 1000:8.1f}ms "
               f"{timing['warm-memory'] * 1000:8.1f}ms {speedup:11.1f}x")
-        if label == "chain16" and timing["warm-disk"] >= timing["cold"]:
+        if (gated and label == "chain16"
+                and timing["warm-disk"] >= timing["cold"]):
             print("FAIL: warm-disk startup did not beat cold compile "
                   "on chain16")
             failed = True
+    if not gated:
+        print("SKIP: no C compiler on host, so nothing is stored; the "
+              "chain16 warm-disk gate does not apply")
     return 1 if failed else 0
 
 

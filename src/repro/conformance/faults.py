@@ -12,19 +12,21 @@ that, per seed:
    is installed as the process default and a deterministic
    :class:`~repro.core.faults.FaultPlan` (seeded by ``fault_seed``) is
    armed; all in-memory caches are cleared and the same design is compiled
-   and simulated from scratch.  Every store write/read races the injector
-   (torn writes, bit flips, ENOSPC, EPERM, stale locks, crash-between-
-   write-and-rename, hung ``cc``).
+   and simulated from scratch.  The store holds only the native tier's
+   ``.so`` kernels, so the injector races their build and publish (hung
+   ``cc``, torn writes, ENOSPC, EPERM, stale locks, crash-between-write-
+   and-rename).
 3. **Warm faulted run** — in-memory caches are cleared again but the store
    (now holding whatever survived the cold run's faults) stays; the design
    is compiled and simulated once more, exercising the verify-on-read and
-   quarantine paths against artifacts that may have been torn or flipped.
+   quarantine paths against a ``.so`` that may have been torn or flipped.
 
 All three runs must produce **byte-identical** Calyx, Verilog and traces.
 Every absorbed fault is recorded — the store's degradation log plus the
 injector's fired list — and lands in the coverage ledger as the record's
 ``fault_degradations`` histogram, so a fault schedule that silently
-exercised nothing is visible.
+exercised nothing is visible.  Without a C compiler nothing reaches the
+store: the runs still must agree byte for byte, but no fault can fire.
 """
 
 from __future__ import annotations
@@ -96,10 +98,9 @@ def _artifacts_and_trace(generated: GeneratedProgram,
                          stimulus) -> Tuple[str, str, str]:
     """One full pipeline pass: Calyx text, Verilog text and the rendered
     simulation trace of the entrypoint under ``stimulus``.  ``mode="native"``
-    requests the top execution tier, so every persistence layer is in play
-    (compile cache, kernel spill, native ``.so`` store) and a hung ``cc`` or
-    failed store publish degrades down the tier ladder — visibly in the
-    degradation log, invisibly in the returned bytes."""
+    requests the top execution tier, so the native ``.so`` store is in play
+    and a hung ``cc`` or failed store publish degrades down the tier ladder
+    — visibly in the degradation log, invisibly in the returned bytes."""
     name = generated.entrypoint
     session = CompilationSession(generated.program)
     calyx = session.calyx(name)

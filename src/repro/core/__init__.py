@@ -44,7 +44,6 @@ from .queries import (
     clear_compile_cache,
     compile_cache_disabled,
     compile_cache_stats,
-    set_compile_cache_limit,
 )
 from .session import CompilationSession, StageTiming
 from .stdlib import stdlib_program, with_stdlib
@@ -61,7 +60,7 @@ __all__ = [
     "component_fingerprint", "component_self_fingerprint",
     "fingerprint_snapshot", "program_fingerprint", "signature_fingerprint",
     "QueryEngine", "clear_compile_cache", "compile_cache_disabled",
-    "compile_cache_stats", "set_compile_cache_limit",
+    "compile_cache_stats",
     "CompilationSession", "StageTiming",
     "stdlib_program", "with_stdlib",
     "check_component", "check_program",

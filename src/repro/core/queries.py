@@ -21,19 +21,18 @@ edges**, **dirty-bit invalidation**, and **early cutoff**:
   what it instantiates (the paper's modularity claim), a body-only edit of a
   leaf re-runs exactly that leaf's queries and re-verifies everything else.
 
-Artifacts additionally live in a bounded **process-wide compile cache**
+Artifacts additionally live in a bounded, memory-only **process-wide
+compile cache** (a :class:`~repro.core.store.DigestCache` of 1024 entries)
 keyed by deep (Merkle) content fingerprint — the same pattern the simulator
 uses for generated kernels (:func:`repro.sim.codegen.kernel_for`).  Two
 sessions over content-identical programs share checked / lowered / Calyx /
-Verilog artifacts even though they never met; ``compile_cache_stats`` /
-``clear_compile_cache`` / ``set_compile_cache_limit`` are the knobs.
+Verilog artifacts even though they never met; ``compile_cache_stats`` and
+``clear_compile_cache`` observe and reset it, and
+``compile_cache_disabled`` bypasses it.
 """
 
 from __future__ import annotations
 
-import os
-import time
-from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from dataclasses import replace as dataclass_replace
@@ -46,15 +45,13 @@ from .fingerprint import (
     fingerprint_text,
 )
 from .printer import format_signature
-from .store import default_store
+from .store import DigestCache
 
 __all__ = [
     "QueryEngine",
     "QueryStats",
     "compile_cache_stats",
     "clear_compile_cache",
-    "compile_cache_limit",
-    "set_compile_cache_limit",
     "compile_cache_disabled",
     "shared_artifact",
 ]
@@ -75,77 +72,20 @@ COMPONENT_STAGES: Tuple[str, ...] = ("sig", "check", "lower", "calyx", "vcomp")
 # The process-wide compile cache
 # ---------------------------------------------------------------------------
 
-_ARTIFACTS: "OrderedDict[Tuple[str, str], Tuple[object, str]]" = OrderedDict()
-#: Explicit programmatic override; ``None`` defers to the environment.
-_ARTIFACT_LIMIT: Optional[int] = None
-_ARTIFACT_LIMIT_DEFAULT = 1024
-_ARTIFACT_STATS = {"hits": 0, "misses": 0, "evicted": 0,
-                   "disk_hits": 0, "disk_writes": 0}
+#: ``(stage, deep fingerprint) -> (value, output digest)``.
+_ARTIFACTS = DigestCache(1024)
 _CACHE_DISABLED = 0
-
-#: Stages whose artifacts are plain text and therefore spill to the
-#: on-disk :class:`~repro.core.store.ArtifactStore` (namespace
-#: ``compile``) under the in-memory LRU when ``REPRO_STORE_DIR`` is set:
-#: a fresh process re-reads emitted module/program text instead of
-#: re-lowering.  Object-valued stages (checked/lowered/Calyx artifacts
-#: hold live AST references) stay memory-only.
-_DISK_STAGES = frozenset({"vcomp", "verilog"})
-
-
-def compile_cache_limit() -> int:
-    """Effective compile-cache bound: an explicit
-    :func:`set_compile_cache_limit` override wins, then the
-    ``REPRO_COMPILE_CACHE`` environment variable, then the default
-    (1024)."""
-    if _ARTIFACT_LIMIT is not None:
-        return _ARTIFACT_LIMIT
-    raw = os.environ.get("REPRO_COMPILE_CACHE")
-    if raw is not None:
-        try:
-            parsed = int(raw)
-        except ValueError:
-            return _ARTIFACT_LIMIT_DEFAULT
-        if parsed >= 0:
-            return parsed
-    return _ARTIFACT_LIMIT_DEFAULT
 
 
 def compile_cache_stats() -> Dict[str, int]:
-    """Process-wide compile-cache counters (mirrors
-    :func:`repro.sim.codegen.kernel_cache_stats`)."""
-    return {
-        "hits": _ARTIFACT_STATS["hits"],
-        "misses": _ARTIFACT_STATS["misses"],
-        "evicted": _ARTIFACT_STATS["evicted"],
-        "disk_hits": _ARTIFACT_STATS["disk_hits"],
-        "disk_writes": _ARTIFACT_STATS["disk_writes"],
-        "entries": len(_ARTIFACTS),
-        "limit": compile_cache_limit(),
-    }
+    """Process-wide compile-cache counters: ``hits``, ``misses``,
+    ``evicted``, ``entries`` and ``limit``."""
+    return _ARTIFACTS.stats()
 
 
 def clear_compile_cache() -> None:
     """Drop every process-wide compile artifact (tests and benchmarks)."""
     _ARTIFACTS.clear()
-    _ARTIFACT_STATS["hits"] = 0
-    _ARTIFACT_STATS["misses"] = 0
-    _ARTIFACT_STATS["evicted"] = 0
-    _ARTIFACT_STATS["disk_hits"] = 0
-    _ARTIFACT_STATS["disk_writes"] = 0
-
-
-def set_compile_cache_limit(limit: Optional[int]) -> None:
-    """Pin the bounded process-wide cache's size, evicting LRU entries to
-    fit (``None`` returns control to ``REPRO_COMPILE_CACHE``/the
-    default)."""
-    global _ARTIFACT_LIMIT
-    if limit is not None and limit < 0:
-        raise ValueError("compile cache limit must be non-negative")
-    _ARTIFACT_LIMIT = limit
-    bound = compile_cache_limit()
-    while len(_ARTIFACTS) > bound:
-        _ARTIFACTS.popitem(last=False)
-        _ARTIFACT_STATS["evicted"] += 1
 
 
 @contextmanager
@@ -161,60 +101,20 @@ def compile_cache_disabled():
         _CACHE_DISABLED -= 1
 
 
-def _artifact_get(stage: str, fingerprint: str):
-    if _CACHE_DISABLED:
-        return None
-    entry = _ARTIFACTS.get((stage, fingerprint))
-    if entry is None:
-        return None
-    _ARTIFACTS.move_to_end((stage, fingerprint))
-    return entry
-
-
-def _artifact_insert(stage: str, fingerprint: str, value: object,
-                     digest: str) -> None:
-    bound = compile_cache_limit()
-    if bound <= 0:
-        return
-    _ARTIFACTS[(stage, fingerprint)] = (value, digest)
-    while len(_ARTIFACTS) > bound:
-        _ARTIFACTS.popitem(last=False)
-        _ARTIFACT_STATS["evicted"] += 1
-
-
-def _artifact_put(stage: str, fingerprint: str, value: object,
-                  digest: str) -> None:
-    if _CACHE_DISABLED:
-        return
-    _ARTIFACT_STATS["misses"] += 1
-    _artifact_insert(stage, fingerprint, value, digest)
-
-
-def _disk_artifact_get(stage: str, fingerprint: str) -> Optional[str]:
-    """Probe the on-disk spill tier (verified text artifacts only).
-    Returns None when no store is configured, the stage is not
-    disk-eligible, or the entry is absent/torn/corrupt — the store
-    quarantines bad entries itself and the caller simply recomputes."""
-    if _CACHE_DISABLED or stage not in _DISK_STAGES:
-        return None
-    store = default_store()
-    if store is None:
-        return None
-    text = store.get_text("compile", f"{stage}-{fingerprint}")
-    if text is not None:
-        _ARTIFACT_STATS["disk_hits"] += 1
-    return text
-
-
-def _disk_artifact_put(stage: str, fingerprint: str, value: object) -> None:
-    if (_CACHE_DISABLED or stage not in _DISK_STAGES
-            or not isinstance(value, str)):
-        return
-    store = default_store()
-    if store is None:
-        return
-    if store.put_text("compile", f"{stage}-{fingerprint}", value):
-        _ARTIFACT_STATS["disk_writes"] += 1
+def _read_through(stage: str, fingerprint: str, compute, digest_of):
+    """``(value, digest, cached)`` for ``(stage, fingerprint)``: the cached
+    pair on a hit, else ``compute()`` and ``digest_of(value)``, stored for
+    next time.  Under :func:`compile_cache_disabled` nothing is read or
+    written."""
+    key = (stage, fingerprint)
+    entry = None if _CACHE_DISABLED else _ARTIFACTS.get(key)
+    if entry is not None:
+        return entry[0], entry[1], True
+    value = compute()
+    digest = digest_of(value)
+    if not _CACHE_DISABLED:
+        _ARTIFACTS.put(key, (value, digest))
+    return value, digest, False
 
 
 def shared_artifact(stage: str, fingerprint: str, compute,
@@ -223,23 +123,12 @@ def shared_artifact(stage: str, fingerprint: str, compute,
     produced *outside* the query graph (the calyx-entry sessions of
     :mod:`repro.core.frontend`).  Returns ``(value, cached)``: on a hit the
     cached value and ``True``; on a miss ``compute()``'s result, stored
-    under ``(stage, fingerprint)``, and ``False``.  Honors the same LRU
-    bound, statistics and :func:`compile_cache_disabled` guard as the
-    query-layer artifacts."""
-    entry = _artifact_get(stage, fingerprint)
-    if entry is not None:
-        _ARTIFACT_STATS["hits"] += 1
-        return entry[0], True
-    spilled = _disk_artifact_get(stage, fingerprint)
-    if spilled is not None:
-        _artifact_insert(stage, fingerprint, spilled,
-                         digest if digest is not None else fingerprint)
-        return spilled, True
-    value = compute()
-    _artifact_put(stage, fingerprint, value,
-                  digest if digest is not None else fingerprint)
-    _disk_artifact_put(stage, fingerprint, value)
-    return value, False
+    under ``(stage, fingerprint)``, and ``False``.  Shares the query-layer
+    artifacts' bound, counters and :func:`compile_cache_disabled` guard."""
+    stored = fingerprint if digest is None else digest
+    value, _, cached = _read_through(stage, fingerprint, compute,
+                                     lambda _: stored)
+    return value, cached
 
 
 # ---------------------------------------------------------------------------
@@ -578,23 +467,10 @@ class QueryEngine:
     def _shared(self, stage: str, name: str, compute, digest_of):
         """Run ``compute`` through the process-wide content-addressed cache.
         ``digest_of`` maps a fresh value to its output digest."""
-        fingerprint = self._deep_fingerprint(name)
-        entry = _artifact_get(stage, fingerprint)
-        if entry is not None:
-            value, digest = entry
-            _ARTIFACT_STATS["hits"] += 1
+        value, digest, cached = _read_through(
+            stage, self._deep_fingerprint(name), compute, digest_of)
+        if cached:
             self.stats.shared_hits += 1
-            return value, digest
-        spilled = _disk_artifact_get(stage, fingerprint)
-        if spilled is not None:
-            digest = digest_of(spilled)
-            _artifact_insert(stage, fingerprint, spilled, digest)
-            self.stats.shared_hits += 1
-            return spilled, digest
-        value = compute()
-        digest = digest_of(value)
-        _artifact_put(stage, fingerprint, value, digest)
-        _disk_artifact_put(stage, fingerprint, value)
         return value, digest
 
     # -- per-component queries -------------------------------------------------
@@ -625,9 +501,9 @@ class QueryEngine:
             # the one the seed was computed against — same component
             # content AND same instantiated signatures.
             if seeded_digest == digest:
-                fingerprint = self._deep_fingerprint(name)
-                if _artifact_get("check", fingerprint) is None:
-                    _artifact_put("check", fingerprint, seeded, digest)
+                key = ("check", self._deep_fingerprint(name))
+                if not _CACHE_DISABLED and key not in _ARTIFACTS:
+                    _ARTIFACTS.put(key, (seeded, digest))
                 return self._rebind_check(seeded, component), digest
 
         def compute():

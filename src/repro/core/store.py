@@ -1,13 +1,17 @@
-"""The crash-safe, content-addressed on-disk artifact store.
+"""The crash-safe, content-addressed on-disk artifact store, and the one
+bounded in-memory cache every digest-keyed tier uses.
 
-ROADMAP item 1 asks for the Merkle-digest caches to be durable: compile
-artifacts (:mod:`repro.core.queries`), generated Python kernels
-(:mod:`repro.sim.codegen`) and compiled ``.so`` kernels
-(:mod:`repro.sim.native`) all spill to one :class:`ArtifactStore`, keyed by
-the same content fingerprints their in-memory LRUs use.  A store that
-serves warm caches to many processes must survive torn writes, corruption,
-full disks and crashed writers without ever returning a wrong artifact —
-faults may cost a miss and a rebuild, never correctness.
+:class:`DigestCache` is the process-wide LRU behind the compile cache
+(:mod:`repro.core.queries`), the generated Python kernel cache
+(:mod:`repro.sim.codegen`) and the loaded native program cache
+(:mod:`repro.sim.native`): a fixed bound, least-recently-used eviction,
+and hit / miss / eviction counters.  Those caches are memory-only except
+the native tier, whose compiled ``.so`` kernels are the one artifact a
+fresh process measurably gains from finding on disk (it skips ``cc``):
+they go to an :class:`ArtifactStore`, keyed by netlist digest.  A store
+that serves ``.so`` files to many processes must survive torn writes,
+corruption, full disks and crashed writers without ever returning a wrong
+artifact — faults may cost a miss and a rebuild, never correctness.
 
 Layout (``<root>/v1/``; bump :data:`SCHEMA_VERSION` to invalidate)::
 
@@ -15,6 +19,8 @@ Layout (``<root>/v1/``; bump :data:`SCHEMA_VERSION` to invalidate)::
     v1/<namespace>/<key>.json    sidecar: schema version, sha256, size
     v1/quarantine/               corrupt/torn entries, moved aside
     v1/.lock                     cross-process flock for prune/quarantine
+
+The native tier writes the single namespace ``native``.
 
 Crash safety is the classic tmp + ``os.replace`` protocol, payload before
 meta: a reader only trusts an entry whose sidecar parses, matches the
@@ -40,9 +46,10 @@ import os
 import re
 import tempfile
 import time
+from collections import OrderedDict
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Hashable, List, Optional, Tuple, Union
 
 from . import faults
 
@@ -53,6 +60,7 @@ except ImportError:  # pragma: no cover - windows fallback
 
 __all__ = [
     "SCHEMA_VERSION",
+    "DigestCache",
     "ArtifactStore",
     "default_store",
     "set_default_store",
@@ -72,6 +80,53 @@ def _sanitize(name: str) -> str:
     """A filesystem-safe single path segment (no separators, no dotdot)."""
     cleaned = _SAFE.sub("_", name)
     return cleaned or "_"
+
+
+class DigestCache:
+    """A bounded LRU from content digests to built artifacts.
+
+    :meth:`get` counts a hit and refreshes the entry; :meth:`put` counts a
+    miss (the caller just built the value) and evicts least-recently-used
+    entries past ``bound``, counting each eviction.  ``in`` is a presence
+    probe that counts nothing and refreshes nothing.  Values are never
+    ``None``: :meth:`get` returns ``None`` for an absent key."""
+
+    def __init__(self, bound: int) -> None:
+        self.bound = bound
+        self._entries: "OrderedDict[Hashable, object]" = OrderedDict()
+        self.hits = 0
+        self.misses = 0
+        self.evicted = 0
+
+    def get(self, key: Hashable):
+        value = self._entries.get(key)
+        if value is not None:
+            self._entries.move_to_end(key)
+            self.hits += 1
+        return value
+
+    def put(self, key: Hashable, value: object) -> None:
+        self.misses += 1
+        self._entries[key] = value
+        self._entries.move_to_end(key)
+        while len(self._entries) > self.bound:
+            self._entries.popitem(last=False)
+            self.evicted += 1
+
+    def clear(self) -> None:
+        self._entries.clear()
+        self.hits = self.misses = self.evicted = 0
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def __contains__(self, key: Hashable) -> bool:
+        return key in self._entries
+
+    def stats(self) -> Dict[str, int]:
+        return {"hits": self.hits, "misses": self.misses,
+                "evicted": self.evicted, "entries": len(self._entries),
+                "limit": self.bound}
 
 
 def _env_limit() -> int:
@@ -282,9 +337,6 @@ class ArtifactStore:
         self._maybe_prune(len(payload))
         return True
 
-    def put_text(self, namespace: str, key: str, text: str) -> bool:
-        return self.put_bytes(namespace, key, text.encode("utf-8"))
-
     def put_file(self, namespace: str, key: str,
                  source: Union[str, Path]) -> bool:
         try:
@@ -344,17 +396,6 @@ class ArtifactStore:
         """The verified payload, or None (entry absent, torn, corrupt, or
         schema-mismatched — corrupt entries are quarantined first)."""
         return self._verified_payload(namespace, key)
-
-    def get_text(self, namespace: str, key: str) -> Optional[str]:
-        payload = self.get_bytes(namespace, key)
-        if payload is None:
-            return None
-        try:
-            return payload.decode("utf-8")
-        except UnicodeDecodeError:
-            self.stats["corrupt"] += 1
-            self._quarantine(namespace, key, "not-utf8")
-            return None
 
     def get_path(self, namespace: str, key: str) -> Optional[Path]:
         """The on-disk payload path after full verification — what the
@@ -528,10 +569,10 @@ _ENV_MEMO: Dict[Tuple[str, Optional[str]], ArtifactStore] = {}
 
 
 def default_store() -> Optional[ArtifactStore]:
-    """The shared store the compile/kernel/native caches spill to: an
-    explicit :func:`set_default_store` override wins, then the
-    ``REPRO_STORE_DIR`` environment variable (one store instance per
-    distinct root+limit), else None — disk spill is opt-in."""
+    """The configured store for native ``.so`` kernels: an explicit
+    :func:`set_default_store` override wins, then the ``REPRO_STORE_DIR``
+    environment variable (one store instance per distinct root+limit),
+    else None — the native tier then uses its private per-uid store."""
     if _OVERRIDE is not _UNSET:
         return _OVERRIDE  # type: ignore[return-value]
     root = os.environ.get("REPRO_STORE_DIR")

@@ -7,7 +7,6 @@ from .codegen import (
     kernel_cache_limit,
     kernel_cache_stats,
     netlist_digest,
-    set_kernel_cache_limit,
 )
 from .engine import ScheduledEngine
 from .native import (
@@ -37,7 +36,7 @@ from .waveform import WaveformRecorder, render_ascii
 __all__ = [
     "ScheduledEngine",
     "KernelUnavailable", "clear_kernel_cache", "kernel_cache_stats",
-    "kernel_cache_limit", "set_kernel_cache_limit",
+    "kernel_cache_limit",
     "netlist_digest",
     "NativeUnavailable", "clear_native_cache", "compiler_available",
     "native_cache_stats",

@@ -29,24 +29,23 @@ generated kernel, so semantics never fork; netlists that the scheduler
 itself rejected (``fallback_reason`` set anywhere in the hierarchy) never
 reach codegen and run on the interpreter unchanged.
 
-Generated programs are cached process-wide, keyed by a **netlist digest**
-(the printed structural text of every reachable component), so recompiling
-the same design — across sessions, harnesses and conformance runs — is a
-cache hit; :class:`~repro.core.session.CompilationSession` reports those
-hits next to its other stage timings.
+Generated programs are cached process-wide in memory (a
+:class:`~repro.core.store.DigestCache` of 256 programs), keyed by a
+**netlist digest** (the printed structural text of every reachable
+component), so recompiling the same design — across sessions, harnesses and
+conformance runs — is a cache hit;
+:class:`~repro.core.session.CompilationSession` reports those hits next to
+its other stage timings.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
-import os
 import time
-from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
 from ..core.errors import DriverConflictError
-from ..core.store import default_store
+from ..core.store import DigestCache
 from .primitives import PrimitiveModel, create_primitive
 from .values import Value, X, format_value
 
@@ -57,7 +56,6 @@ __all__ = [
     "netlist_digest",
     "kernel_cache_stats",
     "kernel_cache_limit",
-    "set_kernel_cache_limit",
     "clear_kernel_cache",
 ]
 
@@ -904,124 +902,25 @@ def generate_source(engine) -> Tuple[str, dict, Dict[_Key, int], List[str]]:
 #: Process-wide cache of generated programs, keyed by netlist digest.
 #: Bounded LRU: long fuzz/conformance campaigns stream thousands of
 #: distinct netlists through the compiled tier, and each cached program
-#: retains its full source text and exec'd namespace.
-_CACHE: "OrderedDict[str, CompiledKernelProgram]" = OrderedDict()
-#: Explicit programmatic override; ``None`` defers to the environment.
-_CACHE_LIMIT: Optional[int] = None
-_CACHE_LIMIT_DEFAULT = 256
-_STATS = {"hits": 0, "misses": 0, "disk_hits": 0, "disk_writes": 0}
-
-#: Version of the on-disk kernel envelope (bump on format change; envelopes
-#: of any other version are ignored and rebuilt).
-_SPILL_VERSION = 2
-
-
-def _encode_kernel(source: str, constants: Dict[str, object],
-                   slot_map: Dict[_Key, int],
-                   output_names: List[str]) -> Optional[str]:
-    """Serialize a generated kernel for the disk spill tier, or None when
-    it cannot round-trip: multi-driven-port plan constants (``GP_``/
-    ``GQ_``) embed live group/assign objects and stay memory-only; only
-    kernels whose constants are all ``INIT_*`` tuples of ints and X are
-    eligible.  X encodes as JSON null."""
-    init: Dict[str, List[Optional[int]]] = {}
-    for name, value in constants.items():
-        if not name.startswith("INIT_") or not isinstance(value, tuple):
-            return None
-        if not all(v is X or isinstance(v, int) for v in value):
-            return None
-        init[name] = [None if v is X else v for v in value]
-    return json.dumps({
-        "v": _SPILL_VERSION,
-        "source": source,
-        "outputs": list(output_names),
-        "slots": [[cell, port, index]
-                  for (cell, port), index in slot_map.items()],
-        "init": init,
-    })
-
-
-def _decode_kernel(digest: str, text: str) -> Optional["CompiledKernelProgram"]:
-    """Rebuild a :class:`CompiledKernelProgram` from a spilled envelope
-    (None on any mismatch — the caller regenerates from the netlist)."""
-    try:
-        data = json.loads(text)
-    except ValueError:
-        return None
-    if not isinstance(data, dict) or data.get("v") != _SPILL_VERSION:
-        return None
-    try:
-        source = data["source"]
-        output_names = list(data["outputs"])
-        slot_map = {(cell, port): index
-                    for cell, port, index in data["slots"]}
-        constants = {name: tuple(X if v is None else v for v in values)
-                     for name, values in data["init"].items()}
-    except (KeyError, TypeError, ValueError):
-        return None
-    namespace = _kernel_namespace(constants)
-    try:
-        exec(compile(source, f"<kernel {digest[:12]}>", "exec"), namespace)
-    except (SyntaxError, ValueError):
-        return None
-    return CompiledKernelProgram(digest, source, namespace, slot_map,
-                                 output_names)
-
-
-def _kernel_namespace(constants: Dict[str, object]) -> dict:
-    namespace = {
-        "X": X,
-        "_U": _UNDRIVEN,
-        "_rg": _resolve_slots,
-        "_mk": create_primitive,
-    }
-    namespace.update(constants)
-    return namespace
+#: retains its full source text and exec'd namespace.  The native tier's
+#: program cache uses the same bound.
+_CACHE = DigestCache(256)
 
 
 def kernel_cache_limit() -> int:
-    """Effective kernel LRU bound: an explicit
-    :func:`set_kernel_cache_limit` override wins, then the
-    ``REPRO_KERNEL_CACHE`` environment variable, then the default (256).
-    The native tier's program LRU shares this knob."""
-    if _CACHE_LIMIT is not None:
-        return _CACHE_LIMIT
-    raw = os.environ.get("REPRO_KERNEL_CACHE")
-    if raw is not None:
-        try:
-            parsed = int(raw)
-        except ValueError:
-            return _CACHE_LIMIT_DEFAULT
-        if parsed >= 0:
-            return parsed
-    return _CACHE_LIMIT_DEFAULT
-
-
-def set_kernel_cache_limit(limit: Optional[int]) -> None:
-    """Pin the kernel LRU bound (``None`` returns control to
-    ``REPRO_KERNEL_CACHE``/the default), evicting LRU entries to fit."""
-    global _CACHE_LIMIT
-    if limit is not None and limit < 0:
-        raise ValueError("kernel cache limit must be non-negative")
-    _CACHE_LIMIT = limit
-    bound = kernel_cache_limit()
-    while len(_CACHE) > bound:
-        _CACHE.popitem(last=False)
+    """The kernel cache's bound (programs kept)."""
+    return _CACHE.bound
 
 
 def kernel_cache_stats() -> Dict[str, int]:
-    """Process-wide kernel cache counters (hits / misses)."""
-    return dict(_STATS)
+    """Process-wide kernel cache counters: ``hits``, ``misses``,
+    ``evicted``, ``entries`` and ``limit``."""
+    return _CACHE.stats()
 
 
 def clear_kernel_cache() -> None:
-    """Drop every cached generated program (tests and benchmarks).  The
-    on-disk spill tier is left alone — it is the point."""
+    """Drop every cached generated program (tests and benchmarks)."""
     _CACHE.clear()
-    _STATS["hits"] = 0
-    _STATS["misses"] = 0
-    _STATS["disk_hits"] = 0
-    _STATS["disk_writes"] = 0
 
 
 def kernel_for(engine) -> Tuple[CompiledKernelProgram, bool, float]:
@@ -1032,26 +931,11 @@ def kernel_for(engine) -> Tuple[CompiledKernelProgram, bool, float]:
     digest = netlist_digest(engine)
     cached = _CACHE.get(digest)
     if cached is not None:
-        _CACHE.move_to_end(digest)
-        _STATS["hits"] += 1
         return cached, True, 0.0
     start = time.perf_counter()
-    store = default_store()
-    spill_key = f"kernel_{_SPILL_VERSION}_{digest[:32]}"
-    if store is not None:
-        spilled = store.get_text("kernel", spill_key)
-        if spilled is not None:
-            program = _decode_kernel(digest, spilled)
-            if program is not None:
-                seconds = time.perf_counter() - start
-                _CACHE[digest] = program
-                while len(_CACHE) > kernel_cache_limit():
-                    _CACHE.popitem(last=False)
-                _STATS["misses"] += 1
-                _STATS["disk_hits"] += 1
-                return program, True, seconds
     source, constants, slot_map, output_names = generate_source(engine)
-    namespace = _kernel_namespace(constants)
+    namespace = {"X": X, "_U": _UNDRIVEN, "_rg": _resolve_slots,
+                 "_mk": create_primitive, **constants}
     try:
         exec(compile(source, f"<kernel {digest[:12]}>", "exec"), namespace)
     except SyntaxError as error:  # pragma: no cover - generator bug guard
@@ -1060,13 +944,5 @@ def kernel_for(engine) -> Tuple[CompiledKernelProgram, bool, float]:
     program = CompiledKernelProgram(digest, source, namespace, slot_map,
                                     output_names)
     seconds = time.perf_counter() - start
-    _CACHE[digest] = program
-    while len(_CACHE) > kernel_cache_limit():
-        _CACHE.popitem(last=False)
-    _STATS["misses"] += 1
-    if store is not None:
-        envelope = _encode_kernel(source, constants, slot_map, output_names)
-        if envelope is not None and store.put_text("kernel", spill_key,
-                                                   envelope):
-            _STATS["disk_writes"] += 1
+    _CACHE.put(digest, program)
     return program, False, seconds

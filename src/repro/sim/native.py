@@ -12,16 +12,15 @@ with the host C compiler (``cc``/``gcc``/``clang``; override with
 ``REPRO_CC``), loaded through :mod:`ctypes`, and cached twice:
 
 * an on-disk tier in the crash-safe :class:`~repro.core.store.ArtifactStore`
-  (namespace ``native``), keyed by the same netlist digest the Python
-  kernel LRU uses, so a recompile across processes is a verified file
-  load.  ``REPRO_STORE_DIR`` shares one store with the compile/kernel
-  caches; ``REPRO_NATIVE_CACHE_DIR`` overrides the root for this tier
-  alone; the default is a private per-uid directory under the temp dir.
-  If publishing to the store fails (disk full, injected fault), the
-  freshly built ``.so`` still runs out of its private build directory —
-  a degradation, never a failure; and
-* a process-wide bounded LRU of loaded programs next to the kernel LRU
-  (sharing its ``REPRO_KERNEL_CACHE`` size knob).
+  (namespace ``native``), keyed by the ABI version, a tag of the build
+  flags and the same netlist digest the Python kernel cache uses, so a
+  recompile across processes is a verified file load.  The root is
+  ``REPRO_STORE_DIR`` when set, else a private per-uid directory under the
+  temp dir.  If publishing to the store fails (disk full, injected fault),
+  the freshly built ``.so`` still runs out of its private build directory
+  — a degradation, never a failure; and
+* a process-wide :class:`~repro.core.store.DigestCache` of loaded
+  programs with the kernel cache's bound.
 
 Every construct is emitted once, as the per-component ``settle``/``tick``
 functions, and one run entry drives them: ``k_run_lanes`` takes N
@@ -77,6 +76,7 @@ Exactness notes:
 from __future__ import annotations
 
 import ctypes
+import hashlib
 import os
 import shutil
 import subprocess
@@ -89,7 +89,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core import faults as _faults
 from ..core.errors import DriverConflictError
-from ..core.store import ArtifactStore, default_store
+from ..core.store import ArtifactStore, DigestCache, default_store
 from .values import Value, X
 from . import codegen
 from .codegen import (
@@ -116,6 +116,10 @@ __all__ = [
 
 #: Bump when the generated C ABI changes (invalidates the on-disk cache).
 _ABI = 5
+
+#: ``cc`` flags for every kernel build.  A digest of them is part of the
+#: on-disk key, so an object built with other flags is never served.
+_CFLAGS = ("-O2", "-shared", "-fPIC")
 
 _M64 = (1 << 64) - 1
 
@@ -167,19 +171,13 @@ def compiler_available() -> bool:
 
 
 def _cache_dir() -> Path:
-    """The on-disk ``.c``/``.so`` cache directory (created on demand).
+    """The default ``.so`` store directory (created on demand).
 
     Cached artifacts are loaded with ``ctypes.CDLL`` and keyed by a
     predictable digest, so the default directory must not be spoofable by
     other local users: it lives under the shared temp dir but embeds the
     uid, is created ``0o700``, and is rejected (→ fallback to the Python
-    tier) if it exists with the wrong owner or loose permissions.  An
-    explicit ``REPRO_NATIVE_CACHE_DIR`` is trusted as given."""
-    override = os.environ.get("REPRO_NATIVE_CACHE_DIR")
-    if override:
-        directory = Path(override)
-        directory.mkdir(parents=True, exist_ok=True)
-        return directory
+    tier) if it exists with the wrong owner or loose permissions."""
     uid = os.getuid() if hasattr(os, "getuid") else 0
     directory = Path(tempfile.gettempdir()) / f"repro-native-cache-{uid}"
     directory.mkdir(mode=0o700, parents=True, exist_ok=True)
@@ -189,7 +187,7 @@ def _cache_dir() -> Path:
             raise NativeUnavailable(
                 f"native cache dir {directory} is not private to uid {uid} "
                 f"(owner {st.st_uid}, mode {st.st_mode & 0o777:o}); remove "
-                f"it or set REPRO_NATIVE_CACHE_DIR")
+                f"it or set REPRO_STORE_DIR")
     return directory
 
 
@@ -197,31 +195,20 @@ _STORE_MEMO: Dict[str, ArtifactStore] = {}
 
 
 def _native_store() -> ArtifactStore:
-    """The on-disk ``.so`` tier, as a crash-safe artifact store.
-
-    Resolution: ``REPRO_NATIVE_CACHE_DIR`` pins a root for this tier
-    alone (trusted as given); otherwise a shared ``REPRO_STORE_DIR``
-    store is reused; otherwise the legacy private per-uid temp directory
-    (from :func:`_cache_dir`, which verifies ownership and mode — a
-    compromised directory raises :class:`NativeUnavailable`).  Default
-    roots under the shared temp dir additionally require every served
-    payload to be private to this uid before ``ctypes.CDLL`` trusts it.
-
-    The store's locked, vanish-tolerant pruning replaces the old
-    ``_prune_disk_cache``, whose ``path.stat()`` sort key raced
-    concurrent unlinks."""
-    override = os.environ.get("REPRO_NATIVE_CACHE_DIR")
-    if not override:
-        shared = default_store()
-        if shared is not None:
-            return shared
-    directory = _cache_dir()
-    private = not override
-    memo_key = f"{directory}|{private}"
-    store = _STORE_MEMO.get(memo_key)
+    """The on-disk ``.so`` tier, as a crash-safe artifact store: the
+    ``REPRO_STORE_DIR`` store (trusted as given) when one is configured,
+    otherwise a private per-uid temp directory (from :func:`_cache_dir`,
+    which verifies ownership and mode — a compromised directory raises
+    :class:`NativeUnavailable`) whose every served payload must also be
+    private to this uid before ``ctypes.CDLL`` trusts it."""
+    shared = default_store()
+    if shared is not None:
+        return shared
+    directory = str(_cache_dir())
+    store = _STORE_MEMO.get(directory)
     if store is None:
-        store = ArtifactStore(directory, require_private=private)
-        _STORE_MEMO[memo_key] = store
+        store = ArtifactStore(directory, require_private=True)
+        _STORE_MEMO[directory] = store
     return store
 
 
@@ -1355,12 +1342,10 @@ def generate_c_source(engine) -> Tuple[str, _KernelLayout, _PlanRegistry]:
 class NativeKernelProgram:
     """One compiled-and-loaded shared object for a netlist digest."""
 
-    def __init__(self, digest: str, lib, source_path: Path,
-                 layout: _KernelLayout, plans: _PlanRegistry,
-                 disk_hit: bool) -> None:
+    def __init__(self, digest: str, lib, layout: _KernelLayout,
+                 plans: _PlanRegistry, disk_hit: bool) -> None:
         self.digest = digest
         self.lib = lib
-        self.source_path = source_path
         self.slot_map = layout.slot_map
         self.slot_meta = layout.slot_meta
         self.output_names = layout.output_names
@@ -1604,13 +1589,15 @@ class NativeKernel:
 # Digest-keyed caches
 # ---------------------------------------------------------------------------
 
-_CACHE: "OrderedDict[str, NativeKernelProgram]" = OrderedDict()
-_STATS = {"hits": 0, "misses": 0, "disk_hits": 0}
+_CACHE = DigestCache(codegen.kernel_cache_limit())
+_DISK_HITS = 0
 
 
 def native_cache_stats() -> Dict[str, int]:
-    """Process-wide native program cache counters."""
-    return dict(_STATS)
+    """Process-wide native program cache counters: the
+    :class:`~repro.core.store.DigestCache` counters plus ``disk_hits``,
+    the misses the ``.so`` store served without running ``cc``."""
+    return dict(_CACHE.stats(), disk_hits=_DISK_HITS)
 
 
 def clear_native_cache() -> None:
@@ -1618,20 +1605,18 @@ def clear_native_cache() -> None:
     compiler-probe memo (so a changed ``REPRO_CC``/``PATH`` is re-probed)
     and the store memo (so a changed cache root is re-resolved).  The
     on-disk ``.so`` store is left alone — it is the point."""
+    global _DISK_HITS
     _CACHE.clear()
     _COMPILER_CACHE.clear()
     _STORE_MEMO.clear()
-    _STATS["hits"] = 0
-    _STATS["misses"] = 0
-    _STATS["disk_hits"] = 0
+    _DISK_HITS = 0
 
 
 def _compile_so(source: str, c_path: Path, so_path: Path,
                 compiler: str) -> None:
     c_path.write_text(source)
     tmp = so_path.with_name(f"{so_path.stem}.{os.getpid()}.tmp.so")
-    command = [compiler, "-O2", "-shared", "-fPIC", "-o", str(tmp),
-               str(c_path)]
+    command = [compiler, *_CFLAGS, "-o", str(tmp), str(c_path)]
     try:
         _faults.cc_hang()  # injected compiler hang == the timeout below
         proc = subprocess.run(command, capture_output=True, text=True,
@@ -1647,14 +1632,13 @@ def _compile_so(source: str, c_path: Path, so_path: Path,
 
 def native_for(engine) -> Tuple[NativeKernelProgram, bool, float]:
     """The native kernel program for ``engine``'s netlist: ``(program,
-    cached, build_seconds)``.  ``cached`` is true for both in-memory LRU
-    hits and on-disk store hits.  Raises :class:`NativeUnavailable` when
-    the netlist is native-ineligible or no C compiler is available."""
+    cached, build_seconds)``.  ``cached`` is true for both in-memory hits
+    and on-disk store hits.  Raises :class:`NativeUnavailable` when the
+    netlist is native-ineligible or no C compiler is available."""
+    global _DISK_HITS
     digest = netlist_digest(engine)
     cached = _CACHE.get(digest)
     if cached is not None:
-        _CACHE.move_to_end(digest)
-        _STATS["hits"] += 1
         return cached, True, 0.0
     start = time.perf_counter()
     # Eligibility before the compiler probe: an ineligible netlist reports
@@ -1664,7 +1648,8 @@ def native_for(engine) -> Tuple[NativeKernelProgram, bool, float]:
     if compiler is None:
         raise NativeUnavailable("no C compiler (cc/gcc/clang) on PATH")
     store = _native_store()
-    key = f"native_{_ABI}_{digest[:32]}"
+    flags = hashlib.sha256(" ".join(_CFLAGS).encode()).hexdigest()[:8]
+    key = f"native_{_ABI}_{flags}_{digest[:32]}"
     so_path = store.get_path("native", key)
     disk_hit = so_path is not None
     if not disk_hit:
@@ -1681,8 +1666,6 @@ def native_for(engine) -> Tuple[NativeKernelProgram, bool, float]:
             shutil.rmtree(build_dir, ignore_errors=True)
             raise
         published = store.put_file("native", key, scratch_so)
-        if published:
-            store.put_text("native-src", key, source)  # debugging aid
         so_path = store.get_path("native", key) if published else None
         if so_path is not None:
             shutil.rmtree(build_dir, ignore_errors=True)
@@ -1693,14 +1676,9 @@ def native_for(engine) -> Tuple[NativeKernelProgram, bool, float]:
     except OSError as error:
         raise NativeUnavailable(f"failed to load native kernel: {error}")
     _declare(lib)
-    program = NativeKernelProgram(digest, lib, so_path, layout, plans,
-                                  disk_hit)
+    program = NativeKernelProgram(digest, lib, layout, plans, disk_hit)
     seconds = time.perf_counter() - start
-    _CACHE[digest] = program
-    limit = codegen.kernel_cache_limit()
-    while len(_CACHE) > limit:
-        _CACHE.popitem(last=False)
-    _STATS["misses"] += 1
+    _CACHE.put(digest, program)
     if disk_hit:
-        _STATS["disk_hits"] += 1
-    return program, False, seconds
+        _DISK_HITS += 1
+    return program, disk_hit, seconds

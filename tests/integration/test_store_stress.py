@@ -1,7 +1,8 @@
 """Multi-process store stress: N processes compile and simulate a mix of
 shared and disjoint designs against one ``REPRO_STORE_DIR``.  Nobody may
 read a corrupt artifact, no published artifact may be lost, and the
-per-process stats must add up."""
+per-process stats must add up.  The store holds only native ``.so``
+kernels, so these tests need a C compiler."""
 
 import json
 import os
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.store import ArtifactStore
+from repro.sim import compiler_available
 
 _SRC = str(Path(__file__).resolve().parents[2] / "src")
 
@@ -93,6 +95,12 @@ def _check(results, store_root, assignments):
     assert total["writes"] >= len(designs)
 
 
+needs_cc = pytest.mark.skipif(not compiler_available(),
+                              reason="no C compiler on host: nothing is "
+                                     "stored")
+
+
+@needs_cc
 def test_concurrent_processes_share_one_store(tmp_path):
     shared = {"shared-a": (5, 11), "shared-b": (3, 22)}
     assignments = [
@@ -109,6 +117,7 @@ def test_concurrent_processes_share_one_store(tmp_path):
                                        for a in assignments for label in a})
 
 
+@needs_cc
 @pytest.mark.deep
 def test_concurrent_store_stress_deep(tmp_path):
     shared = {f"shared-{i}": (4 + i, 10 + i) for i in range(4)}

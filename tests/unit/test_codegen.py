@@ -256,9 +256,9 @@ class TestFallbackAndCache:
         assert source.count("def make_top") == 1
 
     def test_stale_spill_envelope_is_ignored_and_rebuilt(self, tmp_path):
-        """An envelope of an older format version (v1, which also carried a
-        lane kernel) under the old or the current key must be regenerated
-        from the netlist, never served."""
+        """Generated kernels live only in memory: an envelope planted under
+        the former on-disk spill key is never read, the kernel is rebuilt
+        from the netlist, and the build writes nothing to the store."""
         from repro.core.store import (
             ArtifactStore,
             reset_default_store,
@@ -271,27 +271,21 @@ class TestFallbackAndCache:
         engine = Simulator(program, mode="compiled")
         digest = netlist_digest(engine)
         stale = json.dumps({
-            "v": 1, "source": "raise AssertionError('stale kernel served')",
+            "v": 2, "source": "raise AssertionError('stale kernel served')",
             "outputs": ["o_out"], "slots": [], "init": {}})
         store = ArtifactStore(tmp_path)
-        for version in (1, codegen._SPILL_VERSION):
-            assert store.put_text("kernel", f"kernel_{version}_{digest[:32]}",
-                                  stale)
+        assert store.put_bytes("kernel", f"kernel_2_{digest[:32]}",
+                               stale.encode())
         token = set_default_store(store)
         try:
             clear_kernel_cache()
-            rebuilt, cached, _ = codegen.kernel_for(engine)
+            _, cached, _ = codegen.kernel_for(engine)
             assert not cached
-            stats = kernel_cache_stats()
-            assert stats["disk_hits"] == 0 and stats["disk_writes"] == 1
             assert engine.run_batch(
                 [{"i_left": 1, "i_right": 2}])[0]["o_out"] == 3
-            # The rebuilt kernel replaced the stale envelope: a cold start
-            # now reloads it from disk.
-            clear_kernel_cache()
-            reloaded, cached, _ = codegen.kernel_for(engine)
-            assert cached and kernel_cache_stats()["disk_hits"] == 1
-            assert reloaded.source == rebuilt.source
+            assert store.stats["hits"] == store.stats["misses"] == 0
+            assert store.stats["writes"] == 1  # the planted envelope only
+            assert store.entry_count() == 1
         finally:
             reset_default_store(token)
             clear_kernel_cache()

@@ -4,16 +4,15 @@ The per-primitive behavioural sweep lives in ``test_width_boundaries.py``
 (which runs every boundary width through all four tiers); this module pins
 down the tier's *plumbing*: conflict-error parity, every fallback reason
 (black-box primitive, over-wide value, missing compiler), the digest-keyed
-in-memory + on-disk cache and its ABI-versioned keys, the session's one
-``"native"`` stage, warning-clean generated C, and the
-``REPRO_KERNEL_CACHE`` / ``REPRO_COMPILE_CACHE`` environment knobs that
-size the caches.
+in-memory + on-disk cache and its ABI- and flag-versioned keys, the
+session's one ``"native"`` stage, warning-clean generated C, and the
+bounded :class:`~repro.core.store.DigestCache` the digest-keyed caches
+share.
 """
 
 import os
 import random
 import subprocess
-from collections import OrderedDict
 
 import pytest
 
@@ -29,16 +28,13 @@ from repro.calyx.ir import (
 from repro.conformance.generator import generate
 from repro.core.errors import SimulationError
 from repro.core.session import CompilationSession
-from repro.core.store import ArtifactStore
+from repro.core.store import ArtifactStore, DigestCache
 from repro.designs import addmult_program, conv2d_base_program
+from repro.evaluation import chain_program
 from repro.sim import Simulator, clear_native_cache, compiler_available
 from repro.sim import create_primitive
 from repro.sim import native as native_module
-from repro.sim.codegen import (
-    kernel_cache_limit,
-    netlist_digest,
-    set_kernel_cache_limit,
-)
+from repro.sim.codegen import netlist_digest
 
 from test_codegen import _same_traces, _single_cell_program, _stimulus
 from test_width_boundaries import _cases
@@ -116,7 +112,8 @@ class TestFallbackReasons:
         monkeypatch.setenv("REPRO_CC", "/nonexistent/cc-for-test")
         monkeypatch.setattr(native_module, "_COMPILER_CACHE", {})
         # A program another test already loaded would skip the compiler.
-        monkeypatch.setattr(native_module, "_CACHE", OrderedDict())
+        monkeypatch.setattr(native_module, "_CACHE",
+                            DigestCache(native_module._CACHE.bound))
         program = _single_cell_program("Add", (8,),
                                        {"left": 8, "right": 8})
         stimulus = [{"i_left": 1, "i_right": 2}]
@@ -132,7 +129,7 @@ class TestFallbackReasons:
 class TestNativeCache:
     def test_memory_then_disk_hits_by_netlist_digest(self, tmp_path,
                                                      monkeypatch):
-        monkeypatch.setenv("REPRO_NATIVE_CACHE_DIR", str(tmp_path))
+        monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path))
         clear_native_cache()
         program = _single_cell_program("Sub", (16,),
                                        {"left": 16, "right": 16})
@@ -158,6 +155,44 @@ class TestNativeCache:
         stats = native_module.native_cache_stats()
         assert stats["disk_hits"] == 1
 
+    def test_store_hit_is_reported_as_cached(self, tmp_path, monkeypatch):
+        """A ``.so`` served from the store skipped ``cc``: the engine and
+        the session's ``"native"`` stage both report it as cached."""
+        monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path))
+        program, entry = chain_program(4)
+        clear_native_cache()
+        first = CompilationSession(program).simulator(entry, mode="native")
+        assert not first.prepare()["native_cached"]
+
+        clear_native_cache()
+        session = CompilationSession(program)
+        second = session.simulator(entry, mode="native")
+        assert second.prepare()["native_cached"]
+        assert native_module.native_cache_stats()["disk_hits"] == 1
+        assert session.cache_stats()["native"] == {"hits": 1, "misses": 0}
+        clear_native_cache()
+
+    def test_objects_built_with_other_flags_are_not_served(self, tmp_path,
+                                                          monkeypatch):
+        """The ``cc`` flags are part of the store key: after a flag change
+        the object built with the old flags is never looked up."""
+        monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path))
+        program = _single_cell_program("Add", (8,),
+                                       {"left": 8, "right": 8})
+        clear_native_cache()
+        _, cached, _ = native_module.native_for(
+            Simulator(program, mode="native"))
+        assert not cached
+
+        clear_native_cache()
+        monkeypatch.setattr(native_module, "_CFLAGS",
+                            ("-O1", "-shared", "-fPIC"))
+        _, cached, _ = native_module.native_for(
+            Simulator(program, mode="native"))
+        assert not cached
+        assert native_module.native_cache_stats()["disk_hits"] == 0
+        assert ArtifactStore(tmp_path).entry_count() == 2
+        clear_native_cache()
 
     def test_object_under_the_previous_abi_key_is_rebuilt(self, tmp_path,
                                                           monkeypatch):
@@ -165,7 +200,7 @@ class TestNativeCache:
         per-lane cycle counts) must never be called with the current
         argtypes: the ABI is part of the store key, so the old object is
         not even looked up."""
-        monkeypatch.setenv("REPRO_NATIVE_CACHE_DIR", str(tmp_path / "store"))
+        monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path / "store"))
         clear_native_cache()
         engine = Simulator(_guarded_program(), mode="native")
         # The ABI-4 symbol set; its lane entry reports a bogus conflict.
@@ -355,62 +390,41 @@ class TestReviewRegressions:
         assert native_module._COMPILER_CACHE == {}
 
     @pytest.mark.skipif(not hasattr(os, "getuid"), reason="posix only")
-    def test_default_cache_dir_is_per_user_and_private(self, monkeypatch):
-        monkeypatch.delenv("REPRO_NATIVE_CACHE_DIR", raising=False)
+    def test_default_cache_dir_is_per_user_and_private(self):
         directory = native_module._cache_dir()
         assert str(os.getuid()) in directory.name
         assert directory.stat().st_mode & 0o077 == 0
 
 
-class TestCacheLimitKnobs:
-    def test_kernel_cache_env_var_sets_the_limit(self, monkeypatch):
-        set_kernel_cache_limit(None)
-        monkeypatch.setenv("REPRO_KERNEL_CACHE", "7")
-        assert kernel_cache_limit() == 7
-
-    def test_kernel_cache_setter_overrides_the_env_var(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_CACHE", "7")
-        set_kernel_cache_limit(3)
-        try:
-            assert kernel_cache_limit() == 3
-        finally:
-            set_kernel_cache_limit(None)
-
-    def test_kernel_cache_env_var_garbage_falls_back_to_default(
-            self, monkeypatch):
-        set_kernel_cache_limit(None)
-        monkeypatch.setenv("REPRO_KERNEL_CACHE", "not-a-number")
-        assert kernel_cache_limit() == 256
+class TestDigestCaches:
+    def test_lru_evicts_the_least_recently_used_and_counts(self):
+        cache = DigestCache(2)
+        cache.put("a", 1)
+        cache.put("b", 2)
+        assert cache.get("a") == 1  # "b" is now least recently used
+        assert "b" in cache and cache.hits == 1  # a probe counts nothing
+        cache.put("c", 3)
+        assert "b" not in cache and "a" in cache and "c" in cache
+        assert cache.get("b") is None
+        assert (cache.hits, cache.misses, cache.evicted) == (1, 3, 1)
+        assert cache.stats() == {"hits": 1, "misses": 3, "evicted": 1,
+                                 "entries": 2, "limit": 2}
+        cache.clear()
+        assert len(cache) == 0
+        assert (cache.hits, cache.misses, cache.evicted) == (0, 0, 0)
 
     def test_kernel_cache_limit_is_enforced(self, monkeypatch):
-        from repro.sim.codegen import _CACHE, clear_kernel_cache
+        from repro.sim import codegen
 
-        monkeypatch.setenv("REPRO_KERNEL_CACHE", "1")
-        set_kernel_cache_limit(None)
-        clear_kernel_cache()
+        monkeypatch.setattr(codegen._CACHE, "bound", 1)
+        codegen.clear_kernel_cache()
         try:
             for name in ("Add", "Sub", "Xor"):
                 program = _single_cell_program(name, (8,),
                                                {"left": 8, "right": 8})
                 Simulator(program, mode="compiled").run_batch(
                     [{"i_left": 1, "i_right": 2}])
-                assert len(_CACHE) <= 1
+                assert len(codegen._CACHE) <= 1
+            assert codegen.kernel_cache_stats()["evicted"] == 2
         finally:
-            clear_kernel_cache()
-
-    def test_compile_cache_env_var_sets_the_limit(self, monkeypatch):
-        from repro.core.queries import (
-            compile_cache_limit,
-            set_compile_cache_limit,
-        )
-
-        set_compile_cache_limit(None)
-        monkeypatch.setenv("REPRO_COMPILE_CACHE", "11")
-        try:
-            assert compile_cache_limit() == 11
-            monkeypatch.setenv("REPRO_COMPILE_CACHE", "garbage")
-            assert compile_cache_limit() == 1024
-            set_compile_cache_limit(5)
-            assert compile_cache_limit() == 5
-        finally:
-            set_compile_cache_limit(None)
+            codegen.clear_kernel_cache()

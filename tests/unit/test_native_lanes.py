@@ -10,8 +10,6 @@ parity), and row ownership — scheduling must never mutate caller-owned
 transactions or hand out shared rows a later write could corrupt.
 """
 
-from collections import OrderedDict
-
 import pytest
 
 from repro.calyx.ir import (
@@ -24,6 +22,7 @@ from repro.calyx.ir import (
     PortSpec,
 )
 from repro.core.errors import SimulationError
+from repro.core.store import DigestCache
 from repro.designs import addmult_program
 from repro.harness import harness_for, random_transactions
 from repro.sim import Simulator, X, compiler_available, is_x
@@ -219,7 +218,8 @@ class TestFallbackReason:
         monkeypatch.setenv("REPRO_CC", "/nonexistent/cc-for-test")
         monkeypatch.setattr(native_module, "_COMPILER_CACHE", {})
         # A program another test already loaded would skip the compiler.
-        monkeypatch.setattr(native_module, "_CACHE", OrderedDict())
+        monkeypatch.setattr(native_module, "_CACHE",
+                            DigestCache(native_module._CACHE.bound))
         program = _single_cell_program("Add", (8,), {"left": 8, "right": 8})
         stream = [{"i_left": 1, "i_right": 2}, {"i_left": 3, "i_right": 4}]
         native = Simulator(program, mode="native")

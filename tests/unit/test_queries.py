@@ -10,7 +10,6 @@ from repro.core.queries import (
     clear_compile_cache,
     compile_cache_disabled,
     compile_cache_stats,
-    set_compile_cache_limit,
 )
 from repro.core.stdlib import with_stdlib
 from repro.evaluation import chain_program, edit_chain_leaf
@@ -147,16 +146,17 @@ class TestProcessWideCache:
             stats = compile_cache_stats()
             assert stats["entries"] == 0 and stats["misses"] == 0
 
-    def test_cache_is_a_bounded_lru(self):
+    def test_cache_is_a_bounded_lru(self, monkeypatch):
+        from repro.core import queries
+
+        monkeypatch.setattr(queries._ARTIFACTS, "bound", 2)
         clear_compile_cache()
-        set_compile_cache_limit(2)
         try:
             CompilationSession(_program()).calyx("Top")
             stats = compile_cache_stats()
             assert stats["entries"] <= 2
             assert stats["evicted"] > 0
         finally:
-            set_compile_cache_limit(1024)
             clear_compile_cache()
 
     def test_in_place_mutation_cannot_poison_old_cache_entries(self):
