@@ -82,8 +82,9 @@ def test_session_recompile_is_a_cache_hit():
 def test_incremental_edit_recompiles_only_the_dirty_component(benchmark):
     """The incremental-edit figure: editing one leaf of a K-component chain
     recompiles exactly that component (its clients survive via early
-    cutoff), the incremental artifacts are byte-identical to a from-scratch
-    compile of the mutated program, and the recompile beats cold."""
+    cutoff) and regenerates exactly its kernel chunk, the incremental
+    artifacts are byte-identical to a from-scratch compile of the mutated
+    program, and the recompile and simulator rebuild beat cold."""
     timing = benchmark.pedantic(measure_incremental_compile, args=(16,),
                                 rounds=1, iterations=1)
     print()
@@ -92,11 +93,18 @@ def test_incremental_edit_recompiles_only_the_dirty_component(benchmark):
           f"incremental {timing.incremental_seconds * 1000:7.2f}ms  "
           f"scratch {timing.scratch_seconds * 1000:7.2f}ms  "
           f"({timing.incremental_speedup:.1f}x vs cold)")
+    print(f"{'':20s} simulator rebuild "
+          f"{timing.rebuild_seconds * 1000:7.2f}ms  "
+          f"cold {timing.cold_rebuild_seconds * 1000:7.2f}ms  "
+          f"({timing.rebuild_speedup:.1f}x vs cold, "
+          f"{timing.chunks_regenerated} chunk regenerated)")
     assert timing.recompiled == ["Chain0"]
+    assert timing.chunks_regenerated == 1
     assert timing.identical
     if not benchmark.disabled:
         assert timing.warm_seconds < timing.cold_seconds
         assert timing.incremental_seconds < timing.cold_seconds
+        assert timing.rebuild_seconds < timing.cold_rebuild_seconds
 
 
 def test_simulator_cycles_per_second(benchmark):
@@ -123,8 +131,10 @@ def test_simulator_cycles_per_second(benchmark):
 
 def main() -> int:
     """Persist the per-design engine-tier figure plus the incremental-edit
-    compile figure as ``BENCH_compile_time.json`` (the common benchmark
-    schema), and gate on warm / incremental-edit recompiles beating cold."""
+    compile and simulator-rebuild figure as ``BENCH_compile_time.json``
+    (the common benchmark schema), and gate on warm / incremental-edit
+    recompiles beating cold and the incremental simulator rebuild beating
+    a cold one."""
     from common import write_bench
 
     rows = []
@@ -152,6 +162,16 @@ def main() -> int:
                          if engine == "incremental-edit"
                          else timing.components
                          if engine in ("cold", "scratch-edit") else 0)})
+    # The simulator side of the same edit: the compiled-tier harness
+    # rebuild, warm against cold plan and kernel-chunk caches.
+    for engine, seconds, chunks in (
+            ("cold-rebuild", timing.cold_rebuild_seconds, timing.components),
+            ("incremental-rebuild", timing.rebuild_seconds,
+             timing.chunks_regenerated)):
+        rows.append({"engine": engine, "config": timing.name,
+                     "tx_per_sec": 1.0 / max(seconds, 1e-9),
+                     "baseline": "cold-rebuild",
+                     "chunks_regenerated": chunks})
 
     # Per-design baseline: each design's speedups are relative to its own
     # fixpoint rate (a cross-design ratio would conflate design size with
@@ -166,7 +186,9 @@ def main() -> int:
     print(f"incremental edit: recompiled {timing.recompiled} of "
           f"{timing.components} components, "
           f"{timing.incremental_speedup:.1f}x vs cold "
-          f"(byte-identical: {timing.identical})")
+          f"(byte-identical: {timing.identical}); simulator rebuild "
+          f"regenerated {timing.chunks_regenerated} chunk(s), "
+          f"{timing.rebuild_speedup:.1f}x vs cold")
     if not timing.identical:
         print("FAIL: incremental artifacts differ from a scratch compile")
         return 1
@@ -175,6 +197,9 @@ def main() -> int:
         return 1
     if timing.incremental_seconds >= timing.cold_seconds:
         print("FAIL: incremental-edit recompile did not beat cold")
+        return 1
+    if timing.rebuild_seconds >= timing.cold_rebuild_seconds:
+        print("FAIL: incremental simulator rebuild did not beat cold")
         return 1
     return 0
 

@@ -33,7 +33,11 @@ under identical random stimulus, and all answers must agree:
 7. **golden model** — every captured transaction output must equal the
    generator's exact Python evaluation of the dataflow spec;
 8. **incremental recompilation** — an in-place mutation recompiled through
-   the session must be byte-identical to a from-scratch compile;
+   the session must be byte-identical to a from-scratch compile, and a
+   ``mode="compiled"`` engine of the incremental Calyx — its plans and
+   kernel chunks warm from the pre-edit matrix — must trace like the
+   from-scratch Calyx under ``mode="fixpoint"`` (values, X planes and
+   conflict errors byte-for-byte);
 9. **Verilog re-import** (:mod:`repro.core.lower.verilog_frontend`) — the
    emitted Verilog parsed back into a netlist must trace identically
    (values, X planes, conflict errors byte-for-byte) to the engine matrix.
@@ -489,9 +493,10 @@ def run_conformance(generated: GeneratedProgram,
 
     # 8. Incremental recompilation: mutate one component in place, recompile
     #    through the same session, and the artifacts must be byte-identical
-    #    to a from-scratch compile of the mutated program.
+    #    to a from-scratch compile of the mutated program; the incrementally
+    #    rebuilt kernel must trace like the from-scratch reference.
     if incremental:
-        _check_incremental(spec, seed, divergences, coverage)
+        _check_incremental(spec, seed, transactions, divergences, coverage)
 
     # 9. The Verilog loop: emit -> re-import -> the re-imported netlist's
     #    trace (values, X planes, conflict errors byte-for-byte) must be
@@ -508,7 +513,8 @@ def run_conformance(generated: GeneratedProgram,
     return result
 
 
-def _check_incremental(spec, seed: int, divergences: List[str],
+def _check_incremental(spec, seed: int, transactions: int,
+                       divergences: List[str],
                        coverage: CoverageRecord) -> None:
     """The incremental-recompilation differential way (step 8)."""
     mutation = mutate_spec(spec, seed)
@@ -528,20 +534,20 @@ def _check_incremental(spec, seed: int, divergences: List[str],
         base.component.signature = mutated.component.signature
         base.component.body[:] = mutated.component.body
 
-        incremental_calyx = str(session.calyx(spec.name))
+        incremental_calyx = session.calyx(spec.name)
         incremental_verilog = session.verilog(spec.name)
 
         # The donor build doubles as the from-scratch referee (its own
         # component object was never compiled or spliced into).
         with compile_cache_disabled():
             scratch = CompilationSession(mutated.program)
-            scratch_calyx = str(scratch.calyx(spec.name))
+            scratch_calyx = scratch.calyx(spec.name)
             scratch_verilog = scratch.verilog(spec.name)
     except FilamentError as error:
         divergences.append(f"incremental: {mutation_kind} mutation failed "
                            f"to compile: {error}")
         return
-    if incremental_calyx != scratch_calyx:
+    if str(incremental_calyx) != str(scratch_calyx):
         divergences.append(
             f"incremental: Calyx after a {mutation_kind} mutation differs "
             f"from a from-scratch compile")
@@ -549,3 +555,31 @@ def _check_incremental(spec, seed: int, divergences: List[str],
         divergences.append(
             f"incremental: Verilog after a {mutation_kind} mutation differs "
             f"from a from-scratch compile")
+
+    # The incrementally rebuilt kernel: every component the edit left alone
+    # reuses the plan and kernel chunk the pre-edit matrix built, so a stale
+    # one traces differently from the from-scratch reference.
+    harness = harness_for(mutated.program, spec.name, calyx=scratch_calyx)
+    stimulus, _ = harness._schedule(
+        random_transactions(harness, transactions, seed=seed))
+    outcomes = []
+    for calyx, mode in ((scratch_calyx, "fixpoint"),
+                        (incremental_calyx, "compiled")):
+        try:
+            outcomes.append((Simulator(calyx, spec.name, mode=mode)
+                             .run_batch(stimulus), None))
+        except SimulationError as error:
+            outcomes.append((None, str(error)))
+    (reference, reference_error), (trace, error) = outcomes
+    if reference_error is not None or error is not None:
+        if reference_error != error:
+            divergences.append(
+                f"incremental: conflict/error mismatch after a "
+                f"{mutation_kind} mutation: from-scratch fixpoint raised "
+                f"{reference_error!r}, incremental compiled raised "
+                f"{error!r}")
+        return
+    problems: List[str] = []
+    _compare_traces("from-scratch fixpoint", reference,
+                    "incremental compiled", trace, problems)
+    divergences.extend(f"incremental: {problem}" for problem in problems)

@@ -24,7 +24,7 @@ edges**, **dirty-bit invalidation**, and **early cutoff**:
 Artifacts additionally live in a bounded, memory-only **process-wide
 compile cache** (a :class:`~repro.core.store.DigestCache` of 1024 entries)
 keyed by deep (Merkle) content fingerprint — the same pattern the simulator
-uses for generated kernels (:func:`repro.sim.codegen.kernel_for`).  Two
+uses for generated kernel chunks (:func:`repro.sim.codegen.kernel_for`).  Two
 sessions over content-identical programs share checked / lowered / Calyx /
 Verilog artifacts even though they never met; ``compile_cache_stats`` and
 ``clear_compile_cache`` observe and reset it, and

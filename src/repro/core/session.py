@@ -379,11 +379,13 @@ class CompilationSession:
         """A fresh :class:`~repro.sim.Simulator` for the compiled
         ``entrypoint`` (compiling it on first use).
 
-        With ``mode="compiled"`` the simulation kernel is generated eagerly
-        and the build is recorded as a ``"kernel"`` stage timing —
-        structurally identical netlists hit the process-wide kernel cache
-        (keyed by netlist digest), so a warm recompile shows up as a cache
-        hit exactly like the check/lower/calyx stages do.  With
+        With ``mode="compiled"`` the simulation kernel is linked eagerly
+        and the build is recorded as a ``"kernel"`` stage timing.  Kernels
+        are linked from per-component chunks in a process-wide cache (keyed
+        by each component's plan, never its children's bodies), so a warm
+        recompile shows up as a cache hit exactly like the check/lower/calyx
+        stages do, and an edit regenerates only the edited component's
+        chunk.  With
         ``mode="native"`` the C kernel build is recorded the same way as a
         ``"native"`` stage timing (in-memory and on-disk cache hits both
         count as cached); its one entry serves scalar and lane batches

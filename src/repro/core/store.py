@@ -2,7 +2,8 @@
 bounded in-memory cache every digest-keyed tier uses.
 
 :class:`DigestCache` is the process-wide LRU behind the compile cache
-(:mod:`repro.core.queries`), the generated Python kernel cache
+(:mod:`repro.core.queries`), the engine plan cache
+(:mod:`repro.sim.engine`), the generated Python kernel chunk cache
 (:mod:`repro.sim.codegen`) and the loaded native program cache
 (:mod:`repro.sim.native`): a fixed bound, least-recently-used eviction,
 and hit / miss / eviction counters.  Those caches are memory-only except

@@ -156,8 +156,8 @@ def measure_sim_throughput(transactions: int = 24,
         for mode in ("fixpoint", "auto", "compiled"):
             simulator = Simulator(calyx, entrypoint, mode=mode)
             if mode == "compiled":
-                # Codegen is a one-time compile cost (cached by netlist
-                # digest); the figure is steady-state execution.
+                # Codegen is a one-time compile cost (cached per
+                # component); the figure is steady-state execution.
                 simulator.prepare()
             start = time.perf_counter()
             simulator.run_batch(stimulus)
@@ -184,7 +184,13 @@ class IncrementalTiming:
     """The incremental-edit figure for one K-component chain design: cold
     compile, warm recompile, and a recompile after an in-place edit of the
     leaf component — plus a from-scratch compile of the *mutated* program
-    (with the process-wide cache bypassed) as the byte-equality referee."""
+    (with the process-wide cache bypassed) as the byte-equality referee.
+
+    The simulator side of the same edit: ``rebuild_seconds`` rebuilds the
+    compiled-tier harness simulator after the edit, with the pre-edit
+    plans and kernel chunks cached, ``cold_rebuild_seconds`` rebuilds it
+    again with both caches dropped, and ``chunks_regenerated`` counts the
+    kernel chunks the first rebuild generated."""
 
     name: str
     components: int
@@ -194,6 +200,9 @@ class IncrementalTiming:
     scratch_seconds: float
     recompiled: List[str] = field(default_factory=list)
     identical: bool = False
+    rebuild_seconds: float = 0.0
+    cold_rebuild_seconds: float = 0.0
+    chunks_regenerated: int = 0
 
     @property
     def incremental_speedup(self) -> float:
@@ -204,6 +213,11 @@ class IncrementalTiming:
     def scratch_speedup(self) -> float:
         """Incremental recompile vs a from-scratch compile of the edit."""
         return self.scratch_seconds / max(self.incremental_seconds, 1e-9)
+
+    @property
+    def rebuild_speedup(self) -> float:
+        """Simulator rebuild after the edit vs a cold rebuild."""
+        return self.cold_rebuild_seconds / max(self.rebuild_seconds, 1e-9)
 
 
 def chain_program(depth: int, width: int = 16,
@@ -261,7 +275,12 @@ def measure_incremental_compile(depth: int = 16,
     """The incremental-edit benchmark: cold-compile a ``depth``-component
     chain to Verilog, recompile warm, edit one leaf in place and recompile
     incrementally, then referee against a from-scratch compile of the
-    mutated program (process-wide cache bypassed)."""
+    mutated program (process-wide cache bypassed).  The compiled-tier
+    harness simulator is built before the edit and rebuilt after it, warm
+    and then with the plan and kernel caches dropped."""
+    from ..harness import harness_for
+    from ..sim.codegen import clear_kernel_cache, kernel_cache_stats
+
     salt = next(_CHAIN_SALTS)
     # The edited constant lives at the top of the width's value range, far
     # from the small counter-assigned salts — were it ``salt + 1``, run N's
@@ -271,6 +290,12 @@ def measure_incremental_compile(depth: int = 16,
     program, entrypoint = chain_program(depth, width, salt=salt)
     session = CompilationSession(program)
 
+    def rebuild() -> float:
+        start = time.perf_counter()
+        harness = harness_for(program, entrypoint, session=session)
+        harness._fresh_simulator().prepare()
+        return time.perf_counter() - start
+
     start = time.perf_counter()
     session.verilog(entrypoint)
     cold = time.perf_counter() - start
@@ -278,6 +303,7 @@ def measure_incremental_compile(depth: int = 16,
     start = time.perf_counter()
     session.verilog(entrypoint)
     warm = time.perf_counter() - start
+    rebuild()
 
     edit_chain_leaf(program, edited_value)
     start = time.perf_counter()
@@ -285,6 +311,11 @@ def measure_incremental_compile(depth: int = 16,
     incremental = time.perf_counter() - start
     recompiled = session.engine.recompiled_components()
     incremental_calyx = str(session.calyx(entrypoint))
+    misses = kernel_cache_stats()["misses"]
+    rebuild_seconds = rebuild()
+    chunks_regenerated = kernel_cache_stats()["misses"] - misses
+    clear_kernel_cache()
+    cold_rebuild_seconds = rebuild()
 
     scratch_program, _ = chain_program(depth, width, salt=salt)
     edit_chain_leaf(scratch_program, edited_value)
@@ -306,4 +337,7 @@ def measure_incremental_compile(depth: int = 16,
         scratch_seconds=scratch,
         recompiled=recompiled,
         identical=identical,
+        rebuild_seconds=rebuild_seconds,
+        cold_rebuild_seconds=cold_rebuild_seconds,
+        chunks_regenerated=chunks_regenerated,
     )

@@ -20,8 +20,16 @@ straight-line host code:
 * hierarchy is compiled compositionally: each child component becomes its
   own settle/tick closure pair called from the parent's straight line.
 
-One scalar kernel is emitted per netlist.  It rides ``run_batch``/``step``,
-and ``run_lanes`` without the native lane entry runs it once per stream.
+Code is generated per component, as one **chunk** per engine plan
+(:class:`~repro.sim.engine._ComponentPlan`).  A chunk defines
+``link(INIT, C, kids)``, which binds the component's init table ``INIT``
+and its multi-driver group plans ``C`` and returns the component's factory
+— ``make_top`` for the fresh top.  The factory reaches each child through
+the link table as ``kids[cell]()``, so a chunk names nothing positional and
+its text depends only on its plan and on whether it is the fresh top.
+:func:`kernel_for` links one engine's chunks children first into one
+scalar kernel, which rides ``run_batch``/``step``; ``run_lanes`` without the
+native lane entry runs it once per stream.
 
 Primitives registered by generator substrates — black boxes without an
 inlinable template — call back into their interpreter model from inside the
@@ -29,13 +37,15 @@ generated kernel, so semantics never fork; netlists that the scheduler
 itself rejected (``fallback_reason`` set anywhere in the hierarchy) never
 reach codegen and run on the interpreter unchanged.
 
-Generated programs are cached process-wide in memory (a
-:class:`~repro.core.store.DigestCache` of 256 programs), keyed by a
-**netlist digest** (the printed structural text of every reachable
-component), so recompiling the same design — across sessions, harnesses and
-conformance runs — is a cache hit;
-:class:`~repro.core.session.CompilationSession` reports those hits next to
-its other stage timings.
+Compiled chunks are cached process-wide in memory (a
+:class:`~repro.core.store.DigestCache`), keyed by ``(plan key, fresh)``.
+A plan key covers the printed component, its primitives' factories and its
+children's interfaces but never their bodies, so rebuilding the same
+design — across sessions, harnesses and conformance runs — hits every
+chunk, and an edit to one component's body regenerates that component's
+chunk alone; :class:`~repro.core.session.CompilationSession` reports the
+hits next to its other stage timings.  :func:`netlist_digest`, the whole
+netlist's digest, keys the native tier's ``.so`` files.
 """
 
 from __future__ import annotations
@@ -46,6 +56,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..core.errors import DriverConflictError
 from ..core.store import DigestCache
+from .engine import _CACHE_BOUND, _GROUP, _PLANS, _PRIM
 from .primitives import PrimitiveModel, create_primitive
 from .values import Value, X, format_value
 
@@ -179,25 +190,21 @@ def _is_stdlib(model: PrimitiveModel) -> bool:
 
 
 class _ComponentCompiler:
-    """Compiles one component (one engine of the hierarchy) to kernel
-    source over a flat slot map."""
+    """Compiles one component plan to a kernel chunk over the component's
+    own flat slot map (the native tier reuses the slot analysis)."""
 
-    def __init__(self, engine, comp_id: int, child_ids: Dict[str, int],
-                 fresh: bool) -> None:
-        self.engine = engine
-        self.comp_id = comp_id
-        self.child_ids = child_ids  # component name -> comp_id
+    def __init__(self, plan, fresh: bool) -> None:
+        self.plan = plan
         self.fresh = fresh
-        self.component = engine.component
-        self.name = self.component.name
-        self.cell_types = {cell.name: (cell.component, tuple(cell.params))
-                           for cell in self.component.cells}
+        self.name = plan.name
+        self.schedule = plan.bind(plan.prim_nodes, plan.child_nodes)
         self.slots: Dict[_Key, int] = {}
         #: slot -> init value (default X).
         self.init: Dict[int, Value] = {}
         #: Extra per-primitive state slots (pipelined multiplier stages).
         self.extra_state: Dict[str, List[int]] = {}
-        #: Injected namespace constants (group plans).
+        #: Multi-driver group plans by chunk-local name, bound from the
+        #: chunk's ``C`` tuple in this order.
         self.constants: Dict[str, object] = {}
         #: Per black-box cell, the keys its ``combinational()`` reads
         #: *before* their defining node runs (possible because such models
@@ -217,22 +224,22 @@ class _ComponentCompiler:
         return index
 
     def _collect_slots(self) -> None:
-        engine = self.engine
-        for name in engine._input_names:
+        plan = self.plan
+        for name in plan.input_names:
             self._slot((None, name))
-        for port in self.component.outputs:
-            self._slot((None, port.name))
-        for node in engine._prim_nodes:
+        for name in plan.output_names:
+            self._slot((None, name))
+        for node in plan.prim_nodes:
             for _, key in node.in_items:
                 self._slot(key)
             for key in node.out_keys.values():
                 self._slot(key)
-        for node in engine._child_nodes:
+        for node in plan.child_nodes:
             for _, key in node.in_items:
                 self._slot(key)
             for _, key in node.out_items:
                 self._slot(key)
-        for group in engine._groups:
+        for group in plan.groups:
             self._slot(group.dst_key)
             for assign in group.assigns:
                 for key in assign.guard_keys or ():
@@ -242,7 +249,7 @@ class _ComponentCompiler:
         # Dedicated state slots for registered primitives (kept apart from
         # the output slots so a post-cycle ``peek`` sees the settled value,
         # exactly like the interpreter's ``_values``), plus init values.
-        for node in engine._prim_nodes:
+        for node in plan.prim_nodes:
             model = node.model
             if not _is_stdlib(model):
                 continue
@@ -281,7 +288,7 @@ class _ComponentCompiler:
         # emitted — unless a black box reads the slot before the group's
         # schedule position, where the interpreter sees X (fresh) or the
         # previous cycle's value (preserving) rather than the constant.
-        for group in engine._groups:
+        for group in plan.groups:
             if self._preloaded(group):
                 assign = group.assigns[0]
                 self.init[self.slots[group.dst_key]] = assign.src_const
@@ -307,9 +314,9 @@ class _ComponentCompiler:
         constant at that point), and in a fresh component the kernel must
         clear them to X at the start of every settle (the interpreter's
         per-cycle dict would read X; slots persist)."""
-        written = set((None, name) for name in self.engine._input_names)
+        written = set((None, name) for name in self.plan.input_names)
         defined = set(written)
-        for _kind, payload in self.engine._schedule:
+        for _kind, payload in self.schedule:
             if hasattr(payload, "out_keys"):
                 defined.update(payload.out_keys.values())
             elif hasattr(payload, "out_items"):
@@ -317,8 +324,7 @@ class _ComponentCompiler:
             else:
                 defined.add(payload.dst_key)
         reads: Dict[str, List[_Key]] = {}
-        from .engine import _GROUP, _PRIM
-        for kind, payload in self.engine._schedule:
+        for kind, payload in self.schedule:
             if kind == _PRIM:
                 model = payload.model
                 if not _is_stdlib(model):
@@ -339,32 +345,69 @@ class _ComponentCompiler:
         interpreter semantics, so nothing is cleared there)."""
         return self._early_reads if self.fresh else {}
 
-    # -- scalar emission -------------------------------------------------------
+    # -- chunk emission --------------------------------------------------------
 
-    def emit_scalar(self, out: _Lines) -> None:
-        engine = self.engine
-        cid = self.comp_id
-        out.emit(f"def make_c{cid}():  # component {self.name!r}"
+    def emit_chunk(self) -> str:
+        """The chunk source: ``link(INIT, C, kids)`` binds the group plans
+        from ``C`` and returns this component's factory, or ``make_top``
+        for the fresh top."""
+        body = _Lines()
+        body.indent = 1
+        self._emit_make(body)
+        if self.fresh:
+            self._emit_make_top(body)
+            body.emit("return make_top")
+        else:
+            body.emit("return make")
+        out = _Lines()
+        out.emit(f"def link(INIT, C, kids):  # component {self.name!r}"
                  f"{' (top, fresh)' if self.fresh else ''}")
         out.indent += 1
-        out.emit(f"s = list(INIT_c{cid})")
+        for index, name in enumerate(self.constants):
+            out.emit(f"{name} = C[{index}]")
+        out.lines.extend(body.lines)
+        return out.text()
+
+    def _emit_make(self, out: _Lines) -> None:
+        plan = self.plan
+        out.emit("def make():")
+        out.indent += 1
+        out.emit("s = list(INIT)")
         out.emit("n = 0")
-        for node in engine._prim_nodes:
+        for (cell, primitive, params), node in zip(plan.prims,
+                                                   plan.prim_nodes):
             if not _is_stdlib(node.model):
-                comp_name, params = self.cell_types[node.cell]
-                out.emit(f"m_{self._ident(node.cell)} = "
-                         f"_mk({comp_name!r}, {params!r})")
-        for node in engine._child_nodes:
-            child_id = self.child_ids[node.engine.component.name]
+                out.emit(f"m_{self._ident(cell)} = "
+                         f"_mk({primitive!r}, {params!r})")
+        for node in plan.child_nodes:
             ident = self._ident(node.cell)
             out.emit(f"st_{ident}, tk_{ident}, rs_{ident}, _ = "
-                     f"make_c{child_id}()")
+                     f"kids[{node.cell!r}]()")
         self._emit_scalar_settle(out)
         self._emit_scalar_tick(out)
         self._emit_scalar_reset(out)
         out.emit("return settle, tick, reset, s")
         out.indent -= 1
         out.emit()
+
+    def _emit_make_top(self, out: _Lines) -> None:
+        plan = self.plan
+        out.emit("def make_top():")
+        out.indent += 1
+        out.emit("settle, tick, reset, s = make()")
+        out.emit("def cycle(inputs):")
+        out.indent += 1
+        out.emit("g = inputs.get")
+        args = ", ".join(f"g({name!r}, X)" for name in plan.input_names)
+        out.emit(f"o = settle({args})")
+        pairs = ", ".join(f"{name!r}: o[{index}]"
+                          for index, name in enumerate(plan.output_names))
+        out.emit(f"r = {{{pairs}}}")
+        out.emit("tick()")
+        out.emit("return r")
+        out.indent -= 1
+        out.emit("return cycle, reset, s")
+        out.indent -= 1
         out.emit()
 
     @staticmethod
@@ -372,8 +415,7 @@ class _ComponentCompiler:
         return "".join(ch if ch.isalnum() else "_" for ch in cell)
 
     def _emit_scalar_settle(self, out: _Lines) -> None:
-        engine = self.engine
-        inputs = engine._input_names
+        inputs = self.plan.input_names
         args = ", ".join(f"a{i}" for i in range(len(inputs)))
         out.emit(f"def settle({args}):")
         out.indent += 1
@@ -385,22 +427,21 @@ class _ComponentCompiler:
             for key in keys:
                 out.emit(f"s[{self.slots[key]}] = X"
                          f"  # {cell} reads {key} before its driver runs")
-        from .engine import _GROUP, _PRIM
         temp = [0]
 
         def fresh_temp(prefix: str = "t") -> str:
             temp[0] += 1
             return f"{prefix}{temp[0]}"
 
-        for kind, payload in engine._schedule:
+        for kind, payload in self.schedule:
             if kind == _PRIM:
                 self._emit_scalar_prim(out, payload, fresh_temp)
             elif kind == _GROUP:
                 self._emit_scalar_group(out, payload, fresh_temp)
             else:
                 self._emit_scalar_child(out, payload)
-        outputs = [self.slots[(None, port.name)]
-                   for port in self.component.outputs]
+        outputs = [self.slots[(None, name)]
+                   for name in self.plan.output_names]
         if outputs:
             out.emit("return ("
                      + ", ".join(f"s[{i}]" for i in outputs) + ",)")
@@ -552,7 +593,7 @@ class _ComponentCompiler:
             return
         # Multi-driven port: the slot-based resolver (dict-free, exact
         # conflict semantics).
-        plan_name = f"GP_c{self.comp_id}_{d}"
+        plan_name = f"gp{d}"
         self.constants[plan_name] = (
             self.name, group,
             tuple((tuple(self.slots[key] for key in assign.guard_keys)
@@ -581,7 +622,7 @@ class _ComponentCompiler:
             return f"{prefix}{temp[0]}"
 
         sl = self.slots
-        for node in self.engine._prim_nodes:
+        for node in self.plan.prim_nodes:
             model = node.model
             cell = node.cell
             if not _is_stdlib(model):
@@ -645,7 +686,7 @@ class _ComponentCompiler:
                     for k in range(len(taps) - 1, 0, -1):
                         out.emit(f"s[{taps[k]}] = s[{taps[k - 1]}]")
                     out.emit(f"s[{taps[0]}] = s[{sl[(cell, '_0')]}]")
-        for node in self.engine._child_nodes:
+        for node in self.plan.child_nodes:
             out.emit(f"tk_{self._ident(node.cell)}()  # child {node.cell}")
         out.emit("n += 1")
         out.indent -= 1
@@ -656,11 +697,11 @@ class _ComponentCompiler:
         out.indent += 1
         out.emit("nonlocal n")
         out.emit("n = 0")
-        out.emit(f"s[:] = INIT_c{self.comp_id}")
-        for node in self.engine._prim_nodes:
+        out.emit("s[:] = INIT")
+        for node in self.plan.prim_nodes:
             if not _is_stdlib(node.model):
                 out.emit(f"m_{self._ident(node.cell)}.reset()")
-        for node in self.engine._child_nodes:
+        for node in self.plan.child_nodes:
             out.emit(f"rs_{self._ident(node.cell)}()")
         out.indent -= 1
         out.emit()
@@ -686,19 +727,11 @@ def slot_width_hints(compiler: _ComponentCompiler) -> Dict[int, int]:
     wider than the destination's hint — :func:`plan_slot_limbs` propagates
     those, so together the two give the exact storage each slot needs to
     hold the same unmasked Python ints the interpreter keeps."""
-    engine = compiler.engine
-    component = compiler.component
-    port_widths = {port.name: port.width
-                   for port in list(component.inputs)
-                   + list(component.outputs)}
+    plan = compiler.plan
+    port_widths = plan.widths
     prim_hints = {node.cell: max(1, node.model.width_hint)
-                  for node in engine._prim_nodes}
-    child_ports: Dict[str, Dict[str, int]] = {}
-    for node in engine._child_nodes:
-        child = node.engine.component
-        child_ports[node.cell] = {
-            port.name: port.width
-            for port in list(child.inputs) + list(child.outputs)}
+                  for node in plan.prim_nodes}
+    child_ports = {node.cell: node.widths for node in plan.child_nodes}
     hints: Dict[int, int] = {}
     for (cell, port), slot in compiler.slots.items():
         if cell is None:
@@ -742,7 +775,7 @@ def plan_slot_limbs(compilers: Dict[str, _ComponentCompiler]
         changed = False
         for name, compiler in compilers.items():
             table = limbs[name]
-            for group in compiler.engine._groups:
+            for group in compiler.plan.groups:
                 dst = compiler.slots[group.dst_key]
                 need = table[dst]
                 for assign in group.assigns:
@@ -756,8 +789,8 @@ def plan_slot_limbs(compilers: Dict[str, _ComponentCompiler]
                 if need > table[dst]:
                     table[dst] = need
                     changed = True
-            for node in compiler.engine._child_nodes:
-                child_name = node.engine.component.name
+            for node in compiler.plan.child_nodes:
+                child_name = node.component
                 child_compiler = compilers[child_name]
                 child_table = limbs[child_name]
                 for port, key in node.in_items:
@@ -774,13 +807,14 @@ def plan_slot_limbs(compilers: Dict[str, _ComponentCompiler]
 
 
 # ---------------------------------------------------------------------------
-# Whole-program generation
+# Chunks, linking and the chunk cache
 # ---------------------------------------------------------------------------
 
 
 def _reachable_engines(engine) -> List:
     """Engines of the hierarchy, one per distinct component name, children
-    before parents (so factories are defined before use)."""
+    before parents (so every child's factory is linked before its
+    parent's)."""
     order: List = []
     seen: Dict[str, bool] = {}
 
@@ -797,43 +831,69 @@ def _reachable_engines(engine) -> List:
 
 
 def netlist_digest(engine) -> str:
-    """A stable digest of the netlist reachable from ``engine`` — the
-    kernel cache key: structurally identical netlists share one generated
-    program.
+    """A stable digest of the netlist reachable from ``engine`` — the key
+    of the native tier's ``.so`` files.
 
-    Beyond the printed structure, the digest covers each primitive cell's
-    *model class identity*: the inline-vs-black-box decision (and the
-    inlined semantics) depend on which class the registry produced, so a
-    ``register_primitive`` override of a stdlib name must miss the cache
-    rather than reuse a kernel generated for the old model."""
+    Beyond the printed structure (each plan's printed text), the digest
+    covers each primitive cell's *model class identity*: the
+    inline-vs-black-box decision (and the inlined semantics) depend on
+    which class the registry produced, so a ``register_primitive``
+    override of a stdlib name must miss rather than reuse a kernel built
+    for the old model."""
     parts = [engine.component.name]
     for node in _reachable_engines(engine):
-        parts.append(str(node.component))
-        for prim in node._prim_nodes:
+        plan = node._plan
+        parts.append(plan.text)
+        for prim in plan.prim_nodes:
             model_type = type(prim.model)
             parts.append(f"{prim.cell}:{model_type.__module__}."
                          f"{model_type.__qualname__}")
     return hashlib.sha256("\n\n".join(parts).encode()).hexdigest()
 
 
-class CompiledKernelProgram:
-    """One generated, ``exec``-ed kernel module for a netlist digest."""
+class _Chunk:
+    """One component's compiled chunk: its ``link`` function, the init
+    table and group plans it is linked with, its slot map and its source
+    text."""
 
-    def __init__(self, digest: str, source: str, namespace: dict,
-                 slot_map: Dict[_Key, int], output_names: List[str]) -> None:
-        self.digest = digest
-        self.source = source
-        self.namespace = namespace
+    __slots__ = ("link", "init", "consts", "slots", "source")
+
+    def __init__(self, plan, fresh: bool) -> None:
+        compiler = _ComponentCompiler(plan, fresh)
+        self.source = compiler.emit_chunk()
+        namespace = {"X": X, "_U": _UNDRIVEN, "_rg": _resolve_slots,
+                     "_mk": create_primitive}
+        try:
+            exec(compile(self.source, f"<kernel {plan.name}>", "exec"),
+                 namespace)
+        except SyntaxError as error:  # pragma: no cover - generator bug guard
+            raise KernelUnavailable(f"generated source failed to compile: "
+                                    f"{error}") from error
+        self.link = namespace["link"]
+        self.init = compiler.scalar_init()
+        self.consts = tuple(compiler.constants.values())
+        self.slots = compiler.slots
+
+
+class CompiledKernelProgram:
+    """One engine's linked kernel: the top's ``make_top``, the top slot
+    map and output names, and the linked chunks' source texts (children
+    first, for debugging)."""
+
+    def __init__(self, make_top, slot_map: Dict[_Key, int],
+                 output_names: List[str], sources: List[str]) -> None:
+        self.make_top = make_top
         self.slot_map = slot_map
         self.output_names = output_names
+        self.sources = sources
 
     def scalar_instance(self) -> "ScalarKernel":
-        cycle, reset, slots = self.namespace["make_top"]()
+        cycle, reset, slots = self.make_top()
         return ScalarKernel(cycle, reset, slots, self.slot_map)
 
 
 class ScalarKernel:
-    """A live scalar kernel: fresh state, one netlist, one digest."""
+    """A live scalar kernel: fresh state over one linked program."""
 
     __slots__ = ("cycle", "reset", "_slots", "_slot_map")
 
@@ -848,101 +908,60 @@ class ScalarKernel:
         return X if index is None else self._slots[index]
 
 
-def generate_source(engine) -> Tuple[str, dict, Dict[_Key, int], List[str]]:
-    """Generate kernel source for the engine's hierarchy.  Returns the
-    source text, the injected constants, the top-level slot map, and the
-    top-level output names."""
-    engines = _reachable_engines(engine)
-    for node in engines:
-        if node._schedule is None:
-            raise KernelUnavailable(
-                f"{node.component.name}: {node.fallback_reason}")
-    comp_ids = {node.component.name: index
-                for index, node in enumerate(engines)}
-    out = _Lines()
-    out.emit("# Generated simulation kernel — do not edit; see "
-             "repro/sim/codegen.py.")
-    out.emit()
-    constants: Dict[str, object] = {}
-    compilers: List[_ComponentCompiler] = []
-    for node in engines:
-        child_ids = {child.component.name: comp_ids[child.component.name]
-                     for child in node._children.values()}
-        compiler = _ComponentCompiler(
-            node, comp_ids[node.component.name], child_ids,
-            fresh=node is engine)
-        compilers.append(compiler)
-        compiler.emit_scalar(out)
-        constants[f"INIT_c{compiler.comp_id}"] = compiler.scalar_init()
-        constants.update(compiler.constants)
-    top = compilers[-1]
-    input_names = list(engine._input_names)
-    output_names = [port.name for port in engine.component.outputs]
-
-    out.emit("def make_top():")
-    out.indent += 1
-    out.emit(f"settle, tick, reset, s = make_c{top.comp_id}()")
-    out.emit("def cycle(inputs):")
-    out.indent += 1
-    out.emit("g = inputs.get")
-    args = ", ".join(f"g({name!r}, X)" for name in input_names)
-    out.emit(f"o = settle({args})")
-    pairs = ", ".join(f"{name!r}: o[{index}]"
-                      for index, name in enumerate(output_names))
-    out.emit(f"r = {{{pairs}}}")
-    out.emit("tick()")
-    out.emit("return r")
-    out.indent -= 1
-    out.emit("return cycle, reset, s")
-    out.indent -= 1
-    out.emit()
-    return out.text(), constants, dict(top.slots), output_names
-
-
-#: Process-wide cache of generated programs, keyed by netlist digest.
+#: Process-wide cache of compiled chunks, keyed by ``(plan key, fresh)``.
 #: Bounded LRU: long fuzz/conformance campaigns stream thousands of
-#: distinct netlists through the compiled tier, and each cached program
-#: retains its full source text and exec'd namespace.  The native tier's
-#: program cache uses the same bound.
-_CACHE = DigestCache(256)
+#: distinct components through the compiled tier.
+_CACHE = DigestCache(_CACHE_BOUND)
 
 
 def kernel_cache_limit() -> int:
-    """The kernel cache's bound (programs kept)."""
+    """The kernel cache's bound (chunks kept)."""
     return _CACHE.bound
 
 
 def kernel_cache_stats() -> Dict[str, int]:
-    """Process-wide kernel cache counters: ``hits``, ``misses``,
+    """Process-wide chunk cache counters: ``hits``, ``misses``,
     ``evicted``, ``entries`` and ``limit``."""
     return _CACHE.stats()
 
 
 def clear_kernel_cache() -> None:
-    """Drop every cached generated program (tests and benchmarks)."""
+    """Drop every cached chunk and every cached engine plan (tests and
+    benchmarks that need a cold start)."""
     _CACHE.clear()
+    _PLANS.clear()
 
 
 def kernel_for(engine) -> Tuple[CompiledKernelProgram, bool, float]:
-    """The generated kernel program for ``engine``'s netlist: ``(program,
-    cache_hit, build_seconds)``.  Raises :class:`KernelUnavailable` when
-    codegen cannot handle the netlist (the engine then runs the
-    interpreter)."""
-    digest = netlist_digest(engine)
-    cached = _CACHE.get(digest)
-    if cached is not None:
-        return cached, True, 0.0
+    """The generated kernel for ``engine``'s netlist: ``(program,
+    cache_hit, build_seconds)``.
+
+    Walks the reachable engines children first; each one's chunk is
+    fetched from the chunk cache by ``(plan key, fresh)`` — only the top
+    is fresh — or generated and compiled, then linked to its children's
+    factories.  ``cache_hit`` is true when every chunk hit.  Raises
+    :class:`KernelUnavailable` when codegen cannot handle the netlist (the
+    engine then runs the interpreter)."""
     start = time.perf_counter()
-    source, constants, slot_map, output_names = generate_source(engine)
-    namespace = {"X": X, "_U": _UNDRIVEN, "_rg": _resolve_slots,
-                 "_mk": create_primitive, **constants}
-    try:
-        exec(compile(source, f"<kernel {digest[:12]}>", "exec"), namespace)
-    except SyntaxError as error:  # pragma: no cover - generator bug guard
-        raise KernelUnavailable(f"generated source failed to compile: "
-                                f"{error}") from error
-    program = CompiledKernelProgram(digest, source, namespace, slot_map,
-                                    output_names)
-    seconds = time.perf_counter() - start
-    _CACHE.put(digest, program)
-    return program, False, seconds
+    hit = True
+    factories: Dict[str, object] = {}
+    sources: List[str] = []
+    for node in _reachable_engines(engine):
+        plan = node._plan
+        if plan.schedule is None:
+            raise KernelUnavailable(f"{plan.name}: {plan.fallback_reason}")
+        fresh = node is engine
+        chunk = _CACHE.get((plan.key, fresh))
+        if chunk is None:
+            hit = False
+            chunk = _Chunk(plan, fresh)
+            _CACHE.put((plan.key, fresh), chunk)
+        kids = {cell: factories[child.component.name]
+                for cell, child in node._children.items()}
+        factories[plan.name] = chunk.link(chunk.init, chunk.consts, kids)
+        sources.append(chunk.source)
+    # The walk ends at the top, so ``chunk`` and ``plan`` are the top's.
+    program = CompiledKernelProgram(factories[engine.component.name],
+                                    chunk.slots, list(plan.output_names),
+                                    sources)
+    return program, hit, time.perf_counter() - start

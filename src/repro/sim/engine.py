@@ -43,11 +43,22 @@ Every batch entry masks each input value to its port's declared width.
 :func:`interleave_columns` are the one place that converts between the two
 forms.
 
+An engine is an immutable per-component **plan** plus per-instance
+**state**.  The plan (:class:`_ComponentPlan`) is everything the engine
+derives from its own netlist alone: port names and masks, the primitive
+cells, the driver groups, the levelized schedule and the fallback reason.
+It is cached process-wide, keyed by the printed component, its primitives'
+registered factories and its children's interfaces (port names and
+widths), never the children's bodies — so editing a leaf's body misses
+exactly one plan and every ancestor's plan still hits.  The state is what
+one engine owns: fresh primitive models, child engines, nodes bound to
+them, the current values and the cycle count.
+
 ``mode="compiled"`` adds the next tier: the levelized schedule is compiled
-once into a specialized straight-line Python kernel
-(:mod:`repro.sim.codegen`, cached process-wide by netlist digest) and every
-batch executes through it — with automatic fallback to the interpreter
-tiers for netlists codegen cannot handle, so semantics never fork
+into a specialized straight-line Python kernel (:mod:`repro.sim.codegen`,
+one cached chunk per component plan, linked per engine) and every batch
+executes through it — with automatic fallback to the interpreter tiers for
+netlists codegen cannot handle, so semantics never fork
 (:attr:`ScheduledEngine.kernel_fallback_reason` records why).
 
 ``mode="native"`` adds the top tier: the same schedule is emitted as C
@@ -72,9 +83,10 @@ from itertools import chain, repeat
 from operator import setitem
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..calyx.ir import Assignment, CalyxComponent, CalyxProgram, Cell, CellPort
+from ..calyx.ir import Assignment, CalyxComponent, CalyxProgram, CellPort
 from ..core.errors import DriverConflictError, SimulationError
-from .primitives import PrimitiveModel, create_primitive, is_primitive
+from ..core.store import DigestCache
+from .primitives import _FACTORIES, PrimitiveModel, create_primitive
 from .values import Value, X, format_value, is_x
 
 __all__ = ["ScheduledEngine", "SimulatorMode", "_MAX_SWEEPS",
@@ -99,9 +111,18 @@ _MAX_SWEEPS = 200
 #: chain.
 SimulatorMode = str
 
+#: Schedule node kinds; a plan's schedule entry ``(kind, index)`` indexes
+#: the ``(prims, children, groups)`` node lists in this order.
 _PRIM = 0
 _CHILD = 1
 _GROUP = 2
+
+#: Bound of the plan cache here and of the chunk cache in
+#: :mod:`repro.sim.codegen`; each entry describes one component.  A
+#: ``chain_program`` link costs about 8 KiB of plan and 8 KiB of chunk, a
+#: generated conformance component about 46 KiB for both, so a long fuzz
+#: campaign retains at most ~50 MB while 16 64-deep chains still fit.
+_CACHE_BOUND = 1024
 
 #: A signal key: ``(cell_name_or_None, port_name)``.
 _Key = Tuple[Optional[str], str]
@@ -178,35 +199,53 @@ def interleave_columns(cycles: int, lanes: Sequence[Dict[str, Column]],
 class _PrimNode:
     """A primitive cell with its port keys interned once.
 
-    ``in_items``/``out_items`` pair each port name with its prebuilt
+    ``in_items``/``out_keys`` pair each port name with its prebuilt
     ``(cell, port)`` key, so neither the scheduled pass nor the sweep
-    fallback re-allocates key tuples on every cycle.
-    """
+    fallback re-allocates key tuples on every cycle.  A plan's template
+    node and every engine's node for the cell share these tuples; only the
+    model differs (the template's is a prototype read for static
+    attributes only)."""
 
     __slots__ = ("cell", "model", "in_items", "out_keys")
 
-    def __init__(self, cell: str, model: PrimitiveModel) -> None:
+    def __init__(self, cell: str, model: PrimitiveModel,
+                 in_items: Tuple[Tuple[str, _Key], ...],
+                 out_keys: Dict[str, _Key]) -> None:
         self.cell = cell
         self.model = model
+        self.in_items = in_items
+        self.out_keys = out_keys
+
+
+class _ChildPorts:
+    """A child cell as its parent's plan sees it: the child component's
+    name, its port items and its port widths — never its body."""
+
+    __slots__ = ("cell", "component", "in_items", "out_items", "widths")
+
+    def __init__(self, cell: str, component: str,
+                 inputs: Tuple[Tuple[str, int], ...],
+                 outputs: Tuple[Tuple[str, int], ...]) -> None:
+        self.cell = cell
+        self.component = component
         self.in_items: Tuple[Tuple[str, _Key], ...] = tuple(
-            (port, (cell, port)) for port in model.inputs)
-        self.out_keys: Dict[str, _Key] = {
-            port: (cell, port) for port in model.outputs}
+            (port, (cell, port)) for port, _ in inputs)
+        self.out_items: Tuple[Tuple[str, _Key], ...] = tuple(
+            (port, (cell, port)) for port, _ in outputs)
+        self.widths: Dict[str, int] = dict(inputs + outputs)
 
 
 class _ChildNode:
-    """A child component instance with its port keys interned once."""
+    """A child component instance, sharing its plan's port items."""
 
     __slots__ = ("cell", "engine", "in_items", "out_items")
 
-    def __init__(self, cell: str, engine: "ScheduledEngine") -> None:
+    def __init__(self, cell: str, engine: "ScheduledEngine",
+                 ports: _ChildPorts) -> None:
         self.cell = cell
         self.engine = engine
-        self.in_items: Tuple[Tuple[str, _Key], ...] = tuple(
-            (port, (cell, port)) for port in engine._input_names)
-        self.out_items: Tuple[Tuple[str, _Key], ...] = tuple(
-            (port, (cell, port))
-            for port in engine.component.output_names())
+        self.in_items = ports.in_items
+        self.out_items = ports.out_items
 
 
 class _CompiledAssign:
@@ -240,9 +279,200 @@ class _DriverGroup:
         self.assigns = assigns
 
 
+def _build_schedule(prim_nodes: Sequence[_PrimNode],
+                    child_nodes: Sequence[_ChildPorts],
+                    groups: Sequence[_DriverGroup], input_set: frozenset
+                    ) -> Tuple[Optional[List[Tuple[int, int]]],
+                               Optional[str]]:
+    """Levelize a netlist into a topological evaluation order of ``(kind,
+    index)`` pairs, or return ``(None, reason)`` when the combinational
+    dependency graph is cyclic (or otherwise irregular) and the sweep
+    fallback must be used."""
+    nodes: List[Tuple[int, int]] = []
+    defines: List[Tuple[_Key, ...]] = []
+    depends: List[Tuple[_Key, ...]] = []
+
+    for index, node in enumerate(prim_nodes):
+        model = node.model
+        comb = model.combinational_inputs
+        if comb is None:
+            comb = model.inputs
+        nodes.append((_PRIM, index))
+        defines.append(tuple(node.out_keys.values()))
+        depends.append(tuple((node.cell, port) for port in comb))
+
+    for index, child_node in enumerate(child_nodes):
+        # All inputs, not just combinationally-relevant ones: the child's
+        # tick reads the inputs of its last settle.
+        nodes.append((_CHILD, index))
+        defines.append(tuple(key for _, key in child_node.out_items))
+        depends.append(tuple(key for _, key in child_node.in_items))
+
+    for index, group in enumerate(groups):
+        nodes.append((_GROUP, index))
+        defines.append((group.dst_key,))
+        depends.append(tuple(
+            key
+            for assign in group.assigns
+            for key in (assign.guard_keys or ()) +
+                       ((assign.src_key,) if assign.src_key else ())
+        ))
+
+    # Map each signal to its unique defining node; duplicate or
+    # input-shadowing definitions are irregular netlists -> fallback.
+    defined_by: Dict[_Key, int] = {}
+    for index, keys in enumerate(defines):
+        for key in keys:
+            if key in defined_by:
+                return None, "duplicate-definition"
+            if key[0] is None and key[1] in input_set:
+                return None, "input-shadowing"
+            defined_by[key] = index
+
+    # Kahn's algorithm over node-level edges, preserving declaration order
+    # among ready nodes for determinism.  The ready set is a deque (FIFO
+    # popleft keeps the declaration order) — a list's ``pop(0)`` made
+    # schedule construction O(n²) in node count.
+    successors: List[List[int]] = [[] for _ in nodes]
+    indegree = [0] * len(nodes)
+    for index, keys in enumerate(depends):
+        sources = {defined_by[key] for key in keys if key in defined_by}
+        if index in sources:
+            # A node reading its own destination (e.g. ``p = p ? v``) is a
+            # combinational cycle; only the sweep loop evaluates it
+            # faithfully.
+            return None, "self-loop"
+        for source in sources:
+            successors[source].append(index)
+            indegree[index] += 1
+    ready = deque(index for index, degree in enumerate(indegree)
+                  if degree == 0)
+    order: List[int] = []
+    while ready:
+        index = ready.popleft()
+        order.append(index)
+        for successor in successors[index]:
+            indegree[successor] -= 1
+            if indegree[successor] == 0:
+                ready.append(successor)
+    if len(order) != len(nodes):
+        return None, "combinational-cycle"
+    return [nodes[index] for index in order], None
+
+
+class _ComponentPlan:
+    """What an engine derives from its own netlist alone, shared by every
+    engine of a structurally identical component and never mutated.
+
+    It holds the port names, widths and input masks; the primitive cells
+    as ``(cell, primitive, params)``, with template :class:`_PrimNode`
+    objects whose models are prototypes, read only for static attributes
+    (name, width, params, combinational inputs); the child cells as
+    :class:`_ChildPorts`, which carry only the child's interface; the
+    driver groups; and the levelized schedule as ``(kind, index)`` pairs,
+    or ``None`` with :attr:`fallback_reason` set when the sweep fallback
+    runs.  ``text`` is the printed component, the first part of ``key``."""
+
+    __slots__ = ("key", "name", "text", "input_names", "input_set",
+                 "output_names", "widths", "input_masks", "prims",
+                 "prim_nodes", "child_nodes", "groups", "schedule",
+                 "fallback_reason")
+
+    def __init__(self, key: tuple, component: CalyxComponent,
+                 fixpoint: bool) -> None:
+        self.key = key
+        self.name = component.name
+        self.text: str = key[0]
+        self.input_names: Tuple[str, ...] = tuple(component.input_names())
+        self.input_set = frozenset(self.input_names)
+        self.output_names: Tuple[str, ...] = tuple(component.output_names())
+        self.widths: Dict[str, int] = {
+            port.name: port.width
+            for port in list(component.inputs) + list(component.outputs)}
+        #: Per input port, the mask of its declared width (every batch
+        #: entry truncates its inputs to it).
+        self.input_masks: Dict[str, int] = {
+            port.name: (1 << port.width) - 1 for port in component.inputs}
+        prims: List[Tuple[str, str, tuple]] = []
+        self.prim_nodes: List[_PrimNode] = []
+        self.child_nodes: List[_ChildPorts] = []
+        for cell, part in zip(component.cells, key[2]):
+            if isinstance(part, tuple):
+                self.child_nodes.append(
+                    _ChildPorts(cell.name, cell.component, *part))
+                continue
+            params = tuple(cell.params)
+            prims.append((cell.name, cell.component, params))
+            model = create_primitive(cell.component, params)
+            self.prim_nodes.append(_PrimNode(
+                cell.name, model,
+                tuple((port, (cell.name, port)) for port in model.inputs),
+                {port: (cell.name, port) for port in model.outputs}))
+        self.prims = tuple(prims)
+        by_dst: Dict[CellPort, List[_CompiledAssign]] = {}
+        for wire in component.wires:
+            by_dst.setdefault(wire.dst, []).append(_CompiledAssign(wire))
+        self.groups: List[_DriverGroup] = [
+            _DriverGroup(dst, assigns) for dst, assigns in by_dst.items()]
+        self.schedule: Optional[List[Tuple[int, int]]]
+        self.fallback_reason: Optional[str]
+        if fixpoint:
+            self.schedule, self.fallback_reason = None, "mode=fixpoint"
+        else:
+            self.schedule, self.fallback_reason = _build_schedule(
+                self.prim_nodes, self.child_nodes, self.groups,
+                self.input_set)
+
+    def bind(self, prim_nodes: Sequence, child_nodes: Sequence
+             ) -> Optional[List[Tuple[int, object]]]:
+        """The schedule as ``(kind, node)`` pairs over the given node
+        lists (``None`` under the sweep fallback)."""
+        if self.schedule is None:
+            return None
+        nodes = (prim_nodes, child_nodes, self.groups)
+        return [(kind, nodes[kind][index]) for kind, index in self.schedule]
+
+
+#: Process-wide plan cache (see :func:`_plan_for`).
+_PLANS = DigestCache(_CACHE_BOUND)
+
+
+def _plan_for(program: CalyxProgram, component: CalyxComponent,
+              fixpoint: bool) -> _ComponentPlan:
+    """The cached plan of ``component``.  Its key is the printed
+    component, the fixpoint flag and, per cell, the registered primitive
+    factory (so a ``register_primitive`` override misses) or the child's
+    input and output ``(name, width)`` ports — never the child's body."""
+    cells: List[object] = []
+    for cell in component.cells:
+        factory = _FACTORIES.get(cell.component)
+        if factory is not None:
+            cells.append(factory)
+        elif cell.component in program:
+            child = program.get(cell.component)
+            cells.append((tuple((p.name, p.width) for p in child.inputs),
+                          tuple((p.name, p.width) for p in child.outputs)))
+        else:
+            raise SimulationError(
+                f"{component.name}: cell {cell.name} instantiates "
+                f"unknown component {cell.component!r}")
+    key = (str(component), fixpoint, tuple(cells))
+    plan = _PLANS.get(key)
+    if plan is None:
+        plan = _ComponentPlan(key, component, fixpoint)
+        _PLANS.put(key, plan)
+    return plan
+
+
 class ScheduledEngine:
     """Simulates one component of a :class:`CalyxProgram` from a
-    precompiled evaluation schedule."""
+    precompiled evaluation schedule.
+
+    Construction looks up the component's cached :class:`_ComponentPlan`
+    and builds fresh state around it: primitive models and child engines,
+    nodes that share the plan's port items, and the schedule bound to
+    those nodes.  Each engine resets only its own primitives; every child
+    engine resets its own in its constructor."""
 
     def __init__(self, program: CalyxProgram,
                  component: Optional[str] = None,
@@ -255,38 +485,32 @@ class ScheduledEngine:
         if name is None:
             raise SimulationError("no component selected for simulation")
         self.component: CalyxComponent = program.get(name)
-        self._primitives: Dict[str, PrimitiveModel] = {}
-        self._children: Dict[str, ScheduledEngine] = {}
-        for cell in self.component.cells:
-            if is_primitive(cell.component):
-                self._primitives[cell.name] = create_primitive(
-                    cell.component, cell.params)
-            elif cell.component in program:
-                self._children[cell.name] = type(self)(
-                    program, cell.component, mode=mode)
-            else:
-                raise SimulationError(
-                    f"{self.component.name}: cell {cell.name} instantiates "
-                    f"unknown component {cell.component!r}"
-                )
-        self._input_names = tuple(self.component.input_names())
-        self._input_set = frozenset(self._input_names)
-        self._output_names = tuple(self.component.output_names())
-
-        # Port keys interned once per cell: every evaluation path (scheduled,
-        # sweep fallback, tick) reuses these item tuples instead of
-        # rebuilding ``(cell, port)`` tuples cycle after cycle.
+        plan = self._plan = _plan_for(program, self.component,
+                                      mode == "fixpoint")
+        self._primitives: Dict[str, PrimitiveModel] = {
+            cell: create_primitive(primitive, params)
+            for cell, primitive, params in plan.prims}
+        self._children: Dict[str, ScheduledEngine] = {
+            node.cell: type(self)(program, node.component, mode=mode)
+            for node in plan.child_nodes}
+        self._input_names = plan.input_names
+        self._input_set = plan.input_set
+        self._output_names = plan.output_names
+        self._input_masks = plan.input_masks
         self._prim_nodes: List[_PrimNode] = [
-            _PrimNode(cell, model) for cell, model in self._primitives.items()
-        ]
+            _PrimNode(node.cell, self._primitives[node.cell],
+                      node.in_items, node.out_keys)
+            for node in plan.prim_nodes]
         self._child_nodes: List[_ChildNode] = [
-            _ChildNode(cell, child) for cell, child in self._children.items()
-        ]
-        #: Per input port, the mask of its declared width (every batch
-        #: entry truncates its inputs to it).
-        self._input_masks: Dict[str, int] = {
-            port.name: (1 << port.width) - 1 for port in self.component.inputs
-        }
+            _ChildNode(node.cell, self._children[node.cell], node)
+            for node in plan.child_nodes]
+        self._groups: List[_DriverGroup] = plan.groups
+        #: Why the sweep fallback is in effect (``None`` while the levelized
+        #: schedule runs): ``"mode=fixpoint"``, ``"duplicate-definition"``,
+        #: ``"input-shadowing"``, ``"self-loop"`` or ``"combinational-cycle"``.
+        self.fallback_reason: Optional[str] = plan.fallback_reason
+        self._schedule: Optional[List[Tuple[int, object]]] = plan.bind(
+            self._prim_nodes, self._child_nodes)
 
         # Kernel-codegen state (mode="compiled"/"native"); the kernel is
         # built lazily on the first run so construction stays cheap and
@@ -319,32 +543,14 @@ class ScheduledEngine:
         #: problems, ``interpreter(...)`` when even the schedule is out.
         self.native_fallback_reason: Optional[str] = None
 
-        # Driver grouping, computed once (the fixpoint interpreter used to
-        # rebuild this dictionary on every sweep of every cycle).
-        by_dst: Dict[CellPort, List[_CompiledAssign]] = {}
-        for wire in self.component.wires:
-            by_dst.setdefault(wire.dst, []).append(_CompiledAssign(wire))
-        self._groups: List[_DriverGroup] = [
-            _DriverGroup(dst, assigns) for dst, assigns in by_dst.items()
-        ]
-
-        #: Why the sweep fallback is in effect (``None`` while the levelized
-        #: schedule runs): ``"mode=fixpoint"``, ``"duplicate-definition"``,
-        #: ``"input-shadowing"``, ``"self-loop"`` or ``"combinational-cycle"``.
-        self.fallback_reason: Optional[str] = None
-        if mode == "fixpoint":
-            self.fallback_reason = "mode=fixpoint"
-            self._schedule: Optional[List[Tuple[int, object]]] = None
-        else:
-            self._schedule = self._build_schedule()
-
         #: Current values of every (cell, port) pair; ``None`` cell means the
         #: component's own ports.
         self._values: Dict[_Key, Value] = {}
         self.cycle = 0
-        self.reset()
+        for model in self._primitives.values():
+            model.reset()
 
-    # -- schedule construction -------------------------------------------------
+    # -- schedule --------------------------------------------------------------
 
     @property
     def is_scheduled(self) -> bool:
@@ -368,86 +574,6 @@ class ScheduledEngine:
         for child in self._children.values():
             reasons.update(child.fallback_reasons())
         return reasons
-
-    def _build_schedule(self) -> Optional[List[Tuple[int, object]]]:
-        """Levelize the netlist into a topological evaluation order, or
-        return ``None`` (recording :attr:`fallback_reason`) when the
-        combinational dependency graph is cyclic (or otherwise irregular)
-        and the sweep fallback must be used."""
-        nodes: List[Tuple[int, object]] = []
-        defines: List[Tuple[_Key, ...]] = []
-        depends: List[Tuple[_Key, ...]] = []
-
-        for node in self._prim_nodes:
-            model = node.model
-            comb = model.combinational_inputs
-            if comb is None:
-                comb = model.inputs
-            nodes.append((_PRIM, node))
-            defines.append(tuple(node.out_keys.values()))
-            depends.append(tuple((node.cell, port) for port in comb))
-
-        for child_node in self._child_nodes:
-            # All inputs, not just combinationally-relevant ones: the child's
-            # tick reads the inputs of its last settle.
-            nodes.append((_CHILD, child_node))
-            defines.append(tuple(key for _, key in child_node.out_items))
-            depends.append(tuple(key for _, key in child_node.in_items))
-
-        for group in self._groups:
-            nodes.append((_GROUP, group))
-            defines.append((group.dst_key,))
-            depends.append(tuple(
-                key
-                for assign in group.assigns
-                for key in (assign.guard_keys or ()) +
-                           ((assign.src_key,) if assign.src_key else ())
-            ))
-
-        # Map each signal to its unique defining node; duplicate or
-        # input-shadowing definitions are irregular netlists -> fallback.
-        defined_by: Dict[_Key, int] = {}
-        for index, keys in enumerate(defines):
-            for key in keys:
-                if key in defined_by:
-                    self.fallback_reason = "duplicate-definition"
-                    return None
-                if key[0] is None and key[1] in self._input_set:
-                    self.fallback_reason = "input-shadowing"
-                    return None
-                defined_by[key] = index
-
-        # Kahn's algorithm over node-level edges, preserving declaration
-        # order among ready nodes for determinism.  The ready set is a deque
-        # (FIFO popleft keeps the declaration order) — a list's ``pop(0)``
-        # made schedule construction O(n²) in node count.
-        successors: List[List[int]] = [[] for _ in nodes]
-        indegree = [0] * len(nodes)
-        for index, keys in enumerate(depends):
-            sources = {defined_by[key] for key in keys if key in defined_by}
-            if index in sources:
-                # A node reading its own destination (e.g. ``p = p ? v``) is
-                # a combinational cycle; only the sweep loop evaluates it
-                # faithfully.
-                self.fallback_reason = "self-loop"
-                return None
-            for source in sources:
-                successors[source].append(index)
-                indegree[index] += 1
-        ready = deque(index for index, degree in enumerate(indegree)
-                      if degree == 0)
-        order: List[int] = []
-        while ready:
-            index = ready.popleft()
-            order.append(index)
-            for successor in successors[index]:
-                indegree[successor] -= 1
-                if indegree[successor] == 0:
-                    ready.append(successor)
-        if len(order) != len(nodes):
-            self.fallback_reason = "combinational-cycle"
-            return None
-        return [nodes[index] for index in order]
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -548,8 +674,8 @@ class ScheduledEngine:
         """Eagerly finish engine construction and report how this engine
         will execute.
 
-        In ``mode="compiled"`` this builds (or fetches from the digest
-        cache) the generated kernel that would otherwise be built lazily on
+        In ``mode="compiled"`` this links (from per-component cached
+        chunks) the generated kernel that would otherwise be built lazily on
         the first run; ``mode="native"`` first tries the C tier and only
         builds the Python kernel when the C tier fell back; other modes are
         already fully constructed.  Returns ``{"kernel": bool, "cached":

@@ -13,14 +13,14 @@ with the host C compiler (``cc``/``gcc``/``clang``; override with
 
 * an on-disk tier in the crash-safe :class:`~repro.core.store.ArtifactStore`
   (namespace ``native``), keyed by the ABI version, a tag of the build
-  flags and the same netlist digest the Python kernel cache uses, so a
-  recompile across processes is a verified file load.  The root is
+  flags and :func:`~repro.sim.codegen.netlist_digest`, so a recompile
+  across processes is a verified file load.  The root is
   ``REPRO_STORE_DIR`` when set, else a private per-uid directory under the
   temp dir.  If publishing to the store fails (disk full, injected fault),
   the freshly built ``.so`` still runs out of its private build directory
   — a degradation, never a failure; and
-* a process-wide :class:`~repro.core.store.DigestCache` of loaded
-  programs with the kernel cache's bound.
+* a process-wide :class:`~repro.core.store.DigestCache` of 256 loaded
+  programs, keyed by the same digest.
 
 Every construct is emitted once, as the per-component ``settle``/``tick``
 functions, and one run entry drives them: ``k_run_lanes`` takes N
@@ -102,6 +102,7 @@ from .codegen import (
     netlist_digest,
     plan_slot_limbs,
 )
+from .engine import _GROUP, _PRIM
 
 __all__ = [
     "NativeUnavailable",
@@ -318,7 +319,8 @@ class _PlanRegistry:
 class _CEmitter:
     """Emits one component's struct and its ``reset``/``settle``/``tick``
     C functions from the shared :class:`_ComponentCompiler` slot analysis
-    plus the shared limb plan.
+    plus the shared limb plan.  ``comp_ids`` numbers every component of
+    the translation unit by name.
 
     Every value slot occupies ``limbs[slot]`` consecutive words of the
     component struct's ``v`` array (``word_of[slot]`` is the first); the
@@ -327,11 +329,13 @@ class _CEmitter:
     calls the top component's functions once per lane."""
 
     def __init__(self, compiler: _ComponentCompiler,
-                 limbs: Dict[int, int], plans: _PlanRegistry,
+                 comp_ids: Dict[str, int], limbs: Dict[int, int],
+                 plans: _PlanRegistry,
                  by_name: Dict[str, "_CEmitter"]) -> None:
         self.c = compiler
         self.plans = plans
-        self.cid = compiler.comp_id
+        self.comp_ids = comp_ids
+        self.cid = comp_ids[compiler.name]
         self.limbs = limbs
         self.by_name = by_name
         self.word_of: Dict[int, int] = {}
@@ -467,8 +471,8 @@ class _CEmitter:
                  f"  /* component {self.c.name!r} */")
         out.emit(f"    uint64_t v[{max(1, self.total_words)}];")
         out.emit(f"    uint8_t x[{max(1, len(self.c.slots))}];")
-        for node in self.c.engine._child_nodes:
-            child_id = self.c.child_ids[node.engine.component.name]
+        for node in self.c.plan.child_nodes:
+            child_id = self.comp_ids[node.component]
             out.emit(f"    struct S{child_id} c_{self.c._ident(node.cell)};"
                      f"  /* child {node.cell} */")
         out.emit(f"}} S{self.cid};")
@@ -490,8 +494,8 @@ class _CEmitter:
             out.emit(" ".join(f"{self._v(index, k)} = {lit};"
                               for k, lit in enumerate(lits))
                      + f" {self._x(index)} = 0;")
-        for node in c.engine._child_nodes:
-            child_id = c.child_ids[node.engine.component.name]
+        for node in c.plan.child_nodes:
+            child_id = self.comp_ids[node.component]
             out.emit(f"reset_c{child_id}(&st->c_{c._ident(node.cell)});")
         out.indent -= 1
         out.emit("}")
@@ -509,8 +513,7 @@ class _CEmitter:
                  f"int64_t* eplan, uint64_t* ev, uint8_t* ex) {{")
         out.indent += 1
         out.emit("(void)eplan; (void)ev; (void)ex;")
-        from .engine import _GROUP, _PRIM
-        for kind, payload in c.engine._schedule:
+        for kind, payload in c.schedule:
             if kind == _PRIM:
                 self._emit_prim(out, payload)
             elif kind == _GROUP:
@@ -827,7 +830,7 @@ class _CEmitter:
 
     def _emit_child_copies(self, out: codegen._Lines, node,
                            inputs: bool) -> None:
-        child_em = self.by_name[node.engine.component.name]
+        child_em = self.by_name[node.component]
         child_prefix = f"st->c_{self.c._ident(node.cell)}."
         items = node.in_items if inputs else node.out_items
         for port, key in items:
@@ -843,7 +846,7 @@ class _CEmitter:
     def _emit_child(self, out: codegen._Lines, node) -> None:
         c = self.c
         ident = c._ident(node.cell)
-        child_id = c.child_ids[node.engine.component.name]
+        child_id = self.comp_ids[node.component]
         out.emit(f"/* child {node.cell} */")
         self._emit_child_copies(out, node, inputs=True)
         out.emit(f"{{ int rc = settle_c{child_id}(&st->c_{ident}, "
@@ -1139,10 +1142,10 @@ class _CEmitter:
         out.emit(f"static void tick_c{self.cid}(S{self.cid}* st) {{")
         out.indent += 1
         out.emit("(void)st;")
-        for node in c.engine._prim_nodes:
+        for node in c.plan.prim_nodes:
             self._emit_prim_tick(out, node)
-        for node in c.engine._child_nodes:
-            child_id = c.child_ids[node.engine.component.name]
+        for node in c.plan.child_nodes:
+            child_id = self.comp_ids[node.component]
             out.emit(f"tick_c{child_id}(&st->c_{c._ident(node.cell)});"
                      f"  /* child {node.cell} */")
         out.indent -= 1
@@ -1174,33 +1177,27 @@ def generate_c_source(engine) -> Tuple[str, _KernelLayout, _PlanRegistry]:
     :class:`NativeUnavailable` for any netlist the limb-spill tier cannot
     represent exactly (black boxes, unscheduled components, any value
     wider than 256 bits)."""
-    engines = _reachable_engines(engine)
-    for node in engines:
-        if node._schedule is None:
-            raise NativeUnavailable(
-                f"{node.component.name}: {node.fallback_reason}")
-        for prim in node._prim_nodes:
+    plans = [node._plan for node in _reachable_engines(engine)]
+    for plan in plans:
+        if plan.schedule is None:
+            raise NativeUnavailable(f"{plan.name}: {plan.fallback_reason}")
+        for prim in plan.prim_nodes:
             if not _is_stdlib(prim.model):
                 # The primitive *type* rides along unquoted so coverage can
                 # bin all fallbacks of one black box into a single cell.
                 raise NativeUnavailable(
                     f"black-box primitive {prim.model.name}: {prim.cell!r} "
-                    f"in {node.component.name}")
+                    f"in {plan.name}")
     for port in list(engine.component.inputs) + list(engine.component.outputs):
         if port.width > 64 * _MAX_LIMBS:
             raise NativeUnavailable(
                 f"{engine.component.name}: port {port.name} is "
                 f"{port.width} bits wide (native limb spill caps at "
                 f"{64 * _MAX_LIMBS})")
-    comp_ids = {node.component.name: index
-                for index, node in enumerate(engines)}
-    compilers: "OrderedDict[str, _ComponentCompiler]" = OrderedDict()
-    for node in engines:
-        child_ids = {child.component.name: comp_ids[child.component.name]
-                     for child in node._children.values()}
-        compilers[node.component.name] = _ComponentCompiler(
-            node, comp_ids[node.component.name], child_ids,
-            fresh=node is engine)
+    comp_ids = {plan.name: index for index, plan in enumerate(plans)}
+    compilers: "OrderedDict[str, _ComponentCompiler]" = OrderedDict(
+        (plan.name, _ComponentCompiler(plan, fresh=plan is engine._plan))
+        for plan in plans)
     limb_tables = plan_slot_limbs(compilers)
     for name, table in limb_tables.items():
         for slot, limbs in table.items():
@@ -1208,14 +1205,14 @@ def generate_c_source(engine) -> Tuple[str, _KernelLayout, _PlanRegistry]:
                 raise NativeUnavailable(
                     f"{name}: slot {slot} is {limbs * 64} bits wide "
                     f"(native limb spill caps at {64 * _MAX_LIMBS})")
-    plans = _PlanRegistry()
+    registry = _PlanRegistry()
     emitters: Dict[str, _CEmitter] = {}
     structs = codegen._Lines()
     bodies = codegen._Lines()
-    for node in engines:
-        name = node.component.name
-        emitter = _CEmitter(compilers[name], limb_tables[name], plans,
-                            emitters)
+    for plan in plans:
+        name = plan.name
+        emitter = _CEmitter(compilers[name], comp_ids, limb_tables[name],
+                            registry, emitters)
         emitters[name] = emitter
         emitter.emit_struct(structs)
         emitter.emit_reset(bodies)
@@ -1223,7 +1220,7 @@ def generate_c_source(engine) -> Tuple[str, _KernelLayout, _PlanRegistry]:
         emitter.emit_tick(bodies)
     top_em = emitters[engine.component.name]
     top = top_em.c
-    tid = top.comp_id
+    tid = top_em.cid
 
     widths = {port.name: port.width for port in engine.component.inputs}
     # (name, width, limbs, slot, word, input word base)
@@ -1331,7 +1328,7 @@ def generate_c_source(engine) -> Tuple[str, _KernelLayout, _PlanRegistry]:
                       for name, limbs, _, _, base in out_meta],
         out_words=out_base,
         output_names=output_names)
-    return source, layout, plans
+    return source, layout, registry
 
 
 # ---------------------------------------------------------------------------
@@ -1589,7 +1586,7 @@ class NativeKernel:
 # Digest-keyed caches
 # ---------------------------------------------------------------------------
 
-_CACHE = DigestCache(codegen.kernel_cache_limit())
+_CACHE = DigestCache(256)
 _DISK_HITS = 0
 
 

@@ -1,6 +1,7 @@
 """The incremental-recompilation differential way: a seeded in-place
 mutation of one component, recompiled through the same session, must be
-byte-identical to a from-scratch compile of the mutated program."""
+byte-identical to a from-scratch compile of the mutated program, and its
+incrementally rebuilt kernel must trace like the from-scratch netlist."""
 
 import pytest
 
@@ -65,6 +66,29 @@ class TestIncrementalWay:
                 "const", "op-kind", "input-width")
             return
         pytest.skip("no mutable seed in range")
+
+    def test_a_stale_kernel_is_caught(self, monkeypatch):
+        """The edited component's kernel must be rebuilt: serving its
+        pre-edit program again (a stale plan or chunk would) traces unlike
+        the from-scratch reference, and only this way notices."""
+        from repro.sim import codegen
+
+        built = {}
+
+        def first_kernel(engine, kernel_for=codegen.kernel_for):
+            name = engine.component.name
+            if name not in built:
+                built[name] = kernel_for(engine)
+            return built[name]
+
+        monkeypatch.setattr(codegen, "kernel_for", first_kernel)
+        generated = generate(2)
+        assert mutate_spec(generated.spec, 2)[1] == "op-kind"
+        result = run_conformance(generated, transactions=6, seed=2)
+        assert result.divergences
+        assert all(divergence.startswith(
+            "incremental: engine incremental compiled vs from-scratch "
+            "fixpoint: ") for divergence in result.divergences), result
 
     def test_way_can_be_disabled(self):
         generated = generate(1)

@@ -247,13 +247,19 @@ class TestFallbackAndCache:
         assert netlist_digest(first) == netlist_digest(second)
 
     def test_generated_source_holds_only_the_scalar_kernel(self):
-        from repro.sim.codegen import generate_source
+        """A one-component netlist links one chunk: the fresh top's, whose
+        ``link`` returns ``make_top`` and names nothing positional."""
+        from repro.sim import codegen
 
         program = _single_cell_program("Add", (8,),
                                        {"left": 8, "right": 8})
-        source = generate_source(Simulator(program, mode="compiled"))[0]
-        assert source.count("def make_c") == 1
+        kernel, _, _ = codegen.kernel_for(Simulator(program,
+                                                    mode="compiled"))
+        assert len(kernel.sources) == 1
+        source = kernel.sources[0]
+        assert source.count("def link(") == 1
         assert source.count("def make_top") == 1
+        assert "make_c" not in source and "INIT_c" not in source
 
     def test_stale_spill_envelope_is_ignored_and_rebuilt(self, tmp_path):
         """Generated kernels live only in memory: an envelope planted under
@@ -328,6 +334,9 @@ class TestFallbackAndCache:
             register_primitive("Xor",
                                lambda params: NandXor("Xor", params))
             fixpoint = Simulator(program, mode="fixpoint").run_batch(stimulus)
+            auto = Simulator(program, mode="auto")
+            assert type(auto._plan.prim_nodes[0].model) is NandXor
+            assert auto.run_batch(stimulus) == fixpoint
             compiled = Simulator(program, mode="compiled").run_batch(stimulus)
             assert compiled == fixpoint
             assert compiled[0]["o_out"] == ~(3 & 5) & 0xFF
@@ -354,6 +363,126 @@ class TestFallbackAndCache:
         for stream, lane_trace in zip(streams, lanes):
             scalar.reset()
             _same_traces(scalar.run_batch(stream), lane_trace)
+
+
+def _inverter(name, width):
+    """``o = ~a`` over 8 bits, ``o`` declared ``width`` bits wide."""
+    component = CalyxComponent(name, inputs=[PortSpec("a", 8)],
+                               outputs=[PortSpec("o", width)])
+    component.add_cell(Cell("u", "Not", (8,)))
+    component.add_wire(Assignment(CellPort("u", "in"), CellPort(None, "a")))
+    component.add_wire(Assignment(CellPort(None, "o"), CellPort("u", "out")))
+    return component
+
+
+def _parent_of_two(leaf_width):
+    """``Top`` instantiating ``Leaf`` (output ``leaf_width`` bits wide) and
+    an unrelated ``Sib``; ``Top``'s own text never mentions the width."""
+    top = CalyxComponent("Top", inputs=[PortSpec("a", 8)],
+                         outputs=[PortSpec("o", 8), PortSpec("p", 8)])
+    top.add_cell(Cell("L", "Leaf"))
+    top.add_cell(Cell("S", "Sib"))
+    for cell, out in (("L", "o"), ("S", "p")):
+        top.add_wire(Assignment(CellPort(cell, "a"), CellPort(None, "a")))
+        top.add_wire(Assignment(CellPort(None, out), CellPort(cell, "o")))
+    program = CalyxProgram(entrypoint="Top")
+    for component in (_inverter("Leaf", leaf_width), _inverter("Sib", 8),
+                      top):
+        program.add(component)
+    return program
+
+
+def _cache_counts():
+    from repro.sim.engine import _PLANS
+
+    return kernel_cache_stats(), _PLANS.stats()
+
+
+def _added(before, after):
+    """``(misses, hits)`` added to the chunk and the plan cache."""
+    return tuple((later["misses"] - earlier["misses"],
+                  later["hits"] - earlier["hits"])
+                 for earlier, later in zip(before, after))
+
+
+class TestModularCache:
+    """Plans and chunks are keyed by a component's own text and its
+    children's interfaces, never their bodies."""
+
+    def test_leaf_body_edit_misses_one_chunk_and_one_plan(self):
+        from repro.core.session import CompilationSession
+        from repro.evaluation.compile_time import (
+            chain_program,
+            edit_chain_leaf,
+        )
+        from repro.harness import fuzz_against_golden, harness_for
+
+        def fuzz(salt):
+            def golden(tx):
+                a, b = tx["a"], tx["b"]
+                return {"out": ((((a + b) & 0xFFFF) ^ salt) + 7 * b)
+                        & 0xFFFF}
+
+            harness = harness_for(program, entry, session=session)
+            assert fuzz_against_golden(harness, golden, count=16).passed
+            assert harness._simulator.prepare()["kernel"]
+
+        clear_kernel_cache()
+        program, entry = chain_program(8)
+        session = CompilationSession(program)
+        fuzz(0)
+        before = _cache_counts()
+        edit_chain_leaf(program, 0x5A5A)
+        fuzz(0x5A5A)
+        assert _added(before, _cache_counts()) == ((1, 7), (1, 7))
+
+    def test_child_interface_change_misses_its_parent(self):
+        clear_kernel_cache()
+        Simulator(_parent_of_two(8), mode="compiled").prepare()
+        before = _cache_counts()
+        wider = Simulator(_parent_of_two(16), mode="compiled")
+        assert wider.prepare()["kernel"]
+        # Leaf's text and Top's key change; Sib hits.
+        assert _added(before, _cache_counts()) == ((2, 1), (2, 1))
+        assert wider._plan.text == str(_parent_of_two(8).get("Top"))
+        assert wider.step({"a": 0x0F}) == {"o": 0xF0, "p": 0xF0}
+
+    def test_netlist_digest_keeps_its_formula(self):
+        """The native ``.so`` store is keyed by this digest: the name, the
+        printed components children first and each primitive's model
+        class, exactly as before plans existed."""
+        import hashlib
+
+        from repro.conformance import generate
+        from repro.core.session import CompilationSession
+        from repro.evaluation.compile_time import chain_program
+
+        def reference(engine):
+            parts, seen = [engine.component.name], set()
+
+            def walk(node):
+                if node.component.name in seen:
+                    return
+                seen.add(node.component.name)
+                for child in node._children.values():
+                    walk(child)
+                parts.append(str(node.component))
+                for prim in node._prim_nodes:
+                    kind = type(prim.model)
+                    parts.append(f"{prim.cell}:{kind.__module__}."
+                                 f"{kind.__qualname__}")
+
+            walk(engine)
+            return hashlib.sha256("\n\n".join(parts).encode()).hexdigest()
+
+        program, entry = chain_program(16)
+        generated = generate(4)
+        for calyx, name in (
+                (CompilationSession(program).calyx(entry), entry),
+                (CompilationSession(generated.program).calyx(
+                    generated.spec.name), generated.spec.name)):
+            engine = Simulator(calyx, name, mode="native")
+            assert netlist_digest(engine) == reference(engine)
 
 
 class TestEarlyBlackBoxReads:

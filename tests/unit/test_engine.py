@@ -96,6 +96,57 @@ class TestSchedule:
         assert not ScheduledEngine(program).is_scheduled
 
 
+class TestConstruction:
+    def test_engines_share_the_plan_but_not_the_state(self):
+        program = _adder_program()
+        first, second = ScheduledEngine(program), ScheduledEngine(program)
+        assert first._plan is second._plan
+        assert first._prim_nodes[0].in_items is second._prim_nodes[0].in_items
+        assert first._primitives["A"] is not second._primitives["A"]
+        assert first.step({"a": 1, "b": 2})["o"] == 3
+        assert is_x(second.peek(None, "o"))
+
+    def test_construction_resets_each_primitive_once(self, monkeypatch):
+        """Every engine resets only its own primitives: building a chain
+        of 16 nested engines resets no engine and each model once (a
+        recursive reset per ancestor used to make it 136 engine resets)."""
+        from repro.core.session import CompilationSession
+        from repro.evaluation.compile_time import chain_program
+        from repro.sim import engine as engine_module
+        from repro.sim.primitives import create_primitive
+
+        program, entry = chain_program(16)
+        calyx = CompilationSession(program).calyx(entry)
+        engine_resets = []
+        monkeypatch.setattr(ScheduledEngine, "reset",
+                            lambda self: engine_resets.append(self))
+        resets = {}
+
+        def counted_primitive(name, params=()):
+            model = create_primitive(name, params)
+            reset = model.reset
+
+            def counted():
+                resets[id(model)] = resets.get(id(model), 0) + 1
+                reset()
+
+            model.reset = counted
+            return model
+
+        monkeypatch.setattr(engine_module, "create_primitive",
+                            counted_primitive)
+        engine = ScheduledEngine(calyx, entry)
+        models = []
+        pending = [engine]
+        while pending:
+            node = pending.pop()
+            models.extend(node._primitives.values())
+            pending.extend(node._children.values())
+        assert engine_resets == []
+        assert len(models) > 16
+        assert [resets.get(id(model)) for model in models] == [1] * len(models)
+
+
 class TestRunBatch:
     def test_run_batch_equals_stepping(self):
         stimuli = [{"a": 1, "b": 2}, {"a": 3, "b": 4}, {"a": 5}]
