@@ -5,14 +5,17 @@ The per-primitive behavioural sweep lives in ``test_width_boundaries.py``
 down the tier's *plumbing*: conflict-error parity, every fallback reason
 (black-box primitive, over-wide value, missing compiler), the digest-keyed
 in-memory + on-disk cache and its ABI- and flag-versioned keys, the
-session's one ``"native"`` stage, warning-clean generated C, and the
-bounded :class:`~repro.core.store.DigestCache` the digest-keyed caches
-share.
+session's one ``"native"`` stage, generated C that is warning-clean and
+UBSan-clean at the production flags, and the bounded
+:class:`~repro.core.store.DigestCache` the digest-keyed caches share.
 """
 
+import ctypes
 import os
 import random
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -25,16 +28,19 @@ from repro.calyx.ir import (
     Guard,
     PortSpec,
 )
+from repro.conformance import run_conformance
 from repro.conformance.generator import generate
 from repro.core.errors import SimulationError
 from repro.core.session import CompilationSession
 from repro.core.store import ArtifactStore, DigestCache
 from repro.designs import addmult_program, conv2d_base_program
 from repro.evaluation import chain_program
-from repro.sim import Simulator, clear_native_cache, compiler_available
+from repro.harness import harness_for, random_transactions
+from repro.sim import Simulator, X, clear_native_cache, compiler_available
 from repro.sim import create_primitive
 from repro.sim import native as native_module
 from repro.sim.codegen import netlist_digest
+from repro.sim.engine import rows_to_columns
 
 from test_codegen import _same_traces, _single_cell_program, _stimulus
 from test_width_boundaries import _cases
@@ -186,12 +192,18 @@ class TestNativeCache:
 
         clear_native_cache()
         monkeypatch.setattr(native_module, "_CFLAGS",
-                            ("-O1", "-shared", "-fPIC"))
+                            (*native_module._CFLAGS,
+                             "-DREPRO_FLAG_TAG_TEST"))
         _, cached, _ = native_module.native_for(
             Simulator(program, mode="native"))
         assert not cached
         assert native_module.native_cache_stats()["disk_hits"] == 0
         assert ArtifactStore(tmp_path).entry_count() == 2
+        # Same ABI and digest, different flags tag.
+        (abi, tag, digest), (abi2, tag2, digest2) = (
+            path.stem.split("_")[1:]
+            for path in sorted(tmp_path.rglob("native_*.bin")))
+        assert (abi, digest) == (abi2, digest2) and tag != tag2
         clear_native_cache()
 
     def test_object_under_the_previous_abi_key_is_rebuilt(self, tmp_path,
@@ -327,17 +339,114 @@ _WARNING_DESIGNS = {
 @pytest.mark.parametrize("design", sorted(_WARNING_DESIGNS))
 def test_generated_c_compiles_warning_clean(design, tmp_path):
     """The emitted translation unit builds under ``-Wall -Wextra -Werror``
-    (production builds keep their plain ``-O2`` flags)."""
+    at the production flags: gcc's uninitialised-use warnings depend on
+    the optimisation level, so the check uses the level that ships."""
     program, entrypoint = _WARNING_DESIGNS[design]()
     engine = Simulator(program, entrypoint, mode="native")
     source = native_module.generate_c_source(engine)[0]
     c_path = tmp_path / f"{design}.c"
     c_path.write_text(source)
     proc = subprocess.run(
-        [native_module.find_compiler(), "-O2", "-Wall", "-Wextra", "-Werror",
-         "-shared", "-fPIC", "-o", str(tmp_path / f"{design}.so"),
+        [native_module.find_compiler(), *native_module._CFLAGS, "-Wall",
+         "-Wextra", "-Werror", "-o", str(tmp_path / f"{design}.so"),
          str(c_path)], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr[:2000]
+
+
+def _ubsan_child(case, directory):
+    """Body of the child process of
+    :func:`test_generated_c_is_ubsan_clean_at_the_production_level`: every
+    kernel built here carries the production flags plus UBSan (the flags
+    tag keeps these objects apart from production ones in the store).
+    ``"kernels"`` drives the width-boundary designs, AddMult lane batches
+    and three generator seeds; ``"canary"`` calls a ``<< 64`` compiled
+    the same way, which must trap."""
+    native_module._CFLAGS = (*native_module._CFLAGS, "-fsanitize=undefined",
+                             "-fno-sanitize-recover=all")
+    if case == "canary":
+        so_path = Path(directory) / "canary.so"
+        native_module._compile_so(
+            "#include <stdint.h>\n"
+            "uint64_t f(uint64_t a, int s) { return a << s; }\n",
+            Path(directory) / "canary.c", so_path,
+            native_module.find_compiler())
+        shift = ctypes.CDLL(str(so_path)).f
+        shift.argtypes = (ctypes.c_uint64, ctypes.c_int)
+        shift.restype = ctypes.c_uint64
+        shift(1, 64)
+        return
+    rng = random.Random(0)
+    for width in (62, 63, 64, 65, 127, 128, 129, 255, 256, 257):
+        program = _boundary_program(width)
+        # One driver of ``o`` at a time, then both with different values:
+        # the last cycle aborts on the conflict path.
+        rows = [{port.name: rng.choice((0, (1 << port.width) - 1,
+                                        rng.getrandbits(port.width), X))
+                 for port in program.get("top").inputs}
+                for _ in range(16)]
+        for cycle, row in enumerate(rows):
+            row["g"], row["h"] = cycle & 1, 1 - (cycle & 1)
+        rows.append({"g": 1, "h": 1, "i0_left": 1, "i0_right": 2})
+        engine = Simulator(program, mode="native")
+        try:
+            engine.run_batch(rows)
+        except SimulationError as error:
+            assert "conflicting drivers" in str(error), error
+        else:
+            raise AssertionError(f"no conflict at {width} bits")
+        # Past 4 limbs the tier refuses before any C is built.
+        assert engine.uses_native() == (width <= 256), width
+
+    harness = harness_for(addmult_program(), "AddMult", mode="native")
+    engine = Simulator(harness.calyx, "AddMult", mode="native")
+    names = harness.calyx.get("AddMult").input_names()
+    for lengths in ([12], [12, 5, 0], [lane % 13 for lane in range(64)]):
+        # Each lane is a prefix of a well-formed pipelined schedule.
+        streams = [harness._schedule(random_transactions(
+                       harness, 8, seed=lane))[0][:length]
+                   for lane, length in enumerate(lengths)]
+        cycles = max(lengths)
+        engine.run_lane_columns(
+            cycles, len(lengths), rows_to_columns(streams, names, cycles),
+            lengths)
+        assert engine.uses_native(), engine.native_fallback_reason
+
+    for seed in (3, 5, 8):
+        result = run_conformance(generate(seed))
+        assert result.passed, (seed, result.divergences)
+        assert result.coverage.native and result.coverage.native_lanes, (
+            seed, result.coverage.native_fallback)
+
+
+@needs_cc
+@pytest.mark.parametrize("case", ["kernels", "canary"])
+def test_generated_c_is_ubsan_clean_at_the_production_level(case, tmp_path):
+    """The generated C runs free of undefined behaviour at the shipped
+    optimisation level: a child process builds every kernel with
+    ``-fsanitize=undefined -fno-sanitize-recover=all`` and the UBSan
+    runtime preloaded, so the first report kills it.  The canary case
+    shows such a report does reach the parent."""
+    runtime = subprocess.run(
+        [native_module.find_compiler(), "-print-file-name=libubsan.so"],
+        capture_output=True, text=True).stdout.strip()
+    if not os.path.isabs(runtime):
+        pytest.skip("the C compiler ships no libubsan.so")
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ, LD_PRELOAD=runtime,
+               REPRO_STORE_DIR=str(tmp_path / "store"),
+               PYTHONPATH=os.pathsep.join(
+                   [str(here.parents[1] / "src"), str(here)]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         f"import test_native; "
+         f"test_native._ubsan_child({case!r}, {str(tmp_path)!r})"],
+        env=env, capture_output=True, text=True, timeout=600)
+    if case == "canary":
+        assert proc.returncode != 0, proc.stderr[-2000:]
+        assert "runtime error" in proc.stderr, proc.stderr[-2000:]
+    else:
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert "runtime error:" not in proc.stderr, proc.stderr[-2000:]
 
 
 class TestReviewRegressions:
