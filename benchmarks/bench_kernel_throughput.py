@@ -90,7 +90,7 @@ def _measure_point(harness, mode: str, transactions: int, repeats: int):
     untimed on the final round's output."""
     simulator = harness._fresh_simulator()
     stream = random_transactions(harness, transactions, seed=7)
-    total, columns, starts = harness._schedule_columns(stream)
+    total, columns, _, (starts,) = harness._schedule_streams([stream])
     if mode == "native":
         if not simulator.native_active():
             return None

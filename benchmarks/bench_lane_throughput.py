@@ -19,8 +19,8 @@ records its ``path``).
 
 **Timing definition.**  The timed region is engine-level batch execution
 of pre-built stimulus: ``run_batch``/``run_lanes`` for dict-stimulus
-tiers, ``run_columns``/``run_lane_columns`` for the native tier (merged
-columns are built untimed, exactly as the harness amortizes them).
+tiers, ``run_columns``/``run_lane_columns`` for the native tier (the
+harness's one lane-major schedule is built untimed).
 Output capture and the golden-model check run *untimed* but always run —
 they are the correctness backstop.  See the README benchmark notes for
 why harness-level timing would flatten every ratio toward 1x.
@@ -66,11 +66,7 @@ from repro.harness import (  # noqa: E402
     random_transactions,
 )
 from repro.sim import compiler_available, is_x  # noqa: E402
-from repro.sim.engine import (  # noqa: E402
-    columns_to_rows,
-    interleave_columns,
-    rows_to_columns,
-)
+from repro.sim.engine import columns_to_rows, rows_to_columns  # noqa: E402
 
 LANE_POINTS = (1, 8, 64)
 #: Native first — the headline rows of the committed figure.
@@ -109,26 +105,21 @@ def _measure_point(harness, engine: str, lanes: int, transactions: int,
     simulator = harness._fresh_simulator()
     streams = [random_transactions(harness, transactions, seed=7 + lane)
                for lane in range(lanes)]
-    schedules = [harness._schedule_columns(stream) for stream in streams]
-    lengths = [total for total, _, _ in schedules]
-    total = max(lengths)
+    # The harness's one lane-major schedule, built once and untimed.
+    total, columns, lengths, starts = harness._schedule_streams(streams)
     if engine == "native":
         if not simulator.native_active():
             return None
         if lanes == 1:
-            columns = schedules[0][1]
             run = lambda: simulator.run_columns(total, columns)  # noqa: E731
         else:
-            # The harness's lane-major merge, built once and untimed.
-            merged = interleave_columns(
-                total, [columns for _, columns, _ in schedules], lengths)
             run = lambda: simulator.run_lane_columns(  # noqa: E731
-                total, lanes, merged, lengths)
+                total, lanes, columns, lengths)
         as_columns = lambda out: out  # noqa: E731
     else:
         outputs = [port.name for port in harness.spec.outputs]
-        batches = [columns_to_rows(columns, lane_total)
-                   for lane_total, columns, _ in schedules]
+        batches = [columns_to_rows(columns, length, lanes, lane)
+                   for lane, length in enumerate(lengths)]
         if lanes == 1:
             run = lambda: [simulator.run_batch(batches[0])]  # noqa: E731
         else:
@@ -144,10 +135,12 @@ def _measure_point(harness, engine: str, lanes: int, transactions: int,
         rate = transactions * lanes / elapsed
         best = rate if best is None else max(best, rate)
     out = as_columns(out)
-    for lane, ((lane_total, _, starts), stream) in enumerate(
-            zip(schedules, streams)):
-        _check_golden(CapturedRun(stream, starts, harness._capture_columns(
-            out, lane_total, starts, lanes, lane)))
+    for lane, (stream, length, lane_starts) in enumerate(
+            zip(streams, lengths, starts)):
+        _check_golden(CapturedRun(stream, lane_starts,
+                                  harness._capture_columns(
+                                      out, length, lane_starts, lanes,
+                                      lane)))
     return best
 
 

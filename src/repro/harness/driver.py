@@ -12,15 +12,19 @@ prescribes:
 3. every output is captured during the cycles of its availability interval
    and compared against a golden model.
 
-The harness works in columns on every simulation tier: one scheduler
-(:meth:`CycleAccurateHarness._schedule_columns`) builds one stimulus column
-per port, the simulator's columnar entries run it, and one capture
-(:meth:`CycleAccurateHarness._capture_columns`) slices each output port's
-column out of the result.  A run keeps one column of captured values per
-output port (:class:`CapturedRun`), and :meth:`CycleAccurateHarness.check`
-and the fuzzing checks in :mod:`repro.harness.fuzz` compare those columns
-directly.  The per-transaction :class:`TransactionResult` objects are built
-only when a caller indexes or iterates the run.
+The harness works in columns on every simulation tier.  A run reads each
+input port's values out of the transaction dicts once, and one scheduler
+(:meth:`CycleAccurateHarness._schedule_columns`) writes every stream, one
+lane each (a scalar run is one lane), into one flat lane-major stimulus
+column per port; ports up to 64 bits are ``array('Q')`` buffers, so the
+native tier copies them whole.  The simulator's columnar entries run the
+schedule, and one capture (:meth:`CycleAccurateHarness._capture_columns`)
+slices each output port's column out of the result.  A run keeps one
+column of captured values per output port (:class:`CapturedRun`), and
+:meth:`CycleAccurateHarness.check` and the fuzzing checks in
+:mod:`repro.harness.fuzz` compare those columns directly.  The
+per-transaction :class:`TransactionResult` objects are built only when a
+caller indexes or iterates the run.
 
 On top of the basic driver, :func:`audit_latency` reproduces the Table 1
 methodology ("for designs with mismatched outputs, we change the latency
@@ -31,15 +35,17 @@ held, and reports both next to the claimed interface.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from itertools import repeat
+from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..calyx.ir import CalyxProgram
 from ..core.ast import Program
 from ..core.errors import FilamentError, SimulationError
 from ..core.session import CompilationSession
-from ..sim.engine import Column, columns_to_rows, interleave_columns
+from ..sim.engine import Column, columns_to_rows
 from ..sim.simulator import Simulator
 from ..sim.values import Value, X, format_value, is_x
 from .spec import InterfaceSpec, spec_from_signature
@@ -57,6 +63,10 @@ __all__ = [
 
 #: A transaction maps each data input port to the value for that transaction.
 Transaction = Dict[str, int]
+
+#: A lane-major schedule: ``(total, columns, lengths, starts)`` (see
+#: :meth:`CycleAccurateHarness._schedule_columns`).
+Schedule = Tuple[int, Dict[str, Column], List[int], List[List[int]]]
 
 
 @dataclass
@@ -171,86 +181,144 @@ class CycleAccurateHarness:
     def _schedule(self, transactions: Sequence[Transaction],
                   spacing: Optional[int] = None,
                   extra_cycles: int = 4) -> Tuple[List[Dict[str, Value]], List[int]]:
-        """:meth:`_schedule_columns` as one input dict per cycle (every
+        """The schedule of one stream as one input dict per cycle (every
         row its own dict), plus each transaction's start cycle."""
-        total, columns, starts = self._schedule_columns(
-            transactions, spacing, extra_cycles)
-        return columns_to_rows(columns, total), starts
+        total, columns, _, starts = self._schedule_streams(
+            [transactions], spacing, extra_cycles)
+        return columns_to_rows(columns, total), starts[0]
 
-    def _schedule_columns(self, transactions: Sequence[Transaction],
+    def _schedule_streams(self, streams: Sequence[Sequence[Transaction]],
                           spacing: Optional[int] = None,
-                          extra_cycles: int = 4
-                          ) -> Tuple[int, Dict[str, Tuple[List[int],
-                                                          bytearray]],
-                                     List[int]]:
-        """The stimulus of a pipelined run: ``(total, columns, starts)``.
+                          extra_cycles: int = 4) -> Schedule:
+        """:meth:`_schedule_columns` of transaction dict streams, one lane
+        per stream.  Each input port's values are read out of a stream's
+        dicts once; a transaction that lacks the port leaves its window
+        undriven."""
+        values: Dict[str, List[List[Optional[Value]]]] = {}
+        for port in self.spec.inputs:
+            name = port.name
+            value_of = itemgetter(name)
+            lanes = values[name] = []
+            for stream in streams:
+                try:
+                    lanes.append(list(map(value_of, stream)))
+                except KeyError:
+                    lanes.append([transaction.get(name)
+                                  for transaction in stream])
+        return self._schedule_columns(
+            values, [len(stream) for stream in streams], spacing,
+            extra_cycles)
 
-        Transaction ``k`` starts at cycle ``k * spacing`` (the initiation
-        interval by default) and the run lasts ``total`` cycles.
-        ``columns`` holds one ``(values, xflags)`` column of ``total``
-        entries per interface and input port: interface ports are 0 except
+    def _schedule_columns(self,
+                          values: Dict[str, Sequence[Sequence[
+                              Optional[Value]]]],
+                          counts: Sequence[int],
+                          spacing: Optional[int] = None,
+                          extra_cycles: int = 4) -> Schedule:
+        """The stimulus of ``len(counts)`` independent pipelined streams
+        as one lane-major schedule: ``(total, columns, lengths, starts)``.
+        A scalar run is one lane.
+
+        Lane ``l`` holds ``counts[l]`` transactions, and ``values[port][l]``
+        lists their values on input ``port`` (``None`` leaves a window
+        undriven, ``X`` drives X).  Transaction ``k`` of every lane starts
+        at cycle ``k * spacing`` (the initiation interval by default):
+        ``starts[l]`` holds lane ``l``'s start cycles, the lane lasts
+        ``lengths[l]`` cycles and ``total`` is the longest lane.
+        ``columns`` holds one flat ``(values, xflags)`` column of ``total *
+        len(counts)`` entries per interface and input port, cycle ``c`` of
+        lane ``l`` at ``c * len(counts) + l``: interface ports are 0 except
         at each transaction's offset, and every input is X except inside
         its availability window, where it carries its transaction's value.
+        Entries past a lane's own length are never run.
+
+        Columns of ports up to 64 bits start as ``array('Q')`` buffers,
+        which the native tier copies whole.  A lane whose values do not
+        convert (a hole, an X, a negative value or one of 2**64 or more)
+        or whose windows overlap turns its port's column into a list.
 
         Two transactions that drive one input with different values in the
         same cycle (only possible when ``spacing`` is below the initiation
         interval) raise ``transactions overlap on input <port> at cycle
-        <c>; ...``.  Inputs are walked in spec order and, within an input,
-        transactions in order; the first collision met is the one
-        reported."""
+        <c>; ...``, where ``c`` counts from the start of the lane.  Lanes
+        are walked in order, inputs in spec order within a lane and
+        transactions in order within an input; the first collision met is
+        the one reported, the same one a run of that lane alone raises."""
         spacing = (spacing if spacing is not None
                    else self.spec.initiation_interval)
-        count = len(transactions)
-        starts = [index * spacing for index in range(count)]
-        total = ((starts[-1] if starts else 0) + self.spec.horizon()
-                 + extra_cycles)
-        columns: Dict[str, Tuple[List[int], bytearray]] = {}
-        for name in self.spec.interface_ports:
-            columns[name] = ([0] * total, bytearray(total))
+        n_lanes = len(counts)
+        most = max(counts, default=0)
+        longest = (list(range(0, most * spacing, spacing)) if spacing
+                   else [0] * most)
+        starts = [longest[:count] for count in counts]
+        horizon = self.spec.horizon() + extra_cycles
+        lengths = [(lane[-1] if lane else 0) + horizon for lane in starts]
+        total = max(lengths, default=0)
+        size = total * n_lanes
+        step = spacing * n_lanes
+        columns: Dict[str, Column] = {}
+        for name, offset in self.spec.interface_ports.items():
+            pulses = array("Q", bytes(8 * size))
+            for lane, count in enumerate(counts):
+                first = offset * n_lanes + lane
+                if count and spacing > 0:
+                    pulses[first:first + count * step:step] = (
+                        array("Q", [1]) * count)
+                elif count:
+                    pulses[first] = 1
+            columns[name] = (pulses, bytearray(size))
         for port in self.spec.inputs:
-            columns[port.name] = ([0] * total, bytearray(b"\x01" * total))
-        if count:
-            ones = [1] * count
-            for offset_port, cycle in self.spec.interface_ports.items():
-                values, _ = columns[offset_port]
-                stop = cycle + count * spacing
-                if spacing > 0:
-                    values[cycle:stop:spacing] = ones
-                else:
-                    values[cycle] = 1
-        for port in self.spec.inputs:
-            values, xflags = columns[port.name]
-            name = port.name
-            column = [transaction.get(name) for transaction in transactions]
-            # Windows of consecutive transactions are disjoint whenever the
-            # hold fits inside the spacing, so each window cycle becomes
-            # one strided bulk write; holes (excluded ports, X stimulus)
-            # and overlapping windows take the checked per-cycle path.
-            if (count and 0 < port.hold_cycles <= spacing
-                    and None not in column and X not in column):
-                zeros = bytes(count)
-                for cycle in port.cycles():
-                    stop = cycle + count * spacing
-                    values[cycle:stop:spacing] = column
-                    xflags[cycle:stop:spacing] = zeros
+            columns[port.name] = (
+                array("Q", bytes(8 * size)) if port.width <= 64
+                else [0] * size, bytearray(b"\x01") * size)
+        # Windows of consecutive transactions are disjoint whenever the
+        # hold fits inside the spacing, so each window cycle becomes one
+        # strided bulk write; holes, X stimulus and overlapping windows
+        # take the checked per-cycle path.
+        windows = [(port.name, port.cycles(),
+                    0 < port.hold_cycles <= spacing)
+                   for port in self.spec.inputs]
+        for lane, count in enumerate(counts):
+            if not count:
                 continue
-            for start, value in zip(starts, column):
-                if value is None:
+            zeros = bytes(count)
+            for name, cycles, bulk in windows:
+                held, xflags = columns[name]
+                column = values[name][lane]
+                if bulk and type(held) is array:
+                    try:
+                        column = array("Q", column)
+                    except (TypeError, OverflowError):
+                        pass  # a hole, an X, a negative or a wider value
+                if type(held) is array and type(column) is not array:
+                    held = list(held)
+                    columns[name] = (held, xflags)
+                if bulk and (type(column) is array
+                             or (None not in column and X not in column)):
+                    for cycle in cycles:
+                        first = cycle * n_lanes + lane
+                        stop = first + count * step
+                        held[first:stop:step] = column
+                        xflags[first:stop:step] = zeros
                     continue
-                concrete = not is_x(value)
-                for cycle in port.cycles():
-                    index = start + cycle
-                    if xflags[index]:
-                        if concrete:
-                            values[index] = value
-                            xflags[index] = 0
-                    elif not concrete or values[index] != value:
-                        raise SimulationError(
-                            f"transactions overlap on input {port.name} at "
-                            f"cycle {index}; spacing {spacing} is "
-                            f"below the initiation interval"
-                        )
-        return total, columns, starts
+                for start, value in zip(starts[lane], column):
+                    if value is None:
+                        continue
+                    concrete = not is_x(value)
+                    for cycle in cycles:
+                        index = start + cycle
+                        flat = index * n_lanes + lane
+                        if xflags[flat]:
+                            if concrete:
+                                held[flat] = value
+                                xflags[flat] = 0
+                        elif not concrete or held[flat] != value:
+                            raise SimulationError(
+                                f"transactions overlap on input {name} at "
+                                f"cycle {index}; spacing {spacing} is "
+                                f"below the initiation interval"
+                            )
+        return total, columns, lengths, starts
 
     # -- running ---------------------------------------------------------------
 
@@ -266,8 +334,8 @@ class CycleAccurateHarness:
         columns, run through the simulator's columnar entry on whatever
         tier it runs, and each output column is one strided slice of the
         output."""
-        total, columns, starts = self._schedule_columns(
-            transactions, spacing, extra_cycles)
+        total, columns, _, (starts,) = self._schedule_streams(
+            [transactions], spacing, extra_cycles)
         out = self._fresh_simulator().run_columns(total, columns)
         return CapturedRun(transactions, starts,
                            self._capture_columns(out, total, starts, 1, 0))
@@ -319,28 +387,23 @@ class CycleAccurateHarness:
         and capture each stream's outputs into a :class:`CapturedRun`.
 
         Every stream is pipelined internally exactly as :meth:`run` would
-        pipeline it; the streams never interact.  Each stream is scheduled
-        as columns, the schedules are interleaved into one lane-major
-        buffer set and run through the simulator's lane entry
+        pipeline it; the streams never interact.  All streams are scheduled
+        at once into one lane-major buffer set, one lane per stream, and
+        run through the simulator's lane entry
         (:meth:`~repro.sim.engine.ScheduledEngine.run_lane_columns`; one C
         call on the native tier, so a batch of short streams pays the
         per-call overhead once), and each stream's columns are strided
         slices of the flat output."""
         streams = [list(stream) for stream in transaction_streams]
-        schedules = [self._schedule_columns(stream, spacing, extra_cycles)
-                     for stream in streams]
-        lengths = [total for total, _, _ in schedules]
-        total = max(lengths, default=0)
+        total, columns, lengths, starts = self._schedule_streams(
+            streams, spacing, extra_cycles)
         n_lanes = len(streams)
         out = self._fresh_simulator().run_lane_columns(
-            total, n_lanes,
-            interleave_columns(total, [columns for _, columns, _
-                                       in schedules], lengths),
-            lengths)
-        return [CapturedRun(stream, starts, self._capture_columns(
-                    out, lane_total, starts, n_lanes, lane))
-                for lane, ((lane_total, _, starts), stream)
-                in enumerate(zip(schedules, streams))]
+            total, n_lanes, columns, lengths)
+        return [CapturedRun(stream, lane_starts, self._capture_columns(
+                    out, length, lane_starts, n_lanes, lane))
+                for lane, (stream, length, lane_starts)
+                in enumerate(zip(streams, lengths, starts))]
 
     def trace(self, transactions: Sequence[Transaction],
               spacing: Optional[int] = None,

@@ -7,10 +7,11 @@ Filament implementations.  This module provides those two facilities on top
 of :class:`~repro.harness.driver.CycleAccurateHarness`:
 
 * :func:`random_transactions` — reproducible random input vectors sized to
-  each port's width;
+  each port's width, drawn transaction-major, port-minor;
 * :func:`differential_test` — run the same transactions through two designs
   (or a design and a Python golden model) and report every divergence;
 * :func:`fuzz_against_golden` — check a design against a golden model,
+  one golden call per transaction and whole output columns compared,
   optionally running many independently seeded streams as one lane batch
   (``lanes=``; one C call on the native lane entry).
 """
@@ -18,7 +19,10 @@ of :class:`~repro.harness.driver.CycleAccurateHarness`:
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass, field
+from itertools import cycle, islice, repeat
+from operator import itemgetter, setitem
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..sim.values import X, format_value
@@ -38,16 +42,23 @@ def random_transactions(harness: CycleAccurateHarness, count: int,
     never share global RNG state, so interleaved streams stay reproducible)
     and values span the port's *full* width — a 64-bit port receives
     stimulus with high bits set, not values capped at 2**30.
+
+    The draw order is transaction-major, port-minor (spec order, skipping
+    ``exclude``): one ``getrandbits`` call per value, all in one pass, so
+    port ``i``'s column is every ``len(ports)``-th value from ``i``.  Every
+    recorded seed reproduces the same stream.
     """
-    generator = random.Random(seed)
-    transactions: List[Transaction] = []
-    for _ in range(count):
-        transaction: Transaction = {}
-        for port in harness.spec.inputs:
-            if port.name in exclude:
-                continue
-            transaction[port.name] = generator.getrandbits(port.width)
-        transactions.append(transaction)
+    ports = [port for port in harness.spec.inputs if port.name not in exclude]
+    # The row dicts exist before the draw, so the collections their
+    # allocation triggers find no drawn value list to walk.
+    transactions: List[Transaction] = [{} for _ in range(count)]
+    drawn = list(map(random.Random(seed).getrandbits,
+                     islice(cycle([port.width for port in ports]),
+                            len(transactions) * len(ports))))
+    for index, port in enumerate(ports):
+        # ``transaction[name] = value`` for every transaction, looped in C.
+        deque(map(setitem, transactions, repeat(port.name),
+                  drawn[index::len(ports)]), maxlen=0)
     return transactions
 
 
@@ -143,6 +154,39 @@ def differential_test(reference: CycleAccurateHarness,
     return report
 
 
+#: Transactions per chunk of the golden check.  Only one chunk's expected
+#: dicts are alive at a time, so a long stream's check holds a bounded
+#: number of them, however long the stream: every live dict adds to peak
+#: memory and to what each collector pass walks.
+_CHECK_CHUNK = 256
+
+
+def _chunk_agrees(expected: List[Dict[str, int]],
+                  columns: Dict[str, List], start: int) -> bool:
+    """Whether the ``expected`` dicts of the transactions from ``start`` on
+    all hold exactly the captured values: every dict has the first one's
+    keys, each of those names is an output whose captured slice equals the
+    expected values, and no captured entry is ``X`` (list equality tests
+    identity first, so an expected ``X`` would otherwise match a captured
+    one)."""
+    names = list(expected[0])
+    if set(map(len, expected)) != {len(names)}:
+        return False
+    stop = start + len(expected)
+    for name in names:
+        column = columns.get(name)
+        if column is None:
+            return False
+        try:
+            want = list(map(itemgetter(name), expected))
+        except KeyError:
+            return False
+        got = column[start:stop]
+        if want != got or X in got:
+            return False
+    return True
+
+
 def fuzz_against_golden(harness: CycleAccurateHarness,
                         golden: Callable[[Transaction], Dict[str, int]],
                         count: int = 50, seed: int = 0,
@@ -156,11 +200,15 @@ def fuzz_against_golden(harness: CycleAccurateHarness,
     every stream is checked against the golden model; on the native lane
     entry that amortizes per-call overhead on short streams.
 
-    The check makes one ``golden(transaction)`` call per transaction and
-    compares each expected output with the run's captured column for that
-    output (:attr:`~repro.harness.driver.CapturedRun.columns`), so no
-    per-transaction result objects are built; a name that is not an output
-    of the design reads ``X``.
+    The check makes exactly one ``golden(transaction)`` call per
+    transaction, in transaction order and lane order, and compares the
+    expected outputs with the run's captured columns
+    (:attr:`~repro.harness.driver.CapturedRun.columns`) a chunk of
+    transactions at a time, one whole slice per output name.  Only a chunk
+    that does not agree is walked transaction by transaction, which
+    reports every divergence in order; a name that is not an output of the
+    design reads ``X``.  The expected dicts of a chunk are read after its
+    golden calls, so ``golden`` must return a new dict on every call.
     """
     if lanes <= 1:
         streams = [random_transactions(harness, count, seed)]
@@ -173,13 +221,19 @@ def fuzz_against_golden(harness: CycleAccurateHarness,
     for lane, (transactions, results) in enumerate(zip(streams, per_stream)):
         tag = "" if len(per_stream) == 1 else f"lane {lane} "
         columns = results.columns
-        for index, transaction in enumerate(transactions):
-            for name, want in golden(transaction).items():
-                column = columns.get(name)
-                got = X if column is None else column[index]
-                if got is X or got != want:
-                    report.divergences.append(
-                        f"{tag}transaction {index} ({transaction}): "
-                        f"{name} expected {want} got {format_value(got)}"
-                    )
+        for start in range(0, len(transactions), _CHECK_CHUNK):
+            chunk = transactions[start:start + _CHECK_CHUNK]
+            expected = list(map(golden, chunk))
+            if _chunk_agrees(expected, columns, start):
+                continue
+            for index, transaction, wants in zip(
+                    range(start, start + len(chunk)), chunk, expected):
+                for name, want in wants.items():
+                    column = columns.get(name)
+                    got = X if column is None else column[index]
+                    if got is X or got != want:
+                        report.divergences.append(
+                            f"{tag}transaction {index} ({transaction}): "
+                            f"{name} expected {want} got {format_value(got)}"
+                        )
     return report

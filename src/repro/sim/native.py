@@ -1483,10 +1483,12 @@ class NativeKernel:
             if limbs == 1:
                 base = len(ivbuf)
                 try:
-                    if isinstance(values, array):
+                    if isinstance(values, array) and values.typecode == "Q":
                         ivbuf += values
                     else:
-                        ivbuf.extend(values)
+                        # Element by element: ``extend`` refuses an array
+                        # of any other typecode.
+                        ivbuf.extend(iter(values))
                 except OverflowError:
                     # Out-of-range stimulus: truncate to 64 bits (the port
                     # mask in C truncates further, matching the engine's

@@ -15,6 +15,7 @@ import os
 import random
 import subprocess
 import sys
+from array import array
 from pathlib import Path
 
 import pytest
@@ -469,6 +470,34 @@ class TestReviewRegressions:
         assert native.uses_native(), native.native_fallback_reason
         _same_traces(Simulator(program, mode="auto").run_batch(stimulus),
                      trace)
+
+    @needs_cc
+    @pytest.mark.parametrize("typecode", ["I", "L", "q"])
+    def test_value_columns_of_any_integer_array_type(self, typecode):
+        """``run_columns`` takes value columns of any integer ``array``
+        type on every tier.  Only an ``array('Q')`` is copied whole into
+        the C buffers (``+=`` of another typecode raises); the rest are
+        walked, and a negative entry truncates like any other
+        out-of-range stimulus."""
+        harness = harness_for(addmult_program(), "AddMult")
+        rows, _ = harness._schedule(random_transactions(harness, 6, seed=3))
+        names = harness.calyx.get("AddMult").input_names()
+        columns = {name: (array(typecode, values), xflags)
+                   for name, (values, xflags)
+                   in rows_to_columns([rows], names, len(rows)).items()}
+        if typecode == "q":
+            values, xflags = columns["a"]
+            window = xflags.index(0)
+            values[window] = -5
+        outputs = []
+        for mode in ("compiled", "native"):
+            simulator = Simulator(harness.calyx, "AddMult", mode=mode)
+            out = simulator.run_columns(len(rows), columns)
+            outputs.append({name: (list(values), bytes(xflags))
+                            for name, (values, xflags) in out.items()})
+        assert simulator.uses_native(), simulator.native_fallback_reason
+        assert outputs[0] == outputs[1]
+        assert any(x == 0 for x in outputs[1]["out"][1])
 
     @needs_cc
     @pytest.mark.parametrize("wh,wl", [(0, 8), (0, 64), (8, 0)])
