@@ -11,25 +11,37 @@ straight-line host code:
   Python list (no dicts anywhere on the hot path);
 * the levelized schedule is emitted as straight-line Python source — one
   statement group per node, with each stdlib primitive's semantics inlined
-  as int/mask expressions;
+  as int/mask expressions, and each slot's value forwarded through a local
+  after its one write;
 * driver groups fold to direct moves or small if/elif chains for the
-  overwhelmingly common single-assignment case, with a slot-based resolver
-  (still dict-free) for genuinely multi-driven ports;
-* the sequential update (``tick``) is a second straight-line block, with
-  register state aliased onto the output slots it feeds;
-* hierarchy is compiled compositionally: each child component becomes its
-  own settle/tick closure pair called from the parent's straight line.
+  overwhelmingly common single-assignment case (consecutive groups under
+  one guard share one branch), with a slot-based resolver (still
+  dict-free) for genuinely multi-driven ports;
+* the sequential update (``tick``) is a separate straight-line function,
+  with register state aliased onto the output slots it feeds, and a
+  component with no state and no multi-driven port has none;
+* hierarchy is compiled compositionally, as **segments**: a component's
+  settle is one zero-argument function per stretch of its schedule between
+  child cells.  The segment before a child writes the child's inputs
+  straight into the child's slot list, and the segment after it reads the
+  child's outputs back, so the segments of a whole hierarchy splice into
+  one flat tuple.  A cycle runs that tuple and then the flat tuple of
+  ticks in one loop each, at the same call depth however deep the
+  hierarchy: no settle frame nests per level, so a deep design never makes
+  the interpreter grow and shrink its frame stack once per cycle.
 
 Code is generated per component, as one **chunk** per engine plan
 (:class:`~repro.sim.engine._ComponentPlan`).  A chunk defines
 ``link(INIT, C, kids)``, which binds the component's init table ``INIT``
 and its multi-driver group plans ``C`` and returns the component's factory
-— ``make_top`` for the fresh top.  The factory reaches each child through
-the link table as ``kids[cell]()``, so a chunk names nothing positional and
-its text depends only on its plan and on whether it is the fresh top.
-:func:`kernel_for` links one engine's chunks children first into one
-scalar kernel, which rides ``run_batch``/``step``; ``run_lanes`` without the
-native lane entry runs it once per stream.
+``make`` — or ``make_top`` for the fresh top.  ``make()`` returns
+``(segments, ticks, resets, s)`` for one instance and reaches each child
+through the link table as ``kids[cell]()``; a child's port slots depend
+only on its interface, which is part of the plan key.  So a chunk names
+nothing positional and its text depends only on its plan and on whether
+it is the fresh top.  :func:`kernel_for` links one engine's chunks
+children first into one scalar kernel, which rides ``run_batch``/``step``;
+``run_lanes`` without the native lane entry runs it once per stream.
 
 Primitives registered by generator substrates — black boxes without an
 inlinable template — call back into their interpreter model from inside the
@@ -56,7 +68,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..core.errors import DriverConflictError
 from ..core.store import DigestCache
-from .engine import _CACHE_BOUND, _GROUP, _PLANS, _PRIM
+from .engine import _CACHE_BOUND, _CHILD, _GROUP, _PLANS, _PRIM
 from .primitives import PrimitiveModel, create_primitive
 from .values import Value, X, format_value
 
@@ -189,6 +201,15 @@ def _is_stdlib(model: PrimitiveModel) -> bool:
     return type(model).__module__ == PrimitiveModel.__module__
 
 
+def _port_slots(input_names, output_names) -> Dict[str, int]:
+    """The slot of each of a component's own ports: inputs, then outputs,
+    in declaration order (a name declared twice keeps its first slot).  A
+    parent's chunk writes a child's inputs and reads its outputs at these
+    slots, which depend on the child's interface alone."""
+    return {name: slot for slot, name in enumerate(
+        dict.fromkeys(tuple(input_names) + tuple(output_names)))}
+
+
 class _ComponentCompiler:
     """Compiles one component plan to a kernel chunk over the component's
     own flat slot map (the native tier reuses the slot analysis)."""
@@ -212,6 +233,21 @@ class _ComponentCompiler:
         self._early_reads = self._compute_early_blackbox_reads()
         self._early_read_keys = {key for keys in self._early_reads.values()
                                  for key in keys}
+        #: Per cell, an identifier unique within the component: its position
+        #: among the cells plus its name with every non-alphanumeric
+        #: character replaced (the name alone maps ``p.q`` and ``p_q`` to
+        #: one identifier).
+        cells = [cell for cell, _, _ in plan.prims] + [
+            node.cell for node in plan.child_nodes]
+        self.idents: Dict[str, str] = {
+            cell: f"{index}_" + "".join(ch if ch.isalnum() else "_"
+                                        for ch in cell)
+            for index, cell in enumerate(cells)}
+        #: While a segment is emitted: slot -> the local holding its value,
+        #: the slots the segment reads, and its temporary-name counter.
+        self._local: Dict[int, str] = {}
+        self._reads: set = set()
+        self._temp = 0
         self._collect_slots()
 
     # -- slot map --------------------------------------------------------------
@@ -225,9 +261,7 @@ class _ComponentCompiler:
 
     def _collect_slots(self) -> None:
         plan = self.plan
-        for name in plan.input_names:
-            self._slot((None, name))
-        for name in plan.output_names:
+        for name in _port_slots(plan.input_names, plan.output_names):
             self._slot((None, name))
         for node in plan.prim_nodes:
             for _, key in node.in_items:
@@ -369,227 +403,355 @@ class _ComponentCompiler:
         return out.text()
 
     def _emit_make(self, out: _Lines) -> None:
+        """``make()`` builds one instance and returns ``(segments, ticks,
+        resets, s)``: its settle segments spliced around its children's,
+        the subtree's non-empty ticks, every reset of the subtree, and the
+        slot list its parent writes inputs into and reads outputs from."""
         plan = self.plan
+        counted = self._counts_cycles()
         out.emit("def make():")
         out.indent += 1
         out.emit("s = list(INIT)")
-        out.emit("n = 0")
+        if counted:
+            out.emit("n = 0")
         for (cell, primitive, params), node in zip(plan.prims,
                                                    plan.prim_nodes):
             if not _is_stdlib(node.model):
                 out.emit(f"m_{self._ident(cell)} = "
                          f"_mk({primitive!r}, {params!r})")
-        for node in plan.child_nodes:
-            ident = self._ident(node.cell)
-            out.emit(f"st_{ident}, tk_{ident}, rs_{ident}, _ = "
+        kids = [self._ident(node.cell) for node in plan.child_nodes]
+        for node, ident in zip(plan.child_nodes, kids):
+            out.emit(f"sg_{ident}, tk_{ident}, rs_{ident}, c_{ident} = "
                      f"kids[{node.cell!r}]()")
-        self._emit_scalar_settle(out)
-        self._emit_scalar_tick(out)
-        self._emit_scalar_reset(out)
-        out.emit("return settle, tick, reset, s")
+        segments = self._emit_segments(out)
+        ticks = [f"tk_{ident}" for ident in kids]
+        if self._emit_tick(out, counted):
+            ticks.insert(0, "(tick,)")
+        self._emit_reset(out, counted)
+        resets = ["(reset,)"] + [f"rs_{ident}" for ident in kids]
+        out.emit(f"return ({' + '.join(segments) or '()'}, "
+                 f"{' + '.join(ticks) or '()'}, {' + '.join(resets)}, s)")
         out.indent -= 1
         out.emit()
 
     def _emit_make_top(self, out: _Lines) -> None:
+        """``make_top()`` returns ``(cycle, reset, s)`` over one instance:
+        a cycle writes the inputs, runs every segment, reads the outputs and
+        runs every tick."""
         plan = self.plan
         out.emit("def make_top():")
         out.indent += 1
-        out.emit("settle, tick, reset, s = make()")
+        out.emit("segments, ticks, resets, s = make()")
         out.emit("def cycle(inputs):")
         out.indent += 1
         out.emit("g = inputs.get")
-        args = ", ".join(f"g({name!r}, X)" for name in plan.input_names)
-        out.emit(f"o = settle({args})")
-        pairs = ", ".join(f"{name!r}: o[{index}]"
-                          for index, name in enumerate(plan.output_names))
+        for name in plan.input_names:
+            out.emit(f"s[{self.slots[(None, name)]}] = g({name!r}, X)")
+        out.emit("for f in segments:")
+        out.emit("    f()")
+        pairs = ", ".join(f"{name!r}: s[{self.slots[(None, name)]}]"
+                          for name in plan.output_names)
         out.emit(f"r = {{{pairs}}}")
-        out.emit("tick()")
+        out.emit("for f in ticks:")
+        out.emit("    f()")
         out.emit("return r")
         out.indent -= 1
+        out.emit("def reset():")
+        out.emit("    for f in resets:")
+        out.emit("        f()")
         out.emit("return cycle, reset, s")
         out.indent -= 1
         out.emit()
 
-    @staticmethod
-    def _ident(cell: str) -> str:
-        return "".join(ch if ch.isalnum() else "_" for ch in cell)
+    def _ident(self, cell: str) -> str:
+        return self.idents[cell]
 
-    def _emit_scalar_settle(self, out: _Lines) -> None:
-        inputs = self.plan.input_names
-        args = ", ".join(f"a{i}" for i in range(len(inputs)))
-        out.emit(f"def settle({args}):")
-        out.indent += 1
-        for i, name in enumerate(inputs):
-            out.emit(f"s[{self.slots[(None, name)]}] = a{i}"
-                     f"  # input {name}")
-        hazards = self._blackbox_hazards()
-        for cell, keys in hazards.items():
-            for key in keys:
-                out.emit(f"s[{self.slots[key]}] = X"
-                         f"  # {cell} reads {key} before its driver runs")
-        temp = [0]
+    def _counts_cycles(self) -> bool:
+        """Whether the component keeps a cycle count ``n``: only the
+        multi-driver resolver reads it, for its conflict message."""
+        return any(len(group.assigns) > 1 for group in self.plan.groups)
 
-        def fresh_temp(prefix: str = "t") -> str:
-            temp[0] += 1
-            return f"{prefix}{temp[0]}"
+    # -- settle segments -------------------------------------------------------
 
+    def _segments(self) -> List[Tuple[object, list, object]]:
+        """The schedule split at its child cells, as ``(previous child,
+        nodes, next child)`` per segment (``None`` at either end)."""
+        segments = []
+        previous, nodes = None, []
         for kind, payload in self.schedule:
-            if kind == _PRIM:
-                self._emit_scalar_prim(out, payload, fresh_temp)
-            elif kind == _GROUP:
-                self._emit_scalar_group(out, payload, fresh_temp)
+            if kind == _CHILD:
+                segments.append((previous, nodes, payload))
+                previous, nodes = payload, []
             else:
-                self._emit_scalar_child(out, payload)
-        outputs = [self.slots[(None, name)]
-                   for name in self.plan.output_names]
-        if outputs:
-            out.emit("return ("
-                     + ", ".join(f"s[{i}]" for i in outputs) + ",)")
-        else:
-            out.emit("return ()")
-        out.indent -= 1
-        out.emit()
+                nodes.append((kind, payload))
+        segments.append((previous, nodes, None))
+        return segments
 
-    def _emit_scalar_prim(self, out: _Lines, node, fresh_temp) -> None:
+    def _segment_reads(self, nodes, next_child) -> set:
+        """The slots a segment reads: a write to one of them is forwarded
+        through a local."""
+        sl = self.slots
+        reads = set()
+        for kind, payload in nodes:
+            if kind == _PRIM:
+                model = payload.model
+                comb = model.combinational_inputs
+                if comb is None or not _is_stdlib(model):
+                    comb = model.inputs
+                reads.update(sl[key] for port, key in payload.in_items
+                             if port in comb)
+            elif not self._preloaded(payload):
+                for assign in payload.assigns:
+                    reads.update(sl[key] for key in assign.guard_keys or ())
+                    if assign.src_key is not None:
+                        reads.add(sl[assign.src_key])
+        if next_child is not None:
+            reads.update(sl[key] for _, key in next_child.in_items)
+        return reads
+
+    def _emit_segments(self, out: _Lines) -> List[str]:
+        """Emit ``sg0``, ``sg1``, ... and return the terms whose sum is the
+        spliced segment tuple (empty segments are left out)."""
+        terms: List[str] = []
+        for index, (previous, nodes, next_child) in enumerate(
+                self._segments()):
+            body = _Lines()
+            body.indent = out.indent + 1
+            self._local = {}
+            self._reads = self._segment_reads(nodes, next_child)
+            self._temp = 0
+            if index == 0:
+                for cell, keys in self._blackbox_hazards().items():
+                    for key in keys:
+                        body.emit(f"s[{self.slots[key]}] = X  # {cell} "
+                                  f"reads {key} before its driver runs")
+            if previous is not None:
+                self._emit_child_outputs(body, previous)
+            self._emit_nodes(body, nodes)
+            if next_child is not None:
+                self._emit_child_inputs(body, next_child)
+            if body.lines:
+                # The slot lists and X bind as defaults: fast locals in
+                # place of closure cells and a module global.
+                kids = "".join(f", c_{ident}=c_{ident}" for ident in (
+                    self._ident(child.cell)
+                    for child in (previous, next_child) if child is not None))
+                out.emit(f"def sg{index}(s=s, X=X{kids}):")
+                out.lines.extend(body.lines)
+                out.emit()
+                terms.append(f"(sg{index},)")
+            if next_child is not None:
+                terms.append(f"sg_{self._ident(next_child.cell)}")
+        return terms
+
+    def _fresh_temp(self, prefix: str) -> str:
+        self._temp += 1
+        return f"{prefix}{self._temp}"
+
+    def _rd(self, slot: int, local: Optional[Dict[int, str]] = None) -> str:
+        """A read of ``slot``: its local when one holds it, else the slot."""
+        return (self._local if local is None else local).get(
+            slot, f"s[{slot}]")
+
+    def _name(self, out: _Lines, slot: int) -> str:
+        """A local holding ``slot``'s value, loaded on first use (an
+        expression that reads an operand more than once needs a name)."""
+        name = self._local.get(slot)
+        if name is None:
+            name = self._local[slot] = f"v{slot}"
+            out.emit(f"{name} = s[{slot}]")
+        return name
+
+    def _target(self, slot: int) -> str:
+        """The target of a write to ``slot``: its local too when the
+        segment reads the slot."""
+        return f"v{slot} = s[{slot}]" if slot in self._reads else f"s[{slot}]"
+
+    def _set(self, slot: int, expr: str) -> str:
+        """The statement writing ``expr`` to ``slot``; later reads in the
+        segment use the local it forwards the value through."""
+        if slot in self._reads:
+            self._local[slot] = f"v{slot}"
+        return f"{self._target(slot)} = {expr}"
+
+    @staticmethod
+    def _child_slots(node) -> Dict[str, int]:
+        """The slot of each of a child's ports in the child's slot list."""
+        return _port_slots([port for port, _ in node.in_items],
+                           [port for port, _ in node.out_items])
+
+    def _emit_child_outputs(self, out: _Lines, node) -> None:
+        ports = self._child_slots(node)
+        ident = self._ident(node.cell)
+        for port, key in node.out_items:
+            out.emit(self._set(self.slots[key], f"c_{ident}[{ports[port]}]")
+                     + f"  # {node.cell}.{port}")
+
+    def _emit_child_inputs(self, out: _Lines, node) -> None:
+        ports = self._child_slots(node)
+        ident = self._ident(node.cell)
+        for port, key in node.in_items:
+            out.emit(f"c_{ident}[{ports[port]}] = "
+                     f"{self._rd(self.slots[key])}  # {node.cell}.{port}")
+
+    def _emit_nodes(self, out: _Lines, nodes) -> None:
+        """A segment's primitives and groups in schedule order, consecutive
+        single-driver groups under the same guard gathered into runs."""
+        run: list = []
+        for kind, payload in nodes:
+            if kind == _GROUP:
+                if self._preloaded(payload):
+                    continue
+                assigns = payload.assigns
+                if len(assigns) == 1 and assigns[0].guard_keys is not None:
+                    if run and (run[0].assigns[0].guard_keys
+                                != assigns[0].guard_keys):
+                        self._emit_guarded_run(out, run)
+                        run = []
+                    run.append(payload)
+                    continue
+            if run:
+                self._emit_guarded_run(out, run)
+                run = []
+            if kind == _PRIM:
+                self._emit_prim(out, payload)
+            else:
+                self._emit_group(out, payload)
+        if run:
+            self._emit_guarded_run(out, run)
+
+    def _emit_prim(self, out: _Lines, node) -> None:
         model = node.model
         cell = node.cell
+        sl = self.slots
         if not _is_stdlib(model):
-            items = ", ".join(f"{port!r}: s[{self.slots[key]}]"
+            items = ", ".join(f"{port!r}: {self._rd(sl[key])}"
                               for port, key in node.in_items)
-            result = fresh_temp("bo")
+            result = self._fresh_temp("bo")
             out.emit(f"{result} = m_{self._ident(cell)}"
                      f".combinational({{{items}}})  # black box {cell}")
             for port, key in node.out_keys.items():
+                # A port the model leaves out keeps its slot's value, so
+                # later reads go back to the slot.
+                self._local.pop(sl[key], None)
                 out.emit(f"if {port!r} in {result}: "
-                         f"s[{self.slots[key]}] = {result}[{port!r}]")
+                         f"s[{sl[key]}] = {result}[{port!r}]")
             return
         name = model.name
         width = model.width
         mask = (1 << width) - 1
-        sl = self.slots
 
-        def rd(port: str) -> str:
-            return f"s[{sl[(cell, port)]}]"
+        def operand(port: str) -> str:
+            return self._name(out, sl[(cell, port)])
+
+        def emit(port: str, expr: str, comment: str) -> None:
+            out.emit(self._set(sl[(cell, port)], expr) + f"  # {comment}")
 
         if name in _SCALAR_BINARY:
-            o = sl[(cell, "out")]
-            a, b = fresh_temp(), fresh_temp()
-            out.emit(f"{a} = {rd('left')}; {b} = {rd('right')}"
-                     f"  # {cell} = {name}[{width}]")
-            expr = _SCALAR_BINARY[name].format(a=a, b=b)
+            a, b = operand("left"), operand("right")
             out_width = getattr(model, "_output_width", None)
             if out_width is not None:
                 mask = (1 << out_width) - 1
-            out.emit(f"s[{o}] = X if {a} is X or {b} is X "
-                     f"else {expr} & {hex(mask)}")
+            expr = _SCALAR_BINARY[name].format(a=a, b=b)
+            emit("out", f"X if {a} is X or {b} is X else {expr} & "
+                        f"{hex(mask)}", f"{cell} = {name}[{width}]")
         elif name == "Not":
-            o = sl[(cell, "out")]
-            a = fresh_temp()
-            out.emit(f"{a} = {rd('in')}  # {cell} = Not[{width}]")
-            out.emit(f"s[{o}] = X if {a} is X else (~{a}) & {hex(mask)}")
+            a = operand("in")
+            emit("out", f"X if {a} is X else (~{a}) & {hex(mask)}",
+                 f"{cell} = Not[{width}]")
         elif name == "Mux":
-            o = sl[(cell, "out")]
-            c, v = fresh_temp(), fresh_temp()
-            out.emit(f"{c} = {rd('sel')}  # {cell} = Mux[{width}]")
-            out.emit(f"if {c} is X:")
-            out.emit(f"    s[{o}] = X")
-            out.emit("else:")
-            out.emit(f"    {v} = {rd('in1')} if {c} else {rd('in0')}")
-            out.emit(f"    s[{o}] = {v} if {v} is X else {v} & {hex(mask)}")
+            c = operand("sel")
+            v = self._fresh_temp("t")
+            out.emit(f"{v} = X if {c} is X else "
+                     f"({self._rd(sl[(cell, 'in1')])} if {c} "
+                     f"else {self._rd(sl[(cell, 'in0')])})")
+            emit("out", f"{v} if {v} is X else {v} & {hex(mask)}",
+                 f"{cell} = Mux[{width}]")
         elif name == "Slice":
-            o = sl[(cell, "out")]
             hi = model.param(1, width - 1)
             lo = model.param(2, 0)
-            slice_mask = (1 << (hi - lo + 1)) - 1
-            v = fresh_temp()
-            out.emit(f"{v} = {rd('in')}  # {cell} = Slice[{width},{hi},{lo}]")
-            out.emit(f"s[{o}] = X if {v} is X "
-                     f"else ({v} >> {lo}) & {hex(slice_mask)}")
+            v = operand("in")
+            emit("out", f"X if {v} is X else ({v} >> {lo}) & "
+                        f"{hex((1 << (hi - lo + 1)) - 1)}",
+                 f"{cell} = Slice[{width},{hi},{lo}]")
         elif name == "Concat":
-            o = sl[(cell, "out")]
             wh = model.param(0, 32)
             wl = model.param(1, 32)
-            h, l = fresh_temp(), fresh_temp()
-            out.emit(f"{h} = {rd('hi')}; {l} = {rd('lo')}"
-                     f"  # {cell} = Concat[{wh},{wl}]")
-            out.emit(f"s[{o}] = X if {h} is X or {l} is X else "
-                     f"((({h} & {hex((1 << wh) - 1)}) << {wl}) | "
-                     f"({l} & {hex((1 << wl) - 1)}))")
+            h, l = operand("hi"), operand("lo")
+            emit("out", f"X if {h} is X or {l} is X else "
+                        f"((({h} & {hex((1 << wh) - 1)}) << {wl}) | "
+                        f"({l} & {hex((1 << wl) - 1)}))",
+                 f"{cell} = Concat[{wh},{wl}]")
         elif name in ("ShiftLeft", "ShiftRight"):
-            o = sl[(cell, "out")]
             by = model.param(1, 1)
-            v = fresh_temp()
             op = "<<" if name == "ShiftLeft" else ">>"
-            out.emit(f"{v} = {rd('in')}  # {cell} = {name}[{width},{by}]")
-            out.emit(f"s[{o}] = X if {v} is X "
-                     f"else ({v} {op} {by}) & {hex(mask)}")
+            v = operand("in")
+            emit("out", f"X if {v} is X else ({v} {op} {by}) & {hex(mask)}",
+                 f"{cell} = {name}[{width},{by}]")
         elif name == "Const":
             if not self._const_preloaded(cell):
                 # An early black-box read precedes this node, so the value
                 # must appear at the node's schedule position, not at init.
-                value = model.param(1, 0) & ((1 << width) - 1)
-                out.emit(f"s[{sl[(cell, 'out')]}] = {value}"
-                         f"  # {cell} = Const[{width}] (early reader)")
+                emit("out", str(model.param(1, 0) & mask),
+                     f"{cell} = Const[{width}] (early reader)")
         elif name == "fsm":
-            o0 = sl[(cell, "_0")]
-            g = fresh_temp()
-            out.emit(f"{g} = {rd('go')}  # {cell} = fsm[{model.states}]")
-            out.emit(f"s[{o0}] = X if {g} is X else (1 if {g} != 0 else 0)")
+            g = operand("go")
+            emit("_0", f"X if {g} is X else (1 if {g} != 0 else 0)",
+                 f"{cell} = fsm[{model.states}]")
             for state, tap in enumerate(self.extra_state[cell], start=1):
-                out.emit(f"s[{sl[(cell, f'_{state}')]}] = s[{tap}]")
+                emit(f"_{state}", f"s[{tap}]", f"{cell} tap {state}")
         elif name in ("Reg", "Register", "Delay", "Prev", "ContPrev",
                       "DspMac") or name in _MULT_LATENCY:
             port = ("prev" if name in ("Prev", "ContPrev")
                     else "pout" if name == "DspMac" else "out")
-            state = self.extra_state[cell][-1]
-            out.emit(f"s[{sl[(cell, port)]}] = s[{state}]"
-                     f"  # {cell} = {name}[{width}] registered output")
+            emit(port, f"s[{self.extra_state[cell][-1]}]",
+                 f"{cell} = {name}[{width}] registered output")
         else:  # pragma: no cover - registry names are closed above
             raise KernelUnavailable(f"no scalar template for {name}")
 
-    def _emit_scalar_child(self, out: _Lines, node) -> None:
-        ident = self._ident(node.cell)
-        args = ", ".join(f"s[{self.slots[key]}]" for _, key in node.in_items)
-        targets = ", ".join(f"s[{self.slots[key]}]"
-                            for _, key in node.out_items)
-        if not node.out_items:
-            out.emit(f"st_{ident}({args})  # child {node.cell}")
-        elif len(node.out_items) == 1:
-            out.emit(f"{targets}, = st_{ident}({args})  # child {node.cell}")
-        else:
-            out.emit(f"{targets} = st_{ident}({args})  # child {node.cell}")
-
-    def _scalar_src(self, assign) -> str:
+    def _scalar_src(self, assign, local=None) -> str:
         if assign.src_key is None:
             return repr(assign.src_const)
-        return f"s[{self.slots[assign.src_key]}]"
+        return self._rd(self.slots[assign.src_key], local)
 
-    def _emit_scalar_group(self, out: _Lines, group, fresh_temp) -> None:
+    def _emit_guarded_run(self, out: _Lines, run) -> None:
+        """Consecutive single-driver groups under one guard, as one branch:
+        every destination takes its source while a guard port is known
+        non-zero; otherwise a fresh component drives X, and a preserving
+        one drives X while a guard port is X and keeps its values (read
+        back into their locals) while none is."""
+        sl = self.slots
+        guards = [self._name(out, sl[key])
+                  for key in run[0].assigns[0].guard_keys]
+        active = " or ".join(f"({g} is not X and {g} != 0)" for g in guards)
+        unknown = " or ".join(f"{g} is X" for g in guards)
+        dsts = [sl[group.dst_key] for group in run]
+        forwarded = [d for d in dsts if d in self._reads]
+        out.emit(f"if {active}:")
+        local = dict(self._local)
+        for group, d in zip(run, dsts):
+            assign = group.assigns[0]
+            out.emit(f"    {self._target(d)} = "
+                     f"{self._scalar_src(assign, local)}"
+                     f"  # {group.dst} = {assign.assignment.src}")
+            if d in self._reads:
+                local[d] = f"v{d}"
+        out.emit("else:" if self.fresh else f"elif {unknown}:")
+        for d in dsts:
+            out.emit(f"    {self._target(d)} = X")
+        if forwarded and not self.fresh:
+            out.emit("else:")
+            for d in forwarded:
+                out.emit(f"    v{d} = s[{d}]")
+        for d in forwarded:
+            self._local[d] = f"v{d}"
+
+    def _emit_group(self, out: _Lines, group) -> None:
         d = self.slots[group.dst_key]
-        if self._preloaded(group):
-            return
         if len(group.assigns) == 1:
             assign = group.assigns[0]
-            src = self._scalar_src(assign)
-            if assign.guard_keys is None:
-                out.emit(f"s[{d}] = {src}  # {group.dst} = {assign.assignment.src}")
-                return
-            guards = [fresh_temp("g") for _ in assign.guard_keys]
-            reads = "; ".join(
-                f"{g} = s[{self.slots[key]}]"
-                for g, key in zip(guards, assign.guard_keys))
-            out.emit(f"{reads}  # {group.dst} = guarded")
-            active = " or ".join(f"({g} is not X and {g} != 0)"
-                                 for g in guards)
-            unknown = " or ".join(f"{g} is X" for g in guards)
-            out.emit(f"if {active}:")
-            out.emit(f"    s[{d}] = {src}")
-            if self.fresh:
-                out.emit("else:")
-                out.emit(f"    s[{d}] = X")
-            else:
-                out.emit(f"elif {unknown}:")
-                out.emit(f"    s[{d}] = X")
+            out.emit(self._set(d, self._scalar_src(assign))
+                     + f"  # {group.dst} = {assign.assignment.src}")
             return
         # Multi-driven port: the slot-based resolver (dict-free, exact
         # conflict semantics).
@@ -602,19 +764,27 @@ class _ComponentCompiler:
                     if assign.src_key is not None else None),
                    assign.src_const, assign)
                   for assign in group.assigns))
-        v = fresh_temp("v")
+        v = self._fresh_temp("r")
         out.emit(f"{v} = _rg(s, {plan_name}, n)  # {group.dst}: "
                  f"{len(group.assigns)} drivers")
         if self.fresh:
-            out.emit(f"s[{d}] = X if {v} is _U else {v}")
+            out.emit(self._set(d, f"X if {v} is _U else {v}"))
         else:
+            self._local.pop(d, None)
             out.emit(f"if {v} is not _U:")
             out.emit(f"    s[{d}] = {v}")
 
-    def _emit_scalar_tick(self, out: _Lines) -> None:
+    # -- tick and reset --------------------------------------------------------
+
+    def _emit_tick(self, out: _Lines, counted: bool) -> bool:
+        """Emit ``tick()`` — this component's own sequential update, its
+        children tick on their own — unless it would be empty; returns
+        whether it was emitted."""
+        header = len(out.lines)
         out.emit("def tick():")
         out.indent += 1
-        out.emit("nonlocal n")
+        if counted:
+            out.emit("nonlocal n")
         temp = [0]
 
         def fresh_temp(prefix: str = "t") -> str:
@@ -686,23 +856,25 @@ class _ComponentCompiler:
                     for k in range(len(taps) - 1, 0, -1):
                         out.emit(f"s[{taps[k]}] = s[{taps[k - 1]}]")
                     out.emit(f"s[{taps[0]}] = s[{sl[(cell, '_0')]}]")
-        for node in self.plan.child_nodes:
-            out.emit(f"tk_{self._ident(node.cell)}()  # child {node.cell}")
-        out.emit("n += 1")
+        if counted:
+            out.emit("n += 1")
         out.indent -= 1
+        if len(out.lines) == header + 1:
+            del out.lines[header:]
+            return False
         out.emit()
+        return True
 
-    def _emit_scalar_reset(self, out: _Lines) -> None:
+    def _emit_reset(self, out: _Lines, counted: bool) -> None:
         out.emit("def reset():")
         out.indent += 1
-        out.emit("nonlocal n")
-        out.emit("n = 0")
+        if counted:
+            out.emit("nonlocal n")
+            out.emit("n = 0")
         out.emit("s[:] = INIT")
         for node in self.plan.prim_nodes:
             if not _is_stdlib(node.model):
                 out.emit(f"m_{self._ident(node.cell)}.reset()")
-        for node in self.plan.child_nodes:
-            out.emit(f"rs_{self._ident(node.cell)}()")
         out.indent -= 1
         out.emit()
 

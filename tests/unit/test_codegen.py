@@ -12,6 +12,7 @@ pinned down directly.
 
 import json
 import random
+import sys
 
 import pytest
 
@@ -483,6 +484,190 @@ class TestModularCache:
                     generated.spec.name), generated.spec.name)):
             engine = Simulator(calyx, name, mode="native")
             assert netlist_digest(engine) == reference(engine)
+
+
+def _mangled_alike_program():
+    """``Top`` whose child cells ``p.q`` (a ``Plus1``) and ``p_q`` (a
+    ``Plus100``) differ only where an identifier cannot hold the name."""
+    def plus(name, addend):
+        component = CalyxComponent(name, inputs=[PortSpec("x", 8)],
+                                   outputs=[PortSpec("y", 8)])
+        component.add_cell(Cell("K", "Const", (8, addend)))
+        component.add_cell(Cell("A", "Add", (8,)))
+        component.add_wire(Assignment(CellPort("A", "left"),
+                                      CellPort(None, "x")))
+        component.add_wire(Assignment(CellPort("A", "right"),
+                                      CellPort("K", "out")))
+        component.add_wire(Assignment(CellPort(None, "y"),
+                                      CellPort("A", "out")))
+        return component
+
+    top = CalyxComponent("Top", inputs=[PortSpec("x", 8)],
+                         outputs=[PortSpec("y1", 8), PortSpec("y2", 8)])
+    top.add_cell(Cell("p.q", "Plus1"))
+    top.add_cell(Cell("p_q", "Plus100"))
+    for cell, out in (("p.q", "y1"), ("p_q", "y2")):
+        top.add_wire(Assignment(CellPort(cell, "x"), CellPort(None, "x")))
+        top.add_wire(Assignment(CellPort(None, out), CellPort(cell, "y")))
+    program = CalyxProgram(entrypoint="Top")
+    for component in (plus("Plus1", 1), plus("Plus100", 100), top):
+        program.add(component)
+    return program
+
+
+#: ``netlist_digest`` of :func:`_mangled_alike_program`, as computed before
+#: cell identifiers carried the cell's position.
+MANGLED_ALIKE_DIGEST = (
+    "232daa100a1807738f26aea008c1e366f9342a117c27a43bd8479bf089a9f591")
+
+
+class TestCellIdentifiers:
+    def test_cells_whose_names_mangle_alike_stay_apart(self):
+        program = _mangled_alike_program()
+        for mode in ("fixpoint", "auto", "compiled"):
+            simulator = Simulator(program, mode=mode)
+            assert simulator.step({"x": 5}) == {"y1": 6, "y2": 105}, mode
+        assert simulator.uses_kernel(), simulator.kernel_fallback_reason
+        assert netlist_digest(simulator) == MANGLED_ALIKE_DIGEST
+
+
+def _chain_engine(depth):
+    from repro.core.session import CompilationSession
+    from repro.evaluation.compile_time import chain_program
+
+    program, entry = chain_program(depth)
+    return Simulator(CompilationSession(program).calyx(entry), entry,
+                     mode="compiled")
+
+
+def _stale_guard_program():
+    """``Top`` driving a preserving child ``Kid`` whose three data inputs
+    reach its adder and xor only while ``R`` (``go`` registered) is high:
+    one guard run of three single-driver groups, each read later in the
+    same segment.  The guard is registered because the fixpoint reference
+    settles a child first with X inputs, and an X input guard would turn
+    the values the child keeps into X there."""
+    kid = CalyxComponent(
+        "Kid", inputs=[PortSpec("go", 1), PortSpec("a", 8),
+                       PortSpec("b", 8), PortSpec("c", 8)],
+        outputs=[PortSpec("o", 8)])
+    kid.add_cell(Cell("A", "Add", (8,)))
+    kid.add_cell(Cell("X", "Xor", (8,)))
+    kid.add_cell(Cell("R", "Reg", (1,)))
+    kid.add_wire(Assignment(CellPort("R", "in"), CellPort(None, "go")))
+    kid.add_wire(Assignment(CellPort("R", "en"), 1))
+    held = Guard((CellPort("R", "out"),))
+    for dst, src in ((("A", "left"), "a"), (("A", "right"), "b"),
+                     (("X", "right"), "c")):
+        kid.add_wire(Assignment(CellPort(*dst), CellPort(None, src), held))
+    kid.add_wire(Assignment(CellPort("X", "left"), CellPort("A", "out")))
+    kid.add_wire(Assignment(CellPort(None, "o"), CellPort("X", "out")))
+    top = CalyxComponent(
+        "Top", inputs=[PortSpec("go", 1), PortSpec("a", 8),
+                       PortSpec("b", 8), PortSpec("c", 8)],
+        outputs=[PortSpec("y", 8)])
+    top.add_cell(Cell("k", "Kid"))
+    for port in ("go", "a", "b", "c"):
+        top.add_wire(Assignment(CellPort("k", port), CellPort(None, port)))
+    top.add_wire(Assignment(CellPort(None, "y"), CellPort("k", "o")))
+    program = CalyxProgram(entrypoint="Top")
+    program.add(kid)
+    program.add(top)
+    return program
+
+
+class TestSegmentedKernel:
+    """A cycle runs the hierarchy's settle as one flat run of
+    per-component segments."""
+
+    @staticmethod
+    def _deepest_frame_in_one_cycle(depth):
+        """Python frames below the compiled ``cycle`` at its deepest."""
+        engine = _chain_engine(depth)
+        engine.step({"go": 1, "a": 1, "b": 2})
+        assert engine.uses_kernel(), engine.kernel_fallback_reason
+        cycle = engine._kernel.cycle
+        level, deepest = -1, 0
+
+        def profile(frame, event, arg):
+            nonlocal level, deepest
+            if event == "call":
+                level += 1
+                deepest = max(deepest, level)
+            elif event == "return":
+                level -= 1
+
+        sys.setprofile(profile)
+        try:
+            outputs = cycle({"go": 1, "a": 3, "b": 4})
+        finally:
+            sys.setprofile(None)
+        assert outputs == {"out": (3 + 4 * depth) & 0xFFFF}
+        return deepest
+
+    def test_call_depth_does_not_grow_with_the_hierarchy(self):
+        shallow = self._deepest_frame_in_one_cycle(2)
+        deep = self._deepest_frame_in_one_cycle(64)
+        assert deep == shallow == 1, (shallow, deep)
+
+    def test_a_multi_driver_child_keeps_counting_cycles(self):
+        """A stateless child whose port has two drivers keeps a tick, so
+        its conflict message names the cycle the conflict happened in."""
+        pair = CalyxComponent("Pair", inputs=[PortSpec("a", 8),
+                                              PortSpec("b", 8)],
+                              outputs=[PortSpec("o", 8)])
+        for src in ("a", "b"):
+            pair.add_wire(Assignment(CellPort(None, "o"),
+                                     CellPort(None, src)))
+        top = CalyxComponent("Top", inputs=[PortSpec("a", 8),
+                                            PortSpec("b", 8)],
+                             outputs=[PortSpec("o", 8)])
+        top.add_cell(Cell("p", "Pair"))
+        for port in ("a", "b"):
+            top.add_wire(Assignment(CellPort("p", port),
+                                    CellPort(None, port)))
+        top.add_wire(Assignment(CellPort(None, "o"), CellPort("p", "o")))
+        program = CalyxProgram(entrypoint="Top")
+        program.add(pair)
+        program.add(top)
+        rows = [{"a": i, "b": i} for i in range(3)] + [{"a": 1, "b": 2}]
+        for mode in ("fixpoint", "auto", "compiled"):
+            with pytest.raises(SimulationError) as info:
+                Simulator(program, mode=mode).run_batch(rows)
+            assert str(info.value) == (
+                "Pair: conflicting drivers for o in cycle 3: o = a, o = b "
+                "(values ['1', '2'])"), mode
+
+    def test_guard_run_in_a_preserving_child_keeps_stale_values(self):
+        program = _stale_guard_program()
+        rng = random.Random(20)
+        stimulus = [{"go": go, "a": rng.getrandbits(8),
+                     "b": rng.getrandbits(8), "c": rng.getrandbits(8)}
+                    for go in (1, 1, X, 0, 1, 0, 0, 1)]
+        engines = {mode: Simulator(program, mode=mode)
+                   for mode in ("fixpoint", "auto", "compiled")}
+        traces = {mode: [] for mode in engines}
+        for inputs in stimulus:
+            for mode, engine in engines.items():
+                traces[mode].append(engine.step(dict(inputs)))
+            compiled = engines["compiled"]
+            assert compiled.uses_kernel(), compiled.kernel_fallback_reason
+            for cell, port in compiled._kernel._slot_map:
+                if port.startswith("#"):  # register state, not a signal
+                    continue
+                want = engines["fixpoint"].peek(cell, port)
+                for mode in ("auto", "compiled"):
+                    got = engines[mode].peek(cell, port)
+                    assert is_x(got) == is_x(want) and (
+                        is_x(want) or got == want), (mode, cell, port, got)
+        _same_traces(traces["fixpoint"], traces["auto"])
+        _same_traces(traces["fixpoint"], traces["compiled"])
+        # The guard is go one cycle late: cycle 3 (guard X) is X, and
+        # cycles 6 and 7 (guard 0 after 1) keep cycle 5's operands.
+        a, b, c = (stimulus[5][port] for port in "abc")
+        kept = ((a + b) & 0xFF) ^ c
+        assert is_x(traces["compiled"][3]["y"])
+        assert [row["y"] for row in traces["compiled"][5:]] == [kept] * 3
 
 
 class TestEarlyBlackBoxReads:

@@ -43,7 +43,12 @@ from repro.sim import native as native_module
 from repro.sim.codegen import netlist_digest
 from repro.sim.engine import rows_to_columns
 
-from test_codegen import _same_traces, _single_cell_program, _stimulus
+from test_codegen import (
+    _mangled_alike_program,
+    _same_traces,
+    _single_cell_program,
+    _stimulus,
+)
 from test_width_boundaries import _cases
 
 needs_cc = pytest.mark.skipif(not compiler_available(),
@@ -275,6 +280,19 @@ comp second<G: 1>(
     stages = [(timing.stage, timing.target) for timing in session.timings
               if timing.stage.startswith("native")]
     assert stages == [("native", "first"), ("native", "second")]
+
+
+@needs_cc
+def test_cells_whose_names_mangle_alike_build_and_run_natively(
+        tmp_path, monkeypatch):
+    """Child cells ``p.q`` and ``p_q`` get distinct struct members, so the
+    C compiler accepts the unit and each child computes its own output."""
+    monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path))
+    clear_native_cache()
+    simulator = Simulator(_mangled_alike_program(), mode="native")
+    assert simulator.step({"x": 5}) == {"y1": 6, "y2": 105}
+    assert simulator.uses_native(), simulator.native_fallback_reason
+    clear_native_cache()
 
 
 #: One width-boundary primitive per multi-limb C template.
