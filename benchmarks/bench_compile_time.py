@@ -8,7 +8,11 @@ reports the :class:`~repro.core.session.CompilationSession` instrumentation:
 * the per-stage breakdown (check / lower / calyx emit) of every design;
 * the warm recompile time, which must be a cache hit (no re-typecheck);
 * the simulator's before/after cycles-per-second figure — the naive
-  fixpoint interpreter versus the compiled, scheduled engine.
+  fixpoint interpreter versus the compiled, scheduled engine;
+* the per-edit depth sweep: one leaf edit of a 16-, 64- and 256-component
+  chain, re-emitted as Verilog and rebuilt as a compiled-tier harness
+  simulator, with the number of components the edit prints — the same at
+  every depth.
 """
 
 import sys
@@ -23,6 +27,7 @@ from repro.core.session import CompilationSession
 from repro.evaluation import (
     evaluation_designs,
     measure_compile_times,
+    measure_edit_costs,
     measure_incremental_compile,
     measure_sim_throughput,
 )
@@ -107,6 +112,19 @@ def test_incremental_edit_recompiles_only_the_dirty_component(benchmark):
         assert timing.rebuild_seconds < timing.cold_rebuild_seconds
 
 
+def test_an_edit_prints_the_same_components_at_every_depth(benchmark):
+    """The depth sweep: a leaf edit prints the edited component alone,
+    however many components the design has."""
+    costs = benchmark.pedantic(measure_edit_costs, kwargs={"edits": 3},
+                               rounds=1, iterations=1)
+    print()
+    for cost in costs:
+        print(f"chain{cost.depth:<4d} {cost.median_seconds * 1000:7.2f} ms "
+              f"per edit, {cost.printed_per_edit:g} components printed")
+    assert [cost.depth for cost in costs] == [16, 64, 256]
+    assert len({cost.printed_per_edit for cost in costs}) == 1
+
+
 def test_simulator_cycles_per_second(benchmark):
     """The before/after figure for the simulation engine tiers: the
     scheduled engine must be measurably (>= 2x on at least one design)
@@ -130,11 +148,12 @@ def test_simulator_cycles_per_second(benchmark):
 
 
 def main() -> int:
-    """Persist the per-design engine-tier figure plus the incremental-edit
-    compile and simulator-rebuild figure as ``BENCH_compile_time.json``
-    (the common benchmark schema), and gate on warm / incremental-edit
-    recompiles beating cold and the incremental simulator rebuild beating
-    a cold one."""
+    """Persist the per-design engine-tier figure, the incremental-edit
+    compile and simulator-rebuild figure and the per-edit depth sweep as
+    ``BENCH_compile_time.json`` (the common benchmark schema), and gate on
+    warm / incremental-edit recompiles beating cold, the incremental
+    simulator rebuild beating a cold one, and an edit printing as many
+    components at every depth of the sweep (a count, not a timing)."""
     from common import write_bench
 
     rows = []
@@ -173,12 +192,24 @@ def main() -> int:
                      "baseline": "cold-rebuild",
                      "chunks_regenerated": chunks})
 
+    # The depth sweep: per-edit session.verilog + harness_for + simulator
+    # build against design size, relative to the 16-component chain.
+    costs = measure_edit_costs()
+    for cost in costs:
+        rows.append({"engine": "edit", "config": f"chain{cost.depth}",
+                     "tx_per_sec": 1.0 / max(cost.median_seconds, 1e-9),
+                     "baseline": f"edit chain{costs[0].depth}",
+                     "ms_per_edit": round(cost.median_seconds * 1000, 3),
+                     "edits": cost.edits,
+                     "printed_per_edit": cost.printed_per_edit})
+
     # Per-design baseline: each design's speedups are relative to its own
     # fixpoint rate (a cross-design ratio would conflate design size with
     # engine speed).
     from datetime import datetime, timezone
     path = write_bench("compile_time",
-                       "evaluation designs cycles/sec + chain16 compiles/sec",
+                       "evaluation designs cycles/sec + chain16 compiles/sec"
+                       " + chain16/64/256 edits/sec",
                        rows, baseline="fixpoint",
                        timestamp=datetime.now(timezone.utc).isoformat(
                            timespec="seconds"))
@@ -189,8 +220,16 @@ def main() -> int:
           f"(byte-identical: {timing.identical}); simulator rebuild "
           f"regenerated {timing.chunks_regenerated} chunk(s), "
           f"{timing.rebuild_speedup:.1f}x vs cold")
+    for cost in costs:
+        print(f"edit sweep chain{cost.depth}: "
+              f"{cost.median_seconds * 1000:.2f} ms per edit "
+              f"(median of {cost.edits}), {cost.printed_per_edit:g} "
+              f"components printed per edit")
     if not timing.identical:
         print("FAIL: incremental artifacts differ from a scratch compile")
+        return 1
+    if len({cost.printed_per_edit for cost in costs}) != 1:
+        print("FAIL: an edit prints more components in a deeper design")
         return 1
     if timing.warm_seconds >= timing.cold_seconds:
         print("FAIL: warm recompile did not beat cold")

@@ -222,22 +222,6 @@ def _compare_traces(reference_name: str, reference: List[dict],
                     return
 
 
-def _fallback_components(engine: object) -> List[str]:
-    """Names of components (recursively) settled by the sweep fallback."""
-    names: List[str] = []
-
-    def walk(node: object) -> None:
-        if not isinstance(node, ScheduledEngine):
-            return
-        if not node.is_scheduled:
-            names.append(node.component.name)
-        for child in node._children.values():
-            walk(child)
-
-    walk(engine)
-    return sorted(set(names))
-
-
 def _apply_x_drops(stream: List[dict], x_probability: float,
                    tag: object) -> List[Set[str]]:
     """X-rich stimulus: seeded per-transaction port drops.
@@ -399,8 +383,8 @@ def run_conformance(generated: GeneratedProgram,
     scheduled_engine = built_engines.get("scheduled")
     if isinstance(scheduled_engine, ScheduledEngine):
         coverage.scheduled = scheduled_engine.scheduled_everywhere()
-        coverage.fallback_components = _fallback_components(scheduled_engine)
         coverage.fallback_reasons = scheduled_engine.fallback_reasons()
+        coverage.fallback_components = sorted(coverage.fallback_reasons)
     compiled_engine = built_engines.get("compiled")
     if isinstance(compiled_engine, ScheduledEngine):
         coverage.kernel = compiled_engine.uses_kernel()

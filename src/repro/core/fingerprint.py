@@ -35,12 +35,26 @@ same invariant the Filament digests get from the surface printer: stable
 across regeneration, changed by any cell, wire, guard or port edit.  Extern
 signatures imported by those frontends are digested with the existing
 :func:`signature_fingerprint` (the printer-backed timeline-type digest).
+
+Printing is the expensive part of every digest, so a caller that digests
+the same components again and again keeps an **identity memo** per
+component: the tuple of its parts (:func:`component_parts`,
+:func:`calyx_component_parts`) next to the text or fingerprint printed from
+them, reused while :func:`same_parts` holds.  Apart from a Filament
+component object itself, every part is a string or a frozen dataclass over
+tuples, so a part that is still the very same object still prints the same.
+The memo holds strong references to its parts, so none can be freed and
+its ``id`` taken by another object.  Editing a mutable list
+(``Component.body``, a Calyx component's ports, cells or wires) or
+reassigning an attribute replaces, adds or drops a part, and the component
+is printed again.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Mapping, Optional, Union
+from operator import is_
+from typing import Dict, Mapping, Optional, Tuple, Union
 
 from .ast import Component, Program, Signature
 from .printer import format_component, format_signature
@@ -54,16 +68,21 @@ __all__ = [
     "fingerprint_snapshot",
     "calyx_component_fingerprint",
     "calyx_fingerprint",
+    "component_parts",
+    "calyx_component_parts",
+    "same_parts",
 ]
+
+#: Separates a Calyx component's part lists in :func:`calyx_component_parts`,
+#: so a port moving from the inputs to the outputs changes the parts.
+_LIST_END = object()
 
 
 def fingerprint_text(*parts: str) -> str:
-    """A stable hex digest of the given text parts (order-sensitive)."""
-    digest = hashlib.sha256()
-    for part in parts:
-        digest.update(part.encode("utf-8"))
-        digest.update(b"\x00")  # unambiguous part boundary
-    return digest.hexdigest()
+    """A stable hex digest of the given text parts (order-sensitive): the
+    SHA-256 of every part followed by a NUL, the unambiguous boundary."""
+    text = "".join([part + "\x00" for part in parts])
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def component_self_fingerprint(component: Component) -> str:
@@ -161,3 +180,23 @@ def fingerprint_snapshot(program: Program) -> Dict[str, str]:
     yields exactly the set of edited / added / removed components."""
     return {name: component_self_fingerprint(component)
             for name, component in program.components.items()}
+
+
+def component_parts(component: Component) -> Tuple[object, ...]:
+    """The parts a Filament component's printed text is made of: the
+    component, its signature and each body command."""
+    return (component, component.signature, *component.body)
+
+
+def calyx_component_parts(component) -> Tuple[object, ...]:
+    """The parts a Calyx component's printed text is made of: its name and
+    each port spec, cell and assignment."""
+    return (component.name, *component.inputs, _LIST_END, *component.outputs,
+            _LIST_END, *component.cells, _LIST_END, *component.wires)
+
+
+def same_parts(old: Tuple[object, ...], new: Tuple[object, ...]) -> bool:
+    """Whether every part in ``new`` is the very object at the same place
+    in ``old``: then the component prints as it did when ``old`` was
+    taken."""
+    return len(old) == len(new) and all(map(is_, old, new))

@@ -8,18 +8,24 @@ pipeline is modelled as per-component queries
     ``sig(c)`` → ``check(c)`` → ``lower(c)`` → ``calyx(c)`` → ``vcomp(c)``
 
 plus assembly ("link") queries per entrypoint, with **recorded dependency
-edges**, **dirty-bit invalidation**, and **early cutoff**:
+edges**, **pushed invalidation**, and **early cutoff**:
 
 * every query records, while it runs, which inputs (component definitions,
-  identified by content fingerprint) and which other queries it consumed;
-* :meth:`QueryEngine.refresh` re-fingerprints the program's components and
-  marks edited / added / removed ones dirty — nothing recompiles eagerly;
-* a memoized query is *verified* instead of re-run when every recorded
-  dependency is up to date and unchanged; a dirty query re-runs, but if its
-  output digest is unchanged its dependents are **not** invalidated (early
-  cutoff).  Because a client component depends only on the *signature* of
-  what it instantiates (the paper's modularity claim), a body-only edit of a
-  leaf re-runs exactly that leaf's queries and re-verifies everything else.
+  identified by content fingerprint) and which other queries it consumed,
+  and the engine keeps the reverse edges too;
+* :meth:`QueryEngine.refresh` re-fingerprints the program's components —
+  printing only those whose parts are no longer the same objects (see
+  :mod:`repro.core.fingerprint`) — and marks every transitive dependent of
+  an edited, added or removed component *suspect*; nothing recompiles
+  eagerly, and a mark stays until its memo is next verified or re-run;
+* an unmarked memo is up to date in O(1).  A suspect memo is *verified*
+  instead of re-run when every recorded dependency is up to date and
+  unchanged; a stale one re-runs, but if its output digest is unchanged its
+  dependents are **not** invalidated (early cutoff).  Because a client
+  component depends only on the *signature* of what it instantiates (the
+  paper's modularity claim), a body-only edit of a leaf re-runs exactly
+  that leaf's queries and the link queries that assemble it, and
+  verification walks only the memos the edit can reach.
 
 Artifacts additionally live in a bounded, memory-only **process-wide
 compile cache** (a :class:`~repro.core.store.DigestCache` of 1024 entries)
@@ -34,15 +40,18 @@ Verilog artifacts even though they never met; ``compile_cache_stats`` and
 from __future__ import annotations
 
 from contextlib import contextmanager
+from itertools import repeat
 from dataclasses import dataclass, field
 from dataclasses import replace as dataclass_replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from .ast import Program
 from .fingerprint import (
     component_fingerprint,
+    component_parts,
     component_self_fingerprint,
     fingerprint_text,
+    same_parts,
 )
 from .printer import format_signature
 from .store import DigestCache
@@ -172,8 +181,24 @@ class _Memo:
     value: object
     digest: str
     deps: Tuple[Tuple[str, str], ...]
+    #: The names of the inputs among ``deps``.
+    inputs: Tuple[str, ...]
     changed_at: int
     verified_at: int
+
+
+class _Walk:
+    """One reachability walk: the user components it reached in order,
+    the deps it records, and what it read of each component — its
+    children, or ``None`` for an extern — as of ``revision``."""
+
+    __slots__ = ("revision", "names", "deps", "read")
+
+    def __init__(self, revision: int) -> None:
+        self.revision = revision
+        self.names: List[str] = []
+        self.deps: List[Tuple[str, str]] = []
+        self.read: Dict[str, Optional[List[str]]] = {}
 
 
 @dataclass
@@ -201,20 +226,17 @@ class QueryEngine:
 
     The engine never observes mutation by itself: call :meth:`refresh`
     (sessions do, on every public stage entry) to re-fingerprint the
-    program's components and mark the edited ones dirty.  Queries then
-    re-run or re-verify lazily, on demand.
+    program's components and mark every query that depends on an edited
+    one suspect.  Queries then re-run or re-verify lazily, on demand; a
+    query no refresh marked is up to date without a walk.
     """
 
     def __init__(self, program: Program) -> None:
         self._program = program
         self._revision = 1
-        #: name -> (component, signature, fingerprint) for body-less
-        #: components: a held-reference identity memo.  Sound because a
-        #: Signature is a frozen dataclass (an "edit" must reassign the
-        #: attribute, breaking identity) and body emptiness is re-checked
-        #: on reuse; it spares re-printing the ~25 merged stdlib externs
-        #: on every refresh.
-        self._bodyless_memo: Dict[str, Tuple[object, object, str]] = {}
+        #: name -> (parts, self fingerprint): the identity memo that spares
+        #: re-printing every component whose parts are unchanged.
+        self._printed: Dict[str, Tuple[Tuple[object, ...], str]] = {}
         # The first snapshot is taken by the first refresh() — every public
         # session stage call refreshes before querying, so snapshotting here
         # too would print and hash the whole program twice per session.
@@ -222,6 +244,13 @@ class QueryEngine:
         self._input_changed: Dict[str, int] = {_MEMBERS: 1}
         self._memos: Dict[Tuple[str, str], _Memo] = {}
         self._dep_stack: List[Optional[List[Tuple[str, str]]]] = []
+        #: dependency -> the memos that recorded it (reverse edges).
+        self._dependents: Dict[Tuple[str, str], Set[Tuple[str, str]]] = {}
+        #: Memos a refresh may have made stale: every transitive dependent
+        #: of a changed input, until the memo is next verified or re-run.
+        self._suspect: Set[Tuple[str, str]] = set()
+        #: entrypoint -> its last reachability walk.
+        self._reachable: Dict[str, _Walk] = {}
         self._merkle: Dict[str, str] = {}
         self._merkle_revision = 1
         #: (revision, stage, name) for every real query execution, in order.
@@ -244,29 +273,28 @@ class QueryEngine:
 
     def _snapshot(self) -> Dict[str, str]:
         """Every component's self fingerprint (see
-        :func:`~repro.core.fingerprint.fingerprint_snapshot`), with the
-        identity memo short-circuiting unchanged body-less components."""
+        :func:`~repro.core.fingerprint.fingerprint_snapshot`), printing only
+        the components whose parts changed since the last snapshot.  Names
+        that left the program leave the memo too."""
         current: Dict[str, str] = {}
+        printed = self._printed
         for name, component in self._program.components.items():
-            memo = self._bodyless_memo.get(name)
-            if (memo is not None and memo[0] is component
-                    and memo[1] is component.signature
-                    and not component.body):
-                current[name] = memo[2]
-                continue
-            fingerprint = component_self_fingerprint(component)
-            current[name] = fingerprint
-            if not component.body:
-                self._bodyless_memo[name] = (component, component.signature,
-                                             fingerprint)
-            else:
-                self._bodyless_memo.pop(name, None)
+            parts = component_parts(component)
+            memo = printed.get(name)
+            if memo is None or not same_parts(memo[0], parts):
+                memo = printed[name] = (
+                    parts, component_self_fingerprint(component))
+            current[name] = memo[1]
+        if len(printed) != len(current):
+            for name in [name for name in printed if name not in current]:
+                del printed[name]
         return current
 
     def refresh(self) -> bool:
-        """Re-fingerprint every component; bump the revision and mark the
-        edited / added / removed ones dirty.  Returns True when anything
-        changed since the last refresh."""
+        """Re-fingerprint every component; bump the revision, mark the
+        edited / added / removed ones changed and every query that depends
+        on them, transitively, suspect.  Returns True when anything changed
+        since the last refresh."""
         current = self._snapshot()
         dirty = [name for name, fingerprint in current.items()
                  if self._inputs.get(name) != fingerprint]
@@ -279,12 +307,27 @@ class QueryEngine:
         # superseded revisions only grow memory over a long-lived session.
         self._log = [entry for entry in self._log
                      if entry[0] >= self._revision - 1]
-        for name in dirty + removed:
-            self._input_changed[name] = self._revision
+        changed = dirty + removed
         if set(current) != set(self._inputs):
-            self._input_changed[_MEMBERS] = self._revision
+            changed.append(_MEMBERS)
+        for name in changed:
+            self._input_changed[name] = self._revision
         self._inputs = current
+        self._mark_suspect([(_INPUT, name) for name in changed])
         return True
+
+    def _mark_suspect(self, pending: List[Tuple[str, str]]) -> None:
+        """Mark every transitive dependent of ``pending`` suspect.  A memo
+        already marked is skipped: its dependents were marked with it, and
+        verifying or re-running a memo first verifies or re-runs the
+        dependencies it still records."""
+        suspect = self._suspect
+        dependents = self._dependents
+        while pending:
+            for key in dependents.get(pending.pop(), ()):
+                if key not in suspect:
+                    suspect.add(key)
+                    pending.append(key)
 
     def seed_checks(self, checked) -> None:
         """Install an already-checked program (e.g. from a caller that ran
@@ -301,53 +344,64 @@ class QueryEngine:
             self._seeded_checks[name] = (
                 checked_component, _check_digest(program, name))
 
-    def _input_changed_at(self, name: str) -> int:
-        return self._input_changed.get(name, self._revision)
-
     def _record_input_dep(self, name: str) -> None:
         if self._dep_stack and self._dep_stack[-1] is not None:
             self._dep_stack[-1].append((_INPUT, name))
-
-    def _record_dep(self, key: Tuple[str, str]) -> None:
-        if self._dep_stack and self._dep_stack[-1] is not None:
-            self._dep_stack[-1].append(key)
 
     # -- the red-green algorithm -----------------------------------------------
 
     def query(self, stage: str, name: str):
         """The up-to-date value of one query, re-running it only when a
         recorded dependency genuinely changed."""
+        return self._current(stage, name).value
+
+    def _current(self, stage: str, name: str) -> _Memo:
+        """The up-to-date memo of one query (see :meth:`query`), recorded
+        as a dependency of the query running now.  A memo no refresh marked
+        suspect is up to date as it stands."""
         key = (stage, name)
         memo = self._memos.get(key)
-        if memo is not None and self._verify(memo):
-            self._record_dep(key)
-            return memo.value
-        return self._execute(key, memo)
+        if memo is None or (key in self._suspect
+                            and not self._verify(key, memo)):
+            memo = self._execute(key, memo)
+        stack = self._dep_stack
+        if stack and stack[-1] is not None:
+            stack[-1].append(key)
+        return memo
 
-    def _verify(self, memo: _Memo) -> bool:
-        """Bring ``memo``'s dependencies up to date (re-running dirty ones)
-        and report whether none of them changed since it was last verified.
-        Early cutoff lives here: a dependency that re-ran but produced an
-        unchanged digest keeps its old ``changed_at`` and does not flip us."""
-        if memo.verified_at == self._revision:
-            return True
+    def _inputs_changed(self, memo: _Memo) -> bool:
+        """Whether an input ``memo`` read changed since it was verified."""
+        return bool(memo.inputs) and max(map(
+            self._input_changed.get, memo.inputs,
+            repeat(self._revision))) > memo.verified_at
+
+    def _verify(self, key: Tuple[str, str], memo: _Memo) -> bool:
+        """Bring a suspect ``memo``'s dependencies up to date (re-running
+        dirty ones) and report whether none of them changed since it was
+        last verified.  A changed input settles it first; then only the
+        suspect dependencies are brought up to date, and every one is
+        checked.  Early cutoff lives here: a dependency that re-ran but
+        produced an unchanged digest keeps its old ``changed_at`` and does
+        not flip us."""
+        if self._inputs_changed(memo):
+            return False
+        suspect = self._suspect
         self._dep_stack.append(None)  # verification records no deps
         try:
             for dep in memo.deps:
-                dep_stage, dep_name = dep
-                if dep_stage == _INPUT:
-                    if self._input_changed_at(dep_name) > memo.verified_at:
-                        return False
+                if dep[0] == _INPUT:
                     continue
-                try:
-                    self.query(dep_stage, dep_name)
-                except Exception:
-                    return False  # the re-run will surface the real error
+                if dep in suspect:
+                    try:
+                        self.query(*dep)
+                    except Exception:
+                        return False  # the re-run surfaces the error
                 dep_memo = self._memos.get(dep)
                 if dep_memo is None or dep_memo.changed_at > memo.verified_at:
                     return False
         finally:
             self._dep_stack.pop()
+        suspect.discard(key)
         memo.verified_at = self._revision
         self.stats.verified += 1
         return True
@@ -358,21 +412,23 @@ class QueryEngine:
         anything.  Conservative — a dirty dependency that early cutoff would
         rescue reports unclean here (the caller then descends through the
         stage methods, which record what actually re-ran)."""
-        memo = self._memos.get((stage, name))
+        key = (stage, name)
+        memo = self._memos.get(key)
         if memo is None:
             return False
-        if memo.verified_at == self._revision:
-            return True
-        for dep_stage, dep_name in memo.deps:
-            if dep_stage == _INPUT:
-                if self._input_changed_at(dep_name) > memo.verified_at:
+        suspect = self._suspect
+        if key in suspect:
+            if self._inputs_changed(memo):
+                return False
+            for dep in memo.deps:
+                if dep[0] == _INPUT:
+                    continue
+                if dep in suspect and not self.is_clean(*dep):
                     return False
-                continue
-            if not self.is_clean(dep_stage, dep_name):
-                return False
-            if self._memos[(dep_stage, dep_name)].changed_at > memo.verified_at:
-                return False
-        memo.verified_at = self._revision
+                if self._memos[dep].changed_at > memo.verified_at:
+                    return False
+            suspect.discard(key)
+            memo.verified_at = self._revision
         return True
 
     def _execute(self, key: Tuple[str, str], old_memo: Optional[_Memo]):
@@ -393,11 +449,19 @@ class QueryEngine:
             # and do not invalidate dependents.
             changed_at = old_memo.changed_at
             value = old_memo.value
-        memo = _Memo(value, digest, tuple(dict.fromkeys(frame)),
+        deps = tuple(dict.fromkeys(frame))
+        memo = _Memo(value, digest, deps,
+                     tuple([dep[1] for dep in deps if dep[0] == _INPUT]),
                      changed_at, self._revision)
         self._memos[key] = memo
-        self._record_dep(key)
-        return memo.value
+        if old_memo is None or old_memo.deps != memo.deps:
+            if old_memo is not None:
+                for dep in old_memo.deps:
+                    self._dependents[dep].discard(key)
+            for dep in memo.deps:
+                self._dependents.setdefault(dep, set()).add(key)
+        self._suspect.discard(key)
+        return memo
 
     # -- introspection ---------------------------------------------------------
 
@@ -445,24 +509,68 @@ class QueryEngine:
     def _reachable_user_components(self, entrypoint: str) -> List[str]:
         """``entrypoint`` plus every non-extern component it transitively
         instantiates, in a deterministic order.  Records input deps for the
-        visited components (their bodies determine the reachable set)."""
-        seen: List[str] = []
+        visited components (their bodies determine the reachable set) and
+        signature deps for their children.  The last walk per entrypoint is
+        kept and reused while no component it read changed its extern-ness
+        or its children, so an edit costs only the components it changed."""
+        walk = self._reachable.get(entrypoint)
+        self._dep_stack.append(None)  # the walk's deps are recorded below
+        try:
+            if walk is None or not self._walk_current(walk):
+                walk = self._reachable[entrypoint] = self._walk(entrypoint)
+        finally:
+            self._dep_stack.pop()
+        if self._dep_stack and self._dep_stack[-1] is not None:
+            self._dep_stack[-1].extend(walk.deps)
+        return walk.names
+
+    def _walk_current(self, walk: "_Walk") -> bool:
+        """Whether ``walk`` is still what a new walk would produce; if so,
+        bring the signatures of the changed components it read up to
+        date and re-date it to this revision."""
+        if walk.revision == self._revision:
+            return True
+        components = self._program.components
+        changed = [name for name, revision in self._input_changed.items()
+                   if revision > walk.revision and name in walk.read]
+        for name in changed:
+            component = components.get(name)
+            children = walk.read[name]
+            if (component is None or component.name != name
+                    or component.is_extern != (children is None)):
+                return False
+            if (children is not None
+                    and _ordered_children(self._program, name) != children):
+                return False
+        for name in changed:
+            self.query("sig", name)
+        walk.revision = self._revision
+        return True
+
+    def _walk(self, entrypoint: str) -> "_Walk":
+        """A new reachability walk from ``entrypoint``, depth first."""
+        walk = _Walk(self._revision)
         queue = [entrypoint]
         while queue:
             name = queue.pop()
-            if name in seen:
+            if walk.read.get(name) is not None:
                 continue
             component = self._program.get(name)
             if component.is_extern:
+                walk.read[name] = None
                 continue
-            seen.append(name)
-            self._record_input_dep(name)
-            for child in self._children(name):
+            children = walk.read[name] = self._children(name)
+            walk.names.append(name)
+            walk.deps.append((_INPUT, name))
+            for child in children:
                 self.query("sig", child)  # extern-ness is a signature fact
+                walk.deps.append(("sig", child))
                 target = self._program.get(child)
-                if not target.is_extern and target.name not in seen:
+                if target.is_extern:
+                    walk.read[child] = None
+                elif target.name not in walk.read:
                     queue.append(target.name)
-        return seen
+        return walk
 
     def _shared(self, stage: str, name: str, compute, digest_of):
         """Run ``compute`` through the process-wide content-addressed cache.
@@ -573,15 +681,13 @@ class QueryEngine:
         from .typecheck import CheckedProgram
 
         self._record_input_dep(_MEMBERS)
-        parts = []
-        for component in self._program:
-            self.query("sig", component.name)
-            parts.append(self._memos[("sig", component.name)].digest)
+        parts = [self._current("sig", component.name).digest
+                 for component in self._program]
         checked = CheckedProgram(self._program)
         for component in self._program.user_components():
-            checked.checked[component.name] = self.query(
-                "check", component.name)
-            parts.append(self._memos[("check", component.name)].digest)
+            memo = self._current("check", component.name)
+            checked.checked[component.name] = memo.value
+            parts.append(memo.digest)
         return checked, fingerprint_text("link_check", *parts)
 
     def _compute_link_lower(self, entrypoint: str):
@@ -590,8 +696,9 @@ class QueryEngine:
         lowered = LowProgram(entrypoint=entrypoint)
         parts = [entrypoint]
         for name in self._reachable_user_components(entrypoint):
-            lowered.add(self.query("lower", name))
-            parts.append(self._memos[("lower", name)].digest)
+            memo = self._current("lower", name)
+            lowered.add(memo.value)
+            parts.append(memo.digest)
         return lowered, fingerprint_text("link_lower", *parts)
 
     def _compute_link_calyx(self, entrypoint: str):
@@ -600,22 +707,20 @@ class QueryEngine:
         calyx = CalyxProgram(entrypoint=entrypoint)
         parts = [entrypoint]
         for name in self._reachable_user_components(entrypoint):
-            calyx.add(self.query("calyx", name))
-            parts.append(self._memos[("calyx", name)].digest)
+            memo = self._current("calyx", name)
+            calyx.add(memo.value)
+            parts.append(memo.digest)
         return calyx, fingerprint_text("link_calyx", *parts)
 
     def _compute_verilog(self, entrypoint: str):
         from .lower.verilog_backend import _PRIMITIVE_LIBRARY
 
-        def compute():
-            parts = [_PRIMITIVE_LIBRARY]
-            for name in self._reachable_user_components(entrypoint):
-                parts.append(self.query("vcomp", name))
-            return "\n\n".join(parts)
-
-        # The reachability walk must run (it records this query's deps) even
-        # on a shared-cache hit, so the compute closure is *not* elided: the
-        # per-component vcomp queries it triggers are themselves cached.
-        value = compute()
-        digest = fingerprint_text("verilog", value)
-        return value, digest
+        texts = [_PRIMITIVE_LIBRARY]
+        parts = [entrypoint]
+        for name in self._reachable_user_components(entrypoint):
+            memo = self._current("vcomp", name)
+            texts.append(memo.value)
+            parts.append(memo.digest)
+        # The modules' digests stand for their text: hashing the joined
+        # program again would cost the size of the design on every edit.
+        return "\n\n".join(texts), fingerprint_text("verilog", *parts)

@@ -17,7 +17,9 @@ benchmarks print).
 from __future__ import annotations
 
 import itertools
+import statistics
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -38,12 +40,14 @@ from ..designs import (
 
 __all__ = [
     "CompileTiming",
+    "EditCost",
     "IncrementalTiming",
     "SimThroughput",
     "chain_program",
     "edit_chain_leaf",
     "evaluation_designs",
     "measure_compile_times",
+    "measure_edit_costs",
     "measure_incremental_compile",
     "measure_sim_throughput",
 ]
@@ -341,3 +345,91 @@ def measure_incremental_compile(depth: int = 16,
         cold_rebuild_seconds=cold_rebuild_seconds,
         chunks_regenerated=chunks_regenerated,
     )
+
+
+# ---------------------------------------------------------------------------
+# Per-edit cost against design size ("an edit costs what it changes")
+# ---------------------------------------------------------------------------
+
+#: Leaf values the depth sweep edits in, counted up from the top of the
+#: 16-bit range (far from ``measure_incremental_compile``'s values) so no
+#: edit is content-identical to anything compiled before it in the process:
+#: a compile-cache hit would print less than a real edit does.
+_SWEEP_VALUES = itertools.count(0xC000)
+
+
+@dataclass
+class EditCost:
+    """The per-edit cost of one ``chain_program(depth)`` leaf edit: the
+    median over ``edits`` in-place edits of ``session.verilog`` plus
+    ``harness_for`` plus the compiled-tier simulator build, and how many
+    components an edit prints (Filament components through the fingerprint
+    printer plus Calyx components through ``str``).  The count is the
+    same at every depth when an edit costs only what it changes."""
+
+    depth: int
+    edits: int
+    median_seconds: float
+    printed_per_edit: float
+
+
+@contextmanager
+def _counting_prints(counter: List[int]):
+    """Count every component printed while the block runs: Filament ones
+    through :func:`repro.core.fingerprint.format_component`, Calyx ones
+    through ``CalyxComponent.__str__``.  The originals are restored on
+    exit."""
+    from ..calyx.ir import CalyxComponent
+    from ..core import fingerprint
+
+    format_component = fingerprint.format_component
+    calyx_str = CalyxComponent.__str__
+
+    def counted_format(component):
+        counter[0] += 1
+        return format_component(component)
+
+    def counted_str(component):
+        counter[0] += 1
+        return calyx_str(component)
+
+    fingerprint.format_component = counted_format
+    CalyxComponent.__str__ = counted_str
+    try:
+        yield
+    finally:
+        fingerprint.format_component = format_component
+        CalyxComponent.__str__ = calyx_str
+
+
+def measure_edit_costs(depths: Sequence[int] = (16, 64, 256),
+                       edits: int = 30) -> List[EditCost]:
+    """The depth sweep: per depth, warm one chain design up (compile it to
+    Verilog, build its compiled-tier harness simulator), then time
+    ``edits`` in-place leaf edits, each followed by ``session.verilog``,
+    ``harness_for`` and the harness's simulator build.  The depths take
+    turns, one edit each, so a drift in host speed lands on all of them."""
+    from ..harness import harness_for
+
+    designs = []
+    for depth in depths:
+        program, entrypoint = chain_program(
+            depth, salt=next(_SWEEP_VALUES) & 0xFFFF)
+        session = CompilationSession(program)
+        session.verilog(entrypoint)
+        harness_for(program, entrypoint, session=session)._fresh_simulator()
+        designs.append((program, entrypoint, session))
+    seconds: List[List[float]] = [[] for _ in depths]
+    printed = [[0] for _ in depths]
+    for _ in range(edits):
+        for index, (program, entrypoint, session) in enumerate(designs):
+            edit_chain_leaf(program, next(_SWEEP_VALUES) & 0xFFFF)
+            with _counting_prints(printed[index]):
+                start = time.perf_counter()
+                session.verilog(entrypoint)
+                harness_for(program, entrypoint,
+                            session=session)._fresh_simulator()
+                seconds[index].append(time.perf_counter() - start)
+    return [EditCost(depth, edits, statistics.median(times),
+                     count[0] / edits)
+            for depth, times, count in zip(depths, seconds, printed)]

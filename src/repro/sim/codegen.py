@@ -68,7 +68,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..core.errors import DriverConflictError
 from ..core.store import DigestCache
-from .engine import _CACHE_BOUND, _CHILD, _GROUP, _PLANS, _PRIM
+from .engine import _CACHE_BOUND, _CHILD, _GROUP, _PRIM, _clear_plans
 from .primitives import PrimitiveModel, create_primitive
 from .values import Value, X, format_value
 
@@ -983,25 +983,6 @@ def plan_slot_limbs(compilers: Dict[str, _ComponentCompiler]
 # ---------------------------------------------------------------------------
 
 
-def _reachable_engines(engine) -> List:
-    """Engines of the hierarchy, one per distinct component name, children
-    before parents (so every child's factory is linked before its
-    parent's)."""
-    order: List = []
-    seen: Dict[str, bool] = {}
-
-    def walk(node) -> None:
-        if node.component.name in seen:
-            return
-        seen[node.component.name] = True
-        for child in node._children.values():
-            walk(child)
-        order.append(node)
-
-    walk(engine)
-    return order
-
-
 def netlist_digest(engine) -> str:
     """A stable digest of the netlist reachable from ``engine`` — the key
     of the native tier's ``.so`` files.
@@ -1013,8 +994,7 @@ def netlist_digest(engine) -> str:
     override of a stdlib name must miss rather than reuse a kernel built
     for the old model."""
     parts = [engine.component.name]
-    for node in _reachable_engines(engine):
-        plan = node._plan
+    for plan in engine._reachable_plans():
         parts.append(plan.text)
         for prim in plan.prim_nodes:
             model_type = type(prim.model)
@@ -1098,42 +1078,43 @@ def kernel_cache_stats() -> Dict[str, int]:
 
 
 def clear_kernel_cache() -> None:
-    """Drop every cached chunk and every cached engine plan (tests and
-    benchmarks that need a cold start)."""
+    """Drop every cached chunk and every cached engine plan, with the
+    printed-component memo and the primitive prototypes behind the plans
+    (tests and benchmarks that need a cold start)."""
     _CACHE.clear()
-    _PLANS.clear()
+    _clear_plans()
 
 
 def kernel_for(engine) -> Tuple[CompiledKernelProgram, bool, float]:
     """The generated kernel for ``engine``'s netlist: ``(program,
     cache_hit, build_seconds)``.
 
-    Walks the reachable engines children first; each one's chunk is
-    fetched from the chunk cache by ``(plan key, fresh)`` — only the top
-    is fresh — or generated and compiled, then linked to its children's
-    factories.  ``cache_hit`` is true when every chunk hit.  Raises
-    :class:`KernelUnavailable` when codegen cannot handle the netlist (the
-    engine then runs the interpreter)."""
+    Walks the plans of the reachable components children first — the
+    engine resolved them at construction and builds no child engine for
+    this; each plan's chunk is fetched from the chunk cache by ``(plan
+    key, fresh)`` — only the top is fresh — or generated and compiled,
+    then linked to its children's factories.  ``cache_hit`` is true when
+    every chunk hit.  Raises :class:`KernelUnavailable` when codegen
+    cannot handle the netlist (the engine then runs the interpreter)."""
     start = time.perf_counter()
     hit = True
+    top = engine._plan
     factories: Dict[str, object] = {}
     sources: List[str] = []
-    for node in _reachable_engines(engine):
-        plan = node._plan
+    for plan in engine._reachable_plans():
         if plan.schedule is None:
             raise KernelUnavailable(f"{plan.name}: {plan.fallback_reason}")
-        fresh = node is engine
+        fresh = plan is top
         chunk = _CACHE.get((plan.key, fresh))
         if chunk is None:
             hit = False
             chunk = _Chunk(plan, fresh)
             _CACHE.put((plan.key, fresh), chunk)
-        kids = {cell: factories[child.component.name]
-                for cell, child in node._children.items()}
+        kids = {node.cell: factories[node.component]
+                for node in plan.child_nodes}
         factories[plan.name] = chunk.link(chunk.init, chunk.consts, kids)
         sources.append(chunk.source)
-    # The walk ends at the top, so ``chunk`` and ``plan`` are the top's.
-    program = CompiledKernelProgram(factories[engine.component.name],
-                                    chunk.slots, list(plan.output_names),
-                                    sources)
+    # The walk ends at the top, so ``chunk`` is the top's.
+    program = CompiledKernelProgram(factories[top.name], chunk.slots,
+                                    list(top.output_names), sources)
     return program, hit, time.perf_counter() - start

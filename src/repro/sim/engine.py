@@ -50,9 +50,14 @@ cells, the driver groups, the levelized schedule and the fallback reason.
 It is cached process-wide, keyed by the printed component, its primitives'
 registered factories and its children's interfaces (port names and
 widths), never the children's bodies — so editing a leaf's body misses
-exactly one plan and every ancestor's plan still hits.  The state is what
-one engine owns: fresh primitive models, child engines, nodes bound to
-them, the current values and the cycle count.
+exactly one plan and every ancestor's plan still hits.  The printed text
+comes from an identity memo (see :mod:`repro.core.fingerprint`), so only a
+component whose parts changed is printed again.  The state is what one
+engine owns: fresh primitive models, child engines, nodes bound to them,
+the current values and the cycle count.  A ``compiled`` or ``native``
+engine holds plans only — its own and every reachable component's,
+resolved at construction — and builds the interpreter state on first
+need: when a run falls back to the interpreter, or when code reads it.
 
 ``mode="compiled"`` adds the next tier: the levelized schedule is compiled
 into a specialized straight-line Python kernel (:mod:`repro.sim.codegen`,
@@ -85,6 +90,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..calyx.ir import Assignment, CalyxComponent, CalyxProgram, CellPort
 from ..core.errors import DriverConflictError, SimulationError
+from ..core.fingerprint import calyx_component_parts, same_parts
 from ..core.store import DigestCache
 from .primitives import _FACTORIES, PrimitiveModel, create_primitive
 from .values import Value, X, format_value, is_x
@@ -366,8 +372,8 @@ class _ComponentPlan:
 
     It holds the port names, widths and input masks; the primitive cells
     as ``(cell, primitive, params)``, with template :class:`_PrimNode`
-    objects whose models are prototypes, read only for static attributes
-    (name, width, params, combinational inputs); the child cells as
+    objects whose models are shared prototypes, read only for static
+    attributes (name, width, params, combinational inputs); the child cells as
     :class:`_ChildPorts`, which carry only the child's interface; the
     driver groups; and the levelized schedule as ``(kind, index)`` pairs,
     or ``None`` with :attr:`fallback_reason` set when the sweep fallback
@@ -403,7 +409,7 @@ class _ComponentPlan:
                 continue
             params = tuple(cell.params)
             prims.append((cell.name, cell.component, params))
-            model = create_primitive(cell.component, params)
+            model = _prototype(part, cell.component, params)
             self.prim_nodes.append(_PrimNode(
                 cell.name, model,
                 tuple((port, (cell.name, port)) for port in model.inputs),
@@ -436,27 +442,62 @@ class _ComponentPlan:
 #: Process-wide plan cache (see :func:`_plan_for`).
 _PLANS = DigestCache(_CACHE_BOUND)
 
+#: ``id(component) -> (parts, printed text)``: the identity memo behind the
+#: printed part of a plan key.  An entry is reused only while its parts are
+#: the very objects the component holds, so an ``id`` taken over by another
+#: component can only reuse text that component also prints.
+_PLAN_TEXTS = DigestCache(_CACHE_BOUND)
+
+#: ``(factory, params) -> model``: the primitive prototypes plans read
+#: static attributes from, shared by every plan that names them.
+_PROTOTYPES = DigestCache(_CACHE_BOUND)
+
+
+def _clear_plans() -> None:
+    """Drop every cached plan, with the memos behind the plans."""
+    _PLANS.clear()
+    _PLAN_TEXTS.clear()
+    _PROTOTYPES.clear()
+
+
+def _prototype(factory, primitive: str, params: tuple) -> PrimitiveModel:
+    """The shared prototype model of ``primitive[params]`` as built by
+    ``factory``, the primitive's registered factory."""
+    model = _PROTOTYPES.get((factory, params))
+    if model is None:
+        model = create_primitive(primitive, params)
+        _PROTOTYPES.put((factory, params), model)
+    return model
+
 
 def _plan_for(program: CalyxProgram, component: CalyxComponent,
               fixpoint: bool) -> _ComponentPlan:
     """The cached plan of ``component``.  Its key is the printed
     component, the fixpoint flag and, per cell, the registered primitive
     factory (so a ``register_primitive`` override misses) or the child's
-    input and output ``(name, width)`` ports — never the child's body."""
+    input and output ``(name, width)`` ports — never the child's body.
+    The per-cell part is read on every lookup; the printed part comes from
+    an identity memo, so only a component whose parts changed is printed
+    again."""
     cells: List[object] = []
     for cell in component.cells:
         factory = _FACTORIES.get(cell.component)
         if factory is not None:
             cells.append(factory)
-        elif cell.component in program:
-            child = program.get(cell.component)
-            cells.append((tuple((p.name, p.width) for p in child.inputs),
-                          tuple((p.name, p.width) for p in child.outputs)))
-        else:
+            continue
+        child = program.components.get(cell.component)
+        if child is None:
             raise SimulationError(
                 f"{component.name}: cell {cell.name} instantiates "
                 f"unknown component {cell.component!r}")
-    key = (str(component), fixpoint, tuple(cells))
+        cells.append((tuple([(p.name, p.width) for p in child.inputs]),
+                      tuple([(p.name, p.width) for p in child.outputs])))
+    parts = calyx_component_parts(component)
+    printed = _PLAN_TEXTS.get(id(component))
+    if printed is None or not same_parts(printed[0], parts):
+        printed = (parts, str(component))
+        _PLAN_TEXTS.put(id(component), printed)
+    key = (printed[1], fixpoint, tuple(cells))
     plan = _PLANS.get(key)
     if plan is None:
         plan = _ComponentPlan(key, component, fixpoint)
@@ -464,15 +505,27 @@ def _plan_for(program: CalyxProgram, component: CalyxComponent,
     return plan
 
 
+#: Interpreter state a ``compiled`` or ``native`` engine builds on first
+#: need (see :meth:`ScheduledEngine._build_state`).
+_LAZY_STATE = frozenset(("_primitives", "_children", "_prim_nodes",
+                         "_child_nodes", "_schedule"))
+
+
 class ScheduledEngine:
     """Simulates one component of a :class:`CalyxProgram` from a
     precompiled evaluation schedule.
 
-    Construction looks up the component's cached :class:`_ComponentPlan`
-    and builds fresh state around it: primitive models and child engines,
-    nodes that share the plan's port items, and the schedule bound to
-    those nodes.  Each engine resets only its own primitives; every child
-    engine resets its own in its constructor."""
+    Construction looks up the component's cached :class:`_ComponentPlan`.
+    In ``auto`` and ``fixpoint`` mode it then builds fresh state around
+    it: primitive models and child engines, nodes that share the plan's
+    port items, and the schedule bound to those nodes.  In ``compiled``
+    and ``native`` mode the kernel runs every cycle, so construction
+    resolves only the plans of every reachable component, children first,
+    and the state is built on first need: when a run falls back to the
+    interpreter, or when code reads ``_primitives``, ``_children``,
+    ``_prim_nodes``, ``_child_nodes`` or ``_schedule``.  Each engine resets
+    only its own primitives; every child engine resets its own when it
+    builds them."""
 
     def __init__(self, program: CalyxProgram,
                  component: Optional[str] = None,
@@ -487,30 +540,16 @@ class ScheduledEngine:
         self.component: CalyxComponent = program.get(name)
         plan = self._plan = _plan_for(program, self.component,
                                       mode == "fixpoint")
-        self._primitives: Dict[str, PrimitiveModel] = {
-            cell: create_primitive(primitive, params)
-            for cell, primitive, params in plan.prims}
-        self._children: Dict[str, ScheduledEngine] = {
-            node.cell: type(self)(program, node.component, mode=mode)
-            for node in plan.child_nodes}
+        self._plans: Optional[List[_ComponentPlan]] = None
         self._input_names = plan.input_names
         self._input_set = plan.input_set
         self._output_names = plan.output_names
         self._input_masks = plan.input_masks
-        self._prim_nodes: List[_PrimNode] = [
-            _PrimNode(node.cell, self._primitives[node.cell],
-                      node.in_items, node.out_keys)
-            for node in plan.prim_nodes]
-        self._child_nodes: List[_ChildNode] = [
-            _ChildNode(node.cell, self._children[node.cell], node)
-            for node in plan.child_nodes]
         self._groups: List[_DriverGroup] = plan.groups
         #: Why the sweep fallback is in effect (``None`` while the levelized
         #: schedule runs): ``"mode=fixpoint"``, ``"duplicate-definition"``,
         #: ``"input-shadowing"``, ``"self-loop"`` or ``"combinational-cycle"``.
         self.fallback_reason: Optional[str] = plan.fallback_reason
-        self._schedule: Optional[List[Tuple[int, object]]] = plan.bind(
-            self._prim_nodes, self._child_nodes)
 
         # Kernel-codegen state (mode="compiled"/"native"); the kernel is
         # built lazily on the first run so construction stays cheap and
@@ -547,42 +586,106 @@ class ScheduledEngine:
         #: component's own ports.
         self._values: Dict[_Key, Value] = {}
         self.cycle = 0
+        self._has_state = False
+        if self._compile_requested:
+            self._reachable_plans()
+        else:
+            self._build_state()
+
+    def _build_state(self) -> None:
+        """Build the interpreter state around the plan: primitive models
+        (reset), child engines, their nodes and the bound schedule.  A
+        child is only ever settled by this engine's interpreter, so it is
+        an interpreter engine too, its own state built with it."""
+        plan = self._plan
+        self._primitives: Dict[str, PrimitiveModel] = {
+            cell: create_primitive(primitive, params)
+            for cell, primitive, params in plan.prims}
+        mode = "fixpoint" if self.mode == "fixpoint" else "auto"
+        self._children: Dict[str, ScheduledEngine] = {
+            node.cell: type(self)(self.program, node.component, mode=mode)
+            for node in plan.child_nodes}
+        self._prim_nodes: List[_PrimNode] = [
+            _PrimNode(node.cell, self._primitives[node.cell],
+                      node.in_items, node.out_keys)
+            for node in plan.prim_nodes]
+        self._child_nodes: List[_ChildNode] = [
+            _ChildNode(node.cell, self._children[node.cell], node)
+            for node in plan.child_nodes]
+        self._schedule: Optional[List[Tuple[int, object]]] = plan.bind(
+            self._prim_nodes, self._child_nodes)
         for model in self._primitives.values():
             model.reset()
+        self._has_state = True
+
+    def __getattr__(self, name: str):
+        # Runs only for an attribute the instance lacks: the interpreter
+        # state of an engine that has not needed it yet.
+        if name in _LAZY_STATE and not self.__dict__.get("_has_state", True):
+            self._build_state()
+            return self.__dict__[name]
+        raise AttributeError(
+            f"{type(self).__name__!r} object has no attribute {name!r}")
 
     # -- schedule --------------------------------------------------------------
+
+    def _reachable_plans(self) -> List[_ComponentPlan]:
+        """The plans of this component and of every component it
+        instantiates, transitively: one per component name, children
+        before parents (so every child's kernel factory is linked before
+        its parent's)."""
+        if self._plans is not None:
+            return self._plans
+        program = self.program
+        fixpoint = self.mode == "fixpoint"
+        order: List[_ComponentPlan] = []
+        seen = {self._plan.name}
+        stack = [(self._plan, iter(self._plan.child_nodes))]
+        while stack:
+            plan, children = stack[-1]
+            for node in children:
+                if node.component not in seen:
+                    seen.add(node.component)
+                    child = _plan_for(
+                        program, program.components[node.component],
+                        fixpoint)
+                    stack.append((child, iter(child.child_nodes)))
+                    break
+            else:
+                stack.pop()
+                order.append(plan)
+        self._plans = order
+        return order
 
     @property
     def is_scheduled(self) -> bool:
         """Whether this component settles via the levelized schedule (the
         sweep-loop fallback is in effect otherwise)."""
-        return self._schedule is not None
+        return self._plan.schedule is not None
 
     def scheduled_everywhere(self) -> bool:
         """Whether this component *and every child, recursively* run on the
         levelized schedule."""
-        return self.is_scheduled and all(
-            child.scheduled_everywhere() for child in self._children.values()
-        )
+        return all(plan.schedule is not None
+                   for plan in self._reachable_plans())
 
     def fallback_reasons(self) -> Dict[str, str]:
-        """Component name → why the sweep fallback is in effect, collected
-        recursively; empty when everything runs on the levelized schedule."""
-        reasons: Dict[str, str] = {}
-        if not self.is_scheduled and self.fallback_reason is not None:
-            reasons[self.component.name] = self.fallback_reason
-        for child in self._children.values():
-            reasons.update(child.fallback_reasons())
-        return reasons
+        """Component name → why the sweep fallback is in effect, for this
+        component and every child, recursively; empty when everything runs
+        on the levelized schedule."""
+        return {plan.name: plan.fallback_reason
+                for plan in self._reachable_plans()
+                if plan.schedule is None}
 
     # -- lifecycle -------------------------------------------------------------
 
     def reset(self) -> None:
         """Return every primitive and child to its power-on state."""
-        for model in self._primitives.values():
-            model.reset()
-        for child in self._children.values():
-            child.reset()
+        if self._has_state:
+            for model in self._primitives.values():
+                model.reset()
+            for child in self._children.values():
+                child.reset()
         self._values = {}
         self.cycle = 0
         if self._kernel is not None:

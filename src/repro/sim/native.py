@@ -99,7 +99,6 @@ from .codegen import (
     _SCALAR_BINARY,
     _ComponentCompiler,
     _is_stdlib,
-    _reachable_engines,
     _resolve_slots,
     netlist_digest,
     plan_slot_limbs,
@@ -1187,7 +1186,7 @@ def generate_c_source(engine) -> Tuple[str, _KernelLayout, _PlanRegistry]:
     :class:`NativeUnavailable` for any netlist the limb-spill tier cannot
     represent exactly (black boxes, unscheduled components, any value
     wider than 256 bits)."""
-    plans = [node._plan for node in _reachable_engines(engine)]
+    plans = engine._reachable_plans()
     for plan in plans:
         if plan.schedule is None:
             raise NativeUnavailable(f"{plan.name}: {plan.fallback_reason}")

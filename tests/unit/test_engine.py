@@ -656,3 +656,120 @@ class TestRunLanesInputHandling:
         snapshot = [[dict(row) for row in batch] for batch in streams]
         Simulator(program).run_lanes(streams)
         assert streams == snapshot
+
+
+class TestPlanOnlyEngines:
+    """A compiled-tier engine holds plans only: an edit prints, plans and
+    builds what it changed, whatever the size of the design."""
+
+    @staticmethod
+    def _edit_counts(monkeypatch, depth, value):
+        """What one leaf edit of a warm ``chain_program(depth)`` costs in
+        components printed, engines built and primitive models made,
+        through ``session.verilog``, ``harness_for`` and a compiled-tier
+        simulator build."""
+        from repro.calyx import ir
+        from repro.core import fingerprint
+        from repro.core.session import CompilationSession
+        from repro.evaluation import chain_program, edit_chain_leaf
+        from repro.harness import harness_for
+        from repro.sim import engine as engine_module
+
+        program, entrypoint = chain_program(depth, salt=value ^ 0xFFFF)
+        session = CompilationSession(program)
+        session.verilog(entrypoint)
+        harness = harness_for(program, entrypoint, session=session)
+        Simulator(harness.calyx, entrypoint, mode="compiled").prepare()
+        counts = {"format_component": 0, "calyx_str": 0, "engines": 0,
+                  "models": 0}
+
+        def counting(name, function):
+            def counted(*args, **kwargs):
+                counts[name] += 1
+                return function(*args, **kwargs)
+            return counted
+
+        monkeypatch.setattr(fingerprint, "format_component", counting(
+            "format_component", fingerprint.format_component))
+        monkeypatch.setattr(ir.CalyxComponent, "__str__", counting(
+            "calyx_str", ir.CalyxComponent.__str__))
+        monkeypatch.setattr(ScheduledEngine, "__init__", counting(
+            "engines", ScheduledEngine.__init__))
+        monkeypatch.setattr(engine_module, "create_primitive", counting(
+            "models", engine_module.create_primitive))
+        edit_chain_leaf(program, value)
+        session.verilog(entrypoint)
+        harness = harness_for(program, entrypoint, session=session)
+        Simulator(harness.calyx, entrypoint, mode="compiled").prepare()
+        monkeypatch.undo()
+        return counts
+
+    def test_an_edit_costs_the_same_at_any_depth(self, monkeypatch):
+        # Edit values no other test compiles: a compile-cache hit would
+        # print less than a real edit does.
+        shallow = self._edit_counts(monkeypatch, 16, 0x2B71)
+        deep = self._edit_counts(monkeypatch, 64, 0x2B72)
+        assert shallow == deep
+        assert shallow["engines"] == 1
+        assert shallow["models"] == 0
+
+    def test_forced_codegen_fallback_builds_the_interpreter(
+            self, monkeypatch):
+        from repro.core.session import CompilationSession
+        from repro.evaluation import chain_program
+        from repro.sim import codegen
+
+        def unavailable(engine):
+            raise codegen.KernelUnavailable("forced")
+
+        from repro.sim import engine as engine_module
+
+        program, entrypoint = chain_program(16, salt=0x2B73)
+        calyx = CompilationSession(program).calyx(entrypoint)
+        rows = [{"go": 1, "a": a, "b": 3 * a + 1} for a in range(40)]
+        monkeypatch.setattr(codegen, "kernel_for", unavailable)
+        compiled = Simulator(calyx, entrypoint, mode="compiled")
+        assert "_children" not in vars(compiled)
+        lookups = []
+        plan_for = engine_module._plan_for
+        monkeypatch.setattr(engine_module, "_plan_for", lambda *args: (
+            lookups.append(args[1].name), plan_for(*args))[1])
+        trace = compiled.run_batch(rows)
+        assert compiled.kernel_fallback_reason == "codegen(forced)"
+        assert len(compiled._children) == 1
+        # One plan lookup per child engine the fallback builds: a child
+        # that resolved its whole subtree again would make it quadratic.
+        assert sorted(lookups) == sorted(f"Chain{i}" for i in range(15))
+        assert trace == Simulator(calyx, entrypoint,
+                                  mode="fixpoint").run_batch(rows)
+
+    def test_edited_netlist_is_planned_again(self):
+        """A netlist a simulator was built from, edited in place, plans
+        anew: a replaced wire and an added cell both change the printed
+        component, while a copied wire list does not."""
+        import copy
+
+        from repro.sim.engine import _PLANS
+
+        program = _adder_program()
+        rows = [{"a": a, "b": 7 * a} for a in range(12)]
+
+        def agrees():
+            fresh = copy.deepcopy(program)
+            return (Simulator(program, mode="compiled").run_batch(rows)
+                    == Simulator(fresh, mode="fixpoint").run_batch(rows))
+
+        assert agrees()
+        component = program.get("top")
+        component.wires[1] = Assignment(CellPort("A", "right"), 5)
+        assert agrees()
+        component.cells.append(Cell("N", "Not", (8,)))
+        component.wires.append(
+            Assignment(CellPort("N", "in"), CellPort("A", "out")))
+        component.wires[2] = Assignment(CellPort(None, "o"),
+                                        CellPort("N", "out"))
+        assert agrees()
+        misses = _PLANS.stats()["misses"]
+        component.wires = list(component.wires)
+        assert agrees()
+        assert _PLANS.stats()["misses"] == misses

@@ -266,3 +266,124 @@ class TestSessionFacade:
         mark = first.engine.log_mark()
         assert CompilationSession.for_program(program).calyx("Top") is top
         assert first.engine.executed_since(mark) == []
+
+
+def _scratch_verilog(program, entrypoint):
+    """``entrypoint``'s Verilog compiled from a printed copy of
+    ``program``, with the process-wide cache bypassed."""
+    from repro.core.printer import format_program
+
+    copy = with_stdlib(parse_program(
+        format_program(program, include_externs=False)))
+    with compile_cache_disabled():
+        return CompilationSession(copy).verilog(entrypoint)
+
+
+class TestIdentityMemoAndSuspectMarks:
+    """Refresh prints only components whose parts changed, and marks only
+    the queries an edit can reach: each case breaks if one of those
+    shortcuts looks at less than it must."""
+
+    def test_fresh_commands_at_recycled_addresses_are_seen(self):
+        """Each edit drops the leaf's constant-carrying command, collects
+        garbage, then puts a fresh one in its place — the one of a batch
+        that CPython placed where the dropped command lived, when there is
+        one.  A memo that compared ``id()``s without holding its parts
+        would take that command for the old one."""
+        import gc
+
+        from repro.core.ast import Invoke
+
+        program, entrypoint = chain_program(3, salt=1000003)
+        session = CompilationSession(program)
+        session.verilog(entrypoint)
+        leaf = program.get("Chain0")
+        index = next(i for i, command in enumerate(leaf.body)
+                     if isinstance(command, Invoke) and any(
+                         isinstance(arg, ConstantPort)
+                         for arg in command.args))
+        for step in range(200):
+            old = leaf.body[index]
+            name, instance, events, args = (old.name, old.instance,
+                                            old.events, old.args)
+            address = id(old)
+            del leaf.body[index], old
+            gc.collect()
+            fresh = [Invoke(name, instance, events, tuple(
+                ConstantPort(20000 + 64 * step + k, arg.width)
+                if isinstance(arg, ConstantPort) else arg for arg in args))
+                for k in range(64)]
+            leaf.body.insert(index, next(
+                (command for command in fresh if id(command) == address),
+                fresh[0]))
+            del fresh
+            verilog = session.verilog(entrypoint)
+            if step % 20 == 19:
+                assert verilog == _scratch_verilog(program, entrypoint)
+
+    def test_append_then_pop_and_a_new_signature_recompile(self):
+        from dataclasses import replace
+
+        from repro.core.ast import Instantiate
+
+        program = _program()
+        session = CompilationSession(program)
+        original = session.verilog("Top")
+        session.verilog("Bystander")
+        leaf = program.get("Leaf")
+        leaf.body.append(Instantiate("U", "Add", (8,)))
+        appended = session.verilog("Top")
+        assert session.engine.recompiled_components() == ["Leaf"]
+        assert appended != original
+        assert appended == _scratch_verilog(program, "Top")
+        leaf.body.pop()
+        assert session.verilog("Top") == original
+        assert session.engine.recompiled_components() == ["Leaf"]
+
+        bystander = program.get("Bystander")
+        interval = Interval(evt("G"), evt("G") + 1)
+        bystander.signature = replace(
+            bystander.signature,
+            inputs=(PortDef("a", 16, interval),),
+            outputs=(PortDef("out", 16, interval),))
+        widened = session.verilog("Bystander")
+        assert session.engine.recompiled_components() == ["Bystander"]
+        assert widened == _scratch_verilog(program, "Bystander")
+
+    def test_suspect_marks_outlive_a_sync_that_did_not_read_them(self):
+        """A leaf edit synced through an unrelated entrypoint leaves Top's
+        queries suspect; the next edit elsewhere must not clear that."""
+        program = _program()
+        session = CompilationSession(program)
+        session.verilog("Top")
+        session.verilog("Bystander")
+        _edit_leaf_body(program, 3)
+        session.verilog("Bystander")
+        program.get("Bystander").body[0] = Connect(PortRef("out"),
+                                                   ConstantPort(4, 8))
+        assert session.verilog("Top") == _scratch_verilog(program, "Top")
+        assert session.verilog("Bystander") == _scratch_verilog(
+            program, "Bystander")
+
+    def test_removed_components_leave_the_print_memo(self):
+        program = _program()
+        session = CompilationSession(program)
+        session.verilog("Top")
+        assert {"Xor", "Bystander"} <= set(session.engine._printed)
+        del program.components["Xor"], program.components["Bystander"]
+        session.verilog("Top")
+        assert not {"Xor", "Bystander"} & set(session.engine._printed)
+
+    def test_a_changed_instantiation_changes_what_is_reached(self):
+        """Top's last walk reached Mid and Leaf; once Mid instantiates
+        Bystander instead, Leaf's module must leave Top's Verilog."""
+        from repro.core.ast import Instantiate
+
+        program = _program()
+        session = CompilationSession(program)
+        assert "module Leaf" in session.verilog("Top")
+        mid = program.get("Mid")
+        mid.body[0] = Instantiate("L", "Bystander")
+        verilog = session.verilog("Top")
+        assert "module Leaf" not in verilog
+        assert verilog == _scratch_verilog(program, "Top")
