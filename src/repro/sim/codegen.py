@@ -34,14 +34,18 @@ Code is generated per component, as one **chunk** per engine plan
 (:class:`~repro.sim.engine._ComponentPlan`).  A chunk defines
 ``link(INIT, C, kids)``, which binds the component's init table ``INIT``
 and its multi-driver group plans ``C`` and returns the component's factory
-``make`` — or ``make_top`` for the fresh top.  ``make()`` returns
-``(segments, ticks, resets, s)`` for one instance and reaches each child
-through the link table as ``kids[cell]()``; a child's port slots depend
-only on its interface, which is part of the plan key.  So a chunk names
-nothing positional and its text depends only on its plan and on whether
-it is the fresh top.  :func:`kernel_for` links one engine's chunks
-children first into one scalar kernel, which rides ``run_batch``/``step``;
-``run_lanes`` without the native lane entry runs it once per stream.
+``make``.  ``make()`` returns ``(segments, ticks, resets, s)`` for one
+instance and reaches each child through the link table as
+``kids[cell]()``; a child's port slots depend only on its interface, which
+is part of the plan key.  So a chunk names nothing positional and its
+text depends on its plan alone: every component, top or child, settles by
+one rule — a port whose drivers are all inactive in a cycle reads X in
+that cycle.  The top's straight-line per-cycle entry ``make_top(make)``
+is generated from the interface alone, the first time a chunk is linked
+as a top, and kept on the chunk.  :func:`kernel_for` links one engine's
+chunks children first into one scalar kernel, which rides
+``run_batch``/``step``; ``run_lanes`` without the native lane entry runs
+it once per stream.
 
 Primitives registered by generator substrates — black boxes without an
 inlinable template — call back into their interpreter model from inside the
@@ -50,7 +54,7 @@ itself rejected (``fallback_reason`` set anywhere in the hierarchy) never
 reach codegen and run on the interpreter unchanged.
 
 Compiled chunks are cached process-wide in memory (a
-:class:`~repro.core.store.DigestCache`), keyed by ``(plan key, fresh)``.
+:class:`~repro.core.store.DigestCache`), keyed by the plan key.
 A plan key covers the printed component, its primitives' factories and its
 children's interfaces but never their bodies, so rebuilding the same
 design — across sessions, harnesses and conformance runs — hits every
@@ -82,10 +86,6 @@ __all__ = [
     "clear_kernel_cache",
 ]
 
-#: Sentinel returned by the slot-based group resolver when no driver is
-#: active or possibly active (mirrors the engine's ``_UNDRIVEN``).
-_UNDRIVEN = object()
-
 #: A signal key, as in the engine: ``(cell_name_or_None, port_name)``.
 _Key = Tuple[Optional[str], str]
 
@@ -106,7 +106,8 @@ class KernelUnavailable(Exception):
 # The generated source only inlines the *common* cases.  Multi-driven ports
 # resolve through this slot-based helper, which mirrors the engine's
 # ``_resolve_group`` bit for bit — including the conflicting-driver error —
-# but reads slots instead of a keyed dict.
+# but reads slots instead of a keyed dict, and resolves a port no driver
+# drives to X, the value it reads in that cycle.
 
 
 def _resolve_slots(s: list, plan: tuple, cycle: int):
@@ -137,8 +138,6 @@ def _resolve_slots(s: list, plan: tuple, cycle: int):
             active_values.append(source)
         else:
             maybe_values.append(source)
-    if not actives and not maybe_values:
-        return _UNDRIVEN
     concrete = [v for v in active_values if v is not X]
     if len(set(concrete)) > 1:
         drivers = ", ".join(str(assign.assignment) for assign in actives)
@@ -214,9 +213,8 @@ class _ComponentCompiler:
     """Compiles one component plan to a kernel chunk over the component's
     own flat slot map (the native tier reuses the slot analysis)."""
 
-    def __init__(self, plan, fresh: bool) -> None:
+    def __init__(self, plan) -> None:
         self.plan = plan
-        self.fresh = fresh
         self.name = plan.name
         self.schedule = plan.bind(plan.prim_nodes, plan.child_nodes)
         self.slots: Dict[_Key, int] = {}
@@ -320,8 +318,8 @@ class _ComponentCompiler:
                 self.init[out] = model.param(1, 0) & ((1 << width) - 1)
         # Single unconditional constant drives are preloaded, never
         # emitted — unless a black box reads the slot before the group's
-        # schedule position, where the interpreter sees X (fresh) or the
-        # previous cycle's value (preserving) rather than the constant.
+        # schedule position, where the interpreter sees X rather than the
+        # constant.
         for group in plan.groups:
             if self._preloaded(group):
                 assign = group.assigns[0]
@@ -345,9 +343,10 @@ class _ComponentCompiler:
         *later* in the schedule (never-defined keys stay X in their slots
         and need no handling).  Those reads force two things: the keys
         cannot be const-preloaded (the interpreter does not see the
-        constant at that point), and in a fresh component the kernel must
-        clear them to X at the start of every settle (the interpreter's
-        per-cycle dict would read X; slots persist)."""
+        constant at that point), and the kernel clears them to X at the
+        start of every settle, in the top and in every child (the
+        interpreter's values, cleared once per cycle, read X there; slots
+        persist)."""
         written = set((None, name) for name in self.plan.input_names)
         defined = set(written)
         for _kind, payload in self.schedule:
@@ -373,29 +372,17 @@ class _ComponentCompiler:
                 written.update(key for _, key in payload.out_items)
         return reads
 
-    def _blackbox_hazards(self) -> Dict[str, List[_Key]]:
-        """The early black-box reads a *fresh* component clears to X at
-        settle start (a preserving component's stale slot IS the
-        interpreter semantics, so nothing is cleared there)."""
-        return self._early_reads if self.fresh else {}
-
     # -- chunk emission --------------------------------------------------------
 
     def emit_chunk(self) -> str:
         """The chunk source: ``link(INIT, C, kids)`` binds the group plans
-        from ``C`` and returns this component's factory, or ``make_top``
-        for the fresh top."""
+        from ``C`` and returns this component's factory ``make``."""
         body = _Lines()
         body.indent = 1
         self._emit_make(body)
-        if self.fresh:
-            self._emit_make_top(body)
-            body.emit("return make_top")
-        else:
-            body.emit("return make")
+        body.emit("return make")
         out = _Lines()
-        out.emit(f"def link(INIT, C, kids):  # component {self.name!r}"
-                 f"{' (top, fresh)' if self.fresh else ''}")
+        out.emit(f"def link(INIT, C, kids):  # component {self.name!r}")
         out.indent += 1
         for index, name in enumerate(self.constants):
             out.emit(f"{name} = C[{index}]")
@@ -431,35 +418,6 @@ class _ComponentCompiler:
         resets = ["(reset,)"] + [f"rs_{ident}" for ident in kids]
         out.emit(f"return ({' + '.join(segments) or '()'}, "
                  f"{' + '.join(ticks) or '()'}, {' + '.join(resets)}, s)")
-        out.indent -= 1
-        out.emit()
-
-    def _emit_make_top(self, out: _Lines) -> None:
-        """``make_top()`` returns ``(cycle, reset, s)`` over one instance:
-        a cycle writes the inputs, runs every segment, reads the outputs and
-        runs every tick."""
-        plan = self.plan
-        out.emit("def make_top():")
-        out.indent += 1
-        out.emit("segments, ticks, resets, s = make()")
-        out.emit("def cycle(inputs):")
-        out.indent += 1
-        out.emit("g = inputs.get")
-        for name in plan.input_names:
-            out.emit(f"s[{self.slots[(None, name)]}] = g({name!r}, X)")
-        out.emit("for f in segments:")
-        out.emit("    f()")
-        pairs = ", ".join(f"{name!r}: s[{self.slots[(None, name)]}]"
-                          for name in plan.output_names)
-        out.emit(f"r = {{{pairs}}}")
-        out.emit("for f in ticks:")
-        out.emit("    f()")
-        out.emit("return r")
-        out.indent -= 1
-        out.emit("def reset():")
-        out.emit("    for f in resets:")
-        out.emit("        f()")
-        out.emit("return cycle, reset, s")
         out.indent -= 1
         out.emit()
 
@@ -521,7 +479,7 @@ class _ComponentCompiler:
             self._reads = self._segment_reads(nodes, next_child)
             self._temp = 0
             if index == 0:
-                for cell, keys in self._blackbox_hazards().items():
+                for cell, keys in self._early_reads.items():
                     for key in keys:
                         body.emit(f"s[{self.slots[key]}] = X  # {cell} "
                                   f"reads {key} before its driver runs")
@@ -544,7 +502,7 @@ class _ComponentCompiler:
                 terms.append(f"sg_{self._ident(next_child.cell)}")
         return terms
 
-    def _fresh_temp(self, prefix: str) -> str:
+    def _new_temp(self, prefix: str) -> str:
         self._temp += 1
         return f"{prefix}{self._temp}"
 
@@ -627,15 +585,12 @@ class _ComponentCompiler:
         if not _is_stdlib(model):
             items = ", ".join(f"{port!r}: {self._rd(sl[key])}"
                               for port, key in node.in_items)
-            result = self._fresh_temp("bo")
+            result = self._new_temp("bo")
             out.emit(f"{result} = m_{self._ident(cell)}"
                      f".combinational({{{items}}})  # black box {cell}")
             for port, key in node.out_keys.items():
-                # A port the model leaves out keeps its slot's value, so
-                # later reads go back to the slot.
-                self._local.pop(sl[key], None)
-                out.emit(f"if {port!r} in {result}: "
-                         f"s[{sl[key]}] = {result}[{port!r}]")
+                # A port the model leaves out reads X in this cycle.
+                out.emit(self._set(sl[key], f"{result}.get({port!r}, X)"))
             return
         name = model.name
         width = model.width
@@ -661,7 +616,7 @@ class _ComponentCompiler:
                  f"{cell} = Not[{width}]")
         elif name == "Mux":
             c = operand("sel")
-            v = self._fresh_temp("t")
+            v = self._new_temp("t")
             out.emit(f"{v} = X if {c} is X else "
                      f"({self._rd(sl[(cell, 'in1')])} if {c} "
                      f"else {self._rd(sl[(cell, 'in0')])})")
@@ -717,14 +672,11 @@ class _ComponentCompiler:
     def _emit_guarded_run(self, out: _Lines, run) -> None:
         """Consecutive single-driver groups under one guard, as one branch:
         every destination takes its source while a guard port is known
-        non-zero; otherwise a fresh component drives X, and a preserving
-        one drives X while a guard port is X and keeps its values (read
-        back into their locals) while none is."""
+        non-zero, and X otherwise."""
         sl = self.slots
         guards = [self._name(out, sl[key])
                   for key in run[0].assigns[0].guard_keys]
         active = " or ".join(f"({g} is not X and {g} != 0)" for g in guards)
-        unknown = " or ".join(f"{g} is X" for g in guards)
         dsts = [sl[group.dst_key] for group in run]
         forwarded = [d for d in dsts if d in self._reads]
         out.emit(f"if {active}:")
@@ -736,13 +688,9 @@ class _ComponentCompiler:
                      f"  # {group.dst} = {assign.assignment.src}")
             if d in self._reads:
                 local[d] = f"v{d}"
-        out.emit("else:" if self.fresh else f"elif {unknown}:")
+        out.emit("else:")
         for d in dsts:
             out.emit(f"    {self._target(d)} = X")
-        if forwarded and not self.fresh:
-            out.emit("else:")
-            for d in forwarded:
-                out.emit(f"    v{d} = s[{d}]")
         for d in forwarded:
             self._local[d] = f"v{d}"
 
@@ -764,15 +712,8 @@ class _ComponentCompiler:
                     if assign.src_key is not None else None),
                    assign.src_const, assign)
                   for assign in group.assigns))
-        v = self._fresh_temp("r")
-        out.emit(f"{v} = _rg(s, {plan_name}, n)  # {group.dst}: "
-                 f"{len(group.assigns)} drivers")
-        if self.fresh:
-            out.emit(self._set(d, f"X if {v} is _U else {v}"))
-        else:
-            self._local.pop(d, None)
-            out.emit(f"if {v} is not _U:")
-            out.emit(f"    s[{d}] = {v}")
+        out.emit(self._set(d, f"_rg(s, {plan_name}, n)")
+                 + f"  # {group.dst}: {len(group.assigns)} drivers")
 
     # -- tick and reset --------------------------------------------------------
 
@@ -787,7 +728,7 @@ class _ComponentCompiler:
             out.emit("nonlocal n")
         temp = [0]
 
-        def fresh_temp(prefix: str = "t") -> str:
+        def new_temp(prefix: str = "t") -> str:
             temp[0] += 1
             return f"{prefix}{temp[0]}"
 
@@ -810,7 +751,7 @@ class _ComponentCompiler:
 
             if name in ("Reg", "Register", "Prev"):
                 d = self.extra_state[cell][0]
-                e, v = fresh_temp("e"), fresh_temp("v")
+                e, v = new_temp("e"), new_temp("v")
                 out.emit(f"{e} = {rd('en')}  # {cell} = {name}[{width}]")
                 out.emit(f"if {e} is X:")
                 out.emit(f"    s[{d}] = X")
@@ -819,12 +760,12 @@ class _ComponentCompiler:
                 out.emit(f"    s[{d}] = {v} if {v} is X else {v} & {hex(mask)}")
             elif name in ("Delay", "ContPrev"):
                 d = self.extra_state[cell][0]
-                v = fresh_temp("v")
+                v = new_temp("v")
                 out.emit(f"{v} = {rd('in')}  # {cell} = {name}[{width}]")
                 out.emit(f"s[{d}] = {v} if {v} is X else {v} & {hex(mask)}")
             elif name in _MULT_LATENCY:
                 stages = self.extra_state[cell]  # newest .. oldest
-                l, r, p = fresh_temp("l"), fresh_temp("r"), fresh_temp("p")
+                l, r, p = new_temp("l"), new_temp("r"), new_temp("p")
                 out.emit(f"{l} = {rd('left')}; {r} = {rd('right')}"
                          f"  # {cell} = {name}[{width}]")
                 out.emit(f"{p} = X if {l} is X or {r} is X "
@@ -835,8 +776,8 @@ class _ComponentCompiler:
                 out.emit(f"s[{stages[0]}] = {p}")
             elif name == "DspMac":
                 d = self.extra_state[cell][0]
-                e = fresh_temp("e")
-                a, b, acc = fresh_temp(), fresh_temp(), fresh_temp("p")
+                e = new_temp("e")
+                a, b, acc = new_temp(), new_temp(), new_temp("p")
                 out.emit(f"{e} = {rd('ce')}  # {cell} = DspMac[{width}]")
                 out.emit(f"if {e} is X:")
                 out.emit(f"    s[{d}] = X")
@@ -1003,17 +944,54 @@ def netlist_digest(engine) -> str:
     return hashlib.sha256("\n\n".join(parts).encode()).hexdigest()
 
 
+def _top_entry(plan) -> Tuple[object, str]:
+    """The top entry of ``plan``'s component and its source.
+    ``make_top(make)`` builds one instance with the component's factory
+    ``make`` and returns ``(cycle, reset, s)``: a cycle writes the inputs,
+    runs every segment, reads the outputs and runs every tick.  Only the
+    interface enters the text, at the slots :func:`_port_slots` gives."""
+    slots = _port_slots(plan.input_names, plan.output_names)
+    out = _Lines()
+    out.emit(f"def make_top(make):  # top entry of component {plan.name!r}")
+    out.indent += 1
+    out.emit("segments, ticks, resets, s = make()")
+    out.emit("def cycle(inputs):")
+    out.indent += 1
+    out.emit("g = inputs.get")
+    for name in plan.input_names:
+        out.emit(f"s[{slots[name]}] = g({name!r}, X)")
+    out.emit("for f in segments:")
+    out.emit("    f()")
+    pairs = ", ".join(f"{name!r}: s[{slots[name]}]"
+                      for name in plan.output_names)
+    out.emit(f"r = {{{pairs}}}")
+    out.emit("for f in ticks:")
+    out.emit("    f()")
+    out.emit("return r")
+    out.indent -= 1
+    out.emit("def reset():")
+    out.emit("    for f in resets:")
+    out.emit("        f()")
+    out.emit("return cycle, reset, s")
+    source = out.text()
+    namespace = {"X": X}
+    exec(compile(source, f"<kernel {plan.name} top>", "exec"), namespace)
+    return namespace["make_top"], source
+
+
 class _Chunk:
     """One component's compiled chunk: its ``link`` function, the init
-    table and group plans it is linked with, its slot map and its source
-    text."""
+    table and group plans it is linked with, its slot map, its source
+    text and, once it has been linked as a top, its top entry and that
+    entry's source (:func:`_top_entry`)."""
 
-    __slots__ = ("link", "init", "consts", "slots", "source")
+    __slots__ = ("link", "init", "consts", "slots", "source", "top")
 
-    def __init__(self, plan, fresh: bool) -> None:
-        compiler = _ComponentCompiler(plan, fresh)
+    def __init__(self, plan) -> None:
+        self.top: Optional[Tuple[object, str]] = None
+        compiler = _ComponentCompiler(plan)
         self.source = compiler.emit_chunk()
-        namespace = {"X": X, "_U": _UNDRIVEN, "_rg": _resolve_slots,
+        namespace = {"X": X, "_rg": _resolve_slots,
                      "_mk": create_primitive}
         try:
             exec(compile(self.source, f"<kernel {plan.name}>", "exec"),
@@ -1028,19 +1006,21 @@ class _Chunk:
 
 
 class CompiledKernelProgram:
-    """One engine's linked kernel: the top's ``make_top``, the top slot
-    map and output names, and the linked chunks' source texts (children
-    first, for debugging)."""
+    """One engine's linked kernel: the top's entry ``make_top`` and linked
+    factory ``make``, the top slot map and output names, and the source
+    texts of the linked chunks (children first) and of the top entry, for
+    debugging."""
 
-    def __init__(self, make_top, slot_map: Dict[_Key, int],
+    def __init__(self, make_top, make, slot_map: Dict[_Key, int],
                  output_names: List[str], sources: List[str]) -> None:
         self.make_top = make_top
+        self.make = make
         self.slot_map = slot_map
         self.output_names = output_names
         self.sources = sources
 
     def scalar_instance(self) -> "ScalarKernel":
-        cycle, reset, slots = self.make_top()
+        cycle, reset, slots = self.make_top(self.make)
         return ScalarKernel(cycle, reset, slots, self.slot_map)
 
 
@@ -1060,7 +1040,7 @@ class ScalarKernel:
         return X if index is None else self._slots[index]
 
 
-#: Process-wide cache of compiled chunks, keyed by ``(plan key, fresh)``.
+#: Process-wide cache of compiled chunks, keyed by the plan key.
 #: Bounded LRU: long fuzz/conformance campaigns stream thousands of
 #: distinct components through the compiled tier.
 _CACHE = DigestCache(_CACHE_BOUND)
@@ -1091,11 +1071,12 @@ def kernel_for(engine) -> Tuple[CompiledKernelProgram, bool, float]:
 
     Walks the plans of the reachable components children first — the
     engine resolved them at construction and builds no child engine for
-    this; each plan's chunk is fetched from the chunk cache by ``(plan
-    key, fresh)`` — only the top is fresh — or generated and compiled,
-    then linked to its children's factories.  ``cache_hit`` is true when
-    every chunk hit.  Raises :class:`KernelUnavailable` when codegen
-    cannot handle the netlist (the engine then runs the interpreter)."""
+    this; each plan's chunk is fetched from the chunk cache by its plan
+    key, or generated and compiled, then linked to its children's
+    factories.  The top's chunk supplies the top entry, generated on its
+    first link as a top.  ``cache_hit`` is true when every chunk hit.
+    Raises :class:`KernelUnavailable` when codegen cannot handle the
+    netlist (the engine then runs the interpreter)."""
     start = time.perf_counter()
     hit = True
     top = engine._plan
@@ -1104,17 +1085,21 @@ def kernel_for(engine) -> Tuple[CompiledKernelProgram, bool, float]:
     for plan in engine._reachable_plans():
         if plan.schedule is None:
             raise KernelUnavailable(f"{plan.name}: {plan.fallback_reason}")
-        fresh = plan is top
-        chunk = _CACHE.get((plan.key, fresh))
+        chunk = _CACHE.get(plan.key)
         if chunk is None:
             hit = False
-            chunk = _Chunk(plan, fresh)
-            _CACHE.put((plan.key, fresh), chunk)
+            chunk = _Chunk(plan)
+            _CACHE.put(plan.key, chunk)
         kids = {node.cell: factories[node.component]
                 for node in plan.child_nodes}
         factories[plan.name] = chunk.link(chunk.init, chunk.consts, kids)
         sources.append(chunk.source)
     # The walk ends at the top, so ``chunk`` is the top's.
-    program = CompiledKernelProgram(factories[top.name], chunk.slots,
-                                    list(top.output_names), sources)
+    if chunk.top is None:
+        chunk.top = _top_entry(top)
+    make_top, source = chunk.top
+    sources.append(source)
+    program = CompiledKernelProgram(make_top, factories[top.name],
+                                    chunk.slots, list(top.output_names),
+                                    sources)
     return program, hit, time.perf_counter() - start

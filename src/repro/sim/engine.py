@@ -99,7 +99,8 @@ __all__ = ["ScheduledEngine", "SimulatorMode", "_MAX_SWEEPS",
            "columns_to_rows", "rows_to_columns", "interleave_columns"]
 
 #: Sentinel for "no driver is active or possibly active" — the destination
-#: port keeps whatever value it already had.
+#: port keeps what it holds in this cycle: X unless an earlier sweep of the
+#: cycle drove it.
 _UNDRIVEN = object()
 
 #: Upper bound on settle sweeps before declaring a combinational loop
@@ -252,6 +253,21 @@ class _ChildNode:
         self.engine = engine
         self.in_items = ports.in_items
         self.out_items = ports.out_items
+
+
+def _settle_child(node: _ChildNode, values: Dict[_Key, Value]
+                  ) -> Dict[_Key, Value]:
+    """Settle ``node``'s child on its inputs as read from its parent's
+    ``values`` and return the child's values.  Only the inputs are written:
+    what the child computed earlier in the cycle stays until the next
+    :meth:`ScheduledEngine._begin_cycle` clears it, so a fixpoint parent
+    that settles a child many times per cycle converges in a few sweeps."""
+    child = node.engine
+    child_values = child._values
+    for port, key in node.in_items:
+        child_values[(None, port)] = values.get(key, X)
+    child._settle()
+    return child_values
 
 
 class _CompiledAssign:
@@ -1002,9 +1018,17 @@ class ScheduledEngine:
     # -- settle ----------------------------------------------------------------
 
     def _begin_cycle(self, inputs: Dict[str, Value]) -> None:
-        self._values = {}
+        """Clear the values of this engine and of every descendant, once
+        per cycle, then drive ``inputs``: a port whose drivers are all
+        inactive in this cycle reads X, in the top and in every child."""
+        stack = [self]
+        while stack:
+            engine = stack.pop()
+            engine._values = {}
+            stack.extend(engine._children.values())
+        values = self._values
         for name in self._input_names:
-            self._values[(None, name)] = inputs.get(name, X)
+            values[(None, name)] = inputs.get(name, X)
 
     def _settle(self) -> None:
         if self._schedule is not None:
@@ -1028,16 +1052,7 @@ class ScheduledEngine:
                     key = out_keys.get(port)
                     values[(payload.cell, port) if key is None else key] = value
             else:
-                child = payload.engine
-                # Preserving semantics, exactly like the sweep loop's child
-                # evaluation: a child signal whose drivers are all inactive
-                # this cycle retains its previous value.
-                child._begin_cycle_preserving({
-                    port: values.get(key, X)
-                    for port, key in payload.in_items
-                })
-                child._settle()
-                child_values = child._values
+                child_values = _settle_child(payload, values)
                 for port, key in payload.out_items:
                     values[key] = child_values.get((None, port), X)
 
@@ -1142,12 +1157,7 @@ class ScheduledEngine:
         changed = False
         values = self._values
         for node in self._child_nodes:
-            child = node.engine
-            child._begin_cycle_preserving({
-                port: values.get(key, X) for port, key in node.in_items
-            })
-            child._settle()
-            child_values = child._values
+            child_values = _settle_child(node, values)
             for port, key in node.out_items:
                 value = child_values.get((None, port), X)
                 previous = values.get(key, X)
@@ -1155,12 +1165,6 @@ class ScheduledEngine:
                     values[key] = value
                     changed = True
         return changed
-
-    def _begin_cycle_preserving(self, inputs: Dict[str, Value]) -> None:
-        """Like :meth:`_begin_cycle` but keeps already-computed internal
-        values so repeated settles within a parent's fixpoint converge."""
-        for name, value in inputs.items():
-            self._values[(None, name)] = value
 
     def _evaluate_assignments(self) -> bool:
         changed = False

@@ -116,8 +116,10 @@ __all__ = [
     "clear_native_cache",
 ]
 
-#: Bump when the generated C ABI changes (invalidates the on-disk cache).
-_ABI = 5
+#: Bump when the generated C ABI changes, or when the emitted C can trace
+#: differently for an unchanged netlist digest (the digest hashes the
+#: netlist, not the C text): either invalidates the on-disk cache.
+_ABI = 6
 
 #: ``cc`` flags for every kernel build.  A digest of them is part of the
 #: on-disk key, so an object built with other flags is never served.
@@ -902,11 +904,8 @@ class _CEmitter:
                 out.indent -= 1
                 out.emit("}")
             zeros = " ".join(f"{self._v(d, k)} = 0;" for k in range(nd))
-            if c.fresh:
-                out.emit(f"else {{ {zeros} {self._x(d)} = 1; }}")
-            else:
-                out.emit(f"else if (unk) {{ {zeros} {self._x(d)} = 1; }}")
-            out.emit("(void)unk;" if c.fresh else "")
+            out.emit(f"else {{ {zeros} {self._x(d)} = 1; }}")
+            out.emit("(void)unk;")
             out.indent -= 1
             out.emit("}")
             return
@@ -933,7 +932,7 @@ class _CEmitter:
         K = len(group.assigns)
         out.emit(f"{{ /* {group.dst}: {K} drivers (plan {pid}) */")
         out.indent += 1
-        out.emit("int any_act = 0, has_c = 0, conflict = 0, nmaybe = 0;")
+        out.emit("int has_c = 0, conflict = 0, nmaybe = 0;")
         out.emit(f"uint64_t cval[{nd}] = {{0}}; "
                  f"uint64_t mv[{K * nd}]; uint8_t mx[{K}];")
         for assign in group.assigns:
@@ -952,7 +951,6 @@ class _CEmitter:
                      f"uint8_t sx = {sx};")
             out.emit("if (act) {")
             out.indent += 1
-            out.emit("any_act = 1;")
             out.emit("if (!sx) {")
             differs = " || ".join(f"sv[{k}] != cval[{k}]"
                                   for k in range(nd))
@@ -981,14 +979,9 @@ class _CEmitter:
         out.emit(f"return {pid + 1};")
         out.indent -= 1
         out.emit("}")
+        # No concrete active value, or a possible driver that may differ
+        # from it, reads X; so does an undriven port.
         zeros = " ".join(f"{self._v(d, k)} = 0;" for k in range(nd))
-        out.emit("if (!any_act && !nmaybe) {")
-        if c.fresh:
-            out.emit(f"    {zeros} {self._x(d)} = 1;")
-        else:
-            out.emit("    /* undriven: keep previous value */")
-        out.emit("} else {")
-        out.indent += 1
         out.emit("int rx = !has_c;")
         out.emit("if (nmaybe) {")
         out.emit("    int ok = has_c;")
@@ -1006,8 +999,6 @@ class _CEmitter:
                      + " ".join(f"{self._v(d, k)} = cval[{k}];"
                                 for k in range(nd))
                      + " }")
-        out.indent -= 1
-        out.emit("}")
         out.indent -= 1
         out.emit("}")
 
@@ -1205,7 +1196,7 @@ def generate_c_source(engine) -> Tuple[str, _KernelLayout, _PlanRegistry]:
                 f"{64 * _MAX_LIMBS})")
     comp_ids = {plan.name: index for index, plan in enumerate(plans)}
     compilers: "OrderedDict[str, _ComponentCompiler]" = OrderedDict(
-        (plan.name, _ComponentCompiler(plan, fresh=plan is engine._plan))
+        (plan.name, _ComponentCompiler(plan))
         for plan in plans)
     limb_tables = plan_slot_limbs(compilers)
     for name, table in limb_tables.items():

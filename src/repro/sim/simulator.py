@@ -17,7 +17,8 @@ the generator substrates) with standard two-phase clocked semantics:
 Hierarchy is supported directly: a cell whose component is not a primitive
 is simulated by a nested engine, which keeps compiled user components
 (e.g. ``conv2d`` instantiating ``Stencil``) runnable without a flattening
-pass.
+pass.  Every component, top or nested, settles by one rule in every tier:
+a port whose drivers are all inactive in a cycle reads X in that cycle.
 
 Conflicting drivers — two simultaneously-active guarded assignments driving
 different values onto one port — raise :class:`SimulationError`.  Filament's

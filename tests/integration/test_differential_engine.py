@@ -5,8 +5,12 @@ Every design in :mod:`repro.designs` is compiled and driven with the same
 pipelined random-transaction stimulus under both engines; the cycle-by-cycle
 traces must be identical — including the X values the harness injects
 outside availability windows.  The conflicting-driver and combinational-loop
-error paths are exercised on hand-built netlists.
+error paths are exercised on hand-built netlists, and so is the settle rule
+every tier shares: a port whose drivers are all inactive in a cycle reads X
+in that cycle, in the top and in every child.
 """
+
+import random
 
 import pytest
 
@@ -16,6 +20,7 @@ from repro.calyx.ir import (
     CalyxProgram,
     Cell,
     CellPort,
+    Guard,
     PortSpec,
 )
 from repro.core.errors import SimulationError
@@ -23,7 +28,7 @@ from repro.core.session import CompilationSession
 from repro.designs import hdl_style_alu
 from repro.evaluation import evaluation_designs
 from repro.harness import harness_for, random_transactions
-from repro.sim import Simulator, X, is_x
+from repro.sim import Simulator, X, compiler_available, is_x
 
 
 def _traces_equal(left, right):
@@ -166,3 +171,122 @@ def test_combinational_loop_falls_back_and_stabilises_to_x():
     assert not simulator.is_scheduled
     assert is_x(simulator.step({})["o"])
     assert is_x(Simulator(_looped_program(), mode="fixpoint").step({})["o"])
+
+
+# -- one settle rule in every tier ---------------------------------------------
+
+
+def _kid_program() -> CalyxProgram:
+    """``Top`` wires its inputs ``go``, ``a``, ``b`` and ``c`` into a child
+    ``Kid``, which drives ``A.left = go ? a``, ``A.right = go ? b`` and
+    ``X.right = go ? c`` and outputs ``(A.left + A.right) ^ X.right``."""
+    guard = Guard((CellPort(None, "go"),))
+    ports = [PortSpec("go", 1), PortSpec("a", 8), PortSpec("b", 8),
+             PortSpec("c", 8)]
+    kid = CalyxComponent("Kid", inputs=list(ports),
+                         outputs=[PortSpec("o", 8)])
+    kid.add_cell(Cell("A", "Add", (8,)))
+    kid.add_cell(Cell("X", "Xor", (8,)))
+    for dst, src in ((("A", "left"), "a"), (("A", "right"), "b"),
+                     (("X", "right"), "c")):
+        kid.add_wire(Assignment(CellPort(*dst), CellPort(None, src), guard))
+    kid.add_wire(Assignment(CellPort("X", "left"), CellPort("A", "out")))
+    kid.add_wire(Assignment(CellPort(None, "o"), CellPort("X", "out")))
+    top = CalyxComponent("Top", inputs=list(ports),
+                         outputs=[PortSpec("y", 8)])
+    top.add_cell(Cell("k", "Kid"))
+    for port in ("go", "a", "b", "c"):
+        top.add_wire(Assignment(CellPort("k", port), CellPort(None, port)))
+    top.add_wire(Assignment(CellPort(None, "y"), CellPort("k", "o")))
+    program = CalyxProgram(entrypoint="Top")
+    program.add(kid)
+    program.add(top)
+    return program
+
+
+def _kid_stimulus():
+    rng = random.Random(20)
+    return [{"go": go, "a": rng.getrandbits(8), "b": rng.getrandbits(8),
+             "c": rng.getrandbits(8)} for go in (1, X, 0, 1, 0, 0, 1)]
+
+
+def _pick_program(width: int = 8) -> CalyxProgram:
+    """``Top`` around a child ``Pick`` whose ``width``-bit output has two
+    guarded drivers, ``o = g ? a`` and ``o = h ? b``."""
+    ports = [PortSpec("g", 1), PortSpec("h", 1), PortSpec("a", width),
+             PortSpec("b", width)]
+    pick = CalyxComponent("Pick", inputs=list(ports),
+                          outputs=[PortSpec("o", width)])
+    for guard, src in (("g", "a"), ("h", "b")):
+        pick.add_wire(Assignment(CellPort(None, "o"), CellPort(None, src),
+                                 Guard((CellPort(None, guard),))))
+    top = CalyxComponent("Top", inputs=list(ports),
+                         outputs=[PortSpec("y", width)])
+    top.add_cell(Cell("p", "Pick"))
+    for port in ("g", "h", "a", "b"):
+        top.add_wire(Assignment(CellPort("p", port), CellPort(None, port)))
+    top.add_wire(Assignment(CellPort(None, "y"), CellPort("p", "o")))
+    program = CalyxProgram(entrypoint="Top")
+    program.add(pick)
+    program.add(top)
+    return program
+
+
+def _pick_stimulus():
+    # Both guards are low in cycles 2, 4 and 6, cycle 5's X guard drives
+    # X, and in cycle 7 both drivers are active and agree.
+    guards = [(1, 0), (0, 1), (0, 0), (1, 0), (0, 0), (X, 0), (0, 0), (1, 1)]
+    rows = [{"g": g, "h": h, "a": 10 + cycle, "b": 20 + cycle}
+            for cycle, (g, h) in enumerate(guards)]
+    rows[-1]["b"] = rows[-1]["a"]
+    return rows
+
+
+#: name -> (program, entrypoint, output, stimulus, the output's trace).
+_RULE_CASES = {
+    "child": (_kid_program, "Top", "y", _kid_stimulus,
+              [15, X, X, 151, X, X, 88]),
+    "child-as-top": (_kid_program, "Kid", "o", _kid_stimulus,
+                     [15, X, X, 151, X, X, 88]),
+    "two-driver-child": (_pick_program, "Top", "y", _pick_stimulus,
+                         [10, 21, X, 13, X, X, X, 17]),
+}
+
+
+def _rule_trace(case, tier):
+    """The output column of ``case`` under ``tier``: an engine mode, or
+    ``"native-lanes"`` (lane 0 of a three-lane native batch whose other
+    lanes are prefixes and must match their own fixpoint runs)."""
+    build, entry, port, stimulus, _ = _RULE_CASES[case]
+    rows = stimulus()
+    if tier == "native-lanes":
+        simulator = Simulator(build(), entry, mode="native")
+        streams = [rows, rows[:4], rows[:1]]
+        lanes = simulator.run_lanes(streams)
+        for stream, lane in zip(streams[1:], lanes[1:]):
+            reference = Simulator(build(), entry, mode="fixpoint")
+            assert _traces_equal(lane, reference.run_batch(stream))
+        trace = lanes[0]
+    else:
+        simulator = Simulator(build(), entry, mode=tier)
+        trace = simulator.run_batch(rows)
+    if tier.startswith("native"):
+        if compiler_available():
+            assert simulator.uses_native(), simulator.native_fallback_reason
+        else:
+            # Without a C compiler the native rows run the compiled
+            # fallback, and say why.
+            assert "no C compiler" in simulator.native_fallback_reason
+            assert simulator.uses_kernel(), simulator.kernel_fallback_reason
+    if tier == "compiled":
+        assert simulator.uses_kernel(), simulator.kernel_fallback_reason
+    return [row[port] for row in trace]
+
+
+@pytest.mark.parametrize("tier", ["fixpoint", "auto", "compiled", "native",
+                                  "native-lanes"])
+@pytest.mark.parametrize("case", sorted(_RULE_CASES))
+def test_an_undriven_port_reads_x_in_every_tier(case, tier):
+    """A port whose drivers are all inactive in a cycle reads X in that
+    cycle, whether its component is the top or a child, in every tier."""
+    assert _rule_trace(case, tier) == _RULE_CASES[case][-1]

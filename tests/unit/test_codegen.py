@@ -248,19 +248,34 @@ class TestFallbackAndCache:
         assert netlist_digest(first) == netlist_digest(second)
 
     def test_generated_source_holds_only_the_scalar_kernel(self):
-        """A one-component netlist links one chunk: the fresh top's, whose
-        ``link`` returns ``make_top`` and names nothing positional."""
+        """A chunk holds one component's scalar kernel, whatever its role:
+        ``Leaf`` simulated once as the top and once as a child hits one
+        cache entry with one source text, which names nothing positional.
+        The top's entry is generated apart from the chunk."""
         from repro.sim import codegen
 
-        program = _single_cell_program("Add", (8,),
-                                       {"left": 8, "right": 8})
-        kernel, _, _ = codegen.kernel_for(Simulator(program,
-                                                    mode="compiled"))
-        assert len(kernel.sources) == 1
-        source = kernel.sources[0]
-        assert source.count("def link(") == 1
-        assert source.count("def make_top") == 1
-        assert "make_c" not in source and "INIT_c" not in source
+        clear_kernel_cache()
+        program = _parent_of_two(8)
+        leaf = Simulator(program, "Leaf", mode="compiled")
+        as_top, _, _ = codegen.kernel_for(leaf)
+        before = kernel_cache_stats()
+        top = Simulator(program, "Top", mode="compiled")
+        as_child, _, _ = codegen.kernel_for(top)
+        after = kernel_cache_stats()
+        # Leaf hits; Sib and Top miss; three chunks in all.
+        assert (after["hits"] - before["hits"],
+                after["misses"] - before["misses"]) == (1, 2)
+        assert after["entries"] == 3
+        chunk, entry = as_top.sources
+        assert as_child.sources[0] == chunk
+        for source in as_child.sources[:-1]:
+            assert source.count("def link(") == 1
+            assert "make_top" not in source
+            assert "make_c" not in source and "INIT_c" not in source
+        assert entry.startswith("def make_top(make):")
+        assert as_child.sources[-1].startswith("def make_top(make):")
+        assert leaf.step({"a": 0x0F}) == {"o": 0xF0}
+        assert top.step({"a": 0x0F}) == {"o": 0xF0, "p": 0xF0}
 
     def test_stale_spill_envelope_is_ignored_and_rebuilt(self, tmp_path):
         """Generated kernels live only in memory: an envelope planted under
@@ -364,6 +379,32 @@ class TestFallbackAndCache:
         for stream, lane_trace in zip(streams, lanes):
             scalar.reset()
             _same_traces(scalar.run_batch(stream), lane_trace)
+
+
+def test_black_box_output_left_out_reads_x():
+    """A black box whose ``combinational`` leaves an output out in some
+    cycle leaves that port undriven there: it reads X in that cycle, in
+    every tier, not the value of an earlier cycle."""
+    from repro.sim import register_primitive
+    from repro.sim.primitives import PrimitiveModel
+
+    class Sometimes(PrimitiveModel):
+        inputs = ("d",)
+        outputs = ("q",)
+
+        def combinational(self, inputs):
+            d = inputs.get("d", X)
+            return {} if d == 0 else {"q": d}
+
+    register_primitive("SometimesBB",
+                       lambda params: Sometimes("SometimesBB", params))
+    program = _single_cell_program("SometimesBB", (8,), {"d": 8})
+    stimulus = [{"i_d": 5}, {"i_d": 0}, {"i_d": 7}]
+    for mode in ("fixpoint", "auto", "compiled"):
+        simulator = Simulator(program, mode=mode)
+        trace = [row["o_q"] for row in simulator.run_batch(stimulus)]
+        assert trace[0] == 5 and is_x(trace[1]) and trace[2] == 7, mode
+    assert simulator.uses_kernel(), simulator.kernel_fallback_reason
 
 
 def _inverter(name, width):
@@ -540,13 +581,11 @@ def _chain_engine(depth):
                      mode="compiled")
 
 
-def _stale_guard_program():
-    """``Top`` driving a preserving child ``Kid`` whose three data inputs
-    reach its adder and xor only while ``R`` (``go`` registered) is high:
-    one guard run of three single-driver groups, each read later in the
-    same segment.  The guard is registered because the fixpoint reference
-    settles a child first with X inputs, and an X input guard would turn
-    the values the child keeps into X there."""
+def _registered_guard_program():
+    """``Top`` driving a child ``Kid`` whose three data inputs reach its
+    adder and xor only while ``R`` (``go`` registered) is high: one guard
+    run of three single-driver groups, each read later in the same
+    segment."""
     kid = CalyxComponent(
         "Kid", inputs=[PortSpec("go", 1), PortSpec("a", 8),
                        PortSpec("b", 8), PortSpec("c", 8)],
@@ -638,8 +677,8 @@ class TestSegmentedKernel:
                 "Pair: conflicting drivers for o in cycle 3: o = a, o = b "
                 "(values ['1', '2'])"), mode
 
-    def test_guard_run_in_a_preserving_child_keeps_stale_values(self):
-        program = _stale_guard_program()
+    def test_guard_run_in_a_child_reads_x_while_guard_is_low(self):
+        program = _registered_guard_program()
         rng = random.Random(20)
         stimulus = [{"go": go, "a": rng.getrandbits(8),
                      "b": rng.getrandbits(8), "c": rng.getrandbits(8)}
@@ -662,19 +701,23 @@ class TestSegmentedKernel:
                         is_x(want) or got == want), (mode, cell, port, got)
         _same_traces(traces["fixpoint"], traces["auto"])
         _same_traces(traces["fixpoint"], traces["compiled"])
-        # The guard is go one cycle late: cycle 3 (guard X) is X, and
-        # cycles 6 and 7 (guard 0 after 1) keep cycle 5's operands.
-        a, b, c = (stimulus[5][port] for port in "abc")
-        kept = ((a + b) & 0xFF) ^ c
-        assert is_x(traces["compiled"][3]["y"])
-        assert [row["y"] for row in traces["compiled"][5:]] == [kept] * 3
+        # The guard is go one cycle late: cycles 1, 2 and 5 (guard 1) see
+        # their own operands; every other cycle (guard X, 0 or, in cycle
+        # 0, the register's X) reads X, cycles 6 and 7 after 1 included.
+        for cycle, row in enumerate(traces["compiled"]):
+            if cycle in (1, 2, 5):
+                a, b, c = (stimulus[cycle][port] for port in "abc")
+                assert row["y"] == ((a + b) & 0xFF) ^ c, cycle
+            else:
+                assert is_x(row["y"]), cycle
 
 
 class TestEarlyBlackBoxReads:
     """A black box with restricted ``combinational_inputs`` can be
     scheduled *before* the driver of one of its inputs; the interpreter
-    then reads X (fresh) or the previous cycle's value (preserving) at
-    that point, so the kernel must not const-preload such slots."""
+    then reads X at that point, in the top and in every child, so the
+    kernel must not const-preload such slots and clears them to X at the
+    start of every settle."""
 
     @classmethod
     def setup_class(cls):
@@ -730,7 +773,7 @@ class TestEarlyBlackBoxReads:
         assert is_x(trace[0]["p"])
         self._assert_compiled_matches_scheduled(program, stimulus)
 
-    def test_const_driven_input_in_preserving_child_sees_x_on_cycle_zero(self):
+    def test_const_driven_input_read_early_in_child(self):
         child = CalyxComponent(
             "kid", inputs=[PortSpec("g", 1)], outputs=[PortSpec("q", 8)])
         child.add_cell(Cell("E", "EchoBB", (8,)))
@@ -745,8 +788,9 @@ class TestEarlyBlackBoxReads:
         program.add(child)
         program.add(outer)
         stimulus = [{"g": 1}] * 3
+        # The early read sees X in every cycle, as it does in a top.
         trace = Simulator(program, mode="compiled").run_batch(stimulus)
-        assert is_x(trace[0]["o"]) and trace[1]["o"] == 42
+        assert all(is_x(row["o"]) for row in trace)
         self._assert_compiled_matches_scheduled(program, stimulus)
 
     def test_const_cell_read_early_is_not_preloaded(self):

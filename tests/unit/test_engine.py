@@ -773,3 +773,37 @@ class TestPlanOnlyEngines:
         component.wires = list(component.wires)
         assert agrees()
         assert _PLANS.stats()["misses"] == misses
+
+
+class TestFixpointSettleCount:
+    def test_settles_per_cycle_stay_polynomial_in_depth(self, monkeypatch):
+        """The fixpoint reference settles each child on every sweep of its
+        parent.  A child keeps what it computed earlier in the cycle (its
+        values are cleared once per cycle), so ``chain_program(8)`` costs
+        120 settles per cycle; clearing a child on every settle instead
+        costs 6,552, exponential in the depth.  The bound is checked on
+        every call, so such a change fails here at once instead of
+        hanging."""
+        from repro.core.session import CompilationSession
+        from repro.evaluation import chain_program
+
+        depth, cycles = 8, 4
+        bound = 4 * depth ** 2
+        program, entrypoint = chain_program(depth)
+        simulator = Simulator(CompilationSession(program).calyx(entrypoint),
+                              entrypoint, mode="fixpoint")
+        settle = ScheduledEngine._settle
+        calls = 0
+
+        def counted(engine):
+            nonlocal calls
+            calls += 1
+            assert calls <= bound * cycles, f"{calls} settles"
+            return settle(engine)
+
+        monkeypatch.setattr(ScheduledEngine, "_settle", counted)
+        trace = simulator.run_batch(
+            [{"go": 1, "a": a, "b": 2} for a in range(cycles)])
+        assert [row["out"] for row in trace] == [
+            a + 2 * depth for a in range(cycles)]
+        assert calls <= bound * cycles

@@ -11,6 +11,7 @@ UBSan-clean at the production flags, and the bounded
 """
 
 import ctypes
+import hashlib
 import os
 import random
 import subprocess
@@ -214,14 +215,15 @@ class TestNativeCache:
 
     def test_object_under_the_previous_abi_key_is_rebuilt(self, tmp_path,
                                                           monkeypatch):
-        """A ``.so`` built for ABI 4 (whose ``k_run_lanes`` took no
-        per-lane cycle counts) must never be called with the current
-        argtypes: the ABI is part of the store key, so the old object is
-        not even looked up."""
+        """A ``.so`` stored under the previous ABI must never be served:
+        it may take other argtypes, or trace differently for the same
+        netlist digest.  The planted key differs from the current one in
+        the ABI alone, so the old object is not even looked up."""
         monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path / "store"))
         clear_native_cache()
         engine = Simulator(_guarded_program(), mode="native")
-        # The ABI-4 symbol set; its lane entry reports a bogus conflict.
+        # ABI 4's symbol set, whose lane entry took no per-lane cycle
+        # counts; it reports a bogus conflict.
         stale_c = tmp_path / "stale.c"
         stale_c.write_text(
             "#include <stdint.h>\n"
@@ -241,12 +243,17 @@ class TestNativeCache:
         stale_so = tmp_path / "stale.so"
         subprocess.run([native_module.find_compiler(), "-shared", "-fPIC",
                         "-o", str(stale_so), str(stale_c)], check=True)
-        digest = netlist_digest(engine)
+        flags = hashlib.sha256(
+            " ".join(native_module._CFLAGS).encode()).hexdigest()[:8]
+        digest = netlist_digest(engine)[:32]
+        stale_key = f"native_{native_module._ABI - 1}_{flags}_{digest}"
         assert ArtifactStore(tmp_path / "store").put_file(
-            "native", f"native_4_{digest[:32]}", stale_so)
+            "native", stale_key, stale_so)
 
         program, cached, _ = native_module.native_for(engine)
         assert not cached and not program.disk_hit
+        assert sorted(path.stem for path in tmp_path.rglob("native_*.bin")) \
+            == [stale_key, f"native_{native_module._ABI}_{flags}_{digest}"]
         with pytest.raises(SimulationError) as info:
             engine.run_batch(TestConflictParity.CONFLICT)
         assert engine.uses_native(), engine.native_fallback_reason
@@ -377,9 +384,11 @@ def _ubsan_child(case, directory):
     :func:`test_generated_c_is_ubsan_clean_at_the_production_level`: every
     kernel built here carries the production flags plus UBSan (the flags
     tag keeps these objects apart from production ones in the store).
-    ``"kernels"`` drives the width-boundary designs, AddMult lane batches
-    and three generator seeds; ``"canary"`` calls a ``<< 64`` compiled
-    the same way, which must trap."""
+    ``"kernels"`` drives the width-boundary designs, children whose
+    guarded groups go undriven (one-limb single drivers, a 129-bit port
+    with two drivers), AddMult lane batches and three generator seeds;
+    ``"canary"`` calls a ``<< 64`` compiled the same way, which must
+    trap."""
     native_module._CFLAGS = (*native_module._CFLAGS, "-fsanitize=undefined",
                              "-fno-sanitize-recover=all")
     if case == "canary":
@@ -415,6 +424,32 @@ def _ubsan_child(case, directory):
             raise AssertionError(f"no conflict at {width} bits")
         # Past 4 limbs the tier refuses before any C is built.
         assert engine.uses_native() == (width <= 256), width
+
+    from test_differential_engine import (
+        _kid_program,
+        _kid_stimulus,
+        _pick_program,
+    )
+    guards = [(0, 0), (1, 0), (0, 1), (X, 0), (0, X)]
+    wide = [{"a": rng.choice((X, rng.getrandbits(129))),
+             "b": rng.getrandbits(129), "g": g, "h": h}
+            for g, h in (rng.choice(guards) for _ in range(16))]
+    for program, entry, rows in ((_kid_program(), "Top", _kid_stimulus()),
+                                 (_kid_program(), "Kid", _kid_stimulus()),
+                                 (_pick_program(129), "Top", wide)):
+        engine = Simulator(program, entry, mode="native")
+        engine.run_batch(rows)
+        engine.run_lanes([rows, rows[:3]])
+        assert engine.uses_native(), engine.native_fallback_reason
+    # Both drivers of the child's 129-bit port active with different
+    # values: the child aborts the batch on the conflict path.
+    try:
+        Simulator(_pick_program(129), "Top", mode="native").run_batch(
+            wide + [{"g": 1, "h": 1, "a": 1 << 128, "b": 2}])
+    except SimulationError as error:
+        assert "conflicting drivers" in str(error), error
+    else:
+        raise AssertionError("no conflict in the 129-bit child")
 
     harness = harness_for(addmult_program(), "AddMult", mode="native")
     engine = Simulator(harness.calyx, "AddMult", mode="native")
@@ -454,7 +489,8 @@ def test_generated_c_is_ubsan_clean_at_the_production_level(case, tmp_path):
     env = dict(os.environ, LD_PRELOAD=runtime,
                REPRO_STORE_DIR=str(tmp_path / "store"),
                PYTHONPATH=os.pathsep.join(
-                   [str(here.parents[1] / "src"), str(here)]))
+                   [str(here.parents[1] / "src"), str(here),
+                    str(here.parent / "integration")]))
     proc = subprocess.run(
         [sys.executable, "-c",
          f"import test_native; "
