@@ -31,7 +31,6 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from repro.core.queries import clear_compile_cache
 from repro.core.session import CompilationSession
 from repro.core.store import (
     ArtifactStore,
@@ -49,7 +48,6 @@ _SALT = 7
 
 
 def _drop_memory_caches() -> None:
-    clear_compile_cache()
     clear_kernel_cache()
     clear_native_cache()
 

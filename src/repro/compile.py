@@ -24,10 +24,9 @@ that no other user component instantiates.  With ``--frontend`` other than
 ``tdot``/``dot9`` for Reticle) and the design enters the pipeline at the
 ``calyx`` stage through a content-fingerprinted calyx-entry session.  After
 compiling, the driver prints the session's per-stage timing and cache-hit
-table plus the process-wide compile-cache counters, so warm artifacts (from
-earlier compiles of content-identical components anywhere in the process)
-are visible at a glance — including runs where *every* stage was a cache
-hit.
+table and its query counters, then emits or prints the artifact.  Every
+compile runs in a fresh session, which shares no artifact with any other,
+so each stage it runs is a miss the first time.
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ from typing import List, Optional
 
 from .core.errors import FilamentError
 from .core.frontend import FRONTENDS, design_root, frontend_source
-from .core.queries import compile_cache_stats
 from .core.session import STAGES, CompilationSession
 
 #: ``--upto`` choices (parse is implicit: reading the file always parses).
@@ -86,9 +84,9 @@ def _stage_table(session: CompilationSession) -> str:
 
     Rows cover every stage the session recorded — pipeline stages in
     pipeline order, then extras (``frontend``, engine tiers) — including
-    stages whose *only* activity was cache hits: a fully warm compile
-    spends no seconds anywhere, and the hits column is exactly what the
-    table must still show."""
+    stages whose *only* activity was cache hits: a warm recompile spends
+    no seconds there, and the hits column is exactly what the table must
+    still show."""
     seconds = session.stage_seconds()
     stats = session.cache_stats()
     ordered = ["frontend"] + list(STAGES)
@@ -100,9 +98,27 @@ def _stage_table(session: CompilationSession) -> str:
         bucket = stats.get(stage, {"hits": 0, "misses": 0})
         lines.append(f"{stage:10s} {seconds.get(stage, 0.0):10.6f} "
                      f"{bucket['hits']:6d} {bucket['misses']:7d}")
-    if len(lines) > 1 and all(timing.cached for timing in session.timings):
-        lines.append("(every stage served from the compile cache)")
     return "\n".join(lines)
+
+
+def _report(args: argparse.Namespace, session: CompilationSession,
+            text: str) -> int:
+    """The tail both frontends share: the stage table, the query
+    counters, then the artifact, written to ``--emit`` or printed."""
+    print()
+    print(_stage_table(session))
+    queries = session.query_stats()
+    print(f"\nqueries: {queries['executed']} executed, "
+          f"{queries['verified']} verified")
+    if args.emit:
+        out = Path(args.emit)
+        out.parent.mkdir(parents=True, exist_ok=True)
+        out.write_text(text + ("\n" if not text.endswith("\n") else ""))
+        print(f"\nartifact written to {out}")
+    elif not args.quiet:
+        print()
+        print(text)
+    return 0
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -142,26 +158,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     target = entrypoint if entrypoint is not None else "<program>"
     print(f"{path.name}: compiled {target!r} up to {args.upto}")
-    print()
-    print(_stage_table(session))
-    process = compile_cache_stats()
-    print(f"\nprocess-wide compile cache: {process['hits']} hit(s), "
-          f"{process['misses']} miss(es), {process['entries']} entr(y/ies) "
-          f"cached (limit {process['limit']})")
-    queries = session.query_stats()
-    print(f"queries: {queries['executed']} executed, "
-          f"{queries['verified']} verified, "
-          f"{queries['shared_hits']} shared hit(s)")
-
-    if args.emit:
-        out = Path(args.emit)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(text + ("\n" if not text.endswith("\n") else ""))
-        print(f"\nartifact written to {out}")
-    elif not args.quiet:
-        print()
-        print(text)
-    return 0
+    return _report(args, session, text)
 
 
 def _main_generator(args: argparse.Namespace) -> int:
@@ -179,8 +176,7 @@ def _main_generator(args: argparse.Namespace) -> int:
         adapter = frontend_source(args.frontend, args.source)
         bundle = adapter.bundle()
         session = bundle.session()
-        session._record("frontend", bundle.name,
-                        time.perf_counter() - began)
+        session._record("frontend", time.perf_counter() - began)
         entrypoint = args.entry or bundle.name
         artifact = session.compile(entrypoint, upto=upto)
     except FilamentError as error:
@@ -191,26 +187,7 @@ def _main_generator(args: argparse.Namespace) -> int:
     designation = args.source or "<default>"
     print(f"{args.frontend} {designation}: compiled {entrypoint!r} up to "
           f"{upto} (bundle fingerprint {bundle.fingerprint[:12]})")
-    print()
-    print(_stage_table(session))
-    process = compile_cache_stats()
-    print(f"\nprocess-wide compile cache: {process['hits']} hit(s), "
-          f"{process['misses']} miss(es), {process['entries']} entr(y/ies) "
-          f"cached (limit {process['limit']})")
-    queries = session.query_stats()
-    print(f"queries: {queries['executed']} executed, "
-          f"{queries['verified']} verified, "
-          f"{queries['shared_hits']} shared hit(s)")
-
-    if args.emit:
-        out = Path(args.emit)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(text + ("\n" if not text.endswith("\n") else ""))
-        print(f"\nartifact written to {out}")
-    elif not args.quiet:
-        print()
-        print(text)
-    return 0
+    return _report(args, session, text)
 
 
 if __name__ == "__main__":

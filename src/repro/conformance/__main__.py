@@ -130,8 +130,9 @@ def _parser() -> argparse.ArgumentParser:
                         help="also run the frontend conformance way over "
                              "the generator designs (aetherling, pipelinec, "
                              "reticle; default: all of them): reported-spec "
-                             "audit, golden model, warm-cache and Verilog-"
-                             "loop checks across the engine matrix")
+                             "audit, golden model, regeneration and "
+                             "Verilog-loop checks across the engine "
+                             "matrix")
     parser.add_argument("--frontends-full", action="store_true",
                         help="with --frontends: sweep every Aetherling "
                              "design point instead of the representatives")

@@ -57,7 +57,6 @@ from ..calyx.wellformed import check_program as calyx_wellformed
 from ..core.errors import FilamentError, SimulationError
 from ..core.lower.verilog_frontend import roundtrip_divergences
 from ..core.parser import parse_component
-from ..core.queries import compile_cache_disabled
 from ..core.semantics import component_log
 from ..core.session import CompilationSession
 from ..core.stdlib import with_stdlib
@@ -262,8 +261,8 @@ def run_conformance(generated: GeneratedProgram,
     a seeded, well-typedness-preserving mutation is
     applied to the component *in place* and the incrementally recompiled
     Calyx/Verilog must be byte-identical to a from-scratch compile of the
-    mutated program (with the process-wide compile cache bypassed for the
-    referee, so the comparison is genuinely two-sided).  ``x_probability``
+    mutated program in a session of its own (sessions share no artifact,
+    so the comparison is genuinely two-sided).  ``x_probability``
     drops each stimulus port from each transaction with that (seeded)
     probability, driving X *inside* availability windows; the golden check
     conservatively skips outputs whose input cone touches a dropped port,
@@ -523,10 +522,9 @@ def _check_incremental(spec, seed: int, transactions: int,
 
         # The donor build doubles as the from-scratch referee (its own
         # component object was never compiled or spliced into).
-        with compile_cache_disabled():
-            scratch = CompilationSession(mutated.program)
-            scratch_calyx = scratch.calyx(spec.name)
-            scratch_verilog = scratch.verilog(spec.name)
+        scratch = CompilationSession(mutated.program)
+        scratch_calyx = scratch.calyx(spec.name)
+        scratch_verilog = scratch.verilog(spec.name)
     except FilamentError as error:
         divergences.append(f"incremental: {mutation_kind} mutation failed "
                            f"to compile: {error}")

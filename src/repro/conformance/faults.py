@@ -38,7 +38,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core import faults as fault_module
 from ..core.faults import FaultPlan, inject
-from ..core.queries import clear_compile_cache
 from ..core.session import CompilationSession
 from ..core.store import ArtifactStore, reset_default_store, set_default_store
 from ..harness.driver import harness_for
@@ -89,7 +88,6 @@ class FaultConformanceResult:
 
 
 def _clear_memory_caches() -> None:
-    clear_compile_cache()
     clear_kernel_cache()
     clear_native_cache()
 

@@ -39,13 +39,8 @@ from .fingerprint import (
     program_fingerprint,
     signature_fingerprint,
 )
-from .queries import (
-    QueryEngine,
-    clear_compile_cache,
-    compile_cache_disabled,
-    compile_cache_stats,
-)
-from .session import CompilationSession, StageTiming
+from .queries import QueryEngine
+from .session import CompilationSession
 from .stdlib import stdlib_program, with_stdlib
 from .typecheck import check_component, check_program
 
@@ -59,9 +54,8 @@ __all__ = [
     "Delay", "Event", "EventComparisonError", "Interval", "evt",
     "component_fingerprint", "component_self_fingerprint",
     "fingerprint_snapshot", "program_fingerprint", "signature_fingerprint",
-    "QueryEngine", "clear_compile_cache", "compile_cache_disabled",
-    "compile_cache_stats",
-    "CompilationSession", "StageTiming",
+    "QueryEngine",
+    "CompilationSession",
     "stdlib_program", "with_stdlib",
     "check_component", "check_program",
 ]

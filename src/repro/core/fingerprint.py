@@ -19,7 +19,9 @@ Two granularities are exposed:
 * the **deep fingerprint** is a Merkle digest: the self fingerprint plus the
   deep fingerprints of every component it instantiates, transitively.  Two
   components with equal deep fingerprints compile to identical artifacts at
-  every stage, which is what makes the process-wide compile cache sound.
+  every stage.  It feeds only :func:`program_fingerprint`, and through it a
+  Filament frontend bundle's fingerprint; the query layer keys its memos
+  by self and signature fingerprints.
 
 The **signature fingerprint** covers only the printed signature.  It is the
 early-cutoff lever: a client of a component depends only on its timeline
@@ -54,7 +56,7 @@ from __future__ import annotations
 
 import hashlib
 from operator import is_
-from typing import Dict, Mapping, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 from .ast import Component, Program, Signature
 from .printer import format_component, format_signature
@@ -101,17 +103,11 @@ def signature_fingerprint(signature: Union[Component, Signature]) -> str:
 
 def component_fingerprint(name: str, program: Program,
                           _memo: Optional[Dict[str, str]] = None,
-                          _stack: Optional[frozenset] = None,
-                          self_fingerprints: Optional[Mapping[str, str]] = None
-                          ) -> str:
+                          _stack: Optional[frozenset] = None) -> str:
     """The deep (Merkle) fingerprint of ``name`` in ``program``: its self
     fingerprint combined with the deep fingerprints of every component it
     instantiates, transitively.  Equal deep fingerprints mean every compile
-    stage produces identical output for the two components.
-
-    ``self_fingerprints`` optionally supplies already-computed self
-    fingerprints (e.g. a :func:`fingerprint_snapshot`) so the program is
-    not re-printed; entries must be current for the program's content."""
+    stage produces identical output for the two components."""
     memo = _memo if _memo is not None else {}
     if name in memo:
         return memo[name]
@@ -121,16 +117,12 @@ def component_fingerprint(name: str, program: Program,
         # keeps the digest well-defined without infinite recursion.
         return fingerprint_text("cycle", name)
     component = program.get(name)
-    if self_fingerprints is not None and name in self_fingerprints:
-        self_fingerprint = self_fingerprints[name]
-    else:
-        self_fingerprint = component_self_fingerprint(component)
-    parts = [self_fingerprint]
+    parts = [component_self_fingerprint(component)]
     children = sorted({inst.component for inst in component.instantiations()})
     for child in children:
         parts.append(child)
         parts.append(component_fingerprint(child, program, memo,
-                                           stack | {name}, self_fingerprints))
+                                           stack | {name}))
     fingerprint = fingerprint_text("deep", *parts)
     memo[name] = fingerprint
     return fingerprint
@@ -162,11 +154,11 @@ def calyx_component_fingerprint(component) -> str:
 def calyx_fingerprint(program, entrypoint: Optional[str] = None) -> str:
     """A stable content digest of a whole :class:`CalyxProgram`.
 
-    This is the compile-cache key for designs that enter the pipeline at
-    the ``calyx`` stage (generator frontends): equal digests mean the
-    netlists are structurally identical, so every downstream artifact
-    (Verilog text, simulation kernels) can be shared.  Component order in
-    the ``components`` dict does not matter; the entrypoint does."""
+    A calyx-entry session (generator frontends) memoizes its ``calyx``
+    and ``verilog`` stages on it: equal digests mean the netlists are
+    structurally identical, so the Verilog emitted for one serves the
+    other.  Component order in the ``components`` dict does not matter;
+    the entrypoint does."""
     parts = [entrypoint or program.entrypoint or ""]
     for name in sorted(program.components):
         parts.append(name)

@@ -30,10 +30,10 @@ artifacts the frontend has:
 for any source: Filament bundles get the ordinary query-backed session,
 generator bundles get a **calyx-entry session** keyed by the netlist's
 content fingerprint (:func:`~repro.core.fingerprint.calyx_fingerprint`), so
-generator outputs are cached, incrementally recompiled and simulated on all
-four engine tiers exactly like native programs.  ``bundle()`` re-runs the
-generator every call — two bundles from one source must produce equal
-fingerprints, which is what makes warm recompiles process-wide cache hits
+generator outputs are memoized, recompiled after in-place edits and
+simulated on all four engine tiers exactly like native programs.
+``bundle()`` re-runs the generator every call — two bundles from one
+source must produce equal fingerprints, or generator output is unstable
 (the conformance frontend way asserts this).
 """
 

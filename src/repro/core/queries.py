@@ -27,19 +27,16 @@ edges**, **pushed invalidation**, and **early cutoff**:
   that leaf's queries and the link queries that assemble it, and
   verification walks only the memos the edit can reach.
 
-Artifacts additionally live in a bounded, memory-only **process-wide
-compile cache** (a :class:`~repro.core.store.DigestCache` of 1024 entries)
-keyed by deep (Merkle) content fingerprint — the same pattern the simulator
-uses for generated kernel chunks (:func:`repro.sim.codegen.kernel_for`).  Two
-sessions over content-identical programs share checked / lowered / Calyx /
-Verilog artifacts even though they never met; ``compile_cache_stats`` and
-``clear_compile_cache`` observe and reset it, and
-``compile_cache_disabled`` bypasses it.
+Artifacts live only in the engine's own memo table: two sessions over
+content-identical programs share no artifact object, and each compiles its
+program itself.  There is no process-wide layer behind the table: one
+keyed by deep fingerprint saved no measurable time on any benchmark
+workload, and it served a re-parsed program the original's Calyx, so an
+oracle comparing the two compared a netlist with itself.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from itertools import repeat
 from dataclasses import dataclass, field
 from dataclasses import replace as dataclass_replace
@@ -47,23 +44,14 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from .ast import Program
 from .fingerprint import (
-    component_fingerprint,
     component_parts,
     component_self_fingerprint,
     fingerprint_text,
     same_parts,
 )
 from .printer import format_signature
-from .store import DigestCache
 
-__all__ = [
-    "QueryEngine",
-    "QueryStats",
-    "compile_cache_stats",
-    "clear_compile_cache",
-    "compile_cache_disabled",
-    "shared_artifact",
-]
+__all__ = ["QueryEngine", "QueryStats", "clear_compile_cache"]
 
 #: Pseudo-stage for dependencies on a component's own definition.
 _INPUT = "input"
@@ -77,67 +65,11 @@ _MEMBERS = "<members>"
 COMPONENT_STAGES: Tuple[str, ...] = ("sig", "check", "lower", "calyx", "vcomp")
 
 
-# ---------------------------------------------------------------------------
-# The process-wide compile cache
-# ---------------------------------------------------------------------------
-
-#: ``(stage, deep fingerprint) -> (value, output digest)``.
-_ARTIFACTS = DigestCache(1024)
-_CACHE_DISABLED = 0
-
-
-def compile_cache_stats() -> Dict[str, int]:
-    """Process-wide compile-cache counters: ``hits``, ``misses``,
-    ``evicted``, ``entries`` and ``limit``."""
-    return _ARTIFACTS.stats()
-
-
 def clear_compile_cache() -> None:
-    """Drop every process-wide compile artifact (tests and benchmarks)."""
-    _ARTIFACTS.clear()
-
-
-@contextmanager
-def compile_cache_disabled():
-    """Temporarily bypass the process-wide cache (reads and writes).  The
-    conformance incremental oracle compiles its from-scratch referee under
-    this guard so byte-equality is a genuine two-sided comparison."""
-    global _CACHE_DISABLED
-    _CACHE_DISABLED += 1
-    try:
-        yield
-    finally:
-        _CACHE_DISABLED -= 1
-
-
-def _read_through(stage: str, fingerprint: str, compute, digest_of):
-    """``(value, digest, cached)`` for ``(stage, fingerprint)``: the cached
-    pair on a hit, else ``compute()`` and ``digest_of(value)``, stored for
-    next time.  Under :func:`compile_cache_disabled` nothing is read or
-    written."""
-    key = (stage, fingerprint)
-    entry = None if _CACHE_DISABLED else _ARTIFACTS.get(key)
-    if entry is not None:
-        return entry[0], entry[1], True
-    value = compute()
-    digest = digest_of(value)
-    if not _CACHE_DISABLED:
-        _ARTIFACTS.put(key, (value, digest))
-    return value, digest, False
-
-
-def shared_artifact(stage: str, fingerprint: str, compute,
-                    digest: Optional[str] = None):
-    """Read-through access to the process-wide compile cache for artifacts
-    produced *outside* the query graph (the calyx-entry sessions of
-    :mod:`repro.core.frontend`).  Returns ``(value, cached)``: on a hit the
-    cached value and ``True``; on a miss ``compute()``'s result, stored
-    under ``(stage, fingerprint)``, and ``False``.  Shares the query-layer
-    artifacts' bound, counters and :func:`compile_cache_disabled` guard."""
-    stored = fingerprint if digest is None else digest
-    value, _, cached = _read_through(stage, fingerprint, compute,
-                                     lambda _: stored)
-    return value, cached
+    """Does nothing.  Compile artifacts live only in each session's memo
+    table, so there is no process-wide compile state to drop; the function
+    stays because benchmark drivers written against the old cache still
+    call it."""
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +139,6 @@ class QueryStats:
 
     executed: int = 0
     verified: int = 0
-    shared_hits: int = 0
     revision: int = 1
     executed_by_stage: Dict[str, int] = field(default_factory=dict)
 
@@ -215,7 +146,6 @@ class QueryStats:
         return {
             "executed": self.executed,
             "verified": self.verified,
-            "shared_hits": self.shared_hits,
             "revision": self.revision,
             "executed_by_stage": dict(self.executed_by_stage),
         }
@@ -251,8 +181,6 @@ class QueryEngine:
         self._suspect: Set[Tuple[str, str]] = set()
         #: entrypoint -> its last reachability walk.
         self._reachable: Dict[str, _Walk] = {}
-        self._merkle: Dict[str, str] = {}
-        self._merkle_revision = 1
         #: (revision, stage, name) for every real query execution, in order.
         self._log: List[Tuple[int, str, str]] = []
         self.stats = QueryStats()
@@ -492,16 +420,7 @@ class QueryEngine:
         return sorted({name for stage, name in self.executions(revision)
                        if stage in heavy})
 
-    # -- fingerprints ----------------------------------------------------------
-
-    def _deep_fingerprint(self, name: str) -> str:
-        if self._merkle_revision != self._revision:
-            self._merkle = {}
-            self._merkle_revision = self._revision
-        # ``refresh()`` already printed and hashed every component; reuse
-        # those self fingerprints instead of re-printing the program.
-        return component_fingerprint(name, self._program, self._merkle,
-                                     self_fingerprints=self._inputs)
+    # -- reachability ----------------------------------------------------------
 
     def _children(self, name: str) -> List[str]:
         return _ordered_children(self._program, name)
@@ -572,15 +491,6 @@ class QueryEngine:
                     queue.append(target.name)
         return walk
 
-    def _shared(self, stage: str, name: str, compute, digest_of):
-        """Run ``compute`` through the process-wide content-addressed cache.
-        ``digest_of`` maps a fresh value to its output digest."""
-        value, digest, cached = _read_through(
-            stage, self._deep_fingerprint(name), compute, digest_of)
-        if cached:
-            self.stats.shared_hits += 1
-        return value, digest
-
     # -- per-component queries -------------------------------------------------
 
     def _compute_sig(self, name: str):
@@ -603,34 +513,24 @@ class QueryEngine:
         component = self._program.get(name)
 
         seed = self._seeded_checks.pop(name, None)
-        if seed is not None:
-            seeded, seeded_digest = seed
-            # A seed is valid only when our program's check digest equals
-            # the one the seed was computed against — same component
-            # content AND same instantiated signatures.
-            if seeded_digest == digest:
-                key = ("check", self._deep_fingerprint(name))
-                if not _CACHE_DISABLED and key not in _ARTIFACTS:
-                    _ARTIFACTS.put(key, (seeded, digest))
-                return self._rebind_check(seeded, component), digest
-
-        def compute():
-            return TypeChecker(self._program).check_component(component)
-
-        value, _ = self._shared("check", name, compute, lambda _: digest)
-        return self._rebind_check(value, component), digest
+        # A seed is valid only when our program's check digest equals the
+        # one the seed was computed against — same component content AND
+        # same instantiated signatures.
+        if seed is not None and seed[1] == digest:
+            return self._rebind_check(seed[0], component), digest
+        return TypeChecker(self._program).check_component(component), digest
 
     @staticmethod
     def _rebind_check(checked, component):
         """Checked artifacts embed a reference to the AST component they
-        were computed from, which the lowering pass reads.  A shared or
-        seeded artifact may reference *another* program's live (mutable)
-        object, so rebind it to this program's component — the typing
-        contexts are immutable value snapshots of the keyed content, only
-        the AST reference is identity-sensitive.  This is what makes an
-        in-place mutation of one program unable to poison another: every
-        consumer's artifact points at its own component, whose fingerprint
-        its own engine tracks."""
+        were computed from, which the lowering pass reads.  A seeded
+        artifact may reference *another* program's live (mutable) object,
+        so rebind it to this program's component — the typing contexts are
+        immutable value snapshots of the digested content, only the AST
+        reference is identity-sensitive.  This is what makes an in-place
+        mutation of one program unable to reach another: every artifact
+        points at its engine's own component, whose fingerprint that
+        engine tracks."""
         if checked.component is component:
             return checked
         return dataclass_replace(checked, component=component)
@@ -641,16 +541,13 @@ class QueryEngine:
         checked = self.query("check", name)
         for child in self._children(name):
             self.query("sig", child)
+        low = lower_component(checked, self._program)
         # The digest must cover the *whole* artifact: ``str(low)`` prints
         # the body but not the signature the Calyx backend reads (port
         # widths!), so the printed signature is hashed alongside it — a
         # width-only interface change must not early-cut its dependents.
-        return self._shared(
-            "lower", name,
-            lambda: lower_component(checked, self._program),
-            lambda low: fingerprint_text("lower",
-                                         format_signature(low.signature),
-                                         str(low)))
+        return low, fingerprint_text("lower", format_signature(low.signature),
+                                     str(low))
 
     def _compute_calyx(self, name: str):
         from .lower.calyx_backend import compile_component
@@ -658,19 +555,14 @@ class QueryEngine:
         low = self.query("lower", name)
         for child in self._children(name):
             self.query("sig", child)
-        return self._shared(
-            "calyx", name,
-            lambda: compile_component(low, self._program),
-            lambda calyx: fingerprint_text("calyx", str(calyx)))
+        calyx = compile_component(low, self._program)
+        return calyx, fingerprint_text("calyx", str(calyx))
 
     def _compute_vcomp(self, name: str):
         from .lower.verilog_backend import emit_component
 
-        calyx = self.query("calyx", name)
-        return self._shared(
-            "vcomp", name,
-            lambda: emit_component(calyx, None),
-            lambda text: fingerprint_text("vcomp", text))
+        text = emit_component(self.query("calyx", name), None)
+        return text, fingerprint_text("vcomp", text)
 
     # -- whole-program / per-entrypoint assembly queries -----------------------
 

@@ -8,17 +8,16 @@ incremental refactor it is a thin wrapper around the demand-driven,
 content-addressed query layer (:mod:`repro.core.queries`):
 
 * the pipeline runs as **per-component queries** with recorded dependency
-  edges — two entrypoints sharing a sub-component compile it exactly once,
-  and a program that was compiled anywhere else in the process is served
-  from the digest-keyed **process-wide compile cache**;
+  edges — two entrypoints sharing a sub-component compile it exactly once.
+  Artifacts live in the session's own memo table; sessions share none;
 * **mutation is survived, not punished**: every public stage entry re-
   fingerprints the program (content, not ``id()``), so editing one
   component in place recompiles only that component and its transitive
   dependents — everything else is verified from cache.  Early cutoff means
   a body-only edit of a leaf does not even recompile its clients (they
   depend only on its signature, the paper's modularity claim);
-* each stage call is timed; :attr:`CompilationSession.timings` is the raw
-  event list and :meth:`stage_seconds`/:meth:`cache_stats` aggregate it —
+* each stage call is timed into one running total per stage (seconds,
+  hits, misses), which :meth:`stage_seconds`/:meth:`cache_stats` read —
   this is what the compile-time benchmark reports as the per-stage
   breakdown.  :meth:`query_stats` exposes the engine's query counters and
   :attr:`engine` the engine itself (execution log, recompile footprint).
@@ -35,38 +34,27 @@ program** (:meth:`CompilationSession.from_calyx`): generator frontends
 Filament AST, so their designs enter the pipeline at the ``calyx`` stage
 keyed by a stable content fingerprint
 (:func:`repro.core.fingerprint.calyx_fingerprint`).  The ``calyx`` and
-``verilog`` stages of such a session consult the same process-wide compile
-cache as query-layer artifacts, so a warm recompile of an unchanged
-generator design is a recorded cache hit, and in-place mutation of the
-netlist is survived by re-fingerprinting on every public stage call —
-exactly the contract Filament-backed sessions have.
+``verilog`` stages of such a session memoize their artifact next to that
+fingerprint: the first call is a miss, a repeat over an unchanged netlist
+is a recorded hit, and in-place mutation of the netlist is survived by
+re-fingerprinting on every public stage call — exactly the contract
+Filament-backed sessions have.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .ast import Program
 from .errors import FilamentError
-from .queries import QueryEngine, shared_artifact
+from .queries import QueryEngine
 from .typecheck import CheckedProgram
 
-__all__ = ["CompilationSession", "StageTiming", "STAGES"]
+__all__ = ["CompilationSession", "STAGES"]
 
 #: Pipeline stages in order; ``compile(upto=...)`` accepts any of these.
 STAGES: Tuple[str, ...] = ("parse", "check", "lower", "calyx", "verilog")
-
-
-@dataclass(frozen=True)
-class StageTiming:
-    """One stage execution (or cache hit) observed by a session."""
-
-    stage: str
-    target: str
-    seconds: float
-    cached: bool = False
 
 
 class CompilationSession:
@@ -87,12 +75,14 @@ class CompilationSession:
         self._pending_checked = checked
         self._calyx_entry = calyx
         self._calyx_fingerprint: Optional[str] = None
+        #: Calyx-entry sessions: stage -> (netlist fingerprint, artifact).
+        self._calyx_memo: Dict[str, Tuple[str, object]] = {}
         #: Which frontend produced this design ("filament" for native
         #: sessions; "aetherling"/"pipelinec"/"reticle"/"calyx" for
         #: calyx-entry sessions).
         self.frontend = frontend or ("filament" if calyx is None else "calyx")
-        #: Every stage execution and cache hit, in order.
-        self.timings: List[StageTiming] = []
+        #: stage -> [seconds executing, hits, misses], summed over calls.
+        self._stages: Dict[str, List] = {}
         if program is not None:
             self._ensure_engine()
 
@@ -178,32 +168,31 @@ class CompilationSession:
 
     # -- instrumentation -------------------------------------------------------
 
-    def _record(self, stage: str, target: str, seconds: float,
+    def _record(self, stage: str, seconds: float,
                 cached: bool = False) -> None:
-        self.timings.append(StageTiming(stage, target, seconds, cached))
+        totals = self._stages.setdefault(stage, [0.0, 0, 0])
+        if cached:
+            totals[1] += 1
+        else:
+            totals[0] += seconds
+            totals[2] += 1
 
     def stage_seconds(self) -> Dict[str, float]:
         """Total wall-clock seconds spent actually executing each stage
-        (cache hits contribute nothing)."""
-        totals: Dict[str, float] = {}
-        for timing in self.timings:
-            if not timing.cached:
-                totals[timing.stage] = totals.get(timing.stage, 0.0) + timing.seconds
-        return totals
+        that executed at least once (cache hits contribute nothing)."""
+        return {stage: seconds
+                for stage, (seconds, _, misses) in self._stages.items()
+                if misses}
 
     def cache_stats(self) -> Dict[str, Dict[str, int]]:
         """Per-stage ``{"hits": n, "misses": m}`` counters.  A "miss" means
-        the session stage ran queries (even when the process-wide compile
-        cache supplied the artifacts; those show up in
-        :func:`repro.core.queries.compile_cache_stats` instead)."""
-        stats: Dict[str, Dict[str, int]] = {}
-        for timing in self.timings:
-            bucket = stats.setdefault(timing.stage, {"hits": 0, "misses": 0})
-            bucket["hits" if timing.cached else "misses"] += 1
-        return stats
+        the session stage ran queries (or, in a calyx-entry session, met a
+        netlist fingerprint it had not served yet)."""
+        return {stage: {"hits": hits, "misses": misses}
+                for stage, (_, hits, misses) in self._stages.items()}
 
     def query_stats(self) -> dict:
-        """The engine's query counters (executed / verified / shared hits).
+        """The engine's query counters (executed / verified / revision).
         Calyx-entry sessions run no queries; their counters are zero."""
         if self._calyx_entry is not None:
             from .queries import QueryStats
@@ -223,11 +212,10 @@ class CompilationSession:
             from .stdlib import with_stdlib
             start = time.perf_counter()
             self._program = with_stdlib(parse_program(self._source))
-            self._record("parse", "<source>", time.perf_counter() - start)
+            self._record("parse", time.perf_counter() - start)
         return self._program
 
     def _staged_query(self, stage: str, target: str, record_stage: str,
-                      record_target: str,
                       counted: Tuple[str, ...]):
         """Run one engine query, recording a session timing whose ``cached``
         flag reflects whether any query of the counted stages executed."""
@@ -237,8 +225,7 @@ class CompilationSession:
         value = engine.query(stage, target)
         seconds = time.perf_counter() - start
         executed = engine.executed_since(mark, counted)
-        self._record(record_stage, record_target, seconds,
-                     cached=not executed)
+        self._record(record_stage, seconds, cached=not executed)
         return value
 
     def check(self) -> CheckedProgram:
@@ -250,8 +237,8 @@ class CompilationSession:
         return self._check_inner()
 
     def _check_inner(self) -> CheckedProgram:
-        return self._staged_query("link_check", "<program>",
-                                  "check", "<program>", ("check",))
+        return self._staged_query("link_check", "<program>", "check",
+                                  ("check",))
 
     def lower(self, entrypoint: str):
         """Lower ``entrypoint`` (and its transitive user components) to Low
@@ -265,11 +252,10 @@ class CompilationSession:
     def _lower_inner(self, entrypoint: str):
         engine = self._ensure_engine()
         if engine.is_clean("link_lower", entrypoint):
-            self._record("lower", entrypoint, 0.0, cached=True)
+            self._record("lower", 0.0, cached=True)
             return engine.query("link_lower", entrypoint)
         self._check_inner()
-        return self._staged_query("link_lower", entrypoint,
-                                  "lower", entrypoint,
+        return self._staged_query("link_lower", entrypoint, "lower",
                                   ("lower", "link_lower"))
 
     def _calyx_target(self, entrypoint: Optional[str]) -> str:
@@ -285,19 +271,26 @@ class CompilationSession:
                 f"{', '.join(sorted(self._calyx_entry.components))})")
         return target
 
+    def _calyx_memoized(self, stage: str, start: float, compute):
+        """One stage of a calyx-entry session: its artifact as of the
+        current netlist fingerprint, computed again only when the
+        fingerprint moved since this stage last ran."""
+        memo = self._calyx_memo.get(stage)
+        cached = memo is not None and memo[0] == self._calyx_fingerprint
+        if not cached:
+            memo = self._calyx_memo[stage] = (self._calyx_fingerprint,
+                                              compute())
+        self._record(stage, time.perf_counter() - start, cached=cached)
+        return memo[1]
+
     def _calyx_stage(self, entrypoint: Optional[str]):
         """The ``calyx`` stage of a calyx-entry session: re-fingerprint the
-        netlist (mutation is survived, like Filament sessions) and consult
-        the process-wide compile cache — a warm recompile of an unchanged
-        generator design records a cache hit."""
-        target = self._calyx_target(entrypoint)
+        netlist (mutation is survived, like Filament sessions); a repeat
+        over an unchanged netlist records a cache hit."""
+        self._calyx_target(entrypoint)
         start = time.perf_counter()
         self.refresh()
-        _, cached = shared_artifact("calyx", self._calyx_fingerprint,
-                                    lambda: self._calyx_entry)
-        self._record("calyx", target, time.perf_counter() - start,
-                     cached=cached)
-        return self._calyx_entry
+        return self._calyx_memoized("calyx", start, lambda: self._calyx_entry)
 
     def calyx(self, entrypoint: str):
         """Translate ``entrypoint`` to a Calyx program (per-component
@@ -310,40 +303,31 @@ class CompilationSession:
     def _calyx_inner(self, entrypoint: str):
         engine = self._ensure_engine()
         if engine.is_clean("link_calyx", entrypoint):
-            self._record("calyx", entrypoint, 0.0, cached=True)
+            self._record("calyx", 0.0, cached=True)
             return engine.query("link_calyx", entrypoint)
         self._lower_inner(entrypoint)
-        return self._staged_query("link_calyx", entrypoint,
-                                  "calyx", entrypoint,
+        return self._staged_query("link_calyx", entrypoint, "calyx",
                                   ("calyx", "link_calyx"))
 
     def verilog(self, entrypoint: str) -> str:
         """Emit Verilog text for ``entrypoint`` (per-component module
         emission; only dirty modules re-emit)."""
         if self._calyx_entry is not None:
-            target = self._calyx_target(entrypoint)
-            self._calyx_stage(entrypoint)
-            from .fingerprint import fingerprint_text
             from .lower.verilog_backend import emit_verilog
-            start = time.perf_counter()
-            text, cached = shared_artifact(
-                "verilog", self._calyx_fingerprint,
-                lambda: emit_verilog(self._calyx_entry),
-                digest=fingerprint_text("verilog", self._calyx_fingerprint))
-            self._record("verilog", target, time.perf_counter() - start,
-                         cached=cached)
-            return text
+            self._calyx_stage(entrypoint)
+            return self._calyx_memoized(
+                "verilog", time.perf_counter(),
+                lambda: emit_verilog(self._calyx_entry))
         self._sync()
         return self._verilog_inner(entrypoint)
 
     def _verilog_inner(self, entrypoint: str) -> str:
         engine = self._ensure_engine()
         if engine.is_clean("verilog", entrypoint):
-            self._record("verilog", entrypoint, 0.0, cached=True)
+            self._record("verilog", 0.0, cached=True)
             return engine.query("verilog", entrypoint)
         self._calyx_inner(entrypoint)
-        return self._staged_query("verilog", entrypoint,
-                                  "verilog", entrypoint,
+        return self._staged_query("verilog", entrypoint, "verilog",
                                   ("vcomp", "verilog"))
 
     # -- the one-call API ------------------------------------------------------
@@ -383,9 +367,8 @@ class CompilationSession:
         and the build is recorded as a ``"kernel"`` stage timing.  Kernels
         are linked from per-component chunks in a process-wide cache (keyed
         by each component's plan, never its children's bodies), so a warm
-        recompile shows up as a cache hit exactly like the check/lower/calyx
-        stages do, and an edit regenerates only the edited component's
-        chunk.  With
+        rebuild shows up as a cache hit, and an edit regenerates only the
+        edited component's chunk.  With
         ``mode="native"`` the C kernel build is recorded the same way as a
         ``"native"`` stage timing (in-memory and on-disk cache hits both
         count as cached); its one entry serves scalar and lane batches
@@ -396,10 +379,10 @@ class CompilationSession:
         if mode in ("compiled", "native"):
             info = simulator.prepare()
             if mode == "native" and info["native"]:
-                self._record("native", entrypoint, info["native_seconds"],
+                self._record("native", info["native_seconds"],
                              cached=info["native_cached"])
             if info["kernel"]:
-                self._record("kernel", entrypoint, info["seconds"],
+                self._record("kernel", info["seconds"],
                              cached=info["cached"])
         return simulator
 

@@ -1,15 +1,16 @@
 """The crash-safe, content-addressed on-disk artifact store, and the one
 bounded in-memory cache every digest-keyed tier uses.
 
-:class:`DigestCache` is the process-wide LRU behind the compile cache
-(:mod:`repro.core.queries`), the engine plan cache
+:class:`DigestCache` is the process-wide LRU behind the engine plan cache
 (:mod:`repro.sim.engine`), the generated Python kernel chunk cache
 (:mod:`repro.sim.codegen`) and the loaded native program cache
 (:mod:`repro.sim.native`): a fixed bound, least-recently-used eviction,
-and hit / miss / eviction counters.  Those caches are memory-only except
-the native tier, whose compiled ``.so`` kernels are the one artifact a
-fresh process measurably gains from finding on disk (it skips ``cc``):
-they go to an :class:`ArtifactStore`, keyed by netlist digest.  A store
+and hit / miss / eviction counters.  Compile artifacts are not among
+them: they live in each session's own memo table
+(:mod:`repro.core.queries`).  Those caches are memory-only except the
+native tier, whose compiled ``.so`` kernels are the one artifact a fresh
+process measurably gains from finding on disk (it skips ``cc``): they go
+to an :class:`ArtifactStore`, keyed by a digest of their C text.  A store
 that serves ``.so`` files to many processes must survive torn writes,
 corruption, full disks and crashed writers without ever returning a wrong
 artifact — faults may cost a miss and a rebuild, never correctness.

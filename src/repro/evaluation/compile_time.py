@@ -25,7 +25,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.ast import ConstantPort, Invoke, Program
 from ..core.builder import ComponentBuilder, const
-from ..core.queries import compile_cache_disabled
 from ..core.session import CompilationSession
 from ..core.stdlib import with_stdlib
 from ..designs import (
@@ -179,7 +178,9 @@ def measure_sim_throughput(transactions: int = 24,
 # ---------------------------------------------------------------------------
 
 #: Each measurement builds a content-unique chain (the salt lands in a leaf
-#: constant) so "cold" really is cold in a warm process-wide compile cache.
+#: constant) so "cold" really is cold in a warm process: the engine plan
+#: cache and the kernel chunk cache are keyed by content and would
+#: otherwise serve a repeat measurement's simulator build.
 _CHAIN_SALTS = itertools.count(1)
 
 
@@ -188,7 +189,7 @@ class IncrementalTiming:
     """The incremental-edit figure for one K-component chain design: cold
     compile, warm recompile, and a recompile after an in-place edit of the
     leaf component — plus a from-scratch compile of the *mutated* program
-    (with the process-wide cache bypassed) as the byte-equality referee.
+    in a session of its own as the byte-equality referee.
 
     The simulator side of the same edit: ``rebuild_seconds`` rebuilds the
     compiled-tier harness simulator after the edit, with the pre-edit
@@ -279,7 +280,7 @@ def measure_incremental_compile(depth: int = 16,
     """The incremental-edit benchmark: cold-compile a ``depth``-component
     chain to Verilog, recompile warm, edit one leaf in place and recompile
     incrementally, then referee against a from-scratch compile of the
-    mutated program (process-wide cache bypassed).  The compiled-tier
+    mutated program in a new session.  The compiled-tier
     harness simulator is built before the edit and rebuilt after it, warm
     and then with the plan and kernel caches dropped."""
     from ..harness import harness_for
@@ -289,7 +290,7 @@ def measure_incremental_compile(depth: int = 16,
     # The edited constant lives at the top of the width's value range, far
     # from the small counter-assigned salts — were it ``salt + 1``, run N's
     # mutated program would be content-identical to run N+1's fresh chain
-    # and warm the "cold" compile through the process-wide cache.
+    # and warm the "cold" rebuild through the plan and chunk caches.
     edited_value = (1 << width) - 1 - salt
     program, entrypoint = chain_program(depth, width, salt=salt)
     session = CompilationSession(program)
@@ -323,12 +324,11 @@ def measure_incremental_compile(depth: int = 16,
 
     scratch_program, _ = chain_program(depth, width, salt=salt)
     edit_chain_leaf(scratch_program, edited_value)
-    with compile_cache_disabled():
-        scratch_session = CompilationSession(scratch_program)
-        start = time.perf_counter()
-        scratch_verilog = scratch_session.verilog(entrypoint)
-        scratch = time.perf_counter() - start
-        scratch_calyx = str(scratch_session.calyx(entrypoint))
+    scratch_session = CompilationSession(scratch_program)
+    start = time.perf_counter()
+    scratch_verilog = scratch_session.verilog(entrypoint)
+    scratch = time.perf_counter() - start
+    scratch_calyx = str(scratch_session.calyx(entrypoint))
 
     identical = (incremental_verilog == scratch_verilog
                  and incremental_calyx == scratch_calyx)
@@ -353,8 +353,8 @@ def measure_incremental_compile(depth: int = 16,
 
 #: Leaf values the depth sweep edits in, counted up from the top of the
 #: 16-bit range (far from ``measure_incremental_compile``'s values) so no
-#: edit is content-identical to anything compiled before it in the process:
-#: a compile-cache hit would print less than a real edit does.
+#: edit is content-identical to anything built before it in the process:
+#: a plan or chunk cache hit would cost less than a real edit does.
 _SWEEP_VALUES = itertools.count(0xC000)
 
 

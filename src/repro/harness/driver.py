@@ -452,10 +452,9 @@ def harness_for(program: Program, component: str,
     :class:`~repro.core.session.CompilationSession` otherwise, so repeated
     harnesses over one program hit the staged caches — and, since the
     session is incremental, editing a component between harnesses recompiles
-    only that component and its transitive dependents (everything else,
-    including content-identical programs compiled elsewhere in the process,
-    is served from the digest-keyed compile cache).  ``mode`` selects the
-    engine tier (compiled kernel by default, with automatic interpreter
+    only that component and its transitive dependents (everything else is
+    served from the session's memo table).  ``mode`` selects the engine
+    tier (compiled kernel by default, with automatic interpreter
     fallback)."""
     if calyx is None:
         session = session or CompilationSession.for_program(program)

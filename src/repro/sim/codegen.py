@@ -61,7 +61,7 @@ design — across sessions, harnesses and conformance runs — hits every
 chunk, and an edit to one component's body regenerates that component's
 chunk alone; :class:`~repro.core.session.CompilationSession` reports the
 hits next to its other stage timings.  :func:`netlist_digest`, the whole
-netlist's digest, keys the native tier's ``.so`` files.
+netlist's digest, keys the native tier's in-memory program cache.
 """
 
 from __future__ import annotations
@@ -926,7 +926,7 @@ def plan_slot_limbs(compilers: Dict[str, _ComponentCompiler]
 
 def netlist_digest(engine) -> str:
     """A stable digest of the netlist reachable from ``engine`` — the key
-    of the native tier's ``.so`` files.
+    of the native tier's loaded programs in one process.
 
     Beyond the printed structure (each plan's printed text), the digest
     covers each primitive cell's *model class identity*: the

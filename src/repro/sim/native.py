@@ -14,15 +14,17 @@ its kernels run at most ~1.5x slower (see :data:`_CFLAGS`), loaded
 through :mod:`ctypes`, and cached twice:
 
 * an on-disk tier in the crash-safe :class:`~repro.core.store.ArtifactStore`
-  (namespace ``native``), keyed by the ABI version, a tag of the build
-  flags and :func:`~repro.sim.codegen.netlist_digest`, so a recompile
-  across processes is a verified file load.  The root is
+  (namespace ``native``), keyed by a tag of the build flags and a digest
+  of the generated C text, so a recompile across processes is a verified
+  file load, and an emitter change that alters the C misses the store
+  instead of being served an object built from the old text.  The root is
   ``REPRO_STORE_DIR`` when set, else a private per-uid directory under the
   temp dir.  If publishing to the store fails (disk full, injected fault),
   the freshly built ``.so`` still runs out of its private build directory
   — a degradation, never a failure; and
 * a process-wide :class:`~repro.core.store.DigestCache` of 256 loaded
-  programs, keyed by the same digest.
+  programs, keyed by :func:`~repro.sim.codegen.netlist_digest` (one
+  process runs one emitter, so the netlist fixes the C text there).
 
 Every construct is emitted once, as the per-component ``settle``/``tick``
 functions, and one run entry drives them: ``k_run_lanes`` takes N
@@ -115,11 +117,6 @@ __all__ = [
     "native_cache_stats",
     "clear_native_cache",
 ]
-
-#: Bump when the generated C ABI changes, or when the emitted C can trace
-#: differently for an unchanged netlist digest (the digest hashes the
-#: netlist, not the C text): either invalidates the on-disk cache.
-_ABI = 6
 
 #: ``cc`` flags for every kernel build.  A digest of them is part of the
 #: on-disk key, so an object built with other flags is never served.
@@ -1648,7 +1645,8 @@ def native_for(engine) -> Tuple[NativeKernelProgram, bool, float]:
         raise NativeUnavailable("no C compiler (cc/gcc/clang) on PATH")
     store = _native_store()
     flags = hashlib.sha256(" ".join(_CFLAGS).encode()).hexdigest()[:8]
-    key = f"native_{_ABI}_{flags}_{digest[:32]}"
+    text = hashlib.sha256(source.encode()).hexdigest()[:32]
+    key = f"native_{flags}_{text}"
     so_path = store.get_path("native", key)
     disk_hit = so_path is not None
     if not disk_hit:

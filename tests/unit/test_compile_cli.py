@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.compile import main
+from repro.compile import _stage_table, main
+from repro.core.frontend import ReticleSource
 
 EXAMPLE = Path(__file__).resolve().parent.parent.parent / "examples" / "pipeline.fil"
 
@@ -16,7 +17,6 @@ def test_compiles_the_example_up_to_every_stage(capsys, upto):
     target = "'<program>'" if upto == "check" else "'Top'"
     assert f"compiled {target} up to {upto}" in out
     assert "stage" in out and "hits" in out and "misses" in out
-    assert "process-wide compile cache" in out
     assert "queries:" in out
 
 
@@ -82,7 +82,6 @@ class TestGeneratorFrontends:
         assert "compiled 'aetherling_conv2d_d3' up to verilog" in out
         assert "bundle fingerprint" in out
         assert "frontend" in out  # the generator stage has its own row
-        assert "process-wide compile cache" in out
 
     def test_default_designs_per_frontend(self, capsys):
         assert main(["--frontend", "pipelinec", "--quiet"]) == 0
@@ -102,31 +101,18 @@ class TestGeneratorFrontends:
                      "--emit", str(target)]) == 0
         assert "module reticle_dot9" in target.read_text()
 
-    def test_warm_recompile_prints_cache_hits_not_blanks(self, capsys):
-        # The whole point of the stats table on a warm run: every pipeline
-        # stage is a cache hit, zero seconds — the rows must still print.
-        assert main(["--frontend", "reticle", "tdot", "--quiet"]) == 0
-        capsys.readouterr()
-        assert main(["--frontend", "reticle", "tdot", "--quiet"]) == 0
-        out = capsys.readouterr().out
-        calyx_row = next(line for line in out.splitlines()
-                         if line.startswith("calyx"))
-        assert calyx_row.split()[-2:] == ["1", "0"]  # 1 hit, 0 misses
+    def test_warm_recompile_prints_cache_hits_not_blanks(self):
+        # The whole point of the stats table on a warm recompile: its
+        # stages are cache hits, zero seconds — the hits must still print.
+        bundle = ReticleSource("tdot").bundle()
+        session = bundle.session()
+        session.verilog(bundle.name)
+        session.verilog(bundle.name)
+        rows = {line.split()[0]: line.split()[-2:]
+                for line in _stage_table(session).splitlines()[1:]}
+        assert rows["calyx"] == rows["verilog"] == ["1", "1"]
 
     def test_missing_filament_source_is_a_parse_error(self, capsys):
         with pytest.raises(SystemExit):
             main(["--upto", "calyx"])
 
-
-def test_all_cache_hit_sessions_note_it_in_the_table():
-    from repro.compile import _stage_table
-    from repro.core.frontend import ReticleSource
-    from repro.core.session import CompilationSession
-
-    bundle = ReticleSource("tdot").bundle()
-    bundle.session().verilog(bundle.name)  # prime the process-wide cache
-    warm = CompilationSession.from_calyx(bundle.calyx, frontend="reticle")
-    warm.verilog(bundle.name)
-    table = _stage_table(warm)
-    assert "every stage served from the compile cache" in table
-    assert any(line.startswith("verilog") for line in table.splitlines())

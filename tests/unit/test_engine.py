@@ -705,8 +705,8 @@ class TestPlanOnlyEngines:
         return counts
 
     def test_an_edit_costs_the_same_at_any_depth(self, monkeypatch):
-        # Edit values no other test compiles: a compile-cache hit would
-        # print less than a real edit does.
+        # Edit values no other test builds: a plan or chunk cache hit
+        # would cost less than a real edit does.
         shallow = self._edit_counts(monkeypatch, 16, 0x2B71)
         deep = self._edit_counts(monkeypatch, 64, 0x2B72)
         assert shallow == deep

@@ -1,6 +1,6 @@
 """Fingerprint stability and sensitivity (:mod:`repro.core.fingerprint`).
 
-The content-addressed compile cache is only sound if fingerprints are
+The incremental query layer is only sound if fingerprints are
 *stable* — unchanged across a print → re-parse round trip of the printer's
 output, for every design and corpus entry — and *sensitive* — changed by
 any interface or body edit.
@@ -62,7 +62,7 @@ class TestStability:
 
     def test_fingerprint_is_object_independent(self):
         """Two independently built, content-identical programs fingerprint
-        identically (the process-wide cache key)."""
+        identically (what a frontend bundle's fingerprint is built from)."""
         from repro.designs import conv2d_base_program
         a, b = conv2d_base_program(), conv2d_base_program()
         assert fingerprint_snapshot(a) == fingerprint_snapshot(b)

@@ -3,14 +3,13 @@ calyx-entry compilation sessions behind it."""
 
 import pytest
 
-from repro.calyx.ir import Assignment, CellPort
+from repro.calyx.ir import Assignment, CellPort, PortSpec
 from repro.conformance.frontends import run_frontend_conformance
 from repro.core.errors import FilamentError
 from repro.core.frontend import (FRONTENDS, AetherlingSource, FilamentSource,
                                  PipelineCSource, ReticleSource, SourceBundle,
                                  design_root, frontend_source,
                                  generator_sources)
-from repro.core.queries import clear_compile_cache
 from repro.core.session import CompilationSession
 from repro.designs.alu import alu_program
 
@@ -40,15 +39,24 @@ class TestGeneratorBundles:
         assert source.bundle().fingerprint == source.bundle().fingerprint
 
     def test_warm_recompile_hits_the_process_cache(self, source):
-        clear_compile_cache()
-        name = source.bundle().name
-        cold = source.bundle().session()
-        cold.verilog(name)
-        warm = source.bundle().session()
-        warm.verilog(name)
-        stats = warm.cache_stats()
-        assert stats["calyx"]["hits"] >= 1
-        assert stats["verilog"]["hits"] >= 1
+        """A calyx-entry session memoizes its stages on the netlist
+        fingerprint: a repeat over an unchanged netlist hits at ``calyx``
+        and ``verilog`` and returns the same text; after an in-place edit
+        the next call misses and emits again."""
+        bundle = source.bundle()
+        session = bundle.session()
+        cold = session.verilog(bundle.name)
+        assert session.verilog(bundle.name) == cold
+        stats = session.cache_stats()
+        assert stats["calyx"] == stats["verilog"] == {"hits": 1, "misses": 1}
+
+        top = bundle.calyx.get(bundle.name)
+        top.outputs.append(PortSpec("probe", 1))
+        top.wires.append(Assignment(CellPort(None, "probe"), 1))
+        edited = session.verilog(bundle.name)
+        assert edited != cold and "probe" in edited
+        stats = session.cache_stats()
+        assert stats["calyx"] == stats["verilog"] == {"hits": 1, "misses": 2}
 
     def test_golden_model_matches_the_engine(self, source):
         result = run_frontend_conformance(source, transactions=4)

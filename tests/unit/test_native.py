@@ -11,7 +11,6 @@ UBSan-clean at the production flags, and the bounded
 """
 
 import ctypes
-import hashlib
 import os
 import random
 import subprocess
@@ -41,7 +40,6 @@ from repro.harness import harness_for, random_transactions
 from repro.sim import Simulator, X, clear_native_cache, compiler_available
 from repro.sim import create_primitive
 from repro.sim import native as native_module
-from repro.sim.codegen import netlist_digest
 from repro.sim.engine import rows_to_columns
 
 from test_codegen import (
@@ -206,67 +204,48 @@ class TestNativeCache:
         assert not cached
         assert native_module.native_cache_stats()["disk_hits"] == 0
         assert ArtifactStore(tmp_path).entry_count() == 2
-        # Same ABI and digest, different flags tag.
-        (abi, tag, digest), (abi2, tag2, digest2) = (
+        # Same C text digest, different flags tag.
+        (tag, digest), (tag2, digest2) = (
             path.stem.split("_")[1:]
             for path in sorted(tmp_path.rglob("native_*.bin")))
-        assert (abi, digest) == (abi2, digest2) and tag != tag2
+        assert digest == digest2 and tag != tag2
         clear_native_cache()
 
-    def test_object_under_the_previous_abi_key_is_rebuilt(self, tmp_path,
-                                                          monkeypatch):
-        """A ``.so`` stored under the previous ABI must never be served:
-        it may take other argtypes, or trace differently for the same
-        netlist digest.  The planted key differs from the current one in
-        the ABI alone, so the old object is not even looked up."""
-        monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path / "store"))
-        clear_native_cache()
-        engine = Simulator(_guarded_program(), mode="native")
-        # ABI 4's symbol set, whose lane entry took no per-lane cycle
-        # counts; it reports a bogus conflict.
-        stale_c = tmp_path / "stale.c"
-        stale_c.write_text(
-            "#include <stdint.h>\n"
-            "int64_t k_state_bytes(void) { return 64; }\n"
-            "void k_reset(void* p, int64_t nl) { (void)p; (void)nl; }\n"
-            "void k_peek(void* p, int64_t s, int64_t w, uint64_t* v,\n"
-            "            uint8_t* x) { (void)p; (void)s; (void)w;\n"
-            "                          *v = 0; *x = 1; }\n"
-            "int64_t k_run_lanes(void* p, int64_t nl, int64_t ncy,\n"
-            "    const uint64_t* iv, const uint8_t* ix, uint64_t* ov,\n"
-            "    uint8_t* ox, int64_t* eplan, int64_t* elane, uint64_t* ev,\n"
-            "    uint8_t* ex) {\n"
-            "    (void)p; (void)nl; (void)ncy; (void)iv; (void)ix;\n"
-            "    (void)ov; (void)ox; (void)ev; (void)ex;\n"
-            "    eplan[0] = 0; elane[0] = 0; return 0;\n"
-            "}\n")
-        stale_so = tmp_path / "stale.so"
-        subprocess.run([native_module.find_compiler(), "-shared", "-fPIC",
-                        "-o", str(stale_so), str(stale_c)], check=True)
-        flags = hashlib.sha256(
-            " ".join(native_module._CFLAGS).encode()).hexdigest()[:8]
-        digest = netlist_digest(engine)[:32]
-        stale_key = f"native_{native_module._ABI - 1}_{flags}_{digest}"
-        assert ArtifactStore(tmp_path / "store").put_file(
-            "native", stale_key, stale_so)
+    def test_a_changed_c_text_misses_a_warm_store(self, tmp_path,
+                                                  monkeypatch):
+        """The store key digests the generated C text, so an emitter change
+        that alters the C is built afresh from a warm store instead of
+        being served the object built from the old text."""
+        monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path))
+        program = _single_cell_program("Add", (8,),
+                                       {"left": 8, "right": 8})
+        for expect_cached in (False, True):  # cold, then a warm disk hit
+            clear_native_cache()
+            _, cached, _ = native_module.native_for(
+                Simulator(program, mode="native"))
+            assert cached is expect_cached
 
-        program, cached, _ = native_module.native_for(engine)
-        assert not cached and not program.disk_hit
-        assert sorted(path.stem for path in tmp_path.rglob("native_*.bin")) \
-            == [stale_key, f"native_{native_module._ABI}_{flags}_{digest}"]
-        with pytest.raises(SimulationError) as info:
-            engine.run_batch(TestConflictParity.CONFLICT)
-        assert engine.uses_native(), engine.native_fallback_reason
-        compiled = Simulator(_guarded_program(), mode="compiled")
-        with pytest.raises(SimulationError) as want:
-            compiled.run_batch(TestConflictParity.CONFLICT)
-        assert str(info.value) == str(want.value)
-        assert "(values ['3', '4'])" in str(info.value)
+        clear_native_cache()
+        emit = native_module.generate_c_source
+
+        def edited(engine):
+            source, layout, plans = emit(engine)
+            return source + "\n/* emitter change */\n", layout, plans
+
+        monkeypatch.setattr(native_module, "generate_c_source", edited)
+        built, cached, _ = native_module.native_for(
+            Simulator(program, mode="native"))
+        assert not cached and not built.disk_hit
+        assert native_module.native_cache_stats()["disk_hits"] == 0
+        assert ArtifactStore(tmp_path).entry_count() == 2
         clear_native_cache()
 
 
 @needs_cc
-def test_native_session_records_one_native_stage_per_entrypoint():
+def test_native_session_records_one_native_stage_per_entrypoint(
+        tmp_path, monkeypatch):
+    monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path))
+    clear_native_cache()
     session = CompilationSession.from_source("""
 comp first<G: 1>(
   @interface[G] go: 1,
@@ -284,9 +263,8 @@ comp second<G: 1>(
     for entrypoint in ("first", "second"):
         simulator = session.simulator(entrypoint, mode="native")
         assert simulator.uses_native(), simulator.native_fallback_reason
-    stages = [(timing.stage, timing.target) for timing in session.timings
-              if timing.stage.startswith("native")]
-    assert stages == [("native", "first"), ("native", "second")]
+    assert session.cache_stats()["native"] == {"hits": 0, "misses": 2}
+    clear_native_cache()
 
 
 @needs_cc

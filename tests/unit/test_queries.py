@@ -6,11 +6,6 @@ from repro.core import CompilationSession, FilamentError
 from repro.core.ast import Connect, ConstantPort, PortDef, PortRef
 from repro.core.events import Interval, evt
 from repro.core.parser import parse_program
-from repro.core.queries import (
-    clear_compile_cache,
-    compile_cache_disabled,
-    compile_cache_stats,
-)
 from repro.core.stdlib import with_stdlib
 from repro.evaluation import chain_program, edit_chain_leaf
 
@@ -111,10 +106,9 @@ class TestInvalidation:
 
         scratch_program, _ = chain_program(6, salt=1000001)
         edit_chain_leaf(scratch_program, 77)
-        with compile_cache_disabled():
-            scratch = CompilationSession(scratch_program)
-            assert str(scratch.calyx(entrypoint)) == incremental_calyx
-            assert scratch.verilog(entrypoint) == incremental_verilog
+        scratch = CompilationSession(scratch_program)
+        assert str(scratch.calyx(entrypoint)) == incremental_calyx
+        assert scratch.verilog(entrypoint) == incremental_verilog
 
     def test_removing_a_component_fails_like_a_scratch_compile(self):
         program = _program()
@@ -125,46 +119,21 @@ class TestInvalidation:
             session.calyx("Top")
 
 
-class TestProcessWideCache:
-    def test_content_identical_sessions_share_artifacts(self):
-        clear_compile_cache()
-        first = CompilationSession(_program())
-        a = first.calyx("Top")
-        before = compile_cache_stats()
-        second = CompilationSession(_program())
-        b = second.calyx("Top")
-        after = compile_cache_stats()
-        assert after["hits"] > before["hits"]
-        # The per-component Calyx artifacts are literally shared.
-        assert b.get("Leaf") is a.get("Leaf")
-        assert b.get("Top") is a.get("Top")
-
-    def test_disabled_context_bypasses_reads_and_writes(self):
-        clear_compile_cache()
-        with compile_cache_disabled():
-            CompilationSession(_program()).calyx("Top")
-            stats = compile_cache_stats()
-            assert stats["entries"] == 0 and stats["misses"] == 0
-
-    def test_cache_is_a_bounded_lru(self, monkeypatch):
-        from repro.core import queries
-
-        monkeypatch.setattr(queries._ARTIFACTS, "bound", 2)
-        clear_compile_cache()
-        try:
-            CompilationSession(_program()).calyx("Top")
-            stats = compile_cache_stats()
-            assert stats["entries"] <= 2
-            assert stats["evicted"] > 0
-        finally:
-            clear_compile_cache()
+class TestSessionIsolation:
+    def test_content_identical_sessions_share_no_artifact(self):
+        """Each session compiles its own program: content-identical
+        programs yield equal Calyx, but no component object of one is
+        served to the other."""
+        a = CompilationSession(_program()).calyx("Top")
+        b = CompilationSession(_program()).calyx("Top")
+        assert str(b) == str(a)
+        for name in ("Leaf", "Mid", "Top"):
+            assert b.get(name) is not a.get(name)
 
     def test_in_place_mutation_cannot_poison_old_cache_entries(self):
-        """A cached checked artifact references the AST component it was
-        computed from; mutating that object in place must not leak the new
-        content to a content-identical-to-old program (shared artifacts are
-        rebound to each consumer's own component on hit)."""
-        clear_compile_cache()
+        """A checked artifact references the AST component it was computed
+        from; mutating that object in place must not leak the new content
+        to a content-identical-to-old program compiled afterwards."""
         program = _program()
         session = CompilationSession(program)
         session.calyx("Top")
@@ -180,24 +149,23 @@ class TestProcessWideCache:
         assert "9" not in str(calyx.get("Leaf"))
 
     def test_foreign_mutation_cannot_reach_a_sharing_session(self):
-        """Sharing order reversed: B takes a shared check hit *before* A
-        mutates.  B's memoized artifact must be bound to B's own component,
-        so A's later in-place edit neither changes B's output nor poisons
-        the process-wide cache under B's pristine fingerprint."""
-        clear_compile_cache()
+        """Order reversed: B checks a content-identical program *before*
+        A mutates.  B's memoized artifact must be bound to B's own
+        component, so A's later in-place edit neither changes B's output
+        nor that of a fresh session over the original content."""
         program_a = _program()
         session_a = CompilationSession(program_a)
-        session_a.check()  # seeds the process-wide check artifacts
+        session_a.check()
         program_b = _program()
         session_b = CompilationSession(program_b)
-        session_b.check()  # shared hit: must rebind to B's components
-        _edit_leaf_body(program_a, 9)  # A mutates AFTER B's hit
+        session_b.check()
+        _edit_leaf_body(program_a, 9)  # A mutates AFTER B checked
         verilog_b = session_b.verilog("Top")
         assert "8'd1" in verilog_b or "'d1" in verilog_b
         assert "9" not in verilog_b.split("module Leaf", 1)[1].split(
             "endmodule", 1)[0]
         # A third, completely fresh session over the original source must
-        # also see the original constant (the cache was not poisoned).
+        # also see the original constant.
         fresh = CompilationSession(_program()).verilog("Top")
         assert fresh == verilog_b
 
@@ -213,7 +181,6 @@ class TestSeededChecks:
         from repro.core.errors import FilamentError as CheckError
         from repro.core.printer import format_program
 
-        clear_compile_cache()
         program_1 = _program()
         checked_1 = check_program(program_1)
         # Same Mid/Top text, but Leaf's interface changed incompatibly:
@@ -226,8 +193,7 @@ class TestSeededChecks:
         session = CompilationSession(program_2, checked=checked_1)
         with pytest.raises(CheckError):
             session.calyx("Top")
-        # And the poisoned artifact was never published: a fresh session
-        # over the same content also rejects it.
+        # And a fresh session over the same content rejects it too.
         with pytest.raises(CheckError):
             CompilationSession(with_stdlib(parse_program(
                 format_program(program_2, include_externs=False)))
@@ -237,9 +203,8 @@ class TestSeededChecks:
         program = _program()
         from repro.core import check_program
         checked = check_program(program)
-        with compile_cache_disabled():
-            session = CompilationSession(program, checked=checked)
-            calyx = session.calyx("Top")
+        session = CompilationSession(program, checked=checked)
+        calyx = session.calyx("Top")
         assert calyx.entrypoint == "Top"
 
 
@@ -270,13 +235,12 @@ class TestSessionFacade:
 
 def _scratch_verilog(program, entrypoint):
     """``entrypoint``'s Verilog compiled from a printed copy of
-    ``program``, with the process-wide cache bypassed."""
+    ``program`` in a session of its own."""
     from repro.core.printer import format_program
 
     copy = with_stdlib(parse_program(
         format_program(program, include_externs=False)))
-    with compile_cache_disabled():
-        return CompilationSession(copy).verilog(entrypoint)
+    return CompilationSession(copy).verilog(entrypoint)
 
 
 class TestIdentityMemoAndSuspectMarks:

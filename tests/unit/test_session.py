@@ -6,6 +6,7 @@ from repro.core import CompilationSession, FilamentError
 from repro.core.lower import compile_program, lower_program
 from repro.core.lower.low_filament import LowProgram
 from repro.designs import conv2d_base_program, divider_program
+from repro.evaluation import chain_program, edit_chain_leaf
 
 
 SOURCE = """
@@ -51,8 +52,7 @@ class TestStagedCompilation:
         session = CompilationSession.from_source(SOURCE)
         calyx = session.compile("main")
         assert calyx.entrypoint == "main"
-        assert [t.stage for t in session.timings if not t.cached][:2] == \
-            ["parse", "check"]
+        assert list(session.stage_seconds())[:2] == ["parse", "check"]
 
 
 class TestMemoization:
@@ -178,6 +178,21 @@ class TestInstrumentation:
         seconds = session.stage_seconds()
         assert set(seconds) == {"check", "lower", "calyx", "verilog"}
         assert all(value >= 0.0 for value in seconds.values())
+
+    def test_a_long_edit_session_keeps_one_total_per_stage(self):
+        """Stage timings are running totals, not one record per call:
+        200 leaf edits leave one entry per stage, and every edit is
+        among ``verilog``'s misses."""
+        program, entrypoint = chain_program(4)
+        session = CompilationSession(program)
+        session.verilog(entrypoint)
+        for value in range(1, 201):
+            edit_chain_leaf(program, value)
+            session.verilog(entrypoint)
+        assert sorted(session._stages) == ["calyx", "check", "lower",
+                                           "verilog"]
+        assert session.cache_stats()["verilog"] == {"hits": 0,
+                                                    "misses": 201}
 
     def test_cache_hits_contribute_no_stage_time(self):
         session = CompilationSession(conv2d_base_program())

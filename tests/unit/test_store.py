@@ -1,6 +1,6 @@
 """The crash-safe artifact store: publish atomicity, verify-on-read,
 quarantine, pruning under grace, the process-default plumbing, and the
-memory-only compile cache that never touches it."""
+compile sessions that never touch it."""
 
 import json
 import os
@@ -8,17 +8,14 @@ import os
 import pytest
 
 from repro.core import store as store_module
-from repro.core.queries import (
-    clear_compile_cache,
-    compile_cache_stats,
-    shared_artifact,
-)
+from repro.core.session import CompilationSession
 from repro.core.store import (
     ArtifactStore,
     default_store,
     reset_default_store,
     set_default_store,
 )
+from repro.evaluation.compile_time import chain_program
 
 
 @pytest.fixture()
@@ -185,48 +182,20 @@ def test_concurrent_lock_is_exclusive(store):
     assert any("lock" in d["reason"] for d in store.degradations)
 
 
-# -- the compile cache stays in memory ------------------------------------------
+# -- compile artifacts stay in memory ------------------------------------------
 
 def test_compile_cache_never_touches_the_store(tmp_path):
-    """Compile artifacts live only in the in-memory cache: after
-    :func:`clear_compile_cache` (a fresh process) they are recomputed, and
-    the configured store sees no write."""
+    """Compile artifacts live only in each session's memo table: two
+    sessions compiling one program to Verilog write nothing to the
+    configured store."""
     store = ArtifactStore(tmp_path)
     token = set_default_store(store)
     try:
-        clear_compile_cache()
-        calls = []
-
-        def compute():
-            calls.append(1)
-            return "module generated();endmodule"
-
-        value, hit = shared_artifact("verilog", "fp-memory-1", compute)
-        assert value == "module generated();endmodule" and not hit
-        clear_compile_cache()
-        value, hit = shared_artifact("verilog", "fp-memory-1", compute)
-        assert value == "module generated();endmodule" and not hit
-        assert calls == [1, 1]
-        assert compile_cache_stats()["misses"] == 1
+        program, entrypoint = chain_program(3)
+        texts = [CompilationSession(program).verilog(entrypoint)
+                 for _ in range(2)]
+        assert texts[0] == texts[1] and "module Chain2" in texts[0]
         assert store.stats["writes"] == 0
+        assert store.entry_count() == 0
     finally:
         reset_default_store(token)
-        clear_compile_cache()
-
-
-def test_non_text_stages_stay_memory_only(tmp_path):
-    """A non-text stage is served from memory on the next lookup, the
-    cache keeps no disk counters, and the store sees no write."""
-    store = ArtifactStore(tmp_path)
-    token = set_default_store(store)
-    try:
-        clear_compile_cache()
-        value, hit = shared_artifact("schedule", "fp-other", lambda: object())
-        assert not hit
-        again, hit = shared_artifact("schedule", "fp-other", lambda: object())
-        assert hit and again is value
-        assert "disk_writes" not in compile_cache_stats()
-        assert store.stats["writes"] == 0
-    finally:
-        reset_default_store(token)
-        clear_compile_cache()
