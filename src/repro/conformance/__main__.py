@@ -15,27 +15,32 @@ Examples::
     python -m repro.conformance --seeds 200 --jobs 4 --rounds 2 \\
         --require-progress --ledger merged-ledger.json
 
-Exit status is non-zero when any program diverges.  Failures print a
-one-line repro command and are shrunk to minimal reproducers unless
-``--no-shrink`` is given.
+Every seed range and every replay runs through
+:func:`repro.conformance.parallel.run_shards` (one shard runs in this
+process), so every flag means the same at any ``--jobs``: the ledger and
+any corpus written are byte-identical for one job and for N.  Exit status is non-zero when any program diverges.  Failures
+print a one-line repro command and are shrunk here, in the parent
+process, to minimal reproducers unless ``--no-shrink`` is given.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
-from typing import List, Optional, Set
+from typing import List, Optional
 
-from .corpus import corpus_entry, load_entries, replay_entry, write_entry
+from . import parallel
+from .corpus import load_entries
 from .coverage import CoverageLedger, cell_universe, cells_of_record
-from .differential import default_engines, run_conformance
 from .faults import run_fault_schedule
 from .frontends import frontend_conformance_sweep
-from .generator import GeneratorConfig, build, generate
-from .parallel import distill_corpus, run_rounds
+from .generator import GeneratorConfig, ProgramSpec, build
+from .parallel import (RoundResult, ShardFailure, distill_corpus,
+                       run_rounds, run_shards)
 from .shrink import divergence_categories, shrink, spec_fails
-from .steering import SteeringPlan, plan_from_ledger, steer_config
+from .steering import SteeringPlan, plan_from_ledger
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -59,13 +64,14 @@ def _parser() -> argparse.ArgumentParser:
                         help="engines to include in the differential matrix "
                              "(repeatable; default: all four)")
     parser.add_argument("--jobs", type=int, default=1,
-                        help="shard the seed range over N worker processes "
-                             "with a deterministic merged ledger (default 1)")
+                        help="shard the seed range or replay over N worker "
+                             "processes with a deterministic merged ledger "
+                             "(default 1)")
     parser.add_argument("--shard-timeout", type=float, default=None,
                         metavar="SECONDS",
-                        help="with --jobs > 1: kill a worker shard that "
-                             "exceeds this wall clock, salvage its partial "
-                             "ledger and retry its unfinished seeds "
+                        help="run every shard in a worker process, kill one "
+                             "that exceeds this wall clock, salvage its "
+                             "partial ledger and retry its unfinished jobs "
                              "(default: no timeout)")
     parser.add_argument("--faults", type=int, default=None, metavar="N",
                         help="run the fault-injection persistence way over "
@@ -90,9 +96,9 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("--x-stimulus", type=float, default=None,
                         metavar="P",
                         help="drop each stimulus port from each transaction "
-                             "with probability P, driving X inside "
-                             "availability windows (default: the plan's "
-                             "x_probability, else 0)")
+                             "with probability P in every round, driving X "
+                             "inside availability windows (default: each "
+                             "round's plan x_probability, else 0)")
     parser.add_argument("--require-progress", action="store_true",
                         help="with --rounds >= 2: fail unless steering "
                              "strictly grew cell coverage over the blind "
@@ -223,85 +229,107 @@ def _run_faults(args: argparse.Namespace, config: GeneratorConfig) -> int:
     return _finish(ledger, failures, args, config)
 
 
-def _run_parallel(args: argparse.Namespace, config: GeneratorConfig,
-                  engine_names: List[str],
-                  initial_plan: Optional[SteeringPlan],
-                  frontend_records=(), frontend_failures: int = 0) -> int:
-    plan_dir = Path(args.save_plan).parent if args.save_plan else Path(".")
-    rounds = run_rounds(
-        start=args.start,
-        total=args.seeds,
-        rounds=args.rounds,
-        jobs=args.jobs,
-        config=config,
-        engine_names=engine_names,
-        transactions=args.transactions,
-        lanes=args.lanes,
-        roundtrip=not args.no_roundtrip,
-        incremental=not args.no_incremental,
-        reimport=not args.no_reimport,
-        plan_dir=plan_dir,
-        initial_plan=initial_plan,
-        shard_timeout=args.shard_timeout,
-    )
+def _label(outcome) -> str:
+    return outcome.name if outcome.seed is None else f"seed {outcome.seed}"
 
+
+def _shrink(failure: ShardFailure, args: argparse.Namespace, engines,
+            x_probability: float) -> None:
+    """Shrink one divergence to a minimal reproducer and print it."""
+    # The predicate must reproduce *this* failure: same stimulus seed,
+    # transaction count and round-trip setting, and the same divergence
+    # categories.
+    categories = divergence_categories(failure.divergences)
+
+    def reproduces(spec) -> bool:
+        return spec_fails(spec,
+                          engines=engines,
+                          transactions=args.transactions,
+                          seed=0 if failure.seed is None else failure.seed,
+                          roundtrip=not args.no_roundtrip,
+                          incremental="incremental" in categories,
+                          reimport="verilog-reimport" in categories,
+                          categories=categories,
+                          lanes=args.lanes,
+                          x_probability=x_probability)
+
+    spec = ProgramSpec.from_dict(failure.spec)
+    if not reproduces(spec):
+        print("    (failure did not reproduce under the shrink predicate; "
+              "no reproducer printed)")
+        return
+    reproducer = build(shrink(spec, reproduces))
+    print(f"    shrunk to {reproducer.statements()} statement(s):")
+    for line in reproducer.text().splitlines():
+        print(f"      {line}")
+
+
+def _report(rounds: List[RoundResult], args: argparse.Namespace,
+            engines) -> int:
+    """Print every round from its records and failures, shrinking each
+    divergence; returns the failure count."""
     merged = CoverageLedger()
-    failures = frontend_failures
+    failures = 0
     for round_result in rounds:
-        label = (f"round {round_result.index + 1}/{len(rounds)}: seeds "
-                 f"{round_result.seeds[0]}..{round_result.seeds[-1]} "
-                 f"({round_result.run.jobs} job(s))")
-        if round_result.plan is not None:
-            label += f", plan {round_result.plan.digest()}"
-        print(label)
-        merged = merged.merge(round_result.run.ledger)
-        for crash in round_result.run.crashes:
+        run = round_result.run
+        if not args.replay:
+            label = (f"round {round_result.index + 1}/{len(rounds)}: seeds "
+                     f"{round_result.seeds[0]}..{round_result.seeds[-1]} "
+                     f"({run.jobs} job(s))")
+            if round_result.plan is not None:
+                label += f", plan {round_result.plan.digest()}"
+            print(label)
+        merged = merged.merge(run.ledger)
+        for record in run.records:
+            if not args.quiet and not record.divergences:
+                ops = ",".join(sorted(record.ops)) or "passthrough"
+                path = "scheduled" if record.scheduled else "fallback"
+                print(f"  {_label(record)}: ok ({record.statements} stmts, "
+                      f"II={record.ii}, {path}; {ops})")
+        for crash in run.crashes:
             status = "requeued" if crash.requeued else "nothing to requeue"
             print(f"  worker crash (attempt {crash.attempt}): {crash.reason}; "
-                  f"{crash.salvaged} seed(s) salvaged, "
+                  f"{crash.salvaged} job(s) salvaged, "
                   f"{len(crash.seeds)} unfinished ({status})")
-        for failure in round_result.run.failures:
+        for failure in run.failures:
             failures += 1
             if failure.kind in ("crash", "timeout"):
-                print(f"  seed {failure.seed}: WORKER {failure.kind.upper()}"
-                      f" ({failure.reason})")
+                print(f"  {_label(failure)}: WORKER "
+                      f"{failure.kind.upper()} ({failure.reason})")
             else:
-                print(f"  seed {failure.seed}: DIVERGED")
-                print("    " + "\n    ".join(failure.divergences))
+                print(f"  {_label(failure)}: DIVERGED")
+                print("    " + "\n    ".join(failure.divergences[:10]))
             if failure.repro:
                 print(f"    repro: {failure.repro}")
+            if failure.kind == "divergence" and not args.no_shrink:
+                _shrink(failure, args, engines,
+                        round_result.config.x_probability)
         if not args.quiet:
             covered = len(merged.covered_cells() & cell_universe())
             print(f"  merged cell coverage: {covered}/{len(cell_universe())}")
+    return failures
 
-    if args.require_progress and len(rounds) >= 2:
-        blind = set()
-        for record in rounds[0].run.records:
-            blind |= cells_of_record(record)
-        final = merged.covered_cells()
-        lost = sorted(blind - final)
-        if lost:
-            print(f"PROGRESS CHECK FAILED: {len(lost)} previously covered "
-                  f"cell(s) left uncovered, e.g. {lost[:3]}")
-            failures += 1
-        elif not (final - blind):
-            print("PROGRESS CHECK FAILED: steering added no coverage cell "
-                  "over the blind round")
-            failures += 1
-        else:
-            print(f"progress: steering added "
-                  f"{len(final - blind)} cell(s) over the blind round")
 
-    if args.write_corpus:
-        written = distill_corpus(rounds, args.write_corpus,
-                                 limit=args.corpus_limit)
-        print(f"distilled corpus: {len(written)} coverage-adding entr(y/ies) "
-              f"written to {args.write_corpus}")
-
-    # Frontend records join the ledger only after the progress check, which
-    # must compare steered vs. blind *fuzz* coverage alone.
-    merged = CoverageLedger(list(frontend_records)).merge(merged)
-    return _finish(merged, failures, args, config)
+def _progress_failed(blind_round: RoundResult,
+                     fuzz: CoverageLedger) -> bool:
+    """``--require-progress``: steering must have added a cell over the
+    blind round and lost none."""
+    blind = set()
+    for record in blind_round.run.records:
+        blind |= cells_of_record(record)
+    final = fuzz.covered_cells()
+    lost = sorted(blind - final)
+    if lost:
+        print(f"PROGRESS CHECK FAILED: {len(lost)} previously covered "
+              f"cell(s) left uncovered, e.g. {lost[:3]}")
+        return True
+    if not (final - blind):
+        print("PROGRESS CHECK FAILED: steering added no coverage cell "
+              "over the blind round")
+        return True
+    print(f"progress: steering added {len(final - blind)} cell(s) over the "
+          f"blind round")
+    return False
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -309,11 +337,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     config = GeneratorConfig()
     if args.max_ops is not None:
-        overridden = config.to_dict()
-        overridden["max_ops"] = args.max_ops
-        config = GeneratorConfig.from_dict(overridden)
+        if args.max_ops < config.min_ops:
+            parser.error(f"--max-ops needs N >= {config.min_ops} (the "
+                         f"generator's min_ops)")
+        config = replace(config, max_ops=args.max_ops)
 
-    available = default_engines()
+    # The runner's engine registry, so one swapped in by a test reaches
+    # the validation below, the workers and the shrinker alike.
+    available = parallel.default_engines()
     if args.engines:
         unknown = sorted(set(args.engines) - set(available))
         if unknown:
@@ -323,6 +354,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error("--require-progress needs --rounds >= 2")
     if args.distill and not args.write_corpus:
         parser.error("--distill needs --write-corpus")
+    if args.write_corpus and args.replay:
+        parser.error("--write-corpus mints generated programs; it does not "
+                     "apply to --replay")
     if args.frontends_full and not args.frontends:
         parser.error("--frontends-full needs --frontends")
     if args.frontends and args.frontends not in (
@@ -336,137 +370,64 @@ def main(argv: Optional[List[str]] = None) -> int:
             parser.error("--faults needs N >= 1")
         return _run_faults(args, config)
 
-    plan: Optional[SteeringPlan] = None
-    plan_digest: Optional[str] = None
-    base_config = config
-    if args.plan:
-        plan = SteeringPlan.load(args.plan)
-        plan_digest = plan.digest()
-        config = steer_config(config, plan)
-    x_probability = args.x_stimulus if args.x_stimulus is not None else (
-        plan.x_probability if plan is not None else 0.0)
-
-    engines = dict(available)
-    if args.engines:
-        engines = {name: factory for name, factory in engines.items()
-                   if name in set(args.engines)}
-
+    plan = SteeringPlan.load(args.plan) if args.plan else None
+    engines = {name: factory for name, factory in available.items()
+               if not args.engines or name in args.engines}
     frontend_records: List = []
-    frontend_failures = 0
+    failures = 0
     if args.frontends:
-        frontend_records, frontend_failures = _run_frontends(args, engines)
+        frontend_records, failures = _run_frontends(args, engines)
 
-    if not args.replay and (args.jobs > 1 or args.rounds > 1):
-        engine_names = sorted(args.engines) if args.engines \
-            else sorted(available)
-        print(f"running seeds {args.start}..{args.start + args.seeds - 1} "
-              f"({args.jobs} job(s), {args.rounds} round(s))")
-        # run_rounds re-applies the plan itself, so hand it the unsteered
-        # config plus the plan (round 0 steered, later rounds re-derived).
-        return _run_parallel(args, base_config, engine_names, plan,
-                             frontend_records, frontend_failures)
-
-    ledger = CoverageLedger(frontend_records)
-    failures = frontend_failures
-    distilled_cells: Set[tuple] = set()
-    distilled_written = 0
-
+    campaign = dict(jobs=args.jobs, engine_names=sorted(engines),
+                    transactions=args.transactions, lanes=args.lanes,
+                    roundtrip=not args.no_roundtrip,
+                    incremental=not args.no_incremental,
+                    reimport=not args.no_reimport,
+                    shard_timeout=args.shard_timeout)
     if args.replay:
         entries = load_entries(args.replay)
         if not entries:
             print(f"no corpus entries found in {args.replay}")
             return 1
-        jobs = [(entry.get("seed"), lambda e=entry: replay_entry(e))
-                for _, entry in entries]
         print(f"replaying {len(entries)} corpus entr(y/ies) from "
-              f"{args.replay}")
+              f"{args.replay} ({args.jobs} job(s))")
+        x_probability = args.x_stimulus if args.x_stimulus is not None \
+            else (plan.x_probability if plan is not None else 0.0)
+        run = run_shards(
+            [entry for _, entry in entries], x_probability=x_probability,
+            plan_digest=plan.digest() if plan is not None else None,
+            **campaign)
+        rounds = [RoundResult(
+            index=0, seeds=[], run=run, plan=plan,
+            config=replace(config, x_probability=x_probability))]
     else:
-        seeds = range(args.start, args.start + args.seeds)
-        jobs = [(seed, lambda s=seed: generate(s, config)) for seed in seeds]
-        print(f"running seeds {args.start}..{args.start + args.seeds - 1}")
+        print(f"running seeds {args.start}..{args.start + args.seeds - 1} "
+              f"({args.jobs} job(s), {args.rounds} round(s))"
+              if args.seeds > 0 else "running no generator seeds")
+        # run_rounds applies the plan itself (round 0 steered, later
+        # rounds re-derived), so hand it the unsteered config.
+        rounds = run_rounds(
+            start=args.start, total=args.seeds, rounds=args.rounds,
+            config=config, initial_plan=plan,
+            plan_dir=Path(args.save_plan).parent if args.save_plan else ".",
+            x_probability=args.x_stimulus, **campaign)
 
-    for seed, thunk in jobs:
-        generated = thunk()
-        result = run_conformance(
-            generated,
-            transactions=args.transactions,
-            seed=0 if seed is None else seed,
-            engines=engines,
-            roundtrip=not args.no_roundtrip,
-            lanes=args.lanes,
-            incremental=not args.no_incremental,
-            reimport=not args.no_reimport,
-            x_probability=x_probability,
-            plan_digest=plan_digest,
-        )
-        result.seed = seed
-        if result.coverage is not None:
-            result.coverage.seed = seed
-            ledger.add(result.coverage)
+    failures += _report(rounds, args, engines)
+    fuzz = CoverageLedger([record for round_result in rounds
+                           for record in round_result.run.records])
+    if args.require_progress and len(rounds) >= 2:
+        failures += _progress_failed(rounds[0], fuzz)
+    if args.write_corpus:
+        written = distill_corpus(rounds, args.write_corpus,
+                                 limit=args.corpus_limit,
+                                 distill=args.distill)
+        print(f"{'distilled ' if args.distill else ''}corpus: "
+              f"{len(written)} entr(y/ies) written to {args.write_corpus}")
 
-        label = generated.spec.name if seed is None else f"seed {seed}"
-        if result.passed:
-            if not args.quiet:
-                ops = ",".join(sorted(result.coverage.ops)) or "passthrough"
-                path = ("scheduled" if result.coverage.scheduled
-                        else "fallback")
-                print(f"  {label}: ok ({generated.statements()} stmts, "
-                      f"II={generated.ii}, {path}; {ops})")
-        else:
-            failures += 1
-            print(f"  {label}: DIVERGED")
-            print("    " + "\n    ".join(result.divergences[:10]))
-            command = result.repro_command()
-            if command:
-                print(f"    repro: {command}")
-            if not args.no_shrink:
-                # The predicate must reproduce *this* failure: same stimulus
-                # seed, transaction count and round-trip setting, and the
-                # same divergence categories.
-                categories = divergence_categories(result.divergences)
-                stimulus_seed = 0 if seed is None else seed
-
-                def reproduces(spec) -> bool:
-                    return spec_fails(spec,
-                                      engines=engines,
-                                      transactions=args.transactions,
-                                      seed=stimulus_seed,
-                                      roundtrip=not args.no_roundtrip,
-                                      incremental="incremental" in categories,
-                                      reimport="verilog-reimport" in categories,
-                                      categories=categories,
-                                      lanes=args.lanes,
-                                      x_probability=x_probability)
-
-                if reproduces(generated.spec):
-                    minimal = shrink(generated.spec, reproduces)
-                    reproducer = build(minimal)
-                    print(f"    shrunk to {reproducer.statements()} "
-                          f"statement(s):")
-                    for line in reproducer.text().splitlines():
-                        print(f"      {line}")
-                else:
-                    print("    (failure did not reproduce under the shrink "
-                          "predicate; no reproducer printed)")
-
-        if args.write_corpus and seed is not None:
-            keep = True
-            if args.distill:
-                cells = cells_of_record(result.coverage)
-                keep = (result.passed
-                        and bool(cells - distilled_cells)
-                        and distilled_written < args.corpus_limit)
-                if keep:
-                    distilled_cells |= cells
-            if keep:
-                path = write_entry(args.write_corpus,
-                                   corpus_entry(generated, seed=seed,
-                                                config=config))
-                distilled_written += 1
-                if not args.quiet:
-                    print(f"    corpus entry written: {path}")
-
-    return _finish(ledger, failures, args, config)
+    # Frontend records lead the ledger; they joined no progress check,
+    # which compares steered vs. blind *fuzz* coverage alone.
+    return _finish(CoverageLedger(frontend_records).merge(fuzz), failures,
+                   args, config)
 
 
 if __name__ == "__main__":

@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Set
 
 from ..calyx.wellformed import check_program as calyx_wellformed
@@ -221,6 +222,31 @@ def _compare_traces(reference_name: str, reference: List[dict],
                     return
 
 
+def _run_engines(engines: Dict[str, Callable[[], object]],
+                 stimulus: List[dict], divergences: List[str]):
+    """The engine matrix: run ``stimulus`` through the engine each
+    ``engines[name]()`` builds, in order, then compare every trace against
+    the reference — ``fixpoint``, else the first name that ran.  Build and
+    run errors and trace mismatches land in ``divergences``.  Returns the
+    traces, the built engines and the reference name (``None`` when no
+    engine ran)."""
+    traces: Dict[str, List[dict]] = {}
+    built: Dict[str, object] = {}
+    for name, make in engines.items():
+        try:
+            built[name] = make()
+            traces[name] = built[name].run_batch(stimulus)
+        except SimulationError as error:
+            divergences.append(f"engine {name}: {error}")
+    reference_name = "fixpoint" if "fixpoint" in traces else (
+        sorted(traces)[0] if traces else None)
+    for name in sorted(traces):
+        if name != reference_name:
+            _compare_traces(reference_name, traces[reference_name], name,
+                            traces[name], divergences)
+    return traces, built, reference_name
+
+
 def _apply_x_drops(stream: List[dict], x_probability: float,
                    tag: object) -> List[Set[str]]:
     """X-rich stimulus: seeded per-transaction port drops.
@@ -351,32 +377,15 @@ def run_conformance(generated: GeneratedProgram,
     coverage.stimulus_has_x = any(
         any(is_x(value) for value in cycle.values()) for cycle in stimulus)
 
-    traces: Dict[str, List[dict]] = {}
-    built_engines: Dict[str, object] = {}
-    for engine_name in sorted(engines):
-        try:
-            engine = engines[engine_name](calyx, spec.name)
-            built_engines[engine_name] = engine
-            traces[engine_name] = engine.run_batch(stimulus)
-        except SimulationError as error:
-            divergences.append(f"engine {engine_name}: {error}")
+    matrix = {name: partial(engines[name], calyx, spec.name)
+              for name in sorted(engines)}
     if reparsed_calyx is not None:
-        try:
-            traces["reparsed"] = Simulator(
-                reparsed_calyx, spec.name, mode="auto").run_batch(stimulus)
-            result.engines = result.engines + ["reparsed"]
-        except SimulationError as error:
-            divergences.append(f"engine reparsed: {error}")
-
-    reference_name = "fixpoint" if "fixpoint" in traces else (
-        sorted(traces)[0] if traces else None)
-    if reference_name is not None:
-        reference = traces[reference_name]
-        for engine_name in sorted(traces):
-            if engine_name == reference_name:
-                continue
-            _compare_traces(reference_name, reference, engine_name,
-                            traces[engine_name], divergences)
+        matrix["reparsed"] = partial(Simulator, reparsed_calyx, spec.name,
+                                     mode="auto")
+    traces, built_engines, reference_name = _run_engines(
+        matrix, stimulus, divergences)
+    if "reparsed" in traces:
+        result.engines = result.engines + ["reparsed"]
 
     # Engine-path coverage comes from the scheduled engine when present.
     scheduled_engine = built_engines.get("scheduled")

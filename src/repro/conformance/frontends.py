@@ -26,6 +26,7 @@ which frontend the design entered through and whether the loop closed.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, List, Optional
 
 from ..core.errors import FilamentError, SimulationError
@@ -33,7 +34,7 @@ from ..core.lower.verilog_frontend import roundtrip_divergences
 from ..harness.driver import audit_latency
 from ..harness.fuzz import random_transactions
 from .coverage import CoverageRecord
-from .differential import (ConformanceResult, EngineFactory, _compare_traces,
+from .differential import (ConformanceResult, EngineFactory, _run_engines,
                            default_engines)
 
 __all__ = ["run_frontend_conformance", "frontend_conformance_sweep"]
@@ -145,22 +146,9 @@ def run_frontend_conformance(source,
     stream = random_transactions(harness, transactions, seed=seed)
     stimulus, starts = harness._schedule(stream)
 
-    traces: Dict[str, List[dict]] = {}
-    for engine_name in sorted(engines):
-        try:
-            engine = engines[engine_name](calyx, bundle.name)
-            traces[engine_name] = engine.run_batch(stimulus)
-        except SimulationError as error:
-            divergences.append(f"engine {engine_name}: {error}")
-
-    reference_name = "fixpoint" if "fixpoint" in traces else (
-        sorted(traces)[0] if traces else None)
-    if reference_name is not None:
-        reference = traces[reference_name]
-        for engine_name in sorted(traces):
-            if engine_name != reference_name:
-                _compare_traces(reference_name, reference, engine_name,
-                                traces[engine_name], divergences)
+    traces, _, reference_name = _run_engines(
+        {name: partial(engines[name], calyx, bundle.name)
+         for name in sorted(engines)}, stimulus, divergences)
 
     # 3. Golden model + reported-spec audit.
     if bundle.golden is not None:

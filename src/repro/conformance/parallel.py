@@ -1,18 +1,19 @@
 """Sharded, round-based, crash-tolerant conformance fuzzing.
 
-Scale-out for the differential matrix: seed ranges split across worker
-*processes* (:func:`run_shards`), per-worker ledgers merged back
-deterministically, and a round loop (:func:`run_rounds`) that re-steers
-generation between rounds from the merged coverage
-(:mod:`repro.conformance.steering`) — run, merge, re-steer, run.
+The one runner of the differential matrix, at every job count: a job is a
+generator seed or a corpus entry to replay, jobs split across worker
+*processes* (:func:`run_shards`; one shard runs in-process), per-worker
+ledgers merge back deterministically, and a round loop
+(:func:`run_rounds`) re-steers generation between rounds from the merged
+coverage (:mod:`repro.conformance.steering`) — run, merge, re-steer, run.
 
 Determinism contract: the merged ledger of ``run_shards(seeds, jobs=N)`` is
 *content-identical* for every ``N``, including ``N=1`` — records are
-serialized at the seed boundary either way and re-sorted by seed after the
-merge, so a parallel CI run and a serial local repro produce byte-equal
-ledger JSON.  Workers receive only plain dicts (config, engine *names*)
-and emit only plain dicts, which keeps both ``fork`` and ``spawn`` start
-methods happy.
+serialized at the job boundary either way and put back in job order after
+the merge, so a parallel CI run and a serial local repro produce byte-equal
+ledger JSON.  Workers receive only plain dicts (config, engine *names*,
+corpus entries) and emit only plain dicts, which keeps both ``fork`` and
+``spawn`` start methods happy.
 
 Crash tolerance: each shard is its own ``multiprocessing.Process`` whose
 sole result channel is a JSON-lines spill file appended after *every*
@@ -40,18 +41,15 @@ import shutil
 import signal as _signal
 import tempfile
 import time
-from dataclasses import dataclass, field
+from contextlib import nullcontext
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import List, Optional, Sequence, Set, Tuple, Union
 
 from ..core.faults import FaultPlan, inject
-from .corpus import corpus_entry, write_entry
+from .corpus import corpus_entry, replay_entry, write_entry
 from .coverage import CoverageLedger, CoverageRecord, cells_of_record
-from .differential import (
-    _DEFAULT_ENGINE_NAMES,
-    default_engines,
-    run_conformance,
-)
+from .differential import ConformanceResult, default_engines, run_conformance
 from .generator import GeneratorConfig, generate
 from .steering import SteeringPlan, plan_from_ledger, steer_config
 
@@ -61,11 +59,13 @@ __all__ = ["ShardFailure", "ShardCrash", "ShardRun", "RoundResult",
 
 @dataclass
 class ShardFailure:
-    """One failing seed, as reported across the process boundary: a
-    divergence, or a seed whose worker kept crashing / timing out."""
+    """One failing job, as reported across the process boundary: a
+    divergence, or a job whose worker kept crashing / timing out."""
 
-    seed: int
+    #: The generator seed, or a replayed entry's recorded seed (may be None).
+    seed: Optional[int]
     name: str
+    #: Every divergence (the shrink predicate keys on all their categories).
     divergences: List[str]
     repro: Optional[str] = None
     #: ``divergence`` (the matrix disagreed), ``crash`` (the worker died
@@ -73,8 +73,11 @@ class ShardFailure:
     kind: str = "divergence"
     #: The signal / exit-code / timeout description for crash kinds.
     reason: Optional[str] = None
-    #: The seed range that was still unfinished when the worker died.
+    #: The seeds that were still unfinished when the worker died.
     seeds: Optional[List[int]] = None
+    #: The diverging program's ``ProgramSpec.to_dict()`` (what the parent
+    #: shrinks); ``None`` for crash kinds.
+    spec: Optional[dict] = None
 
 
 @dataclass
@@ -92,7 +95,8 @@ class ShardCrash:
 
 @dataclass
 class ShardRun:
-    """The merged outcome of one sharded sweep over a seed range."""
+    """The merged outcome of one sharded sweep, records and failures in
+    job order."""
 
     records: List[CoverageRecord] = field(default_factory=list)
     failures: List[ShardFailure] = field(default_factory=list)
@@ -110,16 +114,23 @@ class ShardRun:
         return not self.failures
 
 
-def _run_one_seed(seed: int, config: GeneratorConfig, engines: dict,
-                  payload: dict) -> Tuple[Optional[dict], Optional[dict]]:
-    """One seed through the full matrix; returns plain-dict (record,
-    failure) — the single serialization point for serial and sharded
-    runs alike."""
-    generated = generate(seed, config)
+def _job_seed(job: Union[int, dict]) -> Optional[int]:
+    return job.get("seed") if isinstance(job, dict) else job
+
+
+def _run_one_job(job: Union[int, dict], config: GeneratorConfig,
+                 engines: dict,
+                 payload: dict) -> Tuple[Optional[dict], Optional[dict]]:
+    """One job through the full matrix: a corpus entry rebuilt from its
+    spec, or a seed generated under ``config``; returns plain-dict
+    (record, failure)."""
+    seed = _job_seed(job)
+    generated = (replay_entry(job) if isinstance(job, dict)
+                 else generate(seed, config))
     result = run_conformance(
         generated,
         transactions=payload["transactions"],
-        seed=seed,
+        seed=0 if seed is None else seed,
         engines=engines,
         roundtrip=payload["roundtrip"],
         lanes=payload["lanes"],
@@ -138,8 +149,9 @@ def _run_one_seed(seed: int, config: GeneratorConfig, engines: dict,
         failure = {
             "seed": seed,
             "name": result.name,
-            "divergences": result.divergences[:10],
+            "divergences": result.divergences,
             "repro": result.repro_command(),
+            "spec": generated.spec.to_dict(),
         }
     return record, failure
 
@@ -150,50 +162,36 @@ def _payload_engines(payload: dict) -> dict:
             if name in names}
 
 
-def _run_seeds(payload: dict) -> dict:
-    """Run one shard of seeds in-process (the ``jobs=1`` code path —
-    serial runs route through the same serialization so ledger content
-    cannot depend on the job count)."""
+def _run_jobs(payload: dict):
+    """Run one shard's ``(index, job)`` pairs in order, yielding one plain
+    dict ``{"index", "record", "failure"}`` per job — the single
+    serialization point for in-process and worker runs alike, so ledger
+    content cannot depend on the job count.  First-attempt fault injection
+    (``kill_seeds``/``hang_seeds``) fires *before* a job runs, so a
+    salvaged spill file ends exactly at the last finished job."""
+    plan = (FaultPlan.from_dict(payload["faults"])
+            if payload.get("faults") else None)
     config = GeneratorConfig.from_dict(payload["config"])
     engines = _payload_engines(payload)
-    records: List[dict] = []
-    failures: List[dict] = []
-    for seed in payload["seeds"]:
-        record, failure = _run_one_seed(seed, config, engines, payload)
-        if record is not None:
-            records.append(record)
-        if failure is not None:
-            failures.append(failure)
-    return {"records": records, "failures": failures}
+    for index, job in payload["jobs"]:
+        seed = _job_seed(job)
+        if plan is not None and payload.get("attempt", 0) == 0:
+            if seed in plan.kill_seeds:
+                os.kill(os.getpid(), _signal.SIGKILL)
+            if seed in plan.hang_seeds:
+                time.sleep(3600)
+        with inject(plan) if plan is not None else nullcontext():
+            record, failure = _run_one_job(job, config, engines, payload)
+        yield {"index": index, "record": record, "failure": failure}
 
 
 def _shard_worker(payload: dict, spill_path: str) -> None:
-    """Worker-process entry: run the shard's seeds, appending one JSON
-    line per seed to the spill file — the sole result channel, so a
-    worker death after seed *k* loses nothing up to *k*.  First-attempt
-    fault injection (``kill_seeds``/``hang_seeds``) fires here, *before*
-    the seed runs, so the salvage line is exact."""
-    plan = (FaultPlan.from_dict(payload["faults"])
-            if payload.get("faults") else None)
-    attempt = payload.get("attempt", 0)
-    config = GeneratorConfig.from_dict(payload["config"])
-    engines = _payload_engines(payload)
+    """Worker-process entry: run the shard's jobs, appending one JSON line
+    per job to the spill file — the sole result channel, so a worker death
+    after job *k* loses nothing up to *k*."""
     with open(spill_path, "w") as spill:
-        for seed in payload["seeds"]:
-            if plan is not None and attempt == 0:
-                if seed in plan.kill_seeds:
-                    os.kill(os.getpid(), _signal.SIGKILL)
-                if seed in plan.hang_seeds:
-                    time.sleep(3600)
-            if plan is not None:
-                with inject(plan):
-                    record, failure = _run_one_seed(seed, config, engines,
-                                                    payload)
-            else:
-                record, failure = _run_one_seed(seed, config, engines,
-                                                payload)
-            spill.write(json.dumps({"seed": seed, "record": record,
-                                    "failure": failure}) + "\n")
+        for line in _run_jobs(payload):
+            spill.write(json.dumps(line) + "\n")
             spill.flush()
 
 
@@ -221,27 +219,15 @@ def _salvage_spill(spill_path: Path) -> List[dict]:
     return lines
 
 
-def _crash_repro(payload: dict, seed: int) -> str:
-    """A one-line CLI invocation rerunning exactly the crashed seed's
-    matrix cell (mirrors ``ConformanceResult.repro_command``)."""
-    parts = ["python", "-m", "repro.conformance",
-             "--start", str(seed), "--seeds", "1",
-             "--transactions", str(payload["transactions"]),
-             "--lanes", str(payload["lanes"])]
-    if tuple(sorted(payload["engine_names"])) != _DEFAULT_ENGINE_NAMES:
-        for engine in sorted(payload["engine_names"]):
-            parts += ["--engine", engine]
-    if not payload["roundtrip"]:
-        parts.append("--no-roundtrip")
-    if not payload["incremental"]:
-        parts.append("--no-incremental")
-    if not payload["reimport"]:
-        parts.append("--no-reimport")
-    if payload["x_probability"]:
-        parts += ["--x-stimulus", repr(payload["x_probability"])]
-    if payload["plan_digest"]:
-        parts += ["--plan", f"plan-{payload['plan_digest']}.json"]
-    return " ".join(parts)
+def _crash_repro(payload: dict, seed: Optional[int]) -> Optional[str]:
+    """The repro command of the crashed job's matrix cell."""
+    return ConformanceResult(
+        name="", seed=seed, transactions=payload["transactions"],
+        stimulus_seed=seed, matrix_engines=payload["engine_names"],
+        lanes=payload["lanes"], roundtrip=payload["roundtrip"],
+        incremental=payload["incremental"], reimport=payload["reimport"],
+        x_probability=payload["x_probability"],
+        plan_digest=payload["plan_digest"]).repro_command()
 
 
 def _describe_exit(exitcode: Optional[int], timed_out: bool,
@@ -260,13 +246,13 @@ def _describe_exit(exitcode: Optional[int], timed_out: bool,
 def _run_sharded(payloads: List[dict], jobs: int,
                  shard_timeout: Optional[float],
                  fault_plan: Optional[FaultPlan]
-                 ) -> Tuple[List[dict], List[dict], List[ShardCrash]]:
+                 ) -> Tuple[List[dict], List[ShardCrash]]:
     """Run shard payloads in worker processes with per-shard timeouts,
-    crashed-shard salvage and split/requeue retry."""
+    crashed-shard salvage and split/requeue retry; returns the per-job
+    lines (see :func:`_run_jobs`) and the absorbed crashes."""
     ctx = _pool_context()
     spill_dir = Path(tempfile.mkdtemp(prefix="repro-shards-"))
-    record_dicts: List[dict] = []
-    failure_dicts: List[dict] = []
+    results: List[dict] = []
     crashes: List[ShardCrash] = []
     pending: List[Tuple[dict, int]] = [(payload, 0) for payload in payloads]
     running: List[dict] = []
@@ -304,62 +290,56 @@ def _run_sharded(payloads: List[dict], jobs: int,
                         process.join()
             exitcode = process.exitcode
             lines = _salvage_spill(entry["spill"])
-            completed: Set[int] = set()
-            for line in lines:
-                completed.add(line["seed"])
-                if line.get("record") is not None:
-                    record_dicts.append(line["record"])
-                if line.get("failure") is not None:
-                    failure_dicts.append(line["failure"])
+            results.extend(lines)
             if exitcode == 0 and not timed_out:
                 continue
             payload = entry["payload"]
             attempt = entry["attempt"]
-            remaining = [seed for seed in payload["seeds"]
-                         if seed not in completed]
+            completed = {line["index"] for line in lines}
+            remaining = [(index, job) for index, job in payload["jobs"]
+                         if index not in completed]
+            unfinished = [_job_seed(job) for _, job in remaining]
             reason = _describe_exit(exitcode, timed_out, shard_timeout)
             requeue = bool(remaining)
             crashes.append(ShardCrash(
-                seeds=list(remaining), reason=reason, attempt=attempt,
+                seeds=unfinished, reason=reason, attempt=attempt,
                 salvaged=len(completed), requeued=requeue))
             if not remaining:
                 continue
             if attempt == 0:
-                # First death: split the unfinished range in half and
-                # requeue both (a transient crash clears; a poisoned seed
+                # First death: split the unfinished jobs in half and
+                # requeue both (a transient crash clears; a poisoned job
                 # gets narrowed).
                 half = (len(remaining) + 1) // 2
                 for chunk in (remaining[:half], remaining[half:]):
                     if chunk:
-                        requeued = dict(payload)
-                        requeued["seeds"] = chunk
-                        pending.append((requeued, 1))
+                        pending.append((dict(payload, jobs=chunk), 1))
             else:
-                # Retried and died again: the first unfinished seed is the
+                # Retried and died again: the first unfinished job is the
                 # culprit — record it as a failure, keep going after it.
-                culprit = remaining[0]
-                failure_dicts.append({
-                    "seed": culprit,
-                    "name": f"seed-{culprit}",
+                index, job = remaining[0]
+                seed = unfinished[0]
+                results.append({"index": index, "record": None, "failure": {
+                    "seed": seed,
+                    "name": (job["spec"]["name"] if isinstance(job, dict)
+                             else f"seed-{seed}"),
                     "divergences": [reason],
-                    "repro": _crash_repro(payload, culprit),
+                    "repro": _crash_repro(payload, seed),
                     "kind": "timeout" if timed_out else "crash",
                     "reason": reason,
-                    "seeds": list(remaining),
-                })
-                rest = remaining[1:]
-                if rest:
-                    requeued = dict(payload)
-                    requeued["seeds"] = rest
-                    pending.append((requeued, attempt))
+                    "seeds": unfinished,
+                }})
+                if remaining[1:]:
+                    pending.append((dict(payload, jobs=remaining[1:]),
+                                    attempt))
     finally:
         for entry in running:  # pragma: no cover - only on raise
             entry["process"].terminate()
         shutil.rmtree(spill_dir, ignore_errors=True)
-    return record_dicts, failure_dicts, crashes
+    return results, crashes
 
 
-def run_shards(seeds: Sequence[int],
+def run_shards(seeds: Sequence[Union[int, dict]],
                jobs: int = 1,
                config: Optional[GeneratorConfig] = None,
                engine_names: Optional[Sequence[str]] = None,
@@ -372,64 +352,60 @@ def run_shards(seeds: Sequence[int],
                plan_digest: Optional[str] = None,
                shard_timeout: Optional[float] = None,
                fault_plan: Optional[FaultPlan] = None) -> ShardRun:
-    """Split ``seeds`` over ``jobs`` workers and merge the results.
+    """Split ``seeds`` — generator seeds, or corpus entries to replay —
+    over ``jobs`` workers and merge the results.
 
-    Seeds are dealt round-robin (``seeds[i::jobs]``) so long-running seeds
-    spread across workers; merged records and failures are re-sorted by
-    seed, making the output independent of shard interleaving, retries and
-    salvage.  ``shard_timeout`` bounds each worker's wall clock; crashed
-    or timed-out workers are salvaged from their spill files and their
-    unfinished seeds retried (split in half once, then narrowed seed by
-    seed — see :func:`_run_sharded`).  ``fault_plan`` threads a
+    Jobs are dealt round-robin (``seeds[i::jobs]``) so long-running jobs
+    spread across workers; merged records and failures are put back in
+    job order, making the output independent of shard interleaving,
+    retries and salvage.  A single shard runs in-process unless
+    ``shard_timeout`` or ``fault_plan`` needs a worker.
+    ``shard_timeout`` bounds each worker's wall clock; crashed or
+    timed-out workers are salvaged from their spill files and their
+    unfinished jobs retried (split in half once, then narrowed job by
+    job — see :func:`_run_sharded`).  ``fault_plan`` threads a
     :class:`~repro.core.faults.FaultPlan` into the workers (store faults
     plus first-attempt ``kill_seeds``/``hang_seeds``)."""
     config = config or GeneratorConfig()
-    seeds = list(seeds)
+    work = list(enumerate(seeds))
+    workers = max(1, jobs)
     engine_names = sorted(engine_names if engine_names is not None
                           else default_engines())
-    payloads = []
-    for index in range(max(1, jobs)):
-        shard = seeds[index::max(1, jobs)]
-        if not shard:
-            continue
-        payloads.append({
-            "seeds": shard,
-            "config": config.to_dict(),
-            "engine_names": engine_names,
-            "transactions": transactions,
-            "lanes": lanes,
-            "roundtrip": roundtrip,
-            "incremental": incremental,
-            "reimport": reimport,
-            "x_probability": x_probability,
-            "plan_digest": plan_digest,
-        })
+    payloads = [{
+        "jobs": work[index::workers],
+        "config": config.to_dict(),
+        "engine_names": engine_names,
+        "transactions": transactions,
+        "lanes": lanes,
+        "roundtrip": roundtrip,
+        "incremental": incremental,
+        "reimport": reimport,
+        "x_probability": x_probability,
+        "plan_digest": plan_digest,
+    } for index in range(min(workers, len(work)))]
 
     crashes: List[ShardCrash] = []
     if len(payloads) <= 1 and shard_timeout is None and fault_plan is None:
         # Serial runs stay in-process: no fork cost, and tests can
         # monkeypatch the engine registry.
-        outcomes = [_run_seeds(payload) for payload in payloads]
-        record_dicts = [record for outcome in outcomes
-                        for record in outcome["records"]]
-        failure_dicts = [failure for outcome in outcomes
-                         for failure in outcome["failures"]]
+        lines = [line for payload in payloads for line in _run_jobs(payload)]
     else:
-        record_dicts, failure_dicts, crashes = _run_sharded(
-            payloads, jobs, shard_timeout, fault_plan)
-
-    records = [CoverageRecord.from_dict(record) for record in record_dicts]
-    records.sort(key=lambda record: (record.seed is None, record.seed))
-    failures = [ShardFailure(**failure) for failure in failure_dicts]
-    failures.sort(key=lambda failure: failure.seed)
-    return ShardRun(records=records, failures=failures,
-                    jobs=len(payloads) or 1, crashes=crashes)
+        lines, crashes = _run_sharded(payloads, jobs, shard_timeout,
+                                      fault_plan)
+    lines.sort(key=lambda line: line["index"])
+    return ShardRun(
+        records=[CoverageRecord.from_dict(line["record"]) for line in lines
+                 if line["record"] is not None],
+        failures=[ShardFailure(**line["failure"]) for line in lines
+                  if line["failure"] is not None],
+        jobs=len(payloads) or 1, crashes=crashes)
 
 
 @dataclass
 class RoundResult:
     """One steering round: the plan that biased it (None for the blind
-    round), the config actually used, and the sharded run outcome."""
+    round), the config actually used (its ``x_probability`` is the
+    round's), and the sharded run outcome."""
 
     index: int
     seeds: List[int]
@@ -453,7 +429,8 @@ def run_rounds(start: int,
                plan_dir: Optional[Union[str, Path]] = None,
                boost: float = 4.0,
                initial_plan: Optional[SteeringPlan] = None,
-               shard_timeout: Optional[float] = None) -> List[RoundResult]:
+               shard_timeout: Optional[float] = None,
+               x_probability: Optional[float] = None) -> List[RoundResult]:
     """Round-based steered fuzzing: run a shard sweep, merge its ledger,
     derive a :class:`SteeringPlan` from everything covered so far, and run
     the next sweep under it.
@@ -462,7 +439,9 @@ def run_rounds(start: int,
     ``rounds``; round 0 runs blind (or under ``initial_plan`` when given),
     every later round is steered by the merged coverage of all earlier
     rounds.  Plans are saved to ``plan_dir`` as ``plan-<digest>.json`` —
-    the exact file name failure repro commands reference."""
+    the exact file name failure repro commands reference.  Each round's
+    stimulus X probability is its plan's, unless ``x_probability`` sets
+    it for every round."""
     base_config = config or GeneratorConfig()
     merged = CoverageLedger()
     results: List[RoundResult] = []
@@ -486,6 +465,8 @@ def run_rounds(start: int,
                 plan_path = plan.save(Path(plan_dir) / f"plan-{digest}.json")
         else:
             round_config, digest = base_config, None
+        if x_probability is not None:
+            round_config = replace(round_config, x_probability=x_probability)
 
         run = run_shards(
             seeds, jobs=jobs, config=round_config,
@@ -503,24 +484,28 @@ def run_rounds(start: int,
 
 def distill_corpus(rounds: Sequence[RoundResult],
                    directory: Union[str, Path],
-                   limit: int = 25) -> List[Path]:
-    """Keep only coverage-adding programs, bounded.
+                   limit: int = 25,
+                   distill: bool = True) -> List[Path]:
+    """Persist the rounds' generated programs as corpus entries, walking
+    every round's records in order: each one, or with ``distill`` only
+    coverage-adding ones, bounded.
 
-    Walks every round's records in order and persists a corpus entry for a
-    seed exactly when its record proves a coverage cell no already-kept seed
-    proved; stops at ``limit`` entries.  Diverging seeds are never kept
-    (failures belong in shrunk regression tests, not the green corpus)."""
+    Distilling keeps a seed exactly when its record proves a coverage cell
+    no already-kept seed proved, and stops at ``limit`` entries.  Diverging
+    seeds are never kept (failures belong in shrunk regression tests, not
+    the green corpus)."""
     directory = Path(directory)
     seen: Set[tuple] = set()
     written: List[Path] = []
     for round_result in rounds:
         for record in round_result.run.records:
-            cells = cells_of_record(record)
-            if record.divergences or not (cells - seen):
-                continue
-            if len(written) >= limit:
-                return written
-            seen |= cells
+            if distill:
+                cells = cells_of_record(record)
+                if record.divergences or not (cells - seen):
+                    continue
+                if len(written) >= limit:
+                    return written
+                seen |= cells
             generated = generate(record.seed, round_result.config)
             written.append(write_entry(
                 directory,

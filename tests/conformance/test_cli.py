@@ -1,6 +1,7 @@
 """The ``python -m repro.conformance`` driver: seed runs, corpus replay,
-corpus minting, ledger output, sharded/steered runs, and the promise that
-every printed repro command actually reproduces its failure."""
+corpus minting, ledger output, sharded/steered runs, the promise that
+every printed repro command actually reproduces its failure, and that no
+flag changes meaning with ``--jobs``."""
 
 import json
 import shlex
@@ -8,13 +9,31 @@ from pathlib import Path
 
 import pytest
 
-import repro.conformance.__main__ as cli
 from repro.conformance import ConformanceResult
+from repro.conformance import parallel as parallel_module
 from repro.conformance.__main__ import main
 from repro.conformance.differential import default_engines
 from repro.sim.values import is_x
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
+
+#: A two-engine matrix without the slow ways, for job-count comparisons.
+_FAST = ["--transactions", "4", "--lanes", "1", "--engine", "scheduled",
+         "--engine", "fixpoint", "--no-roundtrip", "--no-incremental"]
+
+
+@pytest.fixture
+def worker_pools(monkeypatch):
+    """The shard count of every worker pool the runner starts."""
+    pools = []
+    real = parallel_module._run_sharded
+
+    def spy(payloads, *rest):
+        pools.append(len(payloads))
+        return real(payloads, *rest)
+
+    monkeypatch.setattr(parallel_module, "_run_sharded", spy)
+    return pools
 
 
 def test_seed_run_writes_a_ledger(tmp_path, capsys):
@@ -68,6 +87,72 @@ def test_max_ops_override(tmp_path, capsys):
     assert main(["--seeds", "2", "--transactions", "4",
                  "--max-ops", "3"]) == 0
     assert "ok" in capsys.readouterr().out
+
+
+def test_max_ops_below_the_generator_minimum_is_rejected(capsys):
+    with pytest.raises(SystemExit):
+        main(["--seeds", "1", "--max-ops", "2"])
+    assert "--max-ops needs N >= 3" in capsys.readouterr().err
+
+
+def test_write_corpus_does_not_apply_to_a_replay(tmp_path, capsys):
+    with pytest.raises(SystemExit):
+        main(["--replay", str(CORPUS_DIR), "--write-corpus", str(tmp_path)])
+    assert "--replay" in capsys.readouterr().err
+
+
+def test_empty_seed_range_says_so(capsys):
+    assert main(["--seeds", "0", "--quiet"]) == 0
+    out = capsys.readouterr().out
+    assert "running no generator seeds" in out
+    assert "..-1" not in out
+
+
+def test_x_stimulus_is_the_same_at_every_job_count(tmp_path):
+    ledgers = []
+    for jobs in ("1", "2"):
+        ledger = tmp_path / f"ledger-{jobs}.json"
+        assert main(["--seeds", "4", "--jobs", jobs, "--x-stimulus", "0.5",
+                     "--quiet", "--ledger", str(ledger), *_FAST]) == 0
+        ledgers.append(ledger.read_bytes())
+    assert ledgers[0] == ledgers[1]
+    records = json.loads(ledgers[1])["records"]
+    assert sum(record["x_transactions"] for record in records) > 0
+
+
+def test_write_corpus_keeps_every_seed_without_distill(tmp_path):
+    """Nothing is distilled without --distill, so --corpus-limit (the bound
+    on distilled entries) does not cut the corpus, at any job count."""
+    corpora = []
+    for jobs in ("1", "2"):
+        corpus = tmp_path / f"corpus-{jobs}"
+        assert main(["--seeds", "3", "--jobs", jobs, "--corpus-limit", "1",
+                     "--quiet", "--write-corpus", str(corpus), *_FAST]) == 0
+        corpora.append({path.name: path.read_bytes()
+                        for path in corpus.glob("*.json")})
+    assert sorted(corpora[1]) == ["gen0.json", "gen1.json", "gen2.json"]
+    assert corpora[0] == corpora[1]
+
+
+def test_replay_shards_and_keeps_file_name_order(tmp_path, worker_pools):
+    ledgers = []
+    for jobs in ("1", "2"):
+        ledger = tmp_path / f"ledger-{jobs}.json"
+        assert main(["--replay", str(CORPUS_DIR), "--jobs", jobs,
+                     "--transactions", "4", "--quiet",
+                     "--ledger", str(ledger)]) == 0
+        ledgers.append(ledger.read_bytes())
+    assert worker_pools == [2]
+    assert ledgers[0] == ledgers[1]
+    names = [record["name"] for record in json.loads(ledgers[1])["records"]]
+    assert names == [json.loads(path.read_text())["spec"]["name"]
+                     for path in sorted(CORPUS_DIR.glob("*.json"))]
+
+
+def test_shard_timeout_puts_a_single_shard_in_a_worker(worker_pools):
+    assert main(["--seeds", "2", "--shard-timeout", "600", "--quiet",
+                 *_FAST]) == 0
+    assert worker_pools == [1]
 
 
 def test_unknown_engine_is_rejected_with_the_available_set(capsys):
@@ -158,7 +243,7 @@ def _lying_engines():
 def test_printed_repro_command_actually_reproduces(monkeypatch, capsys):
     """Satellite guarantee: the one-liner printed with a differential
     failure re-runs exactly that failing matrix cell."""
-    monkeypatch.setattr(cli, "default_engines", _lying_engines)
+    monkeypatch.setattr(parallel_module, "default_engines", _lying_engines)
     assert main(["--start", "3", "--seeds", "1", "--transactions", "4",
                  "--lanes", "1", "--no-roundtrip", "--no-incremental",
                  "--no-shrink", "--quiet"]) == 1
@@ -174,3 +259,15 @@ def test_printed_repro_command_actually_reproduces(monkeypatch, capsys):
     assert "--start 3" in " ".join(rerun)
     assert main(rerun) == 1
     assert "DIVERGED" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_divergences_shrink_at_every_job_count(monkeypatch, capsys, jobs):
+    """Shrinking runs in the parent, so a sharded failure shrinks too."""
+    monkeypatch.setattr(parallel_module, "default_engines", _lying_engines)
+    assert main(["--start", "3", "--seeds", "2", "--jobs", jobs,
+                 "--transactions", "4", "--lanes", "1", "--no-roundtrip",
+                 "--no-incremental", "--quiet"]) == 1
+    out = capsys.readouterr().out
+    assert out.count("DIVERGED") == 2
+    assert out.count("shrunk to") == 2

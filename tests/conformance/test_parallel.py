@@ -3,6 +3,7 @@ round loop, failure transport across the process boundary, and bounded
 corpus distillation."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +26,8 @@ from repro.sim.values import is_x
 
 _FAST = dict(engine_names=("scheduled", "fixpoint"), transactions=4,
              lanes=1, roundtrip=False, incremental=False)
+
+CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
 
 
 def _ledger_json(run):
@@ -140,6 +143,20 @@ def test_killed_worker_is_salvaged_and_retried():
     serial = run_shards(range(0, 6), jobs=1, config=GeneratorConfig(),
                         **_FAST)
     assert _ledger_json(faulted) == _ledger_json(serial)
+
+
+def test_replayed_entries_survive_a_worker_kill_in_file_name_order():
+    """Corpus entries are jobs like seeds: a killed worker's entries are
+    salvaged and retried by job index, and the merged records keep the
+    corpus's file-name order (not seed order) at every job count."""
+    entries = [entry for _, entry in load_entries(CORPUS_DIR)]
+    plan = FaultPlan(kill_seeds=(entries[1]["seed"],))
+    faulted = run_shards(entries, jobs=2, fault_plan=plan, **_FAST)
+    assert faulted.passed and faulted.crashes
+    serial = run_shards(entries, jobs=1, **_FAST)
+    assert _ledger_json(faulted) == _ledger_json(serial)
+    assert [record.name for record in faulted.records] == [
+        entry["spec"]["name"] for entry in entries]
 
 
 def test_hung_worker_times_out_and_is_retried():
