@@ -82,17 +82,14 @@ def _pick_entrypoint(program) -> str:
 def _stage_table(session: CompilationSession) -> str:
     """The per-stage timing / cache table.
 
-    Rows cover every stage the session recorded — pipeline stages in
-    pipeline order, then extras (``frontend``, engine tiers) — including
-    stages whose *only* activity was cache hits: a warm recompile spends
-    no seconds there, and the hits column is exactly what the table must
-    still show."""
+    Rows cover the stages this CLI records — ``frontend``, then the
+    pipeline stages in pipeline order — including stages whose *only*
+    activity was cache hits: a warm recompile spends no seconds there,
+    and the hits column is exactly what the table must still show."""
     seconds = session.stage_seconds()
     stats = session.cache_stats()
-    ordered = ["frontend"] + list(STAGES)
-    ordered += sorted((set(stats) | set(seconds)) - set(ordered))
     lines = [f"{'stage':10s} {'seconds':>10} {'hits':>6} {'misses':>7}"]
-    for stage in ordered:
+    for stage in ("frontend", *STAGES):
         if stage not in stats and stage not in seconds:
             continue
         bucket = stats.get(stage, {"hits": 0, "misses": 0})

@@ -105,9 +105,10 @@ def _parser() -> argparse.ArgumentParser:
                              "round, and never lost a covered cell")
     parser.add_argument("--ledger", metavar="PATH",
                         help="write the (merged) coverage ledger JSON here")
-    parser.add_argument("--replay", metavar="DIR",
-                        help="replay the corpus entries in DIR instead of "
-                             "generating from seeds")
+    parser.add_argument("--replay", metavar="PATH",
+                        help="replay the corpus entries in the directory "
+                             "PATH, or the one entry in the file PATH, "
+                             "instead of generating from seeds")
     parser.add_argument("--write-corpus", metavar="DIR",
                         help="persist generated programs as corpus entries "
                              "in DIR (with --distill: only coverage-adding "
@@ -293,7 +294,9 @@ def _report(rounds: List[RoundResult], args: argparse.Namespace,
                   f"{len(crash.seeds)} unfinished ({status})")
         for failure in run.failures:
             failures += 1
-            if failure.kind in ("crash", "timeout"):
+            if failure.kind == "error":
+                print(f"  {_label(failure)}: ERROR ({failure.reason})")
+            elif failure.kind in ("crash", "timeout"):
                 print(f"  {_label(failure)}: WORKER "
                       f"{failure.kind.upper()} ({failure.reason})")
             else:
@@ -394,7 +397,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         x_probability = args.x_stimulus if args.x_stimulus is not None \
             else (plan.x_probability if plan is not None else 0.0)
         run = run_shards(
-            [entry for _, entry in entries], x_probability=x_probability,
+            [dict(entry, path=str(path)) for path, entry in entries],
+            x_probability=x_probability,
             plan_digest=plan.digest() if plan is not None else None,
             **campaign)
         rounds = [RoundResult(

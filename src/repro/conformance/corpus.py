@@ -61,11 +61,13 @@ def write_entry(directory: Union[str, Path], entry: dict) -> Path:
     return path
 
 
-def load_entries(directory: Union[str, Path]) -> List[Tuple[Path, dict]]:
-    """All corpus entries in ``directory``, sorted by file name."""
-    directory = Path(directory)
+def load_entries(location: Union[str, Path]) -> List[Tuple[Path, dict]]:
+    """The corpus entry in the file ``location``, or every entry in the
+    directory ``location``, sorted by file name."""
+    location = Path(location)
     entries: List[Tuple[Path, dict]] = []
-    for path in sorted(directory.glob("*.json")):
+    for path in ([location] if location.is_file()
+                 else sorted(location.glob("*.json"))):
         try:
             entry = json.loads(path.read_text())
         except json.JSONDecodeError as error:

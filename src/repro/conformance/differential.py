@@ -50,6 +50,7 @@ verifies that a deliberately broken engine *is* caught and shrunk.
 from __future__ import annotations
 
 import random
+import shlex
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Set
@@ -137,16 +138,21 @@ class ConformanceResult:
     def passed(self) -> bool:
         return not self.divergences
 
-    def repro_command(self) -> Optional[str]:
-        """A one-line CLI invocation that reruns exactly this matrix cell.
+    def repro_command(self, replay: Optional[str] = None) -> Optional[str]:
+        """A one-line CLI invocation that reruns exactly this matrix cell:
+        ``--replay <replay>`` when the program is the corpus entry in the
+        file ``replay``, ``--start <seed> --seeds 1`` otherwise.
 
-        ``None`` when the program seed is unknown (corpus replays repro via
-        ``--replay``).  The steering-plan digest rides along as
-        ``--plan plan-<digest>.json`` — the file the steered run saved."""
-        if self.seed is None:
+        ``None`` when neither is known.  The steering-plan digest rides
+        along as ``--plan plan-<digest>.json`` — the file the steered run
+        saved."""
+        if replay is not None:
+            parts = ["--replay", shlex.quote(replay)]
+        elif self.seed is not None:
+            parts = ["--start", str(self.seed), "--seeds", "1"]
+        else:
             return None
-        parts = ["python", "-m", "repro.conformance",
-                 "--start", str(self.seed), "--seeds", "1",
+        parts = ["python", "-m", "repro.conformance", *parts,
                  "--transactions", str(self.transactions),
                  "--lanes", str(self.lanes)]
         if tuple(sorted(self.matrix_engines)) != _DEFAULT_ENGINE_NAMES:

@@ -41,6 +41,7 @@ import shutil
 import signal as _signal
 import tempfile
 import time
+import traceback
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -60,23 +61,27 @@ __all__ = ["ShardFailure", "ShardCrash", "ShardRun", "RoundResult",
 @dataclass
 class ShardFailure:
     """One failing job, as reported across the process boundary: a
-    divergence, or a job whose worker kept crashing / timing out."""
+    divergence, a job that raised, or a job whose worker kept crashing /
+    timing out."""
 
     #: The generator seed, or a replayed entry's recorded seed (may be None).
     seed: Optional[int]
     name: str
-    #: Every divergence (the shrink predicate keys on all their categories).
+    #: Every divergence (the shrink predicate keys on all their
+    #: categories); an error's traceback; a crash kind's reason.
     divergences: List[str]
     repro: Optional[str] = None
-    #: ``divergence`` (the matrix disagreed), ``crash`` (the worker died
-    #: on this seed even after retry) or ``timeout``.
+    #: ``divergence`` (the matrix disagreed), ``error`` (the job raised),
+    #: ``crash`` (the worker died on this seed even after retry) or
+    #: ``timeout``.
     kind: str = "divergence"
-    #: The signal / exit-code / timeout description for crash kinds.
+    #: ``<Type>: <message>`` for an error; the signal / exit-code /
+    #: timeout description for crash kinds.
     reason: Optional[str] = None
     #: The seeds that were still unfinished when the worker died.
     seeds: Optional[List[int]] = None
     #: The diverging program's ``ProgramSpec.to_dict()`` (what the parent
-    #: shrinks); ``None`` for crash kinds.
+    #: shrinks); ``None`` for the other kinds.
     spec: Optional[dict] = None
 
 
@@ -118,12 +123,41 @@ def _job_seed(job: Union[int, dict]) -> Optional[int]:
     return job.get("seed") if isinstance(job, dict) else job
 
 
+def _repro(payload: dict, job: Union[int, dict]) -> Optional[str]:
+    """The repro command of one job's matrix cell: a replayed entry is
+    replayed from its file (``None`` without one), a seed is generated
+    again."""
+    replayed = isinstance(job, dict)
+    seed = None if replayed else job
+    return ConformanceResult(
+        name="", seed=seed, transactions=payload["transactions"],
+        stimulus_seed=seed, matrix_engines=payload["engine_names"],
+        lanes=payload["lanes"], roundtrip=payload["roundtrip"],
+        incremental=payload["incremental"], reimport=payload["reimport"],
+        x_probability=payload["x_probability"],
+        plan_digest=payload["plan_digest"]).repro_command(
+            job.get("path") if replayed else None)
+
+
+def _unfinished(payload: dict, job: Union[int, dict], kind: str,
+                reason: str) -> dict:
+    """The failure dict of a job that did not finish: it raised
+    (``error``) or kept killing its worker (``crash``/``timeout``).  It
+    carries no spec, so it is not shrunk."""
+    seed = _job_seed(job)
+    return {"seed": seed,
+            "name": (job["spec"]["name"] if isinstance(job, dict)
+                     else f"seed-{seed}"),
+            "divergences": [reason], "repro": _repro(payload, job),
+            "kind": kind, "reason": reason}
+
+
 def _run_one_job(job: Union[int, dict], config: GeneratorConfig,
                  engines: dict,
                  payload: dict) -> Tuple[Optional[dict], Optional[dict]]:
     """One job through the full matrix: a corpus entry rebuilt from its
-    spec, or a seed generated under ``config``; returns plain-dict
-    (record, failure)."""
+    spec (a job may carry the entry's file as ``path``), or a seed
+    generated under ``config``; returns plain-dict (record, failure)."""
     seed = _job_seed(job)
     generated = (replay_entry(job) if isinstance(job, dict)
                  else generate(seed, config))
@@ -150,7 +184,7 @@ def _run_one_job(job: Union[int, dict], config: GeneratorConfig,
             "seed": seed,
             "name": result.name,
             "divergences": result.divergences,
-            "repro": result.repro_command(),
+            "repro": _repro(payload, job),
             "spec": generated.spec.to_dict(),
         }
     return record, failure
@@ -166,9 +200,11 @@ def _run_jobs(payload: dict):
     """Run one shard's ``(index, job)`` pairs in order, yielding one plain
     dict ``{"index", "record", "failure"}`` per job — the single
     serialization point for in-process and worker runs alike, so ledger
-    content cannot depend on the job count.  First-attempt fault injection
-    (``kill_seeds``/``hang_seeds``) fires *before* a job runs, so a
-    salvaged spill file ends exactly at the last finished job."""
+    content cannot depend on the job count.  A job that raises becomes an
+    ``error`` failure, in a worker as in this process.  First-attempt
+    fault injection (``kill_seeds``/``hang_seeds``) fires *before* a job
+    runs, so a salvaged spill file ends exactly at the last finished
+    job."""
     plan = (FaultPlan.from_dict(payload["faults"])
             if payload.get("faults") else None)
     config = GeneratorConfig.from_dict(payload["config"])
@@ -181,7 +217,13 @@ def _run_jobs(payload: dict):
             if seed in plan.hang_seeds:
                 time.sleep(3600)
         with inject(plan) if plan is not None else nullcontext():
-            record, failure = _run_one_job(job, config, engines, payload)
+            try:
+                record, failure = _run_one_job(job, config, engines,
+                                               payload)
+            except Exception as error:
+                record, failure = None, _unfinished(
+                    payload, job, "error", f"{type(error).__name__}: {error}")
+                failure["divergences"] = [traceback.format_exc()]
         yield {"index": index, "record": record, "failure": failure}
 
 
@@ -217,17 +259,6 @@ def _salvage_spill(spill_path: Path) -> List[dict]:
         except ValueError:
             continue
     return lines
-
-
-def _crash_repro(payload: dict, seed: Optional[int]) -> Optional[str]:
-    """The repro command of the crashed job's matrix cell."""
-    return ConformanceResult(
-        name="", seed=seed, transactions=payload["transactions"],
-        stimulus_seed=seed, matrix_engines=payload["engine_names"],
-        lanes=payload["lanes"], roundtrip=payload["roundtrip"],
-        incremental=payload["incremental"], reimport=payload["reimport"],
-        x_probability=payload["x_probability"],
-        plan_digest=payload["plan_digest"]).repro_command()
 
 
 def _describe_exit(exitcode: Optional[int], timed_out: bool,
@@ -318,17 +349,11 @@ def _run_sharded(payloads: List[dict], jobs: int,
                 # Retried and died again: the first unfinished job is the
                 # culprit — record it as a failure, keep going after it.
                 index, job = remaining[0]
-                seed = unfinished[0]
-                results.append({"index": index, "record": None, "failure": {
-                    "seed": seed,
-                    "name": (job["spec"]["name"] if isinstance(job, dict)
-                             else f"seed-{seed}"),
-                    "divergences": [reason],
-                    "repro": _crash_repro(payload, seed),
-                    "kind": "timeout" if timed_out else "crash",
-                    "reason": reason,
-                    "seeds": unfinished,
-                }})
+                results.append({"index": index, "record": None,
+                                "failure": dict(_unfinished(
+                                    payload, job,
+                                    "timeout" if timed_out else "crash",
+                                    reason), seeds=unfinished)})
                 if remaining[1:]:
                     pending.append((dict(payload, jobs=remaining[1:]),
                                     attempt))

@@ -363,27 +363,27 @@ class CompilationSession:
         """A fresh :class:`~repro.sim.Simulator` for the compiled
         ``entrypoint`` (compiling it on first use).
 
-        With ``mode="compiled"`` the simulation kernel is linked eagerly
-        and the build is recorded as a ``"kernel"`` stage timing.  Kernels
-        are linked from per-component chunks in a process-wide cache (keyed
-        by each component's plan, never its children's bodies), so a warm
-        rebuild shows up as a cache hit, and an edit regenerates only the
-        edited component's chunk.  With
-        ``mode="native"`` the C kernel build is recorded the same way as a
-        ``"native"`` stage timing (in-memory and on-disk cache hits both
-        count as cached); its one entry serves scalar and lane batches
-        alike.  When the native tier falls back, the Python kernel it fell
-        back to is recorded instead."""
+        With ``mode="compiled"`` or ``"native"`` the engine decides its
+        tier eagerly (:meth:`~repro.sim.engine.ScheduledEngine.prepare`),
+        and the whole wait is recorded as one stage timing: ``"native"``
+        when the C kernel runs (in-memory and on-disk cache hits both count
+        as cached; its one entry serves scalar and lane batches alike),
+        ``"kernel"`` when the compiled-Python kernel runs — including a
+        native attempt that fell back to it — and nothing when the
+        interpreter runs.  Kernels are linked from per-component chunks in
+        a process-wide cache (keyed by each component's plan, never its
+        children's bodies), so a warm rebuild shows up as a cache hit, and
+        an edit regenerates only the edited component's chunk."""
         from ..sim.simulator import Simulator
         simulator = Simulator(self.calyx(entrypoint), entrypoint, mode=mode)
         if mode in ("compiled", "native"):
+            start = time.perf_counter()
             info = simulator.prepare()
-            if mode == "native" and info["native"]:
-                self._record("native", info["native_seconds"],
-                             cached=info["native_cached"])
-            if info["kernel"]:
-                self._record("kernel", info["seconds"],
-                             cached=info["cached"])
+            seconds = time.perf_counter() - start
+            if info["native"]:
+                self._record("native", seconds, cached=info["native_cached"])
+            elif info["kernel"]:
+                self._record("kernel", seconds, cached=info["cached"])
         return simulator
 
     def harness(self, entrypoint: str):

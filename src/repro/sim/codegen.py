@@ -67,7 +67,6 @@ netlist's digest, keys the native tier's in-memory program cache.
 from __future__ import annotations
 
 import hashlib
-import time
 from typing import Dict, List, Optional, Tuple
 
 from ..core.errors import DriverConflictError
@@ -1065,9 +1064,9 @@ def clear_kernel_cache() -> None:
     _clear_plans()
 
 
-def kernel_for(engine) -> Tuple[CompiledKernelProgram, bool, float]:
+def kernel_for(engine) -> Tuple[CompiledKernelProgram, bool]:
     """The generated kernel for ``engine``'s netlist: ``(program,
-    cache_hit, build_seconds)``.
+    cache_hit)``.
 
     Walks the plans of the reachable components children first — the
     engine resolved them at construction and builds no child engine for
@@ -1077,7 +1076,6 @@ def kernel_for(engine) -> Tuple[CompiledKernelProgram, bool, float]:
     first link as a top.  ``cache_hit`` is true when every chunk hit.
     Raises :class:`KernelUnavailable` when codegen cannot handle the
     netlist (the engine then runs the interpreter)."""
-    start = time.perf_counter()
     hit = True
     top = engine._plan
     factories: Dict[str, object] = {}
@@ -1102,4 +1100,4 @@ def kernel_for(engine) -> Tuple[CompiledKernelProgram, bool, float]:
     program = CompiledKernelProgram(make_top, factories[top.name],
                                     chunk.slots, list(top.output_names),
                                     sources)
-    return program, hit, time.perf_counter() - start
+    return program, hit

@@ -56,8 +56,7 @@ component whose parts changed is printed again.  The state is what one
 engine owns: fresh primitive models, child engines, nodes bound to them,
 the current values and the cycle count.  A ``compiled`` or ``native``
 engine holds plans only — its own and every reachable component's,
-resolved at construction — and builds the interpreter state on first
-need: when a run falls back to the interpreter, or when code reads it.
+resolved at construction.
 
 ``mode="compiled"`` adds the next tier: the levelized schedule is compiled
 into a specialized straight-line Python kernel (:mod:`repro.sim.codegen`,
@@ -72,7 +71,15 @@ through :mod:`ctypes`.  The chain is native → compiled → scheduled →
 fixpoint: a netlist the C tier cannot represent (black boxes, >256-bit
 values) or a host without a compiler falls back to the compiled-Python
 kernel with the reason recorded in
-:attr:`ScheduledEngine.native_fallback_reason`.  Every native batch runs
+:attr:`ScheduledEngine.native_fallback_reason`.
+
+A ``compiled`` or ``native`` engine decides its tier once, in one place
+(:meth:`ScheduledEngine._resolve_tier`), on its first run, ``prepare()``
+or ``native_active()``: down the chain as far as its mode reaches, each
+step down with its reason.  It then holds one kernel, the C or the
+compiled-Python one, and ``peek``/``outputs`` read that kernel after a
+batch ran on it; the interpreter state is built only when the decision
+lands on the interpreter.  Every native batch runs
 through the one C entry ``k_run_lanes``: the columnar entries call it
 directly, ``run_batch``/``run_lanes`` through the converters.  A scalar
 batch is one lane over the engine's own kernel state, and a lane batch is
@@ -521,12 +528,6 @@ def _plan_for(program: CalyxProgram, component: CalyxComponent,
     return plan
 
 
-#: Interpreter state a ``compiled`` or ``native`` engine builds on first
-#: need (see :meth:`ScheduledEngine._build_state`).
-_LAZY_STATE = frozenset(("_primitives", "_children", "_prim_nodes",
-                         "_child_nodes", "_schedule"))
-
-
 class ScheduledEngine:
     """Simulates one component of a :class:`CalyxProgram` from a
     precompiled evaluation schedule.
@@ -535,13 +536,13 @@ class ScheduledEngine:
     In ``auto`` and ``fixpoint`` mode it then builds fresh state around
     it: primitive models and child engines, nodes that share the plan's
     port items, and the schedule bound to those nodes.  In ``compiled``
-    and ``native`` mode the kernel runs every cycle, so construction
-    resolves only the plans of every reachable component, children first,
-    and the state is built on first need: when a run falls back to the
-    interpreter, or when code reads ``_primitives``, ``_children``,
-    ``_prim_nodes``, ``_child_nodes`` or ``_schedule``.  Each engine resets
-    only its own primitives; every child engine resets its own when it
-    builds them."""
+    and ``native`` mode construction resolves only the plans of every
+    reachable component, children first; the tier is decided once, on the
+    first run, ``prepare()`` or ``native_active()``
+    (:meth:`_resolve_tier`), and the interpreter state is built only when
+    that decision lands on the interpreter.  Each engine resets only its
+    own primitives; every child engine resets its own when it builds
+    them."""
 
     def __init__(self, program: CalyxProgram,
                  component: Optional[str] = None,
@@ -567,52 +568,38 @@ class ScheduledEngine:
         #: ``"input-shadowing"``, ``"self-loop"`` or ``"combinational-cycle"``.
         self.fallback_reason: Optional[str] = plan.fallback_reason
 
-        # Kernel-codegen state (mode="compiled"/"native"); the kernel is
-        # built lazily on the first run so construction stays cheap and
-        # children (which are only ever driven through their parent) never
-        # compile one.  mode="native" also enables this tier: it is the
-        # first fallback below the C kernel.
-        self._compile_requested = mode in ("compiled", "native")
+        # The tier ("native", "compiled" or "interpreter"; ``None`` until
+        # decided) and, on a kernel tier, its instance, whether it came
+        # from a cache, and whether a batch ran on it since the last reset.
+        # Children are only ever driven through their parent, so they
+        # never decide on a kernel.
+        self._tier: Optional[str] = None
         self._kernel = None
-        self._kernel_program = None
-        self._kernel_attempted = False
-        self._kernel_used = False
-        self._kernel_from_cache = False
-        self._kernel_build_seconds = 0.0
-        #: Why ``mode="compiled"`` fell back to the interpreter (``None``
-        #: while the generated kernel runs, or when codegen was not asked).
+        self._cached = False
+        self._kernel_ran = False
+        #: Why ``mode="compiled"``/``"native"`` fell back to the
+        #: interpreter: ``codegen(...)`` or ``interpreter(...)``.
         self.kernel_fallback_reason: Optional[str] = None
-
-        # Native-tier state (mode="native"): the C kernel sits above the
-        # compiled-Python kernel in the fallback chain
-        # native → compiled → scheduled → fixpoint.
-        self._native_requested = mode == "native"
-        self._native = None
-        self._native_program = None
-        self._native_attempted = False
-        self._native_used = False
-        self._native_from_cache = False
-        self._native_build_seconds = 0.0
-        #: Why ``mode="native"`` fell back to the compiled-Python tier (or
-        #: further): ``native(...)`` for C-tier ineligibility/compiler
-        #: problems, ``interpreter(...)`` when even the schedule is out.
+        #: Why ``mode="native"`` fell back below the C tier: ``native(...)``
+        #: for C-tier ineligibility or compiler problems,
+        #: ``interpreter(...)`` when even the schedule is out.
         self.native_fallback_reason: Optional[str] = None
 
         #: Current values of every (cell, port) pair; ``None`` cell means the
         #: component's own ports.
         self._values: Dict[_Key, Value] = {}
         self.cycle = 0
-        self._has_state = False
-        if self._compile_requested:
+        if mode in ("compiled", "native"):
             self._reachable_plans()
         else:
             self._build_state()
 
     def _build_state(self) -> None:
-        """Build the interpreter state around the plan: primitive models
-        (reset), child engines, their nodes and the bound schedule.  A
-        child is only ever settled by this engine's interpreter, so it is
-        an interpreter engine too, its own state built with it."""
+        """Build the interpreter state around the plan — primitive models
+        (reset), child engines, their nodes and the bound schedule — and
+        settle the tier on the interpreter.  A child is only ever settled
+        by this engine's interpreter, so it is an interpreter engine too,
+        its own state built with it."""
         plan = self._plan
         self._primitives: Dict[str, PrimitiveModel] = {
             cell: create_primitive(primitive, params)
@@ -632,16 +619,7 @@ class ScheduledEngine:
             self._prim_nodes, self._child_nodes)
         for model in self._primitives.values():
             model.reset()
-        self._has_state = True
-
-    def __getattr__(self, name: str):
-        # Runs only for an attribute the instance lacks: the interpreter
-        # state of an engine that has not needed it yet.
-        if name in _LAZY_STATE and not self.__dict__.get("_has_state", True):
-            self._build_state()
-            return self.__dict__[name]
-        raise AttributeError(
-            f"{type(self).__name__!r} object has no attribute {name!r}")
+        self._tier = "interpreter"
 
     # -- schedule --------------------------------------------------------------
 
@@ -697,7 +675,7 @@ class ScheduledEngine:
 
     def reset(self) -> None:
         """Return every primitive and child to its power-on state."""
-        if self._has_state:
+        if self._tier == "interpreter":
             for model in self._primitives.values():
                 model.reset()
             for child in self._children.values():
@@ -706,79 +684,63 @@ class ScheduledEngine:
         self.cycle = 0
         if self._kernel is not None:
             self._kernel.reset()
-            self._kernel_used = False
-        if self._native is not None:
-            self._native.reset()
-            self._native_used = False
+            self._kernel_ran = False
 
-    # -- kernel codegen (mode="compiled") --------------------------------------
+    # -- tier ------------------------------------------------------------------
 
-    def _ensure_kernel(self):
-        """The generated kernel instance, building it on first use; ``None``
-        when codegen was not requested or is unavailable for this netlist
-        (the interpreter then runs, recording :attr:`kernel_fallback_reason`).
-        """
-        if not self._compile_requested or self._kernel_attempted:
+    def _resolve_tier(self):
+        """The kernel instance batches run on, or ``None`` for the
+        interpreter.  The tier is decided once, down the chain native →
+        compiled → interpreter, as far as ``mode`` reaches; each step down
+        records why in :attr:`native_fallback_reason` or
+        :attr:`kernel_fallback_reason`, and landing on the interpreter
+        builds its state."""
+        if self._tier is not None:
             return self._kernel
-        self._kernel_attempted = True
-        from . import codegen
+        from . import codegen, native
         if not self.scheduled_everywhere():
             reasons = ", ".join(f"{name}: {reason}" for name, reason
                                 in sorted(self.fallback_reasons().items()))
             self.kernel_fallback_reason = f"interpreter({reasons})"
-            return None
-        try:
-            program, cached, seconds = codegen.kernel_for(self)
-        except codegen.KernelUnavailable as unavailable:
-            self.kernel_fallback_reason = f"codegen({unavailable.reason})"
-            return None
-        self._kernel_program = program
-        self._kernel_from_cache = cached
-        self._kernel_build_seconds = seconds
-        self._kernel = program.scalar_instance()
-        return self._kernel
+            if self.mode == "native":
+                self.native_fallback_reason = self.kernel_fallback_reason
+        else:
+            if self.mode == "native":
+                try:
+                    program, self._cached = native.native_for(self)
+                except native.NativeUnavailable as unavailable:
+                    self.native_fallback_reason = (
+                        f"native({unavailable.reason})")
+                else:
+                    self._kernel, self._tier = program.instance(), "native"
+                    return self._kernel
+            try:
+                program, self._cached = codegen.kernel_for(self)
+            except codegen.KernelUnavailable as unavailable:
+                self.kernel_fallback_reason = f"codegen({unavailable.reason})"
+            else:
+                self._kernel = program.scalar_instance()
+                self._tier = "compiled"
+                return self._kernel
+        self._build_state()
+        return None
 
     def uses_kernel(self) -> bool:
-        """Whether this engine executes through a generated kernel (only
-        meaningful after the first run in ``mode="compiled"``)."""
-        return self._kernel is not None
-
-    # -- native C tier (mode="native") -----------------------------------------
-
-    def _ensure_native(self):
-        """The native (C) kernel instance, building it on first use;
-        ``None`` when the native tier was not requested or is unavailable
-        for this netlist/host (the compiled-Python tier then runs,
-        recording :attr:`native_fallback_reason`)."""
-        if not self._native_requested or self._native_attempted:
-            return self._native
-        self._native_attempted = True
-        if not self.scheduled_everywhere():
-            reasons = ", ".join(f"{name}: {reason}" for name, reason
-                                in sorted(self.fallback_reasons().items()))
-            self.native_fallback_reason = f"interpreter({reasons})"
-            return None
-        from . import native
-        try:
-            program, cached, seconds = native.native_for(self)
-        except native.NativeUnavailable as unavailable:
-            self.native_fallback_reason = f"native({unavailable.reason})"
-            return None
-        self._native_program = program
-        self._native_from_cache = cached
-        self._native_build_seconds = seconds
-        self._native = program.instance()
-        return self._native
+        """Whether this engine executes through a generated Python kernel
+        (only meaningful once the tier is decided)."""
+        return self._tier == "compiled"
 
     def uses_native(self) -> bool:
         """Whether this engine executes through a native C kernel (only
-        meaningful after the first run in ``mode="native"``)."""
-        return self._native is not None
+        meaningful once the tier is decided)."""
+        return self._tier == "native"
 
     def native_active(self) -> bool:
-        """Whether batches will run on the native C kernel (builds it if
-        needed).  False outside ``mode="native"`` or after a fallback."""
-        return self._ensure_native() is not None
+        """Whether batches will run on the native C kernel (decides the
+        tier if needed).  False outside ``mode="native"`` or after a
+        fallback."""
+        self._resolve_tier()
+        return self._tier == "native"
 
     def uses_native_lanes(self) -> bool:
         """:meth:`uses_native`: scalar and lane batches share one C entry."""
@@ -789,33 +751,18 @@ class ScheduledEngine:
         entry."""
         return self.native_active()
 
-    def prepare(self) -> Dict[str, object]:
-        """Eagerly finish engine construction and report how this engine
-        will execute.
-
-        In ``mode="compiled"`` this links (from per-component cached
-        chunks) the generated kernel that would otherwise be built lazily on
-        the first run; ``mode="native"`` first tries the C tier and only
-        builds the Python kernel when the C tier fell back; other modes are
-        already fully constructed.  Returns ``{"kernel": bool, "cached":
-        bool, "seconds": float, "fallback_reason": Optional[str], "native":
-        bool, "native_cached": bool, "native_seconds": float,
-        "native_fallback_reason": Optional[str]}`` — the public surface
-        sessions and benchmarks use instead of reaching into engine
-        internals.  Scalar and lane batches share the one native entry, so
-        ``native`` covers both."""
-        if self._ensure_native() is None:
-            self._ensure_kernel()
-        return {
-            "kernel": self._kernel is not None,
-            "cached": self._kernel_from_cache,
-            "seconds": self._kernel_build_seconds,
-            "fallback_reason": self.kernel_fallback_reason,
-            "native": self._native is not None,
-            "native_cached": self._native_from_cache,
-            "native_seconds": self._native_build_seconds,
-            "native_fallback_reason": self.native_fallback_reason,
-        }
+    def prepare(self) -> Dict[str, bool]:
+        """Decide the tier now instead of on the first run, and report it:
+        ``{"kernel": bool, "cached": bool, "native": bool,
+        "native_cached": bool}`` — whether the compiled-Python or the C
+        kernel runs, and whether it came from a cache.  ``auto`` and
+        ``fixpoint`` engines are already fully constructed.  Scalar and
+        lane batches share the one native entry, so ``native`` covers
+        both; the fallback reasons are the engine's attributes."""
+        self._resolve_tier()
+        kernel, native = self.uses_kernel(), self.uses_native()
+        return {"kernel": kernel, "cached": kernel and self._cached,
+                "native": native, "native_cached": native and self._cached}
 
     # -- batches ---------------------------------------------------------------
 
@@ -831,12 +778,12 @@ class ScheduledEngine:
         dicts.  Validation and width masking happen once for the batch, so
         pipelined transaction streams avoid per-cycle re-dispatch."""
         rows = self._checked_rows(stimuli)
-        native = self._ensure_native()
-        if native is None:
+        kernel = self._resolve_tier()
+        if self._tier != "native":
             return self._run_rows(rows)
-        self._native_used = True
+        self._kernel_ran = True
         cycles = len(rows)
-        out = native.run_columns(
+        out = kernel.run_columns(
             cycles, rows_to_columns((rows,), self._input_names, cycles))
         self.cycle += cycles
         return columns_to_rows(out, cycles)
@@ -863,11 +810,11 @@ class ScheduledEngine:
         """
         batches = [self._checked_rows(batch) for batch in stimuli_batches]
         try:
-            native = self._ensure_native()
-            if native is not None:
+            kernel = self._resolve_tier()
+            if self._tier == "native":
                 lengths = [len(batch) for batch in batches]
                 cycles = max(lengths, default=0)
-                out = native.run_lanes_columns(
+                out = kernel.run_lanes_columns(
                     cycles, len(batches),
                     rows_to_columns(batches, self._input_names, cycles),
                     lengths)
@@ -902,12 +849,12 @@ class ScheduledEngine:
         state; the Python tiers convert to rows, call :meth:`run_batch`
         and convert the trace back."""
         self._check_input_names((columns,))
-        native = self._ensure_native()
-        if native is None:
+        kernel = self._resolve_tier()
+        if self._tier != "native":
             trace = self.run_batch(columns_to_rows(columns, cycles))
             return rows_to_columns((trace,), self._output_names, cycles)
-        self._native_used = True
-        out = native.run_columns(cycles, columns)
+        self._kernel_ran = True
+        out = kernel.run_columns(cycles, columns)
         self.cycle += cycles
         return out
 
@@ -930,14 +877,14 @@ class ScheduledEngine:
             raise SimulationError(
                 f"{self.component.name}: lane lengths {list(lengths)} do "
                 f"not fit {n_lanes} lane(s) of {cycles} cycle(s)")
-        native = self._ensure_native()
-        if native is None:
+        kernel = self._resolve_tier()
+        if self._tier != "native":
             traces = self.run_lanes([
                 columns_to_rows(columns, length, n_lanes, lane)
                 for lane, length in enumerate(lengths)])
             return rows_to_columns(traces, self._output_names, cycles)
         try:
-            return native.run_lanes_columns(cycles, n_lanes, columns,
+            return kernel.run_lanes_columns(cycles, n_lanes, columns,
                                             lengths)
         finally:
             self.reset()
@@ -975,12 +922,12 @@ class ScheduledEngine:
 
     def _run_rows(self, rows: List[Dict[str, Value]]
                   ) -> List[Dict[str, Value]]:
-        """Checked rows on the engine's Python tier: the compiled kernel
-        when there is one, the interpreter otherwise."""
-        kernel = self._ensure_kernel()
+        """Checked rows on the engine's Python tier, decided already: the
+        compiled kernel when there is one, the interpreter otherwise."""
+        kernel = self._kernel
         if kernel is None:
             return [self._step_unchecked(row) for row in rows]
-        self._kernel_used = True
+        self._kernel_ran = True
         cycle = kernel.cycle
         trace = [cycle(row) for row in rows]
         self.cycle += len(trace)
@@ -996,11 +943,7 @@ class ScheduledEngine:
 
     def outputs(self) -> Dict[str, Value]:
         """Output port values as of the last settle."""
-        if self._native_used:
-            native = self._native
-            return {port.name: native.peek((None, port.name))
-                    for port in self.component.outputs}
-        if self._kernel_used:
+        if self._kernel_ran:
             kernel = self._kernel
             return {port.name: kernel.peek((None, port.name))
                     for port in self.component.outputs}
@@ -1008,10 +951,9 @@ class ScheduledEngine:
                 for port in self.component.outputs}
 
     def peek(self, cell: Optional[str], port: str) -> Value:
-        """Inspect any internal signal (used by waveforms and tests)."""
-        if self._native_used:
-            return self._native.peek((cell, port))
-        if self._kernel_used:
+        """Inspect any internal signal (used by waveforms and tests): the
+        kernel's when a batch ran on one since the last reset."""
+        if self._kernel_ran:
             return self._kernel.peek((cell, port))
         return self._values.get((cell, port), X)
 

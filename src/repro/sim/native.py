@@ -85,7 +85,6 @@ import os
 import shutil
 import subprocess
 import tempfile
-import time
 from array import array
 from collections import OrderedDict
 from pathlib import Path
@@ -1626,17 +1625,16 @@ def _compile_so(source: str, c_path: Path, so_path: Path,
     os.replace(tmp, so_path)
 
 
-def native_for(engine) -> Tuple[NativeKernelProgram, bool, float]:
+def native_for(engine) -> Tuple[NativeKernelProgram, bool]:
     """The native kernel program for ``engine``'s netlist: ``(program,
-    cached, build_seconds)``.  ``cached`` is true for both in-memory hits
-    and on-disk store hits.  Raises :class:`NativeUnavailable` when the
-    netlist is native-ineligible or no C compiler is available."""
+    cached)``.  ``cached`` is true for both in-memory hits and on-disk
+    store hits.  Raises :class:`NativeUnavailable` when the netlist is
+    native-ineligible or no C compiler is available."""
     global _DISK_HITS
     digest = netlist_digest(engine)
     cached = _CACHE.get(digest)
     if cached is not None:
-        return cached, True, 0.0
-    start = time.perf_counter()
+        return cached, True
     # Eligibility before the compiler probe: an ineligible netlist reports
     # its own reason on a host without a compiler too.
     source, layout, plans = generate_c_source(engine)
@@ -1674,8 +1672,7 @@ def native_for(engine) -> Tuple[NativeKernelProgram, bool, float]:
         raise NativeUnavailable(f"failed to load native kernel: {error}")
     _declare(lib)
     program = NativeKernelProgram(digest, lib, layout, plans, disk_hit)
-    seconds = time.perf_counter() - start
     _CACHE.put(digest, program)
     if disk_hit:
         _DISK_HITS += 1
-    return program, disk_hit, seconds
+    return program, disk_hit

@@ -43,7 +43,8 @@ tier falls back to the next with a recorded reason
 (:attr:`~repro.sim.engine.ScheduledEngine.native_fallback_reason`) when a
 netlist is ineligible — black-box primitives, values wider than 256 bits
 (65–256-bit signals spill to multi-limb ``uint64_t`` slots) — or the host
-has no C compiler.  Under ``mode="native"`` every batch runs through the
+has no C compiler.  An engine decides its tier once, on its first run or
+``prepare()``, and holds the one kernel it decided on.  Under ``mode="native"`` every batch runs through the
 one C entry ``k_run_lanes``: a scalar run is one lane over the engine's
 own state, and a lane batch runs each stream's netlist pass in turn with
 one Python↔C crossing per batch.  Everywhere else, lane batches are N

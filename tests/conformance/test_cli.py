@@ -5,6 +5,7 @@ flag changes meaning with ``--jobs``."""
 
 import json
 import shlex
+import shutil
 from pathlib import Path
 
 import pytest
@@ -240,25 +241,77 @@ def _lying_engines():
     return {"fixpoint": base["fixpoint"], "lying": lying_factory}
 
 
-def test_printed_repro_command_actually_reproduces(monkeypatch, capsys):
-    """Satellite guarantee: the one-liner printed with a differential
-    failure re-runs exactly that failing matrix cell."""
-    monkeypatch.setattr(parallel_module, "default_engines", _lying_engines)
-    assert main(["--start", "3", "--seeds", "1", "--transactions", "4",
-                 "--lanes", "1", "--no-roundtrip", "--no-incremental",
-                 "--no-shrink", "--quiet"]) == 1
-    out = capsys.readouterr().out
-    repro_lines = [line for line in out.splitlines() if "repro:" in line]
-    assert repro_lines, out
-    command = shlex.split(repro_lines[0].split("repro:", 1)[1])
-    assert command[:3] == ["python", "-m", "repro.conformance"]
+def _failure_block(out):
+    """The printed failure: its verdict line through its repro command."""
+    lines = out.splitlines()
+    start = next(index for index, line in enumerate(lines)
+                 if "DIVERGED" in line or ": ERROR (" in line)
+    end = next(index for index, line in enumerate(lines) if "repro:" in line)
+    return lines[start:end + 1]
 
-    # Re-run the printed arguments through the same entry point: the
-    # failure must come back, at the same seed and engine matrix.
-    rerun = command[3:] + ["--no-shrink", "--quiet"]
-    assert "--start 3" in " ".join(rerun)
-    assert main(rerun) == 1
-    assert "DIVERGED" in capsys.readouterr().out
+
+def test_printed_repro_command_actually_reproduces(monkeypatch, capsys):
+    """The CLI's guarantee: the one-liner printed with a differential
+    failure re-runs exactly that failing matrix cell — for a generated
+    seed, and for a replayed steered entry, which seed 101 under the
+    default config does not build."""
+    monkeypatch.setattr(parallel_module, "default_engines", _lying_engines)
+    entry = str(CORPUS_DIR / "gen101.json")
+    for source, expect in ((["--start", "3", "--seeds", "1"],
+                            "--start 3 --seeds 1"),
+                           (["--replay", entry], f"--replay {entry}")):
+        assert main(source + ["--transactions", "4", "--lanes", "1",
+                              "--no-roundtrip", "--no-incremental",
+                              "--no-shrink", "--quiet"]) == 1
+        out = capsys.readouterr().out
+        repro_lines = [line for line in out.splitlines() if "repro:" in line]
+        assert repro_lines, out
+        command = shlex.split(repro_lines[0].split("repro:", 1)[1])
+        assert command[:3] == ["python", "-m", "repro.conformance"]
+
+        # Re-run the printed arguments through the same entry point: the
+        # same failure must come back, for the same program and engine
+        # matrix.
+        rerun = command[3:] + ["--no-shrink", "--quiet"]
+        assert expect in " ".join(rerun)
+        assert main(rerun) == 1
+        assert _failure_block(capsys.readouterr().out) == \
+            _failure_block(out)
+
+
+def test_a_raising_job_reports_the_same_at_every_job_count(tmp_path,
+                                                          capfd):
+    """A replayed entry whose digest no longer matches raises in its job.
+    At one job and at two that is one ``ERROR`` line with a repro command
+    that replays the entry, the same ledger, and no traceback or worker
+    crash."""
+    corpus = tmp_path / "corpus"
+    shutil.copytree(CORPUS_DIR, corpus)
+    stale = corpus / "gen19.json"
+    entry = json.loads(stale.read_text())
+    entry["digest"] = "0" * 16
+    stale.write_text(json.dumps(entry))
+    printed, ledgers = [], []
+    for jobs in ("1", "2"):
+        ledger = tmp_path / f"ledger-{jobs}.json"
+        assert main(["--replay", str(corpus), "--jobs", jobs, "--quiet",
+                     "--ledger", str(ledger)] + _FAST) == 1
+        captured = capfd.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+        assert "WORKER CRASH" not in captured.out
+        assert "worker crash" not in captured.out
+        printed.append(_failure_block(captured.out))
+        ledgers.append(ledger.read_bytes())
+    assert printed[0] == printed[1]
+    verdict, repro = printed[0]
+    assert verdict.startswith(
+        "  seed 19: ERROR (CorpusError: corpus entry Gen19: digest ")
+    assert repro == (
+        f"    repro: python -m repro.conformance --replay {stale} "
+        "--transactions 4 --lanes 1 --engine fixpoint --engine scheduled "
+        "--no-roundtrip --no-incremental")
+    assert ledgers[0] == ledgers[1]
+    assert len(json.loads(ledgers[0])["records"]) == 11
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

@@ -118,6 +118,21 @@ def test_shard_failures_carry_repro_commands(monkeypatch):
         assert "--engine fixpoint --engine lying" in failure.repro
 
 
+def test_a_raising_job_is_an_error_failure_with_its_traceback():
+    """A job that raises is one ``error`` failure, not a lost run: the
+    reason names the exception, the traceback rides along, and there is
+    no spec to shrink."""
+    entry = dict(load_entries(CORPUS_DIR / "gen19.json")[0][1],
+                 digest="0" * 16)
+    run = run_shards([entry], jobs=1, **_FAST)
+    (failure,) = run.failures
+    assert (failure.kind, failure.seed, failure.spec) == ("error", 19, None)
+    assert failure.reason.startswith("CorpusError: corpus entry Gen19: ")
+    assert failure.divergences[0].startswith("Traceback")
+    assert failure.repro is None  # the job carries no entry file
+    assert not run.records
+
+
 def test_legacy_failure_dicts_default_the_new_fields():
     """Old worker payloads (and old persisted failures) predate
     kind/reason/seeds; ``ShardFailure(**d)`` must keep accepting them."""

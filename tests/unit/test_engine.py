@@ -807,3 +807,162 @@ class TestFixpointSettleCount:
         assert [row["out"] for row in trace] == [
             a + 2 * depth for a in range(cycles)]
         assert calls <= bound * cycles
+
+
+def _self_loop_program():
+    """``o = a`` twice, once guarded by ``o`` itself: the schedule rejects
+    the self-loop, and the sweep loop settles ``o`` to ``a``."""
+    component = CalyxComponent(
+        "loopy", inputs=[PortSpec("a", 8)], outputs=[PortSpec("o", 8)])
+    component.add_wire(Assignment(CellPort(None, "o"), CellPort(None, "a")))
+    component.add_wire(Assignment(CellPort(None, "o"), CellPort(None, "a"),
+                                  Guard((CellPort(None, "o"),))))
+    program = CalyxProgram(entrypoint="loopy")
+    program.add(component)
+    return program
+
+
+_NO_CC = "native(no C compiler (cc/gcc/clang) on PATH)"
+_BLACK_BOX = "native(black-box primitive Tdot: 'u' in top)"
+_SELF_LOOP = "interpreter(loopy: self-loop)"
+_FORCED = "codegen(forced)"
+
+#: ``(mode, netlist) -> (tier, kernel_fallback_reason,
+#: native_fallback_reason)`` on a host with a C compiler.  ``auto`` and
+#: ``fixpoint`` run the interpreter with no reason on every netlist;
+#: ``native-no-cc`` is ``native`` with ``REPRO_CC`` naming no compiler.
+_TIERS = {
+    ("compiled", "addmult"): ("compiled", None, None),
+    ("compiled", "blackbox"): ("compiled", None, None),
+    ("compiled", "self-loop"): ("interpreter", _SELF_LOOP, None),
+    ("compiled", "no-codegen"): ("interpreter", _FORCED, None),
+    ("native", "addmult"): ("native", None, None),
+    ("native", "blackbox"): ("compiled", None, _BLACK_BOX),
+    ("native", "self-loop"): ("interpreter", _SELF_LOOP, _SELF_LOOP),
+    ("native", "no-codegen"): ("native", None, None),
+    ("native-no-cc", "addmult"): ("compiled", None, _NO_CC),
+}
+
+#: The same rows on a host without a C compiler.
+_TIERS_WITHOUT_CC = {
+    ("native", "addmult"): ("compiled", None, _NO_CC),
+    ("native", "no-codegen"): ("interpreter", _FORCED, _NO_CC),
+}
+
+_TIER_CASES = [(mode, netlist)
+               for mode in ("auto", "fixpoint", "compiled", "native")
+               for netlist in ("addmult", "blackbox", "self-loop",
+                               "no-codegen")] + [("native-no-cc", "addmult")]
+
+
+class TestTierContract:
+    """Each engine decides its tier once, down native → compiled →
+    interpreter.  One row per mode and netlist pins what an engine reports
+    after ``prepare()`` and after a run, what ``peek``/``outputs`` read,
+    and the one build stage a session records."""
+
+    @staticmethod
+    def _netlist(name):
+        """``(calyx, entrypoint, rows, output port)``; the last row's
+        output is concrete on every tier."""
+        if name == "blackbox":
+            import repro.generators.reticle.dsp  # noqa: F401 — registers Tdot
+            from test_codegen import _single_cell_program
+
+            ports = ("a0", "b0", "a1", "b1", "a2", "b2", "c")
+            program = _single_cell_program("Tdot", (8,),
+                                           {port: 8 for port in ports})
+            rows = [{f"i_{port}": i + 1 for port in ports}
+                    for i in range(8)]
+            return program, "top", rows, "o_y"
+        if name == "self-loop":
+            return (_self_loop_program(), "loopy",
+                    [{"a": 3}, {"a": 9}], "o")
+        from repro.core.session import CompilationSession
+        from repro.designs import addmult_program
+
+        calyx = CompilationSession(addmult_program()).calyx("AddMult")
+        rows = [{"go": 1, "a": i, "b": i + 1, "c": 3} for i in range(6)]
+        return calyx, "AddMult", rows, "out"
+
+    @staticmethod
+    def _report(engine):
+        info = engine.prepare()
+        return {
+            "uses_kernel": engine.uses_kernel(),
+            "uses_native": engine.uses_native(),
+            "native_active": engine.native_active(),
+            "kernel_fallback_reason": engine.kernel_fallback_reason,
+            "native_fallback_reason": engine.native_fallback_reason,
+            **{key: info[key] for key in ("kernel", "cached", "native",
+                                          "native_cached")}}
+
+    def test_a_native_fallback_decides_the_compiled_kernel_at_once(self):
+        """``native_active()`` decides the whole chain: a C-tier fallback
+        builds the compiled kernel then, not at the first run.
+        ``prepare()`` reports the four tier keys only."""
+        calyx, entrypoint, _, _ = self._netlist("blackbox")
+        engine = Simulator(calyx, entrypoint, mode="native")
+        assert not engine.native_active()
+        assert engine.uses_kernel()
+        assert sorted(engine.prepare()) == ["cached", "kernel", "native",
+                                            "native_cached"]
+
+    @pytest.mark.parametrize("mode,netlist", _TIER_CASES,
+                             ids=[f"{m}-{n}" for m, n in _TIER_CASES])
+    def test_one_tier_per_engine(self, mode, netlist, tmp_path,
+                                 monkeypatch):
+        from repro.core.session import CompilationSession
+        from repro.sim import clear_kernel_cache, clear_native_cache, codegen
+
+        table = (_TIERS if compiler_available()
+                 else {**_TIERS, **_TIERS_WITHOUT_CC})
+        tier, kernel_reason, native_reason = table.get(
+            (mode, netlist), ("interpreter", None, None))
+        if mode == "native-no-cc":
+            monkeypatch.setenv("REPRO_CC", "/nonexistent/cc")
+            mode = "native"
+        if netlist == "no-codegen":
+            def unavailable(engine):
+                raise codegen.KernelUnavailable("forced")
+
+            monkeypatch.setattr(codegen, "kernel_for", unavailable)
+        # A fresh store and empty caches: the session's first build of
+        # either kernel misses, its second hits.
+        monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path))
+        clear_native_cache()
+        clear_kernel_cache()
+        calyx, entrypoint, rows, port = self._netlist(
+            "addmult" if netlist == "no-codegen" else netlist)
+
+        session = CompilationSession.from_calyx(calyx)
+        for _ in range(2):
+            session.simulator(entrypoint, mode=mode)
+        stage = {"native": "native", "compiled": "kernel"}.get(tier)
+        stats = session.cache_stats()
+        assert {name: stats[name] for name in ("native", "kernel")
+                if name in stats} == (
+            {stage: {"hits": 1, "misses": 1}} if stage else {})
+        assert (stage in session.stage_seconds()) == (stage is not None)
+
+        engine = Simulator(calyx, entrypoint, mode=mode)
+        want = {"uses_kernel": tier == "compiled",
+                "uses_native": tier == "native",
+                "native_active": tier == "native",
+                "kernel_fallback_reason": kernel_reason,
+                "native_fallback_reason": native_reason,
+                "kernel": tier == "compiled", "cached": tier == "compiled",
+                "native": tier == "native",
+                "native_cached": tier == "native"}
+        assert self._report(engine) == want
+        trace = engine.run_batch(rows)
+        assert self._report(engine) == want
+        assert trace == Simulator(calyx, entrypoint,
+                                  mode="fixpoint").run_batch(rows)
+        assert not is_x(trace[-1][port])
+        assert engine.outputs() == trace[-1]
+        assert engine.peek(None, port) == trace[-1][port]
+        engine.reset()
+        assert is_x(engine.peek(None, port))
+        assert all(is_x(value) for value in engine.outputs().values())
+        clear_native_cache()

@@ -191,7 +191,7 @@ class TestNativeCache:
         program = _single_cell_program("Add", (8,),
                                        {"left": 8, "right": 8})
         clear_native_cache()
-        _, cached, _ = native_module.native_for(
+        _, cached = native_module.native_for(
             Simulator(program, mode="native"))
         assert not cached
 
@@ -199,7 +199,7 @@ class TestNativeCache:
         monkeypatch.setattr(native_module, "_CFLAGS",
                             (*native_module._CFLAGS,
                              "-DREPRO_FLAG_TAG_TEST"))
-        _, cached, _ = native_module.native_for(
+        _, cached = native_module.native_for(
             Simulator(program, mode="native"))
         assert not cached
         assert native_module.native_cache_stats()["disk_hits"] == 0
@@ -221,7 +221,7 @@ class TestNativeCache:
                                        {"left": 8, "right": 8})
         for expect_cached in (False, True):  # cold, then a warm disk hit
             clear_native_cache()
-            _, cached, _ = native_module.native_for(
+            _, cached = native_module.native_for(
                 Simulator(program, mode="native"))
             assert cached is expect_cached
 
@@ -233,7 +233,7 @@ class TestNativeCache:
             return source + "\n/* emitter change */\n", layout, plans
 
         monkeypatch.setattr(native_module, "generate_c_source", edited)
-        built, cached, _ = native_module.native_for(
+        built, cached = native_module.native_for(
             Simulator(program, mode="native"))
         assert not cached and not built.disk_hit
         assert native_module.native_cache_stats()["disk_hits"] == 0
