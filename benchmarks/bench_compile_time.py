@@ -10,9 +10,10 @@ reports the :class:`~repro.core.session.CompilationSession` instrumentation:
 * the simulator's before/after cycles-per-second figure — the naive
   fixpoint interpreter versus the compiled, scheduled engine;
 * the per-edit depth sweep: one leaf edit of a 16-, 64- and 256-component
-  chain, re-emitted as Verilog and rebuilt as a compiled-tier harness
-  simulator, with the number of components the edit prints — the same at
-  every depth.
+  chain, re-emitted as Verilog, rebuilt as a compiled-tier harness
+  simulator and prepared (its kernel linked and instantiated), with the
+  number of components the edit prints, of plans it resolves and of
+  kernel chunks it links — each the same at every depth.
 """
 
 import sys
@@ -114,15 +115,20 @@ def test_incremental_edit_recompiles_only_the_dirty_component(benchmark):
 
 def test_an_edit_prints_the_same_components_at_every_depth(benchmark):
     """The depth sweep: a leaf edit prints the edited component alone,
-    however many components the design has."""
+    and resolves as many plans and links as many kernel chunks, however
+    many components the design has."""
     costs = benchmark.pedantic(measure_edit_costs, kwargs={"edits": 3},
                                rounds=1, iterations=1)
     print()
     for cost in costs:
         print(f"chain{cost.depth:<4d} {cost.median_seconds * 1000:7.2f} ms "
-              f"per edit, {cost.printed_per_edit:g} components printed")
+              f"per edit, {cost.prepare_seconds * 1000:7.2f} ms prepare, "
+              f"{cost.printed_per_edit:g} components printed, "
+              f"{cost.plans_per_edit:g} plans resolved, "
+              f"{cost.chunks_per_edit:g} chunks linked")
     assert [cost.depth for cost in costs] == [16, 64, 256]
-    assert len({cost.printed_per_edit for cost in costs}) == 1
+    assert len({(cost.printed_per_edit, cost.plans_per_edit,
+                 cost.chunks_per_edit) for cost in costs}) == 1
 
 
 def test_simulator_cycles_per_second(benchmark):
@@ -153,7 +159,8 @@ def main() -> int:
     ``BENCH_compile_time.json`` (the common benchmark schema), and gate on
     warm / incremental-edit recompiles beating cold, the incremental
     simulator rebuild beating a cold one, and an edit printing as many
-    components at every depth of the sweep (a count, not a timing)."""
+    components, resolving as many plans and linking as many kernel chunks
+    at every depth of the sweep (counts, not timings)."""
     from common import write_bench
 
     rows = []
@@ -193,15 +200,22 @@ def main() -> int:
                      "chunks_regenerated": chunks})
 
     # The depth sweep: per-edit session.verilog + harness_for + simulator
-    # build against design size, relative to the 16-component chain.
+    # build against design size, relative to the 16-component chain, with
+    # the simulator's prepare() next to it and the two together.
     costs = measure_edit_costs()
     for cost in costs:
         rows.append({"engine": "edit", "config": f"chain{cost.depth}",
                      "tx_per_sec": 1.0 / max(cost.median_seconds, 1e-9),
                      "baseline": f"edit chain{costs[0].depth}",
                      "ms_per_edit": round(cost.median_seconds * 1000, 3),
+                     "prepare_ms_per_edit": round(
+                         cost.prepare_seconds * 1000, 3),
+                     "ms_per_edit_with_prepare": round(
+                         cost.total_seconds * 1000, 3),
                      "edits": cost.edits,
-                     "printed_per_edit": cost.printed_per_edit})
+                     "printed_per_edit": cost.printed_per_edit,
+                     "plans_per_edit": cost.plans_per_edit,
+                     "chunks_per_edit": cost.chunks_per_edit})
 
     # Per-design baseline: each design's speedups are relative to its own
     # fixpoint rate (a cross-design ratio would conflate design size with
@@ -222,14 +236,25 @@ def main() -> int:
           f"{timing.rebuild_speedup:.1f}x vs cold")
     for cost in costs:
         print(f"edit sweep chain{cost.depth}: "
-              f"{cost.median_seconds * 1000:.2f} ms per edit "
-              f"(median of {cost.edits}), {cost.printed_per_edit:g} "
-              f"components printed per edit")
+              f"{cost.median_seconds * 1000:.2f} ms per edit + "
+              f"{cost.prepare_seconds * 1000:.2f} ms prepare = "
+              f"{cost.total_seconds * 1000:.2f} ms "
+              f"({cost.total_seconds / costs[0].total_seconds:.2f}x "
+              f"chain{costs[0].depth}; median of {cost.edits}), "
+              f"{cost.printed_per_edit:g} components printed, "
+              f"{cost.plans_per_edit:g} plans resolved, "
+              f"{cost.chunks_per_edit:g} chunks linked per edit")
     if not timing.identical:
         print("FAIL: incremental artifacts differ from a scratch compile")
         return 1
     if len({cost.printed_per_edit for cost in costs}) != 1:
         print("FAIL: an edit prints more components in a deeper design")
+        return 1
+    if len({cost.plans_per_edit for cost in costs}) != 1:
+        print("FAIL: an edit resolves more plans in a deeper design")
+        return 1
+    if len({cost.chunks_per_edit for cost in costs}) != 1:
+        print("FAIL: an edit links more kernel chunks in a deeper design")
         return 1
     if timing.warm_seconds >= timing.cold_seconds:
         print("FAIL: warm recompile did not beat cold")

@@ -83,7 +83,7 @@ _LIST_END = object()
 def fingerprint_text(*parts: str) -> str:
     """A stable hex digest of the given text parts (order-sensitive): the
     SHA-256 of every part followed by a NUL, the unambiguous boundary."""
-    text = "".join([part + "\x00" for part in parts])
+    text = "\x00".join(parts) + "\x00" if parts else ""
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 

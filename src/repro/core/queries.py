@@ -37,8 +37,10 @@ oracle comparing the two compared a netlist with itself.
 
 from __future__ import annotations
 
-from itertools import repeat
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate, chain
+from operator import attrgetter, is_, is_not
 from dataclasses import replace as dataclass_replace
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -59,6 +61,24 @@ _INPUT = "input"
 #: Pseudo-input key whose revision bumps when the set of component *names*
 #: changes (whole-program queries depend on membership, not just members).
 _MEMBERS = "<members>"
+
+_BODY = attrgetter("body")
+_SIGNATURE = attrgetter("signature")
+_VALUE = attrgetter("value")
+
+
+def _not_same(new: list, old: list):
+    """The indices at which ``new`` holds another object than ``old``
+    (the lists are as long), found in C."""
+    flags = list(map(is_not, new, old))
+    index = -1
+    try:
+        while True:
+            index = flags.index(True, index + 1)
+            yield index
+    except ValueError:
+        return
+
 
 #: Per-component stages, in pipeline order.  ``vcomp`` is the per-component
 #: Verilog module text; ``verilog`` (an entry-level query) concatenates them.
@@ -113,10 +133,27 @@ class _Memo:
     value: object
     digest: str
     deps: Tuple[Tuple[str, str], ...]
-    #: The names of the inputs among ``deps``.
-    inputs: Tuple[str, ...]
     changed_at: int
     verified_at: int
+    #: A link query's parts: what it assembled, to patch (see
+    #: :meth:`QueryEngine._parts`).
+    parts: Optional["_Parts"] = None
+
+
+class _Parts:
+    """The memos a link query assembled its value from: ``keys[i]``'s
+    memo is ``memos[i]``, ``index`` maps a key to ``i``, and ``digests``
+    holds their digests, to hash them without a walk."""
+
+    __slots__ = ("keys", "index", "memos", "digests")
+
+    def __init__(self, keys: Tuple[Tuple[str, str], ...],
+                 index: Dict[Tuple[str, str], int], memos: List[_Memo],
+                 digests: List[str]) -> None:
+        self.keys = keys
+        self.index = index
+        self.memos = memos
+        self.digests = digests
 
 
 class _Walk:
@@ -124,13 +161,22 @@ class _Walk:
     the deps it records, and what it read of each component — its
     children, or ``None`` for an extern — as of ``revision``."""
 
-    __slots__ = ("revision", "names", "deps", "read")
+    __slots__ = ("revision", "names", "deps", "read", "keys")
 
     def __init__(self, revision: int) -> None:
         self.revision = revision
         self.names: List[str] = []
         self.deps: List[Tuple[str, str]] = []
         self.read: Dict[str, Optional[List[str]]] = {}
+        #: stage -> ``(stage, name)`` for every reached name, in order.
+        self.keys: Dict[str, Tuple[Tuple[str, str], ...]] = {}
+
+    def stage_keys(self, stage: str) -> Tuple[Tuple[str, str], ...]:
+        keys = self.keys.get(stage)
+        if keys is None:
+            keys = self.keys[stage] = tuple(
+                [(stage, name) for name in self.names])
+        return keys
 
 
 @dataclass
@@ -171,14 +217,19 @@ class QueryEngine:
         # session stage call refreshes before querying, so snapshotting here
         # too would print and hash the whole program twice per session.
         self._inputs: Dict[str, str] = {}
+        #: The program's parts as the last refresh laid them out
+        #: (:meth:`_layout`).
+        self._last_layout: Optional[Tuple[list, ...]] = None
         self._input_changed: Dict[str, int] = {_MEMBERS: 1}
         self._memos: Dict[Tuple[str, str], _Memo] = {}
         self._dep_stack: List[Optional[List[Tuple[str, str]]]] = []
         #: dependency -> the memos that recorded it (reverse edges).
         self._dependents: Dict[Tuple[str, str], Set[Tuple[str, str]]] = {}
-        #: Memos a refresh may have made stale: every transitive dependent
-        #: of a changed input, until the memo is next verified or re-run.
-        self._suspect: Set[Tuple[str, str]] = set()
+        #: Memos a refresh may have made stale — every transitive dependent
+        #: of a changed input, until the memo is next verified or re-run —
+        #: each with the dependencies it was marked through: only those can
+        #: have changed since it was last verified.
+        self._suspect: Dict[Tuple[str, str], Set[Tuple[str, str]]] = {}
         #: entrypoint -> its last reachability walk.
         self._reachable: Dict[str, _Walk] = {}
         #: (revision, stage, name) for every real query execution, in order.
@@ -199,35 +250,86 @@ class QueryEngine:
     def revision(self) -> int:
         return self._revision
 
-    def _snapshot(self) -> Dict[str, str]:
-        """Every component's self fingerprint (see
-        :func:`~repro.core.fingerprint.fingerprint_snapshot`), printing only
-        the components whose parts changed since the last snapshot.  Names
-        that left the program leave the memo too."""
-        current: Dict[str, str] = {}
-        printed = self._printed
-        for name, component in self._program.components.items():
-            parts = component_parts(component)
-            memo = printed.get(name)
-            if memo is None or not same_parts(memo[0], parts):
-                memo = printed[name] = (
-                    parts, component_self_fingerprint(component))
-            current[name] = memo[1]
-        if len(printed) != len(current):
-            for name in [name for name in printed if name not in current]:
-                del printed[name]
-        return current
+    def _layout(self) -> Tuple[list, ...]:
+        """The program's components laid flat, each list built in C: the
+        names, the component objects, their signatures, their body lengths
+        and every body command in order (the parts of
+        :func:`~repro.core.fingerprint.component_parts`).  Two layouts whose
+        lists hold the very same objects describe components that print
+        the same."""
+        components = self._program.components
+        objects = list(components.values())
+        bodies = list(map(_BODY, objects))
+        return (list(components), objects, list(map(_SIGNATURE, objects)),
+                list(map(len, bodies)), list(chain.from_iterable(bodies)))
+
+    def _touched(self, layout: Tuple[list, ...]) -> Optional[List[int]]:
+        """The positions of the components whose signature or body command
+        is no longer the object it was in the last layout, compared in C;
+        ``None`` when the names, the component objects or a body length
+        changed, and every component must be looked at."""
+        last = self._last_layout
+        if last is None:
+            return None
+        names, objects, signatures, lengths, commands = layout
+        if (len(names) != len(last[0]) or not all(map(is_, names, last[0]))
+                or not all(map(is_, objects, last[1]))
+                or lengths != last[3]):
+            return None
+        ends = list(accumulate(lengths))
+        touched = set(_not_same(signatures, last[2]))
+        touched.update(bisect_right(ends, index)
+                       for index in _not_same(commands, last[4]))
+        return sorted(touched)
+
+    def _edited(self) -> List[str]:
+        """The components edited, added or removed since the last refresh,
+        printing only those whose parts changed (see
+        :func:`~repro.core.fingerprint.fingerprint_snapshot`); ``_MEMBERS``
+        too when the set of names changed.  Names that left the program
+        leave the print memo."""
+        layout = self._layout()
+        touched = self._touched(layout)
+        self._last_layout = layout
+        names, objects = layout[0], layout[1]
+        if touched is not None:
+            return [names[index] for index in touched
+                    if self._reprinted(names[index], objects[index])]
+        inputs = self._inputs
+        current = set(names)
+        removed = [name for name in inputs if name not in current]
+        members = bool(removed) or len(inputs) != len(current)
+        for name in removed:
+            del inputs[name]
+            self._printed.pop(name, None)
+        edited = [name for name, component in zip(names, objects)
+                  if self._reprinted(name, component)]
+        edited.extend(removed)
+        if members:
+            edited.append(_MEMBERS)
+        return edited
+
+    def _reprinted(self, name: str, component) -> bool:
+        """Bring ``name``'s fingerprint up to date, printing it only when
+        its parts changed; True when the fingerprint moved."""
+        parts = component_parts(component)
+        memo = self._printed.get(name)
+        if memo is None or not same_parts(memo[0], parts):
+            memo = self._printed[name] = (
+                parts, component_self_fingerprint(component))
+        if self._inputs.get(name) == memo[1]:
+            return False
+        self._inputs[name] = memo[1]
+        return True
 
     def refresh(self) -> bool:
-        """Re-fingerprint every component; bump the revision, mark the
-        edited / added / removed ones changed and every query that depends
+        """Re-fingerprint what changed; bump the revision, mark the edited
+        / added / removed components changed and every query that depends
         on them, transitively, suspect.  Returns True when anything changed
-        since the last refresh."""
-        current = self._snapshot()
-        dirty = [name for name, fingerprint in current.items()
-                 if self._inputs.get(name) != fingerprint]
-        removed = [name for name in self._inputs if name not in current]
-        if not dirty and not removed:
+        since the last refresh.  A refresh that finds nothing changed costs
+        one identity comparison of the program's parts, made in C."""
+        changed = self._edited()
+        if not changed:
             return False
         self._revision += 1
         self.stats.revision = self._revision
@@ -235,27 +337,28 @@ class QueryEngine:
         # superseded revisions only grow memory over a long-lived session.
         self._log = [entry for entry in self._log
                      if entry[0] >= self._revision - 1]
-        changed = dirty + removed
-        if set(current) != set(self._inputs):
-            changed.append(_MEMBERS)
         for name in changed:
             self._input_changed[name] = self._revision
-        self._inputs = current
         self._mark_suspect([(_INPUT, name) for name in changed])
         return True
 
     def _mark_suspect(self, pending: List[Tuple[str, str]]) -> None:
-        """Mark every transitive dependent of ``pending`` suspect.  A memo
-        already marked is skipped: its dependents were marked with it, and
-        verifying or re-running a memo first verifies or re-runs the
-        dependencies it still records."""
+        """Mark every transitive dependent of ``pending`` suspect, through
+        the dependency that reached it.  A memo already marked only gains
+        the dependency: its dependents were marked with it, and verifying
+        or re-running a memo first verifies or re-runs the dependencies it
+        was marked through."""
         suspect = self._suspect
         dependents = self._dependents
         while pending:
-            for key in dependents.get(pending.pop(), ()):
-                if key not in suspect:
-                    suspect.add(key)
+            dep = pending.pop()
+            for key in dependents.get(dep, ()):
+                through = suspect.get(key)
+                if through is None:
+                    suspect[key] = {dep}
                     pending.append(key)
+                else:
+                    through.add(dep)
 
     def seed_checks(self, checked) -> None:
         """Install an already-checked program (e.g. from a caller that ran
@@ -297,28 +400,31 @@ class QueryEngine:
             stack[-1].append(key)
         return memo
 
-    def _inputs_changed(self, memo: _Memo) -> bool:
-        """Whether an input ``memo`` read changed since it was verified."""
-        return bool(memo.inputs) and max(map(
-            self._input_changed.get, memo.inputs,
-            repeat(self._revision))) > memo.verified_at
+    def _marked_through(self, key: Tuple[str, str]
+                        ) -> Optional[List[Tuple[str, str]]]:
+        """The dependencies suspect ``key`` was marked through, in a fixed
+        order, or ``None`` when one of them is a changed input: every
+        dependency that can have changed since ``key`` was last verified,
+        however many it has."""
+        through = self._suspect[key]
+        if any(dep[0] == _INPUT for dep in through):
+            return None
+        return sorted(through)
 
     def _verify(self, key: Tuple[str, str], memo: _Memo) -> bool:
-        """Bring a suspect ``memo``'s dependencies up to date (re-running
-        dirty ones) and report whether none of them changed since it was
-        last verified.  A changed input settles it first; then only the
-        suspect dependencies are brought up to date, and every one is
-        checked.  Early cutoff lives here: a dependency that re-ran but
+        """Bring the dependencies a suspect ``memo`` was marked through up
+        to date (re-running dirty ones) and report whether none of them
+        changed since it was last verified.  A changed input settles it
+        first.  Early cutoff lives here: a dependency that re-ran but
         produced an unchanged digest keeps its old ``changed_at`` and does
         not flip us."""
-        if self._inputs_changed(memo):
+        through = self._marked_through(key)
+        if through is None:
             return False
         suspect = self._suspect
         self._dep_stack.append(None)  # verification records no deps
         try:
-            for dep in memo.deps:
-                if dep[0] == _INPUT:
-                    continue
+            for dep in through:
                 if dep in suspect:
                     try:
                         self.query(*dep)
@@ -329,7 +435,7 @@ class QueryEngine:
                     return False
         finally:
             self._dep_stack.pop()
-        suspect.discard(key)
+        del suspect[key]
         memo.verified_at = self._revision
         self.stats.verified += 1
         return True
@@ -346,25 +452,27 @@ class QueryEngine:
             return False
         suspect = self._suspect
         if key in suspect:
-            if self._inputs_changed(memo):
+            through = self._marked_through(key)
+            if through is None:
                 return False
-            for dep in memo.deps:
-                if dep[0] == _INPUT:
-                    continue
+            for dep in through:
                 if dep in suspect and not self.is_clean(*dep):
                     return False
                 if self._memos[dep].changed_at > memo.verified_at:
                     return False
-            suspect.discard(key)
+            del suspect[key]
             memo.verified_at = self._revision
         return True
 
     def _execute(self, key: Tuple[str, str], old_memo: Optional[_Memo]):
+        """Run one query.  A compute returns ``(value, digest)``, or
+        ``(value, digest, parts)`` for a link query; a link assembled over
+        the keys of its last run records the same deps again."""
         stage, name = key
         frame: List[Tuple[str, str]] = []
         self._dep_stack.append(frame)
         try:
-            value, digest = getattr(self, f"_compute_{stage}")(name)
+            value, digest, *parts = getattr(self, f"_compute_{stage}")(name)
         finally:
             self._dep_stack.pop()
         self.stats.executed += 1
@@ -377,18 +485,23 @@ class QueryEngine:
             # and do not invalidate dependents.
             changed_at = old_memo.changed_at
             value = old_memo.value
-        deps = tuple(dict.fromkeys(frame))
-        memo = _Memo(value, digest, deps,
-                     tuple([dep[1] for dep in deps if dep[0] == _INPUT]),
-                     changed_at, self._revision)
+        parts = parts[0] if parts else None
+        if (parts is not None and old_memo is not None
+                and old_memo.parts is not None
+                and parts.keys is old_memo.parts.keys):
+            deps = old_memo.deps
+        else:
+            deps = tuple(dict.fromkeys(frame))
+        memo = _Memo(value, digest, deps, changed_at, self._revision, parts)
         self._memos[key] = memo
-        if old_memo is None or old_memo.deps != memo.deps:
+        if old_memo is None or (old_memo.deps is not deps
+                                and old_memo.deps != deps):
             if old_memo is not None:
                 for dep in old_memo.deps:
                     self._dependents[dep].discard(key)
-            for dep in memo.deps:
+            for dep in deps:
                 self._dependents.setdefault(dep, set()).add(key)
-        self._suspect.discard(key)
+        self._suspect.pop(key, None)
         return memo
 
     # -- introspection ---------------------------------------------------------
@@ -565,54 +678,123 @@ class QueryEngine:
         return text, fingerprint_text("vcomp", text)
 
     # -- whole-program / per-entrypoint assembly queries -----------------------
+    #
+    # A link query assembles one memo per component.  Re-run after an edit
+    # with the keys it last assembled, it patches its last value instead of
+    # walking them again: only the memos it was marked through are brought
+    # up to date, and only those whose digest moved are replaced.
+
+    def _parts(self, link: Tuple[str, str],
+               keys: Tuple[Tuple[str, str], ...]
+               ) -> Tuple[_Parts, Optional[List[int]]]:
+        """The up-to-date memos of ``keys`` for the link query ``link``,
+        and the positions whose digest moved since its last run (``None``
+        when every memo was queried: there was no last run over the same
+        ``keys``)."""
+        memo = self._memos.get(link)
+        last = memo.parts if memo is not None else None
+        if last is None or last.keys is not keys:
+            memos = [self._current(*key) for key in keys]
+            return _Parts(keys, {key: index for index, key in enumerate(keys)},
+                          memos, [memo.digest for memo in memos]), None
+        memos, digests = list(last.memos), list(last.digests)
+        moved = []
+        for key in sorted(self._suspect.get(link, ())):
+            index = last.index.get(key)
+            if index is None:
+                continue
+            memos[index] = self._current(*key)
+            if memos[index].digest != digests[index]:
+                digests[index] = memos[index].digest
+                moved.append(index)
+        return _Parts(keys, last.index, memos, digests), moved
+
+    def _check_keys(self) -> Tuple[Tuple[str, str], ...]:
+        """``link_check``'s keys: every signature in definition order, then
+        every user component's check."""
+        program = self._program
+        return tuple([("sig", component.name) for component in program]
+                     + [("check", component.name)
+                        for component in program.user_components()])
 
     def _compute_link_check(self, _target: str):
         """The whole-program :class:`CheckedProgram`: every signature is
         checked (in definition order, matching ``check_program``'s error
-        behaviour), then every user component's body."""
+        behaviour), then every user component's body.  Patched while the
+        names and every signature stand (a signature that moved can turn a
+        component extern)."""
         from .typecheck import CheckedProgram
 
         self._record_input_dep(_MEMBERS)
-        parts = [self._current("sig", component.name).digest
-                 for component in self._program]
-        checked = CheckedProgram(self._program)
-        for component in self._program.user_components():
-            memo = self._current("check", component.name)
-            checked.checked[component.name] = memo.value
-            parts.append(memo.digest)
-        return checked, fingerprint_text("link_check", *parts)
+        link = ("link_check", _target)
+        memo = self._memos.get(link)
+        keys = (memo.parts.keys if memo is not None and memo.parts is not None
+                and (_INPUT, _MEMBERS) not in self._suspect.get(link, ())
+                else self._check_keys())
+        parts, moved = self._parts(link, keys)
+        if moved and any(keys[index][0] == "sig" for index in moved):
+            parts, moved = self._parts(link, self._check_keys())
+        if moved == []:
+            return memo.value, memo.digest, parts
+        checked = CheckedProgram(
+            self._program, {} if moved is None else dict(memo.value.checked))
+        for index in range(len(parts.keys)) if moved is None else moved:
+            stage, name = parts.keys[index]
+            if stage == "check":
+                checked.checked[name] = parts.memos[index].value
+        return (checked, fingerprint_text("link_check", *parts.digests),
+                parts)
+
+    def _linked(self, link: str, entrypoint: str, stage: str):
+        """The parts of a per-entrypoint link query over the ``stage`` memo
+        of every component reachable from ``entrypoint``."""
+        self._reachable_user_components(entrypoint)
+        return self._parts((link, entrypoint),
+                           self._reachable[entrypoint].stage_keys(stage))
+
+    def _linked_program(self, link: str, entrypoint: str, stage: str,
+                        program_type):
+        """A ``program_type`` of the ``stage`` artifact of every component
+        reachable from ``entrypoint``: its ``components`` dict copied from
+        the last one with the moved entries replaced, when there is one."""
+        parts, moved = self._linked(link, entrypoint, stage)
+        memo = self._memos.get((link, entrypoint))
+        if moved == []:
+            return memo.value, memo.digest, parts
+        if moved is None:
+            program = program_type(entrypoint=entrypoint)
+            for part in parts.memos:
+                program.add(part.value)
+        else:
+            program = program_type(dict(memo.value.components), entrypoint)
+            for index in moved:
+                program.components[parts.keys[index][1]] = (
+                    parts.memos[index].value)
+        return (program, fingerprint_text(link, entrypoint, *parts.digests),
+                parts)
 
     def _compute_link_lower(self, entrypoint: str):
         from .lower.low_filament import LowProgram
 
-        lowered = LowProgram(entrypoint=entrypoint)
-        parts = [entrypoint]
-        for name in self._reachable_user_components(entrypoint):
-            memo = self._current("lower", name)
-            lowered.add(memo.value)
-            parts.append(memo.digest)
-        return lowered, fingerprint_text("link_lower", *parts)
+        return self._linked_program("link_lower", entrypoint, "lower",
+                                    LowProgram)
 
     def _compute_link_calyx(self, entrypoint: str):
         from ..calyx.ir import CalyxProgram
 
-        calyx = CalyxProgram(entrypoint=entrypoint)
-        parts = [entrypoint]
-        for name in self._reachable_user_components(entrypoint):
-            memo = self._current("calyx", name)
-            calyx.add(memo.value)
-            parts.append(memo.digest)
-        return calyx, fingerprint_text("link_calyx", *parts)
+        return self._linked_program("link_calyx", entrypoint, "calyx",
+                                    CalyxProgram)
 
     def _compute_verilog(self, entrypoint: str):
         from .lower.verilog_backend import _PRIMITIVE_LIBRARY
 
-        texts = [_PRIMITIVE_LIBRARY]
-        parts = [entrypoint]
-        for name in self._reachable_user_components(entrypoint):
-            memo = self._current("vcomp", name)
-            texts.append(memo.value)
-            parts.append(memo.digest)
+        parts, moved = self._linked("verilog", entrypoint, "vcomp")
+        if moved == []:
+            memo = self._memos[("verilog", entrypoint)]
+            return memo.value, memo.digest, parts
+        text = "\n\n".join(chain((_PRIMITIVE_LIBRARY,),
+                                  map(_VALUE, parts.memos)))
         # The modules' digests stand for their text: hashing the joined
         # program again would cost the size of the design on every edit.
-        return "\n\n".join(texts), fingerprint_text("verilog", *parts)
+        return (text, fingerprint_text("verilog", entrypoint, *parts.digests),
+                parts)

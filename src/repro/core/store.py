@@ -115,6 +115,10 @@ class DigestCache:
             self._entries.popitem(last=False)
             self.evicted += 1
 
+    def count_hits(self, n: int) -> None:
+        """Count ``n`` hits that a memo in front of the cache served."""
+        self.hits += n
+
     def clear(self) -> None:
         self._entries.clear()
         self.hits = self.misses = self.evicted = 0

@@ -16,6 +16,7 @@ benchmarks print).
 
 from __future__ import annotations
 
+import gc
 import itertools
 import statistics
 import time
@@ -282,7 +283,8 @@ def measure_incremental_compile(depth: int = 16,
     incrementally, then referee against a from-scratch compile of the
     mutated program in a new session.  The compiled-tier
     harness simulator is built before the edit and rebuilt after it, warm
-    and then with the plan and kernel caches dropped."""
+    and then with the plan and kernel caches dropped, each rebuild timed
+    after a full garbage collection."""
     from ..harness import harness_for
     from ..sim.codegen import clear_kernel_cache, kernel_cache_stats
 
@@ -296,6 +298,9 @@ def measure_incremental_compile(depth: int = 16,
     session = CompilationSession(program)
 
     def rebuild() -> float:
+        # A full collection owed by earlier work would land in whichever
+        # rebuild allocates past the threshold; settle it first.
+        gc.collect()
         start = time.perf_counter()
         harness = harness_for(program, entrypoint, session=session)
         harness._fresh_simulator().prepare()
@@ -362,53 +367,67 @@ _SWEEP_VALUES = itertools.count(0xC000)
 class EditCost:
     """The per-edit cost of one ``chain_program(depth)`` leaf edit: the
     median over ``edits`` in-place edits of ``session.verilog`` plus
-    ``harness_for`` plus the compiled-tier simulator build, and how many
-    components an edit prints (Filament components through the fingerprint
-    printer plus Calyx components through ``str``).  The count is the
-    same at every depth when an edit costs only what it changes."""
+    ``harness_for`` plus the compiled-tier simulator build, the median of
+    that simulator's ``prepare()`` (its kernel link and instance) and of
+    the two together, and per edit how many components are printed
+    (Filament components through the fingerprint printer plus Calyx
+    components through ``str``), how many plans are resolved (calls of
+    the engine's ``_plan_for``) and how many kernel chunks are linked.
+    The counts are the same at every depth when an edit costs only what
+    it changes."""
 
     depth: int
     edits: int
     median_seconds: float
     printed_per_edit: float
+    prepare_seconds: float
+    total_seconds: float
+    plans_per_edit: float
+    chunks_per_edit: float
 
 
 @contextmanager
-def _counting_prints(counter: List[int]):
-    """Count every component printed while the block runs: Filament ones
-    through :func:`repro.core.fingerprint.format_component`, Calyx ones
-    through ``CalyxComponent.__str__``.  The originals are restored on
-    exit."""
+def _counting_edit_work(counts: Dict[str, int]):
+    """Count, while the block runs, every component printed
+    (``"printed"``: Filament ones through
+    :func:`repro.core.fingerprint.format_component`, Calyx ones through
+    ``CalyxComponent.__str__``), every plan resolved (``"plans"``: calls
+    of :func:`repro.sim.engine._plan_for`) and every kernel chunk linked
+    (``"chunks"``: a chunk is linked once, when it is built).  The
+    originals are restored on exit."""
     from ..calyx.ir import CalyxComponent
     from ..core import fingerprint
+    from ..sim import codegen, engine
 
-    format_component = fingerprint.format_component
-    calyx_str = CalyxComponent.__str__
+    originals = (fingerprint.format_component, CalyxComponent.__str__,
+                 engine._plan_for, codegen._Chunk)
 
-    def counted_format(component):
-        counter[0] += 1
-        return format_component(component)
+    def counting(name, function):
+        def counted(*args):
+            counts[name] += 1
+            return function(*args)
+        return counted
 
-    def counted_str(component):
-        counter[0] += 1
-        return calyx_str(component)
-
-    fingerprint.format_component = counted_format
-    CalyxComponent.__str__ = counted_str
+    fingerprint.format_component = counting("printed", originals[0])
+    CalyxComponent.__str__ = counting("printed", originals[1])
+    engine._plan_for = counting("plans", originals[2])
+    codegen._Chunk = counting("chunks", originals[3])
     try:
         yield
     finally:
-        fingerprint.format_component = format_component
-        CalyxComponent.__str__ = calyx_str
+        (fingerprint.format_component, CalyxComponent.__str__,
+         engine._plan_for, codegen._Chunk) = originals
 
 
 def measure_edit_costs(depths: Sequence[int] = (16, 64, 256),
                        edits: int = 30) -> List[EditCost]:
     """The depth sweep: per depth, warm one chain design up (compile it to
-    Verilog, build its compiled-tier harness simulator), then time
-    ``edits`` in-place leaf edits, each followed by ``session.verilog``,
-    ``harness_for`` and the harness's simulator build.  The depths take
-    turns, one edit each, so a drift in host speed lands on all of them."""
+    Verilog, build and prepare its compiled-tier harness simulator), then
+    time ``edits`` in-place leaf edits, each followed by
+    ``session.verilog``, ``harness_for`` and the harness's simulator
+    build, and then that simulator's ``prepare()``.  The depths take
+    turns, one edit each, so a drift in host speed lands on all of
+    them."""
     from ..harness import harness_for
 
     designs = []
@@ -417,19 +436,29 @@ def measure_edit_costs(depths: Sequence[int] = (16, 64, 256),
             depth, salt=next(_SWEEP_VALUES) & 0xFFFF)
         session = CompilationSession(program)
         session.verilog(entrypoint)
-        harness_for(program, entrypoint, session=session)._fresh_simulator()
+        harness_for(program, entrypoint,
+                    session=session)._fresh_simulator().prepare()
         designs.append((program, entrypoint, session))
-    seconds: List[List[float]] = [[] for _ in depths]
-    printed = [[0] for _ in depths]
+    seconds: List[List[Tuple[float, float]]] = [[] for _ in depths]
+    counts = [dict.fromkeys(("printed", "plans", "chunks"), 0)
+              for _ in depths]
     for _ in range(edits):
         for index, (program, entrypoint, session) in enumerate(designs):
             edit_chain_leaf(program, next(_SWEEP_VALUES) & 0xFFFF)
-            with _counting_prints(printed[index]):
+            with _counting_edit_work(counts[index]):
                 start = time.perf_counter()
                 session.verilog(entrypoint)
-                harness_for(program, entrypoint,
-                            session=session)._fresh_simulator()
-                seconds[index].append(time.perf_counter() - start)
-    return [EditCost(depth, edits, statistics.median(times),
-                     count[0] / edits)
-            for depth, times, count in zip(depths, seconds, printed)]
+                simulator = harness_for(
+                    program, entrypoint, session=session)._fresh_simulator()
+                built = time.perf_counter()
+                simulator.prepare()
+                seconds[index].append((built - start,
+                                       time.perf_counter() - built))
+    return [EditCost(depth, edits,
+                     statistics.median(build for build, _ in times),
+                     count["printed"] / edits,
+                     statistics.median(prepare for _, prepare in times),
+                     statistics.median(build + prepare
+                                       for build, prepare in times),
+                     count["plans"] / edits, count["chunks"] / edits)
+            for depth, times, count in zip(depths, seconds, counts)]

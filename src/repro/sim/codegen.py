@@ -35,17 +35,22 @@ Code is generated per component, as one **chunk** per engine plan
 ``link(INIT, C, kids)``, which binds the component's init table ``INIT``
 and its multi-driver group plans ``C`` and returns the component's factory
 ``make``.  ``make()`` returns ``(segments, ticks, resets, s)`` for one
-instance and reaches each child through the link table as
-``kids[cell]()``; a child's port slots depend only on its interface, which
-is part of the plan key.  So a chunk names nothing positional and its
-text depends on its plan alone: every component, top or child, settles by
-one rule — a port whose drivers are all inactive in a cycle reads X in
-that cycle.  The top's straight-line per-cycle entry ``make_top(make)``
+instance and reaches each child as ``kids[cell]()``; a child's port slots
+depend only on its interface, which is part of the plan key.  So a chunk
+names nothing positional and its text depends on its plan alone: every
+component, top or child, settles by one rule — a port whose drivers are
+all inactive in a cycle reads X in that cycle.  A chunk is linked once,
+when it is built, to a view (:class:`_Kids`) that looks each child up at
+instantiation in the link table of the kernel being instantiated, so an
+edit links only the chunks it changed.  The top's entry ``make_top(make)``
 is generated from the interface alone, the first time a chunk is linked
-as a top, and kept on the chunk.  :func:`kernel_for` links one engine's
-chunks children first into one scalar kernel, which rides
-``run_batch``/``step``; ``run_lanes`` without the native lane entry runs
-it once per stream.
+as a top, and kept on the chunk; its ``run(cycles, columns)`` has the
+native kernel's columnar contract, so :meth:`ScheduledEngine.run_columns
+<repro.sim.engine.ScheduledEngine.run_columns>` runs both kernel tiers
+directly and ``run_batch``/``step`` convert rows at the engine boundary.
+:func:`kernel_for` builds one engine's link table from the chunks its
+plans keep; ``run_lanes`` without the native lane entry runs the kernel
+once per stream.
 
 Primitives registered by generator substrates — black boxes without an
 inlinable template — call back into their interpreter model from inside the
@@ -54,7 +59,8 @@ itself rejected (``fallback_reason`` set anywhere in the hierarchy) never
 reach codegen and run on the interpreter unchanged.
 
 Compiled chunks are cached process-wide in memory (a
-:class:`~repro.core.store.DigestCache`), keyed by the plan key.
+:class:`~repro.core.store.DigestCache`), keyed by the plan key, and a plan
+keeps the chunk it was built with.
 A plan key covers the printed component, its primitives' factories and its
 children's interfaces but never their bodies, so rebuilding the same
 design — across sessions, harnesses and conformance runs — hits every
@@ -67,6 +73,8 @@ netlist's digest, keys the native tier's in-memory program cache.
 from __future__ import annotations
 
 import hashlib
+from itertools import repeat
+from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
 
 from ..core.errors import DriverConflictError
@@ -943,48 +951,144 @@ def netlist_digest(engine) -> str:
     return hashlib.sha256("\n\n".join(parts).encode()).hexdigest()
 
 
+def _input_columns(cycles: int, columns, names: Tuple[str, ...],
+                   masks: Tuple[int, ...]) -> list:
+    """Per input port, in ``names`` order, the values a columnar run drives
+    on each of ``cycles`` cycles, as ``columns_to_rows`` and
+    ``ScheduledEngine._checked_rows`` would give them: a column is cut at
+    ``cycles``, X where flagged, every other value masked to its port's
+    width, and a missing port or a short column idles at X.  A clean
+    column, unflagged and in range, is driven as it stands."""
+    prepared = []
+    for name, mask in zip(names, masks):
+        column = columns.get(name)
+        if column is None:
+            prepared.append(repeat(X, cycles))
+            continue
+        values, xflags = column
+        if len(values) > cycles:
+            values = values[:cycles]
+        if len(xflags) > cycles:
+            xflags = xflags[:cycles]
+        try:
+            clean = (len(values) == cycles and not any(xflags)
+                     and (not values or (min(values) >= 0
+                                         and max(values) <= mask)))
+        except TypeError:  # an X among the values
+            clean = False
+        prepared.append(values if clean else _masked_column(
+            cycles, values, xflags, mask))
+    return prepared
+
+
+def _masked_column(cycles: int, values, xflags, mask: int) -> list:
+    """:func:`_input_columns` of a column that is flagged, out of range or
+    short."""
+    if any(xflags):
+        values = [X if x else value for value, x in zip(values, xflags)]
+    column = [value if value is X else value & mask for value in values]
+    column.extend(repeat(X, cycles - len(column)))
+    return column
+
+
+def _output_columns(names: Tuple[str, ...], traces: Tuple[list, ...]
+                    ) -> Dict[str, Tuple[list, bytearray]]:
+    """Per output port, its ``(values, xflags)`` column from the values a
+    columnar run read each cycle (an X reads as 0, flagged)."""
+    out = {}
+    for name, trace in zip(names, traces):
+        if X in trace:
+            out[name] = ([0 if value is X else value for value in trace],
+                         bytearray([value is X for value in trace]))
+        else:
+            out[name] = (trace, bytearray(len(trace)))
+    return out
+
+
 def _top_entry(plan) -> Tuple[object, str]:
     """The top entry of ``plan``'s component and its source.
     ``make_top(make)`` builds one instance with the component's factory
-    ``make`` and returns ``(cycle, reset, s)``: a cycle writes the inputs,
-    runs every segment, reads the outputs and runs every tick.  Only the
-    interface enters the text, at the slots :func:`_port_slots` gives."""
+    ``make`` and returns ``(run, reset, s)``.  ``run(cycles, columns)`` has
+    the native kernel's contract: ``columns`` maps input port name →
+    ``(values, xflags)``, and it returns one ``(values, xflags)`` column of
+    ``cycles`` entries per output port.  Each cycle writes the inputs, runs
+    every segment, reads the outputs and runs every tick.  Only the
+    interface enters the text, at the slots :func:`_port_slots` gives,
+    with each input's width mask."""
     slots = _port_slots(plan.input_names, plan.output_names)
+    inputs = tuple(dict.fromkeys(plan.input_names))
+    outputs = tuple(dict.fromkeys(plan.output_names))
+    masks = tuple(plan.input_masks[name] for name in inputs)
+    ins = [f"i{index}" for index in range(len(inputs))]
+    reads = [f"v{index}" for index in range(len(inputs))]
+    outs = [f"o{index}" for index in range(len(outputs))]
     out = _Lines()
     out.emit(f"def make_top(make):  # top entry of component {plan.name!r}")
     out.indent += 1
     out.emit("segments, ticks, resets, s = make()")
-    out.emit("def cycle(inputs):")
+    out.emit("def run(n, columns):")
     out.indent += 1
-    out.emit("g = inputs.get")
-    for name in plan.input_names:
-        out.emit(f"s[{slots[name]}] = g({name!r}, X)")
+    if inputs:
+        out.emit(f"{', '.join(ins)}, = _ins(n, columns, {inputs!r}, "
+                 f"({', '.join(hex(mask) for mask in masks)},))")
+    for name in outs:
+        out.emit(f"{name} = []")
+        out.emit(f"a{name} = {name}.append")
+    if not inputs:
+        out.emit("for _ in range(n):")
+    elif len(inputs) == 1:
+        out.emit("for v0 in i0:")
+    else:
+        out.emit(f"for {', '.join(reads)} in zip({', '.join(ins)}):")
+    out.indent += 1
+    for name, read in zip(inputs, reads):
+        out.emit(f"s[{slots[name]}] = {read}")
     out.emit("for f in segments:")
     out.emit("    f()")
-    pairs = ", ".join(f"{name!r}: s[{slots[name]}]"
-                      for name in plan.output_names)
-    out.emit(f"r = {{{pairs}}}")
+    for name, trace in zip(outputs, outs):
+        out.emit(f"a{trace}(s[{slots[name]}])")
     out.emit("for f in ticks:")
     out.emit("    f()")
-    out.emit("return r")
+    out.indent -= 1
+    out.emit(f"return _outs({outputs!r}, ({''.join(o + ', ' for o in outs)}))")
     out.indent -= 1
     out.emit("def reset():")
     out.emit("    for f in resets:")
     out.emit("        f()")
-    out.emit("return cycle, reset, s")
+    out.emit("return run, reset, s")
     source = out.text()
-    namespace = {"X": X}
+    namespace = {"X": X, "_ins": _input_columns, "_outs": _output_columns}
     exec(compile(source, f"<kernel {plan.name} top>", "exec"), namespace)
     return namespace["make_top"], source
 
 
-class _Chunk:
-    """One component's compiled chunk: its ``link`` function, the init
-    table and group plans it is linked with, its slot map, its source
-    text and, once it has been linked as a top, its top entry and that
-    entry's source (:func:`_top_entry`)."""
+class _Kids:
+    """A linked chunk's children: ``kids[cell]`` is the factory that the
+    link table of the kernel being instantiated holds for the cell's
+    component.  A chunk is linked once, to this view, so an edit relinks
+    only the chunks it changed; the table is bound only while
+    :meth:`CompiledKernelProgram.scalar_instance` runs, so every program
+    instantiates with its own table, whenever it is instantiated."""
 
-    __slots__ = ("link", "init", "consts", "slots", "source", "top")
+    __slots__ = ("components",)
+
+    #: The link table of the instantiation in progress.
+    table: Dict[str, object] = {}
+
+    def __init__(self, components: Dict[str, str]) -> None:
+        self.components = components
+
+    def __getitem__(self, cell: str):
+        return _Kids.table[self.components[cell]]
+
+
+class _Chunk:
+    """One component's compiled chunk: its factory ``make``, linked once
+    to its children through :class:`_Kids`, its slot map, its source text
+    and, once it has been linked as a top, its top entry and that entry's
+    source (:func:`_top_entry`)."""
+
+    __slots__ = ("make", "slots", "source", "top")
 
     def __init__(self, plan) -> None:
         self.top: Optional[Tuple[object, str]] = None
@@ -998,38 +1102,50 @@ class _Chunk:
         except SyntaxError as error:  # pragma: no cover - generator bug guard
             raise KernelUnavailable(f"generated source failed to compile: "
                                     f"{error}") from error
-        self.link = namespace["link"]
-        self.init = compiler.scalar_init()
-        self.consts = tuple(compiler.constants.values())
+        self.make = namespace["link"](
+            compiler.scalar_init(), tuple(compiler.constants.values()),
+            _Kids({node.cell: node.component for node in plan.child_nodes}))
         self.slots = compiler.slots
 
 
 class CompiledKernelProgram:
-    """One engine's linked kernel: the top's entry ``make_top`` and linked
-    factory ``make``, the top slot map and output names, and the source
-    texts of the linked chunks (children first) and of the top entry, for
-    debugging."""
+    """One engine's linked kernel: the plans it links (children first),
+    the link table from component name to linked factory, the top's entry
+    ``make_top`` and the top's slot map."""
 
-    def __init__(self, make_top, make, slot_map: Dict[_Key, int],
-                 output_names: List[str], sources: List[str]) -> None:
+    def __init__(self, plans, table: Dict[str, object], make_top,
+                 slot_map: Dict[_Key, int]) -> None:
+        self.plans = plans
+        self.table = table
         self.make_top = make_top
-        self.make = make
         self.slot_map = slot_map
-        self.output_names = output_names
-        self.sources = sources
+
+    @property
+    def sources(self) -> List[str]:
+        """The source texts of the linked chunks, children first, then of
+        the top entry (for debugging)."""
+        return [plan.chunk.source for plan in self.plans] + [
+            self.plans[-1].chunk.top[1]]
 
     def scalar_instance(self) -> "ScalarKernel":
-        cycle, reset, slots = self.make_top(self.make)
-        return ScalarKernel(cycle, reset, slots, self.slot_map)
+        """A fresh instance, its children instantiated through this
+        kernel's link table."""
+        outer, _Kids.table = _Kids.table, self.table
+        try:
+            run, reset, slots = self.make_top(self.table[self.plans[-1].name])
+        finally:
+            _Kids.table = outer
+        return ScalarKernel(run, reset, slots, self.slot_map)
 
 
 class ScalarKernel:
-    """A live scalar kernel: fresh state over one linked program."""
+    """A live scalar kernel: fresh state over one linked program, run
+    through its columnar entry ``run_columns(cycles, columns)``."""
 
-    __slots__ = ("cycle", "reset", "_slots", "_slot_map")
+    __slots__ = ("run_columns", "reset", "_slots", "_slot_map")
 
-    def __init__(self, cycle, reset, slots, slot_map) -> None:
-        self.cycle = cycle
+    def __init__(self, run, reset, slots, slot_map) -> None:
+        self.run_columns = run
         self.reset = reset
         self._slots = slots
         self._slot_map = slot_map
@@ -1038,6 +1154,10 @@ class ScalarKernel:
         index = self._slot_map.get(key)
         return X if index is None else self._slots[index]
 
+
+_CHUNK = attrgetter("chunk")
+_MAKE = attrgetter("make")
+_NAME = attrgetter("name")
 
 #: Process-wide cache of compiled chunks, keyed by the plan key.
 #: Bounded LRU: long fuzz/conformance campaigns stream thousands of
@@ -1070,34 +1190,38 @@ def kernel_for(engine) -> Tuple[CompiledKernelProgram, bool]:
 
     Walks the plans of the reachable components children first — the
     engine resolved them at construction and builds no child engine for
-    this; each plan's chunk is fetched from the chunk cache by its plan
-    key, or generated and compiled, then linked to its children's
-    factories.  The top's chunk supplies the top entry, generated on its
-    first link as a top.  ``cache_hit`` is true when every chunk hit.
-    Raises :class:`KernelUnavailable` when codegen cannot handle the
-    netlist (the engine then runs the interpreter)."""
-    hit = True
-    top = engine._plan
-    factories: Dict[str, object] = {}
-    sources: List[str] = []
-    for plan in engine._reachable_plans():
-        if plan.schedule is None:
-            raise KernelUnavailable(f"{plan.name}: {plan.fallback_reason}")
-        chunk = _CACHE.get(plan.key)
-        if chunk is None:
-            hit = False
-            chunk = _Chunk(plan)
-            _CACHE.put(plan.key, chunk)
-        kids = {node.cell: factories[node.component]
-                for node in plan.child_nodes}
-        factories[plan.name] = chunk.link(chunk.init, chunk.consts, kids)
-        sources.append(chunk.source)
-    # The walk ends at the top, so ``chunk`` is the top's.
-    if chunk.top is None:
-        chunk.top = _top_entry(top)
-    make_top, source = chunk.top
-    sources.append(source)
-    program = CompiledKernelProgram(make_top, factories[top.name],
-                                    chunk.slots, list(top.output_names),
-                                    sources)
-    return program, hit
+    this.  A plan keeps the chunk it was built with; a plan without one
+    fetches it from the chunk cache by its plan key, or generates and
+    compiles it.  A chunk is linked once, when it is built, and looks its
+    children up at instantiation in the program's link table (component
+    name → linked factory), so a build after an edit generates and links
+    only the chunks the edit changed.  The top's chunk supplies the top
+    entry, generated on its first link as a top.  ``cache_hit`` is true
+    when no chunk was generated.  Raises :class:`KernelUnavailable` when
+    codegen cannot handle the netlist (the engine then runs the
+    interpreter)."""
+    plans = engine._reachable_plans()
+    chunks = list(map(_CHUNK, plans))
+    generated = missing = 0
+    if None in chunks:
+        for index, plan in enumerate(plans):
+            if chunks[index] is not None:
+                continue
+            if plan.schedule is None:
+                raise KernelUnavailable(
+                    f"{plan.name}: {plan.fallback_reason}")
+            missing += 1
+            chunk = _CACHE.get(plan.key)
+            if chunk is None:
+                generated += 1
+                chunk = _Chunk(plan)
+                _CACHE.put(plan.key, chunk)
+            plan.chunk = chunks[index] = chunk
+    _CACHE.count_hits(len(plans) - missing)
+    table = dict(zip(map(_NAME, plans), map(_MAKE, chunks)))
+    # The walk ends at the top.
+    top = chunks[-1]
+    if top.top is None:
+        top.top = _top_entry(plans[-1])
+    program = CompiledKernelProgram(plans, table, top.top[0], top.slots)
+    return program, not generated

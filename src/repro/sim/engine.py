@@ -56,11 +56,12 @@ component whose parts changed is printed again.  The state is what one
 engine owns: fresh primitive models, child engines, nodes bound to them,
 the current values and the cycle count.  A ``compiled`` or ``native``
 engine holds plans only — its own and every reachable component's,
-resolved at construction.
+resolved at construction from the last build of the same top, so a build
+after an edit plans only what the edit changed.
 
 ``mode="compiled"`` adds the next tier: the levelized schedule is compiled
 into a specialized straight-line Python kernel (:mod:`repro.sim.codegen`,
-one cached chunk per component plan, linked per engine) and every batch
+one cached chunk per component plan, linked once) and every batch
 executes through it — with automatic fallback to the interpreter tiers for
 netlists codegen cannot handle, so semantics never fork
 (:attr:`ScheduledEngine.kernel_fallback_reason` records why).
@@ -79,19 +80,23 @@ or ``native_active()``: down the chain as far as its mode reaches, each
 step down with its reason.  It then holds one kernel, the C or the
 compiled-Python one, and ``peek``/``outputs`` read that kernel after a
 batch ran on it; the interpreter state is built only when the decision
-lands on the interpreter.  Every native batch runs
-through the one C entry ``k_run_lanes``: the columnar entries call it
-directly, ``run_batch``/``run_lanes`` through the converters.  A scalar
-batch is one lane over the engine's own kernel state, and a lane batch is
-N lanes over a fresh block of lane states with one Python↔C crossing per
-batch.  On the Python tiers the columnar entries convert to rows, call
-``run_batch``/``run_lanes`` and convert the traces back.
+lands on the interpreter.  Both kernels share one contract, the columnar
+``run_columns(cycles, columns)`` over the kernel's own state (one C call
+through ``k_run_lanes`` on the native tier, one generated loop on the
+compiled tier): :meth:`ScheduledEngine.run_columns` calls it directly, and
+``run_batch``/``step`` convert rows to columns and back at the engine
+boundary.  A native lane batch is N lanes over a fresh block of lane states
+with one Python↔C crossing per batch; elsewhere ``run_lanes`` is one scalar
+run per stream.  Only the interpreter takes rows: there the columnar
+entries convert to rows, call ``run_batch``/``run_lanes`` and convert the
+traces back.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right, insort
 from collections import deque
-from itertools import chain, repeat
+from itertools import accumulate, chain, repeat
 from operator import setitem
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -391,7 +396,8 @@ def _build_schedule(prim_nodes: Sequence[_PrimNode],
 
 class _ComponentPlan:
     """What an engine derives from its own netlist alone, shared by every
-    engine of a structurally identical component and never mutated.
+    engine of a structurally identical component and never mutated, but
+    for the :attr:`chunk` memo :mod:`repro.sim.codegen` fills in.
 
     It holds the port names, widths and input masks; the primitive cells
     as ``(cell, primitive, params)``, with template :class:`_PrimNode`
@@ -403,9 +409,9 @@ class _ComponentPlan:
     runs.  ``text`` is the printed component, the first part of ``key``."""
 
     __slots__ = ("key", "name", "text", "input_names", "input_set",
-                 "output_names", "widths", "input_masks", "prims",
+                 "output_names", "widths", "input_masks", "ports", "prims",
                  "prim_nodes", "child_nodes", "groups", "schedule",
-                 "fallback_reason")
+                 "fallback_reason", "chunk")
 
     def __init__(self, key: tuple, component: CalyxComponent,
                  fixpoint: bool) -> None:
@@ -422,6 +428,12 @@ class _ComponentPlan:
         #: entry truncates its inputs to it).
         self.input_masks: Dict[str, int] = {
             port.name: (1 << port.width) - 1 for port in component.inputs}
+        #: The interface as a parent's key holds it: input and output
+        #: ``(name, width)`` ports.
+        self.ports = _ports(component)
+        #: The compiled chunk of this plan, once :mod:`repro.sim.codegen`
+        #: has built or found it.
+        self.chunk = None
         prims: List[Tuple[str, str, tuple]] = []
         self.prim_nodes: List[_PrimNode] = []
         self.child_nodes: List[_ChildPorts] = []
@@ -481,6 +493,14 @@ def _clear_plans() -> None:
     _PLANS.clear()
     _PLAN_TEXTS.clear()
     _PROTOTYPES.clear()
+    _BUILDS.clear()
+
+
+def _ports(component: CalyxComponent) -> tuple:
+    """``component``'s input and output ``(name, width)`` ports: what a
+    parent's plan key holds of a child."""
+    return (tuple([(p.name, p.width) for p in component.inputs]),
+            tuple([(p.name, p.width) for p in component.outputs]))
 
 
 def _prototype(factory, primitive: str, params: tuple) -> PrimitiveModel:
@@ -513,8 +533,7 @@ def _plan_for(program: CalyxProgram, component: CalyxComponent,
             raise SimulationError(
                 f"{component.name}: cell {cell.name} instantiates "
                 f"unknown component {cell.component!r}")
-        cells.append((tuple([(p.name, p.width) for p in child.inputs]),
-                      tuple([(p.name, p.width) for p in child.outputs])))
+        cells.append(_ports(child))
     parts = calyx_component_parts(component)
     printed = _PLAN_TEXTS.get(id(component))
     if printed is None or not same_parts(printed[0], parts):
@@ -526,6 +545,85 @@ def _plan_for(program: CalyxProgram, component: CalyxComponent,
         plan = _ComponentPlan(key, component, fixpoint)
         _PLANS.put(key, plan)
     return plan
+
+
+def _child_names(component: CalyxComponent) -> Tuple[str, ...]:
+    """The components ``component``'s child cells instantiate, in cell
+    order (a cell naming a primitive is not a child)."""
+    return tuple([cell.component for cell in component.cells
+                  if _FACTORIES.get(cell.component) is None])
+
+
+class _Layout:
+    """Components' parts (:func:`~repro.core.fingerprint.calyx_component_parts`)
+    laid flat, with each component's part count, and the primitive
+    registry as it stood."""
+
+    __slots__ = ("lengths", "parts", "factories")
+
+    def __init__(self, objects: List[CalyxComponent]) -> None:
+        each = list(map(calyx_component_parts, objects))
+        self.lengths = list(map(len, each))
+        self.parts = list(chain.from_iterable(each))
+        self.factories = dict(_FACTORIES)
+
+    def changed(self, last: "_Layout") -> Optional[List[int]]:
+        """The positions of the components that hold another part than in
+        ``last``; ``None`` when a component's part count changed or the
+        primitive registry changed.  Parts are compared in C by equality,
+        identity first: Calyx parts are frozen dataclasses over names and
+        integers, so equal parts describe the same netlist."""
+        if self.lengths != last.lengths or self.factories != last.factories:
+            return None
+        ends = list(accumulate(self.lengths))
+        return sorted({bisect_right(ends, index)
+                       for index in _unequal(self.parts, last.parts)})
+
+
+class _Build:
+    """The last plan-only build of one top component: the components it
+    reached, children before parents, with their :class:`_Layout`, their
+    plans, their child component names and, per name, the positions of
+    the components that instantiate it."""
+
+    __slots__ = ("names", "layout", "plans", "children", "parents")
+
+    def __init__(self, reached: List[CalyxComponent],
+                 plans: List[_ComponentPlan],
+                 children: List[Tuple[str, ...]]) -> None:
+        self.names = [component.name for component in reached]
+        self.layout = _Layout(reached)
+        self.plans = plans
+        self.children = children
+        self.parents: Dict[str, List[int]] = {}
+        for index, names in enumerate(children):
+            for name in dict.fromkeys(names):
+                self.parents.setdefault(name, []).append(index)
+
+
+#: ``(top component name, fixpoint) -> _Build``: the last plan-only build
+#: of each top, which the next build of that top starts from.  Few tops
+#: are built again and again, so few are kept.
+_BUILDS = DigestCache(16)
+
+
+def _unequal(new: list, old: list):
+    """The indices, in order, at which ``new`` holds a part unequal to
+    ``old``'s (the lists are as long), found by halving: one C comparison
+    of the whole, then of the halves that differ."""
+    if new == old:
+        return
+    spans = [(0, len(new))]
+    while spans:
+        low, high = spans.pop()
+        if new[low:high] == old[low:high]:
+            continue
+        if high - low == 1:
+            yield low
+            continue
+        middle = (low + high) // 2
+        spans.append((middle, high))
+        spans.append((low, middle))
 
 
 class ScheduledEngine:
@@ -627,29 +725,88 @@ class ScheduledEngine:
         """The plans of this component and of every component it
         instantiates, transitively: one per component name, children
         before parents (so every child's kernel factory is linked before
-        its parent's)."""
+        its parent's).  The last build of the same top is the starting
+        point (:class:`_Build`): what it reached is compared with the
+        program in C, and only the components that changed, and the
+        parents of one whose interface changed, are resolved again."""
         if self._plans is not None:
             return self._plans
-        program = self.program
         fixpoint = self.mode == "fixpoint"
-        order: List[_ComponentPlan] = []
-        seen = {self._plan.name}
-        stack = [(self._plan, iter(self._plan.child_nodes))]
+        key = (self.component.name, fixpoint)
+        build = _BUILDS.get(key)
+        plans = None if build is None else self._rebuilt(build, fixpoint)
+        if plans is None:
+            build = self._walk(fixpoint)
+            plans = build.plans
+        _BUILDS.put(key, build)
+        self._plans = plans
+        return plans
+
+    def _resolve(self, component: CalyxComponent, fixpoint: bool
+                 ) -> _ComponentPlan:
+        """``component``'s plan in this engine's build."""
+        if component is self.component:
+            return self._plan
+        return _plan_for(self.program, component, fixpoint)
+
+    def _walk(self, fixpoint: bool) -> "_Build":
+        """A new build: every reachable component, depth first, children
+        before parents."""
+        components = self.program.components
+        plans: List[_ComponentPlan] = []
+        reached: List[CalyxComponent] = []
+        children: List[Tuple[str, ...]] = []
+        seen = {self.component.name}
+        stack = [(self.component, iter(self.component.cells))]
         while stack:
-            plan, children = stack[-1]
-            for node in children:
-                if node.component not in seen:
-                    seen.add(node.component)
-                    child = _plan_for(
-                        program, program.components[node.component],
-                        fixpoint)
-                    stack.append((child, iter(child.child_nodes)))
+            component, cells = stack[-1]
+            for cell in cells:
+                name = cell.component
+                if (name not in seen and _FACTORIES.get(name) is None
+                        and name in components):
+                    seen.add(name)
+                    child = components[name]
+                    stack.append((child, iter(child.cells)))
                     break
             else:
                 stack.pop()
-                order.append(plan)
-        self._plans = order
-        return order
+                plans.append(self._resolve(component, fixpoint))
+                reached.append(component)
+                children.append(_child_names(component))
+        return _Build(reached, plans, children)
+
+    def _rebuilt(self, build: "_Build", fixpoint: bool
+                 ) -> Optional[List[_ComponentPlan]]:
+        """``build``'s plans brought up to date with this engine's
+        program, with ``build`` updated in place; ``None`` when what is
+        reachable may have changed (a reached component left, or one that
+        changed names other children), or when a part list changed its
+        length or the primitive registry changed, and a new walk must
+        tell."""
+        objects = list(map(self.program.components.get, build.names))
+        try:
+            layout = _Layout(objects)
+        except AttributeError:  # a reached component left the program
+            return None
+        changed = layout.changed(build.layout)
+        if changed is None:
+            return None
+        for index in changed:
+            if _child_names(objects[index]) != build.children[index]:
+                return None
+        plans = list(build.plans)
+        pending = sorted(set(changed) | {len(plans) - 1})
+        for index in pending:
+            component = objects[index]
+            plan = self._resolve(component, fixpoint)
+            if plan.ports != plans[index].ports:
+                for parent in build.parents.get(component.name, ()):
+                    if parent not in pending:
+                        insort(pending, parent)
+            plans[index] = plan
+        _PLANS.count_hits(len(plans) - len(pending))
+        build.layout, build.plans = layout, plans
+        return plans
 
     @property
     def is_scheduled(self) -> bool:
@@ -776,17 +933,12 @@ class ScheduledEngine:
     def run_batch(self, stimuli: Sequence[Dict[str, Value]]) -> List[Dict[str, Value]]:
         """Execute a whole stimulus list and return the per-cycle output
         dicts.  Validation and width masking happen once for the batch, so
-        pipelined transaction streams avoid per-cycle re-dispatch."""
+        pipelined transaction streams avoid per-cycle re-dispatch.  On a
+        kernel tier, C or compiled-Python, the rows become columns for the
+        kernel's one columnar entry and its columns become rows again."""
         rows = self._checked_rows(stimuli)
-        kernel = self._resolve_tier()
-        if self._tier != "native":
-            return self._run_rows(rows)
-        self._kernel_ran = True
-        cycles = len(rows)
-        out = kernel.run_columns(
-            cycles, rows_to_columns((rows,), self._input_names, cycles))
-        self.cycle += cycles
-        return columns_to_rows(out, cycles)
+        self._resolve_tier()
+        return self._run_rows(rows)
 
     def run_lanes(self, stimuli_batches: Sequence[Sequence[Dict[str, Value]]]
                   ) -> List[List[Dict[str, Value]]]:
@@ -845,12 +997,13 @@ class ScheduledEngine:
         """:meth:`run_batch` in columnar form: ``columns`` maps input port
         name → ``(values, xflags)`` of ``cycles`` entries (a missing port
         idles at X); returns one ``(values, xflags)`` column per output
-        port.  The native tier runs it as one C call over the engine's own
-        state; the Python tiers convert to rows, call :meth:`run_batch`
-        and convert the trace back."""
+        port.  Both kernel tiers run it through their one columnar entry
+        over the engine's own state — one C call on the native tier, one
+        generated loop on the compiled tier; only the interpreter converts
+        to rows, calls :meth:`run_batch` and converts the trace back."""
         self._check_input_names((columns,))
         kernel = self._resolve_tier()
-        if self._tier != "native":
+        if kernel is None:
             trace = self.run_batch(columns_to_rows(columns, cycles))
             return rows_to_columns((trace,), self._output_names, cycles)
         self._kernel_ran = True
@@ -922,16 +1075,19 @@ class ScheduledEngine:
 
     def _run_rows(self, rows: List[Dict[str, Value]]
                   ) -> List[Dict[str, Value]]:
-        """Checked rows on the engine's Python tier, decided already: the
-        compiled kernel when there is one, the interpreter otherwise."""
+        """Checked rows on the engine's tier, decided already: the
+        interpreter steps them; a kernel, C or compiled-Python, takes them
+        as columns through its one columnar entry, and its output columns
+        come back as rows."""
         kernel = self._kernel
         if kernel is None:
             return [self._step_unchecked(row) for row in rows]
         self._kernel_ran = True
-        cycle = kernel.cycle
-        trace = [cycle(row) for row in rows]
-        self.cycle += len(trace)
-        return trace
+        cycles = len(rows)
+        out = kernel.run_columns(
+            cycles, rows_to_columns((rows,), self._input_names, cycles))
+        self.cycle += cycles
+        return columns_to_rows(out, cycles)
 
     def _step_unchecked(self, inputs: Dict[str, Value]) -> Dict[str, Value]:
         self._begin_cycle(inputs)

@@ -29,6 +29,7 @@ from repro.designs import hdl_style_alu
 from repro.evaluation import evaluation_designs
 from repro.harness import harness_for, random_transactions
 from repro.sim import Simulator, X, compiler_available, is_x
+from repro.sim.engine import columns_to_rows
 
 
 def _traces_equal(left, right):
@@ -290,3 +291,161 @@ def test_an_undriven_port_reads_x_in_every_tier(case, tier):
     """A port whose drivers are all inactive in a cycle reads X in that
     cycle, whether its component is the top or a child, in every tier."""
     assert _rule_trace(case, tier) == _RULE_CASES[case][-1]
+
+
+# -- the compiled tier's columnar entry --------------------------------------
+
+
+def _column_netlists():
+    """``label -> (calyx, entrypoint, rows)`` for every netlist the
+    column-entry tests drive: chain16, AddMult and generator seeds 3, 5
+    and 8 under their harness's stimulus (X outside every availability
+    window), the held child (as child and as top) and a child with a
+    two-driver port under their own."""
+    from repro.conformance import generate
+    from repro.evaluation import chain_program
+
+    designs = {"chain16": chain_program(16),
+               "addmult": dict(evaluation_designs())["addmult"]()}
+    for seed in (3, 5, 8):
+        generated = generate(seed)
+        designs[f"gen{seed}"] = (generated.program, generated.spec.name)
+    netlists = {}
+    for label, (program, entry) in designs.items():
+        calyx = CompilationSession(program).calyx(entry)
+        harness = harness_for(program, entry, calyx=calyx)
+        rows, _ = harness._schedule(random_transactions(harness, 12, seed=7))
+        netlists[label] = (calyx, entry, rows)
+    netlists["child"] = (_kid_program(), "Top", _kid_stimulus())
+    netlists["child-as-top"] = (_kid_program(), "Kid", _kid_stimulus())
+    netlists["two-driver-child"] = (_pick_program(), "Top", _pick_stimulus())
+    return netlists
+
+
+_COLUMN_NETLISTS = _column_netlists()
+
+
+def _columns(rows, names, extra=0):
+    """``rows`` as one ``(values, xflags)`` column per name, X flagged,
+    with ``extra`` entries past the last row."""
+    columns = {}
+    for name in names:
+        trace = [row.get(name, X) for row in rows] + [5] * extra
+        columns[name] = ([0 if value is X else value for value in trace],
+                         bytearray([value is X for value in trace]))
+    return columns
+
+
+def _compiled(calyx, entry):
+    simulator = Simulator(calyx, entry, mode="compiled")
+    assert simulator.prepare()["kernel"], simulator.kernel_fallback_reason
+    return simulator
+
+
+class TestCompiledColumnEntry:
+    """The compiled kernel's one entry is columnar, as the native
+    kernel's: ``run_columns`` runs it directly and ``run_batch``
+    converts rows at the engine boundary, with the interpreter's
+    masking, idling, cutting, errors and conflicts."""
+
+    @pytest.mark.parametrize("label", sorted(_COLUMN_NETLISTS))
+    def test_columns_and_rows_trace_like_fixpoint(self, label):
+        from repro.sim.engine import rows_to_columns
+
+        calyx, entry, rows = _COLUMN_NETLISTS[label]
+        component = calyx.get(entry)
+        assert any(is_x(value) for row in rows for value in row.values())
+        reference = Simulator(calyx, entry, mode="fixpoint").run_batch(rows)
+        out = _compiled(calyx, entry).run_columns(
+            len(rows), _columns(rows, component.input_names()))
+        assert out == rows_to_columns(
+            (reference,), component.output_names(), len(rows))
+        assert _compiled(calyx, entry).run_batch(rows) == reference
+
+    def test_inputs_are_masked_like_rows(self):
+        calyx, entry, _ = _COLUMN_NETLISTS["chain16"]
+        rows = [{"go": 3, "a": (1 << 20) | 77, "b": -3},
+                {"go": 1, "a": -1, "b": X},
+                {"go": 1, "a": 0x1FFFF, "b": 1 << 40}]
+        reference = Simulator(calyx, entry, mode="auto").run_batch(rows)
+        out = _compiled(calyx, entry).run_columns(
+            3, _columns(rows, ("go", "a", "b")))
+        assert columns_to_rows(out, 3) == reference
+        assert _compiled(calyx, entry).run_batch(rows) == reference
+
+    def test_a_missing_port_idles_at_x_and_long_columns_are_cut(self):
+        calyx, entry, _ = _COLUMN_NETLISTS["child"]
+        rows = _kid_stimulus()
+        without_c = [{name: value for name, value in row.items()
+                      if name != "c"} for row in rows]
+        reference = Simulator(calyx, entry, mode="fixpoint").run_batch(
+            without_c)
+        simulator = _compiled(calyx, entry)
+        out = simulator.run_columns(
+            len(rows), _columns(rows, ("go", "a", "b")))
+        assert columns_to_rows(out, len(rows)) == reference
+        simulator.reset()
+        out = simulator.run_columns(
+            len(rows), _columns(rows, ("go", "a", "b", "c"), extra=4))
+        assert all(len(values) == len(xflags) == len(rows)
+                   for values, xflags in out.values())
+        assert columns_to_rows(out, len(rows)) == Simulator(
+            calyx, entry, mode="fixpoint").run_batch(rows)
+        # Every column long and free of X.
+        chain, top, _ = _COLUMN_NETLISTS["chain16"]
+        clean = [{"go": 1, "a": a, "b": 3 * a} for a in range(5)]
+        out = _compiled(chain, top).run_columns(
+            5, _columns(clean, ("go", "a", "b"), extra=3))
+        assert columns_to_rows(out, 5) == _compiled(
+            chain, top).run_batch(clean)
+        assert all(len(values) == 5 for values, _ in out.values())
+        # A column shorter than the run idles at X past its end.
+        short = _columns(rows, ("go", "a", "b", "c"))
+        short["c"] = (short["c"][0][:3], short["c"][1][:3])
+        simulator.reset()
+        assert columns_to_rows(simulator.run_columns(len(rows), short),
+                               len(rows)) == Simulator(
+            calyx, entry, mode="fixpoint").run_batch(
+                rows[:3] + without_c[3:])
+
+    def test_an_unknown_port_raises_like_rows(self):
+        calyx, entry, _ = _COLUMN_NETLISTS["chain16"]
+        with pytest.raises(SimulationError) as rows_error:
+            Simulator(calyx, entry, mode="fixpoint").run_batch([{"zz": 1}])
+        with pytest.raises(SimulationError) as columns_error:
+            _compiled(calyx, entry).run_columns(
+                1, {"zz": ([1], bytearray(1))})
+        assert str(columns_error.value) == str(rows_error.value)
+
+    def test_a_conflict_raises_the_same_message_and_cycle(self):
+        from repro.core.errors import DriverConflictError
+
+        calyx, entry, _ = _COLUMN_NETLISTS["two-driver-child"]
+        rows = _pick_stimulus()
+        rows[-1]["b"] = rows[-1]["a"] ^ 1
+        errors = []
+        with pytest.raises(DriverConflictError) as info:
+            Simulator(calyx, entry, mode="fixpoint").run_batch(rows)
+        errors.append(info.value)
+        with pytest.raises(DriverConflictError) as info:
+            _compiled(calyx, entry).run_batch(rows)
+        errors.append(info.value)
+        with pytest.raises(DriverConflictError) as info:
+            _compiled(calyx, entry).run_columns(
+                len(rows), _columns(rows, ("g", "h", "a", "b")))
+        errors.append(info.value)
+        assert len({str(error) for error in errors}) == 1, errors
+        assert {error.cycle for error in errors} == {len(rows) - 1}
+
+    def test_peek_and_outputs_read_the_kernel_after_a_column_run(self):
+        calyx, entry, _ = _COLUMN_NETLISTS["child"]
+        rows = _kid_stimulus()
+        reference = Simulator(calyx, entry, mode="auto")
+        last = reference.run_batch(rows)[-1]
+        simulator = _compiled(calyx, entry)
+        simulator.run_columns(len(rows),
+                              _columns(rows, ("go", "a", "b", "c")))
+        assert simulator.outputs() == last == reference.outputs()
+        assert simulator.peek("k", "o") == reference.peek("k", "o")
+        simulator.reset()
+        assert is_x(simulator.peek(None, "y"))

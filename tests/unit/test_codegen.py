@@ -623,11 +623,14 @@ class TestSegmentedKernel:
 
     @staticmethod
     def _deepest_frame_in_one_cycle(depth):
-        """Python frames below the compiled ``cycle`` at its deepest."""
+        """Python frames below the compiled columnar entry at its deepest,
+        over one cycle."""
         engine = _chain_engine(depth)
         engine.step({"go": 1, "a": 1, "b": 2})
         assert engine.uses_kernel(), engine.kernel_fallback_reason
-        cycle = engine._kernel.cycle
+        run = engine._kernel.run_columns
+        columns = {name: ([value], bytearray(1))
+                   for name, value in (("go", 1), ("a", 3), ("b", 4))}
         level, deepest = -1, 0
 
         def profile(frame, event, arg):
@@ -640,10 +643,11 @@ class TestSegmentedKernel:
 
         sys.setprofile(profile)
         try:
-            outputs = cycle({"go": 1, "a": 3, "b": 4})
+            outputs = run(1, columns)
         finally:
             sys.setprofile(None)
-        assert outputs == {"out": (3 + 4 * depth) & 0xFFFF}
+        assert outputs == {"out": ([(3 + 4 * depth) & 0xFFFF],
+                                   bytearray(1))}
         return deepest
 
     def test_call_depth_does_not_grow_with_the_hierarchy(self):

@@ -665,14 +665,17 @@ class TestPlanOnlyEngines:
     @staticmethod
     def _edit_counts(monkeypatch, depth, value):
         """What one leaf edit of a warm ``chain_program(depth)`` costs in
-        components printed, engines built and primitive models made,
-        through ``session.verilog``, ``harness_for`` and a compiled-tier
-        simulator build."""
+        components printed, engines built, primitive models made, plans
+        resolved, kernel chunks linked and component memos the link
+        queries visit, through ``session.verilog``, ``harness_for`` and a
+        compiled-tier simulator build and ``prepare()``."""
         from repro.calyx import ir
         from repro.core import fingerprint
+        from repro.core.queries import QueryEngine
         from repro.core.session import CompilationSession
         from repro.evaluation import chain_program, edit_chain_leaf
         from repro.harness import harness_for
+        from repro.sim import codegen
         from repro.sim import engine as engine_module
 
         program, entrypoint = chain_program(depth, salt=value ^ 0xFFFF)
@@ -681,13 +684,29 @@ class TestPlanOnlyEngines:
         harness = harness_for(program, entrypoint, session=session)
         Simulator(harness.calyx, entrypoint, mode="compiled").prepare()
         counts = {"format_component": 0, "calyx_str": 0, "engines": 0,
-                  "models": 0}
+                  "models": 0, "plans": 0, "chunks": 0, "link_visits": 0}
+        linking = [0]
 
         def counting(name, function):
             def counted(*args, **kwargs):
                 counts[name] += 1
                 return function(*args, **kwargs)
             return counted
+
+        def link(function):
+            def linked(*args):
+                linking[0] += 1
+                try:
+                    return function(*args)
+                finally:
+                    linking[0] -= 1
+            return linked
+
+        def visit(function):
+            def visited(*args):
+                counts["link_visits"] += linking[0] > 0
+                return function(*args)
+            return visited
 
         monkeypatch.setattr(fingerprint, "format_component", counting(
             "format_component", fingerprint.format_component))
@@ -697,6 +716,15 @@ class TestPlanOnlyEngines:
             "engines", ScheduledEngine.__init__))
         monkeypatch.setattr(engine_module, "create_primitive", counting(
             "models", engine_module.create_primitive))
+        monkeypatch.setattr(engine_module, "_plan_for", counting(
+            "plans", engine_module._plan_for))
+        monkeypatch.setattr(codegen, "_Chunk", counting(
+            "chunks", codegen._Chunk))
+        for stage in ("link_check", "link_lower", "link_calyx", "verilog"):
+            monkeypatch.setattr(QueryEngine, f"_compute_{stage}", link(
+                getattr(QueryEngine, f"_compute_{stage}")))
+        monkeypatch.setattr(QueryEngine, "_current",
+                            visit(QueryEngine._current))
         edit_chain_leaf(program, value)
         session.verilog(entrypoint)
         harness = harness_for(program, entrypoint, session=session)
@@ -712,6 +740,95 @@ class TestPlanOnlyEngines:
         assert shallow == deep
         assert shallow["engines"] == 1
         assert shallow["models"] == 0
+        # The top's own lookup and the edited leaf; the leaf's chunk.
+        assert shallow["plans"] == 2
+        assert shallow["chunks"] == 1
+
+    def test_a_long_edit_session_matches_a_scratch_compile(self):
+        """100 edits in one session on ``chain_program(16)``: leaf body
+        edits, a mid-chain port width edit and its undo, a component added
+        and then removed, and in-place edits of a copy of the session's
+        netlist built under the same top.  Every tenth step the session's
+        Verilog, Calyx text, netlist digest and compiled-tier trace equal
+        a scratch compile's, and every netlist edited in place traces like
+        the interpreter over a fresh copy."""
+        import copy
+        import random
+        from dataclasses import replace
+
+        from repro.core.ast import Component, PortDef
+        from repro.core.session import CompilationSession
+        from repro.evaluation import chain_program, edit_chain_leaf
+        from repro.sim.codegen import netlist_digest
+
+        program, entry = chain_program(16, salt=0x2B74)
+        session = CompilationSession(program)
+        rng = random.Random(0x2B74)
+        rows = [{"go": 1, "a": rng.getrandbits(16), "b": rng.getrandbits(16)}
+                for _ in range(12)]
+
+        def compiled(calyx):
+            simulator = Simulator(calyx, entry, mode="compiled")
+            assert simulator.prepare()["kernel"]
+            return simulator
+
+        def edit_in_place(calyx, variant):
+            """One of the edits ``test_edited_netlist_is_planned_again``
+            makes, on ``calyx``'s top component, or a reordering of a
+            grandchild's input ports (its parent, unedited, then writes
+            them elsewhere)."""
+            top = calyx.get(entry)
+            if variant == 0:
+                top.wires[-1] = Assignment(CellPort(None, "out"),
+                                           CellPort("A", "left"))
+            elif variant == 1:
+                top.cells.append(Cell("N", "Not", (16,)))
+                top.wires.append(Assignment(CellPort("N", "in"),
+                                            CellPort("A", "out")))
+                top.wires[-2] = Assignment(CellPort(None, "out"),
+                                           CellPort("N", "out"))
+            elif variant == 2:
+                top.wires = list(top.wires)
+            else:
+                calyx.get("Chain13").inputs.reverse()
+
+        spare = None
+        for step in range(100):
+            kind = step % 10
+            if kind == 3:
+                mid = program.get("Chain8")
+                width = 17 if step % 20 == 3 else 16
+                mid.signature = replace(mid.signature, inputs=tuple(
+                    PortDef(port.name, width if port.name == "b"
+                            else port.width, port.interval)
+                    for port in mid.signature.inputs))
+            elif kind == 5:
+                leaf = program.get("Chain0")
+                spare = Component(replace(leaf.signature,
+                                          name=f"Spare{step}"),
+                                  list(leaf.body))
+                program.add(spare)
+            elif kind == 7:
+                del program.components[spare.name]
+            elif kind in (4, 8):
+                copied = copy.deepcopy(session.calyx(entry))
+                compiled(copied)
+                edit_in_place(copied, step // 5 % 4)
+                assert compiled(copied).run_batch(rows) == Simulator(
+                    copy.deepcopy(copied), entry, mode="auto").run_batch(rows)
+            else:
+                edit_chain_leaf(program, rng.getrandbits(16))
+            verilog = session.verilog(entry)
+            calyx = session.calyx(entry)
+            simulator = compiled(calyx)
+            if kind == 9:
+                scratch = CompilationSession(copy.deepcopy(program))
+                reference = scratch.calyx(entry)
+                assert verilog == scratch.verilog(entry), step
+                assert str(calyx) == str(reference), step
+                fresh = compiled(reference)
+                assert netlist_digest(simulator) == netlist_digest(fresh)
+                assert simulator.run_batch(rows) == fresh.run_batch(rows)
 
     def test_forced_codegen_fallback_builds_the_interpreter(
             self, monkeypatch):
