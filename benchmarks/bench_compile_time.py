@@ -13,7 +13,10 @@ reports the :class:`~repro.core.session.CompilationSession` instrumentation:
   chain, re-emitted as Verilog, rebuilt as a compiled-tier harness
   simulator and prepared (its kernel linked and instantiated), with the
   number of components the edit prints, of plans it resolves and of
-  kernel chunks it links — each the same at every depth.
+  kernel chunks it links — each the same at every depth — and the Python
+  calls one cycle of the warm kernel makes, its reused runs of segments
+  fused into pieces of at most 16: no more than 2*ceil((d-1)/16) + 1 at
+  depth d.
 """
 
 import sys
@@ -32,6 +35,13 @@ from repro.evaluation import (
     measure_incremental_compile,
     measure_sim_throughput,
 )
+
+
+def _fused_calls_bound(depth: int) -> int:
+    """The most Python calls per cycle a warm leaf edit of a ``depth``-deep
+    chain may make: the two runs of ``depth - 1`` segments around the leaf
+    in pieces of at most 16, and the leaf's own segment."""
+    return 2 * -(-(depth - 1) // 16) + 1
 
 
 @pytest.mark.parametrize("name,thunk", evaluation_designs(),
@@ -116,19 +126,24 @@ def test_incremental_edit_recompiles_only_the_dirty_component(benchmark):
 def test_an_edit_prints_the_same_components_at_every_depth(benchmark):
     """The depth sweep: a leaf edit prints the edited component alone,
     and resolves as many plans and links as many kernel chunks, however
-    many components the design has."""
+    many components the design has; from the second edit on, its kernel
+    runs the rest of the chain in fused pieces."""
     costs = benchmark.pedantic(measure_edit_costs, kwargs={"edits": 3},
                                rounds=1, iterations=1)
     print()
     for cost in costs:
         print(f"chain{cost.depth:<4d} {cost.median_seconds * 1000:7.2f} ms "
-              f"per edit, {cost.prepare_seconds * 1000:7.2f} ms prepare, "
+              f"per edit, {cost.prepare_seconds * 1000:7.2f} ms prepare "
+              f"({cost.instance_seconds * 1000:.3f} ms instance), "
               f"{cost.printed_per_edit:g} components printed, "
               f"{cost.plans_per_edit:g} plans resolved, "
-              f"{cost.chunks_per_edit:g} chunks linked")
+              f"{cost.chunks_per_edit:g} chunks linked, "
+              f"{cost.calls_per_cycle} calls per cycle")
     assert [cost.depth for cost in costs] == [16, 64, 256]
     assert len({(cost.printed_per_edit, cost.plans_per_edit,
                  cost.chunks_per_edit) for cost in costs}) == 1
+    assert all(cost.calls_per_cycle <= _fused_calls_bound(cost.depth)
+               for cost in costs)
 
 
 def test_simulator_cycles_per_second(benchmark):
@@ -158,9 +173,11 @@ def main() -> int:
     compile and simulator-rebuild figure and the per-edit depth sweep as
     ``BENCH_compile_time.json`` (the common benchmark schema), and gate on
     warm / incremental-edit recompiles beating cold, the incremental
-    simulator rebuild beating a cold one, and an edit printing as many
+    simulator rebuild beating a cold one, an edit printing as many
     components, resolving as many plans and linking as many kernel chunks
-    at every depth of the sweep (counts, not timings)."""
+    at every depth of the sweep, and a warm leaf edit's kernel making no
+    more calls per cycle than :func:`_fused_calls_bound` allows (counts,
+    not timings)."""
     from common import write_bench
 
     rows = []
@@ -201,7 +218,9 @@ def main() -> int:
 
     # The depth sweep: per-edit session.verilog + harness_for + simulator
     # build against design size, relative to the 16-component chain, with
-    # the simulator's prepare() next to it and the two together.
+    # the simulator's prepare() next to it, the two together and the
+    # kernel instance alone, the warm kernel's calls per cycle and the
+    # one-time cost of compiling its fused pieces.
     costs = measure_edit_costs()
     for cost in costs:
         rows.append({"engine": "edit", "config": f"chain{cost.depth}",
@@ -212,10 +231,14 @@ def main() -> int:
                          cost.prepare_seconds * 1000, 3),
                      "ms_per_edit_with_prepare": round(
                          cost.total_seconds * 1000, 3),
+                     "instance_ms_per_edit": round(
+                         cost.instance_seconds * 1000, 3),
                      "edits": cost.edits,
                      "printed_per_edit": cost.printed_per_edit,
                      "plans_per_edit": cost.plans_per_edit,
-                     "chunks_per_edit": cost.chunks_per_edit})
+                     "chunks_per_edit": cost.chunks_per_edit,
+                     "calls_per_cycle": cost.calls_per_cycle,
+                     "fusion_ms_once": round(cost.fusion_seconds * 1000, 3)})
 
     # Per-design baseline: each design's speedups are relative to its own
     # fixpoint rate (a cross-design ratio would conflate design size with
@@ -241,9 +264,14 @@ def main() -> int:
               f"{cost.total_seconds * 1000:.2f} ms "
               f"({cost.total_seconds / costs[0].total_seconds:.2f}x "
               f"chain{costs[0].depth}; median of {cost.edits}), "
+              f"{cost.instance_seconds * 1000:.3f} ms kernel instance, "
               f"{cost.printed_per_edit:g} components printed, "
               f"{cost.plans_per_edit:g} plans resolved, "
-              f"{cost.chunks_per_edit:g} chunks linked per edit")
+              f"{cost.chunks_per_edit:g} chunks linked per edit, "
+              f"{cost.calls_per_cycle} calls per cycle warm "
+              f"(at most {_fused_calls_bound(cost.depth)}), "
+              f"{cost.fusion_seconds * 1000:.1f} ms compiling fused pieces "
+              f"once")
     if not timing.identical:
         print("FAIL: incremental artifacts differ from a scratch compile")
         return 1
@@ -256,6 +284,12 @@ def main() -> int:
     if len({cost.chunks_per_edit for cost in costs}) != 1:
         print("FAIL: an edit links more kernel chunks in a deeper design")
         return 1
+    for cost in costs:
+        if cost.calls_per_cycle > _fused_calls_bound(cost.depth):
+            print(f"FAIL: a warm chain{cost.depth} edit's kernel makes "
+                  f"{cost.calls_per_cycle} calls per cycle, more than "
+                  f"{_fused_calls_bound(cost.depth)}")
+            return 1
     if timing.warm_seconds >= timing.cold_seconds:
         print("FAIL: warm recompile did not beat cold")
         return 1

@@ -12,8 +12,12 @@ C compiler).  Lane batches have their own lanes x engines matrix in
 The ``chain64`` rows run the same kind of stream through
 ``chain_program(64)``, a 64-deep hierarchy of adders, under the
 scheduled interpreter and the compiled kernel.  They report cycles/s
-next to tx/s: per cycle the compiled kernel runs 127 settle segments, so
-this row shows what the hierarchy costs the compiled tier.
+next to tx/s: per cycle the compiled kernel of a first build runs 127
+settle segments, so this row shows what the hierarchy costs the compiled
+tier.  The ``chain64-warm`` row runs the compiled kernel of a second build
+of the same design, whose segments the first build compiled, so it runs
+them fused into 8 pieces of at most 16 (``calls_per_cycle`` on the
+compiled chain rows).
 
 **Timing definition.**  The timed region is engine-level batch execution of
 a pre-built stimulus: ``run_batch`` for dict-stimulus tiers,
@@ -55,10 +59,17 @@ from common import write_bench  # noqa: E402
 from repro.core.session import CompilationSession  # noqa: E402
 from repro.designs import addmult_program  # noqa: E402
 from repro.designs.golden import addmult as addmult_golden  # noqa: E402
-from repro.evaluation.compile_time import chain_program  # noqa: E402
+from repro.evaluation.compile_time import (  # noqa: E402
+    _calls_per_cycle,
+    chain_program,
+)
 from repro.harness import CapturedRun, harness_for  # noqa: E402
 from repro.harness.fuzz import random_transactions  # noqa: E402
-from repro.sim import compiler_available, is_x  # noqa: E402
+from repro.sim import (  # noqa: E402
+    clear_kernel_cache,
+    compiler_available,
+    is_x,
+)
 from repro.sim.engine import columns_to_rows, rows_to_columns  # noqa: E402
 
 DESIGN = "AddMult"
@@ -72,6 +83,8 @@ POINTS = (
 CHAIN_DEPTH = 64
 CHAIN = f"chain{CHAIN_DEPTH}"
 CHAIN_POINTS = POINTS[:2]
+#: The config label of the fused (second build) compiled chain row.
+CHAIN_WARM = f"{CHAIN}-warm"
 
 
 def _golden(transaction):
@@ -108,11 +121,12 @@ def _check_golden(results, golden=_golden) -> None:
 
 def _measure_point(harness, mode: str, transactions: int, repeats: int,
                    golden=_golden):
-    """Best-of-``repeats`` engine-level throughput ``(tx/s, cycles/s)``
-    for one tier, after one warm-up round that amortizes compile +
-    schedule + kernel codegen exactly as real use does.  Returns ``None``
-    when the requested tier is not actually running (native fallback); the
-    golden check runs untimed on the final round's output."""
+    """Best-of-``repeats`` engine-level throughput ``(tx/s, cycles/s,
+    simulator)`` for one tier, after one warm-up round that amortizes
+    compile + schedule + kernel codegen exactly as real use does.  Returns
+    ``None`` when the requested tier is not actually running (native
+    fallback); the golden check runs untimed on the final round's
+    output."""
     simulator = harness._fresh_simulator()
     stream = random_transactions(harness, transactions, seed=7)
     total, columns, _, (starts,) = harness._schedule_streams([stream])
@@ -136,7 +150,7 @@ def _measure_point(harness, mode: str, transactions: int, repeats: int,
         best = elapsed if best is None else min(best, elapsed)
     _check_golden(CapturedRun(stream, starts, harness._capture_columns(
         as_columns(out), total, starts, 1, 0)), golden)
-    return transactions / best, total / best
+    return transactions / best, total / best, simulator
 
 
 def measure(transactions: int = 40, repeats: int = 3) -> dict:
@@ -158,12 +172,28 @@ def measure(transactions: int = 40, repeats: int = 3) -> dict:
             continue
         rows.append({"engine": engine, "config": "scalar",
                      "tx_per_sec": rates[0], "lanes": 1})
+    # The cold rows build the chain's kernel first in the process: an
+    # earlier build of the same links (another benchmark in one pytest
+    # run) would fuse its segments.
+    clear_kernel_cache()
     for engine, mode in CHAIN_POINTS:
-        tx_rate, cycle_rate = _measure_point(
+        tx_rate, cycle_rate, simulator = _measure_point(
             _chain_harness(mode), mode, transactions, repeats, _chain_golden)
         rows.append({"engine": engine, "config": CHAIN,
                      "tx_per_sec": tx_rate,
                      "cycles_per_sec": round(cycle_rate, 1), "lanes": 1})
+        if mode == "compiled":
+            rows[-1]["calls_per_cycle"] = _calls_per_cycle(simulator)
+    # The warm row: built again, the design's whole segment sequence is a
+    # run of chunks the cold row compiled, so this build fuses it.
+    tx_rate, cycle_rate, simulator = _measure_point(
+        _chain_harness("compiled"), "compiled", transactions, repeats,
+        _chain_golden)
+    rows.append({"engine": "compiled", "config": CHAIN_WARM,
+                 "tx_per_sec": tx_rate,
+                 "cycles_per_sec": round(cycle_rate, 1), "lanes": 1,
+                 "calls_per_cycle": _calls_per_cycle(simulator),
+                 "baseline": f"scheduled {CHAIN}"})
     return {
         "design": DESIGN,
         "workload": f"{DESIGN} and {CHAIN} fuzz streams, engine-level batch "
@@ -224,11 +254,13 @@ def test_native_harness_matches_scheduled():
 def test_kernel_throughput_figure_is_well_formed():
     figure = measure(transactions=6, repeats=1)
     expected = len(POINTS) if compiler_available() else len(POINTS) - 1
-    assert len(figure["rows"]) == expected + len(CHAIN_POINTS), \
+    assert len(figure["rows"]) == expected + len(CHAIN_POINTS) + 1, \
         figure["skipped"]
     assert all(row["tx_per_sec"] > 0 for row in figure["rows"])
     assert all(_row(figure, engine, CHAIN)["cycles_per_sec"] > 0
                for engine, _ in CHAIN_POINTS)
+    assert _row(figure, "compiled", CHAIN)["calls_per_cycle"] == 127
+    assert _row(figure, "compiled", CHAIN_WARM)["calls_per_cycle"] == 8
     if compiler_available():
         assert _row(figure, "native", "scalar") is not None
 
@@ -256,7 +288,9 @@ def main(argv=None) -> int:
     for row in figure["rows"]:
         cycles = (f", {row['cycles_per_sec']:>10.1f} cycles/s"
                   if "cycles_per_sec" in row else "")
-        print(f"  {row['engine']:>10s} {row['config']:<8s}"
+        if "calls_per_cycle" in row:
+            cycles += f", {row['calls_per_cycle']} calls/cycle"
+        print(f"  {row['engine']:>10s} {row['config']:<13s}"
               f"(lanes={row['lanes']:3d}): {row['tx_per_sec']:>12.1f} tx/s"
               f"{cycles}")
     for engine, config, reason in figure["skipped"]:
@@ -270,6 +304,9 @@ def main(argv=None) -> int:
                             / _row(figure, "scheduled", config)["tx_per_sec"])
         print(f"  compiled vs scheduled, {config + ':':<8s} "
               f"{speedups[config]:.2f}x")
+    warm = (_row(figure, "compiled", CHAIN_WARM)["tx_per_sec"]
+            / _row(figure, "compiled", CHAIN)["tx_per_sec"])
+    print(f"  compiled {CHAIN_WARM} vs {CHAIN}: {warm:.2f}x")
     native_row = _row(figure, "native", "scalar")
     if native_row is not None:
         native_speedup = native_row["tx_per_sec"] / compiled_scalar

@@ -19,6 +19,7 @@ from __future__ import annotations
 import gc
 import itertools
 import statistics
+import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -368,13 +369,16 @@ class EditCost:
     """The per-edit cost of one ``chain_program(depth)`` leaf edit: the
     median over ``edits`` in-place edits of ``session.verilog`` plus
     ``harness_for`` plus the compiled-tier simulator build, the median of
-    that simulator's ``prepare()`` (its kernel link and instance) and of
-    the two together, and per edit how many components are printed
-    (Filament components through the fingerprint printer plus Calyx
-    components through ``str``), how many plans are resolved (calls of
-    the engine's ``_plan_for``) and how many kernel chunks are linked.
-    The counts are the same at every depth when an edit costs only what
-    it changes."""
+    that simulator's ``prepare()`` (its kernel link and instance), of the
+    two together and of the kernel instance alone, and per edit how many
+    components are printed (Filament components through the fingerprint
+    printer plus Calyx components through ``str``), how many plans are
+    resolved (calls of the engine's ``_plan_for``) and how many kernel
+    chunks are linked.  The counts are the same at every depth when an
+    edit costs only what it changes.  ``calls_per_cycle`` counts the
+    Python calls one cycle of the last edit's kernel makes, its reused
+    runs of segments fused, and ``fusion_seconds`` is the one-time cost
+    of compiling those pieces (:func:`_first_fusion_seconds`)."""
 
     depth: int
     edits: int
@@ -384,23 +388,30 @@ class EditCost:
     total_seconds: float
     plans_per_edit: float
     chunks_per_edit: float
+    instance_seconds: float
+    calls_per_cycle: int
+    fusion_seconds: float
 
 
 @contextmanager
-def _counting_edit_work(counts: Dict[str, int]):
+def _counting_edit_work(counts: Dict[str, int], spent: Dict[str, float]):
     """Count, while the block runs, every component printed
     (``"printed"``: Filament ones through
     :func:`repro.core.fingerprint.format_component`, Calyx ones through
     ``CalyxComponent.__str__``), every plan resolved (``"plans"``: calls
     of :func:`repro.sim.engine._plan_for`) and every kernel chunk linked
-    (``"chunks"``: a chunk is linked once, when it is built).  The
-    originals are restored on exit."""
+    (``"chunks"``: a chunk is linked once, when it is built), and add up
+    the seconds spent instantiating compiled kernels (``"instance"``)
+    and compiling fused pieces (``"fusion"``).  The originals are
+    restored on exit."""
     from ..calyx.ir import CalyxComponent
     from ..core import fingerprint
     from ..sim import codegen, engine
 
+    program = codegen.CompiledKernelProgram
     originals = (fingerprint.format_component, CalyxComponent.__str__,
-                 engine._plan_for, codegen._Chunk)
+                 engine._plan_for, codegen._Chunk, program.scalar_instance,
+                 codegen._compile_piece)
 
     def counting(name, function):
         def counted(*args):
@@ -408,15 +419,81 @@ def _counting_edit_work(counts: Dict[str, int]):
             return function(*args)
         return counted
 
+    def timing(name, function):
+        def timed(*args):
+            start = time.perf_counter()
+            try:
+                return function(*args)
+            finally:
+                spent[name] += time.perf_counter() - start
+        return timed
+
     fingerprint.format_component = counting("printed", originals[0])
     CalyxComponent.__str__ = counting("printed", originals[1])
     engine._plan_for = counting("plans", originals[2])
     codegen._Chunk = counting("chunks", originals[3])
+    program.scalar_instance = timing("instance", originals[4])
+    codegen._compile_piece = timing("fusion", originals[5])
     try:
         yield
     finally:
         (fingerprint.format_component, CalyxComponent.__str__,
-         engine._plan_for, codegen._Chunk) = originals
+         engine._plan_for, codegen._Chunk, program.scalar_instance,
+         codegen._compile_piece) = originals
+
+
+def _calls_per_cycle(simulator) -> int:
+    """The Python calls one cycle of ``simulator``'s kernel makes: the
+    calls of a two-cycle run less those of a one-cycle run, so the
+    entry's own calls cancel.  The kernel idles at X.  A profiler
+    already installed is put back afterwards (and misses these runs)."""
+    kernel = simulator._kernel
+
+    def calls(cycles: int) -> int:
+        count = 0
+
+        def profile(frame, event, arg):
+            nonlocal count
+            if event == "call":
+                count += 1
+
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            kernel.run_columns(cycles, {})
+        finally:
+            sys.setprofile(previous)
+        return count
+
+    return calls(2) - calls(1)
+
+
+def _first_fusion_seconds(depth: int) -> float:
+    """The seconds the first leaf edit of a ``depth``-deep chain spends
+    compiling fused pieces, from a cold kernel cache: the first build
+    generates every chunk and the edit's build fuses the rest of the
+    chain.  The depths of a sweep share their links' chunks, so only a
+    cold start gives each depth its own figure."""
+    from ..harness import harness_for
+    from ..sim import codegen
+
+    codegen.clear_kernel_cache()
+    program, entrypoint = chain_program(
+        depth, salt=next(_SWEEP_VALUES) & 0xFFFF)
+    session = CompilationSession(program)
+
+    def build() -> None:
+        session.verilog(entrypoint)
+        harness_for(program, entrypoint,
+                    session=session)._fresh_simulator().prepare()
+
+    build()
+    edit_chain_leaf(program, next(_SWEEP_VALUES) & 0xFFFF)
+    spent = dict.fromkeys(("instance", "fusion"), 0.0)
+    with _counting_edit_work(dict.fromkeys(("printed", "plans", "chunks"),
+                                           0), spent):
+        build()
+    return spent["fusion"]
 
 
 def measure_edit_costs(depths: Sequence[int] = (16, 64, 256),
@@ -425,9 +502,13 @@ def measure_edit_costs(depths: Sequence[int] = (16, 64, 256),
     Verilog, build and prepare its compiled-tier harness simulator), then
     time ``edits`` in-place leaf edits, each followed by
     ``session.verilog``, ``harness_for`` and the harness's simulator
-    build, and then that simulator's ``prepare()``.  The depths take
-    turns, one edit each, so a drift in host speed lands on all of
-    them."""
+    build, and then that simulator's ``prepare()``, whose kernel instance
+    is also timed alone.  The depths take turns, one edit each, so a drift
+    in host speed lands on all of them.  A leaf edit leaves the rest of
+    the chain's chunks cached, so each edit's kernel fuses the runs of
+    segments around the leaf.  Last, each depth's one-time cost of
+    compiling those pieces is measured from a cold kernel cache, which
+    this clears."""
     from ..harness import harness_for
 
     designs = []
@@ -439,13 +520,15 @@ def measure_edit_costs(depths: Sequence[int] = (16, 64, 256),
         harness_for(program, entrypoint,
                     session=session)._fresh_simulator().prepare()
         designs.append((program, entrypoint, session))
-    seconds: List[List[Tuple[float, float]]] = [[] for _ in depths]
+    seconds: List[List[Tuple[float, float, float]]] = [[] for _ in depths]
     counts = [dict.fromkeys(("printed", "plans", "chunks"), 0)
               for _ in depths]
+    simulators: list = [None for _ in depths]
     for _ in range(edits):
         for index, (program, entrypoint, session) in enumerate(designs):
             edit_chain_leaf(program, next(_SWEEP_VALUES) & 0xFFFF)
-            with _counting_edit_work(counts[index]):
+            spent = dict.fromkeys(("instance", "fusion"), 0.0)
+            with _counting_edit_work(counts[index], spent):
                 start = time.perf_counter()
                 session.verilog(entrypoint)
                 simulator = harness_for(
@@ -453,12 +536,18 @@ def measure_edit_costs(depths: Sequence[int] = (16, 64, 256),
                 built = time.perf_counter()
                 simulator.prepare()
                 seconds[index].append((built - start,
-                                       time.perf_counter() - built))
+                                       time.perf_counter() - built,
+                                       spent["instance"]))
+            simulators[index] = simulator
+    fusion = list(map(_first_fusion_seconds, depths))
     return [EditCost(depth, edits,
-                     statistics.median(build for build, _ in times),
+                     statistics.median(build for build, _, _ in times),
                      count["printed"] / edits,
-                     statistics.median(prepare for _, prepare in times),
+                     statistics.median(prepare for _, prepare, _ in times),
                      statistics.median(build + prepare
-                                       for build, prepare in times),
-                     count["plans"] / edits, count["chunks"] / edits)
-            for depth, times, count in zip(depths, seconds, counts)]
+                                       for build, prepare, _ in times),
+                     count["plans"] / edits, count["chunks"] / edits,
+                     statistics.median(instance for _, _, instance in times),
+                     _calls_per_cycle(simulator), fused)
+            for depth, times, count, fused, simulator in zip(
+                depths, seconds, counts, fusion, simulators)]

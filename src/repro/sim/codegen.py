@@ -24,25 +24,29 @@ straight-line host code:
   settle is one zero-argument function per stretch of its schedule between
   child cells.  The segment before a child writes the child's inputs
   straight into the child's slot list, and the segment after it reads the
-  child's outputs back, so the segments of a whole hierarchy splice into
-  one flat tuple.  A cycle runs that tuple and then the flat tuple of
-  ticks in one loop each, at the same call depth however deep the
+  child's outputs back, so the segments of a whole hierarchy lie in one
+  flat sequence.  A cycle runs that sequence and then the flat sequence
+  of ticks in one loop each, at the same call depth however deep the
   hierarchy: no settle frame nests per level, so a deep design never makes
-  the interpreter grow and shrink its frame stack once per cycle.
+  the interpreter grow and shrink its frame stack once per cycle;
+* a warm kernel fuses the runs of segments an earlier build compiled into
+  **pieces** of up to 16 segments, one call each (see *Fused pieces*
+  below).
 
 Code is generated per component, as one **chunk** per engine plan
 (:class:`~repro.sim.engine._ComponentPlan`).  A chunk defines
-``link(INIT, C, kids)``, which binds the component's init table ``INIT``
-and its multi-driver group plans ``C`` and returns the component's factory
-``make``.  ``make()`` returns ``(segments, ticks, resets, s)`` for one
-instance and reaches each child as ``kids[cell]()``; a child's port slots
-depend only on its interface, which is part of the plan key.  So a chunk
-names nothing positional and its text depends on its plan alone: every
-component, top or child, settles by one rule — a port whose drivers are
-all inactive in a cycle reads X in that cycle.  A chunk is linked once,
-when it is built, to a view (:class:`_Kids`) that looks each child up at
-instantiation in the link table of the kernel being instantiated, so an
-edit links only the chunks it changed.  The top's entry ``make_top(make)``
+``link(INIT, C)``, which binds the component's init table ``INIT`` and
+its multi-driver group plans ``C`` and returns the component's factory
+``make``.  ``make(sg, tk, rs, T)`` appends one instance's segments, ticks
+and resets to the three lists the whole hierarchy shares, makes each
+child through ``T``, the link table (component name → factory) of the
+kernel being instantiated, and returns its slot list; a child's port
+slots depend only on its interface, which is part of the plan key.  So a
+chunk names nothing positional and its text depends on its plan alone:
+every component, top or child, settles by one rule — a port whose drivers
+are all inactive in a cycle reads X in that cycle.  A chunk is linked
+once, when it is built, and finds its children at instantiation, so an
+edit links only the chunks it changed.  The top's entry ``make_top``
 is generated from the interface alone, the first time a chunk is linked
 as a top, and kept on the chunk; its ``run(cycles, columns)`` has the
 native kernel's columnar contract, so :meth:`ScheduledEngine.run_columns
@@ -66,15 +70,20 @@ children's interfaces but never their bodies, so rebuilding the same
 design — across sessions, harnesses and conformance runs — hits every
 chunk, and an edit to one component's body regenerates that component's
 chunk alone; :class:`~repro.core.session.CompilationSession` reports the
-hits next to its other stage timings.  :func:`netlist_digest`, the whole
-netlist's digest, keys the native tier's in-memory program cache.
+hits next to its other stage timings.  Fused pieces have a cache of their
+own, and :func:`kernel_cache_stats` counts them with the chunks.
+:func:`netlist_digest`, the whole netlist's digest, keys the native tier's
+in-memory program cache.
 """
 
 from __future__ import annotations
 
 import hashlib
-from itertools import repeat
+import re
+from collections import Counter
+from itertools import chain, repeat
 from operator import attrgetter
+from types import CodeType, FunctionType
 from typing import Dict, List, Optional, Tuple
 
 from ..core.errors import DriverConflictError
@@ -253,6 +262,9 @@ class _ComponentCompiler:
         self._local: Dict[int, str] = {}
         self._reads: set = set()
         self._temp = 0
+        #: Each emitted segment's body text, without its comments, by
+        #: the segment's function name.
+        self.bodies: Dict[str, str] = {}
         self._collect_slots()
 
     # -- slot map --------------------------------------------------------------
@@ -382,14 +394,14 @@ class _ComponentCompiler:
     # -- chunk emission --------------------------------------------------------
 
     def emit_chunk(self) -> str:
-        """The chunk source: ``link(INIT, C, kids)`` binds the group plans
-        from ``C`` and returns this component's factory ``make``."""
+        """The chunk source: ``link(INIT, C)`` binds the group plans from
+        ``C`` and returns this component's factory ``make``."""
         body = _Lines()
         body.indent = 1
         self._emit_make(body)
         body.emit("return make")
         out = _Lines()
-        out.emit(f"def link(INIT, C, kids):  # component {self.name!r}")
+        out.emit(f"def link(INIT, C):  # component {self.name!r}")
         out.indent += 1
         for index, name in enumerate(self.constants):
             out.emit(f"{name} = C[{index}]")
@@ -397,13 +409,19 @@ class _ComponentCompiler:
         return out.text()
 
     def _emit_make(self, out: _Lines) -> None:
-        """``make()`` builds one instance and returns ``(segments, ticks,
-        resets, s)``: its settle segments spliced around its children's,
-        the subtree's non-empty ticks, every reset of the subtree, and the
-        slot list its parent writes inputs into and reads outputs from."""
+        """``make(sg, tk, rs, T)`` builds one instance into the three
+        lists the whole hierarchy shares and returns the slot list its
+        parent writes inputs into and reads outputs from.  It appends its
+        tick (when not empty) and its reset, then makes its children in
+        schedule order through the kernel's link table ``T`` (component
+        name → factory), each segment taking its place around the
+        children's segments: a segment before a child reserves its place
+        first, since it is defined only once the child's slot list
+        exists.  Every instance is one pass, however deep the
+        hierarchy."""
         plan = self.plan
         counted = self._counts_cycles()
-        out.emit("def make():")
+        out.emit("def make(sg, tk, rs, T):")
         out.indent += 1
         out.emit("s = list(INIT)")
         if counted:
@@ -413,18 +431,12 @@ class _ComponentCompiler:
             if not _is_stdlib(node.model):
                 out.emit(f"m_{self._ident(cell)} = "
                          f"_mk({primitive!r}, {params!r})")
-        kids = [self._ident(node.cell) for node in plan.child_nodes]
-        for node, ident in zip(plan.child_nodes, kids):
-            out.emit(f"sg_{ident}, tk_{ident}, rs_{ident}, c_{ident} = "
-                     f"kids[{node.cell!r}]()")
-        segments = self._emit_segments(out)
-        ticks = [f"tk_{ident}" for ident in kids]
         if self._emit_tick(out, counted):
-            ticks.insert(0, "(tick,)")
+            out.emit("tk.append(tick)")
         self._emit_reset(out, counted)
-        resets = ["(reset,)"] + [f"rs_{ident}" for ident in kids]
-        out.emit(f"return ({' + '.join(segments) or '()'}, "
-                 f"{' + '.join(ticks) or '()'}, {' + '.join(resets)}, s)")
+        out.emit("rs.append(reset)")
+        self._emit_segments(out)
+        out.emit("return s")
         out.indent -= 1
         out.emit()
 
@@ -474,10 +486,10 @@ class _ComponentCompiler:
             reads.update(sl[key] for _, key in next_child.in_items)
         return reads
 
-    def _emit_segments(self, out: _Lines) -> List[str]:
-        """Emit ``sg0``, ``sg1``, ... and return the terms whose sum is the
-        spliced segment tuple (empty segments are left out)."""
-        terms: List[str] = []
+    def _emit_segments(self, out: _Lines) -> None:
+        """Emit the children's ``make`` calls and ``sg0``, ``sg1``, ...
+        between them (empty segments are left out), and keep each
+        segment's body text in :attr:`bodies` by its name."""
         for index, (previous, nodes, next_child) in enumerate(
                 self._segments()):
             body = _Lines()
@@ -495,6 +507,11 @@ class _ComponentCompiler:
             self._emit_nodes(body, nodes)
             if next_child is not None:
                 self._emit_child_inputs(body, next_child)
+                if body.lines:
+                    out.emit("at = len(sg)")
+                    out.emit("sg.append(None)")
+                out.emit(f"c_{self._ident(next_child.cell)} = "
+                         f"T[{next_child.component!r}](sg, tk, rs, T)")
             if body.lines:
                 # The slot lists and X bind as defaults: fast locals in
                 # place of closure cells and a module global.
@@ -504,10 +521,10 @@ class _ComponentCompiler:
                 out.emit(f"def sg{index}(s=s, X=X{kids}):")
                 out.lines.extend(body.lines)
                 out.emit()
-                terms.append(f"(sg{index},)")
-            if next_child is not None:
-                terms.append(f"sg_{self._ident(next_child.cell)}")
-        return terms
+                out.emit(f"sg[at] = sg{index}" if next_child is not None
+                         else f"sg.append(sg{index})")
+                self.bodies[f"sg{index}"] = "\n".join(
+                    line.split("  # ", 1)[0] for line in body.lines)
 
     def _new_temp(self, prefix: str) -> str:
         self._temp += 1
@@ -729,7 +746,7 @@ class _ComponentCompiler:
         children tick on their own — unless it would be empty; returns
         whether it was emitted."""
         header = len(out.lines)
-        out.emit("def tick():")
+        out.emit("def tick(s=s):")
         out.indent += 1
         if counted:
             out.emit("nonlocal n")
@@ -814,7 +831,7 @@ class _ComponentCompiler:
         return True
 
     def _emit_reset(self, out: _Lines, counted: bool) -> None:
-        out.emit("def reset():")
+        out.emit("def reset(s=s):")
         out.indent += 1
         if counted:
             out.emit("nonlocal n")
@@ -1007,10 +1024,11 @@ def _output_columns(names: Tuple[str, ...], traces: Tuple[list, ...]
 
 def _top_entry(plan) -> Tuple[object, str]:
     """The top entry of ``plan``'s component and its source.
-    ``make_top(make)`` builds one instance with the component's factory
-    ``make`` and returns ``(run, reset, s)``.  ``run(cycles, columns)`` has
-    the native kernel's contract: ``columns`` maps input port name →
-    ``(values, xflags)``, and it returns one ``(values, xflags)`` column of
+    ``make_top(segments, ticks, resets, s)`` wraps one instance — its
+    segments, ticks and resets laid flat, and the top's slot list — and
+    returns ``(run, reset)``.  ``run(cycles, columns)`` has the native
+    kernel's contract: ``columns`` maps input port name → ``(values,
+    xflags)``, and it returns one ``(values, xflags)`` column of
     ``cycles`` entries per output port.  Each cycle writes the inputs, runs
     every segment, reads the outputs and runs every tick.  Only the
     interface enters the text, at the slots :func:`_port_slots` gives,
@@ -1023,9 +1041,9 @@ def _top_entry(plan) -> Tuple[object, str]:
     reads = [f"v{index}" for index in range(len(inputs))]
     outs = [f"o{index}" for index in range(len(outputs))]
     out = _Lines()
-    out.emit(f"def make_top(make):  # top entry of component {plan.name!r}")
+    out.emit("def make_top(segments, ticks, resets, s):"
+             f"  # top entry of component {plan.name!r}")
     out.indent += 1
-    out.emit("segments, ticks, resets, s = make()")
     out.emit("def run(n, columns):")
     out.indent += 1
     if inputs:
@@ -1055,40 +1073,21 @@ def _top_entry(plan) -> Tuple[object, str]:
     out.emit("def reset():")
     out.emit("    for f in resets:")
     out.emit("        f()")
-    out.emit("return run, reset, s")
+    out.emit("return run, reset")
     source = out.text()
     namespace = {"X": X, "_ins": _input_columns, "_outs": _output_columns}
     exec(compile(source, f"<kernel {plan.name} top>", "exec"), namespace)
     return namespace["make_top"], source
 
 
-class _Kids:
-    """A linked chunk's children: ``kids[cell]`` is the factory that the
-    link table of the kernel being instantiated holds for the cell's
-    component.  A chunk is linked once, to this view, so an edit relinks
-    only the chunks it changed; the table is bound only while
-    :meth:`CompiledKernelProgram.scalar_instance` runs, so every program
-    instantiates with its own table, whenever it is instantiated."""
-
-    __slots__ = ("components",)
-
-    #: The link table of the instantiation in progress.
-    table: Dict[str, object] = {}
-
-    def __init__(self, components: Dict[str, str]) -> None:
-        self.components = components
-
-    def __getitem__(self, cell: str):
-        return _Kids.table[self.components[cell]]
-
-
 class _Chunk:
-    """One component's compiled chunk: its factory ``make``, linked once
-    to its children through :class:`_Kids`, its slot map, its source text
-    and, once it has been linked as a top, its top entry and that entry's
-    source (:func:`_top_entry`)."""
+    """One component's compiled chunk: its factory ``make``, its slot
+    map, its source text, each segment's body text by the segment's code
+    object (what fused pieces are built from) and, once it has been
+    linked as a top, its top entry and that entry's source
+    (:func:`_top_entry`)."""
 
-    __slots__ = ("make", "slots", "source", "top")
+    __slots__ = ("make", "slots", "source", "bodies", "top")
 
     def __init__(self, plan) -> None:
         self.top: Optional[Tuple[object, str]] = None
@@ -1103,22 +1102,94 @@ class _Chunk:
             raise KernelUnavailable(f"generated source failed to compile: "
                                     f"{error}") from error
         self.make = namespace["link"](
-            compiler.scalar_init(), tuple(compiler.constants.values()),
-            _Kids({node.cell: node.component for node in plan.child_nodes}))
+            compiler.scalar_init(), tuple(compiler.constants.values()))
         self.slots = compiler.slots
+        self.bodies: Dict[CodeType, str] = {
+            code: compiler.bodies[code.co_name]
+            for code in self.make.__code__.co_consts
+            if type(code) is CodeType and code.co_name in compiler.bodies}
+
+
+# ---------------------------------------------------------------------------
+# Fused pieces
+# ---------------------------------------------------------------------------
+#
+# A warm kernel is mostly chunks an earlier build already compiled, and a
+# cycle calls each of their segments in turn.  At instantiation every
+# maximal run of two or more segments whose chunks were not generated in
+# this build is replaced by pieces of at most ``_PIECE_SEGMENTS``
+# segments, each one function whose body is the run's bodies one after
+# the other, every parameter and local suffixed with the segment's place
+# in the piece; the instance's slot lists bind as its defaults.  A piece
+# runs the same statements in the same order over the same slot lists as
+# the calls it replaces.  A run's pieces are compiled the first time the
+# run is instantiated and kept (``_RUNS``), so later instances only bind
+# them; a first build generates every chunk, so it fuses nothing.  Ticks,
+# and segments with free variables (a multi-driver resolver's group plans
+# and cycle count, a black box's model), stay separate calls.
+
+#: Most segments one piece holds.  Compiling one function from a whole
+#: run of a deep chain's segments costs megabytes of peak memory; pieces
+#: of 16 cost a quarter of that and leave the calls per cycle at
+#: ``ceil(run / 16)``.
+_PIECE_SEGMENTS = 16
+
+#: The pieces of every run fused so far as ``(start, stop, code)``,
+#: keyed by the ids of the run's segments' code objects; an entry
+#: ``(codes, pieces)`` keeps those code objects, so the ids stay theirs.
+_RUNS = DigestCache(256)
+
+#: Pieces compiled (``"compiled"``) and pieces bound without a compile
+#: (``"reused"``).
+_PIECE_COUNTS: Counter = Counter()
+
+_IDENTIFIER = re.compile(r"\b[A-Za-z_]\w*")
+
+
+def _slices(length: int) -> List[Tuple[int, int]]:
+    """The pieces of a run of ``length`` segments as ``(start, stop)``:
+    consecutive slices of at most :data:`_PIECE_SEGMENTS`, a last single
+    segment left out (it stays a call of its own)."""
+    return [(start, min(start + _PIECE_SEGMENTS, length))
+            for start in range(0, length, _PIECE_SEGMENTS)
+            if length - start > 1]
+
+
+def _compile_piece(codes: Tuple[CodeType, ...],
+                   bodies: Dict[CodeType, str]) -> CodeType:
+    """The code of one piece over the segments whose code objects are
+    ``codes``: their bodies in order, each one's parameters and locals
+    suffixed ``_<place>``; the parameters are theirs in order."""
+    params: List[str] = []
+    renamed: List[str] = []
+    for place, code in enumerate(codes):
+        suffix = f"_{place}"
+        names = set(code.co_varnames)
+        params.extend(name + suffix
+                      for name in code.co_varnames[:code.co_argcount])
+        renamed.append(_IDENTIFIER.sub(
+            lambda match: (match.group() + suffix
+                           if match.group() in names else match.group()),
+            bodies[code]))
+    source = f"def piece({', '.join(params)}):\n" + "\n".join(renamed)
+    module = compile(source, "<kernel piece>", "exec")
+    return next(const for const in module.co_consts
+                if type(const) is CodeType)
 
 
 class CompiledKernelProgram:
     """One engine's linked kernel: the plans it links (children first),
     the link table from component name to linked factory, the top's entry
-    ``make_top`` and the top's slot map."""
+    ``make_top``, the top's slot map and :attr:`fresh`, the ids of the
+    code objects of the segments of the chunks this build generated."""
 
     def __init__(self, plans, table: Dict[str, object], make_top,
-                 slot_map: Dict[_Key, int]) -> None:
+                 slot_map: Dict[_Key, int], fresh: set) -> None:
         self.plans = plans
         self.table = table
         self.make_top = make_top
         self.slot_map = slot_map
+        self.fresh = fresh
 
     @property
     def sources(self) -> List[str]:
@@ -1129,13 +1200,77 @@ class CompiledKernelProgram:
 
     def scalar_instance(self) -> "ScalarKernel":
         """A fresh instance, its children instantiated through this
-        kernel's link table."""
-        outer, _Kids.table = _Kids.table, self.table
-        try:
-            run, reset, slots = self.make_top(self.table[self.plans[-1].name])
-        finally:
-            _Kids.table = outer
+        kernel's link table in one pass, its reused runs of segments
+        fused (:meth:`_fused`)."""
+        segments: list = []
+        ticks: list = []
+        resets: list = []
+        slots = self.table[self.plans[-1].name](segments, ticks, resets,
+                                                self.table)
+        run, reset = self.make_top(self._fused(segments), tuple(ticks),
+                                   tuple(resets), slots)
         return ScalarKernel(run, reset, slots, self.slot_map)
+
+    def _fused(self, segments: list) -> tuple:
+        """``segments`` with every maximal run of two or more segments
+        fused (:func:`_fuse_run`), cut at each segment of a chunk this
+        build generated (:attr:`fresh`) and at each with free
+        variables."""
+        codes = list(map(_CODE, segments))
+        fresh = self.fresh
+        cuts = [index for index, (code, segment)
+                in enumerate(zip(codes, segments))
+                if id(code) in fresh or segment.__closure__ is not None]
+        cuts.append(len(segments))
+        out: list = []
+        start = 0
+        for cut in cuts:
+            if cut - start > 1:
+                out += _fuse_run(segments[start:cut], codes[start:cut],
+                                 self.plans)
+            else:
+                out += segments[start:cut]
+            out += segments[cut:cut + 1]
+            start = cut + 1
+        return tuple(out)
+
+
+def _fuse_run(run: list, codes: list, plans) -> list:
+    """``run``, whose segments' code objects are ``codes``, as its pieces
+    bound to this instance's slot lists.  The pieces are the ones
+    :data:`_RUNS` keeps for the run, or, the first time the run is seen,
+    compiled from the bodies the chunks of ``plans`` keep: once per
+    distinct tuple of code objects (a chain's links have equal
+    segments)."""
+    key = tuple(map(id, codes))
+    entry = _RUNS.get(key)
+    if entry is None:
+        bodies: Dict[CodeType, str] = {}
+        for plan in plans:
+            bodies.update(plan.chunk.bodies)
+        compiled: Dict[Tuple[CodeType, ...], CodeType] = {}
+        pieces = []
+        for start, stop in _slices(len(run)):
+            piece = tuple(codes[start:stop])
+            code = compiled.get(piece)
+            if code is None:
+                code = compiled[piece] = _compile_piece(piece, bodies)
+            pieces.append((start, stop, code))
+        _RUNS.put(key, (tuple(codes), pieces))
+        _PIECE_COUNTS["compiled"] += len(compiled)
+        _PIECE_COUNTS["reused"] += len(pieces) - len(compiled)
+    else:
+        pieces = entry[1]
+        _PIECE_COUNTS["reused"] += len(pieces)
+    out = []
+    last = 0
+    for start, stop, code in pieces:
+        piece = run[start:stop]
+        out.append(FunctionType(
+            code, piece[0].__globals__, None,
+            tuple(chain.from_iterable(map(_DEFAULTS, piece)))))
+        last = stop
+    return out + run[last:]
 
 
 class ScalarKernel:
@@ -1158,6 +1293,8 @@ class ScalarKernel:
 _CHUNK = attrgetter("chunk")
 _MAKE = attrgetter("make")
 _NAME = attrgetter("name")
+_CODE = attrgetter("__code__")
+_DEFAULTS = attrgetter("__defaults__")
 
 #: Process-wide cache of compiled chunks, keyed by the plan key.
 #: Bounded LRU: long fuzz/conformance campaigns stream thousands of
@@ -1172,15 +1309,21 @@ def kernel_cache_limit() -> int:
 
 def kernel_cache_stats() -> Dict[str, int]:
     """Process-wide chunk cache counters: ``hits``, ``misses``,
-    ``evicted``, ``entries`` and ``limit``."""
-    return _CACHE.stats()
+    ``evicted``, ``entries`` and ``limit``, plus the fused pieces
+    compiled (``pieces_compiled``) and bound without a compile
+    (``pieces_reused``)."""
+    return dict(_CACHE.stats(), pieces_compiled=_PIECE_COUNTS["compiled"],
+                pieces_reused=_PIECE_COUNTS["reused"])
 
 
 def clear_kernel_cache() -> None:
-    """Drop every cached chunk and every cached engine plan, with the
-    printed-component memo and the primitive prototypes behind the plans
-    (tests and benchmarks that need a cold start)."""
+    """Drop every cached chunk, every fused run's pieces and every cached
+    engine plan, with the printed-component memo and the primitive
+    prototypes behind the plans (tests and benchmarks that need a cold
+    start)."""
     _CACHE.clear()
+    _RUNS.clear()
+    _PIECE_COUNTS.clear()
     _clear_plans()
 
 
@@ -1203,6 +1346,7 @@ def kernel_for(engine) -> Tuple[CompiledKernelProgram, bool]:
     plans = engine._reachable_plans()
     chunks = list(map(_CHUNK, plans))
     generated = missing = 0
+    fresh: set = set()
     if None in chunks:
         for index, plan in enumerate(plans):
             if chunks[index] is not None:
@@ -1216,6 +1360,7 @@ def kernel_for(engine) -> Tuple[CompiledKernelProgram, bool]:
                 generated += 1
                 chunk = _Chunk(plan)
                 _CACHE.put(plan.key, chunk)
+                fresh.update(map(id, chunk.bodies))
             plan.chunk = chunks[index] = chunk
     _CACHE.count_hits(len(plans) - missing)
     table = dict(zip(map(_NAME, plans), map(_MAKE, chunks)))
@@ -1223,5 +1368,6 @@ def kernel_for(engine) -> Tuple[CompiledKernelProgram, bool]:
     top = chunks[-1]
     if top.top is None:
         top.top = _top_entry(plans[-1])
-    program = CompiledKernelProgram(plans, table, top.top[0], top.slots)
+    program = CompiledKernelProgram(plans, table, top.top[0], top.slots,
+                                    fresh)
     return program, not generated

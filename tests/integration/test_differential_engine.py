@@ -449,3 +449,207 @@ class TestCompiledColumnEntry:
         assert simulator.peek("k", "o") == reference.peek("k", "o")
         simulator.reset()
         assert is_x(simulator.peek(None, "y"))
+
+
+# -- fused runs of cached segments --------------------------------------------
+
+
+def _nested_pick_program() -> CalyxProgram:
+    """``Outer`` around ``Mid`` around the two-driver ``Pick``: the
+    segments of ``Outer`` and ``Mid`` on either side of ``Pick``'s (which
+    has free variables, so stays a call of its own) form runs of two."""
+    program = _pick_program()
+    pick, inner = program.get("Pick"), program.get("Top")
+    mid = CalyxComponent("Mid", inputs=list(inner.inputs),
+                         outputs=list(inner.outputs))
+    mid.cells, mid.wires = inner.cells, inner.wires
+    outer = CalyxComponent("Outer", inputs=list(inner.inputs),
+                           outputs=list(inner.outputs))
+    outer.add_cell(Cell("m", "Mid"))
+    for port in ("g", "h", "a", "b"):
+        outer.add_wire(Assignment(CellPort("m", port), CellPort(None, port)))
+    outer.add_wire(Assignment(CellPort(None, "y"), CellPort("m", "y")))
+    nested = CalyxProgram(entrypoint="Outer")
+    for component in (pick, mid, outer):
+        nested.add(component)
+    return nested
+
+
+def _fused_netlists():
+    """``label -> (calyx, entrypoint, rows)`` for every netlist the
+    fused-run tests drive: chain16 and chain64, every evaluation design
+    with a child cell and generator seeds 0-39 drawn under the hierarchy
+    regime (the default regime draws single-component programs) under
+    their harness's stimulus, and the held child (as child and as top),
+    the two-driver child and the two-driver grandchild under their own."""
+    from repro.conformance.generator import GeneratorConfig, generate
+    from repro.evaluation import chain_program
+
+    designs = {"chain16": chain_program(16), "chain64": chain_program(64)}
+    hierarchy = GeneratorConfig(regime_weights=(("hierarchy", 1.0),))
+    for seed in range(40):
+        generated = generate(seed, hierarchy)
+        designs[f"gen{seed}"] = (generated.program, generated.spec.name)
+    designs.update((name, thunk()) for name, thunk in evaluation_designs())
+    netlists = {}
+    for label, (program, entry) in designs.items():
+        calyx = CompilationSession(program).calyx(entry)
+        if not any(cell.component in calyx.components
+                   for component in calyx.components.values()
+                   for cell in component.cells):
+            continue
+        harness = harness_for(program, entry, calyx=calyx)
+        count = 4 if label == "chain64" else 12
+        rows, _ = harness._schedule(random_transactions(harness, count,
+                                                        seed=7))
+        netlists[label] = (calyx, entry, rows)
+    netlists["child"] = (_kid_program(), "Top", _kid_stimulus())
+    netlists["child-as-top"] = (_kid_program(), "Kid", _kid_stimulus())
+    netlists["two-driver-child"] = (_pick_program(), "Top", _pick_stimulus())
+    netlists["two-driver-grandchild"] = (_nested_pick_program(), "Outer",
+                                         _pick_stimulus())
+    return netlists
+
+
+_FUSED_NETLISTS = _fused_netlists()
+
+#: Netlists with no run of two segments to fuse: a single component, and
+#: parents whose segments their children's multi-driver segments split.
+_NOTHING_TO_FUSE = {"child-as-top", "divider-iterative", "two-driver-child"}
+
+
+def _pieces_bound():
+    from repro.sim.codegen import kernel_cache_stats
+
+    stats = kernel_cache_stats()
+    return stats["pieces_compiled"] + stats["pieces_reused"]
+
+
+class TestFusedRuns:
+    """A warm kernel fuses the runs of segments an earlier build compiled
+    into pieces, and a fused kernel traces like ``fixpoint``."""
+
+    @pytest.mark.parametrize("label", sorted(_FUSED_NETLISTS))
+    def test_a_third_build_traces_like_fixpoint(self, label):
+        from repro.sim.codegen import clear_kernel_cache
+        from repro.sim.engine import rows_to_columns
+
+        calyx, entry, rows = _FUSED_NETLISTS[label]
+        component = calyx.get(entry)
+        clear_kernel_cache()
+        for _ in range(2):
+            _compiled(calyx, entry)
+        bound = _pieces_bound()
+        simulator = _compiled(calyx, entry)
+        assert (_pieces_bound() > bound) == (label not in _NOTHING_TO_FUSE)
+        reference = Simulator(calyx, entry, mode="fixpoint")
+        trace = reference.run_batch(rows)
+        out = simulator.run_columns(
+            len(rows), _columns(rows, component.input_names()))
+        assert out == rows_to_columns(
+            (trace,), component.output_names(), len(rows))
+        assert simulator.outputs() == reference.outputs()
+        for cell, port in simulator._kernel._slot_map:
+            want = reference.peek(cell, port)
+            got = simulator.peek(cell, port)
+            if not port.startswith("#"):  # register state, not a signal
+                assert is_x(got) == is_x(want) and (
+                    is_x(want) or got == want), (cell, port, got)
+        simulator.reset()
+        assert simulator.run_batch(rows) == trace
+
+    @pytest.mark.parametrize("label", ["two-driver-child",
+                                       "two-driver-grandchild"])
+    def test_a_conflict_raises_the_same_message_and_cycle(self, label):
+        from repro.core.errors import DriverConflictError
+        from repro.sim.codegen import clear_kernel_cache
+
+        calyx, entry, rows = _FUSED_NETLISTS[label]
+        rows = [dict(row) for row in rows]
+        rows[-1]["b"] = rows[-1]["a"] ^ 1
+        clear_kernel_cache()
+        for _ in range(2):
+            _compiled(calyx, entry)
+        errors = []
+        with pytest.raises(DriverConflictError) as info:
+            Simulator(calyx, entry, mode="fixpoint").run_batch(rows)
+        errors.append(info.value)
+        with pytest.raises(DriverConflictError) as info:
+            _compiled(calyx, entry).run_batch(rows)
+        errors.append(info.value)
+        with pytest.raises(DriverConflictError) as info:
+            _compiled(calyx, entry).run_columns(
+                len(rows), _columns(rows, ("g", "h", "a", "b")))
+        errors.append(info.value)
+        assert len({str(error) for error in errors}) == 1, errors
+        assert {error.cycle for error in errors} == {len(rows) - 1}
+
+    def test_a_leaf_edit_session_fuses_from_its_first_edit(self):
+        from repro.evaluation import chain_program, edit_chain_leaf
+        from repro.evaluation.compile_time import _calls_per_cycle
+        from repro.sim.codegen import clear_kernel_cache, kernel_cache_stats
+
+        clear_kernel_cache()
+        program, entry = chain_program(16, salt=0x3C1)
+        session = CompilationSession(program)
+
+        def edit(value):
+            edit_chain_leaf(program, value)
+            simulator = harness_for(program, entry,
+                                    session=session)._fresh_simulator()
+            assert simulator.prepare()["kernel"]
+            stats = kernel_cache_stats()
+            return (_calls_per_cycle(simulator), stats["pieces_compiled"],
+                    stats["pieces_reused"])
+
+        session.verilog(entry)
+        # The first build generates every chunk, so it fuses nothing; the
+        # first edit compiles one piece for each of its two runs of 15, and
+        # later edits only bind them.
+        assert edit(0x3C1) == (31, 0, 0)
+        assert edit(0x3C2) == (3, 2, 0)
+        assert edit(0x3C3) == (3, 2, 2)
+        assert edit(0x3C4) == (3, 2, 4)
+
+    def test_no_piece_spans_more_than_16_segments(self):
+        from repro.evaluation import chain_program, edit_chain_leaf
+        from repro.evaluation.compile_time import _calls_per_cycle
+        from repro.sim import codegen
+
+        codegen.clear_kernel_cache()
+        program, entry = chain_program(64, salt=0x3C1)
+        session = CompilationSession(program)
+        for value in range(3):
+            edit_chain_leaf(program, 0x3C1 + value)
+            simulator = harness_for(program, entry,
+                                    session=session)._fresh_simulator()
+            simulator.prepare()
+        # Two runs of 63 around the leaf, four pieces each; the links'
+        # segments are equal code, so a run's first three pieces compile
+        # once.
+        assert _calls_per_cycle(simulator) == 9
+        sizes = sorted(stop - start
+                       for _, pieces in codegen._RUNS._entries.values()
+                       for start, stop, _ in pieces)
+        assert sizes == [15, 15] + [16] * 6
+        assert codegen.kernel_cache_stats()["pieces_compiled"] == 4
+        assert codegen._PIECE_SEGMENTS == 16
+
+    def test_clear_kernel_cache_drops_every_piece(self):
+        from repro.sim import codegen
+
+        calyx, entry, _ = _FUSED_NETLISTS["chain16"]
+        codegen.clear_kernel_cache()
+        for _ in range(3):
+            _compiled(calyx, entry)
+        assert len(codegen._RUNS)
+        codegen.clear_kernel_cache()
+        assert len(codegen._RUNS) == 0
+        stats = codegen.kernel_cache_stats()
+        assert stats["pieces_compiled"] == stats["pieces_reused"] == 0
+        # Cold again: the first build generates every chunk, and the
+        # second compiles the pieces afresh.
+        _compiled(calyx, entry)
+        assert _pieces_bound() == 0
+        _compiled(calyx, entry)
+        assert codegen.kernel_cache_stats()["pieces_compiled"] > 0

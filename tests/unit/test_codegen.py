@@ -272,8 +272,9 @@ class TestFallbackAndCache:
             assert source.count("def link(") == 1
             assert "make_top" not in source
             assert "make_c" not in source and "INIT_c" not in source
-        assert entry.startswith("def make_top(make):")
-        assert as_child.sources[-1].startswith("def make_top(make):")
+        header = "def make_top(segments, ticks, resets, s):"
+        assert entry.startswith(header)
+        assert as_child.sources[-1].startswith(header)
         assert leaf.step({"a": 0x0F}) == {"o": 0xF0}
         assert top.step({"a": 0x0F}) == {"o": 0xF0, "p": 0xF0}
 

@@ -759,8 +759,13 @@ class TestPlanOnlyEngines:
         from repro.core.ast import Component, PortDef
         from repro.core.session import CompilationSession
         from repro.evaluation import chain_program, edit_chain_leaf
-        from repro.sim.codegen import netlist_digest
+        from repro.sim.codegen import kernel_cache_stats, netlist_digest
 
+        def pieces_bound():
+            stats = kernel_cache_stats()
+            return stats["pieces_compiled"] + stats["pieces_reused"]
+
+        bound = pieces_bound()
         program, entry = chain_program(16, salt=0x2B74)
         session = CompilationSession(program)
         rng = random.Random(0x2B74)
@@ -829,6 +834,9 @@ class TestPlanOnlyEngines:
                 fresh = compiled(reference)
                 assert netlist_digest(simulator) == netlist_digest(fresh)
                 assert simulator.run_batch(rows) == fresh.run_batch(rows)
+        # Consecutive leaf edits leave the rest of the chain's chunks
+        # cached, so the session's kernels ran fused pieces.
+        assert pieces_bound() > bound
 
     def test_forced_codegen_fallback_builds_the_interpreter(
             self, monkeypatch):
