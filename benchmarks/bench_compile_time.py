@@ -16,7 +16,8 @@ reports the :class:`~repro.core.session.CompilationSession` instrumentation:
   kernel chunks it links — each the same at every depth — and the Python
   calls one cycle of the warm kernel makes, its reused runs of segments
   fused into pieces of at most 16: no more than 2*ceil((d-1)/16) + 1 at
-  depth d.
+  depth d; and the slot stores that cycle executes, the pieces leaving
+  out those nothing reads: no more than 3*d + 32 at depth d.
 """
 
 import sys
@@ -42,6 +43,15 @@ def _fused_calls_bound(depth: int) -> int:
     chain may make: the two runs of ``depth - 1`` segments around the leaf
     in pieces of at most 16, and the leaf's own segment."""
     return 2 * -(-(depth - 1) // 16) + 1
+
+
+def _fused_stores_bound(depth: int) -> int:
+    """The most slot stores per cycle a warm leaf edit of a ``depth``-deep
+    chain may execute: linear in depth, set from the fused kernel's 56,
+    164 and 596 at depth 16, 64 and 256 (2.25 per link); a kernel that
+    stores every slot, as every kernel did before fused pieces left
+    stores out, makes 13 per link."""
+    return 3 * depth + 32
 
 
 @pytest.mark.parametrize("name,thunk", evaluation_designs(),
@@ -138,11 +148,14 @@ def test_an_edit_prints_the_same_components_at_every_depth(benchmark):
               f"{cost.printed_per_edit:g} components printed, "
               f"{cost.plans_per_edit:g} plans resolved, "
               f"{cost.chunks_per_edit:g} chunks linked, "
-              f"{cost.calls_per_cycle} calls per cycle")
+              f"{cost.calls_per_cycle} calls per cycle, "
+              f"{cost.stores_per_cycle} stores per cycle")
     assert [cost.depth for cost in costs] == [16, 64, 256]
     assert len({(cost.printed_per_edit, cost.plans_per_edit,
                  cost.chunks_per_edit) for cost in costs}) == 1
     assert all(cost.calls_per_cycle <= _fused_calls_bound(cost.depth)
+               for cost in costs)
+    assert all(cost.stores_per_cycle <= _fused_stores_bound(cost.depth)
                for cost in costs)
 
 
@@ -176,8 +189,9 @@ def main() -> int:
     simulator rebuild beating a cold one, an edit printing as many
     components, resolving as many plans and linking as many kernel chunks
     at every depth of the sweep, and a warm leaf edit's kernel making no
-    more calls per cycle than :func:`_fused_calls_bound` allows (counts,
-    not timings)."""
+    more calls and executing no more slot stores per cycle than
+    :func:`_fused_calls_bound` and :func:`_fused_stores_bound` allow
+    (counts, not timings)."""
     from common import write_bench
 
     rows = []
@@ -219,8 +233,8 @@ def main() -> int:
     # The depth sweep: per-edit session.verilog + harness_for + simulator
     # build against design size, relative to the 16-component chain, with
     # the simulator's prepare() next to it, the two together and the
-    # kernel instance alone, the warm kernel's calls per cycle and the
-    # one-time cost of compiling its fused pieces.
+    # kernel instance alone, the warm kernel's calls and stores per cycle
+    # and the one-time cost of compiling its fused pieces.
     costs = measure_edit_costs()
     for cost in costs:
         rows.append({"engine": "edit", "config": f"chain{cost.depth}",
@@ -238,6 +252,7 @@ def main() -> int:
                      "plans_per_edit": cost.plans_per_edit,
                      "chunks_per_edit": cost.chunks_per_edit,
                      "calls_per_cycle": cost.calls_per_cycle,
+                     "stores_per_cycle": cost.stores_per_cycle,
                      "fusion_ms_once": round(cost.fusion_seconds * 1000, 3)})
 
     # Per-design baseline: each design's speedups are relative to its own
@@ -270,6 +285,8 @@ def main() -> int:
               f"{cost.chunks_per_edit:g} chunks linked per edit, "
               f"{cost.calls_per_cycle} calls per cycle warm "
               f"(at most {_fused_calls_bound(cost.depth)}), "
+              f"{cost.stores_per_cycle} stores per cycle "
+              f"(at most {_fused_stores_bound(cost.depth)}), "
               f"{cost.fusion_seconds * 1000:.1f} ms compiling fused pieces "
               f"once")
     if not timing.identical:
@@ -289,6 +306,11 @@ def main() -> int:
             print(f"FAIL: a warm chain{cost.depth} edit's kernel makes "
                   f"{cost.calls_per_cycle} calls per cycle, more than "
                   f"{_fused_calls_bound(cost.depth)}")
+            return 1
+        if cost.stores_per_cycle > _fused_stores_bound(cost.depth):
+            print(f"FAIL: a warm chain{cost.depth} edit's kernel executes "
+                  f"{cost.stores_per_cycle} slot stores per cycle, more "
+                  f"than {_fused_stores_bound(cost.depth)}")
             return 1
     if timing.warm_seconds >= timing.cold_seconds:
         print("FAIL: warm recompile did not beat cold")

@@ -16,7 +16,8 @@ next to tx/s: per cycle the compiled kernel of a first build runs 127
 settle segments, so this row shows what the hierarchy costs the compiled
 tier.  The ``chain64-warm`` row runs the compiled kernel of a second build
 of the same design, whose segments the first build compiled, so it runs
-them fused into 8 pieces of at most 16 (``calls_per_cycle`` on the
+them fused into 8 pieces of at most 16, which leave out the slot stores
+nothing reads (``calls_per_cycle`` and ``stores_per_cycle`` on the
 compiled chain rows).
 
 **Timing definition.**  The timed region is engine-level batch execution of
@@ -27,6 +28,16 @@ Stimulus construction, output capture and the golden-model check run
 measures kernel throughput, which is what the tiers differ in; the shared
 harness marshalling around the kernels is identical across tiers and would
 otherwise flatten every ratio toward 1x (see the README benchmark notes).
+The AddMult rows are the best of ``--repeats`` runs of a
+``--transactions`` stream.  The chain rows are the median over
+``CHAIN_REPEATS`` runs of a ``CHAIN_TRANSACTIONS`` stream (204 cycles,
+about 5-10 ms on the compiled tier), with the interquartile range of the
+rate next to it (``tx_per_sec_iqr``), and the three chain rows take
+turns, one run each, so a drift in the host's speed lands on all of
+them.  On a shared 2-vCPU host that has three back-to-back script runs
+agree on the warm/cold compiled ratio (1.94x-1.96x), where a best of
+three 40-transaction runs, one row after another, read it anywhere
+from 0.93x to 1.36x.
 
 Run as a script (the CI ``kernel-throughput-smoke`` and
 ``native-throughput-smoke`` jobs) to print the figure and persist
@@ -47,10 +58,12 @@ bit-identical (wall-clock asserts are left to the dedicated CI jobs).
 """
 
 import argparse
+import statistics
 import sys
 import time
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import List
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 sys.path.insert(0, str(Path(__file__).resolve().parent))
@@ -61,6 +74,7 @@ from repro.designs import addmult_program  # noqa: E402
 from repro.designs.golden import addmult as addmult_golden  # noqa: E402
 from repro.evaluation.compile_time import (  # noqa: E402
     _calls_per_cycle,
+    _stores_per_cycle,
     chain_program,
 )
 from repro.harness import CapturedRun, harness_for  # noqa: E402
@@ -85,6 +99,9 @@ CHAIN = f"chain{CHAIN_DEPTH}"
 CHAIN_POINTS = POINTS[:2]
 #: The config label of the fused (second build) compiled chain row.
 CHAIN_WARM = f"{CHAIN}-warm"
+#: The chain rows' stream and runs: each row is the median of the runs.
+CHAIN_TRANSACTIONS = 200
+CHAIN_REPEATS = 15
 
 
 def _golden(transaction):
@@ -119,41 +136,95 @@ def _check_golden(results, golden=_golden) -> None:
                 f"{want} but captured {got!r}")
 
 
-def _measure_point(harness, mode: str, transactions: int, repeats: int,
-                   golden=_golden):
-    """Best-of-``repeats`` engine-level throughput ``(tx/s, cycles/s,
-    simulator)`` for one tier, after one warm-up round that amortizes
-    compile + schedule + kernel codegen exactly as real use does.  Returns
-    ``None`` when the requested tier is not actually running (native
-    fallback); the golden check runs untimed on the final round's
-    output."""
+def _point(harness, mode: str, transactions: int, golden=_golden):
+    """One tier's stream, ready to run: ``(run, check, cycles,
+    simulator)``, where ``run()`` resets the simulator and runs the
+    stream once at engine level and ``check(out)`` holds what it returned
+    to the golden model.  The tier is decided here, so a compiled
+    simulator's chunks exist once this returns.  ``None`` when the
+    requested tier is not actually running (native fallback)."""
     simulator = harness._fresh_simulator()
     stream = random_transactions(harness, transactions, seed=7)
     total, columns, _, (starts,) = harness._schedule_streams([stream])
     if mode == "native":
         if not simulator.native_active():
             return None
-        run = lambda: simulator.run_columns(total, columns)  # noqa: E731
+        execute = lambda: simulator.run_columns(total, columns)  # noqa: E731
         as_columns = lambda out: out  # noqa: E731
     else:
+        simulator.prepare()
         stimulus = columns_to_rows(columns, total)
-        run = lambda: simulator.run_batch(stimulus)  # noqa: E731
+        execute = lambda: simulator.run_batch(stimulus)  # noqa: E731
         outputs = [port.name for port in harness.spec.outputs]
         as_columns = lambda trace: rows_to_columns(  # noqa: E731
             [trace], outputs, total)
-    best = None
-    for _ in range(repeats + 1):
+
+    def run():
         simulator.reset()
-        begin = time.perf_counter()
-        out = run()
-        elapsed = time.perf_counter() - begin
-        best = elapsed if best is None else min(best, elapsed)
-    _check_golden(CapturedRun(stream, starts, harness._capture_columns(
-        as_columns(out), total, starts, 1, 0)), golden)
-    return transactions / best, total / best, simulator
+        return execute()
+
+    def check(out) -> None:
+        _check_golden(CapturedRun(stream, starts, harness._capture_columns(
+            as_columns(out), total, starts, 1, 0)), golden)
+
+    return run, check, total, simulator
 
 
-def measure(transactions: int = 40, repeats: int = 3) -> dict:
+def _timed(points: list, repeats: int) -> List[List[float]]:
+    """Per point, the seconds of each of ``repeats`` runs, after one
+    warm-up round that amortizes compile + schedule + kernel codegen
+    exactly as real use does.  The points take turns, one run each, so a
+    drift in the host's speed lands on all of them alike; the golden
+    check runs untimed on each point's last output."""
+    times: List[List[float]] = [[] for _ in points]
+    outs = [None] * len(points)
+    for round_ in range(repeats + 1):
+        for index, (run, _, _, _) in enumerate(points):
+            begin = time.perf_counter()
+            outs[index] = run()
+            if round_:
+                times[index].append(time.perf_counter() - begin)
+    for (_, check, _, _), out in zip(points, outs):
+        check(out)
+    return times
+
+
+def _chain_rows(transactions: int, repeats: int) -> List[dict]:
+    """The chain rows, the scheduled interpreter, a first compiled build
+    and a second, fused one taking turns: each the median rate over
+    ``repeats`` runs of a ``transactions`` stream with the interquartile
+    range of the rate, and on the compiled tier the kernel's calls and
+    slot stores per cycle."""
+    configs = [(engine, CHAIN, mode) for engine, mode in CHAIN_POINTS]
+    # The warm row: built again, the design's whole segment sequence is a
+    # run of chunks the cold row compiled, so this build fuses it.
+    configs.append(("compiled", CHAIN_WARM, "compiled"))
+    points = [_point(_chain_harness(mode), mode, transactions,
+                     _chain_golden) for _, _, mode in configs]
+    rows = []
+    for (engine, config, mode), (_, _, total, simulator), times in zip(
+            configs, points, _timed(points, repeats)):
+        rates = sorted(transactions / seconds for seconds in times)
+        quartiles = (statistics.quantiles(rates, n=4) if len(rates) > 1
+                     else rates * 3)
+        row = {"engine": engine, "config": config,
+               "tx_per_sec": statistics.median(rates),
+               "tx_per_sec_iqr": round(quartiles[2] - quartiles[0], 1),
+               "cycles_per_sec": round(statistics.median(
+                   total / seconds for seconds in times), 1),
+               "lanes": 1}
+        if mode == "compiled":
+            row["calls_per_cycle"] = _calls_per_cycle(simulator)
+            row["stores_per_cycle"] = _stores_per_cycle(simulator)
+        if config == CHAIN_WARM:
+            row["baseline"] = f"scheduled {CHAIN}"
+        rows.append(row)
+    return rows
+
+
+def measure(transactions: int = 40, repeats: int = 3,
+            chain_transactions: int = CHAIN_TRANSACTIONS,
+            chain_repeats: int = CHAIN_REPEATS) -> dict:
     """The throughput figure: one row per measured tier plus a ``skipped``
     list of ``(engine, config, reason)`` for tiers that could not run on
     this host (no silent gaps in the matrix)."""
@@ -164,41 +235,27 @@ def measure(transactions: int = 40, repeats: int = 3) -> dict:
             skipped.append((engine, "scalar", "no C compiler on host"))
             continue
         harness = _harness(mode)
-        rates = _measure_point(harness, mode, transactions, repeats)
-        if rates is None:
+        point = _point(harness, mode, transactions)
+        if point is None:
             reason = (harness._simulator.native_fallback_reason
                       or "native tier unavailable")
             skipped.append((engine, "scalar", reason))
             continue
+        (times,) = _timed([point], repeats)
         rows.append({"engine": engine, "config": "scalar",
-                     "tx_per_sec": rates[0], "lanes": 1})
+                     "tx_per_sec": transactions / min(times), "lanes": 1})
     # The cold rows build the chain's kernel first in the process: an
     # earlier build of the same links (another benchmark in one pytest
     # run) would fuse its segments.
     clear_kernel_cache()
-    for engine, mode in CHAIN_POINTS:
-        tx_rate, cycle_rate, simulator = _measure_point(
-            _chain_harness(mode), mode, transactions, repeats, _chain_golden)
-        rows.append({"engine": engine, "config": CHAIN,
-                     "tx_per_sec": tx_rate,
-                     "cycles_per_sec": round(cycle_rate, 1), "lanes": 1})
-        if mode == "compiled":
-            rows[-1]["calls_per_cycle"] = _calls_per_cycle(simulator)
-    # The warm row: built again, the design's whole segment sequence is a
-    # run of chunks the cold row compiled, so this build fuses it.
-    tx_rate, cycle_rate, simulator = _measure_point(
-        _chain_harness("compiled"), "compiled", transactions, repeats,
-        _chain_golden)
-    rows.append({"engine": "compiled", "config": CHAIN_WARM,
-                 "tx_per_sec": tx_rate,
-                 "cycles_per_sec": round(cycle_rate, 1), "lanes": 1,
-                 "calls_per_cycle": _calls_per_cycle(simulator),
-                 "baseline": f"scheduled {CHAIN}"})
+    rows += _chain_rows(chain_transactions, chain_repeats)
     return {
         "design": DESIGN,
         "workload": f"{DESIGN} and {CHAIN} fuzz streams, engine-level batch "
                     "execution",
         "transactions_per_stream": transactions,
+        "chain_transactions_per_stream": chain_transactions,
+        "chain_repeats": chain_repeats,
         "rows": rows,
         "skipped": skipped,
     }
@@ -252,7 +309,8 @@ def test_native_harness_matches_scheduled():
 
 
 def test_kernel_throughput_figure_is_well_formed():
-    figure = measure(transactions=6, repeats=1)
+    figure = measure(transactions=6, repeats=1, chain_transactions=6,
+                     chain_repeats=1)
     expected = len(POINTS) if compiler_available() else len(POINTS) - 1
     assert len(figure["rows"]) == expected + len(CHAIN_POINTS) + 1, \
         figure["skipped"]
@@ -270,7 +328,8 @@ def main(argv=None) -> int:
     parser.add_argument("--transactions", type=int, default=40,
                         help="transactions per stream (default 40)")
     parser.add_argument("--repeats", type=int, default=3,
-                        help="timing repeats, best-of (default 3)")
+                        help="timing repeats of the AddMult rows, best-of "
+                             "(default 3)")
     parser.add_argument("--require-native", action="store_true",
                         help="fail unless the native row was measured and "
                              "beats the compiled scalar kernel; a missing "
@@ -282,14 +341,19 @@ def main(argv=None) -> int:
     path = write_bench("kernel_throughput", figure["workload"],
                        figure["rows"], baseline="scheduled",
                        timestamp=timestamp)
-    print(f"kernel throughput on {figure['design']} and {CHAIN} "
-          f"({figure['transactions_per_stream']} transactions/stream, "
-          f"engine-level timed region):")
+    print(f"kernel throughput on {figure['design']} "
+          f"({figure['transactions_per_stream']} transactions/stream, best "
+          f"of {args.repeats}) and {CHAIN} "
+          f"({figure['chain_transactions_per_stream']} transactions/stream, "
+          f"median of {figure['chain_repeats']}), engine-level timed "
+          f"region:")
     for row in figure["rows"]:
-        cycles = (f", {row['cycles_per_sec']:>10.1f} cycles/s"
+        cycles = (f" (IQR {row['tx_per_sec_iqr']:.1f}), "
+                  f"{row['cycles_per_sec']:>10.1f} cycles/s"
                   if "cycles_per_sec" in row else "")
         if "calls_per_cycle" in row:
-            cycles += f", {row['calls_per_cycle']} calls/cycle"
+            cycles += (f", {row['calls_per_cycle']} calls/cycle, "
+                       f"{row['stores_per_cycle']} stores/cycle")
         print(f"  {row['engine']:>10s} {row['config']:<13s}"
               f"(lanes={row['lanes']:3d}): {row['tx_per_sec']:>12.1f} tx/s"
               f"{cycles}")

@@ -16,6 +16,7 @@ benchmarks print).
 
 from __future__ import annotations
 
+import dis
 import gc
 import itertools
 import statistics
@@ -377,8 +378,10 @@ class EditCost:
     chunks are linked.  The counts are the same at every depth when an
     edit costs only what it changes.  ``calls_per_cycle`` counts the
     Python calls one cycle of the last edit's kernel makes, its reused
-    runs of segments fused, and ``fusion_seconds`` is the one-time cost
-    of compiling those pieces (:func:`_first_fusion_seconds`)."""
+    runs of segments fused, ``stores_per_cycle`` the slot stores that
+    cycle executes (:func:`_stores_per_cycle`), and ``fusion_seconds`` is
+    the one-time cost of compiling those pieces
+    (:func:`_first_fusion_seconds`)."""
 
     depth: int
     edits: int
@@ -390,6 +393,7 @@ class EditCost:
     chunks_per_edit: float
     instance_seconds: float
     calls_per_cycle: int
+    stores_per_cycle: int
     fusion_seconds: float
 
 
@@ -466,6 +470,38 @@ def _calls_per_cycle(simulator) -> int:
         return count
 
     return calls(2) - calls(1)
+
+
+def _stores_per_cycle(simulator) -> int:
+    """The slot stores one cycle of ``simulator``'s kernel executes (its
+    ``STORE_SUBSCR`` instructions, counted with an opcode tracer): the
+    stores of a two-cycle run less those of a one-cycle run, so the
+    entry's own stores cancel.  The kernel idles at X.  A tracer already
+    installed is put back afterwards (and misses these runs)."""
+    kernel = simulator._kernel
+    store = dis.opmap["STORE_SUBSCR"]
+
+    def stores(cycles: int) -> int:
+        count = 0
+
+        def trace(frame, event, arg):
+            nonlocal count
+            frame.f_trace_opcodes = True
+            frame.f_trace_lines = False
+            if (event == "opcode"
+                    and frame.f_code.co_code[frame.f_lasti] == store):
+                count += 1
+            return trace
+
+        previous = sys.gettrace()
+        sys.settrace(trace)
+        try:
+            kernel.run_columns(cycles, {})
+        finally:
+            sys.settrace(previous)
+        return count
+
+    return stores(2) - stores(1)
 
 
 def _first_fusion_seconds(depth: int) -> float:
@@ -548,6 +584,7 @@ def measure_edit_costs(depths: Sequence[int] = (16, 64, 256),
                                        for build, prepare, _ in times),
                      count["plans"] / edits, count["chunks"] / edits,
                      statistics.median(instance for _, _, instance in times),
-                     _calls_per_cycle(simulator), fused)
+                     _calls_per_cycle(simulator),
+                     _stores_per_cycle(simulator), fused)
             for depth, times, count, fused, simulator in zip(
                 depths, seconds, counts, fusion, simulators)]

@@ -30,7 +30,8 @@ straight-line host code:
   hierarchy: no settle frame nests per level, so a deep design never makes
   the interpreter grow and shrink its frame stack once per cycle;
 * a warm kernel fuses the runs of segments an earlier build compiled into
-  **pieces** of up to 16 segments, one call each (see *Fused pieces*
+  **pieces** of up to 16 segments, one call each, which leave out the
+  slot stores nothing reads back from its slot list (see *Fused pieces*
   below).
 
 Code is generated per component, as one **chunk** per engine plan
@@ -81,7 +82,7 @@ from __future__ import annotations
 import hashlib
 import re
 from collections import Counter
-from itertools import chain, repeat
+from itertools import accumulate, chain, repeat
 from operator import attrgetter
 from types import CodeType, FunctionType
 from typing import Dict, List, Optional, Tuple
@@ -258,13 +259,17 @@ class _ComponentCompiler:
                                         for ch in cell)
             for index, cell in enumerate(cells)}
         #: While a segment is emitted: slot -> the local holding its value,
-        #: the slots the segment reads, and its temporary-name counter.
+        #: the slots the segment reads, the slots it stores, and its
+        #: temporary-name counter.
         self._local: Dict[int, str] = {}
         self._reads: set = set()
+        self._stored: set = set()
         self._temp = 0
-        #: Each emitted segment's body text, without its comments, by
-        #: the segment's function name.
-        self.bodies: Dict[str, str] = {}
+        #: The slots the tick reads, gathered while it is emitted.
+        self._tick_reads: set = set()
+        #: Each emitted segment's body record (see *Fused pieces*), by the
+        #: segment's function name.
+        self.bodies: Dict[str, tuple] = {}
         self._collect_slots()
 
     # -- slot map --------------------------------------------------------------
@@ -486,17 +491,53 @@ class _ComponentCompiler:
             reads.update(sl[key] for _, key in next_child.in_items)
         return reads
 
+    def _pinned(self) -> set:
+        """The slots read other than by a segment: by the tick, by a
+        multi-driver resolver (its guards and sources, read from the slot
+        list) or by a black box (every input, which its tick reads), the
+        slots an early-read clear writes, and a port that is an input and
+        an output at once."""
+        plan = self.plan
+        sl = self.slots
+        pinned = set(self._tick_reads)
+        pinned.update(sl[key] for key in self._early_read_keys)
+        for group in plan.groups:
+            if len(group.assigns) > 1:
+                for assign in group.assigns:
+                    pinned.update(sl[key] for key in assign.guard_keys or ())
+                    if assign.src_key is not None:
+                        pinned.add(sl[assign.src_key])
+        pinned.update(sl[(None, name)] for name in
+                      set(plan.input_names) & set(plan.output_names))
+        return pinned
+
     def _emit_segments(self, out: _Lines) -> None:
         """Emit the children's ``make`` calls and ``sg0``, ``sg1``, ...
         between them (empty segments are left out), and keep each
-        segment's body text in :attr:`bodies` by its name."""
-        for index, (previous, nodes, next_child) in enumerate(
-                self._segments()):
+        segment's body record (see *Fused pieces*) in :attr:`bodies` by
+        its name: who reads each slot comes from the segments' read sets
+        and :meth:`_pinned`."""
+        plan = self.plan
+        sl = self.slots
+        segments = self._segments()
+        reads = [self._segment_reads(nodes, next_child)
+                 for _, nodes, next_child in segments]
+        readers: Dict[int, set] = {}
+        for index, slots in enumerate(reads):
+            for slot in slots:
+                readers.setdefault(slot, set()).add(index)
+        pinned = self._pinned()
+        inputs = {sl[(None, name)] for name in plan.input_names}
+        outputs = {sl[(None, name)] for name in plan.output_names}
+        nowhere: set = set()
+        for index, (previous, nodes, next_child) in enumerate(segments):
             body = _Lines()
             body.indent = out.indent + 1
             self._local = {}
-            self._reads = self._segment_reads(nodes, next_child)
+            self._reads = reads[index]
+            self._stored = set()
             self._temp = 0
+            here = {index}
             if index == 0:
                 for cell, keys in self._early_reads.items():
                     for key in keys:
@@ -505,8 +546,10 @@ class _ComponentCompiler:
             if previous is not None:
                 self._emit_child_outputs(body, previous)
             self._emit_nodes(body, nodes)
+            lines = len(body.lines)
+            feeds: List[Tuple[int, str]] = []
             if next_child is not None:
-                self._emit_child_inputs(body, next_child)
+                feeds = self._emit_child_inputs(body, next_child)
                 if body.lines:
                     out.emit("at = len(sg)")
                     out.emit("sg.append(None)")
@@ -523,8 +566,26 @@ class _ComponentCompiler:
                 out.emit()
                 out.emit(f"sg[at] = sg{index}" if next_child is not None
                          else f"sg.append(sg{index})")
-                self.bodies[f"sg{index}"] = "\n".join(
-                    line.split("  # ", 1)[0] for line in body.lines)
+                text = [line.split("  # ", 1)[0] for line in body.lines]
+                stored = self._stored
+                kid = "" if next_child is None else (
+                    f"c_{self._ident(next_child.cell)}")
+                stored_outputs = sorted(stored & outputs)
+                self.bodies[f"sg{index}"] = (
+                    "\n".join(text[:lines]),
+                    tuple((line, kid, slot, value) for line, (slot, value)
+                          in zip(text[lines:], feeds)),
+                    tuple(sorted(stored & self._reads)),
+                    tuple(sorted(
+                        slot for slot in stored - inputs - outputs - pinned
+                        if readers.get(slot, nowhere) <= here)),
+                    tuple(sorted(
+                        slot for slot in inputs - pinned
+                        if readers.get(slot) == here)),
+                    tuple(stored_outputs),
+                    tuple(slot for slot in stored_outputs
+                          if slot not in pinned
+                          and readers.get(slot, nowhere) <= here))
 
     def _new_temp(self, prefix: str) -> str:
         self._temp += 1
@@ -546,7 +607,9 @@ class _ComponentCompiler:
 
     def _target(self, slot: int) -> str:
         """The target of a write to ``slot``: its local too when the
-        segment reads the slot."""
+        segment reads the slot.  Every store of a segment's own slot is
+        written through here, first on its line."""
+        self._stored.add(slot)
         return f"v{slot} = s[{slot}]" if slot in self._reads else f"s[{slot}]"
 
     def _set(self, slot: int, expr: str) -> str:
@@ -569,12 +632,19 @@ class _ComponentCompiler:
             out.emit(self._set(self.slots[key], f"c_{ident}[{ports[port]}]")
                      + f"  # {node.cell}.{port}")
 
-    def _emit_child_inputs(self, out: _Lines, node) -> None:
+    def _emit_child_inputs(self, out: _Lines, node) -> List[Tuple[int, str]]:
+        """The stores of a child's inputs, one line each, last in the
+        segment before the child; returns each one's child slot and
+        value."""
         ports = self._child_slots(node)
         ident = self._ident(node.cell)
+        feeds = []
         for port, key in node.in_items:
-            out.emit(f"c_{ident}[{ports[port]}] = "
-                     f"{self._rd(self.slots[key])}  # {node.cell}.{port}")
+            value = self._rd(self.slots[key])
+            out.emit(f"c_{ident}[{ports[port]}] = {value}"
+                     f"  # {node.cell}.{port}")
+            feeds.append((ports[port], value))
+        return feeds
 
     def _emit_nodes(self, out: _Lines, nodes) -> None:
         """A segment's primitives and groups in schedule order, consecutive
@@ -761,6 +831,7 @@ class _ComponentCompiler:
             model = node.model
             cell = node.cell
             if not _is_stdlib(model):
+                self._tick_reads.update(sl[key] for _, key in node.in_items)
                 items = ", ".join(f"{port!r}: s[{sl[key]}]"
                                   for port, key in node.in_items)
                 out.emit(f"m_{self._ident(cell)}.tick({{{items}}})"
@@ -771,7 +842,9 @@ class _ComponentCompiler:
             mask = (1 << width) - 1
 
             def rd(port: str) -> str:
-                return f"s[{sl[(cell, port)]}]"
+                slot = sl[(cell, port)]
+                self._tick_reads.add(slot)
+                return f"s[{slot}]"
 
             if name in ("Reg", "Register", "Prev"):
                 d = self.extra_state[cell][0]
@@ -820,7 +893,7 @@ class _ComponentCompiler:
                     out.emit(f"# {cell} = fsm[{states}] shift")
                     for k in range(len(taps) - 1, 0, -1):
                         out.emit(f"s[{taps[k]}] = s[{taps[k - 1]}]")
-                    out.emit(f"s[{taps[0]}] = s[{sl[(cell, '_0')]}]")
+                    out.emit(f"s[{taps[0]}] = {rd('_0')}")
         if counted:
             out.emit("n += 1")
         out.indent -= 1
@@ -1082,8 +1155,8 @@ def _top_entry(plan) -> Tuple[object, str]:
 
 class _Chunk:
     """One component's compiled chunk: its factory ``make``, its slot
-    map, its source text, each segment's body text by the segment's code
-    object (what fused pieces are built from) and, once it has been
+    map, its source text, each segment's body record by the segment's
+    code object (what fused pieces are built from) and, once it has been
     linked as a top, its top entry and that entry's source
     (:func:`_top_entry`)."""
 
@@ -1104,7 +1177,7 @@ class _Chunk:
         self.make = namespace["link"](
             compiler.scalar_init(), tuple(compiler.constants.values()))
         self.slots = compiler.slots
-        self.bodies: Dict[CodeType, str] = {
+        self.bodies: Dict[CodeType, tuple] = {
             code: compiler.bodies[code.co_name]
             for code in self.make.__code__.co_consts
             if type(code) is CodeType and code.co_name in compiler.bodies}
@@ -1119,14 +1192,41 @@ class _Chunk:
 # maximal run of two or more segments whose chunks were not generated in
 # this build is replaced by pieces of at most ``_PIECE_SEGMENTS``
 # segments, each one function whose body is the run's bodies one after
-# the other, every parameter and local suffixed with the segment's place
-# in the piece; the instance's slot lists bind as its defaults.  A piece
-# runs the same statements in the same order over the same slot lists as
-# the calls it replaces.  A run's pieces are compiled the first time the
-# run is instantiated and kept (``_RUNS``), so later instances only bind
-# them; a first build generates every chunk, so it fuses nothing.  Ticks,
-# and segments with free variables (a multi-driver resolver's group plans
-# and cycle count, a black box's model), stay separate calls.
+# the other, every local suffixed with the segment's place in the piece.
+# Its parameters are the distinct objects the segments bind as defaults,
+# bound as its own defaults and named ``p<n>`` in order of appearance: a
+# parent's ``c_<ident>`` and its child's ``s`` are one list, so they are
+# one name.  A piece runs the same statements in the same order over the
+# same slot lists as the calls it replaces, less the stores nothing reads:
+#
+# * in a segment whose slot list is not the top's, a store to a slot
+#   that is not a port and that no other segment, no tick, multi-driver
+#   resolver or black box reads keeps only its local;
+# * a value stored at a child boundary is forwarded through its local
+#   into the next segment of the piece when that segment reads it: a
+#   parent's store of a child input into the child's segment, a child's
+#   store of an output into its parent's segment after it.  The store
+#   goes too when that segment is the slot's one reader and the store is
+#   not in a segment of the top.
+#
+# ``peek`` and ``outputs`` read the top's slot list alone, whose stores
+# all stay, and every other reader keeps the stores it reads, so no trace,
+# ``peek`` or conflict changes.  A run's pieces are compiled the first
+# time the run is instantiated with its aliasing and its top segments,
+# and kept (``_RUNS``), so later instances only bind them; a first build
+# generates every chunk, so it fuses nothing.  Ticks, and segments with
+# free variables (a multi-driver resolver's group plans and cycle count,
+# a black box's model), stay separate calls.
+#
+# A segment's **body record**, kept by its chunk, is the tuple ``(text,
+# feeds, local, drops, sole, outputs, private)``: ``text`` is its body
+# without comments and without ``feeds``, the stores of the next child's
+# inputs that end it, each ``(line, list name, child slot, value)``;
+# the rest are tuples of slots: ``local``, those it stores through a
+# local ``v<slot>``; ``drops``, those it stores that are not ports and
+# that no other segment, no tick, resolver or black box reads; ``sole``,
+# the input ports it alone reads; ``outputs``, the output ports it
+# stores, and ``private``, those of them nothing but the parent reads.
 
 #: Most segments one piece holds.  Compiling one function from a whole
 #: run of a deep chain's segments costs megabytes of peak memory; pieces
@@ -1134,16 +1234,19 @@ class _Chunk:
 #: ``ceil(run / 16)``.
 _PIECE_SEGMENTS = 16
 
-#: The pieces of every run fused so far as ``(start, stop, code)``,
-#: keyed by the ids of the run's segments' code objects; an entry
-#: ``(codes, pieces)`` keeps those code objects, so the ids stay theirs.
+#: The pieces of every run fused so far as ``(start, stop, code)``, keyed
+#: by the ids of the run's segments' code objects, how their defaults
+#: alias and where the top's slot list is among them; an entry ``(codes,
+#: pieces)`` keeps those code objects, so the ids stay theirs.
 _RUNS = DigestCache(256)
 
 #: Pieces compiled (``"compiled"``) and pieces bound without a compile
 #: (``"reused"``).
 _PIECE_COUNTS: Counter = Counter()
 
-_IDENTIFIER = re.compile(r"\b[A-Za-z_]\w*")
+#: A name, with the slot index after it when it is subscripted, and the
+#: `` = `` after that when the subscript is stored to.
+_TOKEN = re.compile(r"\b([A-Za-z_]\w*)(?:\[(\d+)\]( = )?)?")
 
 
 def _slices(length: int) -> List[Tuple[int, int]]:
@@ -1155,23 +1258,96 @@ def _slices(length: int) -> List[Tuple[int, int]]:
             if length - start > 1]
 
 
-def _compile_piece(codes: Tuple[CodeType, ...],
-                   bodies: Dict[CodeType, str]) -> CodeType:
+def _renumbered(labels: tuple, top: Optional[int]
+                ) -> Tuple[tuple, Optional[int]]:
+    """``labels``, one per default of a piece's segments, equal where the
+    defaults are one object, renumbered ``0, 1, ...`` in order of first
+    appearance, and the number of the label ``top`` (``None`` when it is
+    not among them): the piece's aliasing, equal for equal slices."""
+    order = {label: number
+             for number, label in enumerate(dict.fromkeys(labels))}
+    return tuple(map(order.__getitem__, labels)), order.get(top)
+
+
+def _renamer(names: Dict[str, str], lists: Dict[str, int],
+             forward: Dict[Tuple[int, str], str], stores: Dict[str, str]):
+    """The replacement of each :data:`_TOKEN` in one place's text: a name
+    by ``names`` (itself when absent), a read of a list's slot by the
+    value the place before forwarded for it (``forward``, by the list's
+    number in ``lists``), and a store to the place's own slot list ``s``
+    by ``stores`` (a renamed store when absent)."""
+    def rename(match) -> str:
+        name, index, store = match.groups()
+        if index is None:
+            return names.get(name, name)
+        if store is None:
+            value = forward.get((lists.get(name), index))
+            return (f"{names.get(name, name)}[{index}]" if value is None
+                    else value)
+        if name == "s" and index in stores:
+            return stores[index]
+        return f"{names[name]}[{index}] = "
+    return rename
+
+
+def _compile_piece(codes: Tuple[CodeType, ...], pattern: tuple,
+                   top: Optional[int],
+                   bodies: Dict[CodeType, tuple]) -> CodeType:
     """The code of one piece over the segments whose code objects are
-    ``codes``: their bodies in order, each one's parameters and locals
-    suffixed ``_<place>``; the parameters are theirs in order."""
-    params: List[str] = []
-    renamed: List[str] = []
+    ``codes`` and whose defaults alias as ``pattern`` numbers them
+    (:func:`_renumbered`; ``top`` is the number of the top's slot list):
+    their bodies in order, each default named ``p<number>`` and each
+    local suffixed ``_<place>``, less the stores nothing reads (see *Fused
+    pieces*).  One pass over the bodies, each place looking at the next
+    alone."""
+    starts = list(accumulate((code.co_argcount for code in codes),
+                             initial=0))
+    lines: List[str] = []
+    forward: Dict[Tuple[int, str], str] = {}
     for place, code in enumerate(codes):
+        text, feeds, local, drops, _, outputs, private = bodies[code]
+        argc = code.co_argcount
+        lists = dict(zip(code.co_varnames,
+                         pattern[starts[place]:starts[place + 1]]))
+        own = lists["s"]
         suffix = f"_{place}"
-        names = set(code.co_varnames)
-        params.extend(name + suffix
-                      for name in code.co_varnames[:code.co_argcount])
-        renamed.append(_IDENTIFIER.sub(
-            lambda match: (match.group() + suffix
-                           if match.group() in names else match.group()),
-            bodies[code]))
-    source = f"def piece({', '.join(params)}):\n" + "\n".join(renamed)
+        names = {name: f"p{number}" for name, number in lists.items()}
+        names.update((name, name + suffix)
+                     for name in code.co_varnames[argc:])
+        if place + 1 < len(codes):
+            after = pattern[starts[place + 1]:starts[place + 2]]
+            sole = bodies[codes[place + 1]][4]  # the next segment's
+        else:
+            after, sole = (), ()
+        kept = own == top
+        # Each stored slot's index -> the text that replaces "s[<index>] = ".
+        stores: Dict[str, str] = {}
+        if not kept:
+            for slot in drops:
+                stores[str(slot)] = ("" if slot in local
+                                     else f"v{slot}{suffix} = ")
+        # Values forwarded to the next place: (list number, index) -> text.
+        passed: Dict[Tuple[int, str], str] = {}
+        if own in after[1:]:  # the next place is the parent's, after us
+            for slot in outputs:
+                held = f"v{slot}{suffix}"
+                passed[(own, str(slot))] = held
+                store = "" if slot in local else f"{held} = "
+                stores[str(slot)] = (store if slot in private
+                                     else f"{store}p{own}[{slot}] = ")
+        rename = _renamer(names, lists, forward, stores)
+        if text:
+            lines.append(_TOKEN.sub(rename, text))
+        for line, kid, slot, value in feeds:
+            child = lists[kid]
+            if after and after[0] == child:
+                passed[(child, str(slot))] = _TOKEN.sub(rename, value)
+                if slot in sole and not kept:
+                    continue
+            lines.append(_TOKEN.sub(rename, line))
+        forward = passed
+    params = ", ".join(f"p{number}" for number in range(max(pattern) + 1))
+    source = f"def piece({params}):\n" + "\n".join(lines)
     module = compile(source, "<kernel piece>", "exec")
     return next(const for const in module.co_consts
                 if type(const) is CodeType)
@@ -1207,15 +1383,15 @@ class CompiledKernelProgram:
         resets: list = []
         slots = self.table[self.plans[-1].name](segments, ticks, resets,
                                                 self.table)
-        run, reset = self.make_top(self._fused(segments), tuple(ticks),
-                                   tuple(resets), slots)
+        run, reset = self.make_top(self._fused(segments, slots),
+                                   tuple(ticks), tuple(resets), slots)
         return ScalarKernel(run, reset, slots, self.slot_map)
 
-    def _fused(self, segments: list) -> tuple:
+    def _fused(self, segments: list, top: list) -> tuple:
         """``segments`` with every maximal run of two or more segments
         fused (:func:`_fuse_run`), cut at each segment of a chunk this
-        build generated (:attr:`fresh`) and at each with free
-        variables."""
+        build generated (:attr:`fresh`) and at each with free variables;
+        ``top`` is the top's slot list."""
         codes = list(map(_CODE, segments))
         fresh = self.fresh
         cuts = [index for index, (code, segment)
@@ -1227,7 +1403,7 @@ class CompiledKernelProgram:
         for cut in cuts:
             if cut - start > 1:
                 out += _fuse_run(segments[start:cut], codes[start:cut],
-                                 self.plans)
+                                 self.plans, top)
             else:
                 out += segments[start:cut]
             out += segments[cut:cut + 1]
@@ -1235,26 +1411,37 @@ class CompiledKernelProgram:
         return tuple(out)
 
 
-def _fuse_run(run: list, codes: list, plans) -> list:
+def _fuse_run(run: list, codes: list, plans, top: list) -> list:
     """``run``, whose segments' code objects are ``codes``, as its pieces
-    bound to this instance's slot lists.  The pieces are the ones
-    :data:`_RUNS` keeps for the run, or, the first time the run is seen,
+    bound to this instance's slot lists (``top`` is the top's).  The
+    pieces are the ones :data:`_RUNS` keeps for the run's code objects,
+    aliasing and top segments, or, the first time those are seen,
     compiled from the bodies the chunks of ``plans`` keep: once per
-    distinct tuple of code objects (a chain's links have equal
-    segments)."""
-    key = tuple(map(id, codes))
+    distinct slice of code objects, aliasing and top segments (a chain's
+    links have equal segments)."""
+    values = list(chain.from_iterable(map(_DEFAULTS, run)))
+    ids = list(map(id, values))
+    last = dict(zip(ids, range(len(ids))))
+    # Each default as the position of the last one holding the same
+    # object: how the run's defaults alias, and where the top's list is.
+    labels = tuple(map(last.__getitem__, ids))
+    mark = last.get(id(top))
+    starts = list(accumulate(map(len, map(_DEFAULTS, run)), initial=0))
+    slices = _slices(len(run))
+    key = (tuple(map(id, codes)), labels, mark)
     entry = _RUNS.get(key)
     if entry is None:
-        bodies: Dict[CodeType, str] = {}
+        bodies: Dict[CodeType, tuple] = {}
         for plan in plans:
             bodies.update(plan.chunk.bodies)
-        compiled: Dict[Tuple[CodeType, ...], CodeType] = {}
+        compiled: Dict[tuple, CodeType] = {}
         pieces = []
-        for start, stop in _slices(len(run)):
-            piece = tuple(codes[start:stop])
+        for start, stop in slices:
+            piece = (tuple(codes[start:stop]),) + _renumbered(
+                labels[starts[start]:starts[stop]], mark)
             code = compiled.get(piece)
             if code is None:
-                code = compiled[piece] = _compile_piece(piece, bodies)
+                code = compiled[piece] = _compile_piece(*piece, bodies)
             pieces.append((start, stop, code))
         _RUNS.put(key, (tuple(codes), pieces))
         _PIECE_COUNTS["compiled"] += len(compiled)
@@ -1262,15 +1449,11 @@ def _fuse_run(run: list, codes: list, plans) -> list:
     else:
         pieces = entry[1]
         _PIECE_COUNTS["reused"] += len(pieces)
-    out = []
-    last = 0
-    for start, stop, code in pieces:
-        piece = run[start:stop]
-        out.append(FunctionType(
-            code, piece[0].__globals__, None,
-            tuple(chain.from_iterable(map(_DEFAULTS, piece)))))
-        last = stop
-    return out + run[last:]
+    namespace = run[0].__globals__
+    return [FunctionType(code, namespace, None, tuple(map(
+        values.__getitem__,
+        dict.fromkeys(labels[starts[start]:starts[stop]]))))
+            for start, stop, code in pieces] + run[slices[-1][1]:]
 
 
 class ScalarKernel:

@@ -645,6 +645,17 @@ class ScheduledEngine:
     def __init__(self, program: CalyxProgram,
                  component: Optional[str] = None,
                  mode: SimulatorMode = "auto") -> None:
+        self._setup(program, component, mode)
+        if mode in ("compiled", "native"):
+            self._reachable_plans()
+        else:
+            self._build_state()
+
+    def _setup(self, program: CalyxProgram, component: Optional[str],
+               mode: SimulatorMode) -> None:
+        """The fields every engine has before any state is built: the
+        component, its plan and what is read off the plan, and an
+        undecided tier."""
         if mode not in ("auto", "fixpoint", "compiled", "native"):
             raise SimulationError(f"unknown simulator mode {mode!r}")
         self.program = program
@@ -687,37 +698,40 @@ class ScheduledEngine:
         #: component's own ports.
         self._values: Dict[_Key, Value] = {}
         self.cycle = 0
-        if mode in ("compiled", "native"):
-            self._reachable_plans()
-        else:
-            self._build_state()
 
     def _build_state(self) -> None:
         """Build the interpreter state around the plan — primitive models
         (reset), child engines, their nodes and the bound schedule — and
-        settle the tier on the interpreter.  A child is only ever settled
-        by this engine's interpreter, so it is an interpreter engine too,
-        its own state built with it."""
-        plan = self._plan
-        self._primitives: Dict[str, PrimitiveModel] = {
-            cell: create_primitive(primitive, params)
-            for cell, primitive, params in plan.prims}
+        settle the tier on the interpreter, here and in every engine
+        below.  A child is only ever settled by this engine's interpreter,
+        so it is an interpreter engine too.  The hierarchy is built from a
+        worklist, so its depth never nests a Python frame."""
         mode = "fixpoint" if self.mode == "fixpoint" else "auto"
-        self._children: Dict[str, ScheduledEngine] = {
-            node.cell: type(self)(self.program, node.component, mode=mode)
-            for node in plan.child_nodes}
-        self._prim_nodes: List[_PrimNode] = [
-            _PrimNode(node.cell, self._primitives[node.cell],
-                      node.in_items, node.out_keys)
-            for node in plan.prim_nodes]
-        self._child_nodes: List[_ChildNode] = [
-            _ChildNode(node.cell, self._children[node.cell], node)
-            for node in plan.child_nodes]
-        self._schedule: Optional[List[Tuple[int, object]]] = plan.bind(
-            self._prim_nodes, self._child_nodes)
-        for model in self._primitives.values():
-            model.reset()
-        self._tier = "interpreter"
+        pending = [self]
+        while pending:
+            engine = pending.pop()
+            plan = engine._plan
+            engine._primitives = {
+                cell: create_primitive(primitive, params)
+                for cell, primitive, params in plan.prims}
+            engine._children = {}
+            for node in plan.child_nodes:
+                child = engine._children[node.cell] = object.__new__(
+                    type(engine))
+                child._setup(engine.program, node.component, mode)
+            engine._prim_nodes = [
+                _PrimNode(node.cell, engine._primitives[node.cell],
+                          node.in_items, node.out_keys)
+                for node in plan.prim_nodes]
+            engine._child_nodes = [
+                _ChildNode(node.cell, engine._children[node.cell], node)
+                for node in plan.child_nodes]
+            engine._schedule = plan.bind(engine._prim_nodes,
+                                         engine._child_nodes)
+            for model in engine._primitives.values():
+                model.reset()
+            engine._tier = "interpreter"
+            pending.extend(engine._children.values())
 
     # -- schedule --------------------------------------------------------------
 

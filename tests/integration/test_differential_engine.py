@@ -475,6 +475,80 @@ def _nested_pick_program() -> CalyxProgram:
     return nested
 
 
+def _wrap(inner: CalyxComponent, name: str) -> CalyxComponent:
+    """A component ``name`` with ``inner``'s interface that passes it
+    through a child ``w`` of ``inner``'s component."""
+    outer = CalyxComponent(name, inputs=list(inner.inputs),
+                           outputs=list(inner.outputs))
+    outer.add_cell(Cell("w", inner.name))
+    for port in inner.inputs:
+        outer.add_wire(Assignment(CellPort("w", port.name),
+                                  CellPort(None, port.name)))
+    for port in inner.outputs:
+        outer.add_wire(Assignment(CellPort(None, port.name),
+                                  CellPort("w", port.name)))
+    return outer
+
+
+def _doubler() -> CalyxComponent:
+    """``Dbl``: ``z = x + x`` over 8 bits."""
+    dbl = CalyxComponent("Dbl", inputs=[PortSpec("x", 8)],
+                         outputs=[PortSpec("z", 8)])
+    dbl.add_cell(Cell("A", "Add", (8,)))
+    for port in ("left", "right"):
+        dbl.add_wire(Assignment(CellPort("A", port), CellPort(None, "x")))
+    dbl.add_wire(Assignment(CellPort(None, "z"), CellPort("A", "out")))
+    return dbl
+
+
+def _split_input_program() -> CalyxProgram:
+    """``Outer`` around ``Mid`` around ``Split``, which reads its input
+    ``a`` on both sides of its child ``d`` (a ``Dbl``): ``d.x = a``
+    before it and ``S.right = d.z ? a`` after it, ``y = S.out`` with
+    ``S.left = d.z``."""
+    split = CalyxComponent("Split", inputs=[PortSpec("a", 8)],
+                           outputs=[PortSpec("y", 8)])
+    split.add_cell(Cell("d", "Dbl"))
+    split.add_cell(Cell("S", "Add", (8,)))
+    split.add_wire(Assignment(CellPort("d", "x"), CellPort(None, "a")))
+    split.add_wire(Assignment(CellPort("S", "left"), CellPort("d", "z")))
+    split.add_wire(Assignment(CellPort("S", "right"), CellPort(None, "a"),
+                              Guard((CellPort("d", "z"),))))
+    split.add_wire(Assignment(CellPort(None, "y"), CellPort("S", "out")))
+    mid = _wrap(split, "Mid")
+    program = CalyxProgram(entrypoint="Outer")
+    for component in (_doubler(), split, mid, _wrap(mid, "Outer")):
+        program.add(component)
+    return program
+
+
+def _late_read_program() -> CalyxProgram:
+    """``Outer`` around ``Pair``, which drives two ``Dbl`` children,
+    ``p.x = a`` and then ``q.x = b``, and reads ``p``'s output only after
+    ``q``: ``y = q.z ? p.z``."""
+    pair = CalyxComponent("Pair", inputs=[PortSpec("a", 8),
+                                          PortSpec("b", 8)],
+                          outputs=[PortSpec("y", 8)])
+    for cell, port in (("p", "a"), ("q", "b")):
+        pair.add_cell(Cell(cell, "Dbl"))
+        pair.add_wire(Assignment(CellPort(cell, "x"), CellPort(None, port)))
+    pair.add_wire(Assignment(CellPort(None, "y"), CellPort("p", "z"),
+                             Guard((CellPort("q", "z"),))))
+    program = CalyxProgram(entrypoint="Outer")
+    for component in (_doubler(), pair, _wrap(pair, "Outer")):
+        program.add(component)
+    return program
+
+
+def _boundary_stimulus(names):
+    # A zero or 128 doubles to a zero guard; X reads X.
+    rng = random.Random(28)
+    values = [rng.getrandbits(8) for _ in range(5)] + [0, X, 128, 9]
+    return [{name: values[(cycle + offset) % len(values)]
+             for offset, name in enumerate(names)}
+            for cycle in range(len(values))]
+
+
 def _fused_netlists():
     """``label -> (calyx, entrypoint, rows)`` for every netlist the
     fused-run tests drive: chain16 and chain64, every evaluation design
@@ -508,6 +582,10 @@ def _fused_netlists():
     netlists["two-driver-child"] = (_pick_program(), "Top", _pick_stimulus())
     netlists["two-driver-grandchild"] = (_nested_pick_program(), "Outer",
                                          _pick_stimulus())
+    netlists["split-input"] = (_split_input_program(), "Outer",
+                               _boundary_stimulus(("a",)))
+    netlists["late-read"] = (_late_read_program(), "Outer",
+                             _boundary_stimulus(("a", "b")))
     return netlists
 
 
@@ -523,6 +601,60 @@ def _pieces_bound():
 
     stats = kernel_cache_stats()
     return stats["pieces_compiled"] + stats["pieces_reused"]
+
+
+@pytest.fixture
+def instances(monkeypatch):
+    """Every compiled kernel instance built while a test runs, as ``(top
+    slot list, segments)``, its runs of segments fused."""
+    from repro.sim import codegen
+
+    seen = []
+    fused = codegen.CompiledKernelProgram._fused
+
+    def spy(self, segments, top):
+        out = fused(self, segments, top)
+        seen.append((top, out))
+        return out
+
+    monkeypatch.setattr(codegen.CompiledKernelProgram, "_fused", spy)
+    return seen
+
+
+def _settle_writes(simulator, instance, inputs):
+    """Per slot list below the top of ``simulator``'s kernel ``instance``,
+    in the order its segments first name them, the slots one settle on
+    ``inputs`` (the top's input values in order) writes: after a reset,
+    each X in those lists is a sentinel that a write replaces."""
+    top, segments = instance
+    simulator.reset()
+    lists = {}
+    for segment in segments:
+        for value in segment.__defaults__:
+            if type(value) is list and value is not top:
+                lists.setdefault(id(value), value)
+    sentinel = object()
+    for slots in lists.values():
+        slots[:] = [sentinel if value is X else value for value in slots]
+    top[:len(inputs)] = inputs
+    for segment in segments:
+        segment()
+    return [{slot for slot, value in enumerate(slots) if value is not sentinel}
+            for slots in lists.values()]
+
+
+def _assert_traces_like_fixpoint(simulator, calyx, entry, rows):
+    """``simulator`` traces ``rows`` like ``fixpoint``, with equal
+    ``outputs()`` and an equal ``peek`` on every slot of the top."""
+    reference = Simulator(calyx, entry, mode="fixpoint")
+    assert simulator.run_batch(rows) == reference.run_batch(rows)
+    assert simulator.outputs() == reference.outputs()
+    for cell, port in simulator._kernel._slot_map:
+        want = reference.peek(cell, port)
+        got = simulator.peek(cell, port)
+        if not port.startswith("#"):  # register state, not a signal
+            assert is_x(got) == is_x(want) and (
+                is_x(want) or got == want), (cell, port, got)
 
 
 class TestFusedRuns:
@@ -542,21 +674,13 @@ class TestFusedRuns:
         bound = _pieces_bound()
         simulator = _compiled(calyx, entry)
         assert (_pieces_bound() > bound) == (label not in _NOTHING_TO_FUSE)
-        reference = Simulator(calyx, entry, mode="fixpoint")
-        trace = reference.run_batch(rows)
+        trace = Simulator(calyx, entry, mode="fixpoint").run_batch(rows)
         out = simulator.run_columns(
             len(rows), _columns(rows, component.input_names()))
         assert out == rows_to_columns(
             (trace,), component.output_names(), len(rows))
-        assert simulator.outputs() == reference.outputs()
-        for cell, port in simulator._kernel._slot_map:
-            want = reference.peek(cell, port)
-            got = simulator.peek(cell, port)
-            if not port.startswith("#"):  # register state, not a signal
-                assert is_x(got) == is_x(want) and (
-                    is_x(want) or got == want), (cell, port, got)
         simulator.reset()
-        assert simulator.run_batch(rows) == trace
+        _assert_traces_like_fixpoint(simulator, calyx, entry, rows)
 
     @pytest.mark.parametrize("label", ["two-driver-child",
                                        "two-driver-grandchild"])
@@ -611,6 +735,80 @@ class TestFusedRuns:
         assert edit(0x3C3) == (3, 2, 2)
         assert edit(0x3C4) == (3, 2, 4)
 
+    def test_every_edit_of_a_session_traces_like_fixpoint(self, instances):
+        """Each leaf edit's kernel, its links fused around the fresh leaf,
+        traces like ``fixpoint``; a link stores only the two slots its
+        other segment reads, and the leaf, fused neither into the piece
+        before it nor into the one after, is still handed every input."""
+        from repro.evaluation import chain_program, edit_chain_leaf
+        from repro.evaluation.compile_time import _stores_per_cycle
+        from repro.sim.codegen import clear_kernel_cache
+
+        clear_kernel_cache()
+        program, entry = chain_program(16, salt=0x3C1)
+        session = CompilationSession(program)
+        for edit, value in enumerate(range(0x3C1, 0x3C5)):
+            edit_chain_leaf(program, value)
+            harness = harness_for(program, entry, session=session)
+            simulator = harness._fresh_simulator()
+            rows, _ = harness._schedule(
+                random_transactions(harness, 12, seed=edit))
+            _assert_traces_like_fixpoint(simulator, session.calyx(entry),
+                                         entry, rows)
+            if edit == 0:  # a first build generates every chunk
+                continue
+            slots = [plan.chunk.slots for plan in simulator._plans
+                     if plan.name == "Chain1"][0]
+            kept = {slots[("G_fsm", "_0")], slots[("A", "right")]}
+            writes = _settle_writes(simulator, instances[-1], [1, 5, 9])
+            # Chain14, whose inputs the top stores, .. Chain1, then the
+            # fresh leaf Chain0.
+            assert writes[:-1] == [kept | {0, 1, 2}] + [kept] * 13
+            assert {0, 1, 2} <= writes[-1]
+            # The top's 13 stores and its 3 inputs, 2 per link, the leaf's
+            # 9 and Chain1's 3 stores of the leaf's inputs.
+            assert _stores_per_cycle(simulator) == 13 + 3 + 2 * 14 + 9 + 3
+
+    def test_a_fused_link_stores_only_its_cross_segment_slots(
+            self, instances):
+        """A second build of ``chain_program(16)`` runs in two pieces:
+        inside them a link stores only ``G_fsm`` and ``A.right``, which
+        its segment after its child reads (and the first link the inputs
+        the top stores), and the leaf only its output, which the next
+        piece reads."""
+        calyx, entry, _ = _FUSED_NETLISTS["chain16"]
+        _compiled(calyx, entry)
+        simulator = _compiled(calyx, entry)
+        link, leaf = ([plan.chunk.slots for plan in simulator._plans
+                       if plan.name == name][0]
+                      for name in ("Chain1", "Chain0"))
+        kept = {link[("G_fsm", "_0")], link[("A", "right")]}
+        writes = _settle_writes(simulator, instances[-1], [1, 5, 9])
+        assert len(instances[-1][1]) == 2
+        assert writes == [kept | {0, 1, 2}] + [kept] * 13 + [
+            {leaf[(None, "out")]}]
+
+    @pytest.mark.parametrize("label,inputs,owner,slot", [
+        ("split-input", [7], 1, (None, "a")),
+        ("late-read", [7, 9], 0, ("p", "z"))])
+    def test_a_boundary_store_another_segment_reads_survives(
+            self, instances, label, inputs, owner, slot):
+        """In one piece, a value stored across a child boundary is
+        forwarded to the next segment, but its store stays when another
+        segment reads it too: ``Split`` reads its input ``a`` on both
+        sides of its child, and ``Pair`` reads its copy of ``p.z`` only
+        after its second child."""
+        calyx, entry, rows = _FUSED_NETLISTS[label]
+        _compiled(calyx, entry)
+        simulator = _compiled(calyx, entry)
+        assert len(instances[-1][1]) == 1  # the whole design, one piece
+        _assert_traces_like_fixpoint(simulator, calyx, entry, rows)
+        component = {"split-input": "Split", "late-read": "Pair"}[label]
+        slots = [plan.chunk.slots for plan in simulator._plans
+                 if plan.name == component][0]
+        assert slots[slot] in _settle_writes(
+            simulator, instances[-1], inputs)[owner]
+
     def test_no_piece_spans_more_than_16_segments(self):
         from repro.evaluation import chain_program, edit_chain_leaf
         from repro.evaluation.compile_time import _calls_per_cycle
@@ -625,14 +823,17 @@ class TestFusedRuns:
                                     session=session)._fresh_simulator()
             simulator.prepare()
         # Two runs of 63 around the leaf, four pieces each; the links'
-        # segments are equal code, so a run's first three pieces compile
-        # once.
+        # segments are equal code, so equal slices compile once, but a
+        # piece holding one of the top's segments keeps every store there
+        # and compiles apart: the first run's first piece (the top's first
+        # segment), its next two, its last, then the second run's first
+        # three and its last (the top's last segment).
         assert _calls_per_cycle(simulator) == 9
         sizes = sorted(stop - start
                        for _, pieces in codegen._RUNS._entries.values()
                        for start, stop, _ in pieces)
         assert sizes == [15, 15] + [16] * 6
-        assert codegen.kernel_cache_stats()["pieces_compiled"] == 4
+        assert codegen.kernel_cache_stats()["pieces_compiled"] == 5
         assert codegen._PIECE_SEGMENTS == 16
 
     def test_clear_kernel_cache_drops_every_piece(self):

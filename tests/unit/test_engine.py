@@ -146,6 +146,35 @@ class TestConstruction:
         assert len(models) > 16
         assert [resets.get(id(model)) for model in models] == [1] * len(models)
 
+    def test_a_256_deep_hierarchy_builds_at_the_default_recursion_limit(
+            self):
+        """The interpreter state of a hierarchy is built from a worklist,
+        so ``auto`` builds ``chain_program(256)`` at the default recursion
+        limit (a child engine built inside its parent's construction used
+        three frames per level and raised ``RecursionError`` from about
+        chain255 on) and traces like ``compiled``."""
+        import sys
+
+        from repro.core.session import CompilationSession
+        from repro.evaluation.compile_time import chain_program
+
+        program, entry = chain_program(256)
+        calyx = CompilationSession(program).calyx(entry)
+        rows = [{"go": 1, "a": 7 * cycle, "b": cycle + 1}
+                for cycle in range(4)] + [{"go": 0, "a": 1, "b": 2}]
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            engine = Simulator(calyx, entry, mode="auto")
+            trace = engine.run_batch(rows)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert engine._tier == "interpreter"
+        assert trace == Simulator(calyx, entry,
+                                  mode="compiled").run_batch(rows)
+        assert [row["out"] for row in trace[:4]] == [
+            (7 * cycle + 256 * (cycle + 1)) & 0xFFFF for cycle in range(4)]
+
 
 class TestRunBatch:
     def test_run_batch_equals_stepping(self):
